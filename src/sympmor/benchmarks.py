@@ -10,6 +10,8 @@ dissipative operators used by the reference baselines.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +59,36 @@ class Benchmark:
         )
 
 
+def _check_fields(config) -> None:
+    """Check every field of a benchmark config against its annotation.
+
+    int fields take integers, float fields finite real numbers, str and bool
+    fields their own type, and ``| None`` fields also None. The snapshot
+    stride, common to every config, must be at least 1. Raises ValueError
+    naming the field.
+    """
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        kind, _, optional = f.type.partition("|")
+        kind = kind.strip()
+        if value is None and optional:
+            continue
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if kind == "int" and not (real and isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if kind == "float" and not real:
+            raise ValueError(f"{f.name} must be a number, got {value!r}")
+        if kind == "float" and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if kind == "str" and not isinstance(value, str):
+            raise ValueError(f"{f.name} must be a string, got {value!r}")
+        if kind == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{f.name} must be true or false, got {value!r}")
+    if config.snapshot_stride < 1:
+        raise ValueError(
+            f"snapshot_stride must be at least 1, got {config.snapshot_stride}")
+
+
 # -- dissipative wave ---------------------------------------------------------
 
 
@@ -78,6 +110,7 @@ class WaveConfig:
     snapshot_stride: int = 5
 
     def validate(self):
+        _check_fields(self)
         if self.n < 3:
             raise ValueError("wave grid needs at least 3 points")
         if self.dt <= 0 or self.t_final < 0 or self.c2 <= 0:
@@ -148,6 +181,7 @@ class SineGordonConfig:
     snapshot_stride: int = 5
 
     def validate(self):
+        _check_fields(self)
         if self.n < 3:
             raise ValueError("grid needs at least 3 interior points")
         if not abs(self.velocity) < 1.0:
@@ -234,6 +268,7 @@ class LadderConfig:
     snapshot_stride: int = 1
 
     def validate(self):
+        _check_fields(self)
         if self.cells < 1:
             raise ValueError("ladder needs at least one cell")
         if self.capacitance <= 0 or self.inductance <= 0:

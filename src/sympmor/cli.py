@@ -294,28 +294,37 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _run_reduced(bench, config, basis_or_v, method: str, factor_mode: str):
-    """Integrate one reduced model; returns (report, mapper)."""
+def _project(bench, mapper, method: str, factor_mode: str, model=None):
+    """Reduced model of one method: a ReducedTdd for rdh, else a baseline
+    projected from ``model`` (the benchmark's dissipative model when None)."""
     if method == "rdh":
-        red = reduction.rdh_reduce(bench.system, basis_or_v,
-                                   factor_mode=factor_mode)
-        report = dynamics.integrate(
-            red.system, dt=config.dt, t_final=config.t_final,
-            snapshot_stride=config.snapshot_stride)
-        return report, basis_or_v
+        return reduction.rdh_reduce(bench.system, mapper,
+                                    factor_mode=factor_mode)
+    if method not in ("psd", "pod"):
+        raise ConfigError(f"unknown reduction method {method!r}")
+    if model is None:
+        model = bench.dissipative_model()
     if method == "psd":
-        red = reduction.psd_baseline(bench.dissipative_model(), basis_or_v)
+        return reduction.psd_baseline(model, mapper)
+    return reduction.pod_baseline(model, mapper)
+
+
+def _run_reduced(reduced, config, mapper, method: str):
+    """Integrate one projected model; returns (report, lift)."""
+    if method == "rdh":
+        report = dynamics.integrate(
+            reduced.system, dt=config.dt, t_final=config.t_final,
+            snapshot_stride=config.snapshot_stride)
+        return report, mapper
+    if method == "psd":
         report = dynamics.integrate_dissipative(
-            red.model, dt=config.dt, t_final=config.t_final,
+            reduced.model, dt=config.dt, t_final=config.t_final,
             snapshot_stride=config.snapshot_stride)
-        return report, basis_or_v
-    if method == "pod":
-        pm = reduction.pod_baseline(bench.dissipative_model(), basis_or_v)
-        report = dynamics.integrate_rk4(
-            pm.rhs, pm.y0, dt=config.dt, t_final=config.t_final,
-            snapshot_stride=config.snapshot_stride)
-        return report, pm.v
-    raise ConfigError(f"unknown reduction method {method!r}")
+        return report, mapper
+    report = dynamics.integrate_rk4(
+        reduced.rhs, reduced.y0, dt=config.dt, t_final=config.t_final,
+        snapshot_stride=config.snapshot_stride)
+    return report, reduced.v
 
 
 def cmd_run_reduced(args) -> int:
@@ -328,8 +337,8 @@ def cmd_run_reduced(args) -> int:
     else:
         mapper = _basis_from_file(args.basis)
         m = mapper.n_columns
-    report, lift = _run_reduced(bench, config, mapper, args.method,
-                                args.factor_mode)
+    reduced = _project(bench, mapper, args.method, args.factor_mode)
+    report, lift = _run_reduced(reduced, config, mapper, args.method)
     recon = reduction.reconstruct(lift, report.snapshots, dx=bench.system.dx)
     files = [storage.write_report_csv(report, out / f"reduced_report_k{m}.csv")]
     files += storage.write_snapshots(recon, out / f"reconstructed_k{m}.mtx")
@@ -382,19 +391,17 @@ def _lifted_kinetic(mapper, derivatives, n_full: int, dx: float):
     return 0.5 * dx * np.sum(v * v, axis=0)
 
 
-def _reduced_generator(bench, basis_or_v, method: str):
+def _reduced_generator(reduced, method: str):
     """Linear-part generator of a baseline reduced model, None for rdh."""
     if method == "psd":
-        red = reduction.psd_baseline(bench.dissipative_model(), basis_or_v)
-        return red.model.linear_operator()
+        return reduced.model.linear_operator()
     if method == "pod":
-        return reduction.pod_baseline(bench.dissipative_model(),
-                                      basis_or_v).matrix
+        return reduced.matrix
     return None
 
 
 def _compare_cell(bench, config, method, basis_or_v, reference,
-                  ref_energy, factor_mode):
+                  ref_energy, factor_mode, model):
     """One (method, mode-count) comparison cell; safe to run in a thread.
 
     Every cell is measured against the one full closed-formulation run.
@@ -406,13 +413,13 @@ def _compare_cell(bench, config, method, basis_or_v, reference,
     n_full = bench.system.n
     dx = bench.system.dx
     cell: dict = {"unstable": False}
-    generator = _reduced_generator(bench, basis_or_v, method)
+    reduced = _project(bench, basis_or_v, method, factor_mode, model)
+    generator = _reduced_generator(reduced, method)
     if generator is not None:
         cell["abscissa"] = reduction.spectral_abscissa(generator)
     m = reference.snapshots.count
     try:
-        report, lift = _run_reduced(bench, config, basis_or_v, method,
-                                    factor_mode)
+        report, lift = _run_reduced(reduced, config, basis_or_v, method)
     except NonFiniteError as exc:
         cell["unstable"] = True
         cell["failure_step"] = exc.step
@@ -481,12 +488,15 @@ def cmd_compare(args) -> int:
 
     ref_energy = _energy_series(bench.system.hamiltonian, full.snapshots)
     cells = [(method, m) for method in methods for m in modes]
+    # the baselines all project one dissipative model
+    model = (bench.dissipative_model()
+             if "psd" in methods or "pod" in methods else None)
 
     def run_cell(key):
         method, m = key
         mapper = pod_v[:, :m] if method == "pod" else sym_basis.truncate(m // 2)
         return _compare_cell(bench, config, method, mapper, full,
-                             ref_energy, args.factor_mode)
+                             ref_energy, args.factor_mode, model)
 
     threads = _thread_cap()
     if threads > 1:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .symplectic import CanonicalForm, SnapshotSet
 
@@ -39,6 +40,72 @@ class NonFiniteError(RuntimeError):
 
 def _sym_deviation(m: np.ndarray) -> float:
     return float(np.abs(m - m.T).max())
+
+
+# Full-order operators with at most this share of nonzero entries are applied
+# in CSR. Measured with one BLAS thread, a CSR matvec beats the dense one
+# above about 5 % nonzeros at dimension 200 and above about 30 % at
+# dimension 1000; the wave and sine-Gordon factors hold 0.2 % at n = 500,
+# the ladder's K and the triangular reduced factors far more than the cut.
+_SPARSE_SHARE = 0.05
+
+
+class _Csr(scipy.sparse.csr_array):
+    """CSR array that reports the bytes of its data, indices and indptr as
+    ``nbytes``, like the dense operators it stands in for."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
+def _operator(m: np.ndarray):
+    """``m`` as a CSR matrix when at most _SPARSE_SHARE of its entries are
+    nonzero, else ``m`` itself."""
+    if np.count_nonzero(m) <= _SPARSE_SHARE * m.size:
+        return _Csr(m)
+    return m
+
+
+def _dense(m) -> np.ndarray:
+    return m.toarray() if scipy.sparse.issparse(m) else m
+
+
+def _as_stored(m):
+    """A stepper operator derived from ``K``: sparse results stay CSR."""
+    return _Csr(m) if scipy.sparse.issparse(m) else m
+
+
+def _reciprocal_condition(k) -> float:
+    """Estimate of 1 / cond_1(k) from one LU factorization; 0 if singular.
+
+    ``k`` is a dense array or a sparse matrix. The sparse path bounds
+    ||k^{-1}||_1 from below with ``onenormest`` on the LU solves, so it
+    costs about the fill of the factors; the dense path uses LAPACK's
+    estimator. Either estimate may overstate the true 1 / cond_1 (by a small
+    factor in practice), and 1 / cond_1 lies within a factor dim of
+    sigma_min / sigma_max.
+    """
+    norm = float(abs(k).sum(axis=0).max())
+    if norm == 0.0:
+        return 0.0
+    if not scipy.sparse.issparse(k):
+        lu, _, info = scipy.linalg.lapack.dgetrf(k)
+        if info > 0:
+            return 0.0
+        rcond, _ = scipy.linalg.lapack.dgecon(lu, norm)
+        return float(rcond)
+    # imported here: its modules add about 2 MB of resident memory, which a
+    # process that only meets dense systems need not pay
+    from scipy.sparse import linalg as sparse_linalg
+    try:
+        lu = sparse_linalg.splu(scipy.sparse.csc_array(k))
+    except RuntimeError:       # "Factor is exactly singular"
+        return 0.0
+    inverse = sparse_linalg.LinearOperator(
+        k.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="T"),
+        dtype=float)
+    return 1.0 / (norm * sparse_linalg.onenormest(inverse))
 
 
 def cholesky_factor(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -83,12 +150,7 @@ def symmetric_sqrt(chi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     scale = max(1.0, float(np.abs(chi).max()))
     offdiag = chi - np.diag(np.diag(chi))
     if not offdiag.any():
-        d = np.diag(chi).copy()
-        if d.min() < -tol * scale:
-            raise ValueError(
-                f"susceptibility has negative eigenvalue {d.min():.3e}"
-            )
-        return np.diag(np.sqrt(np.clip(d, 0.0, None)))
+        return np.diag(_diagonal_sqrt(np.diag(chi), tol * scale))
     vals, vecs = np.linalg.eigh(0.5 * (chi + chi.T))
     if vals.min() < -tol * scale:
         raise ValueError(
@@ -96,6 +158,13 @@ def symmetric_sqrt(chi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         )
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
     return 0.5 * (root + root.T)
+
+
+def _diagonal_sqrt(d: np.ndarray, floor: float) -> np.ndarray:
+    """Square roots of a diagonal; entries in [-floor, 0) count as zero."""
+    if d.min() < -floor:
+        raise ValueError(f"susceptibility has negative eigenvalue {d.min():.3e}")
+    return np.sqrt(np.clip(d, 0.0, None))
 
 
 class TddSystem:
@@ -128,6 +197,10 @@ class TddSystem:
         boundary terms).
     dx : float
         Grid weight for L2 norms and the kinetic energy of PDE states.
+
+    ``k_op`` and ``kt_op`` apply K and K^T: CSR matrices when at most 5 %
+    of the entries of K are nonzero, K and its transpose otherwise. ``K``
+    and ``chi`` themselves stay dense arrays.
     """
 
     def __init__(self, K, chi, z0, *, nonlinear_grad=None, potential=None,
@@ -155,10 +228,14 @@ class TddSystem:
         self.dx = float(dx)
         self.name = name
         self.J = CanonicalForm(self.n)
-        self._chi_diag = None
+        self.k_op = _operator(self.K)
+        self.kt_op = self.K.T if self.k_op is self.K else _Csr(self.k_op.T)
+        self._chi_diag = self._chi_op = None
         offdiag = self.chi - np.diag(np.diag(self.chi))
         if not offdiag.any():
             self._chi_diag = np.diag(self.chi).copy()
+        else:
+            self._chi_op = _operator(self.chi)
         if validate:
             self.validate()
 
@@ -168,15 +245,20 @@ class TddSystem:
         scale = max(1.0, float(np.abs(self.chi).max()))
         if _sym_deviation(self.chi) > 1e-12 * scale:
             raise ValueError("susceptibility must be symmetric to 1e-12 relative")
-        root = symmetric_sqrt(self.chi)   # raises on eigenvalues < -1e-12*scale
-        if np.abs(root @ root - self.chi).max() > 1e-10 * scale:
+        # both raise on eigenvalues < -1e-12*scale
+        if self._chi_diag is not None:
+            root = _diagonal_sqrt(self._chi_diag, 1e-12 * scale)
+            residual = np.abs(root * root - self._chi_diag).max()
+        else:
+            root = symmetric_sqrt(self.chi)
+            residual = np.abs(root @ root - self.chi).max()
+        if residual > 1e-10 * scale:
             raise ValueError("susceptibility square root check failed at 1e-10")
-        sv = np.linalg.svd(self.K, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
-            cond = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
+        rcond = _reciprocal_condition(self.k_op)
+        if rcond <= 1e-12:
             raise ValueError(
-                f"K is numerically rank deficient: sigma_min/sigma_max = "
-                f"{cond:.3e}"
+                f"K is numerically rank deficient: estimated 1/cond_1 = "
+                f"{rcond:.3e}"
             )
 
     # -- building blocks ---------------------------------------------------
@@ -184,7 +266,7 @@ class TddSystem:
     def chi_apply(self, v):
         if self._chi_diag is not None:
             return (self._chi_diag * v.T).T
-        return self.chi @ v
+        return self._chi_op @ v
 
     def grad_extra(self, z):
         """Non-quadratic gradient terms: g(z) - z_bd."""
@@ -197,7 +279,7 @@ class TddSystem:
 
     def hamiltonian(self, z) -> float:
         """Energy 0.5 ||K z||^2 + potential(z) - z_bd . z."""
-        kz = self.K @ z
+        kz = self.k_op @ z
         h = 0.5 * float(kz @ kz)
         if self.potential is not None:
             h += float(self.potential(z))
@@ -207,7 +289,7 @@ class TddSystem:
 
     def state_derivative(self, z, f):
         """dz/dt given the co-state: J (K^T f + g(z) - z_bd) + u."""
-        force = self.K.T @ f
+        force = self.kt_op @ f
         extra = self.grad_extra(z)
         if extra is not None:
             force = force + extra
@@ -232,7 +314,7 @@ class TddSystem:
         """
         if self.input_vector is None:
             return 0.0
-        s = float((self.K @ self.input_vector) @ f)
+        s = float((self.k_op @ self.input_vector) @ f)
         extra = self.grad_extra(z)
         if extra is not None:
             s += float(extra @ self.input_vector)
@@ -333,7 +415,7 @@ def solve_auxiliary(system: TddSystem, z, accumulator: StringAccumulator,
     elif abs(dt - accumulator.dt) > 1e-15 * accumulator.dt:
         raise ValueError("dt disagrees with the accumulator's step size")
     w = 0.5 * dt
-    rhs = system.K @ z - system.chi_apply(accumulator.tail)
+    rhs = system.k_op @ z - system.chi_apply(accumulator.tail)
     if system._chi_diag is not None:
         return rhs / (1.0 + w * system._chi_diag)
     return np.linalg.solve(np.eye(system.dim) + w * system.chi, rhs)
@@ -352,9 +434,14 @@ class _LinearSolver:
             self._cho = scipy.linalg.cho_factor(np.eye(dim) + w * chi)
 
     def solve(self, rhs):
-        if self.diag is not None:
-            return (rhs.T / self.diag).T
-        return scipy.linalg.cho_solve(self._cho, rhs)
+        if self.diag is None:
+            return scipy.linalg.cho_solve(self._cho, _dense(rhs))
+        if scipy.sparse.issparse(rhs):
+            # divide row i by diag[i], as the dense path does
+            out = _Csr(rhs, copy=True)
+            out.data /= np.repeat(self.diag, np.diff(out.indptr))
+            return out
+        return (rhs.T / self.diag).T
 
 
 class VerletStepper:
@@ -373,6 +460,12 @@ class VerletStepper:
     effective quadratic form M = K^T (I + w chi)^{-1} K plus a tail-dependent
     constant; stages 1 and 2 are implicit only through the qp / pq blocks of
     M and are solved directly (explicitly when those blocks are zero).
+
+    When the system applies K in CSR, K^T (I + w chi)^{-1} and the blocks of
+    M are formed and stored in CSR as well, unless a non-diagonal chi makes
+    them dense. The step reuses the previous step's end-of-step tail
+    constant as its start-of-step one: the accumulator's committed tail is
+    bitwise the tail the step computed for the end of the step.
     """
 
     def __init__(self, system: TddSystem, dt: float):
@@ -383,22 +476,27 @@ class VerletStepper:
         w = 0.5 * self.dt
         n = system.n
         self._w_solver = _LinearSolver(system.chi, system._chi_diag, w)
-        wi_k = self._w_solver.solve(system.K)
-        m = system.K.T @ wi_k
+        wi_k = self._w_solver.solve(system.k_op)
+        m = system.kt_op @ wi_k
         m = 0.5 * (m + m.T)
-        self.kt_wi = wi_k.T                       # K^T (I + w chi)^{-1}
-        self.m_qq = m[:n, :n]
-        self.m_qp = m[:n, n:]
-        self.m_pq = m[n:, :n]
-        self.m_pp = m[n:, n:]
-        cross = max(np.abs(self.m_qp).max(), np.abs(self.m_pq).max())
+        self.kt_wi = _as_stored(wi_k.T)           # K^T (I + w chi)^{-1}
+        self.m_qq = _as_stored(m[:n, :n])
+        self.m_qp = _as_stored(m[:n, n:])
+        self.m_pq = _as_stored(m[n:, :n])
+        self.m_pp = _as_stored(m[n:, n:])
+        cross = max(abs(self.m_qp).max(), abs(self.m_pq).max())
         self._explicit = cross == 0.0
         if not self._explicit:
-            self._lu_kick = scipy.linalg.lu_factor(np.eye(n) + w * self.m_qp)
-            self._lu_drift = scipy.linalg.lu_factor(np.eye(n) - w * self.m_pq)
+            self._lu_kick = scipy.linalg.lu_factor(
+                np.eye(n) + w * _dense(self.m_qp))
+            self._lu_drift = scipy.linalg.lu_factor(
+                np.eye(n) - w * _dense(self.m_pq))
         u = system.input_vector
         self.u_q = u[:n] if u is not None else None
         self.u_p = u[n:] if u is not None else None
+        # (accumulator, its step count, end-of-step tail constant) of the
+        # last step taken
+        self._carry = None
 
     def _tail_const(self, tail):
         """Constant gradient contribution -K^T (I+w chi)^{-1} chi tail."""
@@ -414,10 +512,12 @@ class VerletStepper:
         z = state.z
         q, p = z[:n], z[n:]
 
-        tail_start = acc.tail
-        tail_end = acc.tail_next()
-        chi_tail_end = sys_.chi_apply(tail_end)
-        cs = self._tail_const(tail_start)
+        carry = self._carry
+        if carry is not None and carry[0] is acc and carry[1] == acc.steps:
+            cs = carry[2]
+        else:
+            cs = self._tail_const(acc.tail)
+        chi_tail_end = sys_.chi_apply(acc.tail_next())
         ce = -(self.kt_wi @ chi_tail_end)
         extra = sys_.grad_extra(z)
 
@@ -458,10 +558,11 @@ class VerletStepper:
             p_new = p_new + w * self.u_p
 
         z_new = np.concatenate([q_new, p_new])
-        kz_new = sys_.K @ z_new
+        kz_new = sys_.k_op @ z_new
         f_new = self._w_solver.solve(kz_new - chi_tail_end)
         acc.commit(f_new, sys_.dissipation_rate(f_new),
                    sys_.supply_rate(z_new, f_new))
+        self._carry = (acc, acc.steps, ce)
         return ExtendedState(z=z_new, accumulator=acc), kz_new
 
 
@@ -616,7 +717,7 @@ def integrate(system: TddSystem, dt: float, n_steps: int | None = None,
             costates[:, snap_cursor] = f
             snap_cursor += 1
 
-    kz = system.K @ state.z
+    kz = system.k_op @ state.z
     record(0, kz)
     resid0 = kz - (acc.f + 0.5 * dt * system.chi_apply(acc.f))
     volterra_max = float(np.abs(resid0).max())
@@ -727,23 +828,19 @@ class DissipativeVerletStepper:
         w = 0.5 * self.dt
         n = model.n
         s = model.stiffness
-        self.s_qq, self.s_qp = s[:n, :n], s[:n, n:]
-        self.s_pq, self.s_pp = s[n:, :n], s[n:, n:]
-        if model.drift is not None:
-            d = model.drift
-            self.d_qq, self.d_qp = d[:n, :n], d[:n, n:]
-            self.d_pq, self.d_pp = d[n:, :n], d[n:, n:]
-        else:
-            zero = np.zeros((n, n))
-            self.d_qq = self.d_qp = self.d_pq = self.d_pp = zero
-        self.a_kick = self.s_qp + self.d_pp
-        a_drift = self.s_pq - self.d_qq
-        self._kick_explicit = not self.a_kick.any()
-        self._drift_explicit = not a_drift.any()
+        d = model.drift if model.drift is not None else np.zeros_like(s)
+        # stage coefficients: the kicks act with kick_q on q and kick_p on p,
+        # the drift with drift_q on q and drift_p on p
+        self.kick_q = s[:n, :n] + d[n:, :n]
+        self.kick_p = s[:n, n:] + d[n:, n:]
+        self.drift_q = s[n:, :n] - d[:n, :n]
+        self.drift_p = s[n:, n:] - d[:n, n:]
+        self._kick_explicit = not self.kick_p.any()
+        self._drift_explicit = not self.drift_q.any()
         if not self._kick_explicit:
-            self._lu_kick = scipy.linalg.lu_factor(np.eye(n) + w * self.a_kick)
+            self._lu_kick = scipy.linalg.lu_factor(np.eye(n) + w * self.kick_p)
         if not self._drift_explicit:
-            self._lu_drift = scipy.linalg.lu_factor(np.eye(n) - w * a_drift)
+            self._lu_drift = scipy.linalg.lu_factor(np.eye(n) - w * self.drift_q)
         u = model.input_vector
         self.u_q = u[:n] if u is not None else None
         self.u_p = u[n:] if u is not None else None
@@ -757,13 +854,13 @@ class DissipativeVerletStepper:
         eq = extra[:n] if extra is not None else 0.0
         ep = extra[n:] if extra is not None else 0.0
 
-        rhs = p - w * ((self.s_qq + self.d_pq) @ q + eq)
+        rhs = p - w * (self.kick_q @ q + eq)
         if self.u_p is not None:
             rhs = rhs + w * self.u_p
         p_half = rhs if self._kick_explicit else scipy.linalg.lu_solve(self._lu_kick, rhs)
 
-        rhs = q + w * ((self.s_pq - self.d_qq) @ q
-                       + 2.0 * ((self.s_pp - self.d_qp) @ p_half) + 2.0 * ep)
+        rhs = q + w * (self.drift_q @ q + 2.0 * (self.drift_p @ p_half)
+                       + 2.0 * ep)
         if self.u_q is not None:
             rhs = rhs + dt * self.u_q
         q_new = rhs if self._drift_explicit else scipy.linalg.lu_solve(self._lu_drift, rhs)
@@ -771,8 +868,7 @@ class DissipativeVerletStepper:
         z_mid = np.concatenate([q_new, p_half])
         extra2 = m.grad_extra(z_mid)
         eq2 = extra2[:n] if extra2 is not None else 0.0
-        p_new = p_half - w * ((self.s_qq + self.d_pq) @ q_new
-                              + self.a_kick @ p_half + eq2)
+        p_new = p_half - w * (self.kick_q @ q_new + self.kick_p @ p_half + eq2)
         if self.u_p is not None:
             p_new = p_new + w * self.u_p
         return np.concatenate([q_new, p_new])

@@ -63,7 +63,7 @@ def rdh_reduce(system: TddSystem, basis: OrthoSymplecticBasis,
             f"basis dimension {basis.dim} does not match system {system.dim}"
         )
     a = basis.matrix
-    ka = system.K @ a
+    ka = system.k_op @ a
     gram = ka.T @ ka
     gram = 0.5 * (gram + gram.T)
     if factor_mode == "cholesky":
@@ -73,7 +73,9 @@ def rdh_reduce(system: TddSystem, basis: OrthoSymplecticBasis,
         k_red = a.T @ l_full @ a
     else:
         raise ValueError(f"unknown factor_mode {factor_mode!r}")
-    chi_red = a.T @ system.chi @ a
+    # chi A transposed into C order, the layout of a dense A^T chi: BLAS
+    # rounds a product by operand layout, and so chi_red is bitwise A^T chi A
+    chi_red = np.ascontiguousarray(system.chi_apply(a).T) @ a
     chi_red = 0.5 * (chi_red + chi_red.T)
     grad, potential = _pulled_back_callables(system, basis)
     reduced = TddSystem(

@@ -349,6 +349,20 @@ def test_configuration_errors(tmp_path, capsys):
                 "--out", out) == 2
 
 
+@pytest.mark.parametrize("name, setting, message", [
+    ("wave", "snapshot_stride=0", "snapshot_stride must be at least 1"),
+    ("wave", "n=10.5", "n must be an integer, got 10.5"),
+    ("ladder", "cells=2.5", "cells must be an integer, got 2.5"),
+    ("wave", "dt=nan", "dt must be a number, got 'nan'"),
+    ("wave", "dt=NaN", "dt must be finite, got nan"),
+])
+def test_config_field_errors(tmp_path, capsys, name, setting, message):
+    assert _run("run-full", "--benchmark", name, "--set", setting,
+                "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+
+
 def test_threads_env_and_seed(tmp_path, monkeypatch):
     out = tmp_path / "threaded"
     monkeypatch.setenv("SYMPMOR_THREADS", "2")

@@ -4,9 +4,10 @@ staggered integrator and its diagnostics."""
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import sympmor as sm
-from sympmor import StringAccumulator, cholesky_factor, symmetric_sqrt
+from sympmor import StringAccumulator, cholesky_factor, dynamics, symmetric_sqrt
 from sympmor.dynamics import VerletStepper
 
 from conftest import assert_volterra, extended_drift, passivity_fd
@@ -350,3 +351,73 @@ def test_system_validation_errors():
         sm.TddSystem(eye, np.eye(4), np.zeros(2))
     with pytest.raises(ValueError):
         sm.TddSystem(eye, np.zeros((2, 2)), np.zeros(3))
+
+
+# -- sparse full-order path ---------------------------------------------------
+
+
+def _operators(system, dt=0.01):
+    stepper = VerletStepper(system, dt)
+    return (system.k_op, system.kt_op, stepper.kt_wi, stepper.m_qq,
+            stepper.m_qp, stepper.m_pq, stepper.m_pp)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("wave", {"n": 100}),
+    ("sine-gordon", {"n": 60, "t_final": 10.0}),
+])
+def test_sparse_path_matches_dense_reference(name, overrides, monkeypatch):
+    config = sm.make_config(name, overrides)
+    bench = sm.build_benchmark(name, config)
+    assert all(scipy.sparse.issparse(op) for op in _operators(bench.system))
+    run = {"dt": config.dt, "t_final": config.t_final,
+           "snapshot_stride": config.snapshot_stride}
+    report = sm.integrate(bench.system, **run)
+    assert_volterra(report, name)
+
+    # the dense reference: every operator kept as the dense array
+    monkeypatch.setattr(dynamics, "_operator", lambda m: m)
+    dense = sm.build_benchmark(name, config)
+    assert all(isinstance(op, np.ndarray) for op in _operators(dense.system))
+    reference = sm.integrate(dense.system, **run)
+    for got, want in ((report.snapshots.states, reference.snapshots.states),
+                      (report.costates, reference.costates)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_dense_and_reduced_operators_stay_dense(wave_n100, sg_n100, ladder50):
+    systems = [ladder50[0].system]
+    for bench, report in (wave_n100, sg_n100, ladder50):
+        basis, _ = sm.cotangent_lift(report.snapshots, 15)
+        bases = [basis.truncate(k) for k in (5, 10, 15)]
+        if bench.name == "wave":
+            bases.append(sm.greedy_basis(report.snapshots, 15).basis)
+        systems += [sm.rdh_reduce(bench.system, b).system for b in bases]
+    for system in systems:
+        assert all(isinstance(op, np.ndarray) for op in _operators(system)), \
+            system.name
+
+
+@pytest.mark.parametrize("diagonal", [0.0, 1e-14])
+def test_rank_check_on_sparse_path(diagonal):
+    k = np.eye(200)
+    k[7, 7] = diagonal
+    assert scipy.sparse.issparse(dynamics._operator(k))
+    with pytest.raises(ValueError, match="rank"):
+        sm.TddSystem(k, np.zeros((200, 200)), np.zeros(200))
+
+
+def test_rank_check_on_dense_path():
+    rng = np.random.default_rng(5)
+    q1, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    q2, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    for ratio, deficient in ((1e-14, True), (1e-6, False)):
+        k = q1 @ np.diag(np.logspace(0.0, np.log10(ratio), 8)) @ q2.T
+        sv = np.linalg.svd(k, compute_uv=False)
+        assert sv[-1] / sv[0] == pytest.approx(ratio, rel=1e-2)
+        assert isinstance(dynamics._operator(k), np.ndarray)
+        if deficient:
+            with pytest.raises(ValueError, match="rank"):
+                sm.TddSystem(k, np.zeros((8, 8)), np.zeros(8))
+        else:
+            sm.TddSystem(k, np.zeros((8, 8)), np.zeros(8))
