@@ -11,21 +11,19 @@ from .benchmarks import (Benchmark, LadderConfig, SineGordonConfig,
                          WaveConfig, benchmark_names, build_benchmark,
                          build_oscillator, kink_profile, make_config,
                          oscillator_exact, skew_to_canonical, spline_bump)
-from .dynamics import (DissipativeModel, ExtendedState, NonFiniteError,
-                       RunReport, StringAccumulator, TddSystem, VerletStepper,
-                       cholesky_factor, extended_hamiltonian,
-                       initial_extended_state, integrate,
+from .dynamics import (DissipativeModel, NonFiniteError, RunReport,
+                       StringAccumulator, TddSystem, VerletStepper,
+                       cholesky_factor, extended_hamiltonian, integrate,
                        integrate_dissipative, integrate_rk4,
-                       passivity_residual, solve_auxiliary, symmetric_sqrt)
+                       passivity_residual, symmetric_sqrt)
 from .reduction import (PodModel, ReducedDissipative, ReducedTdd,
                         TrajectoryError, l2_error, pod_baseline, psd_baseline,
                         rdh_reduce, reconstruct, spectral_abscissa,
-                        symplectic_galerkin)
+                        symplectic_galerkin, terminal_growth)
 from .symplectic import (CanonicalForm, DegenerateVector, GreedyResult,
                          OrthoSymplecticBasis, SnapshotSet, cotangent_lift,
-                         greedy_basis, pod_basis, random_ortho_symplectic,
-                         singular_value_report, symplectic_gram_schmidt,
-                         symplectic_inverse)
+                         greedy_basis, pod_basis, singular_value_report,
+                         symplectic_gram_schmidt, symplectic_inverse)
 
 __version__ = "0.1.0"
 
@@ -34,7 +32,6 @@ __all__ = [
     "CanonicalForm",
     "DegenerateVector",
     "DissipativeModel",
-    "ExtendedState",
     "GreedyResult",
     "LadderConfig",
     "NonFiniteError",
@@ -57,7 +54,6 @@ __all__ = [
     "cotangent_lift",
     "extended_hamiltonian",
     "greedy_basis",
-    "initial_extended_state",
     "integrate",
     "integrate_dissipative",
     "integrate_rk4",
@@ -69,17 +65,16 @@ __all__ = [
     "pod_baseline",
     "pod_basis",
     "psd_baseline",
-    "random_ortho_symplectic",
     "rdh_reduce",
     "reconstruct",
     "singular_value_report",
     "skew_to_canonical",
-    "solve_auxiliary",
     "spectral_abscissa",
     "spline_bump",
     "symmetric_sqrt",
     "symplectic_galerkin",
     "symplectic_gram_schmidt",
     "symplectic_inverse",
+    "terminal_growth",
     "__version__",
 ]

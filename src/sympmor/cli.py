@@ -151,11 +151,14 @@ def _basis_from_file(path) -> OrthoSymplecticBasis:
 # -- subcommands --------------------------------------------------------------
 
 
+def _grid(config) -> dict:
+    """Time-grid keywords of every run of one configuration."""
+    return {"dt": config.dt, "t_final": config.t_final,
+            "snapshot_stride": config.snapshot_stride}
+
+
 def _integrate_full(bench, config):
-    return dynamics.integrate(
-        bench.system, dt=config.dt, t_final=config.t_final,
-        snapshot_stride=config.snapshot_stride,
-    )
+    return dynamics.integrate(bench.system, **_grid(config))
 
 
 def cmd_run_full(args) -> int:
@@ -269,8 +272,7 @@ def cmd_reduce(args) -> int:
     basis = _basis_from_file(args.basis)
     m = basis.n_columns
     try:
-        red = reduction.rdh_reduce(bench.system, basis,
-                                   factor_mode=args.factor_mode)
+        red = reduction.rdh_reduce(bench.system, basis)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise ConfigError(f"reduction failed: {exc}") from None
     files = [
@@ -287,19 +289,18 @@ def cmd_reduce(args) -> int:
     manifest = storage.build_manifest(
         "reduce", name, _config_dict(config), files, out,
         extra={"seed": args.seed,
-               "reduction": {"modes": m, "factor_mode": args.factor_mode}},
+               "reduction": {"modes": m}},
     )
     storage.write_manifest(manifest, out / "manifest.json")
-    print(f"reduce {name}: {m} modes ({args.factor_mode}) -> {out}")
+    print(f"reduce {name}: {m} modes -> {out}")
     return 0
 
 
-def _project(bench, mapper, method: str, factor_mode: str, model=None):
+def _project(bench, mapper, method: str, model=None):
     """Reduced model of one method: a ReducedTdd for rdh, else a baseline
     projected from ``model`` (the benchmark's dissipative model when None)."""
     if method == "rdh":
-        return reduction.rdh_reduce(bench.system, mapper,
-                                    factor_mode=factor_mode)
+        return reduction.rdh_reduce(bench.system, mapper)
     if method not in ("psd", "pod"):
         raise ConfigError(f"unknown reduction method {method!r}")
     if model is None:
@@ -311,20 +312,12 @@ def _project(bench, mapper, method: str, factor_mode: str, model=None):
 
 def _run_reduced(reduced, config, mapper, method: str):
     """Integrate one projected model; returns (report, lift)."""
+    grid = _grid(config)
     if method == "rdh":
-        report = dynamics.integrate(
-            reduced.system, dt=config.dt, t_final=config.t_final,
-            snapshot_stride=config.snapshot_stride)
-        return report, mapper
+        return dynamics.integrate(reduced.system, **grid), mapper
     if method == "psd":
-        report = dynamics.integrate_dissipative(
-            reduced.model, dt=config.dt, t_final=config.t_final,
-            snapshot_stride=config.snapshot_stride)
-        return report, mapper
-    report = dynamics.integrate_rk4(
-        reduced.rhs, reduced.y0, dt=config.dt, t_final=config.t_final,
-        snapshot_stride=config.snapshot_stride)
-    return report, reduced.v
+        return dynamics.integrate_dissipative(reduced.model, **grid), mapper
+    return dynamics.integrate_rk4(reduced.rhs, reduced.y0, **grid), reduced.v
 
 
 def cmd_run_reduced(args) -> int:
@@ -337,7 +330,7 @@ def cmd_run_reduced(args) -> int:
     else:
         mapper = _basis_from_file(args.basis)
         m = mapper.n_columns
-    reduced = _project(bench, mapper, args.method, args.factor_mode)
+    reduced = _project(bench, mapper, args.method)
     report, lift = _run_reduced(reduced, config, mapper, args.method)
     recon = reduction.reconstruct(lift, report.snapshots, dx=bench.system.dx)
     files = [storage.write_report_csv(report, out / f"reduced_report_k{m}.csv")]
@@ -368,40 +361,14 @@ def _on_snapshot_grid(series, report):
     return np.asarray(series)[idx]
 
 
-def _terminal_growth(error_series) -> bool:
-    """True when a series ends at its maximum after growing at least
-    tenfold beyond everything seen in the first half of the run; the
-    signature of an energy error that grows without bound."""
-    err = np.asarray(error_series, dtype=float)
-    if err.size < 2 or not np.isfinite(err).all():
-        return False
-    early = float(err[: max(1, err.size // 2)].max())
-    if early <= 0.0:
-        return False
-    return bool(err[-1] >= err.max() * (1.0 - 1e-9)
-                and err[-1] >= 10.0 * early)
-
-
 def _lifted_kinetic(mapper, derivatives, n_full: int, dx: float):
-    if isinstance(mapper, OrthoSymplecticBasis):
-        lifted = mapper.lift(derivatives)
-    else:
-        lifted = mapper @ derivatives
-    v = lifted[:n_full]
+    v = (mapper.lift(derivatives) if isinstance(mapper, OrthoSymplecticBasis)
+         else mapper @ derivatives)[:n_full]
     return 0.5 * dx * np.sum(v * v, axis=0)
 
 
-def _reduced_generator(reduced, method: str):
-    """Linear-part generator of a baseline reduced model, None for rdh."""
-    if method == "psd":
-        return reduced.model.linear_operator()
-    if method == "pod":
-        return reduced.matrix
-    return None
-
-
 def _compare_cell(bench, config, method, basis_or_v, reference,
-                  ref_energy, factor_mode, model):
+                  ref_energy, model):
     """One (method, mode-count) comparison cell; safe to run in a thread.
 
     Every cell is measured against the one full closed-formulation run.
@@ -413,21 +380,21 @@ def _compare_cell(bench, config, method, basis_or_v, reference,
     n_full = bench.system.n
     dx = bench.system.dx
     cell: dict = {"unstable": False}
-    reduced = _project(bench, basis_or_v, method, factor_mode, model)
-    generator = _reduced_generator(reduced, method)
-    if generator is not None:
-        cell["abscissa"] = reduction.spectral_abscissa(generator)
+    reduced = _project(bench, basis_or_v, method, model)
+    if method != "rdh":   # the linear generator of a baseline model
+        cell["abscissa"] = reduction.spectral_abscissa(
+            reduced.model.linear_operator() if method == "psd"
+            else reduced.matrix)
     m = reference.snapshots.count
     try:
         report, lift = _run_reduced(reduced, config, basis_or_v, method)
     except NonFiniteError as exc:
         cell["unstable"] = True
         cell["failure_step"] = exc.step
-        cell["errors"] = np.full(m, np.nan)
-        cell["energy"] = np.full(m, np.nan)
-        cell["kinetic"] = np.full(m, np.nan)
-        cell["max_error"] = cell["mean_error"] = float("inf")
-        cell["energy_error"] = float("inf")
+        for key in ("errors", "energy", "kinetic"):
+            cell[key] = np.full(m, np.nan)
+        cell["max_error"] = cell["mean_error"] = cell["energy_error"] = \
+            float("inf")
         return cell
     recon = reduction.reconstruct(lift, report.snapshots, dx=dx)
     err = reduction.l2_error(reference.snapshots, recon)
@@ -440,7 +407,8 @@ def _compare_cell(bench, config, method, basis_or_v, reference,
     cell["energy"] = energy
     scale = max(float(np.abs(ref_energy).max()), 1e-300)
     cell["energy_error"] = float(np.abs(energy - ref_energy).mean()) / scale
-    cell["energy_growth"] = _terminal_growth(np.abs(energy - ref_energy))
+    cell["energy_growth"] = reduction.terminal_growth(
+        np.abs(energy - ref_energy))
     if cell["energy_growth"]:
         cell["unstable"] = True
     if method == "rdh":
@@ -496,7 +464,7 @@ def cmd_compare(args) -> int:
         method, m = key
         mapper = pod_v[:, :m] if method == "pod" else sym_basis.truncate(m // 2)
         return _compare_cell(bench, config, method, mapper, full,
-                             ref_energy, args.factor_mode, model)
+                             ref_energy, model)
 
     threads = _thread_cap()
     if threads > 1:
@@ -650,9 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="project the model onto a basis and write the "
                             "reduced operators")
     p.add_argument("--basis", required=True, metavar="PATH.mtx")
-    p.add_argument("--factor-mode", choices=["cholesky", "projected"],
-                   default="cholesky",
-                   help="reduced stiffness factor construction")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("run-reduced", parents=[common],
@@ -660,8 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "reconstructed trajectory")
     p.add_argument("--basis", required=True, metavar="PATH.mtx")
     p.add_argument("--method", choices=["rdh", "psd", "pod"], default="rdh")
-    p.add_argument("--factor-mode", choices=["cholesky", "projected"],
-                   default="cholesky")
     p.set_defaults(func=cmd_run_reduced)
 
     p = sub.add_parser("compare", parents=[common],
@@ -674,8 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 20,40,60; ladder 10,20,30)")
     p.add_argument("--basis-method", choices=["greedy", "cotangent"],
                    help="symplectic basis generator (default cotangent)")
-    p.add_argument("--factor-mode", choices=["cholesky", "projected"],
-                   default="cholesky")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("check", help="verify artifact hashes in a manifest")

@@ -21,7 +21,7 @@ reference baselines.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -167,7 +167,57 @@ def _diagonal_sqrt(d: np.ndarray, floor: float) -> np.ndarray:
     return np.sqrt(np.clip(d, 0.0, None))
 
 
-class TddSystem:
+def _optional_array(v):
+    return None if v is None else np.asarray(v, dtype=float)
+
+
+class _ExtraTerms:
+    """Terms both model forms share beyond their quadratic energy: a
+    potential V with gradient g, a boundary vector z_bd and an input u."""
+
+    def _init_terms(self, nonlinear_grad, potential, input_vector,
+                    boundary_vector, dx, name):
+        self.nonlinear_grad = nonlinear_grad
+        self.potential = potential
+        self.input_vector = _optional_array(input_vector)
+        self.boundary_vector = _optional_array(boundary_vector)
+        self.dx = float(dx)
+        self.name = name
+        self.J = CanonicalForm(self.n)
+
+    def grad_extra(self, z):
+        """Non-quadratic gradient terms: g(z) - z_bd."""
+        out = None
+        if self.nonlinear_grad is not None:
+            out = np.asarray(self.nonlinear_grad(z), dtype=float)
+        if self.boundary_vector is not None:
+            out = -self.boundary_vector if out is None else out - self.boundary_vector
+        return out
+
+    def nonquadratic_energy(self, z, h: float = 0.0) -> float:
+        """h + V(z) - z_bd . z, summed left to right; the energies pass
+        their quadratic part as ``h``."""
+        if self.potential is not None:
+            h += float(self.potential(z))
+        if self.boundary_vector is not None:
+            h -= float(self.boundary_vector @ z)
+        return h
+
+    def _flow(self, force, z, drift=None):
+        """dz/dt = J (force + g(z) - z_bd) - drift + u, where ``force`` is
+        the gradient of the quadratic energy."""
+        extra = self.grad_extra(z)
+        if extra is not None:
+            force = force + extra
+        dz = self.J.apply(force)
+        if drift is not None:
+            dz = dz - drift
+        if self.input_vector is not None:
+            dz = dz + self.input_vector
+        return dz
+
+
+class TddSystem(_ExtraTerms):
     """Time-dispersive-dissipative model on a 2n-dimensional phase space.
 
     The state z is canonical: z = K^{-1}(f + chi F), where f is the
@@ -219,15 +269,8 @@ class TddSystem:
             raise ValueError("chi must match K in shape")
         if self.z0.shape != (self.dim,):
             raise ValueError(f"z0 must have shape ({self.dim},)")
-        self.nonlinear_grad = nonlinear_grad
-        self.potential = potential
-        self.input_vector = None if input_vector is None else np.asarray(
-            input_vector, dtype=float)
-        self.boundary_vector = None if boundary_vector is None else np.asarray(
-            boundary_vector, dtype=float)
-        self.dx = float(dx)
-        self.name = name
-        self.J = CanonicalForm(self.n)
+        self._init_terms(nonlinear_grad, potential, input_vector,
+                         boundary_vector, dx, name)
         self.k_op = _operator(self.K)
         self.kt_op = self.K.T if self.k_op is self.K else _Csr(self.k_op.T)
         self._chi_diag = self._chi_op = None
@@ -268,43 +311,14 @@ class TddSystem:
             return (self._chi_diag * v.T).T
         return self._chi_op @ v
 
-    def grad_extra(self, z):
-        """Non-quadratic gradient terms: g(z) - z_bd."""
-        out = None
-        if self.nonlinear_grad is not None:
-            out = np.asarray(self.nonlinear_grad(z), dtype=float)
-        if self.boundary_vector is not None:
-            out = -self.boundary_vector if out is None else out - self.boundary_vector
-        return out
-
     def hamiltonian(self, z) -> float:
         """Energy 0.5 ||K z||^2 + potential(z) - z_bd . z."""
         kz = self.k_op @ z
-        h = 0.5 * float(kz @ kz)
-        if self.potential is not None:
-            h += float(self.potential(z))
-        if self.boundary_vector is not None:
-            h -= float(self.boundary_vector @ z)
-        return h
+        return self.nonquadratic_energy(z, 0.5 * float(kz @ kz))
 
     def state_derivative(self, z, f):
         """dz/dt given the co-state: J (K^T f + g(z) - z_bd) + u."""
-        force = self.kt_op @ f
-        extra = self.grad_extra(z)
-        if extra is not None:
-            force = force + extra
-        dz = self.J.apply(force)
-        if self.input_vector is not None:
-            dz = dz + self.input_vector
-        return dz
-
-    def velocity(self, z, f):
-        """q-block of dz/dt: the physical velocity of the coordinates."""
-        return self.state_derivative(z, f)[: self.n]
-
-    def kinetic_energy(self, z, f) -> float:
-        v = self.velocity(z, f)
-        return 0.5 * self.dx * float(v @ v)
+        return self._flow(self.kt_op @ f, z)
 
     def supply_rate(self, z, f) -> float:
         """Instantaneous work rate of the input: (K u)^T f + (g(z) - z_bd)^T u.
@@ -341,6 +355,7 @@ class StringAccumulator:
             raise ValueError("dt must be positive")
         self.dim = dim
         self.dt = float(dt)
+        self.head_weight = 0.5 * self.dt    # quadrature weight of a node
         self.t = 0.0
         self.steps = 0
         self.integral = np.zeros(dim)
@@ -350,11 +365,6 @@ class StringAccumulator:
         self.f = None
         self._diss = 0.0
         self._supply = 0.0
-
-    @property
-    def head_weight(self) -> float:
-        """Quadrature weight of the current node: dt/2."""
-        return 0.5 * self.dt
 
     def prime(self, f0, dissipation0: float, supply0: float) -> None:
         """Install the initial co-state; the node-0 tail stays zero."""
@@ -386,62 +396,11 @@ class StringAccumulator:
         self.steps += 1
         self.t = self.steps * self.dt
 
-
-@dataclass
-class ExtendedState:
-    """State, co-state and memory bookkeeping at one time node."""
-
-    z: np.ndarray
-    accumulator: StringAccumulator
-
-    @property
-    def f(self):
-        return self.accumulator.f
-
-    @property
-    def t(self) -> float:
-        return self.accumulator.t
-
-
-def solve_auxiliary(system: TddSystem, z, accumulator: StringAccumulator,
-                    dt: float | None = None):
-    """Co-state at the accumulator's current node:
-    (I + (dt/2) chi) f = K z - chi tail.
-
-    With an empty history this reduces to (I + (dt/2) chi)^{-1} K z.
-    """
-    if dt is None:
-        dt = accumulator.dt
-    elif abs(dt - accumulator.dt) > 1e-15 * accumulator.dt:
-        raise ValueError("dt disagrees with the accumulator's step size")
-    w = 0.5 * dt
-    rhs = system.k_op @ z - system.chi_apply(accumulator.tail)
-    if system._chi_diag is not None:
-        return rhs / (1.0 + w * system._chi_diag)
-    return np.linalg.solve(np.eye(system.dim) + w * system.chi, rhs)
-
-
-class _LinearSolver:
-    """Solve (I + (dt/2) chi) x = rhs, with a diagonal fast path."""
-
-    def __init__(self, chi, chi_diag, w: float):
-        if chi_diag is not None:
-            self.diag = 1.0 + w * chi_diag
-            self._cho = None
-        else:
-            self.diag = None
-            dim = chi.shape[0]
-            self._cho = scipy.linalg.cho_factor(np.eye(dim) + w * chi)
-
-    def solve(self, rhs):
-        if self.diag is None:
-            return scipy.linalg.cho_solve(self._cho, _dense(rhs))
-        if scipy.sparse.issparse(rhs):
-            # divide row i by diag[i], as the dense path does
-            out = _Csr(rhs, copy=True)
-            out.data /= np.repeat(self.diag, np.diff(out.indptr))
-            return out
-        return (rhs.T / self.diag).T
+    def extended_energy(self, nonquad: float) -> float:
+        """0.5 ||f||^2 + nonquad + E_string + e at the current node, where
+        ``nonquad`` is the system's non-quadratic energy there."""
+        return (0.5 * float(self.f @ self.f) + nonquad
+                + self.string_energy + self.work_coordinate)
 
 
 class VerletStepper:
@@ -461,12 +420,20 @@ class VerletStepper:
     constant; stages 1 and 2 are implicit only through the qp / pq blocks of
     M and are solved directly (explicitly when those blocks are zero).
 
+    The stepper owns the memory: ``accumulator`` holds the co-state and the
+    trapezoid integrals of the current node, primed with the empty-history
+    co-state (I + w chi)^{-1} K z0 of ``system.z0``, and ``kz`` holds K z
+    there. ``step(z)`` takes the state of that node. Each step reuses the
+    previous step's end-of-step tail constant as its start-of-step one: the
+    accumulator's committed tail is bitwise the tail the step computed for
+    the end of the step.
+
     When the system applies K in CSR, K^T (I + w chi)^{-1} and the blocks of
     M are formed and stored in CSR as well, unless a non-diagonal chi makes
-    them dense. The step reuses the previous step's end-of-step tail
-    constant as its start-of-step one: the accumulator's committed tail is
-    bitwise the tail the step computed for the end of the step.
+    them dense.
     """
+
+    kind = "tdd"
 
     def __init__(self, system: TddSystem, dt: float):
         if dt <= 0.0:
@@ -475,8 +442,13 @@ class VerletStepper:
         self.dt = float(dt)
         w = 0.5 * self.dt
         n = system.n
-        self._w_solver = _LinearSolver(system.chi, system._chi_diag, w)
-        wi_k = self._w_solver.solve(system.k_op)
+        self._diag = self._cho = None
+        if system._chi_diag is not None:
+            self._diag = 1.0 + w * system._chi_diag
+        else:
+            self._cho = scipy.linalg.cho_factor(np.eye(system.dim)
+                                                + w * system.chi)
+        wi_k = self._solve(system.k_op)
         m = system.kt_op @ wi_k
         m = 0.5 * (m + m.T)
         self.kt_wi = _as_stored(wi_k.T)           # K^T (I + w chi)^{-1}
@@ -494,29 +466,37 @@ class VerletStepper:
         u = system.input_vector
         self.u_q = u[:n] if u is not None else None
         self.u_p = u[n:] if u is not None else None
-        # (accumulator, its step count, end-of-step tail constant) of the
-        # last step taken
-        self._carry = None
+        self.accumulator = acc = StringAccumulator(system.dim, dt)
+        self.kz = system.k_op @ system.z0
+        # f0 by LU: through the Cholesky factor it differs by an ulp, which
+        # moves the t = 0 derivative of 20- and 40-mode sine-Gordon rdh runs
+        f0 = self._solve(self.kz) if self._cho is None else np.linalg.solve(
+            np.eye(system.dim) + w * system.chi, self.kz)
+        acc.prime(f0, system.dissipation_rate(f0),
+                  system.supply_rate(system.z0, f0))
+        # start-of-step constant -K^T (I + w chi)^{-1} chi tail of the next step
+        self._cs = -(self.kt_wi @ system.chi_apply(acc.tail))
 
-    def _tail_const(self, tail):
-        """Constant gradient contribution -K^T (I+w chi)^{-1} chi tail."""
-        return -(self.kt_wi @ self.system.chi_apply(tail))
+    def _solve(self, rhs):
+        """(I + w chi)^{-1} rhs for a vector or a (CSR) matrix."""
+        if self._cho is not None:
+            return scipy.linalg.cho_solve(self._cho, _dense(rhs),
+                                          check_finite=False)
+        if scipy.sparse.issparse(rhs):
+            # divide row i by diag[i], as the dense path does
+            out = _Csr(rhs, copy=True)
+            out.data /= np.repeat(self._diag, np.diff(out.indptr))
+            return out
+        return (rhs.T / self._diag).T
 
-    def step(self, state: ExtendedState):
-        """Advance one step; returns the new state and K z at the new node
-        (reused by diagnostics, exact by construction of the commit)."""
-        sys_, dt = self.system, self.dt
+    def step(self, z):
+        """Advance the state z of the accumulator's node by one step and
+        commit the new co-state; returns the new state."""
+        sys_, dt, acc = self.system, self.dt, self.accumulator
         w = 0.5 * dt
         n = sys_.n
-        acc = state.accumulator
-        z = state.z
         q, p = z[:n], z[n:]
-
-        carry = self._carry
-        if carry is not None and carry[0] is acc and carry[1] == acc.steps:
-            cs = carry[2]
-        else:
-            cs = self._tail_const(acc.tail)
+        cs = self._cs
         chi_tail_end = sys_.chi_apply(acc.tail_next())
         ce = -(self.kt_wi @ chi_tail_end)
         extra = sys_.grad_extra(z)
@@ -527,10 +507,8 @@ class VerletStepper:
             rhs = rhs - w * extra[:n]
         if self.u_p is not None:
             rhs = rhs + w * self.u_p
-        if self._explicit:
-            p_half = rhs
-        else:
-            p_half = scipy.linalg.lu_solve(self._lu_kick, rhs)
+        p_half = rhs if self._explicit else scipy.linalg.lu_solve(
+            self._lu_kick, rhs, check_finite=False)
 
         # drift averaging the two tail flavors; the extra gradient is
         # momentum-independent by contract, so its p-block enters twice
@@ -541,10 +519,8 @@ class VerletStepper:
             rhs = rhs + w * (self.m_pq @ q)
         if self.u_q is not None:
             rhs = rhs + dt * self.u_q
-        if self._explicit:
-            q_new = rhs
-        else:
-            q_new = scipy.linalg.lu_solve(self._lu_drift, rhs)
+        q_new = rhs if self._explicit else scipy.linalg.lu_solve(
+            self._lu_drift, rhs, check_finite=False)
 
         # second kick under the end-of-step tail
         extra2 = sys_.grad_extra(np.concatenate([q_new, p_half]))
@@ -558,12 +534,32 @@ class VerletStepper:
             p_new = p_new + w * self.u_p
 
         z_new = np.concatenate([q_new, p_new])
-        kz_new = sys_.k_op @ z_new
-        f_new = self._w_solver.solve(kz_new - chi_tail_end)
+        self.kz = sys_.k_op @ z_new
+        f_new = self._solve(self.kz - chi_tail_end)
         acc.commit(f_new, sys_.dissipation_rate(f_new),
                    sys_.supply_rate(z_new, f_new))
-        self._carry = (acc, acc.steps, ce)
-        return ExtendedState(z=z_new, accumulator=acc), kz_new
+        self._cs = ce
+        return z_new
+
+    def observe(self, z):
+        """Diagnostics at the current node z: H (from the step's K z), the
+        string energy, the extended energy, the passivity residual
+        -f^T chi f, and the largest entries of |f + chi F - K z| and |K z|."""
+        sys_, acc, kz = self.system, self.accumulator, self.kz
+        f = acc.f
+        nonquad = sys_.nonquadratic_energy(z)
+        # chi F; at node 0 the constraint reads (I + w chi) f0 = K z0
+        memory = (sys_.chi_apply(acc.integral) if acc.steps
+                  else acc.head_weight * sys_.chi_apply(f))
+        return (0.5 * float(kz @ kz) + nonquad, acc.string_energy,
+                acc.extended_energy(nonquad), -sys_.dissipation_rate(f),
+                float(np.abs(kz - (f + memory)).max()),
+                float(np.abs(kz).max()))
+
+    def snapshot(self, z):
+        """dz/dt and the co-state at the current node."""
+        f = self.accumulator.f
+        return self.system.state_derivative(z, f), f
 
 
 @dataclass
@@ -594,32 +590,21 @@ class RunReport:
     kind: str = "tdd"
     costates: np.ndarray | None = None   # f = K z - chi F columns, aligned
                                          # with snapshots (tdd runs only)
-    extra: dict = field(default_factory=dict)
 
     @property
     def snapshot_times(self):
         return self.snapshots.times
 
-    def kinetic_series(self, dx: float | None = None):
+    def kinetic_series(self):
         """0.5 dx ||dq/dt||^2 on the snapshot grid."""
-        if dx is None:
-            dx = self.snapshots.dx
-        n = self.derivatives.shape[0] // 2
-        v = self.derivatives[:n]
-        return 0.5 * dx * np.sum(v * v, axis=0)
+        v = self.derivatives[: self.derivatives.shape[0] // 2]
+        return 0.5 * self.snapshots.dx * np.sum(v * v, axis=0)
 
 
-def initial_extended_state(system: TddSystem, dt: float) -> ExtendedState:
-    """Initial state with the empty-history co-state installed."""
-    acc = StringAccumulator(system.dim, dt)
-    f0 = solve_auxiliary(system, system.z0, acc)
-    acc.prime(f0, system.dissipation_rate(f0),
-              system.supply_rate(system.z0, f0))
-    return ExtendedState(z=system.z0.copy(), accumulator=acc)
-
-
-def extended_hamiltonian(system: TddSystem, state: ExtendedState) -> float:
-    """Total energy of the closed extension at the state's node.
+def extended_hamiltonian(system: TddSystem, z,
+                         accumulator: StringAccumulator) -> float:
+    """Total energy of the closed extension at the accumulator's node, z
+    being the state there.
 
     The system part enters through the co-state (0.5 ||f||^2 plus the
     non-quadratic terms), the strings through the accumulated dissipation
@@ -627,48 +612,78 @@ def extended_hamiltonian(system: TddSystem, state: ExtendedState) -> float:
     value is conserved along the discrete flow and equals H(z0) at t=0
     whenever chi annihilates K z0 (strings at rest).
     """
-    acc = state.accumulator
-    nonquad = 0.0
-    if system.potential is not None:
-        nonquad += float(system.potential(state.z))
-    if system.boundary_vector is not None:
-        nonquad -= float(system.boundary_vector @ state.z)
-    return (0.5 * float(acc.f @ acc.f) + nonquad
-            + acc.string_energy + acc.work_coordinate)
+    return accumulator.extended_energy(system.nonquadratic_energy(z))
 
 
-def passivity_residual(system: TddSystem, state: ExtendedState,
+def passivity_residual(system: TddSystem, z, accumulator: StringAccumulator,
                        dh_dt: float) -> float:
-    """Stored-power balance dH/dt - supply at the state's node.
+    """Stored-power balance dH/dt - supply at the accumulator's node, z
+    being the state there.
 
     ``dh_dt`` is the caller's estimate of the stored-energy derivative
     (finite differences of 0.5 ||f||^2, say). Nonpositive along a passive
     trajectory; the analytic value is -f^T chi f.
     """
-    return float(dh_dt) - system.supply_rate(state.z, state.f)
+    return float(dh_dt) - system.supply_rate(z, accumulator.f)
 
 
-def _resolve_steps(dt: float, n_steps: int | None, t_final: float | None) -> int:
+def _drive(make_stepper, z0, dt: float, n_steps: int | None,
+           t_final: float | None, snapshot_stride: int,
+           dx: float) -> RunReport:
+    """Run a stepper over the time grid and assemble its report.
+
+    The stepper provides ``step(z)`` (the next state), ``observe(z)`` (H,
+    string energy, extended energy, passivity residual, Volterra residual
+    and |K z| at one instant) and ``snapshot(z)`` (dz/dt, plus the
+    co-state for a tdd run), and a ``kind``. Every state is checked for
+    finiteness as soon as it is stepped to.
+    """
     if (n_steps is None) == (t_final is None):
         raise ValueError("specify exactly one of n_steps and t_final")
     if n_steps is None:
         n_steps = int(round(t_final / dt))
     if n_steps < 0:
         raise ValueError("step count must be nonnegative")
-    # n_steps == 0 yields a report holding the initial instant only
-    return n_steps
+    if snapshot_stride < 1:
+        raise ValueError("snapshot_stride must be at least 1")
+    t0 = time.perf_counter()
+    stepper = make_stepper()
+    z = np.array(z0, dtype=float)
+    rows = [stepper.observe(z)]
+    first = (z, *stepper.snapshot(z))
+    store = np.empty((len(first), z.size, n_steps // snapshot_stride + 1))
+    store[..., 0] = first
+    for i in range(1, n_steps + 1):
+        z = stepper.step(z)
+        if not np.isfinite(z).all():
+            raise NonFiniteError(i)
+        rows.append(stepper.observe(z))
+        if i % snapshot_stride == 0:
+            store[..., i // snapshot_stride] = (z, *stepper.snapshot(z))
+    ham, e_str, h_ext, passiv, volterra, kz = np.array(rows).T.copy()
+    times = dt * np.arange(n_steps + 1)
+    return RunReport(
+        times=times, hamiltonian=ham, string_energy=e_str, extended_energy=h_ext,
+        passivity_residual=passiv,
+        snapshots=SnapshotSet(times[::snapshot_stride], store[0], dx),
+        derivatives=store[1], volterra_max=float(volterra.max()),
+        kz_max=float(kz.max()), dt=dt, n_steps=n_steps,
+        wall_seconds=time.perf_counter() - t0, kind=stepper.kind,
+        costates=store[2] if len(store) > 2 else None,
+    )
 
 
 def integrate(system: TddSystem, dt: float, n_steps: int | None = None,
-              t_final: float | None = None, snapshot_stride: int = 1,
-              check_finite_every: int = 1) -> RunReport:
+              t_final: float | None = None,
+              snapshot_stride: int = 1) -> RunReport:
     """Integrate the time-dispersive model and collect diagnostics.
 
     Records the visible energy H, the string energy, the conserved extended
     energy 0.5 ||f||^2 + potential(z) - z_bd . z + E_string + e, and the
     passivity residual dH_ext/dt - 0 = -f^T chi f <= 0 linking visible energy
-    decay to the strings. Snapshots (state and dz/dt) are stored every
-    ``snapshot_stride`` steps.
+    decay to the strings. Snapshots (state, dz/dt and co-state) are stored
+    every ``snapshot_stride`` steps; ``n_steps == 0`` yields the initial
+    instant only.
 
     Raises
     ------
@@ -676,76 +691,14 @@ def integrate(system: TddSystem, dt: float, n_steps: int | None = None,
         When the state leaves floating point range; the exception names the
         offending step.
     """
-    n_steps = _resolve_steps(dt, n_steps, t_final)
-    if snapshot_stride < 1:
-        raise ValueError("snapshot_stride must be at least 1")
-    t0 = time.perf_counter()
-    stepper = VerletStepper(system, dt)
-    state = initial_extended_state(system, dt)
-    acc = state.accumulator
-
-    times = dt * np.arange(n_steps + 1)
-    ham = np.empty(n_steps + 1)
-    e_str = np.empty(n_steps + 1)
-    h_ext = np.empty(n_steps + 1)
-    passiv = np.empty(n_steps + 1)
-    snap_idx = list(range(0, n_steps + 1, snapshot_stride))
-    snaps = np.empty((system.dim, len(snap_idx)))
-    derivs = np.empty((system.dim, len(snap_idx)))
-    costates = np.empty((system.dim, len(snap_idx)))
-    snap_cursor = 0
-    volterra_max = 0.0
-    kz_max = 0.0
-
-    def record(i, kz):
-        nonlocal snap_cursor, kz_max
-        f = acc.f
-        nonquad = 0.0
-        if system.potential is not None:
-            nonquad += float(system.potential(state.z))
-        if system.boundary_vector is not None:
-            nonquad -= float(system.boundary_vector @ state.z)
-        ham[i] = 0.5 * float(kz @ kz) + nonquad
-        e_str[i] = acc.string_energy
-        h_ext[i] = (0.5 * float(f @ f) + nonquad
-                    + acc.string_energy + acc.work_coordinate)
-        passiv[i] = -system.dissipation_rate(f)
-        kz_max = max(kz_max, float(np.abs(kz).max()))
-        if snap_cursor < len(snap_idx) and snap_idx[snap_cursor] == i:
-            snaps[:, snap_cursor] = state.z
-            derivs[:, snap_cursor] = system.state_derivative(state.z, f)
-            costates[:, snap_cursor] = f
-            snap_cursor += 1
-
-    kz = system.k_op @ state.z
-    record(0, kz)
-    resid0 = kz - (acc.f + 0.5 * dt * system.chi_apply(acc.f))
-    volterra_max = float(np.abs(resid0).max())
-
-    for i in range(1, n_steps + 1):
-        state, kz = stepper.step(state)
-        # discrete memory constraint at the new node: f + chi F = K z
-        resid = kz - (acc.f + system.chi_apply(acc.tail + acc.head_weight * acc.f))
-        volterra_max = max(volterra_max, float(np.abs(resid).max()))
-        record(i, kz)
-        if i % check_finite_every == 0 or i == n_steps:
-            if not np.isfinite(state.z).all():
-                raise NonFiniteError(i)
-
-    return RunReport(
-        times=times, hamiltonian=ham, string_energy=e_str, extended_energy=h_ext,
-        passivity_residual=passiv,
-        snapshots=SnapshotSet(times=times[snap_idx], states=snaps, dx=system.dx),
-        derivatives=derivs, volterra_max=volterra_max, kz_max=kz_max,
-        dt=dt, n_steps=n_steps, wall_seconds=time.perf_counter() - t0,
-        kind="tdd", costates=costates,
-    )
+    return _drive(lambda: VerletStepper(system, dt), system.z0, dt, n_steps,
+                  t_final, snapshot_stride, system.dx)
 
 
 # -- plain dissipative form (reference baselines) ---------------------------
 
 
-class DissipativeModel:
+class DissipativeModel(_ExtraTerms):
     """Plain dissipative form dz/dt = J grad H(z) - R z + u with
     H(z) = 0.5 z^T S z + potential(z) - z_bd . z."""
 
@@ -760,49 +713,21 @@ class DissipativeModel:
         if _sym_deviation(self.stiffness) > 1e-10 * scale:
             raise ValueError("stiffness must be symmetric")
         self.stiffness = 0.5 * (self.stiffness + self.stiffness.T)
-        self.drift = None if drift is None else np.asarray(drift, dtype=float)
+        self.drift = _optional_array(drift)
         if self.drift is not None and self.drift.shape != (dim, dim):
             raise ValueError("drift must match stiffness in shape")
         self.z0 = np.zeros(dim) if z0 is None else np.asarray(z0, dtype=float)
         self.dim = dim
         self.n = dim // 2
-        self.nonlinear_grad = nonlinear_grad
-        self.potential = potential
-        self.input_vector = None if input_vector is None else np.asarray(
-            input_vector, dtype=float)
-        self.boundary_vector = None if boundary_vector is None else np.asarray(
-            boundary_vector, dtype=float)
-        self.dx = float(dx)
-        self.name = name
-        self.J = CanonicalForm(self.n)
-
-    def grad_extra(self, z):
-        out = None
-        if self.nonlinear_grad is not None:
-            out = np.asarray(self.nonlinear_grad(z), dtype=float)
-        if self.boundary_vector is not None:
-            out = -self.boundary_vector if out is None else out - self.boundary_vector
-        return out
+        self._init_terms(nonlinear_grad, potential, input_vector,
+                         boundary_vector, dx, name)
 
     def hamiltonian(self, z) -> float:
-        h = 0.5 * float(z @ (self.stiffness @ z))
-        if self.potential is not None:
-            h += float(self.potential(z))
-        if self.boundary_vector is not None:
-            h -= float(self.boundary_vector @ z)
-        return h
+        return self.nonquadratic_energy(z, 0.5 * float(z @ (self.stiffness @ z)))
 
     def state_derivative(self, z):
-        grad = self.stiffness @ z
-        extra = self.grad_extra(z)
-        if extra is not None:
-            grad = grad + extra
-        dz = self.J.apply(grad)
-        if self.drift is not None:
-            dz = dz - self.drift @ z
-        if self.input_vector is not None:
-            dz = dz + self.input_vector
-        return dz
+        return self._flow(self.stiffness @ z, z,
+                          None if self.drift is None else self.drift @ z)
 
     def linear_operator(self) -> np.ndarray:
         """Dense J S - R, the generator of the linear part of the flow."""
@@ -812,7 +737,20 @@ class DissipativeModel:
         return op
 
 
-class DissipativeVerletStepper:
+class _PlainStepper:
+    """Series of a run without strings or memory, from the subclass's
+    ``_hamiltonian`` and ``_derivative``: the extended energy is H, the
+    other series are zero, and snapshots hold dz/dt."""
+
+    def observe(self, z):
+        h = self._hamiltonian(z)
+        return h, 0.0, h, 0.0, 0.0, 0.0
+
+    def snapshot(self, z):
+        return (self._derivative(z),)
+
+
+class DissipativeVerletStepper(_PlainStepper):
     """Stoermer-Verlet for the plain dissipative form.
 
     The drift -R z is folded into the stages so that the step stays
@@ -821,6 +759,8 @@ class DissipativeVerletStepper:
     and the position update is trapezoidal. Symmetry keeps second order;
     the kick and drift solves are precomputed LU factorizations.
     """
+
+    kind = "dissipative"
 
     def __init__(self, model: DissipativeModel, dt: float):
         self.model = model
@@ -844,6 +784,8 @@ class DissipativeVerletStepper:
         u = model.input_vector
         self.u_q = u[:n] if u is not None else None
         self.u_p = u[n:] if u is not None else None
+        self._hamiltonian = model.hamiltonian
+        self._derivative = model.state_derivative
 
     def step(self, z):
         m, dt = self.model, self.dt
@@ -857,13 +799,15 @@ class DissipativeVerletStepper:
         rhs = p - w * (self.kick_q @ q + eq)
         if self.u_p is not None:
             rhs = rhs + w * self.u_p
-        p_half = rhs if self._kick_explicit else scipy.linalg.lu_solve(self._lu_kick, rhs)
+        p_half = rhs if self._kick_explicit else scipy.linalg.lu_solve(
+            self._lu_kick, rhs, check_finite=False)
 
         rhs = q + w * (self.drift_q @ q + 2.0 * (self.drift_p @ p_half)
                        + 2.0 * ep)
         if self.u_q is not None:
             rhs = rhs + dt * self.u_q
-        q_new = rhs if self._drift_explicit else scipy.linalg.lu_solve(self._lu_drift, rhs)
+        q_new = rhs if self._drift_explicit else scipy.linalg.lu_solve(
+            self._lu_drift, rhs, check_finite=False)
 
         z_mid = np.concatenate([q_new, p_half])
         extra2 = m.grad_extra(z_mid)
@@ -881,75 +825,36 @@ def integrate_dissipative(model: DissipativeModel, dt: float,
     """Integrate the plain dissipative form with the symmetrized Verlet
     scheme. String and extended energies are not defined for this
     formulation and are reported as zero / equal to H."""
-    n_steps = _resolve_steps(dt, n_steps, t_final)
-    t0 = time.perf_counter()
-    stepper = DissipativeVerletStepper(model, dt)
-    z = model.z0.copy()
-    times = dt * np.arange(n_steps + 1)
-    ham = np.empty(n_steps + 1)
-    snap_idx = list(range(0, n_steps + 1, snapshot_stride))
-    snaps = np.empty((model.dim, len(snap_idx)))
-    derivs = np.empty((model.dim, len(snap_idx)))
-    cursor = 0
-    for i in range(n_steps + 1):
-        if i:
-            z = stepper.step(z)
-            if i % 10 == 0 and not np.isfinite(z).all():
-                raise NonFiniteError(i)
-        ham[i] = model.hamiltonian(z)
-        if cursor < len(snap_idx) and snap_idx[cursor] == i:
-            snaps[:, cursor] = z
-            derivs[:, cursor] = model.state_derivative(z)
-            cursor += 1
-    if not np.isfinite(z).all():
-        raise NonFiniteError(n_steps)
-    zeros = np.zeros(n_steps + 1)
-    return RunReport(
-        times=times, hamiltonian=ham, string_energy=zeros,
-        extended_energy=ham.copy(), passivity_residual=zeros,
-        snapshots=SnapshotSet(times=times[snap_idx], states=snaps, dx=model.dx),
-        derivatives=derivs, volterra_max=0.0, kz_max=0.0,
-        dt=dt, n_steps=n_steps, wall_seconds=time.perf_counter() - t0,
-        kind="dissipative",
-    )
+    return _drive(lambda: DissipativeVerletStepper(model, dt), model.z0, dt,
+                  n_steps, t_final, snapshot_stride, model.dx)
+
+
+class _Rk4Stepper(_PlainStepper):
+    """Classical fourth-order Runge-Kutta step of dz/dt = rhs(z)."""
+
+    kind = "rk4"
+
+    def __init__(self, rhs, dt: float, hamiltonian):
+        self.rhs = self._derivative = rhs
+        self.dt = dt
+        self._hamiltonian = (hamiltonian if hamiltonian is not None
+                             else lambda z: 0.0)
+
+    def step(self, z):
+        rhs, dt = self.rhs, self.dt
+        k1 = rhs(z)
+        k2 = rhs(z + 0.5 * dt * k1)
+        k3 = rhs(z + 0.5 * dt * k2)
+        k4 = rhs(z + dt * k3)
+        return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate_rk4(rhs, z0, dt: float, n_steps: int | None = None,
                   t_final: float | None = None, snapshot_stride: int = 1,
                   dx: float = 1.0, hamiltonian=None) -> RunReport:
     """Classical fourth-order Runge-Kutta loop for an arbitrary autonomous
-    right-hand side. Used by the unstructured POD baseline."""
-    n_steps = _resolve_steps(dt, n_steps, t_final)
-    t0 = time.perf_counter()
-    z = np.asarray(z0, dtype=float).copy()
-    dim = z.shape[0]
-    times = dt * np.arange(n_steps + 1)
-    ham = np.zeros(n_steps + 1)
-    snap_idx = list(range(0, n_steps + 1, snapshot_stride))
-    snaps = np.empty((dim, len(snap_idx)))
-    derivs = np.empty((dim, len(snap_idx)))
-    cursor = 0
-    for i in range(n_steps + 1):
-        if i:
-            k1 = rhs(z)
-            k2 = rhs(z + 0.5 * dt * k1)
-            k3 = rhs(z + 0.5 * dt * k2)
-            k4 = rhs(z + dt * k3)
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(z).all():
-                raise NonFiniteError(i)
-        if hamiltonian is not None:
-            ham[i] = hamiltonian(z)
-        if cursor < len(snap_idx) and snap_idx[cursor] == i:
-            snaps[:, cursor] = z
-            derivs[:, cursor] = rhs(z)
-            cursor += 1
-    zeros = np.zeros(n_steps + 1)
-    return RunReport(
-        times=times, hamiltonian=ham, string_energy=zeros,
-        extended_energy=ham.copy(), passivity_residual=zeros,
-        snapshots=SnapshotSet(times=times[snap_idx], states=snaps, dx=dx),
-        derivatives=derivs, volterra_max=0.0, kz_max=0.0,
-        dt=dt, n_steps=n_steps, wall_seconds=time.perf_counter() - t0,
-        kind="rk4",
-    )
+    right-hand side. Used by the unstructured POD baseline. Per step the
+    right-hand side is called for the four stages, then once more at each
+    snapshot instant (from t = 0 on) for dz/dt."""
+    return _drive(lambda: _Rk4Stepper(rhs, dt, hamiltonian), z0, dt, n_steps,
+                  t_final, snapshot_stride, dx)

@@ -40,23 +40,14 @@ class ReducedTdd:
 
     system: TddSystem
     basis: OrthoSymplecticBasis
-    factor_mode: str
 
 
-def rdh_reduce(system: TddSystem, basis: OrthoSymplecticBasis,
-               factor_mode: str = "cholesky") -> ReducedTdd:
+def rdh_reduce(system: TddSystem, basis: OrthoSymplecticBasis) -> ReducedTdd:
     """Reduce a time-dispersive-dissipative system onto an ortho-symplectic
     basis; the result is again a TddSystem (dissipation kept inside the
-    closed formulation via the projected susceptibility A^T chi A).
-
-    factor_mode selects the reduced stiffness factor with
-    factor^T factor = A^T K^T K A:
-
-    - "cholesky": upper-triangular Cholesky factor of the projected quadratic
-      form (the default; well defined for any full-rank K).
-    - "projected": A^T L A with L the Cholesky factor of K^T K. Compatibility
-      mode: reproduces the same quadratic form only when L A spans the same
-      inner products, which fails for general K; kept for comparison studies.
+    closed formulation via the projected susceptibility A^T chi A). The
+    reduced stiffness factor is the upper-triangular Cholesky factor of the
+    projected quadratic form A^T K^T K A, well defined for any full-rank K.
     """
     if basis.dim != system.dim:
         raise ValueError(
@@ -66,13 +57,7 @@ def rdh_reduce(system: TddSystem, basis: OrthoSymplecticBasis,
     ka = system.k_op @ a
     gram = ka.T @ ka
     gram = 0.5 * (gram + gram.T)
-    if factor_mode == "cholesky":
-        k_red = cholesky_factor(gram, name="projected stiffness")
-    elif factor_mode == "projected":
-        l_full = cholesky_factor(system.K.T @ system.K, name="stiffness")
-        k_red = a.T @ l_full @ a
-    else:
-        raise ValueError(f"unknown factor_mode {factor_mode!r}")
+    k_red = cholesky_factor(gram, name="projected stiffness")
     # chi A transposed into C order, the layout of a dense A^T chi: BLAS
     # rounds a product by operand layout, and so chi_red is bitwise A^T chi A
     chi_red = np.ascontiguousarray(system.chi_apply(a).T) @ a
@@ -91,11 +76,11 @@ def rdh_reduce(system: TddSystem, basis: OrthoSymplecticBasis,
         dx=1.0,
         name=f"{system.name}-reduced-{basis.n_columns}",
     )
-    return ReducedTdd(system=reduced, basis=basis, factor_mode=factor_mode)
+    return ReducedTdd(system=reduced, basis=basis)
 
 
-def symplectic_galerkin(system: TddSystem, basis: OrthoSymplecticBasis,
-                        factor_mode: str = "cholesky") -> ReducedTdd:
+def symplectic_galerkin(system: TddSystem,
+                        basis: OrthoSymplecticBasis) -> ReducedTdd:
     """Conservative symplectic Galerkin projection: the reduction above with
     the susceptibility dropped (chi = 0)."""
     conservative = TddSystem(
@@ -105,7 +90,7 @@ def symplectic_galerkin(system: TddSystem, basis: OrthoSymplecticBasis,
         boundary_vector=system.boundary_vector,
         dx=system.dx, name=system.name, validate=False,
     )
-    return rdh_reduce(conservative, basis, factor_mode)
+    return rdh_reduce(conservative, basis)
 
 
 @dataclass
@@ -123,18 +108,7 @@ def psd_baseline(model: DissipativeModel,
     a = basis.matrix
     a_plus = basis.symplectic_inverse()
     stiff = a.T @ model.stiffness @ a
-    grad = potential = None
-    if model.nonlinear_grad is not None:
-        full_grad = model.nonlinear_grad
-
-        def grad(y):
-            return basis.coefficients(np.asarray(full_grad(basis.lift(y)),
-                                                 dtype=float))
-    if model.potential is not None:
-        full_pot = model.potential
-
-        def potential(y):
-            return full_pot(basis.lift(y))
+    grad, potential = _pulled_back_callables(model, basis)
     reduced = DissipativeModel(
         stiffness=0.5 * (stiff + stiff.T),
         drift=None if model.drift is None else a_plus @ model.drift @ a,
@@ -208,6 +182,20 @@ def spectral_abscissa(matrix: np.ndarray) -> float:
     dissipativity of the full system.
     """
     return float(np.linalg.eigvals(np.asarray(matrix, dtype=float)).real.max())
+
+
+def terminal_growth(error_series) -> bool:
+    """True when a series ends at its maximum after growing at least
+    tenfold beyond everything seen in the first half of the run; the
+    signature of an energy error that grows without bound."""
+    err = np.asarray(error_series, dtype=float)
+    if err.size < 2 or not np.isfinite(err).all():
+        return False
+    early = float(err[: max(1, err.size // 2)].max())
+    if early <= 0.0:
+        return False
+    return bool(err[-1] >= err.max() * (1.0 - 1e-9)
+                and err[-1] >= 10.0 * early)
 
 
 def reconstruct(mapper, snapshots: SnapshotSet, dx: float) -> SnapshotSet:

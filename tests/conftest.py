@@ -110,15 +110,6 @@ def energy_log_norm(matrix, gram) -> float:
                                    eigvals_only=True).max())
 
 
-def terminal_growth(series) -> bool:
-    """True when a deviation series peaks at its final instant and the peak
-    dwarfs the first half: the monotone-growth stability flag."""
-    err = np.asarray(series, dtype=float)
-    half = err[: max(1, err.size // 2)].max()
-    return bool(err[-1] >= err.max() * (1.0 - 1e-9)
-                and err[-1] >= 10.0 * half)
-
-
 def _full_run(name, overrides, registry, label):
     config = sm.make_config(name, overrides)
     bench = sm.build_benchmark(name, config)

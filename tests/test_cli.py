@@ -157,8 +157,7 @@ def test_reduce_and_run_reduced_roundtrip(tmp_path):
     assert np.abs(k - ref.system.K).max() <= 1e-13
     assert np.abs(chi - ref.system.chi).max() <= 1e-13
     assert np.abs(z0 - ref.system.z0).max() <= 1e-13
-    assert _manifest(red_dir)["reduction"] == {"modes": 8,
-                                               "factor_mode": "cholesky"}
+    assert _manifest(red_dir)["reduction"] == {"modes": 8}
 
     run_dir = tmp_path / "run"
     assert _run("run-reduced", "--benchmark", "wave", "--set", "n=16",
@@ -275,6 +274,24 @@ def test_compare_unknown_method(tmp_path, capsys):
               "--methods", "rdh,foo", "--out", str(tmp_path / "x"))
     assert rc == 2
     assert "unknown methods" in capsys.readouterr().err
+
+
+def test_compare_flags_blown_up_cells(tmp_path):
+    """Reduced cells that leave floating point range are recorded as
+    unstable with the step of the failure, not raised out of compare."""
+    out = tmp_path / "blow"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = _run("compare", "--benchmark", "wave-lowdiss",
+                  "--basis-method", "greedy", "--set", "n=100",
+                  "--modes", "50", "--methods", "rdh,psd",
+                  "--out", str(out))
+    assert rc == 0
+    assert _run("check", "--manifest", str(out / "manifest.json")) == 0
+    cells = _manifest(out)["cells"]
+    for key in ("rdh_k50", "psd_k50"):
+        assert cells[key]["unstable"] is True
+        step = cells[key]["failure_step"]
+        assert isinstance(step, int) and step >= 1
 
 
 def test_deterministic_artifacts(tmp_path):

@@ -67,10 +67,10 @@ def test_symmetric_sqrt_paths():
 
 def test_solve_auxiliary_without_dissipation():
     bench = sm.build_oscillator(chi_scale=0.0)
-    system = bench.system
-    acc = StringAccumulator(system.dim, dt=0.1)
     z = np.array([0.3, -1.2])
-    assert np.array_equal(sm.solve_auxiliary(system, z, acc), system.K @ z)
+    system = sm.TddSystem(bench.system.K, bench.system.chi, z)
+    f0 = VerletStepper(system, 0.1).accumulator.f
+    assert np.array_equal(f0, system.K @ z)
 
 
 def test_solve_auxiliary_matches_trapezoid_history():
@@ -78,13 +78,13 @@ def test_solve_auxiliary_matches_trapezoid_history():
     system = bench.system
     dt = 1e-3
     stepper = VerletStepper(system, dt)
-    state = sm.initial_extended_state(system, dt)
-    states = [state.z.copy()]
-    history = [state.f.copy()]
+    z = system.z0
+    states = [z.copy()]
+    history = [stepper.accumulator.f.copy()]
     for _ in range(50):
-        state, _ = stepper.step(state)
-        states.append(state.z.copy())
-        history.append(state.f.copy())
+        z = stepper.step(z)
+        states.append(z.copy())
+        history.append(stepper.accumulator.f.copy())
     # reconstruct every co-state from the raw history with an explicit
     # trapezoid tail and a dense solve
     lhs = np.eye(2) + 0.5 * dt * system.chi
@@ -94,13 +94,6 @@ def test_solve_auxiliary_matches_trapezoid_history():
             tail = dt * (0.5 * history[0] + sum(history[1:node]))
         f_ref = np.linalg.solve(lhs, system.K @ z - system.chi @ tail)
         assert np.abs(f_ref - history[node]).max() <= 1e-12
-
-
-def test_solve_auxiliary_step_size_mismatch():
-    bench = sm.build_oscillator()
-    acc = StringAccumulator(2, dt=0.1)
-    with pytest.raises(ValueError, match="step size"):
-        sm.solve_auxiliary(bench.system, np.zeros(2), acc, dt=0.2)
 
 
 def test_accumulator_bookkeeping_and_guards():
@@ -221,21 +214,22 @@ def test_integrate_small_wave_diagnostics(wave_n100):
 
 def test_extended_hamiltonian_at_start():
     bench = sm.build_oscillator()
-    state = sm.initial_extended_state(bench.system, dt=1e-3)
-    h0 = bench.system.hamiltonian(bench.system.z0)
-    assert abs(sm.extended_hamiltonian(bench.system, state) - h0) <= 1e-14
+    acc = VerletStepper(bench.system, 1e-3).accumulator
+    z0 = bench.system.z0
+    h0 = bench.system.hamiltonian(z0)
+    assert abs(sm.extended_hamiltonian(bench.system, z0, acc) - h0) <= 1e-14
 
 
 def test_extended_hamiltonian_without_memory_tracks_h():
     bench = _wave(n=16, chi_scale=0.0)
     system = bench.system
     stepper = VerletStepper(system, 0.01)
-    state = sm.initial_extended_state(system, 0.01)
+    z = system.z0
     for _ in range(20):
-        state, _ = stepper.step(state)
-        h = system.hamiltonian(state.z)
-        assert abs(sm.extended_hamiltonian(system, state) - h) \
-            <= 1e-12 * max(1.0, abs(h))
+        z = stepper.step(z)
+        h = system.hamiltonian(z)
+        assert abs(sm.extended_hamiltonian(system, z, stepper.accumulator)
+                   - h) <= 1e-12 * max(1.0, abs(h))
 
 
 def test_extended_hamiltonian_conserved_damped_oscillator(run_registry):
@@ -244,10 +238,10 @@ def test_extended_hamiltonian_conserved_damped_oscillator(run_registry):
     run_registry.add("oscillator-damped", rep)
     assert extended_drift(rep).max() <= 1e-3
     stepper = VerletStepper(bench.system, 1e-3)
-    state = sm.initial_extended_state(bench.system, 1e-3)
+    z = bench.system.z0
     for _ in range(rep.n_steps):
-        state, _ = stepper.step(state)
-    assert abs(sm.extended_hamiltonian(bench.system, state)
+        z = stepper.step(z)
+    assert abs(sm.extended_hamiltonian(bench.system, z, stepper.accumulator)
                - rep.extended_energy[-1]) <= 1e-12
 
 
@@ -256,16 +250,17 @@ def test_passivity_residual_definition(ladder50):
     system = bench.system
     dt = bench.config.dt
     stepper = VerletStepper(system, dt)
-    state = sm.initial_extended_state(system, dt)
+    z = system.z0
     for _ in range(5):
-        state, _ = stepper.step(state)
-    supply = system.supply_rate(state.z, state.f)
+        z = stepper.step(z)
+    acc = stepper.accumulator
+    supply = system.supply_rate(z, acc.f)
     assert supply != 0.0
-    assert sm.passivity_residual(system, state, 0.25) == 0.25 - supply
+    assert sm.passivity_residual(system, z, acc, 0.25) == 0.25 - supply
     # without an input the residual is the caller's estimate itself
     undriven = sm.build_oscillator().system
-    other = sm.initial_extended_state(undriven, dt)
-    assert sm.passivity_residual(undriven, other, -3.5) == -3.5
+    other = VerletStepper(undriven, dt).accumulator
+    assert sm.passivity_residual(undriven, undriven.z0, other, -3.5) == -3.5
 
 
 def test_passivity_ladder_every_instant(ladder50):

@@ -5,8 +5,10 @@ import pytest
 
 import sympmor as sm
 from sympmor import CanonicalForm, OrthoSymplecticBasis, SnapshotSet
+from sympmor.reduction import terminal_growth
+from sympmor.symplectic import random_ortho_symplectic
 
-from conftest import energy_series, physical_snapshots, terminal_growth
+from conftest import energy_series, physical_snapshots
 
 
 def _wave(n=16, **overrides):
@@ -44,7 +46,7 @@ def test_identity_reduction_error_over_long_run():
 
 def test_chi_zero_reduction_matches_symplectic_baseline(run_registry):
     bench = _wave(n=16, chi_scale=0.0)
-    basis = sm.random_ortho_symplectic(16, 4, rng=7)
+    basis = random_ortho_symplectic(16, 4, rng=7)
     red = sm.rdh_reduce(bench.system, basis)
     rep_rdh = sm.integrate(red.system, dt=0.01, n_steps=1000)
     run_registry.add("wave-n16-conservative-rdh", rep_rdh)
@@ -74,22 +76,9 @@ def test_reduced_operators_greedy_wave(wave_n100):
     assert np.abs(red.system.z0 - z0_ref).max() <= 1e-12
 
 
-def test_factor_modes():
-    bench = _wave(n=16)
-    basis = sm.random_ortho_symplectic(16, 3, rng=2)
-    red = sm.rdh_reduce(bench.system, basis, factor_mode="projected")
-    a = basis.matrix
-    l_full = sm.cholesky_factor(bench.system.K.T @ bench.system.K)
-    assert np.abs(red.system.K - a.T @ l_full @ a).max() <= 1e-12
-    assert red.factor_mode == "projected"
-    assert sm.rdh_reduce(bench.system, basis).factor_mode == "cholesky"
-    with pytest.raises(ValueError, match="factor_mode"):
-        sm.rdh_reduce(bench.system, basis, factor_mode="qr")
-
-
 def test_reduction_dimension_mismatch():
     bench = _wave(n=16)
-    small = sm.random_ortho_symplectic(8, 2, rng=0)
+    small = random_ortho_symplectic(8, 2, rng=0)
     with pytest.raises(ValueError, match="dimension"):
         sm.rdh_reduce(bench.system, small)
     with pytest.raises(ValueError, match="dimension"):
@@ -142,7 +131,7 @@ def test_psd_identity_basis_recovers_model():
 
 def test_psd_without_drift_matches_galerkin():
     bench = _wave(n=16, chi_scale=0.0)
-    basis = sm.random_ortho_symplectic(16, 5, rng=9)
+    basis = random_ortho_symplectic(16, 5, rng=9)
     model = sm.DissipativeModel(bench.system.K.T @ bench.system.K,
                                 z0=bench.system.z0)
     psd = sm.psd_baseline(model, basis)
@@ -185,7 +174,7 @@ def test_pod_on_symplectic_basis_matches_galerkin_generator():
     b = rng.standard_normal((8, 8))
     stiffness = b.T @ b + 0.5 * np.eye(8)
     model = sm.DissipativeModel(stiffness, z0=rng.standard_normal(8))
-    basis = sm.random_ortho_symplectic(4, 2, rng=14)
+    basis = random_ortho_symplectic(4, 2, rng=14)
     pm = sm.pod_baseline(model, basis.matrix)
     a = basis.matrix
     generator = CanonicalForm(2).matrix() @ (a.T @ model.stiffness @ a)
@@ -227,7 +216,7 @@ def test_pod_wave_energy_growth_is_flagged(wave_n500):
 
 
 def test_reconstruct_routes():
-    basis = sm.random_ortho_symplectic(4, 2, rng=21)
+    basis = random_ortho_symplectic(4, 2, rng=21)
     rng = np.random.default_rng(22)
     y = rng.standard_normal((4, 3))
     times = np.arange(3.0)
@@ -271,7 +260,7 @@ def test_l2_error_aggregates():
 
 def test_symplectic_inverse_swaps_canonical_forms():
     for n, k, seed in ((4, 2, 31), (10, 3, 32)):
-        basis = sm.random_ortho_symplectic(n, k, rng=seed)
+        basis = random_ortho_symplectic(n, k, rng=seed)
         lhs = basis.symplectic_inverse() @ CanonicalForm(n).matrix()
         rhs = CanonicalForm(k).matrix() @ basis.matrix.T
         assert np.abs(lhs - rhs).max() <= 1e-12

@@ -6,8 +6,8 @@ import pytest
 
 import sympmor as sm
 from sympmor import (CanonicalForm, DegenerateVector, OrthoSymplecticBasis,
-                     SnapshotSet, random_ortho_symplectic, symplectic_inverse)
-from sympmor.symplectic import symplectic_gram_schmidt
+                     SnapshotSet, symplectic_inverse)
+from sympmor.symplectic import random_ortho_symplectic, symplectic_gram_schmidt
 
 
 def test_canonical_form_blocks():
