@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -118,16 +116,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("SYMPMOR_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"SYMPMOR_THREADS must be an integer, got {raw!r}") \
-            from None
-    return max(1, n)
 
 
 def _config_dict(config) -> dict:
@@ -369,7 +357,7 @@ def _lifted_kinetic(mapper, derivatives, n_full: int, dx: float):
 
 def _compare_cell(bench, config, method, basis_or_v, reference,
                   ref_energy, model):
-    """One (method, mode-count) comparison cell; safe to run in a thread.
+    """One (method, mode-count) comparison cell.
 
     Every cell is measured against the one full closed-formulation run.
     A cell is flagged unstable when its trajectory leaves floating point
@@ -460,19 +448,11 @@ def cmd_compare(args) -> int:
     model = (bench.dissipative_model()
              if "psd" in methods or "pod" in methods else None)
 
-    def run_cell(key):
-        method, m = key
+    by_cell = {}
+    for method, m in cells:
         mapper = pod_v[:, :m] if method == "pod" else sym_basis.truncate(m // 2)
-        return _compare_cell(bench, config, method, mapper, full,
-                             ref_energy, model)
-
-    threads = _thread_cap()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
-    by_cell = dict(zip(cells, results))
+        by_cell[(method, m)] = _compare_cell(bench, config, method, mapper,
+                                             full, ref_energy, model)
 
     times = full.snapshots.times
     files = []
@@ -540,7 +520,6 @@ def cmd_compare(args) -> int:
             "methods": methods,
             "modes": modes,
             "basis_method": basis_method,
-            "threads": threads,
             "cells": summary,
             "full_run": {
                 "wall_seconds": full.wall_seconds,

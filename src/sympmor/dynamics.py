@@ -13,9 +13,9 @@ kick/drift updates. With the memory tail split between the step endpoints
 end-of-step tail for the rest) the composite map is time symmetric and the
 scheme is second order; a single shared tail drops it to first order.
 
-The module also provides the plain dissipative form dz/dt = J grad H - R z + u
-with a symmetrized Verlet scheme, and a classical RK4 loop, both used by
-reference baselines.
+The module also provides the plain dissipative form dz/dt = J grad H - R z + u,
+advanced by the same Verlet stages with the stage matrix S + J R, and a
+classical RK4 loop, both used by reference baselines.
 """
 
 from __future__ import annotations
@@ -403,22 +403,97 @@ class StringAccumulator:
                 + self.string_energy + self.work_coordinate)
 
 
-class VerletStepper:
+class _VerletStages:
+    """Kick-drift-kick stages of dz/dt = J (M z + c + g(z) - z_bd) + u, the
+    one Stoermer-Verlet kernel of both model forms.
+
+    Per step (w = dt/2), with c split into a start-of-step constant ``cs``
+    and an end-of-step one ``ce``:
+
+    1. kick   p_h  from grad_q at (q_n, p_h) under cs,
+    2. drift  q_1  from grad_p averaged over (q_n, p_h | cs) and
+              (q_1, p_h | ce),
+    3. kick   p_1  from grad_q at (q_1, p_h) under ce.
+
+    Stages 1 and 2 are implicit only through the qp and pq blocks of the
+    stage matrix M; each is solved with a precomputed LU factorization, or
+    explicitly when its block is zero. The gradient g must not depend on
+    the momentum block, so stage 2 uses its start-of-step p-block twice.
+    """
+
+    def _init_stages(self, terms: _ExtraTerms, m) -> None:
+        """Split the stage matrix ``m`` (dense or CSR) and the input of
+        ``terms`` into q/p blocks and factor the implicit stages."""
+        w = 0.5 * self.dt
+        n = terms.n
+        self._grad_extra = terms.grad_extra
+        self.m_qq = _as_stored(m[:n, :n])
+        self.m_qp = _as_stored(m[:n, n:])
+        self.m_pq = _as_stored(m[n:, :n])
+        self.m_pp = _as_stored(m[n:, n:])
+        self._lu_kick = self._lu_drift = None
+        if abs(self.m_qp).max() != 0.0:
+            self._lu_kick = scipy.linalg.lu_factor(
+                np.eye(n) + w * _dense(self.m_qp))
+        if abs(self.m_pq).max() != 0.0:
+            self._lu_drift = scipy.linalg.lu_factor(
+                np.eye(n) - w * _dense(self.m_pq))
+        u = terms.input_vector
+        self.u_q = u[:n] if u is not None else None
+        self.u_p = u[n:] if u is not None else None
+
+    def _kick_drift_kick(self, z, cs, ce):
+        """The state one step after z."""
+        dt = self.dt
+        w = 0.5 * dt
+        n = self.m_qq.shape[0]
+        q, p = z[:n], z[n:]
+        extra = self._grad_extra(z)
+
+        # kick under the start-of-step constant
+        rhs = p - w * (self.m_qq @ q + cs[:n])
+        if extra is not None:
+            rhs = rhs - w * extra[:n]
+        if self.u_p is not None:
+            rhs = rhs + w * self.u_p
+        p_half = rhs if self._lu_kick is None else scipy.linalg.lu_solve(
+            self._lu_kick, rhs, check_finite=False)
+
+        # drift averaging the two constants; the extra gradient is
+        # momentum-independent by contract, so its p-block enters twice
+        rhs = q + w * (2.0 * (self.m_pp @ p_half) + cs[n:] + ce[n:])
+        if extra is not None:
+            rhs = rhs + dt * extra[n:]
+        if self._lu_drift is not None:
+            rhs = rhs + w * (self.m_pq @ q)
+        if self.u_q is not None:
+            rhs = rhs + dt * self.u_q
+        q_new = rhs if self._lu_drift is None else scipy.linalg.lu_solve(
+            self._lu_drift, rhs, check_finite=False)
+
+        # second kick under the end-of-step constant
+        extra2 = self._grad_extra(np.concatenate([q_new, p_half]))
+        grad_q = self.m_qq @ q_new + ce[:n]
+        if extra2 is not None:
+            grad_q = grad_q + extra2[:n]
+        if self._lu_kick is not None:
+            grad_q = grad_q + self.m_qp @ p_half
+        p_new = p_half - w * grad_q
+        if self.u_p is not None:
+            p_new = p_new + w * self.u_p
+        return np.concatenate([q_new, p_new])
+
+
+class VerletStepper(_VerletStages):
     """One Stoermer-Verlet step of the time-dispersive model.
 
-    Stage pattern per step (w = dt/2, tails h_n / h_{n+1} as in
-    :class:`StringAccumulator`):
-
-    1. kick   p_h  from grad_q at (q_n, p_h) under tail h_n,
-    2. drift  q_1  from grad_p averaged over (q_n, p_h | h_n) and
-              (q_1, p_h | h_{n+1}),
-    3. kick   p_1  from grad_q at (q_1, p_h) under tail h_{n+1},
-
-    then the committed co-state solves the node-(n+1) constraint at
-    (q_1, p_1 | h_{n+1}). Eliminating f from each stage gradient yields the
-    effective quadratic form M = K^T (I + w chi)^{-1} K plus a tail-dependent
-    constant; stages 1 and 2 are implicit only through the qp / pq blocks of
-    M and are solved directly (explicitly when those blocks are zero).
+    Eliminating the co-state f from each stage gradient yields the stage
+    matrix M = K^T (I + w chi)^{-1} K of :class:`_VerletStages` and the
+    constant -K^T (I + w chi)^{-1} chi h of the memory tail h (w = dt/2):
+    the start-of-step tail h_n for the first kick and the first drift
+    gradient, the end-of-step tail h_{n+1} (see :class:`StringAccumulator`)
+    for the rest. The committed co-state then solves the node-(n+1)
+    constraint at (q_1, p_1 | h_{n+1}).
 
     The stepper owns the memory: ``accumulator`` holds the co-state and the
     trapezoid integrals of the current node, primed with the empty-history
@@ -436,42 +511,21 @@ class VerletStepper:
     kind = "tdd"
 
     def __init__(self, system: TddSystem, dt: float):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
         self.system = system
-        self.dt = float(dt)
-        w = 0.5 * self.dt
-        n = system.n
+        self.accumulator = acc = StringAccumulator(system.dim, dt)
+        self.dt = acc.dt
         self._diag = self._cho = None
         if system._chi_diag is not None:
-            self._diag = 1.0 + w * system._chi_diag
+            self._diag = 1.0 + acc.head_weight * system._chi_diag
         else:
-            self._cho = scipy.linalg.cho_factor(np.eye(system.dim)
-                                                + w * system.chi)
+            self._cho = scipy.linalg.cho_factor(
+                np.eye(system.dim) + acc.head_weight * system.chi)
         wi_k = self._solve(system.k_op)
         m = system.kt_op @ wi_k
-        m = 0.5 * (m + m.T)
         self.kt_wi = _as_stored(wi_k.T)           # K^T (I + w chi)^{-1}
-        self.m_qq = _as_stored(m[:n, :n])
-        self.m_qp = _as_stored(m[:n, n:])
-        self.m_pq = _as_stored(m[n:, :n])
-        self.m_pp = _as_stored(m[n:, n:])
-        cross = max(abs(self.m_qp).max(), abs(self.m_pq).max())
-        self._explicit = cross == 0.0
-        if not self._explicit:
-            self._lu_kick = scipy.linalg.lu_factor(
-                np.eye(n) + w * _dense(self.m_qp))
-            self._lu_drift = scipy.linalg.lu_factor(
-                np.eye(n) - w * _dense(self.m_pq))
-        u = system.input_vector
-        self.u_q = u[:n] if u is not None else None
-        self.u_p = u[n:] if u is not None else None
-        self.accumulator = acc = StringAccumulator(system.dim, dt)
+        self._init_stages(system, 0.5 * (m + m.T))
         self.kz = system.k_op @ system.z0
-        # f0 by LU: through the Cholesky factor it differs by an ulp, which
-        # moves the t = 0 derivative of 20- and 40-mode sine-Gordon rdh runs
-        f0 = self._solve(self.kz) if self._cho is None else np.linalg.solve(
-            np.eye(system.dim) + w * system.chi, self.kz)
+        f0 = self._solve(self.kz)
         acc.prime(f0, system.dissipation_rate(f0),
                   system.supply_rate(system.z0, f0))
         # start-of-step constant -K^T (I + w chi)^{-1} chi tail of the next step
@@ -492,48 +546,10 @@ class VerletStepper:
     def step(self, z):
         """Advance the state z of the accumulator's node by one step and
         commit the new co-state; returns the new state."""
-        sys_, dt, acc = self.system, self.dt, self.accumulator
-        w = 0.5 * dt
-        n = sys_.n
-        q, p = z[:n], z[n:]
-        cs = self._cs
+        sys_, acc = self.system, self.accumulator
         chi_tail_end = sys_.chi_apply(acc.tail_next())
         ce = -(self.kt_wi @ chi_tail_end)
-        extra = sys_.grad_extra(z)
-
-        # kick under the start-of-step tail
-        rhs = p - w * (self.m_qq @ q + cs[:n])
-        if extra is not None:
-            rhs = rhs - w * extra[:n]
-        if self.u_p is not None:
-            rhs = rhs + w * self.u_p
-        p_half = rhs if self._explicit else scipy.linalg.lu_solve(
-            self._lu_kick, rhs, check_finite=False)
-
-        # drift averaging the two tail flavors; the extra gradient is
-        # momentum-independent by contract, so its p-block enters twice
-        rhs = q + w * (2.0 * (self.m_pp @ p_half) + cs[n:] + ce[n:])
-        if extra is not None:
-            rhs = rhs + dt * extra[n:]
-        if not self._explicit:
-            rhs = rhs + w * (self.m_pq @ q)
-        if self.u_q is not None:
-            rhs = rhs + dt * self.u_q
-        q_new = rhs if self._explicit else scipy.linalg.lu_solve(
-            self._lu_drift, rhs, check_finite=False)
-
-        # second kick under the end-of-step tail
-        extra2 = sys_.grad_extra(np.concatenate([q_new, p_half]))
-        grad_q = self.m_qq @ q_new + ce[:n]
-        if extra2 is not None:
-            grad_q = grad_q + extra2[:n]
-        if not self._explicit:
-            grad_q = grad_q + self.m_qp @ p_half
-        p_new = p_half - w * grad_q
-        if self.u_p is not None:
-            p_new = p_new + w * self.u_p
-
-        z_new = np.concatenate([q_new, p_new])
+        z_new = self._kick_drift_kick(z, self._cs, ce)
         self.kz = sys_.k_op @ z_new
         f_new = self._solve(self.kz - chi_tail_end)
         acc.commit(f_new, sys_.dissipation_rate(f_new),
@@ -636,7 +652,8 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     string energy, extended energy, passivity residual, Volterra residual
     and |K z| at one instant) and ``snapshot(z)`` (dz/dt, plus the
     co-state for a tdd run), and a ``kind``. Every state is checked for
-    finiteness as soon as it is stepped to.
+    finiteness as soon as it is stepped to; numpy's overflow and invalid
+    warnings are silenced in the loop, which reports the blow-up instead.
     """
     if (n_steps is None) == (t_final is None):
         raise ValueError("specify exactly one of n_steps and t_final")
@@ -653,13 +670,14 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     first = (z, *stepper.snapshot(z))
     store = np.empty((len(first), z.size, n_steps // snapshot_stride + 1))
     store[..., 0] = first
-    for i in range(1, n_steps + 1):
-        z = stepper.step(z)
-        if not np.isfinite(z).all():
-            raise NonFiniteError(i)
-        rows.append(stepper.observe(z))
-        if i % snapshot_stride == 0:
-            store[..., i // snapshot_stride] = (z, *stepper.snapshot(z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            z = stepper.step(z)
+            if not np.isfinite(z).all():
+                raise NonFiniteError(i)
+            rows.append(stepper.observe(z))
+            if i % snapshot_stride == 0:
+                store[..., i // snapshot_stride] = (z, *stepper.snapshot(z))
     ham, e_str, h_ext, passiv, volterra, kz = np.array(rows).T.copy()
     times = dt * np.arange(n_steps + 1)
     return RunReport(
@@ -731,7 +749,7 @@ class DissipativeModel(_ExtraTerms):
 
     def linear_operator(self) -> np.ndarray:
         """Dense J S - R, the generator of the linear part of the flow."""
-        op = self.J.matrix() @ self.stiffness
+        op = self.J.apply(self.stiffness)
         if self.drift is not None:
             op = op - self.drift
         return op
@@ -750,72 +768,32 @@ class _PlainStepper:
         return (self._derivative(z),)
 
 
-class DissipativeVerletStepper(_PlainStepper):
+class DissipativeVerletStepper(_VerletStages, _PlainStepper):
     """Stoermer-Verlet for the plain dissipative form.
 
-    The drift -R z is folded into the stages so that the step stays
-    time-symmetric: the first kick is implicit in the new half-momentum,
-    the final kick is its adjoint (fully explicit at the half-momentum),
-    and the position update is trapezoidal. Symmetry keeps second order;
-    the kick and drift solves are precomputed LU factorizations.
+    dz/dt = J (S z + g(z) - z_bd) - R z + u is J (M z + g(z) - z_bd) + u
+    with M = S + J R, so the drift -R z enters the stages of
+    :class:`_VerletStages` through M, without a memory constant. The step
+    stays time-symmetric: the first kick is implicit in the new
+    half-momentum, the final kick is its adjoint, and the position update
+    is trapezoidal, which keeps second order.
     """
 
     kind = "dissipative"
 
     def __init__(self, model: DissipativeModel, dt: float):
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
         self.model = model
         self.dt = float(dt)
-        w = 0.5 * self.dt
-        n = model.n
-        s = model.stiffness
-        d = model.drift if model.drift is not None else np.zeros_like(s)
-        # stage coefficients: the kicks act with kick_q on q and kick_p on p,
-        # the drift with drift_q on q and drift_p on p
-        self.kick_q = s[:n, :n] + d[n:, :n]
-        self.kick_p = s[:n, n:] + d[n:, n:]
-        self.drift_q = s[n:, :n] - d[:n, :n]
-        self.drift_p = s[n:, n:] - d[:n, n:]
-        self._kick_explicit = not self.kick_p.any()
-        self._drift_explicit = not self.drift_q.any()
-        if not self._kick_explicit:
-            self._lu_kick = scipy.linalg.lu_factor(np.eye(n) + w * self.kick_p)
-        if not self._drift_explicit:
-            self._lu_drift = scipy.linalg.lu_factor(np.eye(n) - w * self.drift_q)
-        u = model.input_vector
-        self.u_q = u[:n] if u is not None else None
-        self.u_p = u[n:] if u is not None else None
+        s, d = model.stiffness, model.drift
+        self._init_stages(model, s if d is None else s + model.J.apply(d))
+        self._no_tail = np.zeros(model.dim)
         self._hamiltonian = model.hamiltonian
         self._derivative = model.state_derivative
 
     def step(self, z):
-        m, dt = self.model, self.dt
-        w = 0.5 * dt
-        n = m.n
-        q, p = z[:n], z[n:]
-        extra = m.grad_extra(z)
-        eq = extra[:n] if extra is not None else 0.0
-        ep = extra[n:] if extra is not None else 0.0
-
-        rhs = p - w * (self.kick_q @ q + eq)
-        if self.u_p is not None:
-            rhs = rhs + w * self.u_p
-        p_half = rhs if self._kick_explicit else scipy.linalg.lu_solve(
-            self._lu_kick, rhs, check_finite=False)
-
-        rhs = q + w * (self.drift_q @ q + 2.0 * (self.drift_p @ p_half)
-                       + 2.0 * ep)
-        if self.u_q is not None:
-            rhs = rhs + dt * self.u_q
-        q_new = rhs if self._drift_explicit else scipy.linalg.lu_solve(
-            self._lu_drift, rhs, check_finite=False)
-
-        z_mid = np.concatenate([q_new, p_half])
-        extra2 = m.grad_extra(z_mid)
-        eq2 = extra2[:n] if extra2 is not None else 0.0
-        p_new = p_half - w * (self.kick_q @ q_new + self.kick_p @ p_half + eq2)
-        if self.u_p is not None:
-            p_new = p_new + w * self.u_p
-        return np.concatenate([q_new, p_new])
+        return self._kick_drift_kick(z, self._no_tail, self._no_tail)
 
 
 def integrate_dissipative(model: DissipativeModel, dt: float,

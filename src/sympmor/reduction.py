@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DissipativeModel, TddSystem, cholesky_factor
-from .symplectic import CanonicalForm, OrthoSymplecticBasis, SnapshotSet
+from .symplectic import OrthoSymplecticBasis, SnapshotSet
 
 
 def _pulled_back_callables(system, basis: OrthoSymplecticBasis):
@@ -151,11 +151,8 @@ def pod_baseline(model: DissipativeModel, v: np.ndarray) -> PodModel:
     v = np.asarray(v, dtype=float)
     if v.shape[0] != model.dim:
         raise ValueError("POD basis does not match the model dimension")
-    j = CanonicalForm(model.n)
-    linear = j.apply(model.stiffness)
-    if model.drift is not None:
-        linear = linear - model.drift
-    matrix = v.T @ linear @ v
+    j = model.J
+    matrix = v.T @ model.linear_operator() @ v
     constant = None
     if model.boundary_vector is not None or model.input_vector is not None:
         c = np.zeros(model.dim)

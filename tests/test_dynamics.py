@@ -272,9 +272,8 @@ def test_passivity_ladder_every_instant(ladder50):
 
 def test_nonfinite_state_detected():
     bench = _wave(n=16)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(sm.NonFiniteError, match="step") as exc_info:
-            sm.integrate(bench.system, dt=1.0, t_final=300.0)
+    with pytest.raises(sm.NonFiniteError, match="step") as exc_info:
+        sm.integrate(bench.system, dt=1.0, t_final=300.0)
     assert exc_info.value.step >= 1
 
 
@@ -312,6 +311,28 @@ def test_dissipative_verlet_second_order_wave_drift():
         errors.append(np.abs(rep.snapshots.states[:, -1] - exact).max())
     assert 3.5 <= errors[0] / errors[1] <= 4.5
     assert 3.5 <= errors[1] / errors[2] <= 4.5
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("ladder", {"cells": 50, "t_final": 5.0}),        # input, implicit stages
+    ("sine-gordon", {"n": 60, "t_final": 4.0}),       # nonlinear, boundary
+    ("wave", {"n": 40, "t_final": 1.0}),              # explicit stages
+])
+def test_closed_and_dissipative_steppers_agree_without_memory(name, overrides):
+    """At chi = 0 the closed form is the dissipative one with S = K^T K and
+    no drift, and both steppers run the same kick-drift-kick stages."""
+    config = sm.make_config(name, {**overrides, "chi_scale": 0.0})
+    system = sm.build_benchmark(name, config).system
+    model = sm.DissipativeModel(
+        system.K.T @ system.K, z0=system.z0,
+        nonlinear_grad=system.nonlinear_grad, potential=system.potential,
+        input_vector=system.input_vector,
+        boundary_vector=system.boundary_vector, dx=system.dx)
+    closed = sm.integrate(system, dt=config.dt, t_final=config.t_final)
+    plain = sm.integrate_dissipative(model, dt=config.dt,
+                                     t_final=config.t_final)
+    a, b = closed.snapshots.states, plain.snapshots.states
+    assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
 
 def test_rk4_accuracy_linear_decay():
