@@ -12,10 +12,8 @@ from .benchmarks import (Benchmark, LadderConfig, SineGordonConfig,
                          build_oscillator, kink_profile, make_config,
                          oscillator_exact, skew_to_canonical, spline_bump)
 from .dynamics import (DissipativeModel, NonFiniteError, RunReport,
-                       StringAccumulator, TddSystem, VerletStepper,
-                       cholesky_factor, extended_hamiltonian, integrate,
-                       integrate_dissipative, integrate_rk4,
-                       passivity_residual, symmetric_sqrt)
+                       TddSystem, VerletStepper, cholesky_factor, integrate,
+                       integrate_dissipative, integrate_rk4, symmetric_sqrt)
 from .reduction import (PodModel, ReducedDissipative, ReducedTdd,
                         TrajectoryError, l2_error, pod_baseline, psd_baseline,
                         rdh_reduce, reconstruct, spectral_abscissa,
@@ -42,7 +40,6 @@ __all__ = [
     "RunReport",
     "SineGordonConfig",
     "SnapshotSet",
-    "StringAccumulator",
     "TddSystem",
     "TrajectoryError",
     "VerletStepper",
@@ -52,7 +49,6 @@ __all__ = [
     "build_oscillator",
     "cholesky_factor",
     "cotangent_lift",
-    "extended_hamiltonian",
     "greedy_basis",
     "integrate",
     "integrate_dissipative",
@@ -61,7 +57,6 @@ __all__ = [
     "l2_error",
     "make_config",
     "oscillator_exact",
-    "passivity_residual",
     "pod_baseline",
     "pod_basis",
     "psd_baseline",

@@ -238,7 +238,7 @@ def build_sine_gordon(config: SineGordonConfig) -> Benchmark:
         return out
 
     def potential(z):
-        return float(np.sum(1.0 - np.cos(z[:n])))
+        return np.sum(1.0 - np.cos(z[:n]), axis=0)
 
     system = TddSystem(k, chi, z0, nonlinear_grad=grad, potential=potential,
                        boundary_vector=boundary, dx=dx, name="sine-gordon")

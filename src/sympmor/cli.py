@@ -57,9 +57,7 @@ def resolve_config(args):
     if getattr(args, "config", None):
         path = Path(args.config)
         try:
-            data = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
+            data = json.loads(_read_input(Path.read_text, path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") \
                 from None
@@ -122,9 +120,19 @@ def _config_dict(config) -> dict:
     return dataclasses.asdict(config)
 
 
+def _read_input(read, path, *args):
+    """``read(path, *args)`` of an input file; a missing file is a
+    configuration error."""
+    try:
+        return read(path, *args)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        raise ConfigError(f"input file not found: {exc.filename or path}") \
+            from None
+
+
 def _basis_from_file(path) -> OrthoSymplecticBasis:
     """Load a paired basis written by build-basis and check the pairing."""
-    a = storage.read_matrix(path)
+    a = _read_input(storage.read_matrix, path)
     if a.ndim != 2 or a.shape[1] % 2:
         raise ConfigError(f"{path}: expected an even number of basis columns")
     basis = OrthoSymplecticBasis(a[:, : a.shape[1] // 2])
@@ -176,7 +184,8 @@ def cmd_run_full(args) -> int:
 def _collect_snapshots(args, bench, config):
     """Snapshots for basis generation: from file, or a fresh full run."""
     if getattr(args, "snapshots", None):
-        return storage.read_snapshots(Path(args.snapshots), dx=bench.system.dx)
+        return _read_input(storage.read_snapshots, args.snapshots,
+                           bench.system.dx)
     return _integrate_full(bench, config).snapshots
 
 
@@ -259,10 +268,7 @@ def cmd_reduce(args) -> int:
     bench = _build(name, config)
     basis = _basis_from_file(args.basis)
     m = basis.n_columns
-    try:
-        red = reduction.rdh_reduce(bench.system, basis)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise ConfigError(f"reduction failed: {exc}") from None
+    red = _project(bench, basis, "rdh")
     files = [
         storage.write_matrix(out / f"reduced_K_k{m}.mtx", red.system.K),
         storage.write_matrix(out / f"reduced_chi_k{m}.mtx", red.system.chi),
@@ -286,16 +292,20 @@ def cmd_reduce(args) -> int:
 
 def _project(bench, mapper, method: str, model=None):
     """Reduced model of one method: a ReducedTdd for rdh, else a baseline
-    projected from ``model`` (the benchmark's dissipative model when None)."""
-    if method == "rdh":
-        return reduction.rdh_reduce(bench.system, mapper)
-    if method not in ("psd", "pod"):
+    projected from ``model`` (the benchmark's dissipative model when None).
+    A basis that does not fit the model is a configuration error."""
+    if method not in ("rdh", "psd", "pod"):
         raise ConfigError(f"unknown reduction method {method!r}")
-    if model is None:
-        model = bench.dissipative_model()
-    if method == "psd":
-        return reduction.psd_baseline(model, mapper)
-    return reduction.pod_baseline(model, mapper)
+    try:
+        if method == "rdh":
+            return reduction.rdh_reduce(bench.system, mapper)
+        if model is None:
+            model = bench.dissipative_model()
+        if method == "psd":
+            return reduction.psd_baseline(model, mapper)
+        return reduction.pod_baseline(model, mapper)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise ConfigError(f"reduction failed: {exc}") from None
 
 
 def _run_reduced(reduced, config, mapper, method: str):
@@ -313,7 +323,7 @@ def cmd_run_reduced(args) -> int:
     out = _out_dir(args)
     bench = _build(name, config)
     if args.method == "pod":
-        mapper = storage.read_matrix(args.basis)
+        mapper = _read_input(storage.read_matrix, args.basis)
         m = mapper.shape[1]
     else:
         mapper = _basis_from_file(args.basis)
@@ -336,11 +346,6 @@ def cmd_run_reduced(args) -> int:
 
 
 # -- compare ------------------------------------------------------------------
-
-
-def _energy_series(hamiltonian, snapshots):
-    return np.array([hamiltonian(snapshots.states[:, i])
-                     for i in range(snapshots.count)])
 
 
 def _on_snapshot_grid(series, report):
@@ -386,7 +391,7 @@ def _compare_cell(bench, config, method, basis_or_v, reference,
         return cell
     recon = reduction.reconstruct(lift, report.snapshots, dx=dx)
     err = reduction.l2_error(reference.snapshots, recon)
-    energy = _energy_series(bench.system.hamiltonian, recon)
+    energy = bench.system.hamiltonian(recon.states)
     cell["errors"] = err.per_instant
     cell["max_error"] = err.max_weighted
     cell["mean_error"] = err.mean_weighted
@@ -442,7 +447,7 @@ def cmd_compare(args) -> int:
             raise ConfigError(
                 f"snapshot rank supports only {pod_v.shape[1]} modes")
 
-    ref_energy = _energy_series(bench.system.hamiltonian, full.snapshots)
+    ref_energy = bench.system.hamiltonian(full.snapshots.states)
     cells = [(method, m) for method in methods for m in modes]
     # the baselines all project one dissipative model
     model = (bench.dissipative_model()
@@ -538,9 +543,7 @@ def cmd_compare(args) -> int:
 
 def cmd_check(args) -> int:
     path = Path(args.manifest)
-    if not path.is_file():
-        raise ConfigError(f"manifest not found: {path}")
-    problems = storage.verify_manifest(path)
+    problems = _read_input(storage.verify_manifest, path)
     manifest = json.loads(path.read_text())
     n_files = len(manifest.get("files", {}))
     if problems:

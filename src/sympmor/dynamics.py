@@ -171,6 +171,11 @@ def _optional_array(v):
     return None if v is None else np.asarray(v, dtype=float)
 
 
+def _column_dot(a, b):
+    """a . b of two vectors, or of each pair of columns of two blocks."""
+    return np.sum(a * b, axis=0)
+
+
 class _ExtraTerms:
     """Terms both model forms share beyond their quadratic energy: a
     potential V with gradient g, a boundary vector z_bd and an input u."""
@@ -186,21 +191,24 @@ class _ExtraTerms:
         self.J = CanonicalForm(self.n)
 
     def grad_extra(self, z):
-        """Non-quadratic gradient terms: g(z) - z_bd."""
+        """Non-quadratic gradient terms g(z) - z_bd, of a state or of each
+        column of a (dim, m) block."""
         out = None
         if self.nonlinear_grad is not None:
             out = np.asarray(self.nonlinear_grad(z), dtype=float)
         if self.boundary_vector is not None:
-            out = -self.boundary_vector if out is None else out - self.boundary_vector
+            bd = self.boundary_vector.reshape((-1,) + (1,) * (np.ndim(z) - 1))
+            out = -bd if out is None else out - bd
         return out
 
-    def nonquadratic_energy(self, z, h: float = 0.0) -> float:
-        """h + V(z) - z_bd . z, summed left to right; the energies pass
-        their quadratic part as ``h``."""
+    def nonquadratic_energy(self, z, h=0.0):
+        """h + V(z) - z_bd . z, summed left to right, of a state or of each
+        column of a (dim, m) block; the energies pass their quadratic part
+        as ``h``."""
         if self.potential is not None:
-            h += float(self.potential(z))
+            h = h + self.potential(z)
         if self.boundary_vector is not None:
-            h -= float(self.boundary_vector @ z)
+            h = h - self.boundary_vector @ z
         return h
 
     def _flow(self, force, z, drift=None):
@@ -238,7 +246,9 @@ class TddSystem(_ExtraTerms):
     nonlinear_grad, potential : callable, optional
         Gradient and value of an additional potential term. The gradient must
         not depend on the momentum block (the kick stages evaluate it at the
-        start-of-stage momentum).
+        start-of-stage momentum). Both take a state or a (2n, m) block of
+        states as columns: the gradient then returns one column per state,
+        and the potential one value per column.
     input_vector : ndarray, optional
         Constant input u added to dz/dt; the associated supply rate is
         (K u)^T f.
@@ -251,6 +261,11 @@ class TddSystem(_ExtraTerms):
     ``k_op`` and ``kt_op`` apply K and K^T: CSR matrices when at most 5 %
     of the entries of K are nonzero, K and its transpose otherwise. ``K``
     and ``chi`` themselves stay dense arrays.
+
+    The energy terms (``hamiltonian``, ``nonquadratic_energy``,
+    ``dissipation_rate``, ``supply_rate`` and ``grad_extra``) accept a state
+    or a (2n, m) block, and for a block return one value (or column) per
+    column.
     """
 
     def __init__(self, K, chi, z0, *, nonlinear_grad=None, potential=None,
@@ -311,96 +326,32 @@ class TddSystem(_ExtraTerms):
             return (self._chi_diag * v.T).T
         return self._chi_op @ v
 
-    def hamiltonian(self, z) -> float:
+    def hamiltonian(self, z):
         """Energy 0.5 ||K z||^2 + potential(z) - z_bd . z."""
         kz = self.k_op @ z
-        return self.nonquadratic_energy(z, 0.5 * float(kz @ kz))
+        return self.nonquadratic_energy(z, 0.5 * _column_dot(kz, kz))
 
     def state_derivative(self, z, f):
         """dz/dt given the co-state: J (K^T f + g(z) - z_bd) + u."""
         return self._flow(self.kt_op @ f, z)
 
-    def supply_rate(self, z, f) -> float:
+    def supply_rate(self, z, f):
         """Instantaneous work rate of the input: (K u)^T f + (g(z) - z_bd)^T u.
 
         The second term vanishes without nonlinear/boundary terms; it is what
         the input feeds into the non-quadratic part of the energy.
         """
         if self.input_vector is None:
-            return 0.0
-        s = float((self.k_op @ self.input_vector) @ f)
+            return np.zeros(np.shape(f)[1:])
+        s = (self.k_op @ self.input_vector) @ f
         extra = self.grad_extra(z)
         if extra is not None:
-            s += float(extra @ self.input_vector)
+            s = s + self.input_vector @ extra
         return s
 
-    def dissipation_rate(self, f) -> float:
+    def dissipation_rate(self, f):
         """f^T chi f >= 0; energy leaves the visible variables at this rate."""
-        return float(f @ self.chi_apply(f))
-
-
-class StringAccumulator:
-    """Trapezoid bookkeeping of the memory integral of the co-state f.
-
-    Tracks the running integral F = int_0^t f ds, the dissipated string
-    energy int_0^t f^T chi f ds, and the input-work coordinate e with
-    de/dt = -supply. ``tail`` is the part of the quadrature at the current
-    node that excludes the current node's own contribution, i.e.
-    F_{n-1} + (dt/2) f_{n-1}; the constraint at node n reads
-    (I + (dt/2) chi) f_n = K z_n - chi tail_n.
-    """
-
-    def __init__(self, dim: int, dt: float):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        self.dim = dim
-        self.dt = float(dt)
-        self.head_weight = 0.5 * self.dt    # quadrature weight of a node
-        self.t = 0.0
-        self.steps = 0
-        self.integral = np.zeros(dim)
-        self.tail = np.zeros(dim)
-        self.string_energy = 0.0
-        self.work_coordinate = 0.0
-        self.f = None
-        self._diss = 0.0
-        self._supply = 0.0
-
-    def prime(self, f0, dissipation0: float, supply0: float) -> None:
-        """Install the initial co-state; the node-0 tail stays zero."""
-        if self.f is not None or self.steps:
-            raise RuntimeError("accumulator already primed")
-        self.f = np.asarray(f0, dtype=float).copy()
-        self._diss = float(dissipation0)
-        self._supply = float(supply0)
-
-    def tail_next(self):
-        """Tail of the next node: F_n + (dt/2) f_n."""
-        if self.f is None:
-            raise RuntimeError("accumulator not primed")
-        return self.integral + self.head_weight * self.f
-
-    def commit(self, f_new, dissipation_new: float, supply_new: float) -> None:
-        """Advance one step: trapezoid updates of all three integrals."""
-        if self.f is None:
-            raise RuntimeError("accumulator not primed")
-        f_new = np.asarray(f_new, dtype=float)
-        w = self.head_weight
-        self.tail = self.integral + w * self.f
-        self.integral = self.tail + w * f_new
-        self.string_energy += w * (self._diss + float(dissipation_new))
-        self.work_coordinate -= w * (self._supply + float(supply_new))
-        self.f = f_new.copy()
-        self._diss = float(dissipation_new)
-        self._supply = float(supply_new)
-        self.steps += 1
-        self.t = self.steps * self.dt
-
-    def extended_energy(self, nonquad: float) -> float:
-        """0.5 ||f||^2 + nonquad + E_string + e at the current node, where
-        ``nonquad`` is the system's non-quadratic energy there."""
-        return (0.5 * float(self.f @ self.f) + nonquad
-                + self.string_energy + self.work_coordinate)
+        return _column_dot(f, self.chi_apply(f))
 
 
 class _VerletStages:
@@ -420,6 +371,11 @@ class _VerletStages:
     explicitly when its block is zero. The gradient g must not depend on
     the momentum block, so stage 2 uses its start-of-step p-block twice.
     """
+
+    def __init__(self, dt: float):
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        self.dt = float(dt)
 
     def _init_stages(self, terms: _ExtraTerms, m) -> None:
         """Split the stage matrix ``m`` (dense or CSR) and the input of
@@ -491,17 +447,19 @@ class VerletStepper(_VerletStages):
     matrix M = K^T (I + w chi)^{-1} K of :class:`_VerletStages` and the
     constant -K^T (I + w chi)^{-1} chi h of the memory tail h (w = dt/2):
     the start-of-step tail h_n for the first kick and the first drift
-    gradient, the end-of-step tail h_{n+1} (see :class:`StringAccumulator`)
-    for the rest. The committed co-state then solves the node-(n+1)
-    constraint at (q_1, p_1 | h_{n+1}).
+    gradient, the end-of-step tail h_{n+1} for the rest. The committed
+    co-state then solves the node-(n+1) constraint at (q_1, p_1 | h_{n+1}).
 
-    The stepper owns the memory: ``accumulator`` holds the co-state and the
-    trapezoid integrals of the current node, primed with the empty-history
-    co-state (I + w chi)^{-1} K z0 of ``system.z0``, and ``kz`` holds K z
-    there. ``step(z)`` takes the state of that node. Each step reuses the
-    previous step's end-of-step tail constant as its start-of-step one: the
-    accumulator's committed tail is bitwise the tail the step computed for
-    the end of the step.
+    The stepper owns the memory of its current node n: the co-state ``f``,
+    the trapezoid integral ``integral`` = F_n and the ``tail`` h_n =
+    F_{n-1} + w f_{n-1}, the part of the quadrature that excludes the
+    node's own contribution, so the constraint reads
+    (I + w chi) f_n = K z_n - chi h_n. It starts at node 0 with the
+    empty-history co-state (I + w chi)^{-1} K z0 of ``system.z0`` and zero
+    tail and integral; ``step(z)`` takes the state of the current node.
+    Each step reuses the previous step's end-of-step tail constant as its
+    start-of-step one: the committed tail is bitwise the tail the step
+    computed for the end of the step.
 
     When the system applies K in CSR, K^T (I + w chi)^{-1} and the blocks of
     M are formed and stored in CSR as well, unless a non-diagonal chi makes
@@ -511,25 +469,24 @@ class VerletStepper(_VerletStages):
     kind = "tdd"
 
     def __init__(self, system: TddSystem, dt: float):
+        super().__init__(dt)
         self.system = system
-        self.accumulator = acc = StringAccumulator(system.dim, dt)
-        self.dt = acc.dt
+        w = 0.5 * self.dt
         self._diag = self._cho = None
         if system._chi_diag is not None:
-            self._diag = 1.0 + acc.head_weight * system._chi_diag
+            self._diag = 1.0 + w * system._chi_diag
         else:
             self._cho = scipy.linalg.cho_factor(
-                np.eye(system.dim) + acc.head_weight * system.chi)
+                np.eye(system.dim) + w * system.chi)
         wi_k = self._solve(system.k_op)
         m = system.kt_op @ wi_k
         self.kt_wi = _as_stored(wi_k.T)           # K^T (I + w chi)^{-1}
         self._init_stages(system, 0.5 * (m + m.T))
-        self.kz = system.k_op @ system.z0
-        f0 = self._solve(self.kz)
-        acc.prime(f0, system.dissipation_rate(f0),
-                  system.supply_rate(system.z0, f0))
+        self.f = self._solve(system.k_op @ system.z0)
+        self.tail = np.zeros(system.dim)
+        self.integral = np.zeros(system.dim)
         # start-of-step constant -K^T (I + w chi)^{-1} chi tail of the next step
-        self._cs = -(self.kt_wi @ system.chi_apply(acc.tail))
+        self._cs = -(self.kt_wi @ system.chi_apply(self.tail))
 
     def _solve(self, rhs):
         """(I + w chi)^{-1} rhs for a vector or a (CSR) matrix."""
@@ -544,38 +501,23 @@ class VerletStepper(_VerletStages):
         return (rhs.T / self._diag).T
 
     def step(self, z):
-        """Advance the state z of the accumulator's node by one step and
-        commit the new co-state; returns the new state."""
-        sys_, acc = self.system, self.accumulator
-        chi_tail_end = sys_.chi_apply(acc.tail_next())
+        """Advance the state z of the current node by one step and commit
+        the new co-state and the trapezoid memory; returns the new state."""
+        sys_ = self.system
+        w = 0.5 * self.dt
+        tail = self.integral + w * self.f
+        chi_tail_end = sys_.chi_apply(tail)
         ce = -(self.kt_wi @ chi_tail_end)
         z_new = self._kick_drift_kick(z, self._cs, ce)
-        self.kz = sys_.k_op @ z_new
-        f_new = self._solve(self.kz - chi_tail_end)
-        acc.commit(f_new, sys_.dissipation_rate(f_new),
-                   sys_.supply_rate(z_new, f_new))
+        self.f = self._solve(sys_.k_op @ z_new - chi_tail_end)
+        self.tail = tail
+        self.integral = tail + w * self.f
         self._cs = ce
         return z_new
 
-    def observe(self, z):
-        """Diagnostics at the current node z: H (from the step's K z), the
-        string energy, the extended energy, the passivity residual
-        -f^T chi f, and the largest entries of |f + chi F - K z| and |K z|."""
-        sys_, acc, kz = self.system, self.accumulator, self.kz
-        f = acc.f
-        nonquad = sys_.nonquadratic_energy(z)
-        # chi F; at node 0 the constraint reads (I + w chi) f0 = K z0
-        memory = (sys_.chi_apply(acc.integral) if acc.steps
-                  else acc.head_weight * sys_.chi_apply(f))
-        return (0.5 * float(kz @ kz) + nonquad, acc.string_energy,
-                acc.extended_energy(nonquad), -sys_.dissipation_rate(f),
-                float(np.abs(kz - (f + memory)).max()),
-                float(np.abs(kz).max()))
-
     def snapshot(self, z):
         """dz/dt and the co-state at the current node."""
-        f = self.accumulator.f
-        return self.system.state_derivative(z, f), f
+        return self.system.state_derivative(z, self.f), self.f
 
 
 @dataclass
@@ -589,6 +531,10 @@ class RunReport:
     energy is 0.5 ||f||^2 rather than ``hamiltonian``'s 0.5 ||K z||^2.
     Runs of the plain dissipative form and of its reductions evolve the
     physical state (in reduced coordinates) and carry no co-states.
+
+    The four energy and passivity series hold one value per node of
+    ``times``; they, ``volterra_max`` and ``kz_max`` are derived after the
+    steps from the states (and co-states) the driver recorded in blocks.
     """
 
     times: np.ndarray
@@ -616,44 +562,76 @@ class RunReport:
         v = self.derivatives[: self.derivatives.shape[0] // 2]
         return 0.5 * self.snapshots.dx * np.sum(v * v, axis=0)
 
-
-def extended_hamiltonian(system: TddSystem, z,
-                         accumulator: StringAccumulator) -> float:
-    """Total energy of the closed extension at the accumulator's node, z
-    being the state there.
-
-    The system part enters through the co-state (0.5 ||f||^2 plus the
-    non-quadratic terms), the strings through the accumulated dissipation
-    integral, and input work through the autonomization coordinate. The
-    value is conserved along the discrete flow and equals H(z0) at t=0
-    whenever chi annihilates K z0 (strings at rest).
-    """
-    return accumulator.extended_energy(system.nonquadratic_energy(z))
+    def physical_snapshots(self, system: TddSystem) -> SnapshotSet:
+        """Physical state K^{-1} f of a time-dispersive run of ``system`` on
+        its snapshot grid; the plain dissipative model and its POD/Galerkin
+        reductions evolve this state, whose quadratic energy is
+        0.5 ||f||^2."""
+        if self.costates is None:
+            raise ValueError(f"a {self.kind} run carries no co-states")
+        return SnapshotSet(self.snapshots.times,
+                           np.linalg.solve(system.K, self.costates),
+                           self.snapshots.dx)
 
 
-def passivity_residual(system: TddSystem, z, accumulator: StringAccumulator,
-                       dh_dt: float) -> float:
-    """Stored-power balance dH/dt - supply at the accumulator's node, z
-    being the state there.
+# Nodes per recorded block: _drive copies every node into row buffers of
+# this length and derives the series of a block once it is full.
+_BLOCK = 128
 
-    ``dh_dt`` is the caller's estimate of the stored-energy derivative
-    (finite differences of 0.5 ||f||^2, say). Nonpositive along a passive
-    trajectory; the analytic value is -f^T chi f.
-    """
-    return float(dh_dt) - system.supply_rate(z, accumulator.f)
+
+def _closed_columns(system: TddSystem, states, costates, memory):
+    """Per-node diagnostics of a closed run from (dim, m) blocks of states,
+    co-states f and memory arguments tail + w f: H, 0.5 ||f||^2 plus the
+    non-quadratic energy, f^T chi f, the supply rate, the passivity residual
+    -f^T chi f, and the largest entries of |K z - f - chi (tail + w f)|
+    (the Volterra residual) and of |K z|."""
+    kz = system.k_op @ states
+    nonquad = system.nonquadratic_energy(states, np.zeros(states.shape[1]))
+    diss = system.dissipation_rate(costates)
+    volterra = kz - (costates + system.chi_apply(memory))
+    return np.array([0.5 * _column_dot(kz, kz) + nonquad,
+                     0.5 * _column_dot(costates, costates) + nonquad,
+                     diss, system.supply_rate(states, costates), -diss,
+                     np.abs(volterra).max(axis=0), np.abs(kz).max(axis=0)])
+
+
+def _plain_columns(hamiltonian, states):
+    """The columns of :func:`_closed_columns` for a run without strings or
+    memory: H from ``hamiltonian`` (zero when None), stored energy H, and
+    zero rates and residuals."""
+    zero = np.zeros(states.shape[1])
+    h = zero if hamiltonian is None else hamiltonian(states)
+    return np.array([h, h, zero, zero, zero, zero, zero])
+
+
+def _trapezoid_sum(weight: float, rates):
+    """Running trapezoid integral of per-node rates with node weight
+    ``weight`` (dt/2), summed sequentially from zero at node 0."""
+    steps = weight * (rates[:-1] + rates[1:])
+    return np.cumsum(np.concatenate([[0.0], steps]))
 
 
 def _drive(make_stepper, z0, dt: float, n_steps: int | None,
-           t_final: float | None, snapshot_stride: int,
-           dx: float) -> RunReport:
+           t_final: float | None, snapshot_stride: int, dx: float,
+           hamiltonian=None) -> RunReport:
     """Run a stepper over the time grid and assemble its report.
 
-    The stepper provides ``step(z)`` (the next state), ``observe(z)`` (H,
-    string energy, extended energy, passivity residual, Volterra residual
-    and |K z| at one instant) and ``snapshot(z)`` (dz/dt, plus the
-    co-state for a tdd run), and a ``kind``. Every state is checked for
-    finiteness as soon as it is stepped to; numpy's overflow and invalid
-    warnings are silenced in the loop, which reports the blow-up instead.
+    The stepper provides ``step(z)`` (the next state), ``snapshot(z)``
+    (dz/dt, plus the co-state for a tdd run) and a ``kind``. Every state is
+    checked for finiteness as soon as it is stepped to; numpy's overflow
+    and invalid warnings are silenced in the loop, which reports the
+    blow-up instead.
+
+    The loop only records: each node's state goes into a row buffer of
+    _BLOCK nodes, and for a :class:`VerletStepper` so do its co-state f and
+    its memory argument tail + w f (the committed integral F, and w f0 at
+    node 0). Each full buffer is reduced to per-node diagnostics column by
+    column; the string energy and the input work, trapezoid sums of
+    f^T chi f and of the supply rate, are summed once after the loop, and
+    the extended energy is 0.5 ||f||^2 + potential(z) - z_bd . z
+    + E_string + e. Other runs record their states, and their energy is
+    ``hamiltonian`` of them (zero when None); their extended energy is H
+    and their other series are zero.
     """
     if (n_steps is None) == (t_final is None):
         raise ValueError("specify exactly one of n_steps and t_final")
@@ -665,20 +643,35 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
         raise ValueError("snapshot_stride must be at least 1")
     t0 = time.perf_counter()
     stepper = make_stepper()
+    closed = isinstance(stepper, VerletStepper)
+    w = 0.5 * dt
     z = np.array(z0, dtype=float)
-    rows = [stepper.observe(z)]
-    first = (z, *stepper.snapshot(z))
-    store = np.empty((len(first), z.size, n_steps // snapshot_stride + 1))
-    store[..., 0] = first
+    store = np.empty((3 if closed else 2, z.size,
+                      n_steps // snapshot_stride + 1))
+    rows = np.empty((3 if closed else 1, _BLOCK, z.size))
+    blocks = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_steps + 1):
-            z = stepper.step(z)
-            if not np.isfinite(z).all():
-                raise NonFiniteError(i)
-            rows.append(stepper.observe(z))
+        for i in range(n_steps + 1):
+            if i:
+                z = stepper.step(z)
+                if not np.isfinite(z).all():
+                    raise NonFiniteError(i)
             if i % snapshot_stride == 0:
                 store[..., i // snapshot_stride] = (z, *stepper.snapshot(z))
-    ham, e_str, h_ext, passiv, volterra, kz = np.array(rows).T.copy()
+            j = i % _BLOCK
+            rows[0, j] = z
+            if closed:
+                rows[1, j] = stepper.f
+                rows[2, j] = stepper.tail + w * stepper.f
+            if j == _BLOCK - 1 or i == n_steps:
+                block = [r[: j + 1].T for r in rows]
+                blocks.append(_closed_columns(stepper.system, *block)
+                              if closed else
+                              _plain_columns(hamiltonian, *block))
+        ham, stored, diss, supply, passiv, volterra, kz = np.concatenate(
+            blocks, axis=1)
+        e_str = _trapezoid_sum(w, diss)
+        h_ext = stored + e_str + _trapezoid_sum(-w, supply)
     times = dt * np.arange(n_steps + 1)
     return RunReport(
         times=times, hamiltonian=ham, string_energy=e_str, extended_energy=h_ext,
@@ -687,7 +680,7 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
         derivatives=store[1], volterra_max=float(volterra.max()),
         kz_max=float(kz.max()), dt=dt, n_steps=n_steps,
         wall_seconds=time.perf_counter() - t0, kind=stepper.kind,
-        costates=store[2] if len(store) > 2 else None,
+        costates=store[2] if closed else None,
     )
 
 
@@ -740,8 +733,10 @@ class DissipativeModel(_ExtraTerms):
         self._init_terms(nonlinear_grad, potential, input_vector,
                          boundary_vector, dx, name)
 
-    def hamiltonian(self, z) -> float:
-        return self.nonquadratic_energy(z, 0.5 * float(z @ (self.stiffness @ z)))
+    def hamiltonian(self, z):
+        """H of a state, or of each column of a (dim, m) block."""
+        return self.nonquadratic_energy(
+            z, 0.5 * _column_dot(z, self.stiffness @ z))
 
     def state_derivative(self, z):
         return self._flow(self.stiffness @ z, z,
@@ -755,20 +750,7 @@ class DissipativeModel(_ExtraTerms):
         return op
 
 
-class _PlainStepper:
-    """Series of a run without strings or memory, from the subclass's
-    ``_hamiltonian`` and ``_derivative``: the extended energy is H, the
-    other series are zero, and snapshots hold dz/dt."""
-
-    def observe(self, z):
-        h = self._hamiltonian(z)
-        return h, 0.0, h, 0.0, 0.0, 0.0
-
-    def snapshot(self, z):
-        return (self._derivative(z),)
-
-
-class DissipativeVerletStepper(_VerletStages, _PlainStepper):
+class DissipativeVerletStepper(_VerletStages):
     """Stoermer-Verlet for the plain dissipative form.
 
     dz/dt = J (S z + g(z) - z_bd) - R z + u is J (M z + g(z) - z_bd) + u
@@ -782,18 +764,17 @@ class DissipativeVerletStepper(_VerletStages, _PlainStepper):
     kind = "dissipative"
 
     def __init__(self, model: DissipativeModel, dt: float):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        super().__init__(dt)
         self.model = model
-        self.dt = float(dt)
         s, d = model.stiffness, model.drift
         self._init_stages(model, s if d is None else s + model.J.apply(d))
         self._no_tail = np.zeros(model.dim)
-        self._hamiltonian = model.hamiltonian
-        self._derivative = model.state_derivative
 
     def step(self, z):
         return self._kick_drift_kick(z, self._no_tail, self._no_tail)
+
+    def snapshot(self, z):
+        return (self.model.state_derivative(z),)
 
 
 def integrate_dissipative(model: DissipativeModel, dt: float,
@@ -804,19 +785,18 @@ def integrate_dissipative(model: DissipativeModel, dt: float,
     scheme. String and extended energies are not defined for this
     formulation and are reported as zero / equal to H."""
     return _drive(lambda: DissipativeVerletStepper(model, dt), model.z0, dt,
-                  n_steps, t_final, snapshot_stride, model.dx)
+                  n_steps, t_final, snapshot_stride, model.dx,
+                  model.hamiltonian)
 
 
-class _Rk4Stepper(_PlainStepper):
+class _Rk4Stepper:
     """Classical fourth-order Runge-Kutta step of dz/dt = rhs(z)."""
 
     kind = "rk4"
 
-    def __init__(self, rhs, dt: float, hamiltonian):
-        self.rhs = self._derivative = rhs
+    def __init__(self, rhs, dt: float):
+        self.rhs = rhs
         self.dt = dt
-        self._hamiltonian = (hamiltonian if hamiltonian is not None
-                             else lambda z: 0.0)
 
     def step(self, z):
         rhs, dt = self.rhs, self.dt
@@ -826,13 +806,17 @@ class _Rk4Stepper(_PlainStepper):
         k4 = rhs(z + dt * k3)
         return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+    def snapshot(self, z):
+        return (self.rhs(z),)
+
 
 def integrate_rk4(rhs, z0, dt: float, n_steps: int | None = None,
                   t_final: float | None = None, snapshot_stride: int = 1,
-                  dx: float = 1.0, hamiltonian=None) -> RunReport:
+                  dx: float = 1.0) -> RunReport:
     """Classical fourth-order Runge-Kutta loop for an arbitrary autonomous
-    right-hand side. Used by the unstructured POD baseline. Per step the
-    right-hand side is called for the four stages, then once more at each
-    snapshot instant (from t = 0 on) for dz/dt."""
-    return _drive(lambda: _Rk4Stepper(rhs, dt, hamiltonian), z0, dt, n_steps,
-                  t_final, snapshot_stride, dx)
+    right-hand side. Used by the unstructured POD baseline, whose energy is
+    evaluated on the lifted states, so every energy series is zero. Per step
+    the right-hand side is called for the four stages, then once more at
+    each snapshot instant (from t = 0 on) for dz/dt."""
+    return _drive(lambda: _Rk4Stepper(rhs, dt), z0, dt, n_steps, t_final,
+                  snapshot_stride, dx)

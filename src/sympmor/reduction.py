@@ -18,7 +18,8 @@ from .symplectic import OrthoSymplecticBasis, SnapshotSet
 
 
 def _pulled_back_callables(system, basis: OrthoSymplecticBasis):
-    """Reduced nonlinear gradient A^T g(A y) and potential V(A y)."""
+    """Reduced nonlinear gradient A^T g(A y) and potential V(A y); like the
+    full ones, both take a state or a block of states as columns."""
     grad = potential = None
     if system.nonlinear_grad is not None:
         full_grad = system.nonlinear_grad

@@ -56,8 +56,7 @@ def passivity_fd(system, report) -> np.ndarray:
     t = report.snapshots.times
     dt = float(t[1] - t[0])
     stored = 0.5 * np.sum(f * f, axis=0)
-    supply = np.array([system.supply_rate(z[:, i], f[:, i])
-                       for i in range(z.shape[1])])
+    supply = system.supply_rate(z, f)
     return (stored[2:] - stored[:-2]) / (2.0 * dt) - supply[1:-1]
 
 
@@ -74,26 +73,6 @@ def kink_speed(report, grid) -> float:
         frac = (np.pi - q[i - 1]) / (q[i] - q[i - 1])
         centers[j] = grid[i - 1] + frac * (grid[i] - grid[i - 1])
     return float(np.polyfit(report.snapshots.times, centers, 1)[0])
-
-
-def energy_series(system, states) -> np.ndarray:
-    """Visible energy H evaluated column by column."""
-    return np.array([system.hamiltonian(states[:, j])
-                     for j in range(states.shape[1])])
-
-
-def physical_snapshots(system, report) -> sm.SnapshotSet:
-    """Physical state K^{-1} f of a time-dispersive run on its snapshot grid.
-
-    The snapshots of such a run hold the canonical state
-    z = K^{-1}(f + chi F), which also carries the memory integral F; the
-    plain dissipative model and its POD/Galerkin reductions evolve the
-    physical state, whose quadratic energy is 0.5 ||f||^2.
-    """
-    snaps = report.snapshots
-    return sm.SnapshotSet(times=snaps.times,
-                          states=np.linalg.solve(system.K, report.costates),
-                          dx=snaps.dx)
 
 
 def energy_log_norm(matrix, gram) -> float:
@@ -227,7 +206,7 @@ def wave_n100_sweep(wave_n100, run_registry):
         cell["log_norm"] = energy_log_norm(psd.model.linear_operator(),
                                            psd.model.stiffness)
         cells["psd", m] = cell
-    physical = physical_snapshots(bench.system, full)
+    physical = full.physical_snapshots(bench.system)
     v, _ = sm.pod_basis(physical, 40)
     pm = sm.pod_baseline(model, v)
     rep = sm.integrate_rk4(pm.rhs, pm.y0, dt=config.dt,

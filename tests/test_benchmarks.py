@@ -304,7 +304,7 @@ def test_dissipative_model_consistency():
     for name, overrides in (("wave", {"n": 16}), ("ladder", {"cells": 5})):
         bench = sm.build_benchmark(name, sm.make_config(name, overrides))
         model = bench.dissipative_model()
-        f0 = sm.VerletStepper(bench.system, 0.01).accumulator.f
+        f0 = sm.VerletStepper(bench.system, 0.01).f
         dz_closed = bench.system.state_derivative(bench.system.z0, f0)
         dz_plain = model.state_derivative(bench.system.z0)
         scale = max(1.0, np.abs(dz_plain).max())

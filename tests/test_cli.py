@@ -362,6 +362,44 @@ def test_configuration_errors(tmp_path, capsys):
                 "--out", out) == 2
 
 
+@pytest.fixture(scope="module")
+def small_bases(tmp_path_factory):
+    """Cotangent and POD bases (4 modes) of a 20-dimensional wave."""
+    root = tmp_path_factory.mktemp("bases")
+    for method in ("cotangent", "pod"):
+        assert _run("build-basis", "--benchmark", "wave", "--set", "n=10",
+                    "--set", "t_final=0.5", "--method", method,
+                    "--modes", "4", "--out", str(root / method)) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("run-reduced", "--method", "rdh", "--basis", "cotangent/basis_k4.mtx"),
+     "does not match"),
+    (("run-reduced", "--method", "psd", "--basis", "cotangent/basis_k4.mtx"),
+     "does not match"),
+    (("run-reduced", "--method", "pod", "--basis", "pod/basis_k4.mtx"),
+     "does not match"),
+    (("reduce", "--basis", "cotangent/basis_k4.mtx"), "does not match"),
+    (("reduce", "--basis", "missing.mtx"), "not found"),
+    (("run-reduced", "--basis", "missing.mtx"), "not found"),
+    (("build-basis", "--snapshots", "missing.mtx"), "not found"),
+], ids=["run-reduced-rdh-dim", "run-reduced-psd-dim", "run-reduced-pod-dim",
+        "reduce-dim", "reduce-missing", "run-reduced-missing",
+        "build-basis-missing"])
+def test_input_file_mistakes_exit_2(tmp_path, capsys, small_bases, argv,
+                                    message):
+    """A basis of the wrong dimension and a missing input file are
+    configuration errors: exit 2 with an ``error:`` line."""
+    argv = [str(small_bases / a) if a.endswith(".mtx") else a for a in argv]
+    rc = _run(*argv, "--benchmark", "wave", "--set", "n=50",
+              "--set", "t_final=0.5", "--out", str(tmp_path / "x"))
+    assert rc == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors and message in errors[0]
+
+
 @pytest.mark.parametrize("name, setting, message", [
     ("wave", "snapshot_stride=0", "snapshot_stride must be at least 1"),
     ("wave", "n=10.5", "n must be an integer, got 10.5"),

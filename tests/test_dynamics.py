@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse
 
 import sympmor as sm
-from sympmor import StringAccumulator, cholesky_factor, dynamics, symmetric_sqrt
+from sympmor import cholesky_factor, dynamics, symmetric_sqrt
 from sympmor.dynamics import VerletStepper
 
 from conftest import assert_volterra, extended_drift, passivity_fd
@@ -69,7 +69,7 @@ def test_solve_auxiliary_without_dissipation():
     bench = sm.build_oscillator(chi_scale=0.0)
     z = np.array([0.3, -1.2])
     system = sm.TddSystem(bench.system.K, bench.system.chi, z)
-    f0 = VerletStepper(system, 0.1).accumulator.f
+    f0 = VerletStepper(system, 0.1).f
     assert np.array_equal(f0, system.K @ z)
 
 
@@ -80,11 +80,11 @@ def test_solve_auxiliary_matches_trapezoid_history():
     stepper = VerletStepper(system, dt)
     z = system.z0
     states = [z.copy()]
-    history = [stepper.accumulator.f.copy()]
+    history = [stepper.f.copy()]
     for _ in range(50):
         z = stepper.step(z)
         states.append(z.copy())
-        history.append(stepper.accumulator.f.copy())
+        history.append(stepper.f.copy())
     # reconstruct every co-state from the raw history with an explicit
     # trapezoid tail and a dense solve
     lhs = np.eye(2) + 0.5 * dt * system.chi
@@ -94,27 +94,6 @@ def test_solve_auxiliary_matches_trapezoid_history():
             tail = dt * (0.5 * history[0] + sum(history[1:node]))
         f_ref = np.linalg.solve(lhs, system.K @ z - system.chi @ tail)
         assert np.abs(f_ref - history[node]).max() <= 1e-12
-
-
-def test_accumulator_bookkeeping_and_guards():
-    acc = StringAccumulator(2, dt=0.2)
-    with pytest.raises(RuntimeError):
-        acc.tail_next()
-    with pytest.raises(RuntimeError):
-        acc.commit(np.zeros(2), 0.0, 0.0)
-    f0 = np.array([1.0, 2.0])
-    acc.prime(f0, dissipation0=3.0, supply0=1.0)
-    with pytest.raises(RuntimeError):
-        acc.prime(f0, 0.0, 0.0)
-    f1 = np.array([2.0, 0.0])
-    acc.commit(f1, dissipation_new=5.0, supply_new=2.0)
-    assert np.array_equal(acc.tail, 0.1 * f0)
-    assert np.array_equal(acc.integral, 0.1 * (f0 + f1))
-    assert acc.string_energy == 0.1 * (3.0 + 5.0)
-    assert acc.work_coordinate == -0.1 * (1.0 + 2.0)
-    assert acc.t == 0.2 and acc.steps == 1
-    with pytest.raises(ValueError):
-        StringAccumulator(2, dt=0.0)
 
 
 # -- staggered integrator -----------------------------------------------------
@@ -214,53 +193,55 @@ def test_integrate_small_wave_diagnostics(wave_n100):
 
 def test_extended_hamiltonian_at_start():
     bench = sm.build_oscillator()
-    acc = VerletStepper(bench.system, 1e-3).accumulator
-    z0 = bench.system.z0
-    h0 = bench.system.hamiltonian(z0)
-    assert abs(sm.extended_hamiltonian(bench.system, z0, acc) - h0) <= 1e-14
+    rep = sm.integrate(bench.system, dt=1e-3, n_steps=0)
+    h0 = bench.system.hamiltonian(bench.system.z0)
+    assert abs(rep.extended_energy[0] - h0) <= 1e-14
 
 
 def test_extended_hamiltonian_without_memory_tracks_h():
     bench = _wave(n=16, chi_scale=0.0)
     system = bench.system
-    stepper = VerletStepper(system, 0.01)
-    z = system.z0
-    for _ in range(20):
-        z = stepper.step(z)
-        h = system.hamiltonian(z)
-        assert abs(sm.extended_hamiltonian(system, z, stepper.accumulator)
-                   - h) <= 1e-12 * max(1.0, abs(h))
+    rep = sm.integrate(system, dt=0.01, n_steps=20)
+    h = system.hamiltonian(rep.snapshots.states)
+    assert np.all(np.abs(rep.extended_energy - h)
+                  <= 1e-12 * np.maximum(1.0, np.abs(h)))
 
 
 def test_extended_hamiltonian_conserved_damped_oscillator(run_registry):
     bench = sm.build_oscillator(k=1.0, r=0.5)
-    rep = sm.integrate(bench.system, dt=1e-3, t_final=5.0)
+    system = bench.system
+    dt = 1e-3
+    rep = sm.integrate(system, dt=dt, t_final=5.0)
     run_registry.add("oscillator-damped", rep)
     assert extended_drift(rep).max() <= 1e-3
-    stepper = VerletStepper(bench.system, 1e-3)
-    z = bench.system.z0
+    # the last node from a manual stepper loop: 0.5 ||f||^2 plus the
+    # trapezoid string energy (no potential, no input)
+    stepper = VerletStepper(system, dt)
+    z = system.z0
+    e_string = 0.0
+    diss = float(stepper.f @ system.chi @ stepper.f)
     for _ in range(rep.n_steps):
         z = stepper.step(z)
-    assert abs(sm.extended_hamiltonian(bench.system, z, stepper.accumulator)
-               - rep.extended_energy[-1]) <= 1e-12
+        new = float(stepper.f @ system.chi @ stepper.f)
+        e_string += 0.5 * dt * (diss + new)
+        diss = new
+    h_ext = 0.5 * float(stepper.f @ stepper.f) + e_string
+    assert abs(h_ext - rep.extended_energy[-1]) <= 1e-12
 
 
 def test_passivity_residual_definition(ladder50):
-    bench, _ = ladder50
+    """The passivity residual is -f^T chi f at every node; on the driven
+    ladder the supply rate is nonzero, so it is not dH/dt itself."""
+    bench, rep = ladder50
     system = bench.system
-    dt = bench.config.dt
-    stepper = VerletStepper(system, dt)
-    z = system.z0
-    for _ in range(5):
-        z = stepper.step(z)
-    acc = stepper.accumulator
-    supply = system.supply_rate(z, acc.f)
-    assert supply != 0.0
-    assert sm.passivity_residual(system, z, acc, 0.25) == 0.25 - supply
-    # without an input the residual is the caller's estimate itself
-    undriven = sm.build_oscillator().system
-    other = VerletStepper(undriven, dt).accumulator
-    assert sm.passivity_residual(undriven, undriven.z0, other, -3.5) == -3.5
+    nodes = np.rint(rep.snapshot_times / rep.dt).astype(int)
+    f = rep.costates
+    diss = np.einsum("ij,ik,kj->j", f, system.chi, f)
+    assert diss.max() > 0.0
+    assert np.abs(rep.passivity_residual[nodes] + diss).max() \
+        <= 1e-13 * diss.max()
+    supply = system.supply_rate(rep.snapshots.states, f)
+    assert np.abs(supply).max() > 0.0
 
 
 def test_passivity_ladder_every_instant(ladder50):
@@ -275,6 +256,105 @@ def test_nonfinite_state_detected():
     with pytest.raises(sm.NonFiniteError, match="step") as exc_info:
         sm.integrate(bench.system, dt=1.0, t_final=300.0)
     assert exc_info.value.step >= 1
+
+
+def _series_by_hand(system, dt, n_steps):
+    """States, co-states and the six diagnostics of a closed run from a
+    manual stepper loop, node by node, with the per-step formulas: H, the
+    running trapezoid string energy and input work, H_ext, -f^T chi f, and
+    the Volterra residual and |K z| against the memory F (w f0 at node 0)."""
+    stepper = VerletStepper(system, dt)
+    w = 0.5 * dt
+    u = system.input_vector
+    z = system.z0
+    states, costates, rows = [], [], []
+    e_string = work = 0.0
+    for i in range(n_steps + 1):
+        if i:
+            z = stepper.step(z)
+        f = stepper.f
+        kz = system.K @ z
+        nonquad = system.nonquadratic_energy(z)
+        diss = float(f @ system.chi @ f)
+        supply = 0.0
+        if u is not None:
+            supply = float((system.K @ u) @ f)
+            extra = system.grad_extra(z)
+            if extra is not None:
+                supply += float(extra @ u)
+        if i:
+            e_string += w * (diss_prev + diss)
+            work -= w * (supply_prev + supply)
+        diss_prev, supply_prev = diss, supply
+        memory = stepper.integral if i else w * f
+        rows.append((0.5 * float(kz @ kz) + nonquad, e_string,
+                     0.5 * float(f @ f) + nonquad + e_string + work, -diss,
+                     np.abs(kz - f - system.chi @ memory).max(),
+                     np.abs(kz).max()))
+        states.append(z)
+        costates.append(f)
+    return np.array(states).T, np.array(costates).T, np.array(rows).T
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("ladder", {"cells": 10}),      # input: the work coordinate moves
+    ("sine-gordon", {"n": 30}),     # potential and boundary vector
+])
+def test_series_across_block_boundaries(name, overrides):
+    """The series a run derives block by block after the loop match the
+    per-node values of a manual loop, over two and a half recording blocks
+    and a snapshot stride that does not divide the block length."""
+    config = sm.make_config(name, overrides)
+    system = sm.build_benchmark(name, config).system
+    n_steps = 5 * dynamics._BLOCK // 2
+    stride = 7
+    assert dynamics._BLOCK % stride
+    rep = sm.integrate(system, dt=config.dt, n_steps=n_steps,
+                       snapshot_stride=stride)
+    states, costates, rows = _series_by_hand(system, config.dt, n_steps)
+    assert np.array_equal(rep.snapshots.states, states[:, ::stride])
+    assert np.array_equal(rep.costates, costates[:, ::stride])
+    ham, e_string, h_ext, passivity, volterra, kz = rows
+    if name == "ladder":
+        assert np.abs(h_ext - ham - e_string).max() > 1e-6   # e != 0
+    tol = 1e-13 * np.abs(ham).max()
+    for got, want in ((rep.hamiltonian, ham), (rep.string_energy, e_string),
+                      (rep.extended_energy, h_ext),
+                      (rep.passivity_residual, passivity),
+                      (rep.volterra_max, volterra.max()),
+                      (rep.kz_max, kz.max())):
+        assert np.abs(got - want).max() <= tol
+
+
+def test_plain_series_across_block_boundaries():
+    """A psd run's H is the reduced model's energy of each recorded state,
+    across block boundaries; its extended energy is H and its string
+    energy and passivity residual are zero."""
+    config = sm.make_config("sine-gordon", {"n": 30, "t_final": 4.0})
+    bench = sm.build_benchmark("sine-gordon", config)
+    full = sm.integrate(bench.system, dt=config.dt, t_final=config.t_final)
+    basis, _ = sm.cotangent_lift(full.snapshots, 10)
+    model = sm.psd_baseline(bench.dissipative_model(), basis).model
+    rep = sm.integrate_dissipative(model, dt=config.dt,
+                                   n_steps=5 * dynamics._BLOCK // 2)
+    states = rep.snapshots.states
+    want = np.array([model.hamiltonian(states[:, i])
+                     for i in range(states.shape[1])])
+    assert np.abs(rep.hamiltonian - want).max() \
+        <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(rep.extended_energy, rep.hamiltonian)
+    assert not rep.string_energy.any() and not rep.passivity_residual.any()
+    with pytest.raises(ValueError, match="co-states"):
+        rep.physical_snapshots(bench.system)
+
+
+def test_physical_snapshots_solve_the_costates(ladder50):
+    bench, rep = ladder50
+    physical = rep.physical_snapshots(bench.system)
+    assert np.array_equal(physical.times, rep.snapshot_times)
+    assert physical.dx == rep.snapshots.dx
+    assert np.array_equal(physical.states,
+                          np.linalg.solve(bench.system.K, rep.costates))
 
 
 # -- reference integrators ------------------------------------------------------
@@ -337,9 +417,10 @@ def test_closed_and_dissipative_steppers_agree_without_memory(name, overrides):
 
 def test_rk4_accuracy_linear_decay():
     rep = sm.integrate_rk4(lambda z: -z, np.array([1.0, 1.0]), dt=1e-2,
-                           t_final=1.0, hamiltonian=lambda z: float(z @ z))
+                           t_final=1.0)
     assert np.abs(rep.snapshots.states[:, -1] - np.exp(-1.0)).max() <= 1e-9
-    assert rep.hamiltonian[0] == 2.0
+    # the POD baseline's energy is measured on lifted states, not here
+    assert not rep.hamiltonian.any() and not rep.extended_energy.any()
     assert rep.kind == "rk4"
 
 

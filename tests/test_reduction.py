@@ -8,8 +8,6 @@ from sympmor import CanonicalForm, OrthoSymplecticBasis, SnapshotSet
 from sympmor.reduction import terminal_growth
 from sympmor.symplectic import random_ortho_symplectic
 
-from conftest import energy_series, physical_snapshots
-
 
 def _wave(n=16, **overrides):
     config = sm.make_config("wave", {"n": n, **overrides})
@@ -194,16 +192,16 @@ def test_pod_wave_energy_growth_is_flagged(wave_n500):
     instability checked here until compare moves to the physical state."""
     bench, full = wave_n500
     config = bench.config
-    physical = physical_snapshots(bench.system, full)
+    physical = full.physical_snapshots(bench.system)
     v, _ = sm.pod_basis(physical, 40)
     pm = sm.pod_baseline(bench.dissipative_model(), v)
     abscissa = sm.spectral_abscissa(pm.matrix)
     rep = sm.integrate_rk4(pm.rhs, pm.y0, dt=config.dt,
                            t_final=config.t_final,
                            snapshot_stride=config.snapshot_stride)
-    energy_full = energy_series(bench.system, physical.states)
+    energy_full = bench.system.hamiltonian(physical.states)
     recon = sm.reconstruct(v, rep.snapshots, dx=bench.system.dx)
-    dev = np.abs(energy_series(bench.system, recon.states) - energy_full)
+    dev = np.abs(bench.system.hamiltonian(recon.states) - energy_full)
     quarter = len(dev) // 4
     means = [float(dev[i * quarter:(i + 1) * quarter].mean())
              for i in range(4)]
