@@ -542,10 +542,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
-    path = Path(args.manifest)
-    problems = _read_input(storage.verify_manifest, path)
-    manifest = json.loads(path.read_text())
-    n_files = len(manifest.get("files", {}))
+    try:
+        n_files, problems = _read_input(storage.verify_manifest,
+                                        Path(args.manifest))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if problems:
         for p in problems:
             print(f"FAIL {p}")

@@ -367,9 +367,11 @@ class _VerletStages:
     3. kick   p_1  from grad_q at (q_1, p_h) under ce.
 
     Stages 1 and 2 are implicit only through the qp and pq blocks of the
-    stage matrix M; each is solved with a precomputed LU factorization, or
-    explicitly when its block is zero. The gradient g must not depend on
-    the momentum block, so stage 2 uses its start-of-step p-block twice.
+    stage matrix M. The inverses (I + w m_qp)^{-1} and (I - w m_pq)^{-1}
+    are formed once as dense matrices, so each implicit stage is one
+    product; a stage whose block is zero is explicit and keeps ``None``.
+    The gradient g must not depend on the momentum block, so stage 2 uses
+    its start-of-step p-block twice.
     """
 
     def __init__(self, dt: float):
@@ -379,7 +381,7 @@ class _VerletStages:
 
     def _init_stages(self, terms: _ExtraTerms, m) -> None:
         """Split the stage matrix ``m`` (dense or CSR) and the input of
-        ``terms`` into q/p blocks and factor the implicit stages."""
+        ``terms`` into q/p blocks and invert the implicit stages."""
         w = 0.5 * self.dt
         n = terms.n
         self._grad_extra = terms.grad_extra
@@ -387,13 +389,11 @@ class _VerletStages:
         self.m_qp = _as_stored(m[:n, n:])
         self.m_pq = _as_stored(m[n:, :n])
         self.m_pp = _as_stored(m[n:, n:])
-        self._lu_kick = self._lu_drift = None
+        self._kick_inv = self._drift_inv = None
         if abs(self.m_qp).max() != 0.0:
-            self._lu_kick = scipy.linalg.lu_factor(
-                np.eye(n) + w * _dense(self.m_qp))
+            self._kick_inv = np.linalg.inv(np.eye(n) + w * _dense(self.m_qp))
         if abs(self.m_pq).max() != 0.0:
-            self._lu_drift = scipy.linalg.lu_factor(
-                np.eye(n) - w * _dense(self.m_pq))
+            self._drift_inv = np.linalg.inv(np.eye(n) - w * _dense(self.m_pq))
         u = terms.input_vector
         self.u_q = u[:n] if u is not None else None
         self.u_p = u[n:] if u is not None else None
@@ -412,27 +412,25 @@ class _VerletStages:
             rhs = rhs - w * extra[:n]
         if self.u_p is not None:
             rhs = rhs + w * self.u_p
-        p_half = rhs if self._lu_kick is None else scipy.linalg.lu_solve(
-            self._lu_kick, rhs, check_finite=False)
+        p_half = rhs if self._kick_inv is None else self._kick_inv @ rhs
 
         # drift averaging the two constants; the extra gradient is
         # momentum-independent by contract, so its p-block enters twice
         rhs = q + w * (2.0 * (self.m_pp @ p_half) + cs[n:] + ce[n:])
         if extra is not None:
             rhs = rhs + dt * extra[n:]
-        if self._lu_drift is not None:
+        if self._drift_inv is not None:
             rhs = rhs + w * (self.m_pq @ q)
         if self.u_q is not None:
             rhs = rhs + dt * self.u_q
-        q_new = rhs if self._lu_drift is None else scipy.linalg.lu_solve(
-            self._lu_drift, rhs, check_finite=False)
+        q_new = rhs if self._drift_inv is None else self._drift_inv @ rhs
 
         # second kick under the end-of-step constant
         extra2 = self._grad_extra(np.concatenate([q_new, p_half]))
         grad_q = self.m_qq @ q_new + ce[:n]
         if extra2 is not None:
             grad_q = grad_q + extra2[:n]
-        if self._lu_kick is not None:
+        if self._kick_inv is not None:
             grad_q = grad_q + self.m_qp @ p_half
         p_new = p_half - w * grad_q
         if self.u_p is not None:
@@ -461,8 +459,10 @@ class VerletStepper(_VerletStages):
     start-of-step one: the committed tail is bitwise the tail the step
     computed for the end of the step.
 
-    When the system applies K in CSR, K^T (I + w chi)^{-1} and the blocks of
-    M are formed and stored in CSR as well, unless a non-diagonal chi makes
+    (I + w chi)^{-1} is formed once and every use multiplies by it: a CSR
+    diagonal of reciprocals for a diagonal chi, else a dense inverse. When
+    the system applies K in CSR, K^T (I + w chi)^{-1} and the blocks of M
+    are formed and stored in CSR as well, unless a non-diagonal chi makes
     them dense.
     """
 
@@ -472,33 +472,20 @@ class VerletStepper(_VerletStages):
         super().__init__(dt)
         self.system = system
         w = 0.5 * self.dt
-        self._diag = self._cho = None
         if system._chi_diag is not None:
-            self._diag = 1.0 + w * system._chi_diag
+            self._wi = _Csr(scipy.sparse.diags(
+                1.0 / (1.0 + w * system._chi_diag)))
         else:
-            self._cho = scipy.linalg.cho_factor(
-                np.eye(system.dim) + w * system.chi)
-        wi_k = self._solve(system.k_op)
+            self._wi = np.linalg.inv(np.eye(system.dim) + w * system.chi)
+        wi_k = self._wi @ system.k_op
         m = system.kt_op @ wi_k
         self.kt_wi = _as_stored(wi_k.T)           # K^T (I + w chi)^{-1}
         self._init_stages(system, 0.5 * (m + m.T))
-        self.f = self._solve(system.k_op @ system.z0)
+        self.f = self._wi @ (system.k_op @ system.z0)
         self.tail = np.zeros(system.dim)
         self.integral = np.zeros(system.dim)
         # start-of-step constant -K^T (I + w chi)^{-1} chi tail of the next step
         self._cs = -(self.kt_wi @ system.chi_apply(self.tail))
-
-    def _solve(self, rhs):
-        """(I + w chi)^{-1} rhs for a vector or a (CSR) matrix."""
-        if self._cho is not None:
-            return scipy.linalg.cho_solve(self._cho, _dense(rhs),
-                                          check_finite=False)
-        if scipy.sparse.issparse(rhs):
-            # divide row i by diag[i], as the dense path does
-            out = _Csr(rhs, copy=True)
-            out.data /= np.repeat(self._diag, np.diff(out.indptr))
-            return out
-        return (rhs.T / self._diag).T
 
     def step(self, z):
         """Advance the state z of the current node by one step and commit
@@ -509,7 +496,7 @@ class VerletStepper(_VerletStages):
         chi_tail_end = sys_.chi_apply(tail)
         ce = -(self.kt_wi @ chi_tail_end)
         z_new = self._kick_drift_kick(z, self._cs, ce)
-        self.f = self._solve(sys_.k_op @ z_new - chi_tail_end)
+        self.f = self._wi @ (sys_.k_op @ z_new - chi_tail_end)
         self.tail = tail
         self.integral = tail + w * self.f
         self._cs = ce

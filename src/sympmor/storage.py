@@ -30,7 +30,13 @@ def write_matrix(path, array) -> Path:
 
 
 def read_matrix(path) -> np.ndarray:
-    return np.asarray(scipy.io.mmread(Path(path)), dtype=float)
+    try:
+        return np.asarray(scipy.io.mmread(Path(path)), dtype=float)
+    except FileNotFoundError as exc:
+        # newer scipy mmread names the missing file in its message only
+        if exc.filename is None:
+            exc.filename = str(path)
+        raise
 
 
 def read_vector(path) -> np.ndarray:
@@ -134,15 +140,27 @@ def write_manifest(manifest: dict, path) -> Path:
     return path
 
 
-def verify_manifest(path) -> list[str]:
-    """Check every file hash recorded in a manifest; [] means all good."""
+def verify_manifest(path) -> tuple[int, list[str]]:
+    """Check every file hash recorded in a manifest.
+
+    Returns the number of files the manifest lists and the problems found;
+    no problems means all good. Raises ``ValueError`` when the manifest is
+    not a JSON object or a file entry is not an object.
+    """
     path = Path(path)
-    manifest = json.loads(path.read_text())
-    problems = []
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"manifest {path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {path} must hold a JSON object")
     files = manifest.get("files")
     if not isinstance(files, dict):
-        return [f"{path}: no file table in manifest"]
+        return 0, [f"{path}: no file table in manifest"]
+    problems = []
     for rel, entry in sorted(files.items()):
+        if not isinstance(entry, dict):
+            raise ValueError(f"manifest {path}: entry {rel!r} is not an object")
         target = path.parent / rel
         if not target.is_file():
             problems.append(f"{rel}: missing")
@@ -154,4 +172,4 @@ def verify_manifest(path) -> list[str]:
         digest = sha256_file(target)
         if digest != entry.get("sha256"):
             problems.append(f"{rel}: sha256 mismatch")
-    return problems
+    return len(files), problems

@@ -362,23 +362,3 @@ def singular_value_report(snapshots: SnapshotSet, mode: str = "pod") -> np.ndarr
         return np.linalg.svd(stacked, compute_uv=False)
     raise ValueError(f"unknown singular value mode {mode!r}")
 
-
-def random_ortho_symplectic(n: int, pairs: int, rng=None) -> OrthoSymplecticBasis:
-    """Random ortho-symplectic basis, built by repeated Gram-Schmidt steps.
-
-    Test helper; deterministic under a seeded ``rng``.
-    """
-    rng = np.random.default_rng(rng)
-    basis = None
-    attempts = 0
-    while basis is None or basis.k < pairs:
-        if attempts > 50 * pairs:
-            raise RuntimeError("failed to draw independent random vectors")
-        attempts += 1
-        try:
-            e_new = symplectic_gram_schmidt(rng.standard_normal(2 * n), basis)
-        except DegenerateVector:
-            continue
-        lead = e_new[:, None] if basis is None else np.hstack([basis.lead, e_new[:, None]])
-        basis = OrthoSymplecticBasis(lead)
-    return basis

@@ -13,6 +13,8 @@ import pytest
 import scipy.linalg
 
 import sympmor as sm
+from sympmor.symplectic import (DegenerateVector, OrthoSymplecticBasis,
+                                symplectic_gram_schmidt)
 
 VOLTERRA_REL = 1e-10
 
@@ -26,6 +28,27 @@ class RunRegistry:
     def add(self, label: str, report) -> None:
         if report.kind == "tdd":
             self.entries.append((label, report))
+
+
+def random_ortho_symplectic(n: int, pairs: int,
+                            rng=None) -> OrthoSymplecticBasis:
+    """Random ortho-symplectic basis, built by repeated Gram-Schmidt steps;
+    deterministic under a seeded ``rng``."""
+    rng = np.random.default_rng(rng)
+    basis = None
+    attempts = 0
+    while basis is None or basis.k < pairs:
+        if attempts > 50 * pairs:
+            raise RuntimeError("failed to draw independent random vectors")
+        attempts += 1
+        try:
+            e_new = symplectic_gram_schmidt(rng.standard_normal(2 * n), basis)
+        except DegenerateVector:
+            continue
+        lead = (e_new[:, None] if basis is None
+                else np.hstack([basis.lead, e_new[:, None]]))
+        basis = OrthoSymplecticBasis(lead)
+    return basis
 
 
 def volterra_bound(report) -> float:

@@ -9,10 +9,9 @@ import numpy as np
 
 import sympmor as sm
 from sympmor import CanonicalForm
-from sympmor.symplectic import random_ortho_symplectic
 
 from conftest import (assert_volterra, extended_drift, kink_speed,
-                      passivity_fd)
+                      passivity_fd, random_ortho_symplectic)
 
 
 def test_a01_basis_invariants(wave_n100):

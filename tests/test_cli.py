@@ -35,7 +35,7 @@ def test_run_full_artifacts(tmp_path):
     for name in ("full_report.csv", "snapshots.mtx", "snapshots_times.mtx",
                  "manifest.json"):
         assert (out / name).is_file()
-    assert verify_manifest(out / "manifest.json") == []
+    assert verify_manifest(out / "manifest.json")[1] == []
     manifest = _manifest(out)
     assert manifest["benchmark"] == "wave"
     assert manifest["config"]["n"] == 16
@@ -108,7 +108,7 @@ def test_build_basis_cotangent_outputs(tmp_path):
     assert _run("build-basis", "--benchmark", "wave", "--set", "n=16",
                 "--set", "t_final=0.5", "--method", "cotangent",
                 "--modes", "4,8", "--out", str(out)) == 0
-    assert verify_manifest(out / "manifest.json") == []
+    assert verify_manifest(out / "manifest.json")[1] == []
     a = read_matrix(out / "basis_k8.mtx")
     assert a.shape == (32, 8)
     basis = sm.OrthoSymplecticBasis(a[:, :4])
@@ -161,7 +161,7 @@ def test_reduce_and_run_reduced_roundtrip(tmp_path):
     assert _run("run-reduced", "--benchmark", "wave", "--set", "n=16",
                 "--set", "t_final=1.0", "--basis", str(basis_file),
                 "--method", "rdh", "--out", str(run_dir)) == 0
-    assert verify_manifest(run_dir / "manifest.json") == []
+    assert verify_manifest(run_dir / "manifest.json")[1] == []
     header, data = read_csv(run_dir / "reduced_report_k8.csv")
     hext = data[:, 3]
     assert np.abs(hext - hext[0]).max() <= 1e-3 * abs(hext[0])
@@ -320,6 +320,32 @@ def test_check_command(tmp_path, capsys):
 
     assert _run("check", "--manifest", str(tmp_path / "absent.json")) == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "not valid JSON"),
+    ("[1, 2]", "must hold a JSON object"),
+    ('{"files": {"a.mtx": 3}}', "'a.mtx' is not an object"),
+], ids=["not-json", "json-list", "entry-not-object"])
+def test_check_malformed_manifest_exits_2(tmp_path, capsys, text, message):
+    (tmp_path / "a.mtx").write_text("present\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    assert _run("check", "--manifest", str(manifest)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+
+def test_missing_snapshot_times_file_is_named(tmp_path, capsys):
+    full = tmp_path / "full"
+    assert _run_full_small(full) == 0
+    (full / "snapshots_times.mtx").unlink()
+    assert _run("build-basis", "--benchmark", "wave", "--set", "n=16",
+                "--snapshots", str(full / "snapshots.mtx"), "--modes", "4",
+                "--out", str(tmp_path / "basis")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: input file not found: "
+                   f"{full / 'snapshots_times.mtx'}"]
 
 
 def test_config_file_and_set_precedence(tmp_path):

@@ -122,6 +122,44 @@ def test_verlet_matches_classical_scheme_without_memory():
     assert np.abs(report.snapshots.states - np.array(classic).T).max() <= 1e-13
 
 
+def test_verlet_matches_classical_implicit_scheme_without_memory():
+    """A ladder without memory whose capacitance differs from its
+    inductance has qp and pq stage blocks well above roundoff, and an input,
+    so both implicit stages run: check them against the scheme
+    dq/dt = m_pq q + m_pp p + u_q, dp/dt = -(m_qq q + m_qp p) + u_p with
+    each implicit stage solved directly."""
+    config = sm.make_config("ladder", {"chi_scale": 0.0, "capacitance": 0.5})
+    bench = sm.build_benchmark("ladder", config)
+    system = bench.system
+    dt = bench.config.dt
+    n = system.n
+    m = system.K.T @ system.K
+    m = 0.5 * (m + m.T)
+    m_qq, m_qp, m_pq, m_pp = m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
+    u_q, u_p = system.input_vector[:n], system.input_vector[n:]
+    cross = min(np.abs(m_qp).max(), np.abs(m_pq).max())
+    assert cross > 0.01 * np.abs(m).max()
+    assert np.abs(system.input_vector).max() > 0.0
+    eye = np.eye(n)
+    w = 0.5 * dt
+    z = system.z0.copy()
+    classic = [z.copy()]
+    for _ in range(100):
+        q, p = z[:n], z[n:]
+        p_half = np.linalg.solve(eye + w * m_qp,
+                                 p - w * (m_qq @ q) + w * u_p)
+        q_new = np.linalg.solve(eye - w * m_pq,
+                                q + w * (m_pq @ q) + dt * (m_pp @ p_half)
+                                + dt * u_q)
+        p_new = p_half - w * (m_qq @ q_new + m_qp @ p_half) + w * u_p
+        z = np.concatenate([q_new, p_new])
+        classic.append(z.copy())
+    classic = np.array(classic).T
+    report = sm.integrate(system, dt=dt, n_steps=100)
+    assert (np.abs(report.snapshots.states - classic).max()
+            <= 1e-12 * np.abs(classic).max())
+
+
 def test_verlet_energy_error_bounded_conservative():
     bench = sm.build_oscillator(r=0.0)
     h0 = bench.system.hamiltonian(bench.system.z0)

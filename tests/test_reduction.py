@@ -6,7 +6,8 @@ import pytest
 import sympmor as sm
 from sympmor import CanonicalForm, OrthoSymplecticBasis, SnapshotSet
 from sympmor.reduction import terminal_growth
-from sympmor.symplectic import random_ortho_symplectic
+
+from conftest import random_ortho_symplectic
 
 
 def _wave(n=16, **overrides):

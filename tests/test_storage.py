@@ -96,21 +96,20 @@ def test_manifest_cycle(tmp_path):
     assert entry["sha256"] == sha256_file(a)
 
     mpath = write_manifest(manifest, tmp_path / "manifest.json")
-    assert verify_manifest(mpath) == []
+    assert verify_manifest(mpath) == (2, [])
 
     # same length, different bytes: the digest must catch it
     text = b.read_text()
     b.write_text(text.replace("0", "5", 1))
-    problems = verify_manifest(mpath)
-    assert problems == ["sub/b.csv: sha256 mismatch"]
+    assert verify_manifest(mpath) == (2, ["sub/b.csv: sha256 mismatch"])
     b.write_text(text + "extra\n")
-    assert any("size" in p for p in verify_manifest(mpath))
+    assert any("size" in p for p in verify_manifest(mpath)[1])
     a.unlink()
-    assert any(p == "a.mtx: missing" for p in verify_manifest(mpath))
+    assert "a.mtx: missing" in verify_manifest(mpath)[1]
 
     bare = write_manifest({"schema": "sympmor-manifest/1"},
                           tmp_path / "bare.json")
-    assert verify_manifest(bare) == [f"{bare}: no file table in manifest"]
+    assert verify_manifest(bare) == (0, [f"{bare}: no file table in manifest"])
 
 
 def test_writes_are_deterministic(tmp_path):

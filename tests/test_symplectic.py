@@ -7,7 +7,9 @@ import pytest
 import sympmor as sm
 from sympmor import (CanonicalForm, DegenerateVector, OrthoSymplecticBasis,
                      SnapshotSet, symplectic_inverse)
-from sympmor.symplectic import random_ortho_symplectic, symplectic_gram_schmidt
+from sympmor.symplectic import symplectic_gram_schmidt
+
+from conftest import random_ortho_symplectic
 
 
 def test_canonical_form_blocks():
