@@ -15,9 +15,10 @@ from .dynamics import (DissipativeModel, NonFiniteError, RunReport,
                        TddSystem, VerletStepper, cholesky_factor, integrate,
                        integrate_dissipative, integrate_rk4, symmetric_sqrt)
 from .reduction import (PodModel, ReducedDissipative, ReducedTdd,
-                        TrajectoryError, l2_error, pod_baseline, psd_baseline,
-                        rdh_reduce, reconstruct, spectral_abscissa,
-                        symplectic_galerkin, terminal_growth)
+                        TrajectoryError, dt_omega_max, l2_error, pod_baseline,
+                        psd_baseline, rdh_reduce, reconstruct,
+                        spectral_abscissa, symplectic_galerkin,
+                        terminal_growth)
 from .symplectic import (CanonicalForm, DegenerateVector, GreedyResult,
                          OrthoSymplecticBasis, SnapshotSet, cotangent_lift,
                          greedy_basis, pod_basis, singular_value_report,
@@ -49,6 +50,7 @@ __all__ = [
     "build_oscillator",
     "cholesky_factor",
     "cotangent_lift",
+    "dt_omega_max",
     "greedy_basis",
     "integrate",
     "integrate_dissipative",

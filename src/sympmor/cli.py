@@ -157,6 +157,25 @@ def _integrate_full(bench, config):
     return dynamics.integrate(bench.system, **_grid(config))
 
 
+def _end_warnings(report, config) -> list[str]:
+    """Manifest warning for a t_final off the step grid, which the run
+    rounds to the nearest whole number of steps."""
+    end = float(report.times[-1])
+    if abs(end - config.t_final) <= 1e-9 * report.dt:
+        return []
+    return [f"t_final {config.t_final!r} is not a whole number of steps of "
+            f"dt {report.dt!r}: the run ends at t = {end:.12g} after "
+            f"{report.n_steps} steps"]
+
+
+def _stability_warnings(dt_omega: dict) -> list[str]:
+    """Manifest warnings for reduced models whose dt_omega_max reaches the
+    Stoermer-Verlet stability limit 2, by cell name."""
+    return [f"{key}: dt_omega_max {value:.6g} >= 2, past the Verlet "
+            f"stability limit" for key, value in dt_omega.items()
+            if value >= 2.0]
+
+
 def cmd_run_full(args) -> int:
     name, config = resolve_config(args)
     out = _out_dir(args)
@@ -172,6 +191,7 @@ def cmd_run_full(args) -> int:
             "volterra_max": report.volterra_max,
             "kz_max": report.kz_max,
             "wall_seconds": report.wall_seconds,
+            "warnings": _end_warnings(report, config),
         },
     )
     storage.write_manifest(manifest, out / "manifest.json")
@@ -182,11 +202,13 @@ def cmd_run_full(args) -> int:
 
 
 def _collect_snapshots(args, bench, config):
-    """Snapshots for basis generation: from file, or a fresh full run."""
+    """Snapshots for basis generation, from file or a fresh full run, and
+    the run's manifest warnings."""
     if getattr(args, "snapshots", None):
         return _read_input(storage.read_snapshots, args.snapshots,
-                           bench.system.dx)
-    return _integrate_full(bench, config).snapshots
+                           bench.system.dx), []
+    report = _integrate_full(bench, config)
+    return report.snapshots, _end_warnings(report, config)
 
 
 def _make_symplectic_basis(method: str, snapshots, max_pairs: int):
@@ -217,7 +239,7 @@ def cmd_build_basis(args) -> int:
     method = args.method
     modes = _parse_modes(args.modes, [20, 40, 60])
     bench = _build(name, config)
-    snapshots = _collect_snapshots(args, bench, config)
+    snapshots, warnings = _collect_snapshots(args, bench, config)
 
     files = []
     info: dict = {"method": method, "modes": modes}
@@ -255,7 +277,7 @@ def cmd_build_basis(args) -> int:
     ))
     manifest = storage.build_manifest(
         "build-basis", name, _config_dict(config), files, out,
-        extra={"seed": args.seed, "basis": info},
+        extra={"seed": args.seed, "basis": info, "warnings": warnings},
     )
     storage.write_manifest(manifest, out / "manifest.json")
     print(f"build-basis {name} [{method}]: modes {modes} -> {out}")
@@ -269,6 +291,7 @@ def cmd_reduce(args) -> int:
     basis = _basis_from_file(args.basis)
     m = basis.n_columns
     red = _project(bench, basis, "rdh")
+    dt_omega = reduction.dt_omega_max(red.system, config.dt)
     files = [
         storage.write_matrix(out / f"reduced_K_k{m}.mtx", red.system.K),
         storage.write_matrix(out / f"reduced_chi_k{m}.mtx", red.system.chi),
@@ -283,7 +306,9 @@ def cmd_reduce(args) -> int:
     manifest = storage.build_manifest(
         "reduce", name, _config_dict(config), files, out,
         extra={"seed": args.seed,
-               "reduction": {"modes": m}},
+               "reduction": {"modes": m},
+               "dt_omega_max": dt_omega,
+               "warnings": _stability_warnings({f"rdh_k{m}": dt_omega})},
     )
     storage.write_manifest(manifest, out / "manifest.json")
     print(f"reduce {name}: {m} modes -> {out}")
@@ -337,7 +362,8 @@ def cmd_run_reduced(args) -> int:
         "run-reduced", name, _config_dict(config), files, out,
         extra={"seed": args.seed,
                "reduced_run": {"method": args.method, "modes": m,
-                               "wall_seconds": report.wall_seconds}},
+                               "wall_seconds": report.wall_seconds},
+               "warnings": _end_warnings(report, config)},
     )
     storage.write_manifest(manifest, out / "manifest.json")
     print(f"run-reduced {name} [{args.method}, {m} modes]: "
@@ -368,7 +394,9 @@ def _compare_cell(bench, config, method, basis_or_v, reference,
     A cell is flagged unstable when its trajectory leaves floating point
     range (blow-up) or its energy error shows sustained terminal growth;
     the spectral abscissa of the baseline generators is recorded as an
-    additional diagnostic.
+    additional diagnostic, and so is dt_omega_max of the rdh and psd models.
+    A cell that ran also records its speedup, the full run's wall time over
+    its own.
     """
     n_full = bench.system.n
     dx = bench.system.dx
@@ -378,6 +406,9 @@ def _compare_cell(bench, config, method, basis_or_v, reference,
         cell["abscissa"] = reduction.spectral_abscissa(
             reduced.model.linear_operator() if method == "psd"
             else reduced.matrix)
+    if method != "pod":   # the Verlet steppers' stability measure
+        cell["dt_omega_max"] = reduction.dt_omega_max(
+            reduced.system if method == "rdh" else reduced.model, config.dt)
     m = reference.snapshots.count
     try:
         report, lift = _run_reduced(reduced, config, basis_or_v, method)
@@ -413,6 +444,7 @@ def _compare_cell(bench, config, method, basis_or_v, reference,
     cell["volterra_max"] = report.volterra_max
     cell["kz_max"] = report.kz_max
     cell["wall_seconds"] = report.wall_seconds
+    cell["speedup"] = reference.wall_seconds / report.wall_seconds
     cell["reconstructed"] = recon
     return cell
 
@@ -515,7 +547,8 @@ def cmd_compare(args) -> int:
             k: cell[k] for k in
             ("unstable", "energy_growth", "abscissa", "max_error",
              "mean_error", "max_relative", "mean_relative", "energy_error",
-             "failure_step", "volterra_max", "kz_max", "wall_seconds")
+             "failure_step", "volterra_max", "kz_max", "wall_seconds",
+             "speedup", "dt_omega_max")
             if k in cell
         }
     manifest = storage.build_manifest(
@@ -526,6 +559,9 @@ def cmd_compare(args) -> int:
             "modes": modes,
             "basis_method": basis_method,
             "cells": summary,
+            "warnings": _end_warnings(full, config) + _stability_warnings(
+                {key: cell["dt_omega_max"] for key, cell in summary.items()
+                 if "dt_omega_max" in cell}),
             "full_run": {
                 "wall_seconds": full.wall_seconds,
                 "volterra_max": full.volterra_max,

@@ -213,7 +213,8 @@ class _ExtraTerms:
 
     def _flow(self, force, z, drift=None):
         """dz/dt = J (force + g(z) - z_bd) - drift + u, where ``force`` is
-        the gradient of the quadratic energy."""
+        the gradient of the quadratic energy; of a state or of each column
+        of a (dim, m) block."""
         extra = self.grad_extra(z)
         if extra is not None:
             force = force + extra
@@ -221,7 +222,8 @@ class _ExtraTerms:
         if drift is not None:
             dz = dz - drift
         if self.input_vector is not None:
-            dz = dz + self.input_vector
+            dz = dz + self.input_vector.reshape(
+                (-1,) + (1,) * (np.ndim(z) - 1))
         return dz
 
 
@@ -385,6 +387,8 @@ class _VerletStages:
         w = 0.5 * self.dt
         n = terms.n
         self._grad_extra = terms.grad_extra
+        # without a nonlinear gradient the step is affine in its state
+        self.linear = terms.nonlinear_grad is None
         self.m_qq = _as_stored(m[:n, :n])
         self.m_qp = _as_stored(m[:n, n:])
         self.m_pq = _as_stored(m[n:, :n])
@@ -502,9 +506,14 @@ class VerletStepper(_VerletStages):
         self._cs = ce
         return z_new
 
-    def snapshot(self, z):
-        """dz/dt and the co-state at the current node."""
-        return self.system.state_derivative(z, self.f), self.f
+    def _load(self, f, integral):
+        """Make (f, integral) the memory of the current node, with the tail
+        integral - w f and its start-of-step constant derived from them as
+        a step would have left them."""
+        self.f = f
+        self.integral = integral
+        self.tail = integral - 0.5 * self.dt * f
+        self._cs = -(self.kt_wi @ self.system.chi_apply(self.tail))
 
 
 @dataclass
@@ -520,8 +529,9 @@ class RunReport:
     physical state (in reduced coordinates) and carry no co-states.
 
     The four energy and passivity series hold one value per node of
-    ``times``; they, ``volterra_max`` and ``kz_max`` are derived after the
-    steps from the states (and co-states) the driver recorded in blocks.
+    ``times``; they, ``volterra_max``, ``kz_max`` and the derivatives of
+    the Verlet runs are derived after the steps from the states (and
+    co-states) the driver recorded in blocks.
     """
 
     times: np.ndarray
@@ -565,6 +575,14 @@ class RunReport:
 # this length and derives the series of a block once it is full.
 _BLOCK = 128
 
+# Linear models whose step map has at most this many rows advance by one
+# dense product per step (see _drive). Measured with one BLAS thread over
+# 5000 steps, probes included, the map beats the stepper up to about 450
+# rows on the CSR wave, the cheapest step per dimension, and still beyond
+# 480 rows on the dense closed ladder and 600 on its dissipative form; the
+# preset ladder's full map has 300 rows, the 1000-dim wave's 3000.
+_MAP_DIM = 400
+
 
 def _closed_columns(system: TddSystem, states, costates, memory):
     """Per-node diagnostics of a closed run from (dim, m) blocks of states,
@@ -598,27 +616,128 @@ def _trapezoid_sum(weight: float, rates):
     return np.cumsum(np.concatenate([[0.0], steps]))
 
 
+def _stepped_nodes(stepper, z, n_steps: int, closed: bool, w: float):
+    """The record of each node of a run stepped one ``step`` call at a
+    time: (z,), and for a :class:`VerletStepper` (z, f, tail + w f), the
+    memory argument being the committed integral F, and w f0 at node 0.
+    Every stepped state is checked for finiteness at once."""
+    for i in range(n_steps + 1):
+        if i:
+            z = stepper.step(z)
+            if not np.isfinite(z).all():
+                raise NonFiniteError(i)
+        yield (z, stepper.f, stepper.tail + w * stepper.f) if closed else (z,)
+
+
+def _step_map(stepper, closed: bool, dim: int):
+    """Matrix Phi and vector c such that Phi x + c is the state one step
+    after x, for a stepper whose step is affine: x = (z, f, F) for a
+    :class:`VerletStepper`, loaded with :meth:`VerletStepper._load`, and
+    x = z otherwise. Both come from the stepper's own ``step``: c is the
+    step of x = 0, column j of Phi the step of the unit vector e_j minus c.
+    The probes leave the stepper at an arbitrary state."""
+
+    def image(x):
+        if not closed:
+            return stepper.step(x)
+        z, f, integral = x.reshape(3, dim)
+        stepper._load(f, integral)
+        z = stepper.step(z)
+        return np.concatenate([z, stepper.f, stepper.integral])
+
+    unit = np.zeros((3 if closed else 1) * dim)
+    c = image(unit)
+    phi = np.empty((unit.size, unit.size))
+    for j in range(unit.size):
+        unit[j] = 1.0
+        phi[:, j] = image(unit) - c
+        unit[j] = 0.0
+    return phi, c
+
+
+def _mapped_nodes(stepper, z, n_steps: int, closed: bool, w: float):
+    """The node records of :func:`_stepped_nodes` for a stepper whose step
+    is affine: nodes 0 and 1 come from the stepper, every later node from
+    x <- Phi x + c of :func:`_step_map`, as a (1 or 3, dim) array.
+
+    The map advances _BLOCK nodes at a time and then checks their states.
+    A step's intermediate products overflow a few steps before the state
+    the map forms does, so on a non-finite state the stepper itself replays
+    from the node before the previous chunk (:func:`_replay`), and the
+    error names the step at which a stepped run fails.
+    """
+    dim = z.size
+    for node in _stepped_nodes(stepper, z, min(n_steps, 1), closed, w):
+        yield node
+    if n_steps < 2:
+        return
+    phi, c = _step_map(stepper, closed, dim)
+    x = np.concatenate(node)
+    anchor = previous = (1, x)
+    i = 1
+    while i < n_steps:
+        chunk = np.empty((min(_BLOCK, n_steps - i), x.size))
+        for row in chunk:
+            np.matmul(phi, x, out=row)
+            row += c
+            x = row
+        bad = ~np.isfinite(chunk[:, :dim]).all(axis=1)
+        if bad.any():
+            _replay(stepper, closed, w, *anchor, i + 1 + int(bad.argmax()))
+        yield from chunk.reshape(len(chunk), -1, dim)
+        i += len(chunk)
+        anchor, previous = previous, (i, x)
+
+
+def _replay(stepper, closed: bool, w: float, start: int, x, stop: int):
+    """Step from node ``start``, at the state x of :func:`_step_map`,
+    towards node ``stop`` and raise NonFiniteError at the first non-finite
+    state, or at ``stop`` if the stepper stays finite up to it."""
+    dim = x.size // 3 if closed else x.size
+    if closed:
+        stepper._load(x[dim: 2 * dim], x[2 * dim:])
+    try:
+        for _ in _stepped_nodes(stepper, x[:dim], stop - start, closed, w):
+            pass
+    except NonFiniteError as exc:
+        raise NonFiniteError(start + exc.step) from None
+    raise NonFiniteError(stop)
+
+
 def _drive(make_stepper, z0, dt: float, n_steps: int | None,
            t_final: float | None, snapshot_stride: int, dx: float,
            hamiltonian=None) -> RunReport:
     """Run a stepper over the time grid and assemble its report.
 
-    The stepper provides ``step(z)`` (the next state), ``snapshot(z)``
-    (dz/dt, plus the co-state for a tdd run) and a ``kind``. Every state is
-    checked for finiteness as soon as it is stepped to; numpy's overflow
-    and invalid warnings are silenced in the loop, which reports the
-    blow-up instead.
+    The stepper provides ``step(z)`` (the next state), a ``kind`` and
+    ``linear``, true when its step is affine in its state. Numpy's
+    overflow and invalid warnings are silenced in the loop, which reports a
+    blow-up as :class:`NonFiniteError` at the first non-finite state.
+
+    Two paths produce the nodes. A linear Verlet stepper (no nonlinear
+    gradient) whose step map has at most _MAP_DIM rows (3 dim for the
+    closed form, whose state is x = (z, f, F), and dim for the dissipative
+    form), on a run with more steps than the map has rows, advances by one
+    precomputed affine map x <- Phi x + c per step (:func:`_mapped_nodes`),
+    built in the call from the stepper's own step; building it costs one
+    step per row. Every other run calls ``step`` once per step. Either way
+    the error names the step at which the stepped run leaves floating
+    point range.
 
     The loop only records: each node's state goes into a row buffer of
     _BLOCK nodes, and for a :class:`VerletStepper` so do its co-state f and
     its memory argument tail + w f (the committed integral F, and w f0 at
-    node 0). Each full buffer is reduced to per-node diagnostics column by
-    column; the string energy and the input work, trapezoid sums of
-    f^T chi f and of the supply rate, are summed once after the loop, and
-    the extended energy is 0.5 ||f||^2 + potential(z) - z_bd . z
-    + E_string + e. Other runs record their states, and their energy is
-    ``hamiltonian`` of them (zero when None); their extended energy is H
-    and their other series are zero.
+    node 0). Each full buffer gives up its snapshot nodes and is reduced
+    to per-node diagnostics column by column; the
+    string energy and the input work, trapezoid sums of f^T chi f and of
+    the supply rate, are summed once after the loop, and the extended
+    energy is 0.5 ||f||^2 + potential(z) - z_bd . z + E_string + e. Other
+    runs record their states, and their energy is ``hamiltonian`` of them
+    (zero when None); their extended energy is H and their other series
+    are zero. The snapshot derivatives dz/dt of the Verlet forms are
+    derived after the loop from the recorded states (and co-states),
+    _BLOCK columns at a time; an RK4 stepper evaluates its right-hand side
+    at each snapshot node in the loop, through ``snapshot(z)``.
     """
     if (n_steps is None) == (t_final is None):
         raise ValueError("specify exactly one of n_steps and t_final")
@@ -631,30 +750,42 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     t0 = time.perf_counter()
     stepper = make_stepper()
     closed = isinstance(stepper, VerletStepper)
+    inline = isinstance(stepper, _Rk4Stepper)
     w = 0.5 * dt
     z = np.array(z0, dtype=float)
+    rows = np.empty((3 if closed else 1, _BLOCK, z.size))
+    size = rows.shape[0] * z.size
+    mapped = stepper.linear and size <= _MAP_DIM and n_steps > size
+    nodes = (_mapped_nodes if mapped else _stepped_nodes)(
+        stepper, z, n_steps, closed, w)
     store = np.empty((3 if closed else 2, z.size,
                       n_steps // snapshot_stride + 1))
-    rows = np.empty((3 if closed else 1, _BLOCK, z.size))
     blocks = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps + 1):
-            if i:
-                z = stepper.step(z)
-                if not np.isfinite(z).all():
-                    raise NonFiniteError(i)
-            if i % snapshot_stride == 0:
-                store[..., i // snapshot_stride] = (z, *stepper.snapshot(z))
+        for i, node in enumerate(nodes):
             j = i % _BLOCK
-            rows[0, j] = z
+            rows[:, j] = node
+            if inline and i % snapshot_stride == 0:
+                store[1, :, i // snapshot_stride] = stepper.snapshot(node[0])
+            if j < _BLOCK - 1 and i < n_steps:
+                continue
+            start = i - j
+            first = -(-start // snapshot_stride)
+            picks = np.arange(first * snapshot_stride - start, j + 1,
+                              snapshot_stride)
+            cols = slice(first, first + picks.size)
+            store[0, :, cols] = rows[0, picks].T
             if closed:
-                rows[1, j] = stepper.f
-                rows[2, j] = stepper.tail + w * stepper.f
-            if j == _BLOCK - 1 or i == n_steps:
-                block = [r[: j + 1].T for r in rows]
-                blocks.append(_closed_columns(stepper.system, *block)
-                              if closed else
-                              _plain_columns(hamiltonian, *block))
+                store[2, :, cols] = rows[1, picks].T
+            block = [r[: j + 1].T for r in rows]
+            blocks.append(_closed_columns(stepper.system, *block) if closed
+                          else _plain_columns(hamiltonian, *block))
+        for s in range(0, store.shape[2], _BLOCK):
+            cols = store[:, :, s: s + _BLOCK]
+            if closed:
+                cols[1] = stepper.system.state_derivative(cols[0], cols[2])
+            elif not inline:
+                cols[1] = stepper.model.state_derivative(cols[0])
         ham, stored, diss, supply, passiv, volterra, kz = np.concatenate(
             blocks, axis=1)
         e_str = _trapezoid_sum(w, diss)
@@ -681,7 +812,15 @@ def integrate(system: TddSystem, dt: float, n_steps: int | None = None,
     passivity residual dH_ext/dt - 0 = -f^T chi f <= 0 linking visible energy
     decay to the strings. Snapshots (state, dz/dt and co-state) are stored
     every ``snapshot_stride`` steps; ``n_steps == 0`` yields the initial
-    instant only.
+    instant only. The derivatives are derived after the loop from the
+    recorded states and co-states.
+
+    Without a nonlinear gradient the step is affine in x = (z, f, F). When
+    3 dim is at most ``_MAP_DIM`` and the run has more than 3 dim steps,
+    the run takes the first step with the :class:`VerletStepper`, builds
+    the step map x <- Phi x + c from 3 dim + 1 probe steps and advances
+    every later node by one product with it; the states then agree with
+    the stepped run to roundoff, not bitwise.
 
     Raises
     ------
@@ -760,9 +899,6 @@ class DissipativeVerletStepper(_VerletStages):
     def step(self, z):
         return self._kick_drift_kick(z, self._no_tail, self._no_tail)
 
-    def snapshot(self, z):
-        return (self.model.state_derivative(z),)
-
 
 def integrate_dissipative(model: DissipativeModel, dt: float,
                           n_steps: int | None = None,
@@ -770,7 +906,13 @@ def integrate_dissipative(model: DissipativeModel, dt: float,
                           snapshot_stride: int = 1) -> RunReport:
     """Integrate the plain dissipative form with the symmetrized Verlet
     scheme. String and extended energies are not defined for this
-    formulation and are reported as zero / equal to H."""
+    formulation and are reported as zero / equal to H. The snapshot
+    derivatives are derived after the loop from the recorded states.
+
+    Without a nonlinear gradient the step is affine in z; when dim is at
+    most ``_MAP_DIM`` and the run has more than dim steps, every node after
+    the first step advances by one product with the step map built from
+    dim + 1 probe steps, as in :func:`integrate`."""
     return _drive(lambda: DissipativeVerletStepper(model, dt), model.z0, dt,
                   n_steps, t_final, snapshot_stride, model.dx,
                   model.hamiltonian)
@@ -780,6 +922,7 @@ class _Rk4Stepper:
     """Classical fourth-order Runge-Kutta step of dz/dt = rhs(z)."""
 
     kind = "rk4"
+    linear = False      # the right-hand side is opaque
 
     def __init__(self, rhs, dt: float):
         self.rhs = rhs
@@ -794,7 +937,8 @@ class _Rk4Stepper:
         return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def snapshot(self, z):
-        return (self.rhs(z),)
+        """dz/dt at a snapshot node, evaluated in the loop."""
+        return self.rhs(z)
 
 
 def integrate_rk4(rhs, z0, dt: float, n_steps: int | None = None,

@@ -182,6 +182,16 @@ def spectral_abscissa(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvals(np.asarray(matrix, dtype=float)).real.max())
 
 
+def dt_omega_max(model, dt: float) -> float:
+    """dt times the largest frequency of a model's quadratic energy
+    0.5 z^T S z: dt max |eig(J S)|, with S = K^T K for a TddSystem and the
+    stiffness for a DissipativeModel. The Stoermer-Verlet step is linearly
+    stable on the conservative part of the flow only below 2.
+    """
+    s = model.K.T @ model.K if isinstance(model, TddSystem) else model.stiffness
+    return float(dt * np.abs(np.linalg.eigvals(model.J.apply(s))).max())
+
+
 def terminal_growth(error_series) -> bool:
     """True when a series ends at its maximum after growing at least
     tenfold beyond everything seen in the first half of the run; the

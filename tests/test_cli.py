@@ -51,6 +51,19 @@ def test_run_full_artifacts(tmp_path):
     assert snaps.states.shape == (32, 101)
 
 
+def test_run_full_warns_of_a_rounded_horizon(tmp_path):
+    out = tmp_path / "rounded"
+    assert _run("run-full", "--benchmark", "wave", "--set", "n=16",
+                "--set", "dt=0.002", "--set", "t_final=0.0031",
+                "--out", str(out)) == 0
+    manifest = _manifest(out)
+    assert manifest["n_steps"] == 2
+    [warning] = manifest["warnings"]
+    assert "0.0031" in warning and "0.004" in warning
+    assert _run_full_small(tmp_path / "exact") == 0
+    assert _manifest(tmp_path / "exact")["warnings"] == []
+
+
 def test_run_full_chi_alias_disables_dissipation(tmp_path):
     out = tmp_path / "cons"
     assert _run("run-full", "--benchmark", "wave", "--set", "n=16",
@@ -156,6 +169,17 @@ def test_reduce_and_run_reduced_roundtrip(tmp_path):
     assert np.abs(chi - ref.system.chi).max() <= 1e-13
     assert np.abs(z0 - ref.system.z0).max() <= 1e-13
     assert _manifest(red_dir)["reduction"] == {"modes": 8}
+    assert _manifest(red_dir)["dt_omega_max"] == pytest.approx(
+        sm.dt_omega_max(ref.system, bench.config.dt), rel=1e-12)
+    assert _manifest(red_dir)["warnings"] == []
+    # a step past the Verlet stability limit of the reduced model
+    coarse = tmp_path / "coarse"
+    assert _run("reduce", "--benchmark", "wave", "--set", "n=16",
+                "--set", "t_final=1.0", "--set", "dt=1.0",
+                "--basis", str(basis_file), "--out", str(coarse)) == 0
+    assert _manifest(coarse)["dt_omega_max"] >= 2.0
+    [warning] = _manifest(coarse)["warnings"]
+    assert warning.startswith("rdh_k8: dt_omega_max")
 
     run_dir = tmp_path / "run"
     assert _run("run-reduced", "--benchmark", "wave", "--set", "n=16",
@@ -254,6 +278,24 @@ def test_compare_ladder_components(tmp_path, capsys):
               "--out", str(tmp_path / "nope"))
     assert rc == 2
     assert "starts at rest" in capsys.readouterr().err
+
+
+def test_default_ladder_compare_manifest(tmp_path):
+    """Every cell that ran records its speedup over the full run, every
+    Verlet cell its dt_omega_max, below the stability limit 2 here, and
+    the run has nothing to warn of."""
+    out = tmp_path / "ladder"
+    assert _run("compare", "--benchmark", "ladder", "--out", str(out)) == 0
+    manifest = _manifest(out)
+    assert manifest["warnings"] == []
+    cells = manifest["cells"]
+    assert len(cells) == 9
+    for key, cell in cells.items():
+        assert cell["speedup"] > 0.0
+        assert cell["speedup"] == pytest.approx(
+            manifest["full_run"]["wall_seconds"] / cell["wall_seconds"])
+        if not key.startswith("pod_"):
+            assert 0.0 < cell["dt_omega_max"] < 2.0
 
 
 def test_compare_sine_gordon_kinetic_table(tmp_path):

@@ -350,8 +350,12 @@ def test_series_across_block_boundaries(name, overrides):
     rep = sm.integrate(system, dt=config.dt, n_steps=n_steps,
                        snapshot_stride=stride)
     states, costates, rows = _series_by_hand(system, config.dt, n_steps)
-    assert np.array_equal(rep.snapshots.states, states[:, ::stride])
-    assert np.array_equal(rep.costates, costates[:, ::stride])
+    for got, want in ((rep.snapshots.states, states[:, ::stride]),
+                      (rep.costates, costates[:, ::stride])):
+        if name == "ladder":    # linear: advanced by the step map
+            assert _close(got, want)
+        else:
+            assert np.array_equal(got, want)
     ham, e_string, h_ext, passivity, volterra, kz = rows
     if name == "ladder":
         assert np.abs(h_ext - ham - e_string).max() > 1e-6   # e != 0
@@ -362,6 +366,157 @@ def test_series_across_block_boundaries(name, overrides):
                       (rep.volterra_max, volterra.max()),
                       (rep.kz_max, kz.max())):
         assert np.abs(got - want).max() <= tol
+
+
+class _MapCount:
+    """Counts the step maps :func:`dynamics._step_map` builds."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        build = dynamics._step_map
+
+        def counted(*args):
+            self.calls += 1
+            return build(*args)
+        monkeypatch.setattr(dynamics, "_step_map", counted)
+
+
+def _greedy_wave_rdh():
+    config = sm.make_config("wave", {"n": 30, "t_final": 1.0})
+    bench = sm.build_benchmark("wave", config)
+    full = sm.integrate(bench.system, dt=config.dt, t_final=config.t_final)
+    basis = sm.greedy_basis(full.snapshots, 10).basis
+    return sm.rdh_reduce(bench.system, basis).system, config.dt
+
+
+def _ladder_with_input():
+    config = sm.make_config("ladder", {"cells": 10})
+    return sm.build_benchmark("ladder", config).system, config.dt
+
+
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("make", [_ladder_with_input, _greedy_wave_rdh])
+def test_closed_map_path_matches_stepper_loop(make, monkeypatch):
+    """A linear closed model advances by its step map; over two and a half
+    recording blocks with stride 7 its states, co-states and derivatives
+    match a manual stepper loop within 1e-12 of their max, and its energy
+    series within 1e-12 of max |H|."""
+    system, dt = make()
+    assert system.nonlinear_grad is None
+    n_steps = 5 * dynamics._BLOCK // 2
+    maps = _MapCount(monkeypatch)
+    rep = sm.integrate(system, dt=dt, n_steps=n_steps, snapshot_stride=7)
+    assert maps.calls == 1
+    states, costates, rows = _series_by_hand(system, dt, n_steps)
+    states, costates = states[:, ::7], costates[:, ::7]
+    assert _close(rep.snapshots.states, states)
+    assert _close(rep.costates, costates)
+    assert _close(rep.derivatives, system.state_derivative(states, costates))
+    ham, e_string, h_ext, passivity, _, kz = rows
+    # the energy series against the run's energy scale: H_ext balances
+    # terms of the size of H and ends near zero on the driven ladder
+    tol = 1e-12 * np.abs(ham).max()
+    for got, want in ((rep.hamiltonian, ham), (rep.string_energy, e_string),
+                      (rep.extended_energy, h_ext),
+                      (rep.passivity_residual, passivity)):
+        assert np.abs(got - want).max() <= tol
+    assert rep.kz_max == pytest.approx(kz.max(), rel=1e-12)
+    assert_volterra(rep, system.name)
+
+
+def test_dissipative_map_path_matches_stepper_loop(ladder50, monkeypatch):
+    """The psd model of the ladder advances by its step map and matches a
+    manual DissipativeVerletStepper loop within 1e-12 of the max."""
+    bench, full = ladder50
+    basis, _ = sm.cotangent_lift(full.snapshots, 10)
+    model = sm.psd_baseline(bench.dissipative_model(), basis).model
+    assert model.nonlinear_grad is None and model.input_vector is not None
+    dt = bench.config.dt
+    n_steps = 5 * dynamics._BLOCK // 2
+    maps = _MapCount(monkeypatch)
+    rep = sm.integrate_dissipative(model, dt=dt, n_steps=n_steps,
+                                   snapshot_stride=7)
+    assert maps.calls == 1
+    stepper = dynamics.DissipativeVerletStepper(model, dt)
+    z = model.z0
+    states = [z]
+    for _ in range(n_steps):
+        z = stepper.step(z)
+        states.append(z)
+    states = np.array(states).T
+    assert _close(rep.snapshots.states, states[:, ::7])
+    assert _close(rep.derivatives, np.array(
+        [model.state_derivative(c) for c in states[:, ::7].T]).T)
+    assert _close(rep.hamiltonian, model.hamiltonian(states))
+
+
+@pytest.mark.parametrize("dt", [0.25, 0.5])
+@pytest.mark.parametrize("closed", [True, False])
+def test_unstable_linear_model_fails_at_the_stepper_loop_step(closed, dt,
+                                                              monkeypatch):
+    """Past the Verlet limit the step map raises NonFiniteError at the
+    step where the manual stepper loop first leaves floating point range,
+    though the state the map forms overflows a step or two later there."""
+    bench = _wave(n=16)
+    if closed:
+        model, run = bench.system, sm.integrate
+        stepper = VerletStepper(model, dt)
+    else:
+        model, run = bench.dissipative_model(), sm.integrate_dissipative
+        stepper = dynamics.DissipativeVerletStepper(model, dt)
+    maps = _MapCount(monkeypatch)
+    with pytest.raises(sm.NonFiniteError) as exc_info:
+        run(model, dt=dt, n_steps=600)
+    assert maps.calls == 1
+    z = model.z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, 601):
+            z = stepper.step(z)
+            if not np.isfinite(z).all():
+                break
+    assert 2 < step < 600     # past the nodes the stepper itself takes
+    assert exc_info.value.step == step
+
+
+def test_map_path_selection(monkeypatch):
+    """The step map is taken for a linear model whose map has at most
+    _MAP_DIM rows, on a run with more steps than that; a nonlinear
+    gradient, a larger map or a shorter run keep the stepper."""
+    ladder = sm.build_benchmark("ladder").system         # 3 dim = 300
+    assert 3 * ladder.dim <= dynamics._MAP_DIM
+    sine_gordon = sm.build_benchmark(
+        "sine-gordon", sm.make_config("sine-gordon", {"n": 30})).system
+    wave = _wave(n=100).system                            # 3 dim = 600
+    assert 3 * wave.dim > dynamics._MAP_DIM
+    for system, n_steps, mapped in ((ladder, 301, True),
+                                    (ladder, 300, False),
+                                    (sine_gordon, 400, False),
+                                    (wave, 601, False)):
+        maps = _MapCount(monkeypatch)
+        sm.integrate(system, dt=0.001, n_steps=n_steps)
+        assert maps.calls == int(mapped), (system.name, n_steps)
+
+
+def test_state_derivative_of_a_block_is_per_column():
+    """The input vector adds to every column of a block, square or not."""
+    bench = sm.build_benchmark("ladder", sm.make_config("ladder",
+                                                        {"cells": 4}))
+    system, model = bench.system, bench.dissipative_model()
+    rng = np.random.default_rng(7)
+    for m in (3, system.dim):
+        z = rng.standard_normal((system.dim, m))
+        f = rng.standard_normal((system.dim, m))
+        want = np.array([system.state_derivative(z[:, j], f[:, j])
+                         for j in range(m)]).T
+        assert np.allclose(system.state_derivative(z, f), want,
+                           rtol=1e-14, atol=1e-14)
+        want = np.array([model.state_derivative(z[:, j])
+                         for j in range(m)]).T
+        assert np.allclose(model.state_derivative(z), want,
+                           rtol=1e-14, atol=1e-14)
 
 
 def test_plain_series_across_block_boundaries():

@@ -269,3 +269,13 @@ def test_spectral_abscissa_values():
     assert sm.spectral_abscissa(np.diag([-1.0, 2.0])) == 2.0
     rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
     assert abs(sm.spectral_abscissa(rotation)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1.0, 4.0])
+def test_dt_omega_max_of_the_oscillator(k):
+    """dt max |eig(J S)| is dt omega = dt sqrt(k) for the closed form
+    (S = K^T K) and for the plain form (S the stiffness) alike."""
+    bench = sm.build_oscillator(k=k)
+    for model in (bench.system, bench.dissipative_model()):
+        assert sm.dt_omega_max(model, 0.1) == pytest.approx(
+            0.1 * np.sqrt(k), rel=1e-15, abs=0.0)
