@@ -506,14 +506,15 @@ class VerletStepper(_VerletStages):
         self._cs = ce
         return z_new
 
-    def _load(self, f, integral):
-        """Make (f, integral) the memory of the current node, with the tail
-        integral - w f and its start-of-step constant derived from them as
-        a step would have left them."""
-        self.f = f
+    def _load(self, z, integral):
+        """Make ``integral`` the memory of a node past node 0 whose state is
+        z, with the co-state K z - chi integral and the tail integral - w f
+        and its start-of-step constant derived as a step would leave them."""
+        sys_ = self.system
+        self.f = sys_.k_op @ z - sys_.chi_apply(integral)
         self.integral = integral
-        self.tail = integral - 0.5 * self.dt * f
-        self._cs = -(self.kt_wi @ self.system.chi_apply(self.tail))
+        self.tail = integral - 0.5 * self.dt * self.f
+        self._cs = -(self.kt_wi @ sys_.chi_apply(self.tail))
 
 
 @dataclass
@@ -577,11 +578,18 @@ _BLOCK = 128
 
 # Linear models whose step map has at most this many rows advance by one
 # dense product per step (see _drive). Measured with one BLAS thread over
-# 5000 steps, probes included, the map beats the stepper up to about 450
-# rows on the CSR wave, the cheapest step per dimension, and still beyond
-# 480 rows on the dense closed ladder and 600 on its dissipative form; the
-# preset ladder's full map has 300 rows, the 1000-dim wave's 3000.
+# 5000 steps, probes included, the map beats the stepper up to about 480
+# rows on the closed CSR wave, the cheapest step per row, and still at 800
+# rows on the dense closed ladder and 600 on its dissipative form; the
+# preset ladder's full map has 200 rows, the 1000-dim wave's 2000.
 _MAP_DIM = 400
+
+# Largest entry the step map may form before the stepper takes over. A
+# step's intermediate products exceed its state by about the stage
+# matrices' norms and overflow a few steps before the state the map forms;
+# twenty orders of magnitude below overflow leave room for those norms, and
+# only a run that is blowing up comes near.
+_MAP_RANGE = 1e-20 * np.finfo(float).max
 
 
 def _closed_columns(system: TddSystem, states, costates, memory):
@@ -616,13 +624,15 @@ def _trapezoid_sum(weight: float, rates):
     return np.cumsum(np.concatenate([[0.0], steps]))
 
 
-def _stepped_nodes(stepper, z, n_steps: int, closed: bool, w: float):
-    """The record of each node of a run stepped one ``step`` call at a
-    time: (z,), and for a :class:`VerletStepper` (z, f, tail + w f), the
-    memory argument being the committed integral F, and w f0 at node 0.
-    Every stepped state is checked for finiteness at once."""
-    for i in range(n_steps + 1):
-        if i:
+def _stepped_nodes(stepper, z, n_steps: int, closed: bool, w: float,
+                   start: int = 0):
+    """The record of each node from ``start`` to ``n_steps`` of a run stepped
+    one ``step`` call at a time from the state z at node ``start``: (z,),
+    and for a :class:`VerletStepper` (z, f, tail + w f), the memory argument
+    being the committed integral F, and w f0 at node 0. Every stepped state
+    is checked for finiteness at once."""
+    for i in range(start, n_steps + 1):
+        if i > start:
             z = stepper.step(z)
             if not np.isfinite(z).all():
                 raise NonFiniteError(i)
@@ -631,21 +641,21 @@ def _stepped_nodes(stepper, z, n_steps: int, closed: bool, w: float):
 
 def _step_map(stepper, closed: bool, dim: int):
     """Matrix Phi and vector c such that Phi x + c is the state one step
-    after x, for a stepper whose step is affine: x = (z, f, F) for a
-    :class:`VerletStepper`, loaded with :meth:`VerletStepper._load`, and
-    x = z otherwise. Both come from the stepper's own ``step``: c is the
-    step of x = 0, column j of Phi the step of the unit vector e_j minus c.
-    The probes leave the stepper at an arbitrary state."""
+    after x, for a stepper whose step is affine: x = (z, F) for a
+    :class:`VerletStepper` past node 0, loaded with
+    :meth:`VerletStepper._load`, and x = z otherwise. Both come from the
+    stepper's own ``step``: c is the step of x = 0, column j of Phi the step
+    of the unit vector e_j minus c. The probes leave the stepper at an
+    arbitrary state."""
 
     def image(x):
         if not closed:
             return stepper.step(x)
-        z, f, integral = x.reshape(3, dim)
-        stepper._load(f, integral)
-        z = stepper.step(z)
-        return np.concatenate([z, stepper.f, stepper.integral])
+        z, integral = x.reshape(2, dim)
+        stepper._load(z, integral)
+        return np.concatenate([stepper.step(z), stepper.integral])
 
-    unit = np.zeros((3 if closed else 1) * dim)
+    unit = np.zeros((2 if closed else 1) * dim)
     c = image(unit)
     phi = np.empty((unit.size, unit.size))
     for j in range(unit.size):
@@ -658,50 +668,47 @@ def _step_map(stepper, closed: bool, dim: int):
 def _mapped_nodes(stepper, z, n_steps: int, closed: bool, w: float):
     """The node records of :func:`_stepped_nodes` for a stepper whose step
     is affine: nodes 0 and 1 come from the stepper, every later node from
-    x <- Phi x + c of :func:`_step_map`, as a (1 or 3, dim) array.
+    x <- Phi x + c of :func:`_step_map`. From node 1 on the co-state of the
+    closed form is f = K z - chi F, derived for _BLOCK nodes at a time.
 
-    The map advances _BLOCK nodes at a time and then checks their states.
-    A step's intermediate products overflow a few steps before the state
-    the map forms does, so on a non-finite state the stepper itself replays
-    from the node before the previous chunk (:func:`_replay`), and the
-    error names the step at which a stepped run fails.
+    The map advances _BLOCK nodes at a time and then checks their states
+    against _MAP_RANGE. Once a chunk leaves it, the stepper takes over from
+    the last recorded node for the rest of the run, so a run near overflow
+    ends, or fails, at the step the stepped run does.
     """
     dim = z.size
     for node in _stepped_nodes(stepper, z, min(n_steps, 1), closed, w):
         yield node
     if n_steps < 2:
         return
+    x = np.concatenate([node[0], node[2]]) if closed else node[0]
     phi, c = _step_map(stepper, closed, dim)
-    x = np.concatenate(node)
-    anchor = previous = (1, x)
+    system = stepper.system if closed else None
     i = 1
     while i < n_steps:
         chunk = np.empty((min(_BLOCK, n_steps - i), x.size))
+        y = x
         for row in chunk:
-            np.matmul(phi, x, out=row)
+            np.matmul(phi, y, out=row)
             row += c
-            x = row
-        bad = ~np.isfinite(chunk[:, :dim]).all(axis=1)
-        if bad.any():
-            _replay(stepper, closed, w, *anchor, i + 1 + int(bad.argmax()))
-        yield from chunk.reshape(len(chunk), -1, dim)
+            y = row
+        if not np.abs(chunk).max() <= _MAP_RANGE:
+            if closed:
+                stepper._load(x[:dim], x[dim:])
+            rest = _stepped_nodes(stepper, x[:dim], n_steps, closed, w, i)
+            next(rest)      # node i, already recorded
+            yield from rest
+            return
+        states = chunk[:, :dim]
+        if closed:
+            memory = chunk[:, dim:]
+            costates = (system.k_op @ states.T
+                        - system.chi_apply(memory.T)).T
+            yield from zip(states, costates, memory)
+        else:
+            yield from zip(states)
         i += len(chunk)
-        anchor, previous = previous, (i, x)
-
-
-def _replay(stepper, closed: bool, w: float, start: int, x, stop: int):
-    """Step from node ``start``, at the state x of :func:`_step_map`,
-    towards node ``stop`` and raise NonFiniteError at the first non-finite
-    state, or at ``stop`` if the stepper stays finite up to it."""
-    dim = x.size // 3 if closed else x.size
-    if closed:
-        stepper._load(x[dim: 2 * dim], x[2 * dim:])
-    try:
-        for _ in _stepped_nodes(stepper, x[:dim], stop - start, closed, w):
-            pass
-    except NonFiniteError as exc:
-        raise NonFiniteError(start + exc.step) from None
-    raise NonFiniteError(stop)
+        x = y
 
 
 def _drive(make_stepper, z0, dt: float, n_steps: int | None,
@@ -715,14 +722,13 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     blow-up as :class:`NonFiniteError` at the first non-finite state.
 
     Two paths produce the nodes. A linear Verlet stepper (no nonlinear
-    gradient) whose step map has at most _MAP_DIM rows (3 dim for the
-    closed form, whose state is x = (z, f, F), and dim for the dissipative
-    form), on a run with more steps than the map has rows, advances by one
-    precomputed affine map x <- Phi x + c per step (:func:`_mapped_nodes`),
-    built in the call from the stepper's own step; building it costs one
-    step per row. Every other run calls ``step`` once per step. Either way
-    the error names the step at which the stepped run leaves floating
-    point range.
+    gradient) whose step map has at most _MAP_DIM rows (2 dim for the
+    closed form, whose state is x = (z, F), and dim for the dissipative
+    form) advances by one precomputed affine map x <- Phi x + c per step
+    (:func:`_mapped_nodes`), built in the call from the stepper's own step;
+    building it costs one step per row. Every other run calls ``step`` once
+    per step. Either way the error names the step at which the stepped run
+    leaves floating point range.
 
     The loop only records: each node's state goes into a row buffer of
     _BLOCK nodes, and for a :class:`VerletStepper` so do its co-state f and
@@ -754,8 +760,7 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     w = 0.5 * dt
     z = np.array(z0, dtype=float)
     rows = np.empty((3 if closed else 1, _BLOCK, z.size))
-    size = rows.shape[0] * z.size
-    mapped = stepper.linear and size <= _MAP_DIM and n_steps > size
+    mapped = stepper.linear and (2 if closed else 1) * z.size <= _MAP_DIM
     nodes = (_mapped_nodes if mapped else _stepped_nodes)(
         stepper, z, n_steps, closed, w)
     store = np.empty((3 if closed else 2, z.size,
@@ -815,12 +820,13 @@ def integrate(system: TddSystem, dt: float, n_steps: int | None = None,
     instant only. The derivatives are derived after the loop from the
     recorded states and co-states.
 
-    Without a nonlinear gradient the step is affine in x = (z, f, F). When
-    3 dim is at most ``_MAP_DIM`` and the run has more than 3 dim steps,
-    the run takes the first step with the :class:`VerletStepper`, builds
-    the step map x <- Phi x + c from 3 dim + 1 probe steps and advances
-    every later node by one product with it; the states then agree with
-    the stepped run to roundoff, not bitwise.
+    Without a nonlinear gradient the step is affine in x = (z, F), the
+    co-state being f = K z - chi F from node 1 on. When 2 dim is at most
+    ``_MAP_DIM``, the run takes the first step with the
+    :class:`VerletStepper`, builds the step map x <- Phi x + c from
+    2 dim + 1 probe steps and advances every later node by one product with
+    it; the states then agree with the stepped run to roundoff, not
+    bitwise. A run that nears overflow is handed back to the stepper.
 
     Raises
     ------
@@ -910,9 +916,9 @@ def integrate_dissipative(model: DissipativeModel, dt: float,
     derivatives are derived after the loop from the recorded states.
 
     Without a nonlinear gradient the step is affine in z; when dim is at
-    most ``_MAP_DIM`` and the run has more than dim steps, every node after
-    the first step advances by one product with the step map built from
-    dim + 1 probe steps, as in :func:`integrate`."""
+    most ``_MAP_DIM``, every node after the first step advances by one
+    product with the step map built from dim + 1 probe steps, as in
+    :func:`integrate`."""
     return _drive(lambda: DissipativeVerletStepper(model, dt), model.z0, dt,
                   n_steps, t_final, snapshot_stride, model.dx,
                   model.hamiltonian)

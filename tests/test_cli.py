@@ -282,10 +282,11 @@ def test_compare_ladder_components(tmp_path, capsys):
 
 def test_default_ladder_compare_manifest(tmp_path):
     """Every cell that ran records its speedup over the full run, every
-    Verlet cell its dt_omega_max, below the stability limit 2 here, and
-    the run has nothing to warn of."""
+    Verlet cell its dt_omega_max, below the stability limit 2 here, the
+    run has nothing to warn of, and its artifacts pass ``check``."""
     out = tmp_path / "ladder"
     assert _run("compare", "--benchmark", "ladder", "--out", str(out)) == 0
+    assert _run("check", "--manifest", str(out / "manifest.json")) == 0
     manifest = _manifest(out)
     assert manifest["warnings"] == []
     cells = manifest["cells"]

@@ -453,13 +453,10 @@ def test_dissipative_map_path_matches_stepper_loop(ladder50, monkeypatch):
     assert _close(rep.hamiltonian, model.hamiltonian(states))
 
 
-@pytest.mark.parametrize("dt", [0.25, 0.5])
-@pytest.mark.parametrize("closed", [True, False])
-def test_unstable_linear_model_fails_at_the_stepper_loop_step(closed, dt,
-                                                              monkeypatch):
-    """Past the Verlet limit the step map raises NonFiniteError at the
-    step where the manual stepper loop first leaves floating point range,
-    though the state the map forms overflows a step or two later there."""
+def _unstable_wave(closed, dt):
+    """A linear wave model past the Verlet limit, its integrator and the
+    step at which a manual stepper loop first leaves floating point range
+    together with the states of that loop up to the step before."""
     bench = _wave(n=16)
     if closed:
         model, run = bench.system, sm.integrate
@@ -467,32 +464,60 @@ def test_unstable_linear_model_fails_at_the_stepper_loop_step(closed, dt,
     else:
         model, run = bench.dissipative_model(), sm.integrate_dissipative
         stepper = dynamics.DissipativeVerletStepper(model, dt)
+    states = [model.z0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, 601):
+            z = stepper.step(states[-1])
+            if not np.isfinite(z).all():
+                break
+            states.append(z)
+    assert dynamics._BLOCK < step < 600    # past the first chunk
+    return model, run, step, np.array(states).T
+
+
+@pytest.mark.parametrize("dt", [0.25, 0.5])
+@pytest.mark.parametrize("closed", [True, False])
+def test_unstable_linear_model_fails_at_the_stepper_loop_step(closed, dt,
+                                                              monkeypatch):
+    """Past the Verlet limit the step map raises NonFiniteError at the
+    step where the manual stepper loop first leaves floating point range,
+    though the state the map forms would overflow a few steps later."""
+    model, run, step, _ = _unstable_wave(closed, dt)
     maps = _MapCount(monkeypatch)
     with pytest.raises(sm.NonFiniteError) as exc_info:
         run(model, dt=dt, n_steps=600)
     assert maps.calls == 1
-    z = model.z0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, 601):
-            z = stepper.step(z)
-            if not np.isfinite(z).all():
-                break
-    assert 2 < step < 600     # past the nodes the stepper itself takes
     assert exc_info.value.step == step
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_unstable_run_ending_near_its_failure_step(closed):
+    """A run that ends one to three steps before the manual stepper loop
+    overflows completes with that loop's states, and one that ends at or
+    just past that step fails there."""
+    dt = 0.25
+    model, run, step, states = _unstable_wave(closed, dt)
+    for n_steps in (step - 3, step - 1):
+        rep = run(model, dt=dt, n_steps=n_steps)
+        assert _close(rep.snapshots.states, states[:, : n_steps + 1])
+    for n_steps in (step, step + 2):
+        with pytest.raises(sm.NonFiniteError) as exc_info:
+            run(model, dt=dt, n_steps=n_steps)
+        assert exc_info.value.step == step
 
 
 def test_map_path_selection(monkeypatch):
     """The step map is taken for a linear model whose map has at most
-    _MAP_DIM rows, on a run with more steps than that; a nonlinear
-    gradient, a larger map or a shorter run keep the stepper."""
-    ladder = sm.build_benchmark("ladder").system         # 3 dim = 300
-    assert 3 * ladder.dim <= dynamics._MAP_DIM
+    _MAP_DIM rows, whatever the run's length past one step; a nonlinear
+    gradient or a larger map keep the stepper."""
+    ladder = sm.build_benchmark("ladder").system         # 2 dim = 200
+    assert 2 * ladder.dim <= dynamics._MAP_DIM
     sine_gordon = sm.build_benchmark(
         "sine-gordon", sm.make_config("sine-gordon", {"n": 30})).system
-    wave = _wave(n=100).system                            # 3 dim = 600
-    assert 3 * wave.dim > dynamics._MAP_DIM
-    for system, n_steps, mapped in ((ladder, 301, True),
-                                    (ladder, 300, False),
+    wave = _wave(n=150).system                            # 2 dim = 600
+    assert 2 * wave.dim > dynamics._MAP_DIM
+    for system, n_steps, mapped in ((ladder, 2, True),
+                                    (ladder, 1, False),
                                     (sine_gordon, 400, False),
                                     (wave, 601, False)):
         maps = _MapCount(monkeypatch)
