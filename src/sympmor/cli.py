@@ -158,14 +158,23 @@ def _integrate_full(bench, config):
 
 
 def _end_warnings(report, config) -> list[str]:
-    """Manifest warning for a t_final off the step grid, which the run
-    rounds to the nearest whole number of steps."""
+    """Manifest warnings for a t_final off the step grid, which the run
+    rounds to the nearest whole number of steps, and for a last step that
+    is not a snapshot node."""
     end = float(report.times[-1])
-    if abs(end - config.t_final) <= 1e-9 * report.dt:
-        return []
-    return [f"t_final {config.t_final!r} is not a whole number of steps of "
+    warnings = []
+    if abs(end - config.t_final) > 1e-9 * report.dt:
+        warnings.append(
+            f"t_final {config.t_final!r} is not a whole number of steps of "
             f"dt {report.dt!r}: the run ends at t = {end:.12g} after "
-            f"{report.n_steps} steps"]
+            f"{report.n_steps} steps")
+    if report.n_steps % config.snapshot_stride:
+        warnings.append(
+            f"{report.n_steps} steps are not a multiple of snapshot_stride "
+            f"{config.snapshot_stride}: the last snapshot is at t = "
+            f"{float(report.snapshot_times[-1]):.12g}, the run ends at "
+            f"t = {end:.12g}")
+    return warnings
 
 
 def _stability_warnings(dt_omega: dict) -> list[str]:
@@ -215,7 +224,10 @@ def _make_symplectic_basis(method: str, snapshots, max_pairs: int):
     """Basis plus the per-mode diagnostic values (greedy errors or singular
     values)."""
     if method == "greedy":
-        result = greedy_basis(snapshots, max_pairs)
+        try:
+            result = greedy_basis(snapshots, max_pairs)
+        except ValueError as exc:       # e.g. a run started at rest
+            raise ConfigError(str(exc)) from None
         if result.basis.k < max_pairs:
             raise ConfigError(
                 f"greedy produced only {result.basis.k} pairs out of "
@@ -457,6 +469,9 @@ def cmd_compare(args) -> int:
     unknown = [m for m in methods if m not in ("rdh", "psd", "pod")]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; valid: rdh, psd, pod")
+    if not methods:
+        raise ConfigError(f"--methods {args.methods!r} names no method; "
+                          f"valid: rdh, psd, pod")
     default_modes = [10, 20, 30] if name == "ladder" else [20, 40, 60]
     modes = _parse_modes(args.modes, default_modes)
     _require_even(modes, "symplectic reduction")

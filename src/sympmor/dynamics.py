@@ -572,16 +572,17 @@ class RunReport:
                            self.snapshots.dx)
 
 
-# Nodes per recorded block: _drive copies every node into row buffers of
-# this length and derives the series of a block once it is full.
+# Nodes per recorded block: _record_blocks writes every node into a block
+# of this length, and _drive derives the series of each block.
 _BLOCK = 128
 
 # Linear models whose step map has at most this many rows advance by one
-# dense product per step (see _drive). Measured with one BLAS thread over
-# 5000 steps, probes included, the map beats the stepper up to about 480
-# rows on the closed CSR wave, the cheapest step per row, and still at 800
-# rows on the dense closed ladder and 600 on its dissipative form; the
-# preset ladder's full map has 200 rows, the 1000-dim wave's 2000.
+# dense product per step (see _record_blocks). Measured with one BLAS
+# thread over 5000 steps, probes included, the map beats the stepper up to
+# about 480 rows on the closed CSR wave, the cheapest step per row, and
+# still at 800 rows on the dense closed ladder and 600 on its dissipative
+# form; the preset ladder's full map has 200 rows, the 1000-dim wave's
+# 2000.
 _MAP_DIM = 400
 
 # Largest entry the step map may form before the stepper takes over. A
@@ -592,9 +593,9 @@ _MAP_DIM = 400
 _MAP_RANGE = 1e-20 * np.finfo(float).max
 
 
-def _closed_columns(system: TddSystem, states, costates, memory):
+def _closed_columns(system: TddSystem, states, memory, costates):
     """Per-node diagnostics of a closed run from (dim, m) blocks of states,
-    co-states f and memory arguments tail + w f: H, 0.5 ||f||^2 plus the
+    memory arguments tail + w f and co-states f: H, 0.5 ||f||^2 plus the
     non-quadratic energy, f^T chi f, the supply rate, the passivity residual
     -f^T chi f, and the largest entries of |K z - f - chi (tail + w f)|
     (the Volterra residual) and of |K z|."""
@@ -624,21 +625,6 @@ def _trapezoid_sum(weight: float, rates):
     return np.cumsum(np.concatenate([[0.0], steps]))
 
 
-def _stepped_nodes(stepper, z, n_steps: int, closed: bool, w: float,
-                   start: int = 0):
-    """The record of each node from ``start`` to ``n_steps`` of a run stepped
-    one ``step`` call at a time from the state z at node ``start``: (z,),
-    and for a :class:`VerletStepper` (z, f, tail + w f), the memory argument
-    being the committed integral F, and w f0 at node 0. Every stepped state
-    is checked for finiteness at once."""
-    for i in range(start, n_steps + 1):
-        if i > start:
-            z = stepper.step(z)
-            if not np.isfinite(z).all():
-                raise NonFiniteError(i)
-        yield (z, stepper.f, stepper.tail + w * stepper.f) if closed else (z,)
-
-
 def _step_map(stepper, closed: bool, dim: int):
     """Matrix Phi and vector c such that Phi x + c is the state one step
     after x, for a stepper whose step is affine: x = (z, F) for a
@@ -665,50 +651,75 @@ def _step_map(stepper, closed: bool, dim: int):
     return phi, c
 
 
-def _mapped_nodes(stepper, z, n_steps: int, closed: bool, w: float):
-    """The node records of :func:`_stepped_nodes` for a stepper whose step
-    is affine: nodes 0 and 1 come from the stepper, every later node from
-    x <- Phi x + c of :func:`_step_map`. From node 1 on the co-state of the
-    closed form is f = K z - chi F, derived for _BLOCK nodes at a time.
+def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
+                   closed: bool, inline: bool):
+    """The one node source of :func:`_drive`: every node of a run from the
+    state z at node 0, written into blocks of _BLOCK nodes aligned at node
+    0 and yielded as (layers, m, dim) views of one reused buffer (m is
+    _BLOCK but in the last block). The layers are the state z; for a
+    :class:`VerletStepper` also its memory argument tail + w f (the
+    committed integral F, and w f0 at node 0) and its co-state f; for an
+    RK4 stepper also dz/dt from ``snapshot``, called at each snapshot node
+    right after the step.
 
-    The map advances _BLOCK nodes at a time and then checks their states
-    against _MAP_RANGE. Once a chunk leaves it, the stepper takes over from
-    the last recorded node for the rest of the run, so a run near overflow
-    ends, or fails, at the step the stepped run does.
+    Each node is written by ``stepper.step``, whose state is checked for
+    finiteness at once, or by the step map. A linear stepper (no nonlinear
+    gradient) is affine in x = (z, F) for the closed form, whose co-state
+    is then f = K z - chi F, and in z otherwise. When x has at most
+    _MAP_DIM entries and the run more than one step, :func:`_step_map`
+    builds x <- Phi x + c from the stepper's own step once node 1 is
+    recorded, one probe step per row plus one, and the rest of each block
+    is advanced in place, x being the first layers of a node's row; the
+    states agree with the stepped run to roundoff, not bitwise. A chunk
+    with an entry past _MAP_RANGE is discarded, and the same loop steps on
+    from the last recorded node, so a run near overflow ends, or raises
+    :class:`NonFiniteError`, at the step the stepped run does.
     """
     dim = z.size
-    for node in _stepped_nodes(stepper, z, min(n_steps, 1), closed, w):
-        yield node
-    if n_steps < 2:
-        return
-    x = np.concatenate([node[0], node[2]]) if closed else node[0]
-    phi, c = _step_map(stepper, closed, dim)
+    w = 0.5 * stepper.dt
     system = stepper.system if closed else None
-    i = 1
-    while i < n_steps:
-        chunk = np.empty((min(_BLOCK, n_steps - i), x.size))
-        y = x
-        for row in chunk:
-            np.matmul(phi, y, out=row)
-            row += c
-            y = row
-        if not np.abs(chunk).max() <= _MAP_RANGE:
+    rows = np.empty((_BLOCK, 3 if closed else 2 if inline else 1, dim))
+    # the map state x of each node: the leading (z, F), or z, of its row
+    xs = rows.reshape(_BLOCK, -1)[:, : (2 if closed else 1) * dim]
+    mapped = stepper.linear and xs.shape[1] <= _MAP_DIM and n_steps > 1
+    phi = None
+    for start in range(0, n_steps + 1, _BLOCK):
+        m = min(_BLOCK, n_steps + 1 - start)
+        j = 0
+        while j < m:
+            if phi is not None:         # map the rest of the block
+                y = x
+                for row in xs[j:m]:
+                    np.matmul(phi, y, out=row)
+                    row += c
+                    y = row
+                if np.abs(xs[j:m]).max() <= _MAP_RANGE:
+                    if closed:
+                        rows[j:m, 2] = (system.k_op @ rows[j:m, 0].T
+                                        - system.chi_apply(rows[j:m, 1].T)).T
+                    x = y.copy()
+                    j = m
+                    continue
+                # step on from the last recorded node x
+                phi = None
+                z = x[:dim]
+                if closed:
+                    stepper._load(z, x[dim:])
+            if start + j:
+                z = stepper.step(z)
+                if not np.isfinite(z).all():
+                    raise NonFiniteError(start + j)
+            rows[j, 0] = z
             if closed:
-                stepper._load(x[:dim], x[dim:])
-            rest = _stepped_nodes(stepper, x[:dim], n_steps, closed, w, i)
-            next(rest)      # node i, already recorded
-            yield from rest
-            return
-        states = chunk[:, :dim]
-        if closed:
-            memory = chunk[:, dim:]
-            costates = (system.k_op @ states.T
-                        - system.chi_apply(memory.T)).T
-            yield from zip(states, costates, memory)
-        else:
-            yield from zip(states)
-        i += len(chunk)
-        x = y
+                rows[j, 1] = stepper.tail + w * stepper.f
+                rows[j, 2] = stepper.f
+            elif inline and (start + j) % snapshot_stride == 0:
+                rows[j, 1] = stepper.snapshot(z)
+            j += 1
+            if mapped and start + j == 2:
+                x = xs[1].copy()
+                phi, c = _step_map(stepper, closed, dim)
+        yield rows[:m].transpose(1, 0, 2)
 
 
 def _drive(make_stepper, z0, dt: float, n_steps: int | None,
@@ -717,33 +728,21 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     """Run a stepper over the time grid and assemble its report.
 
     The stepper provides ``step(z)`` (the next state), a ``kind`` and
-    ``linear``, true when its step is affine in its state. Numpy's
+    ``linear``, true when its step is affine in its state. The nodes come
+    from :func:`_record_blocks`, by the step or by the step map. Numpy's
     overflow and invalid warnings are silenced in the loop, which reports a
-    blow-up as :class:`NonFiniteError` at the first non-finite state.
-
-    Two paths produce the nodes. A linear Verlet stepper (no nonlinear
-    gradient) whose step map has at most _MAP_DIM rows (2 dim for the
-    closed form, whose state is x = (z, F), and dim for the dissipative
-    form) advances by one precomputed affine map x <- Phi x + c per step
-    (:func:`_mapped_nodes`), built in the call from the stepper's own step;
-    building it costs one step per row. Every other run calls ``step`` once
-    per step. Either way the error names the step at which the stepped run
+    blow-up as :class:`NonFiniteError` at the step where the stepped run
     leaves floating point range.
 
-    The loop only records: each node's state goes into a row buffer of
-    _BLOCK nodes, and for a :class:`VerletStepper` so do its co-state f and
-    its memory argument tail + w f (the committed integral F, and w f0 at
-    node 0). Each full buffer gives up its snapshot nodes and is reduced
-    to per-node diagnostics column by column; the
-    string energy and the input work, trapezoid sums of f^T chi f and of
-    the supply rate, are summed once after the loop, and the extended
-    energy is 0.5 ||f||^2 + potential(z) - z_bd . z + E_string + e. Other
-    runs record their states, and their energy is ``hamiltonian`` of them
-    (zero when None); their extended energy is H and their other series
-    are zero. The snapshot derivatives dz/dt of the Verlet forms are
-    derived after the loop from the recorded states (and co-states),
-    _BLOCK columns at a time; an RK4 stepper evaluates its right-hand side
-    at each snapshot node in the loop, through ``snapshot(z)``.
+    Each block gives up its snapshot nodes and is reduced to per-node
+    diagnostics column by column. For a :class:`VerletStepper` the string
+    energy and the input work, trapezoid sums of f^T chi f and of the
+    supply rate, are summed once after the loop, and the extended energy is
+    0.5 ||f||^2 + potential(z) - z_bd . z + E_string + e. Other runs' energy
+    is ``hamiltonian`` of their states (zero when None); their extended
+    energy is H and their other series are zero. The snapshot derivatives
+    dz/dt of the Verlet forms are derived after the loop, _BLOCK columns at
+    a time; those of an RK4 run are recorded in the blocks.
     """
     if (n_steps is None) == (t_final is None):
         raise ValueError("specify exactly one of n_steps and t_final")
@@ -759,32 +758,23 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     inline = isinstance(stepper, _Rk4Stepper)
     w = 0.5 * dt
     z = np.array(z0, dtype=float)
-    rows = np.empty((3 if closed else 1, _BLOCK, z.size))
-    mapped = stepper.linear and (2 if closed else 1) * z.size <= _MAP_DIM
-    nodes = (_mapped_nodes if mapped else _stepped_nodes)(
-        stepper, z, n_steps, closed, w)
     store = np.empty((3 if closed else 2, z.size,
                       n_steps // snapshot_stride + 1))
-    blocks = []
+    # the block layers kept at snapshot nodes share the store's layer index
+    kept = [0, 2] if closed else [0, 1] if inline else [0]
+    blocks = _record_blocks(stepper, z, n_steps, snapshot_stride, closed,
+                            inline)
+    columns = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, node in enumerate(nodes):
-            j = i % _BLOCK
-            rows[:, j] = node
-            if inline and i % snapshot_stride == 0:
-                store[1, :, i // snapshot_stride] = stepper.snapshot(node[0])
-            if j < _BLOCK - 1 and i < n_steps:
-                continue
-            start = i - j
+        for start, block in zip(range(0, n_steps + 1, _BLOCK), blocks):
             first = -(-start // snapshot_stride)
-            picks = np.arange(first * snapshot_stride - start, j + 1,
+            picks = np.arange(first * snapshot_stride - start, block.shape[1],
                               snapshot_stride)
             cols = slice(first, first + picks.size)
-            store[0, :, cols] = rows[0, picks].T
-            if closed:
-                store[2, :, cols] = rows[1, picks].T
-            block = [r[: j + 1].T for r in rows]
-            blocks.append(_closed_columns(stepper.system, *block) if closed
-                          else _plain_columns(hamiltonian, *block))
+            store[kept, :, cols] = block[kept][:, picks].transpose(0, 2, 1)
+            columns.append(
+                _closed_columns(stepper.system, *(r.T for r in block))
+                if closed else _plain_columns(hamiltonian, block[0].T))
         for s in range(0, store.shape[2], _BLOCK):
             cols = store[:, :, s: s + _BLOCK]
             if closed:
@@ -792,7 +782,7 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
             elif not inline:
                 cols[1] = stepper.model.state_derivative(cols[0])
         ham, stored, diss, supply, passiv, volterra, kz = np.concatenate(
-            blocks, axis=1)
+            columns, axis=1)
         e_str = _trapezoid_sum(w, diss)
         h_ext = stored + e_str + _trapezoid_sum(-w, supply)
     times = dt * np.arange(n_steps + 1)
@@ -818,15 +808,8 @@ def integrate(system: TddSystem, dt: float, n_steps: int | None = None,
     decay to the strings. Snapshots (state, dz/dt and co-state) are stored
     every ``snapshot_stride`` steps; ``n_steps == 0`` yields the initial
     instant only. The derivatives are derived after the loop from the
-    recorded states and co-states.
-
-    Without a nonlinear gradient the step is affine in x = (z, F), the
-    co-state being f = K z - chi F from node 1 on. When 2 dim is at most
-    ``_MAP_DIM``, the run takes the first step with the
-    :class:`VerletStepper`, builds the step map x <- Phi x + c from
-    2 dim + 1 probe steps and advances every later node by one product with
-    it; the states then agree with the stepped run to roundoff, not
-    bitwise. A run that nears overflow is handed back to the stepper.
+    recorded states and co-states. A model without a nonlinear gradient may
+    advance by its step map (see :func:`_record_blocks`).
 
     Raises
     ------
@@ -913,12 +896,9 @@ def integrate_dissipative(model: DissipativeModel, dt: float,
     """Integrate the plain dissipative form with the symmetrized Verlet
     scheme. String and extended energies are not defined for this
     formulation and are reported as zero / equal to H. The snapshot
-    derivatives are derived after the loop from the recorded states.
-
-    Without a nonlinear gradient the step is affine in z; when dim is at
-    most ``_MAP_DIM``, every node after the first step advances by one
-    product with the step map built from dim + 1 probe steps, as in
-    :func:`integrate`."""
+    derivatives are derived after the loop from the recorded states. A
+    model without a nonlinear gradient may advance by its step map (see
+    :func:`_record_blocks`)."""
     return _drive(lambda: DissipativeVerletStepper(model, dt), model.z0, dt,
                   n_steps, t_final, snapshot_stride, model.dx,
                   model.hamiltonian)

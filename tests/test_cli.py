@@ -55,13 +55,25 @@ def test_run_full_warns_of_a_rounded_horizon(tmp_path):
     out = tmp_path / "rounded"
     assert _run("run-full", "--benchmark", "wave", "--set", "n=16",
                 "--set", "dt=0.002", "--set", "t_final=0.0031",
-                "--out", str(out)) == 0
+                "--set", "snapshot_stride=1", "--out", str(out)) == 0
     manifest = _manifest(out)
     assert manifest["n_steps"] == 2
     [warning] = manifest["warnings"]
     assert "0.0031" in warning and "0.004" in warning
     assert _run_full_small(tmp_path / "exact") == 0
     assert _manifest(tmp_path / "exact")["warnings"] == []
+
+
+def test_build_basis_warns_of_an_unsampled_end(tmp_path):
+    """A step count that the snapshot stride does not divide leaves the
+    last instant out of the snapshots; the manifest names both times."""
+    out = tmp_path / "stride"
+    assert _run("build-basis", "--benchmark", "wave", "--set", "n=20",
+                "--set", "t_final=0.1", "--set", "snapshot_stride=3",
+                "--modes", "4", "--out", str(out)) == 0
+    [warning] = _manifest(out)["warnings"]
+    assert "snapshot_stride 3" in warning
+    assert "t = 0.096" in warning and "t = 0.1" in warning
 
 
 def test_run_full_chi_alias_disables_dissipation(tmp_path):
@@ -315,6 +327,11 @@ def test_compare_unknown_method(tmp_path, capsys):
               "--methods", "rdh,foo", "--out", str(tmp_path / "x"))
     assert rc == 2
     assert "unknown methods" in capsys.readouterr().err
+    rc = _run("compare", "--benchmark", "wave", "--set", "n=16",
+              "--methods", ",", "--out", str(tmp_path / "x"))
+    assert rc == 2
+    assert "names no method" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "errors.csv").exists()
 
 
 def test_compare_flags_blown_up_cells(tmp_path):
@@ -429,6 +446,11 @@ def test_configuration_errors(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
     assert _run("run-full", "--benchmark", "wave", "--set", "n=2",
                 "--out", out) == 2
+    # the default greedy basis normalizes the initial state; the ladder's
+    # is zero
+    assert _run("build-basis", "--benchmark", "ladder", "--set", "cells=4",
+                "--set", "t_final=0.1", "--out", out) == 2
+    assert "first snapshot is zero" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -334,17 +334,31 @@ def _series_by_hand(system, dt, n_steps):
     return np.array(states).T, np.array(costates).T, np.array(rows).T
 
 
-@pytest.mark.parametrize("name, overrides", [
-    ("ladder", {"cells": 10}),      # input: the work coordinate moves
-    ("sine-gordon", {"n": 30}),     # potential and boundary vector
-])
-def test_series_across_block_boundaries(name, overrides):
+def _with_step_counts(cases):
+    """Each (id, args) case with two and a half recording blocks of steps,
+    under its own id, and with _BLOCK - 1, _BLOCK and _BLOCK + 1 steps,
+    whose last node fills the first block, opens the second, and is the
+    second node of the second."""
+    block = dynamics._BLOCK
+    return [pytest.param(*args, n, id=case if n == 5 * block // 2
+                         else f"{case}-{n}")
+            for case, args in cases
+            for n in (5 * block // 2, block - 1, block, block + 1)]
+
+
+@pytest.mark.parametrize("name, overrides, n_steps", _with_step_counts([
+    # input: the work coordinate moves
+    ("ladder-overrides0", ("ladder", {"cells": 10})),
+    # potential and boundary vector
+    ("sine-gordon-overrides1", ("sine-gordon", {"n": 30})),
+]))
+def test_series_across_block_boundaries(name, overrides, n_steps):
     """The series a run derives block by block after the loop match the
     per-node values of a manual loop, over two and a half recording blocks
-    and a snapshot stride that does not divide the block length."""
+    and around the end of the first, with a snapshot stride that does not
+    divide the block length."""
     config = sm.make_config(name, overrides)
     system = sm.build_benchmark(name, config).system
-    n_steps = 5 * dynamics._BLOCK // 2
     stride = 7
     assert dynamics._BLOCK % stride
     rep = sm.integrate(system, dt=config.dt, n_steps=n_steps,
@@ -398,15 +412,16 @@ def _close(got, want):
     return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("make", [_ladder_with_input, _greedy_wave_rdh])
-def test_closed_map_path_matches_stepper_loop(make, monkeypatch):
+@pytest.mark.parametrize("make, n_steps", _with_step_counts(
+    [(make.__name__, (make,)) for make in (_ladder_with_input,
+                                           _greedy_wave_rdh)]))
+def test_closed_map_path_matches_stepper_loop(make, n_steps, monkeypatch):
     """A linear closed model advances by its step map; over two and a half
-    recording blocks with stride 7 its states, co-states and derivatives
-    match a manual stepper loop within 1e-12 of their max, and its energy
-    series within 1e-12 of max |H|."""
+    recording blocks, and around the end of the first, with stride 7 its
+    states, co-states and derivatives match a manual stepper loop within
+    1e-12 of their max, and its energy series within 1e-12 of max |H|."""
     system, dt = make()
     assert system.nonlinear_grad is None
-    n_steps = 5 * dynamics._BLOCK // 2
     maps = _MapCount(monkeypatch)
     rep = sm.integrate(system, dt=dt, n_steps=n_steps, snapshot_stride=7)
     assert maps.calls == 1
