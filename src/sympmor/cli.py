@@ -110,12 +110,6 @@ def _require_even(modes, what: str):
         raise ConfigError(f"{what} requires even mode counts, got {odd}")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _config_dict(config) -> dict:
     return dataclasses.asdict(config)
 
@@ -187,7 +181,7 @@ def _stability_warnings(dt_omega: dict) -> list[str]:
 
 def cmd_run_full(args) -> int:
     name, config = resolve_config(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     bench = _build(name, config)
     report = _integrate_full(bench, config)
     files = [storage.write_report_csv(report, out / "full_report.csv")]
@@ -220,46 +214,46 @@ def _collect_snapshots(args, bench, config):
     return report.snapshots, _end_warnings(report, config)
 
 
-def _make_symplectic_basis(method: str, snapshots, max_pairs: int):
-    """Basis plus the per-mode diagnostic values (greedy errors or singular
-    values)."""
+def _make_basis(method: str, snapshots, modes: int):
+    """Basis of ``modes`` columns (``modes // 2`` pairs for a symplectic
+    method), its per-mode diagnostic values (greedy errors or singular
+    values) and the method's extra manifest info. Snapshots of too low a
+    rank for ``modes`` columns are a configuration error."""
+    extra = {}
     if method == "greedy":
         try:
-            result = greedy_basis(snapshots, max_pairs)
+            result = greedy_basis(snapshots, modes // 2)
         except ValueError as exc:       # e.g. a run started at rest
             raise ConfigError(str(exc)) from None
-        if result.basis.k < max_pairs:
-            raise ConfigError(
-                f"greedy produced only {result.basis.k} pairs out of "
-                f"{max_pairs}; the snapshot set is too degenerate"
-            )
-        return result.basis, result.worst_errors, {"selected": result.selected}
-    if method == "cotangent":
-        basis, sv = cotangent_lift(snapshots, max_pairs)
-        if basis.k < max_pairs:
-            raise ConfigError(
-                f"snapshot rank supports only {basis.k} cotangent pairs "
-                f"out of {max_pairs}"
-            )
-        return basis, sv, {}
-    raise ConfigError(f"unknown symplectic basis method {method!r}")
+        basis, values = result.basis, result.worst_errors
+        extra["selected"] = result.selected
+    elif method == "cotangent":
+        basis, values = cotangent_lift(snapshots, modes // 2)
+    elif method == "pod":
+        basis, values = pod_basis(snapshots, modes)
+    else:
+        raise ConfigError(f"unknown basis method {method!r}")
+    got = basis.shape[1] if method == "pod" else basis.n_columns
+    if got < modes:
+        raise ConfigError(f"snapshot rank supports only {got} {method} modes "
+                          f"out of {modes}")
+    return basis, values, extra
 
 
 def cmd_build_basis(args) -> int:
     name, config = resolve_config(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     method = args.method
     modes = _parse_modes(args.modes, [20, 40, 60])
     bench = _build(name, config)
     snapshots, warnings = _collect_snapshots(args, bench, config)
 
-    files = []
-    info: dict = {"method": method, "modes": modes}
     if method in SYMPLECTIC_METHODS:
         _require_even(modes, f"{method} basis")
-        basis, values, extra_info = _make_symplectic_basis(
-            method, snapshots, max(modes) // 2)
-        info.update(extra_info)
+    basis, values, info = _make_basis(method, snapshots, max(modes))
+    info.update(method=method, modes=modes)
+    files = []
+    if method in SYMPLECTIC_METHODS:
         checks = {}
         for m in modes:
             sub = basis.truncate(m // 2)
@@ -271,15 +265,9 @@ def cmd_build_basis(args) -> int:
         value_kind = ("greedy_worst_error" if method == "greedy"
                       else "stacked_singular_value")
     else:
-        v, values = pod_basis(snapshots, max(modes))
-        if v.shape[1] < max(modes):
-            raise ConfigError(
-                f"snapshot rank supports only {v.shape[1]} modes "
-                f"out of {max(modes)}"
-            )
         for m in modes:
             files.append(storage.write_matrix(out / f"basis_k{m}.mtx",
-                                              v[:, :m]))
+                                              basis[:, :m]))
         value_kind = "singular_value"
     info["values_kind"] = value_kind
     files.append(storage.write_csv(
@@ -298,7 +286,7 @@ def cmd_build_basis(args) -> int:
 
 def cmd_reduce(args) -> int:
     name, config = resolve_config(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     bench = _build(name, config)
     basis = _basis_from_file(args.basis)
     m = basis.n_columns
@@ -357,7 +345,7 @@ def _run_reduced(reduced, config, mapper, method: str):
 
 def cmd_run_reduced(args) -> int:
     name, config = resolve_config(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     bench = _build(name, config)
     if args.method == "pod":
         mapper = _read_input(storage.read_matrix, args.basis)
@@ -386,21 +374,11 @@ def cmd_run_reduced(args) -> int:
 # -- compare ------------------------------------------------------------------
 
 
-def _on_snapshot_grid(series, report):
-    """Subsample a per-step series onto the report's snapshot instants."""
-    idx = np.rint(report.snapshots.times / report.dt).astype(int)
-    return np.asarray(series)[idx]
-
-
-def _lifted_kinetic(mapper, derivatives, n_full: int, dx: float):
-    v = (mapper.lift(derivatives) if isinstance(mapper, OrthoSymplecticBasis)
-         else mapper @ derivatives)[:n_full]
-    return 0.5 * dx * np.sum(v * v, axis=0)
-
-
-def _compare_cell(bench, config, method, basis_or_v, reference,
-                  ref_energy, model):
-    """One (method, mode-count) comparison cell.
+def _compare_cell(bench, config, method, mapper, reference, ref_energy,
+                  model):
+    """One (method, mode-count) comparison cell: its manifest summary and
+    its table columns by prefix, or None for the columns of a run that
+    blew up.
 
     Every cell is measured against the one full closed-formulation run.
     A cell is flagged unstable when its trajectory leaves floating point
@@ -408,12 +386,13 @@ def _compare_cell(bench, config, method, basis_or_v, reference,
     the spectral abscissa of the baseline generators is recorded as an
     additional diagnostic, and so is dt_omega_max of the rdh and psd models.
     A cell that ran also records its speedup, the full run's wall time over
-    its own.
+    its own. The columns are the error and energy on the snapshot grid, the
+    string and extended energy of an rdh run, the kinetic energy on
+    sine-gordon and the time-averaged error per component on the ladder.
     """
-    n_full = bench.system.n
     dx = bench.system.dx
     cell: dict = {"unstable": False}
-    reduced = _project(bench, basis_or_v, method, model)
+    reduced = _project(bench, mapper, method, model)
     if method != "rdh":   # the linear generator of a baseline model
         cell["abscissa"] = reduction.spectral_abscissa(
             reduced.model.linear_operator() if method == "psd"
@@ -421,49 +400,51 @@ def _compare_cell(bench, config, method, basis_or_v, reference,
     if method != "pod":   # the Verlet steppers' stability measure
         cell["dt_omega_max"] = reduction.dt_omega_max(
             reduced.system if method == "rdh" else reduced.model, config.dt)
-    m = reference.snapshots.count
     try:
-        report, lift = _run_reduced(reduced, config, basis_or_v, method)
+        report, lift = _run_reduced(reduced, config, mapper, method)
     except NonFiniteError as exc:
         cell["unstable"] = True
         cell["failure_step"] = exc.step
-        for key in ("errors", "energy", "kinetic"):
-            cell[key] = np.full(m, np.nan)
         cell["max_error"] = cell["mean_error"] = cell["energy_error"] = \
             float("inf")
-        return cell
+        return cell, None
     recon = reduction.reconstruct(lift, report.snapshots, dx=dx)
     err = reduction.l2_error(reference.snapshots, recon)
     energy = bench.system.hamiltonian(recon.states)
-    cell["errors"] = err.per_instant
     cell["max_error"] = err.max_weighted
     cell["mean_error"] = err.mean_weighted
     cell["max_relative"] = err.max_relative
     cell["mean_relative"] = err.mean_relative
-    cell["energy"] = energy
     scale = max(float(np.abs(ref_energy).max()), 1e-300)
     cell["energy_error"] = float(np.abs(energy - ref_energy).mean()) / scale
     cell["energy_growth"] = reduction.terminal_growth(
         np.abs(energy - ref_energy))
     if cell["energy_growth"]:
         cell["unstable"] = True
-    if method == "rdh":
-        cell["string_energy"] = _on_snapshot_grid(report.string_energy,
-                                                  report)
-        cell["extended_energy"] = _on_snapshot_grid(report.extended_energy,
-                                                    report)
-    cell["kinetic"] = _lifted_kinetic(lift, report.derivatives, n_full, dx)
     cell["volterra_max"] = report.volterra_max
     cell["kz_max"] = report.kz_max
     cell["wall_seconds"] = report.wall_seconds
     cell["speedup"] = reference.wall_seconds / report.wall_seconds
-    cell["reconstructed"] = recon
-    return cell
+    columns = {"err": err.per_instant, "H": energy}
+    if method == "rdh":
+        columns["Estring"] = report.string_energy[::config.snapshot_stride]
+        columns["Hext"] = report.extended_energy[::config.snapshot_stride]
+    if bench.name == "sine-gordon":
+        v = (lift @ report.derivatives if method == "pod"
+             else lift.lift(report.derivatives))[:bench.system.n]
+        columns["kinetic"] = 0.5 * dx * np.sum(v * v, axis=0)
+    if bench.name == "ladder":
+        # interleaved charge/flux coordinates recovered through the
+        # transform
+        diff = bench.extras["transform"] @ (reference.snapshots.states
+                                            - recon.states)
+        columns["avg"] = np.abs(diff).mean(axis=1)
+    return cell, columns
 
 
 def cmd_compare(args) -> int:
     name, config = resolve_config(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     methods = [m.strip() for m in (args.methods or "rdh,psd,pod").split(",")
                if m.strip()]
     unknown = [m for m in methods if m not in ("rdh", "psd", "pod")]
@@ -483,89 +464,54 @@ def cmd_compare(args) -> int:
     bench = _build(name, config)
 
     full = _integrate_full(bench, config)
-    sym_basis = None
     if "rdh" in methods or "psd" in methods:
-        sym_basis, _, _ = _make_symplectic_basis(
-            basis_method, full.snapshots, max(modes) // 2)
-    pod_v = None
+        sym_basis, _, _ = _make_basis(basis_method, full.snapshots,
+                                      max(modes))
     if "pod" in methods:
-        pod_v, _ = pod_basis(full.snapshots, max(modes))
-        if pod_v.shape[1] < max(modes):
-            raise ConfigError(
-                f"snapshot rank supports only {pod_v.shape[1]} modes")
-
+        pod_v, _, _ = _make_basis("pod", full.snapshots, max(modes))
     ref_energy = bench.system.hamiltonian(full.snapshots.states)
-    cells = [(method, m) for method in methods for m in modes]
     # the baselines all project one dissipative model
     model = (bench.dissipative_model()
              if "psd" in methods or "pod" in methods else None)
 
-    by_cell = {}
-    for method, m in cells:
-        mapper = pod_v[:, :m] if method == "pod" else sym_basis.truncate(m // 2)
-        by_cell[(method, m)] = _compare_cell(bench, config, method, mapper,
-                                             full, ref_energy, model)
-
+    # (file, headers, columns, column prefixes of each cell); a cell adds
+    # one column per prefix, a blown-up cell a NaN column, and only rdh
+    # cells have string and extended energy
     times = full.snapshots.times
-    files = []
-
-    headers = ["t"]
-    columns = [times]
-    for (method, m) in cells:
-        headers.append(f"err_{method}_k{m}")
-        columns.append(by_cell[(method, m)]["errors"])
-    files.append(storage.write_csv(out / "errors.csv", headers, columns))
-
-    headers = ["t", "H_full", "Estring_full", "Hext_full"]
-    columns = [times, ref_energy,
-               _on_snapshot_grid(full.string_energy, full),
-               _on_snapshot_grid(full.extended_energy, full)]
-    for (method, m) in cells:
-        cell = by_cell[(method, m)]
-        headers.append(f"H_{method}_k{m}")
-        columns.append(cell["energy"])
-        if "string_energy" in cell:
-            headers += [f"Estring_{method}_k{m}", f"Hext_{method}_k{m}"]
-            columns += [cell["string_energy"], cell["extended_energy"]]
-    files.append(storage.write_csv(out / "energy.csv", headers, columns))
-
+    stride = config.snapshot_stride
+    tables = [
+        ("errors.csv", ["t"], [times], ("err",)),
+        ("energy.csv", ["t", "H_full", "Estring_full", "Hext_full"],
+         [times, ref_energy, full.string_energy[::stride],
+          full.extended_energy[::stride]], ("H", "Estring", "Hext")),
+    ]
     if name == "sine-gordon":
-        headers = ["t", "kinetic_full"]
-        columns = [times, full.kinetic_series()]
-        for (method, m) in cells:
-            headers.append(f"kinetic_{method}_k{m}")
-            columns.append(by_cell[(method, m)]["kinetic"])
-        files.append(storage.write_csv(out / "kinetic.csv", headers, columns))
+        tables.append(("kinetic.csv", ["t", "kinetic_full"],
+                       [times, full.kinetic_series()], ("kinetic",)))
+    if name == "ladder":   # time-averaged error per physical component
+        tables.append(("component_errors.csv", ["component"],
+                       [np.arange(bench.system.dim)], ("avg",)))
 
-    if name == "ladder":
-        # time-averaged error per physical component (interleaved
-        # charge/flux coordinates recovered through the transform)
-        t_mat = bench.extras["transform"]
-        headers = ["component"]
-        columns = [np.arange(bench.system.dim)]
-        for (method, m) in cells:
-            cell = by_cell[(method, m)]
-            if cell["unstable"] and "reconstructed" not in cell:
-                comp = np.full(bench.system.dim, np.nan)
-            else:
-                diff = t_mat @ (full.snapshots.states
-                                - cell["reconstructed"].states)
-                comp = np.abs(diff).mean(axis=1)
-            headers.append(f"avg_{method}_k{m}")
-            columns.append(comp)
-        files.append(storage.write_csv(out / "component_errors.csv",
-                                       headers, columns))
+    summary, flagged = {}, []
+    for method in methods:
+        for m in modes:
+            key = f"{method}_k{m}"
+            mapper = (pod_v[:, :m] if method == "pod"
+                      else sym_basis.truncate(m // 2))
+            summary[key], cols = _compare_cell(bench, config, method, mapper,
+                                               full, ref_energy, model)
+            if summary[key]["unstable"]:
+                flagged.append(key)
+            for _, headers, columns, prefixes in tables:
+                for prefix in prefixes:
+                    if method != "rdh" and prefix in ("Estring", "Hext"):
+                        continue
+                    headers.append(f"{prefix}_{key}")
+                    columns.append(np.full(len(columns[0]), np.nan)
+                                   if cols is None else cols[prefix])
+    files = [storage.write_csv(out / file, headers, columns)
+             for file, headers, columns, _ in tables]
 
-    summary = {}
-    for (method, m), cell in by_cell.items():
-        summary[f"{method}_k{m}"] = {
-            k: cell[k] for k in
-            ("unstable", "energy_growth", "abscissa", "max_error",
-             "mean_error", "max_relative", "mean_relative", "energy_error",
-             "failure_step", "volterra_max", "kz_max", "wall_seconds",
-             "speedup", "dt_omega_max")
-            if k in cell
-        }
     manifest = storage.build_manifest(
         "compare", name, _config_dict(config), files, out,
         extra={
@@ -585,10 +531,9 @@ def cmd_compare(args) -> int:
         },
     )
     storage.write_manifest(manifest, out / "manifest.json")
-    flagged = [f"{m}_k{k}" for (m, k) in cells if by_cell[(m, k)]["unstable"]]
     note = f", unstable: {', '.join(flagged)}" if flagged else ""
-    print(f"compare {name}: {len(cells)} cells ({', '.join(methods)}; "
-          f"modes {modes}){note} -> {out}")
+    print(f"compare {name}: {len(methods) * len(modes)} cells "
+          f"({', '.join(methods)}; modes {modes}){note} -> {out}")
     return 0
 
 

@@ -154,6 +154,7 @@ def test_build_basis_rejects_bad_mode_lists(tmp_path, capsys):
     assert "even mode counts" in capsys.readouterr().err
     assert _run(*base, "--modes", "0") == 2
     assert _run(*base, "--modes", "a,b") == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_reduce_and_run_reduced_roundtrip(tmp_path):
@@ -276,14 +277,35 @@ def test_compare_duplicate_method_is_zero_difference(tmp_path):
 
 
 def test_compare_ladder_components(tmp_path, capsys):
+    """The error and component-error columns equal those recomputed from
+    run-full's snapshots and run-reduced's trajectory on the same basis."""
+    config = ("--benchmark", "ladder", "--set", "cells=10",
+              "--set", "t_final=5.0")
     out = tmp_path / "ladder"
-    assert _run("compare", "--benchmark", "ladder", "--set", "cells=10",
-                "--set", "t_final=5.0", "--methods", "rdh",
-                "--modes", "4", "--out", str(out)) == 0
+    assert _run("compare", *config, "--methods", "rdh", "--modes", "4",
+                "--out", str(out)) == 0
     header, data = read_csv(out / "component_errors.csv")
     assert header == ["component", "avg_rdh_k4"]
     assert data.shape == (20, 2)
     assert np.isfinite(data).all()
+
+    assert _run("run-full", *config, "--out", str(tmp_path / "full")) == 0
+    assert _run("build-basis", *config, "--method", "cotangent",
+                "--modes", "4", "--out", str(tmp_path / "basis")) == 0
+    assert _run("run-reduced", *config, "--method", "rdh",
+                "--basis", str(tmp_path / "basis" / "basis_k4.mtx"),
+                "--out", str(tmp_path / "red")) == 0
+    full = read_snapshots(tmp_path / "full" / "snapshots.mtx")
+    recon = read_snapshots(tmp_path / "red" / "reconstructed_k4.mtx")
+    transform = sm.build_benchmark("ladder", sm.make_config(
+        "ladder", {"cells": 10, "t_final": 5.0})).extras["transform"]
+    avg = np.abs(transform @ (full.states - recon.states)).mean(axis=1)
+    np.testing.assert_allclose(data[:, 1], avg, rtol=1e-12, atol=0.0)
+    header, errors = read_csv(out / "errors.csv")
+    assert header == ["t", "err_rdh_k4"]
+    np.testing.assert_allclose(errors[:, 1],
+                               sm.l2_error(full, recon).per_instant,
+                               rtol=1e-12, atol=0.0)
 
     rc = _run("compare", "--benchmark", "ladder", "--set", "cells=10",
               "--set", "t_final=5.0", "--basis-method", "greedy",
@@ -331,12 +353,13 @@ def test_compare_unknown_method(tmp_path, capsys):
               "--methods", ",", "--out", str(tmp_path / "x"))
     assert rc == 2
     assert "names no method" in capsys.readouterr().err
-    assert not (tmp_path / "x" / "errors.csv").exists()
+    assert not (tmp_path / "x").exists()
 
 
 def test_compare_flags_blown_up_cells(tmp_path):
     """Reduced cells that leave floating point range are recorded as
-    unstable with the step of the failure, not raised out of compare."""
+    unstable with the step of the failure, not raised out of compare, and
+    write an all-NaN column for every column of their method."""
     out = tmp_path / "blow"
     rc = _run("compare", "--benchmark", "wave-lowdiss",
               "--basis-method", "greedy", "--set", "n=100",
@@ -348,6 +371,15 @@ def test_compare_flags_blown_up_cells(tmp_path):
         assert cells[key]["unstable"] is True
         step = cells[key]["failure_step"]
         assert isinstance(step, int) and step >= 1
+    header, data = read_csv(out / "errors.csv")
+    assert header == ["t", "err_rdh_k50", "err_psd_k50"]
+    assert np.isnan(data[:, 1:]).all()
+    header, data = read_csv(out / "energy.csv")
+    assert header == ["t", "H_full", "Estring_full", "Hext_full",
+                      "H_rdh_k50", "Estring_rdh_k50", "Hext_rdh_k50",
+                      "H_psd_k50"]
+    assert np.isfinite(data[:, :4]).all()
+    assert np.isnan(data[:, 4:]).all()
 
 
 def test_deterministic_artifacts(tmp_path):
@@ -489,6 +521,7 @@ def test_input_file_mistakes_exit_2(tmp_path, capsys, small_bases, argv,
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
     assert errors and message in errors[0]
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("name, setting, message", [
