@@ -21,8 +21,8 @@ from .reduction import (PodModel, ReducedDissipative, ReducedTdd,
                         terminal_growth)
 from .symplectic import (CanonicalForm, DegenerateVector, GreedyResult,
                          OrthoSymplecticBasis, SnapshotSet, cotangent_lift,
-                         greedy_basis, pod_basis, singular_value_report,
-                         symplectic_gram_schmidt, symplectic_inverse)
+                         greedy_basis, pod_basis, symplectic_gram_schmidt,
+                         symplectic_inverse)
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "psd_baseline",
     "rdh_reduce",
     "reconstruct",
-    "singular_value_report",
     "skew_to_canonical",
     "spectral_abscissa",
     "spline_bump",

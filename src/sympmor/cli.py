@@ -127,8 +127,10 @@ def _read_input(read, path, *args):
 def _basis_from_file(path) -> OrthoSymplecticBasis:
     """Load a paired basis written by build-basis and check the pairing."""
     a = _read_input(storage.read_matrix, path)
-    if a.ndim != 2 or a.shape[1] % 2:
-        raise ConfigError(f"{path}: expected an even number of basis columns")
+    if a.ndim != 2 or a.shape[0] % 2 or a.shape[1] % 2 or not a.shape[1]:
+        raise ConfigError(f"{path}: expected an even number of rows and a "
+                          f"positive even number of basis columns, got "
+                          f"shape {a.shape}")
     basis = OrthoSymplecticBasis(a[:, : a.shape[1] // 2])
     if np.abs(basis.matrix - a).max() > 1e-12:
         raise ConfigError(
@@ -172,11 +174,12 @@ def _end_warnings(report, config) -> list[str]:
 
 
 def _stability_warnings(dt_omega: dict) -> list[str]:
-    """Manifest warnings for reduced models whose dt_omega_max reaches the
-    Stoermer-Verlet stability limit 2, by cell name."""
+    """Manifest warnings for reduced models whose dt_omega_max reaches 2, by
+    cell name. Staying below 2 is necessary for a stable Stoermer-Verlet
+    run, not sufficient: a model without a warning may still blow up."""
     return [f"{key}: dt_omega_max {value:.6g} >= 2, past the Verlet "
-            f"stability limit" for key, value in dt_omega.items()
-            if value >= 2.0]
+            f"stability limit (below 2 is necessary, not sufficient)"
+            for key, value in dt_omega.items() if value >= 2.0]
 
 
 def cmd_run_full(args) -> int:
@@ -218,21 +221,22 @@ def _make_basis(method: str, snapshots, modes: int):
     """Basis of ``modes`` columns (``modes // 2`` pairs for a symplectic
     method), its per-mode diagnostic values (greedy errors or singular
     values) and the method's extra manifest info. Snapshots of too low a
-    rank for ``modes`` columns are a configuration error."""
+    rank for ``modes`` columns, or of rank zero (a run at rest), are a
+    configuration error."""
     extra = {}
-    if method == "greedy":
-        try:
+    try:
+        if method == "greedy":
             result = greedy_basis(snapshots, modes // 2)
-        except ValueError as exc:       # e.g. a run started at rest
-            raise ConfigError(str(exc)) from None
-        basis, values = result.basis, result.worst_errors
-        extra["selected"] = result.selected
-    elif method == "cotangent":
-        basis, values = cotangent_lift(snapshots, modes // 2)
-    elif method == "pod":
-        basis, values = pod_basis(snapshots, modes)
-    else:
-        raise ConfigError(f"unknown basis method {method!r}")
+            basis, values = result.basis, result.worst_errors
+            extra["selected"] = result.selected
+        elif method == "cotangent":
+            basis, values = cotangent_lift(snapshots, modes // 2)
+        elif method == "pod":
+            basis, values = pod_basis(snapshots, modes)
+        else:
+            raise ConfigError(f"unknown basis method {method!r}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     got = basis.shape[1] if method == "pod" else basis.n_columns
     if got < modes:
         raise ConfigError(f"snapshot rank supports only {got} {method} modes "
@@ -333,13 +337,16 @@ def _project(bench, mapper, method: str, model=None):
         raise ConfigError(f"reduction failed: {exc}") from None
 
 
-def _run_reduced(reduced, config, mapper, method: str):
-    """Integrate one projected model; returns (report, lift)."""
+def _run_reduced(reduced, config, method: str):
+    """Integrate one projected model; returns (report, lift), the lift the
+    basis matrix that maps its reduced coordinates back to the full space."""
     grid = _grid(config)
     if method == "rdh":
-        return dynamics.integrate(reduced.system, **grid), mapper
+        return (dynamics.integrate(reduced.system, **grid),
+                reduced.basis.matrix)
     if method == "psd":
-        return dynamics.integrate_dissipative(reduced.model, **grid), mapper
+        return (dynamics.integrate_dissipative(reduced.model, **grid),
+                reduced.basis.matrix)
     return dynamics.integrate_rk4(reduced.rhs, reduced.y0, **grid), reduced.v
 
 
@@ -347,14 +354,11 @@ def cmd_run_reduced(args) -> int:
     name, config = resolve_config(args)
     out = Path(args.out)
     bench = _build(name, config)
-    if args.method == "pod":
-        mapper = _read_input(storage.read_matrix, args.basis)
-        m = mapper.shape[1]
-    else:
-        mapper = _basis_from_file(args.basis)
-        m = mapper.n_columns
+    mapper = (_read_input(storage.read_matrix, args.basis)
+              if args.method == "pod" else _basis_from_file(args.basis))
     reduced = _project(bench, mapper, args.method)
-    report, lift = _run_reduced(reduced, config, mapper, args.method)
+    report, lift = _run_reduced(reduced, config, args.method)
+    m = lift.shape[1]
     recon = reduction.reconstruct(lift, report.snapshots, dx=bench.system.dx)
     files = [storage.write_report_csv(report, out / f"reduced_report_k{m}.csv")]
     files += storage.write_snapshots(recon, out / f"reconstructed_k{m}.mtx")
@@ -401,7 +405,7 @@ def _compare_cell(bench, config, method, mapper, reference, ref_energy,
         cell["dt_omega_max"] = reduction.dt_omega_max(
             reduced.system if method == "rdh" else reduced.model, config.dt)
     try:
-        report, lift = _run_reduced(reduced, config, mapper, method)
+        report, lift = _run_reduced(reduced, config, method)
     except NonFiniteError as exc:
         cell["unstable"] = True
         cell["failure_step"] = exc.step
@@ -430,8 +434,7 @@ def _compare_cell(bench, config, method, mapper, reference, ref_energy,
         columns["Estring"] = report.string_energy[::config.snapshot_stride]
         columns["Hext"] = report.extended_energy[::config.snapshot_stride]
     if bench.name == "sine-gordon":
-        v = (lift @ report.derivatives if method == "pod"
-             else lift.lift(report.derivatives))[:bench.system.n]
+        v = lift[:bench.system.n] @ report.derivatives
         columns["kinetic"] = 0.5 * dx * np.sum(v * v, axis=0)
     if bench.name == "ladder":
         # interleaved charge/flux coordinates recovered through the

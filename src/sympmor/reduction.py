@@ -17,22 +17,19 @@ from .dynamics import DissipativeModel, TddSystem, cholesky_factor
 from .symplectic import OrthoSymplecticBasis, SnapshotSet
 
 
-def _pulled_back_callables(system, basis: OrthoSymplecticBasis):
-    """Reduced nonlinear gradient A^T g(A y) and potential V(A y); like the
-    full ones, both take a state or a block of states as columns."""
-    grad = potential = None
-    if system.nonlinear_grad is not None:
-        full_grad = system.nonlinear_grad
-
-        def grad(y):
-            return basis.coefficients(np.asarray(full_grad(basis.lift(y)),
-                                                 dtype=float))
-    if system.potential is not None:
-        full_pot = system.potential
-
-        def potential(y):
-            return full_pot(basis.lift(y))
-    return grad, potential
+def _pulled_back(a: np.ndarray, grad, potential):
+    """A full-order gradient g and potential V pulled back through the basis
+    matrix ``a``: y -> a^T g(a y) and y -> V(a y), or None where the full
+    one is None. Like the full ones, both take a state or a block of states
+    as columns."""
+    red_grad = red_potential = None
+    if grad is not None:
+        def red_grad(y):
+            return a.T @ np.asarray(grad(a @ y), dtype=float)
+    if potential is not None:
+        def red_potential(y):
+            return potential(a @ y)
+    return red_grad, red_potential
 
 
 @dataclass
@@ -63,17 +60,17 @@ def rdh_reduce(system: TddSystem, basis: OrthoSymplecticBasis) -> ReducedTdd:
     # rounds a product by operand layout, and so chi_red is bitwise A^T chi A
     chi_red = np.ascontiguousarray(system.chi_apply(a).T) @ a
     chi_red = 0.5 * (chi_red + chi_red.T)
-    grad, potential = _pulled_back_callables(system, basis)
+    grad, potential = _pulled_back(a, system.nonlinear_grad, system.potential)
     reduced = TddSystem(
         K=k_red,
         chi=chi_red,
-        z0=basis.coefficients(system.z0),
+        z0=a.T @ system.z0,
         nonlinear_grad=grad,
         potential=potential,
         input_vector=None if system.input_vector is None
-        else basis.coefficients(system.input_vector),
+        else a.T @ system.input_vector,
         boundary_vector=None if system.boundary_vector is None
-        else basis.coefficients(system.boundary_vector),
+        else a.T @ system.boundary_vector,
         dx=1.0,
         name=f"{system.name}-reduced-{basis.n_columns}",
     )
@@ -103,21 +100,21 @@ class ReducedDissipative:
 def psd_baseline(model: DissipativeModel,
                  basis: OrthoSymplecticBasis) -> ReducedDissipative:
     """Symplectic projection of the plain dissipative form (no string
-    extension): dy/dt = J_2k grad H(Ay) - A^+ R A y + A^+ u."""
+    extension): dy/dt = J_2k grad H(Ay) - A^+ R A y + A^+ u, with the
+    symplectic inverse A^+ = A^T of the ortho-symplectic basis."""
     if 2 * basis.n != model.dim:
         raise ValueError("basis does not match the model dimension")
     a = basis.matrix
-    a_plus = basis.symplectic_inverse()
     stiff = a.T @ model.stiffness @ a
-    grad, potential = _pulled_back_callables(model, basis)
+    grad, potential = _pulled_back(a, model.nonlinear_grad, model.potential)
     reduced = DissipativeModel(
         stiffness=0.5 * (stiff + stiff.T),
-        drift=None if model.drift is None else a_plus @ model.drift @ a,
-        z0=a_plus @ model.z0,
+        drift=None if model.drift is None else a.T @ model.drift @ a,
+        z0=a.T @ model.z0,
         nonlinear_grad=grad,
         potential=potential,
         input_vector=None if model.input_vector is None
-        else a_plus @ model.input_vector,
+        else a.T @ model.input_vector,
         boundary_vector=None if model.boundary_vector is None
         else a.T @ model.boundary_vector,
         dx=1.0,
@@ -162,12 +159,9 @@ def pod_baseline(model: DissipativeModel, v: np.ndarray) -> PodModel:
         if model.input_vector is not None:
             c = c + model.input_vector
         constant = v.T @ c
-    nonlinear = None
-    if model.nonlinear_grad is not None:
-        full_grad = model.nonlinear_grad
-
-        def nonlinear(y):
-            return v.T @ j.apply(np.asarray(full_grad(v @ y), dtype=float))
+    grad = model.nonlinear_grad     # enters the flow as J g(z)
+    nonlinear, _ = _pulled_back(
+        v, None if grad is None else lambda z: j.apply(grad(z)), None)
     return PodModel(matrix=matrix, constant=constant, nonlinear=nonlinear,
                     v=v, y0=v.T @ model.z0)
 
@@ -185,8 +179,11 @@ def spectral_abscissa(matrix: np.ndarray) -> float:
 def dt_omega_max(model, dt: float) -> float:
     """dt times the largest frequency of a model's quadratic energy
     0.5 z^T S z: dt max |eig(J S)|, with S = K^T K for a TddSystem and the
-    stiffness for a DissipativeModel. The Stoermer-Verlet step is linearly
-    stable on the conservative part of the flow only below 2.
+    stiffness for a DissipativeModel. A value below 2 is necessary for the
+    Stoermer-Verlet step to be linearly stable on the conservative part of
+    the flow, not sufficient: the stages split S into its q and p blocks,
+    and the closed form steps with K^T (I + w chi)^{-1} K, so a run below 2
+    can still blow up.
     """
     s = model.K.T @ model.K if isinstance(model, TddSystem) else model.stiffness
     return float(dt * np.abs(np.linalg.eigvals(model.J.apply(s))).max())
@@ -206,16 +203,12 @@ def terminal_growth(error_series) -> bool:
                 and err[-1] >= 10.0 * early)
 
 
-def reconstruct(mapper, snapshots: SnapshotSet, dx: float) -> SnapshotSet:
-    """Lift reduced-coordinate snapshots back to the full space.
-
-    ``mapper`` is an OrthoSymplecticBasis (paired lift) or a plain matrix.
-    """
-    if isinstance(mapper, OrthoSymplecticBasis):
-        states = mapper.lift(snapshots.states)
-    else:
-        states = np.asarray(mapper, dtype=float) @ snapshots.states
-    return SnapshotSet(times=snapshots.times, states=states, dx=dx)
+def reconstruct(lift: np.ndarray, snapshots: SnapshotSet,
+                dx: float) -> SnapshotSet:
+    """Lift reduced-coordinate snapshots back to the full space through a
+    basis matrix: the states ``lift @ Y``."""
+    return SnapshotSet(times=snapshots.times, states=lift @ snapshots.states,
+                       dx=dx)
 
 
 @dataclass

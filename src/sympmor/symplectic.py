@@ -121,8 +121,9 @@ class OrthoSymplecticBasis:
     """Ortho-symplectic basis A = [E | J^T E] of shape (2n, 2k).
 
     The column pairing (column k+i equals J^T applied to column i) is
-    maintained structurally, which makes the symplectic inverse equal the
-    transpose; :meth:`coefficients` and :meth:`project` rely on that.
+    maintained structurally, which makes the symplectic inverse A^+ equal
+    the transpose A^T. Lift, coefficients and projection are products with
+    the cached :attr:`matrix` and its transpose.
     """
 
     def __init__(self, lead: np.ndarray):
@@ -158,22 +159,17 @@ class OrthoSymplecticBasis:
         return self._matrix
 
     def coefficients(self, z):
-        """Reduced coordinates A^+ z (equal to A^T z by column pairing)."""
-        top = self.lead.T @ z
-        bottom = self.lead.T @ self.J.apply(z)
-        return np.concatenate([top, bottom], axis=0)
+        """Reduced coordinates A^+ z = A^T z."""
+        return self.matrix.T @ z
 
     def project(self, z):
-        """Orthogonal (= symplectic, by pairing) projection A A^+ z."""
-        c = self.coefficients(z)
-        k = self.k
-        return self.lead @ c[:k] + self.J.apply_transpose(self.lead @ c[k:])
+        """Orthogonal (= symplectic) projection A A^T z."""
+        a = self.matrix
+        return a @ (a.T @ z)
 
     def lift(self, y):
         """Map reduced coordinates back: A y."""
-        y = np.asarray(y, dtype=float)
-        k = self.k
-        return self.lead @ y[:k] + self.J.apply_transpose(self.lead @ y[k:])
+        return self.matrix @ y
 
     def symplectic_inverse(self) -> np.ndarray:
         return symplectic_inverse(self.matrix)
@@ -305,6 +301,24 @@ def greedy_basis(snapshots: SnapshotSet, max_pairs: int,
                         selected=selected)
 
 
+def _leading_left_singular_vectors(block: np.ndarray, count: int,
+                                   what: str):
+    """The ``count`` leading left singular vectors of ``block`` and its full
+    singular value sequence. A request past the numerical rank is truncated
+    to it with a warning; a block of rank zero is an error."""
+    u, s, _ = np.linalg.svd(block, full_matrices=False)
+    rank = int(np.sum(s > s[0] * 1e-14)) if s.size else 0
+    if rank == 0:
+        raise ValueError("snapshot set has rank zero")
+    if count > rank:
+        warnings.warn(
+            f"requested {count} {what} but the snapshots have rank {rank}; "
+            f"truncating", stacklevel=3,
+        )
+        count = rank
+    return u[:, :count], s
+
+
 def cotangent_lift(snapshots: SnapshotSet, pairs: int):
     """Cotangent-lift basis: shared SVD factor for the q and p blocks.
 
@@ -319,46 +333,15 @@ def cotangent_lift(snapshots: SnapshotSet, pairs: int):
     """
     n = snapshots.dim // 2
     stacked = np.hstack([snapshots.states[:n], snapshots.states[n:]])
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(s > s[0] * 1e-14)) if s.size else 0
-    if pairs > rank:
-        warnings.warn(
-            f"requested {pairs} pairs but stacked snapshots have rank {rank}; "
-            f"truncating", stacklevel=2,
-        )
-        pairs = rank
-    if pairs < 1:
-        raise ValueError("snapshot set has rank zero")
-    lead = np.vstack([u[:, :pairs], np.zeros((n, pairs))])
-    return OrthoSymplecticBasis(lead), s
+    phi, s = _leading_left_singular_vectors(stacked, pairs, "pairs")
+    return OrthoSymplecticBasis(np.vstack([phi, np.zeros_like(phi)])), s
 
 
 def pod_basis(snapshots: SnapshotSet, modes: int):
-    """Plain POD basis: leading left singular vectors of the snapshot matrix.
+    """Plain POD basis: leading left singular vectors of the snapshot matrix,
+    and the full singular value sequence.
 
     No symplectic structure; reference baseline only.
     """
-    u, s, _ = np.linalg.svd(snapshots.states, full_matrices=False)
-    rank = int(np.sum(s > s[0] * 1e-14)) if s.size else 0
-    if modes > rank:
-        warnings.warn(
-            f"requested {modes} POD modes but snapshots have rank {rank}; "
-            f"truncating", stacklevel=2,
-        )
-        modes = rank
-    if modes < 1:
-        raise ValueError("snapshot set has rank zero")
-    return u[:, :modes], s
-
-
-def singular_value_report(snapshots: SnapshotSet, mode: str = "pod") -> np.ndarray:
-    """Singular values of the snapshot matrix ("pod") or of the stacked
-    q/p block used by the cotangent lift ("cotangent")."""
-    if mode == "pod":
-        return np.linalg.svd(snapshots.states, compute_uv=False)
-    if mode == "cotangent":
-        n = snapshots.dim // 2
-        stacked = np.hstack([snapshots.states[:n], snapshots.states[n:]])
-        return np.linalg.svd(stacked, compute_uv=False)
-    raise ValueError(f"unknown singular value mode {mode!r}")
-
+    return _leading_left_singular_vectors(snapshots.states, modes,
+                                          "POD modes")

@@ -194,8 +194,8 @@ def wave_n500_greedy40(wave_n500, run_registry):
     return red, rep
 
 
-def _error_cell(bench, reference, mapper, report):
-    recon = sm.reconstruct(mapper, report.snapshots, dx=bench.system.dx)
+def _error_cell(bench, reference, lift, report):
+    recon = sm.reconstruct(lift, report.snapshots, dx=bench.system.dx)
     return {"report": report, "error": sm.l2_error(reference, recon)}
 
 
@@ -220,12 +220,13 @@ def wave_n100_sweep(wave_n100, run_registry):
         red = sm.rdh_reduce(bench.system, sub)
         rep = _reduced_run(red.system, config, run_registry,
                            f"wave-n100-rdh-{m}")
-        cells["rdh", m] = _error_cell(bench, full.snapshots, sub, rep)
+        cells["rdh", m] = _error_cell(bench, full.snapshots, sub.matrix,
+                                      rep)
         psd = sm.psd_baseline(model, sub)
         rep = sm.integrate_dissipative(
             psd.model, dt=config.dt, t_final=config.t_final,
             snapshot_stride=config.snapshot_stride)
-        cell = _error_cell(bench, full.snapshots, sub, rep)
+        cell = _error_cell(bench, full.snapshots, sub.matrix, rep)
         cell["log_norm"] = energy_log_norm(psd.model.linear_operator(),
                                            psd.model.stiffness)
         cells["psd", m] = cell
@@ -259,8 +260,9 @@ def lowdiss_pair(lowdiss_n100, run_registry):
     rep_psd = sm.integrate_dissipative(
         psd.model, dt=config.dt, t_final=config.t_final,
         snapshot_stride=config.snapshot_stride)
-    recon_rdh = sm.reconstruct(basis, rep_rdh.snapshots, dx=bench.system.dx)
-    recon_psd = sm.reconstruct(basis, rep_psd.snapshots, dx=bench.system.dx)
+    a = basis.matrix
+    recon_rdh = sm.reconstruct(a, rep_rdh.snapshots, dx=bench.system.dx)
+    recon_psd = sm.reconstruct(a, rep_psd.snapshots, dx=bench.system.dx)
     return {
         "err_rdh": sm.l2_error(full.snapshots, recon_rdh),
         "err_psd": sm.l2_error(full.snapshots, recon_psd),

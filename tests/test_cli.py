@@ -13,7 +13,8 @@ import pytest
 import sympmor as sm
 from sympmor.cli import main
 from sympmor.storage import (read_csv, read_matrix, read_snapshots,
-                             read_vector, verify_manifest, write_snapshots)
+                             read_vector, verify_manifest, write_matrix,
+                             write_snapshots)
 
 
 def _run(*argv):
@@ -487,12 +488,16 @@ def test_configuration_errors(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def small_bases(tmp_path_factory):
-    """Cotangent and POD bases (4 modes) of a 20-dimensional wave."""
+    """Cotangent and POD bases (4 modes) of a 20-dimensional wave, and two
+    malformed basis files: one of an odd row count and one without
+    columns."""
     root = tmp_path_factory.mktemp("bases")
     for method in ("cotangent", "pod"):
         assert _run("build-basis", "--benchmark", "wave", "--set", "n=10",
                     "--set", "t_final=0.5", "--method", method,
                     "--modes", "4", "--out", str(root / method)) == 0
+    write_matrix(root / "odd_rows.mtx", np.eye(101)[:, :4])
+    write_matrix(root / "no_columns.mtx", np.zeros((100, 0)))
     return root
 
 
@@ -507,12 +512,19 @@ def small_bases(tmp_path_factory):
     (("reduce", "--basis", "missing.mtx"), "not found"),
     (("run-reduced", "--basis", "missing.mtx"), "not found"),
     (("build-basis", "--snapshots", "missing.mtx"), "not found"),
+    (("reduce", "--basis", "odd_rows.mtx"), "even number of rows"),
+    (("run-reduced", "--method", "psd", "--basis", "odd_rows.mtx"),
+     "even number of rows"),
+    (("reduce", "--basis", "no_columns.mtx"), "positive even number"),
+    (("run-reduced", "--method", "rdh", "--basis", "no_columns.mtx"),
+     "positive even number"),
 ], ids=["run-reduced-rdh-dim", "run-reduced-psd-dim", "run-reduced-pod-dim",
         "reduce-dim", "reduce-missing", "run-reduced-missing",
-        "build-basis-missing"])
+        "build-basis-missing", "reduce-odd-rows", "run-reduced-odd-rows",
+        "reduce-no-columns", "run-reduced-no-columns"])
 def test_input_file_mistakes_exit_2(tmp_path, capsys, small_bases, argv,
                                     message):
-    """A basis of the wrong dimension and a missing input file are
+    """A basis of the wrong dimension or shape and a missing input file are
     configuration errors: exit 2 with an ``error:`` line."""
     argv = [str(small_bases / a) if a.endswith(".mtx") else a for a in argv]
     rc = _run(*argv, "--benchmark", "wave", "--set", "n=50",
@@ -522,6 +534,25 @@ def test_input_file_mistakes_exit_2(tmp_path, capsys, small_bases, argv,
               if line.startswith("error:")]
     assert errors and message in errors[0]
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "--methods", "pod"),
+    ("compare", "--methods", "rdh"),
+    ("build-basis", "--method", "pod", "--modes", "2"),
+    ("build-basis", "--method", "cotangent", "--modes", "2"),
+], ids=["compare-pod", "compare-cotangent", "build-basis-pod",
+        "build-basis-cotangent"])
+def test_rank_zero_snapshots_exit_2(tmp_path, capsys, argv):
+    """The ladder starts at rest, so a run of length zero leaves only zero
+    snapshots: an SVD basis of them is a configuration error."""
+    out = tmp_path / "x"
+    assert _run(*argv, "--benchmark", "ladder", "--set", "cells=4",
+                "--set", "t_final=0", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "error: snapshot set has rank zero" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, setting, message", [

@@ -39,7 +39,8 @@ def test_identity_reduction_error_over_long_run():
                         snapshot_stride=10)
     reduced = sm.integrate(red.system, dt=0.01, n_steps=1000,
                            snapshot_stride=10)
-    recon = sm.reconstruct(red.basis, reduced.snapshots, dx=bench.system.dx)
+    recon = sm.reconstruct(red.basis.matrix, reduced.snapshots,
+                           dx=bench.system.dx)
     assert sm.l2_error(full.snapshots, recon).max_unweighted <= 1e-8
 
 
@@ -214,15 +215,42 @@ def test_pod_wave_energy_growth_is_flagged(wave_n500):
         f"half, final value {dev[-1]:.4g}")
 
 
+def test_pulled_back_gradients_on_a_block():
+    """Every reduction pulls the sine-Gordon gradient g back through its
+    basis matrix, for a block of reduced states as columns: A^T g(A y) for
+    rdh and psd, V^T J g(V y) for the POD nonlinear term."""
+    bench = sm.build_benchmark("sine-gordon",
+                               sm.make_config("sine-gordon", {"n": 40}))
+    model = bench.dissipative_model()
+    basis = random_ortho_symplectic(bench.system.n, 5, rng=41)
+    a = basis.matrix
+    y = np.random.default_rng(42).standard_normal((10, 7))
+    cases = [
+        (sm.rdh_reduce(bench.system, basis).system.nonlinear_grad,
+         a.T @ bench.system.nonlinear_grad(a @ y)),
+        (sm.psd_baseline(model, basis).model.nonlinear_grad,
+         a.T @ model.nonlinear_grad(a @ y)),
+        (sm.pod_baseline(model, a).nonlinear,
+         a.T @ model.J.apply(model.nonlinear_grad(a @ y))),
+    ]
+    for reduced, expected in cases:
+        scale = np.abs(expected).max()
+        assert scale > 0.0
+        assert np.abs(reduced(y) - expected).max() <= 1e-14 * scale
+        assert np.abs(reduced(y[:, 3]) - expected[:, 3]).max() \
+            <= 1e-14 * scale
+
+
 def test_reconstruct_routes():
     basis = random_ortho_symplectic(4, 2, rng=21)
     rng = np.random.default_rng(22)
     y = rng.standard_normal((4, 3))
     times = np.arange(3.0)
-    lifted = sm.reconstruct(basis, SnapshotSet(times=times, states=y), dx=0.5)
+    lifted = sm.reconstruct(basis.matrix, SnapshotSet(times=times, states=y),
+                            dx=0.5)
     assert lifted.states.shape == (8, 3)
     assert lifted.dx == 0.5
-    assert np.abs(lifted.states - basis.matrix @ y).max() <= 1e-13
+    assert np.array_equal(lifted.states, basis.lift(y))
     z = basis.lift(rng.standard_normal(4))
     assert np.abs(basis.lift(basis.coefficients(z)) - z).max() <= 1e-12
     v = rng.standard_normal((8, 4))

@@ -192,29 +192,31 @@ def test_pod_wave_orthonormal(wave_n100):
     assert np.all(np.diff(s) <= 1e-12 * s[0])
 
 
-def test_singular_value_report(wave_n100):
+def test_basis_singular_values(wave_n100):
+    """The singular values that pod_basis and cotangent_lift return: the
+    full sequence of the snapshot matrix and of the stacked q/p block."""
     _, report = wave_n100
-    sv = sm.singular_value_report(report.snapshots, mode="pod")
+    _, sv = sm.pod_basis(report.snapshots, 20)
     ref = np.linalg.svd(report.snapshots.states, compute_uv=False)
     assert np.abs(sv - ref).max() <= 1e-12 * ref[0]
     n = report.snapshots.dim // 2
     stacked = np.hstack([report.snapshots.states[:n],
                          report.snapshots.states[n:]])
-    sv = sm.singular_value_report(report.snapshots, mode="cotangent")
+    _, sv = sm.cotangent_lift(report.snapshots, 10)
     ref = np.linalg.svd(stacked, compute_uv=False)
     assert np.abs(sv - ref).max() <= 1e-12 * ref[0]
 
     z = np.array([1.0, -1.0, 0.5, 2.0])
     repeated = SnapshotSet(times=np.arange(5.0), states=np.tile(z, (5, 1)).T)
-    sv = sm.singular_value_report(repeated)
+    _, sv = sm.pod_basis(repeated, 1)
+    assert sv.shape == (4,)
     assert abs(sv[0] - np.sqrt(5.0) * np.linalg.norm(z)) <= 1e-12
     assert np.abs(sv[1:]).max() <= 1e-12 * sv[0]
 
     zeros = SnapshotSet(times=np.arange(3.0), states=np.zeros((4, 3)))
-    assert np.abs(sm.singular_value_report(zeros)).max() == 0.0
-
-    with pytest.raises(ValueError, match="mode"):
-        sm.singular_value_report(repeated, mode="qr")
+    for build in (sm.pod_basis, sm.cotangent_lift):
+        with pytest.raises(ValueError, match="rank zero"):
+            build(zeros, 1)
 
 
 def test_random_ortho_symplectic_deterministic():
@@ -260,14 +262,23 @@ def test_projection_idempotent(wave_n100):
 
 
 def test_lift_and_coefficients_are_adjoint_routes(wave_n100):
+    """Lift, coefficients and projection are products with the cached basis
+    matrix A, bitwise, and agree with the symplectic inverse A^+ that the
+    transpose stands for."""
     _, report = wave_n100
     basis, _ = sm.cotangent_lift(report.snapshots, 5)
+    a = basis.matrix
+    a_plus = basis.symplectic_inverse()
     rng = np.random.default_rng(7)
-    y = rng.standard_normal(10)
-    z = rng.standard_normal(200)
-    assert np.abs(basis.lift(y) - basis.matrix @ y).max() <= 1e-13
-    assert np.abs(basis.coefficients(z)
-                  - basis.symplectic_inverse() @ z).max() <= 1e-13
+    for shape in ((), (3,)):        # one state, and a block of states
+        y = rng.standard_normal((10, *shape))
+        z = rng.standard_normal((200, *shape))
+        assert np.array_equal(basis.lift(y), a @ y)
+        assert np.array_equal(basis.coefficients(z), a.T @ z)
+        assert np.array_equal(basis.project(z), a @ (a.T @ z))
+        assert np.abs(a_plus @ basis.lift(y) - y).max() <= 1e-13
+        assert np.abs(basis.coefficients(z) - a_plus @ z).max() <= 1e-13
+        assert np.abs(basis.project(z) - a @ (a_plus @ z)).max() <= 1e-13
 
 
 def test_snapshot_set_validation():
