@@ -113,6 +113,8 @@ class WaveConfig:
         _check_fields(self)
         if self.n < 3:
             raise ValueError("wave grid needs at least 3 points")
+        if self.length <= 0:
+            raise ValueError("length must be positive")
         if self.dt <= 0 or self.t_final < 0 or self.c2 <= 0:
             raise ValueError("dt and c2 must be positive, t_final nonnegative")
         if self.damping not in ("ramp", "constant"):
@@ -184,6 +186,8 @@ class SineGordonConfig:
         _check_fields(self)
         if self.n < 3:
             raise ValueError("grid needs at least 3 interior points")
+        if self.length <= 0:
+            raise ValueError("length must be positive")
         if not abs(self.velocity) < 1.0:
             raise ValueError("kink speed must satisfy |v| < 1")
         if self.dt <= 0 or self.t_final < 0:

@@ -460,10 +460,6 @@ def cmd_compare(args) -> int:
     modes = _parse_modes(args.modes, default_modes)
     _require_even(modes, "symplectic reduction")
     basis_method = args.basis_method or "cotangent"
-    # the greedy sweep normalizes the initial state; a rest start has none
-    if basis_method == "greedy" and name == "ladder":
-        raise ConfigError("the ladder starts at rest; use --basis-method "
-                          "cotangent")
     bench = _build(name, config)
 
     full = _integrate_full(bench, config)

@@ -125,19 +125,19 @@ def cholesky_factor(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     try:
         lower = np.linalg.cholesky(msym)
     except np.linalg.LinAlgError:
-        # locate the smallest failing leading principal block for the message
-        lo, hi = 1, m.shape[0]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            try:
-                np.linalg.cholesky(msym[:mid, :mid])
-                lo = mid + 1
-            except np.linalg.LinAlgError:
-                hi = mid
+        # LAPACK's potrf reports the order of the first failing leading minor
+        info = scipy.linalg.lapack.dpotrf(msym, lower=True)[1]
+        pivot = f": pivot {info - 1} fails" if info > 0 else ""
         raise np.linalg.LinAlgError(
-            f"{name} is not positive definite: pivot {lo - 1} fails"
-        ) from None
+            f"{name} is not positive definite{pivot}") from None
     return lower.T
+
+
+def _require_psd(eigenvalues: np.ndarray, floor: float) -> None:
+    """Raise unless every eigenvalue is at least ``-floor``."""
+    if eigenvalues.min() < -floor:
+        raise ValueError(
+            f"susceptibility has negative eigenvalue {eigenvalues.min():.3e}")
 
 
 def symmetric_sqrt(chi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -147,24 +147,14 @@ def symmetric_sqrt(chi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     treated as roundoff and clamped to zero; anything below that raises.
     """
     chi = np.asarray(chi, dtype=float)
-    scale = max(1.0, float(np.abs(chi).max()))
-    offdiag = chi - np.diag(np.diag(chi))
-    if not offdiag.any():
-        return np.diag(_diagonal_sqrt(np.diag(chi), tol * scale))
+    floor = tol * max(1.0, float(np.abs(chi).max()))
+    if not (chi - np.diag(np.diag(chi))).any():
+        _require_psd(np.diag(chi), floor)
+        return np.diag(np.sqrt(np.clip(np.diag(chi), 0.0, None)))
     vals, vecs = np.linalg.eigh(0.5 * (chi + chi.T))
-    if vals.min() < -tol * scale:
-        raise ValueError(
-            f"susceptibility has negative eigenvalue {vals.min():.3e}"
-        )
+    _require_psd(vals, floor)
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
     return 0.5 * (root + root.T)
-
-
-def _diagonal_sqrt(d: np.ndarray, floor: float) -> np.ndarray:
-    """Square roots of a diagonal; entries in [-floor, 0) count as zero."""
-    if d.min() < -floor:
-        raise ValueError(f"susceptibility has negative eigenvalue {d.min():.3e}")
-    return np.sqrt(np.clip(d, 0.0, None))
 
 
 def _optional_array(v):
@@ -272,7 +262,7 @@ class TddSystem(_ExtraTerms):
 
     def __init__(self, K, chi, z0, *, nonlinear_grad=None, potential=None,
                  input_vector=None, boundary_vector=None, dx: float = 1.0,
-                 name: str = "", validate: bool = True):
+                 name: str = ""):
         self.K = np.asarray(K, dtype=float)
         self.chi = np.asarray(chi, dtype=float)
         self.z0 = np.asarray(z0, dtype=float)
@@ -296,8 +286,7 @@ class TddSystem(_ExtraTerms):
             self._chi_diag = np.diag(self.chi).copy()
         else:
             self._chi_op = _operator(self.chi)
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- validation -------------------------------------------------------
 
@@ -305,15 +294,8 @@ class TddSystem(_ExtraTerms):
         scale = max(1.0, float(np.abs(self.chi).max()))
         if _sym_deviation(self.chi) > 1e-12 * scale:
             raise ValueError("susceptibility must be symmetric to 1e-12 relative")
-        # both raise on eigenvalues < -1e-12*scale
-        if self._chi_diag is not None:
-            root = _diagonal_sqrt(self._chi_diag, 1e-12 * scale)
-            residual = np.abs(root * root - self._chi_diag).max()
-        else:
-            root = symmetric_sqrt(self.chi)
-            residual = np.abs(root @ root - self.chi).max()
-        if residual > 1e-10 * scale:
-            raise ValueError("susceptibility square root check failed at 1e-10")
+        _require_psd(self._chi_diag if self._chi_diag is not None
+                     else np.linalg.eigvalsh(self.chi), 1e-12 * scale)
         rcond = _reciprocal_condition(self.k_op)
         if rcond <= 1e-12:
             raise ValueError(

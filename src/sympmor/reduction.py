@@ -17,11 +17,16 @@ from .dynamics import DissipativeModel, TddSystem, cholesky_factor
 from .symplectic import OrthoSymplecticBasis, SnapshotSet
 
 
-def _pulled_back(a: np.ndarray, grad, potential):
-    """A full-order gradient g and potential V pulled back through the basis
-    matrix ``a``: y -> a^T g(a y) and y -> V(a y), or None where the full
-    one is None. Like the full ones, both take a state or a block of states
-    as columns."""
+def _pulled_back(a: np.ndarray, model) -> dict:
+    """Constructor keywords of a model reduced onto the basis matrix ``a``:
+    the coordinates a^T z0, a^T u and a^T z_bd, the gradient
+    y -> a^T g(a y) and the potential y -> V(a y) (None where the model's
+    is), and the unit grid weight. Like the full ones, the gradient and
+    potential take a state or a block of states as columns."""
+    if a.shape[0] != model.dim:
+        raise ValueError(
+            f"basis dimension {a.shape[0]} does not match model {model.dim}")
+    grad, potential = model.nonlinear_grad, model.potential
     red_grad = red_potential = None
     if grad is not None:
         def red_grad(y):
@@ -29,7 +34,11 @@ def _pulled_back(a: np.ndarray, grad, potential):
     if potential is not None:
         def red_potential(y):
             return potential(a @ y)
-    return red_grad, red_potential
+    u, bd = model.input_vector, model.boundary_vector
+    return dict(z0=a.T @ model.z0, nonlinear_grad=red_grad,
+                potential=red_potential,
+                input_vector=None if u is None else a.T @ u,
+                boundary_vector=None if bd is None else a.T @ bd, dx=1.0)
 
 
 @dataclass
@@ -40,55 +49,42 @@ class ReducedTdd:
     basis: OrthoSymplecticBasis
 
 
+def _closed_reduction(system: TddSystem, basis: OrthoSymplecticBasis,
+                      reduced_chi) -> ReducedTdd:
+    """The closed model on the basis A with susceptibility
+    ``reduced_chi(A)``, symmetrized. The reduced stiffness factor is the
+    upper-triangular Cholesky factor of the projected quadratic form
+    A^T K^T K A, well defined for any full-rank K; every other field is
+    pulled back through A."""
+    a = basis.matrix
+    fields = _pulled_back(a, system)
+    ka = system.k_op @ a
+    k_red = cholesky_factor(ka.T @ ka, name="projected stiffness")
+    chi_red = reduced_chi(a)
+    reduced = TddSystem(K=k_red, chi=0.5 * (chi_red + chi_red.T),
+                        name=f"{system.name}-reduced-{basis.n_columns}",
+                        **fields)
+    return ReducedTdd(system=reduced, basis=basis)
+
+
 def rdh_reduce(system: TddSystem, basis: OrthoSymplecticBasis) -> ReducedTdd:
     """Reduce a time-dispersive-dissipative system onto an ortho-symplectic
     basis; the result is again a TddSystem (dissipation kept inside the
-    closed formulation via the projected susceptibility A^T chi A). The
-    reduced stiffness factor is the upper-triangular Cholesky factor of the
-    projected quadratic form A^T K^T K A, well defined for any full-rank K.
-    """
-    if basis.dim != system.dim:
-        raise ValueError(
-            f"basis dimension {basis.dim} does not match system {system.dim}"
-        )
-    a = basis.matrix
-    ka = system.k_op @ a
-    gram = ka.T @ ka
-    gram = 0.5 * (gram + gram.T)
-    k_red = cholesky_factor(gram, name="projected stiffness")
-    # chi A transposed into C order, the layout of a dense A^T chi: BLAS
-    # rounds a product by operand layout, and so chi_red is bitwise A^T chi A
-    chi_red = np.ascontiguousarray(system.chi_apply(a).T) @ a
-    chi_red = 0.5 * (chi_red + chi_red.T)
-    grad, potential = _pulled_back(a, system.nonlinear_grad, system.potential)
-    reduced = TddSystem(
-        K=k_red,
-        chi=chi_red,
-        z0=a.T @ system.z0,
-        nonlinear_grad=grad,
-        potential=potential,
-        input_vector=None if system.input_vector is None
-        else a.T @ system.input_vector,
-        boundary_vector=None if system.boundary_vector is None
-        else a.T @ system.boundary_vector,
-        dx=1.0,
-        name=f"{system.name}-reduced-{basis.n_columns}",
-    )
-    return ReducedTdd(system=reduced, basis=basis)
+    closed formulation via the projected susceptibility A^T chi A)."""
+    def projected_chi(a):
+        # chi A transposed into C order, the layout of a dense A^T chi: BLAS
+        # rounds a product by operand layout, and so chi_red is bitwise
+        # A^T chi A
+        return np.ascontiguousarray(system.chi_apply(a).T) @ a
+    return _closed_reduction(system, basis, projected_chi)
 
 
 def symplectic_galerkin(system: TddSystem,
                         basis: OrthoSymplecticBasis) -> ReducedTdd:
     """Conservative symplectic Galerkin projection: the reduction above with
-    the susceptibility dropped (chi = 0)."""
-    conservative = TddSystem(
-        K=system.K, chi=np.zeros_like(system.chi), z0=system.z0,
-        nonlinear_grad=system.nonlinear_grad, potential=system.potential,
-        input_vector=system.input_vector,
-        boundary_vector=system.boundary_vector,
-        dx=system.dx, name=system.name, validate=False,
-    )
-    return rdh_reduce(conservative, basis)
+    the susceptibility dropped (chi_red = 0)."""
+    return _closed_reduction(system, basis,
+                             lambda a: np.zeros((a.shape[1], a.shape[1])))
 
 
 @dataclass
@@ -102,23 +98,12 @@ def psd_baseline(model: DissipativeModel,
     """Symplectic projection of the plain dissipative form (no string
     extension): dy/dt = J_2k grad H(Ay) - A^+ R A y + A^+ u, with the
     symplectic inverse A^+ = A^T of the ortho-symplectic basis."""
-    if 2 * basis.n != model.dim:
-        raise ValueError("basis does not match the model dimension")
     a = basis.matrix
-    stiff = a.T @ model.stiffness @ a
-    grad, potential = _pulled_back(a, model.nonlinear_grad, model.potential)
+    fields = _pulled_back(a, model)
     reduced = DissipativeModel(
-        stiffness=0.5 * (stiff + stiff.T),
+        stiffness=a.T @ model.stiffness @ a,
         drift=None if model.drift is None else a.T @ model.drift @ a,
-        z0=a.T @ model.z0,
-        nonlinear_grad=grad,
-        potential=potential,
-        input_vector=None if model.input_vector is None
-        else a.T @ model.input_vector,
-        boundary_vector=None if model.boundary_vector is None
-        else a.T @ model.boundary_vector,
-        dx=1.0,
-        name=f"{model.name}-psd-{basis.n_columns}",
+        name=f"{model.name}-psd-{basis.n_columns}", **fields,
     )
     return ReducedDissipative(model=reduced, basis=basis)
 
@@ -159,9 +144,11 @@ def pod_baseline(model: DissipativeModel, v: np.ndarray) -> PodModel:
         if model.input_vector is not None:
             c = c + model.input_vector
         constant = v.T @ c
-    grad = model.nonlinear_grad     # enters the flow as J g(z)
-    nonlinear, _ = _pulled_back(
-        v, None if grad is None else lambda z: j.apply(grad(z)), None)
+    grad = model.nonlinear_grad
+    nonlinear = None
+    if grad is not None:      # enters the flow as J g(z)
+        def nonlinear(y):
+            return v.T @ j.apply(grad(v @ y))
     return PodModel(matrix=matrix, constant=constant, nonlinear=nonlinear,
                     v=v, y0=v.T @ model.z0)
 

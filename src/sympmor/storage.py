@@ -78,10 +78,9 @@ def write_csv(path, header, columns) -> Path:
     rows = {c.shape[0] for c in columns}
     if len(rows) > 1:
         raise ValueError(f"column lengths differ: {sorted(rows)}")
-    lines = [",".join(header)]
-    for i in range(rows.pop() if rows else 0):
-        lines.append(",".join(format_float(c[i]) for c in columns))
-    path.write_text("\n".join(lines) + "\n")
+    np.savetxt(path, np.column_stack(columns),
+               fmt=FLOAT_FMT, delimiter=",", header=",".join(header),
+               comments="")
     return path
 
 

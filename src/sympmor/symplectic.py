@@ -263,8 +263,9 @@ def greedy_basis(snapshots: SnapshotSet, max_pairs: int,
     norm0 = np.linalg.norm(z0)
     if norm0 == 0.0:
         raise ValueError(
-            "first snapshot is zero; greedy initialization normalizes the "
-            "initial state (use the cotangent lift for runs started at rest)"
+            "first snapshot is zero: the run starts at rest, and greedy "
+            "initialization normalizes the initial state (use the cotangent "
+            "lift)"
         )
     basis = OrthoSymplecticBasis((z0 / norm0)[:, None])
     selected = [0]

@@ -561,6 +561,8 @@ def test_rank_zero_snapshots_exit_2(tmp_path, capsys, argv):
     ("ladder", "cells=2.5", "cells must be an integer, got 2.5"),
     ("wave", "dt=nan", "dt must be a number, got 'nan'"),
     ("wave", "dt=NaN", "dt must be finite, got nan"),
+    ("wave", "length=0", "length must be positive"),
+    ("sine-gordon", "length=-5", "length must be positive"),
 ])
 def test_config_field_errors(tmp_path, capsys, name, setting, message):
     assert _run("run-full", "--benchmark", name, "--set", setting,

@@ -40,6 +40,9 @@ def test_cholesky_reports_failing_pivot():
         cholesky_factor(np.diag([1.0, -1.0]))
     with pytest.raises(np.linalg.LinAlgError, match="pivot 0"):
         cholesky_factor(np.diag([-1.0, 1.0]))
+    with pytest.raises(np.linalg.LinAlgError, match="pivot 1"):
+        cholesky_factor(np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0],
+                                  [0.0, 0.0, 1.0]]))
 
 
 def test_cholesky_input_validation():
@@ -60,6 +63,8 @@ def test_symmetric_sqrt_paths():
     assert np.abs(root @ root - chi).max() <= 1e-10 * np.abs(chi).max()
     with pytest.raises(ValueError, match="negative"):
         symmetric_sqrt(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="negative"):
+        symmetric_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 # -- memory constraint --------------------------------------------------------
@@ -671,6 +676,8 @@ def test_system_validation_errors():
         sm.TddSystem(eye, np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
     with pytest.raises(ValueError, match="negative"):
         sm.TddSystem(eye, -eye, np.zeros(2))
+    with pytest.raises(ValueError, match="negative"):
+        sm.TddSystem(eye, np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
     with pytest.raises(ValueError, match="rank"):
         sm.TddSystem(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(ValueError, match="square"):
