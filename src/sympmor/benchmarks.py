@@ -4,7 +4,9 @@ Three families: a dissipative linear wave equation on a periodic grid, the
 damped sine-Gordon equation with Dirichlet boundaries, and a driven
 resistor-inductor-capacitor ladder network brought to canonical coordinates.
 Each builder returns the closed time-dispersive formulation plus the plain
-dissipative operators used by the reference baselines.
+dissipative operators used by the reference baselines. The wave, sine-Gordon
+and oscillator systems share one mechanical closure; the ladder is brought to
+canonical form by its own transform.
 """
 
 from __future__ import annotations
@@ -89,6 +91,26 @@ def _check_fields(config) -> None:
             f"snapshot_stride must be at least 1, got {config.snapshot_stride}")
 
 
+def _mechanical(stiff_q, damping, z0, *, config=None, grid=None,
+                extras=None, **terms) -> Benchmark:
+    """Damped mechanical system q'' = -S_q q - r q' in both forms.
+
+    The closed form has K = blockdiag(chol S_q, I) and chi = diag(0, r); the
+    plain form has stiffness blockdiag(S_q, I) and drift chi. ``damping`` is
+    r, one value per coordinate or one for all. ``terms`` go to the
+    ``TddSystem``, and their ``name`` names the benchmark.
+    """
+    n = stiff_q.shape[0]
+    name = terms["name"]
+    k_q = cholesky_factor(stiff_q, name=f"{name} stiffness")
+    chi = np.diag(np.concatenate([np.zeros(n), np.broadcast_to(damping, n)]))
+    system = TddSystem(scipy.linalg.block_diag(k_q, np.eye(n)), chi, z0,
+                       **terms)
+    return Benchmark(name=name, system=system, config=config,
+                     stiffness=scipy.linalg.block_diag(stiff_q, np.eye(n)),
+                     drift=chi.copy(), grid=grid, extras=extras or {})
+
+
 # -- dissipative wave ---------------------------------------------------------
 
 
@@ -144,24 +166,10 @@ def build_wave(config: WaveConfig) -> Benchmark:
     lap = 0.5 * (lap + lap.T)
     mu = config.regularization * config.c2
     stiff_q = config.c2 * lap + mu * np.eye(n)
-    k_q = cholesky_factor(stiff_q, name="wave stiffness")
-
-    k = np.zeros((2 * n, 2 * n))
-    k[:n, :n] = k_q
-    k[n:, n:] = np.eye(n)
-
-    r_vals = config.chi_scale * config.damping_values()
-    chi = np.diag(np.concatenate([np.zeros(n), r_vals]))
-
     z0 = np.concatenate([spline_bump(10.0 * np.abs(x / config.length - 0.5)),
                          np.zeros(n)])
-    system = TddSystem(k, chi, z0, dx=dx, name="wave")
-
-    stiffness = np.zeros((2 * n, 2 * n))
-    stiffness[:n, :n] = stiff_q
-    stiffness[n:, n:] = np.eye(n)
-    return Benchmark(name="wave", system=system, config=config,
-                     stiffness=stiffness, drift=chi.copy(), grid=x)
+    return _mechanical(stiff_q, config.chi_scale * config.damping_values(), z0,
+                       config=config, grid=x, dx=dx, name="wave")
 
 
 # -- sine-Gordon --------------------------------------------------------------
@@ -213,14 +221,6 @@ def build_sine_gordon(config: SineGordonConfig) -> Benchmark:
     x = dx * np.arange(1, n + 1)
 
     lap = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / dx ** 2
-    k_q = cholesky_factor(lap, name="second-difference operator")
-    k = np.zeros((2 * n, 2 * n))
-    k[:n, :n] = k_q
-    k[n:, n:] = np.eye(n)
-
-    chi = np.diag(np.concatenate([np.zeros(n),
-                                  np.full(n, config.chi_scale * config.r)]))
-
     x0 = config.length / 4.0 if config.x0 is None else config.x0
     q0, p0 = kink_profile(x, x0, config.velocity)
     z0 = np.concatenate([q0, p0])
@@ -244,15 +244,10 @@ def build_sine_gordon(config: SineGordonConfig) -> Benchmark:
     def potential(z):
         return np.sum(1.0 - np.cos(z[:n]), axis=0)
 
-    system = TddSystem(k, chi, z0, nonlinear_grad=grad, potential=potential,
+    return _mechanical(lap, config.chi_scale * config.r, z0, config=config,
+                       grid=x, extras={"x0": x0, "bc": (a, b)},
+                       nonlinear_grad=grad, potential=potential,
                        boundary_vector=boundary, dx=dx, name="sine-gordon")
-
-    stiffness = np.zeros((2 * n, 2 * n))
-    stiffness[:n, :n] = lap
-    stiffness[n:, n:] = np.eye(n)
-    return Benchmark(name="sine-gordon", system=system, config=config,
-                     stiffness=stiffness, drift=chi.copy(), grid=x,
-                     extras={"x0": x0, "bc": (a, b)})
 
 
 # -- ladder network -----------------------------------------------------------
@@ -381,11 +376,8 @@ def build_oscillator(k: float = 1.0, r: float = 0.5, q0: float = 1.0,
     Not part of the named benchmark registry; used for convergence and
     balance checks where an exact solution is available.
     """
-    kmat = np.diag([np.sqrt(k), 1.0])
-    chi = np.diag([0.0, chi_scale * r])
-    system = TddSystem(kmat, chi, np.array([q0, p0]), name="oscillator")
-    return Benchmark(name="oscillator", system=system, config=None,
-                     stiffness=np.diag([k, 1.0]), drift=chi.copy())
+    return _mechanical(np.array([[k]], dtype=float), chi_scale * r,
+                       np.array([q0, p0]), name="oscillator")
 
 
 def oscillator_exact(k: float, r: float, q0: float, t):
@@ -415,16 +407,21 @@ def benchmark_names():
     return sorted(_REGISTRY)
 
 
+def _entry(name: str):
+    """Config class, builder and preset of a named benchmark."""
+    if name not in _REGISTRY:
+        raise ValueError(
+            f"unknown benchmark {name!r}; choose from {benchmark_names()}"
+        )
+    return _REGISTRY[name]
+
+
 def make_config(name: str, overrides: dict | None = None):
     """Config dataclass for a named benchmark with overrides applied.
 
     Unknown keys raise ValueError (typo protection for CLI --set paths).
     """
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown benchmark {name!r}; choose from {benchmark_names()}"
-        )
-    cls, _, preset = _REGISTRY[name]
+    cls, _, preset = _entry(name)
     values = dict(preset)
     values.update(overrides or {})
     valid = {f.name for f in dataclasses.fields(cls)}
@@ -438,11 +435,7 @@ def make_config(name: str, overrides: dict | None = None):
 
 
 def build_benchmark(name: str, config=None) -> Benchmark:
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown benchmark {name!r}; choose from {benchmark_names()}"
-        )
-    cls, builder, _ = _REGISTRY[name]
+    cls, builder, _ = _entry(name)
     if config is None:
         config = make_config(name)
     if not isinstance(config, cls):

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import benchmarks, dynamics, reduction, storage
 from .dynamics import NonFiniteError
-from .symplectic import (OrthoSymplecticBasis, cotangent_lift, greedy_basis,
-                         pod_basis)
+from .symplectic import (OrthoSymplecticBasis, _greedy_start, cotangent_lift,
+                         greedy_basis, pod_basis)
 
 SYMPLECTIC_METHODS = ("greedy", "cotangent")
 
@@ -78,14 +78,15 @@ def resolve_config(args):
     if name is None:
         raise ConfigError("no benchmark selected (--benchmark or config file)")
     try:
-        config = benchmarks.make_config(name, overrides)
-        config.validate()
-    except (ValueError, TypeError) as exc:
+        return name, benchmarks.make_config(name, overrides)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return name, config
 
 
-def _build(name, config) -> benchmarks.Benchmark:
+def _build(args) -> benchmarks.Benchmark:
+    """The benchmark the command line selects, built; its builder validates
+    the config."""
+    name, config = resolve_config(args)
     try:
         return benchmarks.build_benchmark(name, config)
     except (ValueError, TypeError) as exc:
@@ -110,10 +111,6 @@ def _require_even(modes, what: str):
         raise ConfigError(f"{what} requires even mode counts, got {odd}")
 
 
-def _config_dict(config) -> dict:
-    return dataclasses.asdict(config)
-
-
 def _read_input(read, path, *args):
     """``read(path, *args)`` of an input file; a missing file is a
     configuration error."""
@@ -124,9 +121,20 @@ def _read_input(read, path, *args):
             from None
 
 
-def _basis_from_file(path) -> OrthoSymplecticBasis:
-    """Load a paired basis written by build-basis and check the pairing."""
+def _basis_from_file(path, method: str):
+    """Load a basis written by build-basis and check it the way build-basis
+    does before it writes: a POD basis (for ``method`` pod) must have
+    orthonormal columns, any other an ortho-symplectic column pairing."""
     a = _read_input(storage.read_matrix, path)
+    if method == "pod":
+        if not a.shape[1]:
+            raise ConfigError(f"{path}: a POD basis needs at least one "
+                              f"column, got shape {a.shape}")
+        gram = np.abs(a.T @ a - np.eye(a.shape[1])).max()
+        if gram > 1e-10:
+            raise ConfigError(f"{path}: POD basis not orthonormal: "
+                              f"|V^T V - I|_max = {gram:.3e}")
+        return a
     if a.ndim != 2 or a.shape[0] % 2 or a.shape[1] % 2 or not a.shape[1]:
         raise ConfigError(f"{path}: expected an even number of rows and a "
                           f"positive even number of basis columns, got "
@@ -137,6 +145,10 @@ def _basis_from_file(path) -> OrthoSymplecticBasis:
             f"{path}: columns are not paired (column k+i must be J^T "
             f"applied to column i)"
         )
+    try:
+        basis.validate(tol=1e-10)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return basis
 
 
@@ -149,8 +161,27 @@ def _grid(config) -> dict:
             "snapshot_stride": config.snapshot_stride}
 
 
-def _integrate_full(bench, config):
-    return dynamics.integrate(bench.system, **_grid(config))
+def _integrate_full(bench, greedy: bool = False):
+    """The full run of ``bench``. With ``greedy``, a greedy basis is to be
+    built from its snapshots, so a run at rest is rejected before it is
+    integrated, by the rule greedy_basis applies to the first snapshot."""
+    if greedy:
+        try:
+            _greedy_start(bench.system.z0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return dynamics.integrate(bench.system, **_grid(bench.config))
+
+
+def _write_manifest(args, bench, files, warnings, **extra) -> None:
+    """The manifest of a command's artifacts under --out: the command, the
+    benchmark's name and config, the seed, the warnings, and the command's
+    own entries ``extra``."""
+    out = Path(args.out)
+    manifest = storage.build_manifest(
+        args.command, bench.name, dataclasses.asdict(bench.config), files,
+        out, extra={"seed": args.seed, "warnings": warnings, **extra})
+    storage.write_manifest(manifest, out / "manifest.json")
 
 
 def _end_warnings(report, config) -> list[str]:
@@ -183,38 +214,28 @@ def _stability_warnings(dt_omega: dict) -> list[str]:
 
 
 def cmd_run_full(args) -> int:
-    name, config = resolve_config(args)
+    bench = _build(args)
     out = Path(args.out)
-    bench = _build(name, config)
-    report = _integrate_full(bench, config)
+    report = _integrate_full(bench)
     files = [storage.write_report_csv(report, out / "full_report.csv")]
     files += storage.write_snapshots(report.snapshots, out / "snapshots.mtx")
-    manifest = storage.build_manifest(
-        "run-full", name, _config_dict(config), files, out,
-        extra={
-            "seed": args.seed,
-            "n_steps": report.n_steps,
-            "volterra_max": report.volterra_max,
-            "kz_max": report.kz_max,
-            "wall_seconds": report.wall_seconds,
-            "warnings": _end_warnings(report, config),
-        },
-    )
-    storage.write_manifest(manifest, out / "manifest.json")
-    print(f"run-full {name}: {report.n_steps} steps, "
+    _write_manifest(args, bench, files, _end_warnings(report, bench.config),
+                    n_steps=report.n_steps, volterra_max=report.volterra_max,
+                    kz_max=report.kz_max, wall_seconds=report.wall_seconds)
+    print(f"run-full {bench.name}: {report.n_steps} steps, "
           f"H {report.hamiltonian[0]:.6g} -> {report.hamiltonian[-1]:.6g}, "
           f"max |residual| {report.volterra_max:.3e} -> {out}")
     return 0
 
 
-def _collect_snapshots(args, bench, config):
+def _collect_snapshots(args, bench):
     """Snapshots for basis generation, from file or a fresh full run, and
     the run's manifest warnings."""
-    if getattr(args, "snapshots", None):
+    if args.snapshots:
         return _read_input(storage.read_snapshots, args.snapshots,
                            bench.system.dx), []
-    report = _integrate_full(bench, config)
-    return report.snapshots, _end_warnings(report, config)
+    report = _integrate_full(bench, greedy=args.method == "greedy")
+    return report.snapshots, _end_warnings(report, bench.config)
 
 
 def _make_basis(method: str, snapshots, modes: int):
@@ -231,10 +252,8 @@ def _make_basis(method: str, snapshots, modes: int):
             extra["selected"] = result.selected
         elif method == "cotangent":
             basis, values = cotangent_lift(snapshots, modes // 2)
-        elif method == "pod":
-            basis, values = pod_basis(snapshots, modes)
         else:
-            raise ConfigError(f"unknown basis method {method!r}")
+            basis, values = pod_basis(snapshots, modes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     got = basis.shape[1] if method == "pod" else basis.n_columns
@@ -245,15 +264,13 @@ def _make_basis(method: str, snapshots, modes: int):
 
 
 def cmd_build_basis(args) -> int:
-    name, config = resolve_config(args)
+    bench = _build(args)
     out = Path(args.out)
     method = args.method
     modes = _parse_modes(args.modes, [20, 40, 60])
-    bench = _build(name, config)
-    snapshots, warnings = _collect_snapshots(args, bench, config)
-
     if method in SYMPLECTIC_METHODS:
         _require_even(modes, f"{method} basis")
+    snapshots, warnings = _collect_snapshots(args, bench)
     basis, values, info = _make_basis(method, snapshots, max(modes))
     info.update(method=method, modes=modes)
     files = []
@@ -279,23 +296,18 @@ def cmd_build_basis(args) -> int:
         ["index", "value"],
         [np.arange(len(values)), np.asarray(values)],
     ))
-    manifest = storage.build_manifest(
-        "build-basis", name, _config_dict(config), files, out,
-        extra={"seed": args.seed, "basis": info, "warnings": warnings},
-    )
-    storage.write_manifest(manifest, out / "manifest.json")
-    print(f"build-basis {name} [{method}]: modes {modes} -> {out}")
+    _write_manifest(args, bench, files, warnings, basis=info)
+    print(f"build-basis {bench.name} [{method}]: modes {modes} -> {out}")
     return 0
 
 
 def cmd_reduce(args) -> int:
-    name, config = resolve_config(args)
+    bench = _build(args)
     out = Path(args.out)
-    bench = _build(name, config)
-    basis = _basis_from_file(args.basis)
+    basis = _basis_from_file(args.basis, "rdh")
     m = basis.n_columns
     red = _project(bench, basis, "rdh")
-    dt_omega = reduction.dt_omega_max(red.system, config.dt)
+    dt_omega = reduction.dt_omega_max(red.system, bench.config.dt)
     files = [
         storage.write_matrix(out / f"reduced_K_k{m}.mtx", red.system.K),
         storage.write_matrix(out / f"reduced_chi_k{m}.mtx", red.system.chi),
@@ -307,15 +319,10 @@ def cmd_reduce(args) -> int:
     if red.system.boundary_vector is not None:
         files.append(storage.write_matrix(out / f"reduced_boundary_k{m}.mtx",
                                           red.system.boundary_vector))
-    manifest = storage.build_manifest(
-        "reduce", name, _config_dict(config), files, out,
-        extra={"seed": args.seed,
-               "reduction": {"modes": m},
-               "dt_omega_max": dt_omega,
-               "warnings": _stability_warnings({f"rdh_k{m}": dt_omega})},
-    )
-    storage.write_manifest(manifest, out / "manifest.json")
-    print(f"reduce {name}: {m} modes -> {out}")
+    _write_manifest(args, bench, files,
+                    _stability_warnings({f"rdh_k{m}": dt_omega}),
+                    reduction={"modes": m}, dt_omega_max=dt_omega)
+    print(f"reduce {bench.name}: {m} modes -> {out}")
     return 0
 
 
@@ -323,8 +330,6 @@ def _project(bench, mapper, method: str, model=None):
     """Reduced model of one method: a ReducedTdd for rdh, else a baseline
     projected from ``model`` (the benchmark's dissipative model when None).
     A basis that does not fit the model is a configuration error."""
-    if method not in ("rdh", "psd", "pod"):
-        raise ConfigError(f"unknown reduction method {method!r}")
     try:
         if method == "rdh":
             return reduction.rdh_reduce(bench.system, mapper)
@@ -351,26 +356,19 @@ def _run_reduced(reduced, config, method: str):
 
 
 def cmd_run_reduced(args) -> int:
-    name, config = resolve_config(args)
+    bench = _build(args)
     out = Path(args.out)
-    bench = _build(name, config)
-    mapper = (_read_input(storage.read_matrix, args.basis)
-              if args.method == "pod" else _basis_from_file(args.basis))
-    reduced = _project(bench, mapper, args.method)
-    report, lift = _run_reduced(reduced, config, args.method)
+    reduced = _project(bench, _basis_from_file(args.basis, args.method),
+                       args.method)
+    report, lift = _run_reduced(reduced, bench.config, args.method)
     m = lift.shape[1]
     recon = reduction.reconstruct(lift, report.snapshots, dx=bench.system.dx)
     files = [storage.write_report_csv(report, out / f"reduced_report_k{m}.csv")]
     files += storage.write_snapshots(recon, out / f"reconstructed_k{m}.mtx")
-    manifest = storage.build_manifest(
-        "run-reduced", name, _config_dict(config), files, out,
-        extra={"seed": args.seed,
-               "reduced_run": {"method": args.method, "modes": m,
-                               "wall_seconds": report.wall_seconds},
-               "warnings": _end_warnings(report, config)},
-    )
-    storage.write_manifest(manifest, out / "manifest.json")
-    print(f"run-reduced {name} [{args.method}, {m} modes]: "
+    _write_manifest(args, bench, files, _end_warnings(report, bench.config),
+                    reduced_run={"method": args.method, "modes": m,
+                                 "wall_seconds": report.wall_seconds})
+    print(f"run-reduced {bench.name} [{args.method}, {m} modes]: "
           f"{report.n_steps} steps -> {out}")
     return 0
 
@@ -446,7 +444,8 @@ def _compare_cell(bench, config, method, mapper, reference, ref_energy,
 
 
 def cmd_compare(args) -> int:
-    name, config = resolve_config(args)
+    bench = _build(args)
+    name, config = bench.name, bench.config
     out = Path(args.out)
     methods = [m.strip() for m in (args.methods or "rdh,psd,pod").split(",")
                if m.strip()]
@@ -460,10 +459,10 @@ def cmd_compare(args) -> int:
     modes = _parse_modes(args.modes, default_modes)
     _require_even(modes, "symplectic reduction")
     basis_method = args.basis_method or "cotangent"
-    bench = _build(name, config)
+    paired = "rdh" in methods or "psd" in methods
 
-    full = _integrate_full(bench, config)
-    if "rdh" in methods or "psd" in methods:
+    full = _integrate_full(bench, paired and basis_method == "greedy")
+    if paired:
         sym_basis, _, _ = _make_basis(basis_method, full.snapshots,
                                       max(modes))
     if "pod" in methods:
@@ -511,25 +510,14 @@ def cmd_compare(args) -> int:
     files = [storage.write_csv(out / file, headers, columns)
              for file, headers, columns, _ in tables]
 
-    manifest = storage.build_manifest(
-        "compare", name, _config_dict(config), files, out,
-        extra={
-            "seed": args.seed,
-            "methods": methods,
-            "modes": modes,
-            "basis_method": basis_method,
-            "cells": summary,
-            "warnings": _end_warnings(full, config) + _stability_warnings(
-                {key: cell["dt_omega_max"] for key, cell in summary.items()
-                 if "dt_omega_max" in cell}),
-            "full_run": {
-                "wall_seconds": full.wall_seconds,
-                "volterra_max": full.volterra_max,
-                "kz_max": full.kz_max,
-            },
-        },
-    )
-    storage.write_manifest(manifest, out / "manifest.json")
+    warnings = _end_warnings(full, config) + _stability_warnings(
+        {key: cell["dt_omega_max"] for key, cell in summary.items()
+         if "dt_omega_max" in cell})
+    _write_manifest(args, bench, files, warnings, methods=methods,
+                    modes=modes, basis_method=basis_method, cells=summary,
+                    full_run={"wall_seconds": full.wall_seconds,
+                              "volterra_max": full.volterra_max,
+                              "kz_max": full.kz_max})
     note = f", unstable: {', '.join(flagged)}" if flagged else ""
     print(f"compare {name}: {len(methods) * len(modes)} cells "
           f"({', '.join(methods)}; modes {modes}){note} -> {out}")

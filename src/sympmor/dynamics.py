@@ -291,7 +291,12 @@ class TddSystem(_ExtraTerms):
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
-        scale = max(1.0, float(np.abs(self.chi).max()))
+        if not np.isfinite(self.K).all():
+            raise ValueError("K has a non-finite entry")
+        chi_max = float(np.abs(self.chi).max())
+        if not np.isfinite(chi_max):
+            raise ValueError("susceptibility has a non-finite entry")
+        scale = max(1.0, chi_max)
         if _sym_deviation(self.chi) > 1e-12 * scale:
             raise ValueError("susceptibility must be symmetric to 1e-12 relative")
         _require_psd(self._chi_diag if self._chi_diag is not None

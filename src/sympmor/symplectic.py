@@ -240,6 +240,19 @@ def _projection_errors(basis: OrthoSymplecticBasis, states: np.ndarray) -> np.nd
     return np.linalg.norm(resid, axis=0)
 
 
+def _greedy_start(z0: np.ndarray) -> np.ndarray:
+    """The first greedy basis vector: the first snapshot, normalized. A zero
+    first snapshot (a run at rest) raises ValueError."""
+    norm0 = np.linalg.norm(z0)
+    if norm0 == 0.0:
+        raise ValueError(
+            "first snapshot is zero: the run starts at rest, and greedy "
+            "initialization normalizes the initial state (use the cotangent "
+            "lift)"
+        )
+    return z0 / norm0
+
+
 def greedy_basis(snapshots: SnapshotSet, max_pairs: int,
                  tol: float = 0.0) -> GreedyResult:
     """Greedy ortho-symplectic basis from trajectory snapshots.
@@ -259,15 +272,7 @@ def greedy_basis(snapshots: SnapshotSet, max_pairs: int,
     """
     if max_pairs < 1:
         raise ValueError("max_pairs must be at least 1")
-    z0 = snapshots.states[:, 0]
-    norm0 = np.linalg.norm(z0)
-    if norm0 == 0.0:
-        raise ValueError(
-            "first snapshot is zero: the run starts at rest, and greedy "
-            "initialization normalizes the initial state (use the cotangent "
-            "lift)"
-        )
-    basis = OrthoSymplecticBasis((z0 / norm0)[:, None])
+    basis = OrthoSymplecticBasis(_greedy_start(snapshots.states[:, 0])[:, None])
     selected = [0]
     history = []
     while basis.k < max_pairs:

@@ -270,6 +270,10 @@ def test_oscillator_exact_properties():
     assert np.array_equal(np.diag(bench.system.chi), [0.0, 0.1])
     assert np.array_equal(bench.system.z0, [2.0, 0.0])
     assert np.array_equal(bench.stiffness, np.diag([4.0, 1.0]))
+    for k in (0.0, -1.0):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="oscillator stiffness"):
+            sm.build_oscillator(k=k)
 
 
 def test_registry_and_config_errors():

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line harness and its artifacts."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -488,9 +489,11 @@ def test_configuration_errors(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def small_bases(tmp_path_factory):
-    """Cotangent and POD bases (4 modes) of a 20-dimensional wave, and two
-    malformed basis files: one of an odd row count and one without
-    columns."""
+    """Cotangent and POD bases (4 modes) of a 20-dimensional wave, two
+    malformed basis files (one of an odd row count and one without
+    columns), and three 100-row bases that are not orthonormal: a paired
+    basis scaled by 3, a sheared pair with lead columns e and e + e', and
+    a POD basis scaled by 3."""
     root = tmp_path_factory.mktemp("bases")
     for method in ("cotangent", "pod"):
         assert _run("build-basis", "--benchmark", "wave", "--set", "n=10",
@@ -498,6 +501,13 @@ def small_bases(tmp_path_factory):
                     "--modes", "4", "--out", str(root / method)) == 0
     write_matrix(root / "odd_rows.mtx", np.eye(101)[:, :4])
     write_matrix(root / "no_columns.mtx", np.zeros((100, 0)))
+    e = np.eye(100)[:, :2]
+    write_matrix(root / "scaled.mtx",
+                 3.0 * sm.OrthoSymplecticBasis(e).matrix)
+    sheared = np.column_stack([e[:, 0], e[:, 0] + e[:, 1]])
+    write_matrix(root / "sheared.mtx",
+                 sm.OrthoSymplecticBasis(sheared).matrix)
+    write_matrix(root / "pod_scaled.mtx", 3.0 * np.eye(100)[:, :4])
     return root
 
 
@@ -518,22 +528,60 @@ def small_bases(tmp_path_factory):
     (("reduce", "--basis", "no_columns.mtx"), "positive even number"),
     (("run-reduced", "--method", "rdh", "--basis", "no_columns.mtx"),
      "positive even number"),
+    (("reduce", "--basis", "scaled.mtx"), "not orthonormal"),
+    (("reduce", "--basis", "sheared.mtx"), "not orthonormal"),
+    (("run-reduced", "--method", "rdh", "--basis", "scaled.mtx"),
+     "not orthonormal"),
+    (("run-reduced", "--method", "rdh", "--basis", "sheared.mtx"),
+     "not orthonormal"),
+    (("run-reduced", "--method", "psd", "--basis", "scaled.mtx"),
+     "not orthonormal"),
+    (("run-reduced", "--method", "psd", "--basis", "sheared.mtx"),
+     "not orthonormal"),
+    (("run-reduced", "--method", "pod", "--basis", "pod_scaled.mtx"),
+     "POD basis not orthonormal"),
+    (("run-reduced", "--method", "pod", "--basis", "no_columns.mtx"),
+     "at least one column"),
 ], ids=["run-reduced-rdh-dim", "run-reduced-psd-dim", "run-reduced-pod-dim",
         "reduce-dim", "reduce-missing", "run-reduced-missing",
         "build-basis-missing", "reduce-odd-rows", "run-reduced-odd-rows",
-        "reduce-no-columns", "run-reduced-no-columns"])
+        "reduce-no-columns", "run-reduced-no-columns", "reduce-scaled",
+        "reduce-sheared", "run-reduced-rdh-scaled", "run-reduced-rdh-sheared",
+        "run-reduced-psd-scaled", "run-reduced-psd-sheared",
+        "run-reduced-pod-scaled", "run-reduced-pod-no-columns"])
 def test_input_file_mistakes_exit_2(tmp_path, capsys, small_bases, argv,
                                     message):
-    """A basis of the wrong dimension or shape and a missing input file are
-    configuration errors: exit 2 with an ``error:`` line."""
+    """A basis of the wrong dimension or shape, a basis that is not
+    orthonormal (paired or POD) and a missing input file are configuration
+    errors: exit 2 with one ``error:`` line."""
     argv = [str(small_bases / a) if a.endswith(".mtx") else a for a in argv]
     rc = _run(*argv, "--benchmark", "wave", "--set", "n=50",
               "--set", "t_final=0.5", "--out", str(tmp_path / "x"))
     assert rc == 2
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
-    assert errors and message in errors[0]
+    assert len(errors) == 1 and message in errors[0]
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "--basis-method", "greedy"),
+    ("build-basis", "--modes", "2"),
+], ids=["compare", "build-basis"])
+def test_greedy_basis_of_a_run_at_rest_exits_before_integrating(
+        tmp_path, capsys, monkeypatch, argv):
+    """The ladder starts at rest, and a greedy basis normalizes the first
+    snapshot: the command is rejected before the full model is
+    integrated."""
+    def integrate(*args, **kwargs):
+        raise AssertionError("the full model was integrated")
+
+    monkeypatch.setattr("sympmor.dynamics.integrate", integrate)
+    out = tmp_path / "x"
+    assert _run(*argv, "--benchmark", "ladder", "--set", "cells=4",
+                "--out", str(out)) == 2
+    assert "error: first snapshot is zero" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -571,12 +619,34 @@ def test_config_field_errors(tmp_path, capsys, name, setting, message):
     assert f"error: {message}" in err and "Traceback" not in err
 
 
-def test_seed_is_recorded(tmp_path):
-    out = tmp_path / "seeded"
-    assert _run("compare", "--benchmark", "wave", "--set", "n=16",
-                "--set", "t_final=0.5", "--methods", "rdh", "--modes", "4",
-                "--seed", "7", "--out", str(out)) == 0
-    assert _manifest(out)["seed"] == 7
+@pytest.mark.parametrize("command, argv, integrates", [
+    ("run-full", (), True),
+    ("build-basis", ("--method", "cotangent", "--modes", "4"), True),
+    ("reduce", ("--basis", "cotangent/basis_k4.mtx"), False),
+    ("run-reduced", ("--basis", "cotangent/basis_k4.mtx"), True),
+    ("compare", ("--methods", "rdh", "--modes", "4"), True),
+], ids=["run-full", "build-basis", "reduce", "run-reduced", "compare"])
+def test_every_manifest_records_its_run(tmp_path, small_bases, command, argv,
+                                        integrates):
+    """Every command's manifest names the command, the benchmark, its
+    config, the seed and the warnings; a t_final off the step grid is
+    warned of by each command that integrates."""
+    argv = [str(small_bases / a) if a.endswith(".mtx") else a for a in argv]
+    out = tmp_path / command
+    assert _run(command, *argv, "--benchmark", "wave", "--set", "n=10",
+                "--set", "t_final=0.503", "--seed", "7",
+                "--out", str(out)) == 0
+    manifest = _manifest(out)
+    assert manifest["command"] == command
+    assert manifest["benchmark"] == "wave"
+    assert manifest["config"] == dataclasses.asdict(
+        sm.make_config("wave", {"n": 10, "t_final": 0.503}))
+    assert manifest["seed"] == 7
+    if integrates:
+        assert manifest["warnings"][0].startswith(
+            "t_final 0.503 is not a whole number of steps")
+    else:
+        assert manifest["warnings"] == []
 
 
 def test_lowdiss_structured_and_symplectic_agree(tmp_path):

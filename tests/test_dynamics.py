@@ -686,6 +686,11 @@ def test_system_validation_errors():
         sm.TddSystem(np.eye(3), np.zeros((3, 3)), np.zeros(3))
     with pytest.raises(ValueError, match="shape"):
         sm.TddSystem(eye, np.eye(4), np.zeros(2))
+    with pytest.raises(ValueError, match="K has a non-finite entry"):
+        sm.TddSystem(np.diag([1.0, np.nan]), np.zeros((2, 2)), np.zeros(2))
+    with pytest.raises(ValueError,
+                       match="susceptibility has a non-finite entry"):
+        sm.TddSystem(eye, np.diag([0.0, np.nan]), np.zeros(2))
     with pytest.raises(ValueError):
         sm.TddSystem(eye, np.zeros((2, 2)), np.zeros(3))
 
