@@ -126,6 +126,8 @@ def _basis_from_file(path, method: str):
     does before it writes: a POD basis (for ``method`` pod) must have
     orthonormal columns, any other an ortho-symplectic column pairing."""
     a = _read_input(storage.read_matrix, path)
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{path}: basis has a non-finite entry")
     if method == "pod":
         if not a.shape[1]:
             raise ConfigError(f"{path}: a POD basis needs at least one "

@@ -491,9 +491,9 @@ def test_configuration_errors(tmp_path, capsys):
 def small_bases(tmp_path_factory):
     """Cotangent and POD bases (4 modes) of a 20-dimensional wave, two
     malformed basis files (one of an odd row count and one without
-    columns), and three 100-row bases that are not orthonormal: a paired
+    columns), three 100-row bases that are not orthonormal (a paired
     basis scaled by 3, a sheared pair with lead columns e and e + e', and
-    a POD basis scaled by 3."""
+    a POD basis scaled by 3) and a paired basis with a NaN entry."""
     root = tmp_path_factory.mktemp("bases")
     for method in ("cotangent", "pod"):
         assert _run("build-basis", "--benchmark", "wave", "--set", "n=10",
@@ -508,6 +508,9 @@ def small_bases(tmp_path_factory):
     write_matrix(root / "sheared.mtx",
                  sm.OrthoSymplecticBasis(sheared).matrix)
     write_matrix(root / "pod_scaled.mtx", 3.0 * np.eye(100)[:, :4])
+    non_finite = sm.OrthoSymplecticBasis(e).matrix
+    non_finite[0, 0] = np.nan
+    write_matrix(root / "non_finite.mtx", non_finite)
     return root
 
 
@@ -542,18 +545,22 @@ def small_bases(tmp_path_factory):
      "POD basis not orthonormal"),
     (("run-reduced", "--method", "pod", "--basis", "no_columns.mtx"),
      "at least one column"),
+    (("reduce", "--basis", "non_finite.mtx"), "non-finite"),
+    (("run-reduced", "--method", "pod", "--basis", "non_finite.mtx"),
+     "non-finite"),
 ], ids=["run-reduced-rdh-dim", "run-reduced-psd-dim", "run-reduced-pod-dim",
         "reduce-dim", "reduce-missing", "run-reduced-missing",
         "build-basis-missing", "reduce-odd-rows", "run-reduced-odd-rows",
         "reduce-no-columns", "run-reduced-no-columns", "reduce-scaled",
         "reduce-sheared", "run-reduced-rdh-scaled", "run-reduced-rdh-sheared",
         "run-reduced-psd-scaled", "run-reduced-psd-sheared",
-        "run-reduced-pod-scaled", "run-reduced-pod-no-columns"])
+        "run-reduced-pod-scaled", "run-reduced-pod-no-columns",
+        "reduce-non-finite", "run-reduced-pod-non-finite"])
 def test_input_file_mistakes_exit_2(tmp_path, capsys, small_bases, argv,
                                     message):
     """A basis of the wrong dimension or shape, a basis that is not
-    orthonormal (paired or POD) and a missing input file are configuration
-    errors: exit 2 with one ``error:`` line."""
+    orthonormal (paired or POD) or not finite, and a missing input file are
+    configuration errors: exit 2 with one ``error:`` line."""
     argv = [str(small_bases / a) if a.endswith(".mtx") else a for a in argv]
     rc = _run(*argv, "--benchmark", "wave", "--set", "n=50",
               "--set", "t_final=0.5", "--out", str(tmp_path / "x"))
