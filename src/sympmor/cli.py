@@ -129,9 +129,10 @@ def _basis_from_file(path, method: str):
     if not np.isfinite(a).all():
         raise ConfigError(f"{path}: basis has a non-finite entry")
     if method == "pod":
-        if not a.shape[1]:
+        if not a.shape[1] or a.shape[1] % 2:
             raise ConfigError(f"{path}: a POD basis needs at least one "
-                              f"column, got shape {a.shape}")
+                              f"column and an even column count, got shape "
+                              f"{a.shape}")
         gram = np.abs(a.T @ a - np.eye(a.shape[1])).max()
         if gram > 1e-10:
             raise ConfigError(f"{path}: POD basis not orthonormal: "
@@ -232,10 +233,24 @@ def cmd_run_full(args) -> int:
 
 def _collect_snapshots(args, bench):
     """Snapshots for basis generation, from file or a fresh full run, and
-    the run's manifest warnings."""
+    the run's manifest warnings. A snapshot file that is malformed, holds a
+    non-finite entry or has states of another dimension than the benchmark
+    is a configuration error."""
     if args.snapshots:
-        return _read_input(storage.read_snapshots, args.snapshots,
-                           bench.system.dx), []
+        path = args.snapshots
+        try:
+            snapshots = _read_input(storage.read_snapshots, path,
+                                    bench.system.dx)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        if snapshots.dim != bench.system.dim:
+            raise ConfigError(
+                f"{path}: states of dimension {snapshots.dim}, but "
+                f"{bench.name} has state dimension {bench.system.dim}")
+        if not (np.isfinite(snapshots.states).all()
+                and np.isfinite(snapshots.times).all()):
+            raise ConfigError(f"{path}: snapshots have a non-finite entry")
+        return snapshots, []
     report = _integrate_full(bench, greedy=args.method == "greedy")
     return report.snapshots, _end_warnings(report, bench.config)
 
@@ -246,23 +261,16 @@ def _make_basis(method: str, snapshots, modes: int):
     values) and the method's extra manifest info. Snapshots of too low a
     rank for ``modes`` columns, or of rank zero (a run at rest), are a
     configuration error."""
-    extra = {}
     try:
         if method == "greedy":
             result = greedy_basis(snapshots, modes // 2)
-            basis, values = result.basis, result.worst_errors
-            extra["selected"] = result.selected
-        elif method == "cotangent":
-            basis, values = cotangent_lift(snapshots, modes // 2)
-        else:
-            basis, values = pod_basis(snapshots, modes)
+            return (result.basis, result.worst_errors,
+                    {"selected": result.selected})
+        if method == "cotangent":
+            return (*cotangent_lift(snapshots, modes // 2), {})
+        return (*pod_basis(snapshots, modes), {})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    got = basis.shape[1] if method == "pod" else basis.n_columns
-    if got < modes:
-        raise ConfigError(f"snapshot rank supports only {got} {method} modes "
-                          f"out of {modes}")
-    return basis, values, extra
 
 
 def cmd_build_basis(args) -> int:
@@ -270,8 +278,7 @@ def cmd_build_basis(args) -> int:
     out = Path(args.out)
     method = args.method
     modes = _parse_modes(args.modes, [20, 40, 60])
-    if method in SYMPLECTIC_METHODS:
-        _require_even(modes, f"{method} basis")
+    _require_even(modes, f"{method} basis")
     snapshots, warnings = _collect_snapshots(args, bench)
     basis, values, info = _make_basis(method, snapshots, max(modes))
     info.update(method=method, modes=modes)

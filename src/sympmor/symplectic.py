@@ -7,7 +7,6 @@ lift, and plain POD for reference baselines.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,16 +252,16 @@ def _greedy_start(z0: np.ndarray) -> np.ndarray:
     return z0 / norm0
 
 
-def greedy_basis(snapshots: SnapshotSet, max_pairs: int,
-                 tol: float = 0.0) -> GreedyResult:
-    """Greedy ortho-symplectic basis from trajectory snapshots.
+def greedy_basis(snapshots: SnapshotSet, max_pairs: int) -> GreedyResult:
+    """Greedy ortho-symplectic basis of ``max_pairs`` pairs from trajectory
+    snapshots.
 
     Starts from the normalized initial state, then repeatedly adds the
     snapshot with the worst projection error (earliest instant on ties),
     orthogonalized by :func:`symplectic_gram_schmidt`, together with its
-    J^T partner. Stops when the worst error drops below ``tol`` or
-    ``max_pairs`` pairs are reached. Degenerate candidates are skipped in
-    favor of the next-worst instant.
+    J^T partner. Degenerate candidates are skipped in favor of the
+    next-worst instant; snapshots that are all degenerate before
+    ``max_pairs`` pairs are reached raise ValueError.
 
     Returns
     -------
@@ -277,32 +276,23 @@ def greedy_basis(snapshots: SnapshotSet, max_pairs: int,
     history = []
     while basis.k < max_pairs:
         errs = _projection_errors(basis, snapshots.states)
-        worst = float(errs.max())
-        history.append(worst)
-        if worst <= tol:
-            break
+        history.append(float(errs.max()))
         # stable sort on negated errors: earliest instant wins ties
-        order = np.argsort(-errs, kind="stable")
-        enriched = False
-        for idx in order:
-            if errs[idx] <= tol:
-                break
+        for idx in np.argsort(-errs, kind="stable"):
             try:
                 e_new = symplectic_gram_schmidt(snapshots.states[:, idx], basis)
             except DegenerateVector:
                 continue
             basis = OrthoSymplecticBasis(np.hstack([basis.lead, e_new[:, None]]))
             selected.append(int(idx))
-            enriched = True
             break
-        if not enriched:
-            warnings.warn(
-                "greedy stopped early: all remaining snapshots are degenerate",
-                stacklevel=2,
+        else:
+            raise ValueError(
+                f"requested {max_pairs} greedy pairs but the snapshots have "
+                f"symplectic rank {basis.k}: every remaining snapshot is "
+                f"degenerate"
             )
-            break
-    else:
-        history.append(float(_projection_errors(basis, snapshots.states).max()))
+    history.append(float(_projection_errors(basis, snapshots.states).max()))
     return GreedyResult(basis=basis, worst_errors=np.asarray(history),
                         selected=selected)
 
@@ -310,18 +300,16 @@ def greedy_basis(snapshots: SnapshotSet, max_pairs: int,
 def _leading_left_singular_vectors(block: np.ndarray, count: int,
                                    what: str):
     """The ``count`` leading left singular vectors of ``block`` and its full
-    singular value sequence. A request past the numerical rank is truncated
-    to it with a warning; a block of rank zero is an error."""
+    singular value sequence. A request past the numerical rank, or a block
+    of rank zero, raises ValueError."""
     u, s, _ = np.linalg.svd(block, full_matrices=False)
     rank = int(np.sum(s > s[0] * 1e-14)) if s.size else 0
     if rank == 0:
         raise ValueError("snapshot set has rank zero")
     if count > rank:
-        warnings.warn(
-            f"requested {count} {what} but the snapshots have rank {rank}; "
-            f"truncating", stacklevel=3,
+        raise ValueError(
+            f"requested {count} {what} but the snapshots have rank {rank}"
         )
-        count = rank
     return u[:, :count], s
 
 
@@ -339,7 +327,7 @@ def cotangent_lift(snapshots: SnapshotSet, pairs: int):
     """
     n = snapshots.dim // 2
     stacked = np.hstack([snapshots.states[:n], snapshots.states[n:]])
-    phi, s = _leading_left_singular_vectors(stacked, pairs, "pairs")
+    phi, s = _leading_left_singular_vectors(stacked, pairs, "cotangent pairs")
     return OrthoSymplecticBasis(np.vstack([phi, np.zeros_like(phi)])), s
 
 

@@ -122,11 +122,10 @@ def test_build_basis_greedy_degenerate_snapshots(tmp_path):
                 "--out", str(out)) == 0
     assert read_matrix(out / "basis_k2.mtx").shape == (32, 2)
 
-    with pytest.warns(UserWarning):
-        rc = _run("build-basis", "--benchmark", "wave", "--set", "n=16",
-                  "--method", "greedy", "--modes", "4",
-                  "--snapshots", str(tmp_path / "snaps.mtx"),
-                  "--out", str(tmp_path / "basis4"))
+    rc = _run("build-basis", "--benchmark", "wave", "--set", "n=16",
+              "--method", "greedy", "--modes", "4",
+              "--snapshots", str(tmp_path / "snaps.mtx"),
+              "--out", str(tmp_path / "basis4"))
     assert rc == 2
 
 
@@ -493,7 +492,9 @@ def small_bases(tmp_path_factory):
     malformed basis files (one of an odd row count and one without
     columns), three 100-row bases that are not orthonormal (a paired
     basis scaled by 3, a sheared pair with lead columns e and e + e', and
-    a POD basis scaled by 3) and a paired basis with a NaN entry."""
+    a POD basis scaled by 3), a paired basis with a NaN entry, a POD basis
+    of 5 columns, and three snapshot files that do not fit a 100-row state
+    (20-row states, a NaN entry, and a times file one entry short)."""
     root = tmp_path_factory.mktemp("bases")
     for method in ("cotangent", "pod"):
         assert _run("build-basis", "--benchmark", "wave", "--set", "n=10",
@@ -511,6 +512,15 @@ def small_bases(tmp_path_factory):
     non_finite = sm.OrthoSymplecticBasis(e).matrix
     non_finite[0, 0] = np.nan
     write_matrix(root / "non_finite.mtx", non_finite)
+    write_matrix(root / "pod_odd.mtx", np.eye(100)[:, :5])
+    states = np.eye(100)[:, :3]
+    write_snapshots(sm.SnapshotSet(np.arange(3.0), states[:20]),
+                    root / "snaps_dim20.mtx")
+    states[1, 1] = np.nan
+    write_snapshots(sm.SnapshotSet(np.arange(3.0), states),
+                    root / "snaps_nan.mtx")
+    write_matrix(root / "snaps_short.mtx", np.eye(100)[:, :3])
+    write_matrix(root / "snaps_short_times.mtx", np.arange(2.0))
     return root
 
 
@@ -548,6 +558,14 @@ def small_bases(tmp_path_factory):
     (("reduce", "--basis", "non_finite.mtx"), "non-finite"),
     (("run-reduced", "--method", "pod", "--basis", "non_finite.mtx"),
      "non-finite"),
+    (("run-reduced", "--method", "pod", "--basis", "pod_odd.mtx"),
+     "even column count"),
+    (("build-basis", "--snapshots", "snaps_dim20.mtx"),
+     "states of dimension 20, but wave has state dimension 100"),
+    (("build-basis", "--method", "greedy", "--snapshots", "snaps_nan.mtx"),
+     "non-finite"),
+    (("build-basis", "--snapshots", "snaps_short.mtx"),
+     "3 states vs 2 times"),
 ], ids=["run-reduced-rdh-dim", "run-reduced-psd-dim", "run-reduced-pod-dim",
         "reduce-dim", "reduce-missing", "run-reduced-missing",
         "build-basis-missing", "reduce-odd-rows", "run-reduced-odd-rows",
@@ -555,12 +573,15 @@ def small_bases(tmp_path_factory):
         "reduce-sheared", "run-reduced-rdh-scaled", "run-reduced-rdh-sheared",
         "run-reduced-psd-scaled", "run-reduced-psd-sheared",
         "run-reduced-pod-scaled", "run-reduced-pod-no-columns",
-        "reduce-non-finite", "run-reduced-pod-non-finite"])
+        "reduce-non-finite", "run-reduced-pod-non-finite",
+        "run-reduced-pod-odd-columns", "build-basis-snapshot-dim",
+        "build-basis-snapshot-non-finite", "build-basis-snapshot-times"])
 def test_input_file_mistakes_exit_2(tmp_path, capsys, small_bases, argv,
                                     message):
     """A basis of the wrong dimension or shape, a basis that is not
-    orthonormal (paired or POD) or not finite, and a missing input file are
-    configuration errors: exit 2 with one ``error:`` line."""
+    orthonormal (paired or POD) or not finite, a snapshot file that does
+    not fit the benchmark, and a missing input file are configuration
+    errors: exit 2 with one ``error:`` line."""
     argv = [str(small_bases / a) if a.endswith(".mtx") else a for a in argv]
     rc = _run(*argv, "--benchmark", "wave", "--set", "n=50",
               "--set", "t_final=0.5", "--out", str(tmp_path / "x"))
@@ -607,6 +628,41 @@ def test_rank_zero_snapshots_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error: snapshot set has rank zero" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ("compare", "--methods", "rdh", "--basis-method", "greedy",
+     "--modes", "4"),
+    ("compare", "--methods", "rdh", "--modes", "4"),
+    ("compare", "--methods", "pod", "--modes", "2"),
+    ("build-basis", "--method", "greedy", "--modes", "4"),
+    ("build-basis", "--method", "cotangent", "--modes", "4"),
+    ("build-basis", "--method", "pod", "--modes", "2"),
+], ids=["compare-greedy", "compare-cotangent", "compare-pod",
+        "build-basis-greedy", "build-basis-cotangent", "build-basis-pod"])
+def test_modes_past_the_snapshot_rank_exit_2(tmp_path, capsys, argv):
+    """A run of length zero leaves one snapshot, of rank 1 (the wave starts
+    at rest in p, so its stacked q/p block has rank 1 too): a request past
+    that rank is one ``error:`` line naming it, with no warning."""
+    out = tmp_path / "x"
+    assert _run(*argv, "--benchmark", "wave", "--set", "n=16",
+                "--set", "t_final=0", "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: requested 2 ")
+    assert "rank 1" in err[0]
+    assert not out.exists()
+
+
+def test_build_basis_rejects_odd_pod_modes(tmp_path, capsys):
+    """A POD basis of odd width cannot be run (its reduced state would be
+    odd), so build-basis rejects it before it integrates."""
+    out = tmp_path / "x"
+    assert _run("build-basis", "--benchmark", "wave", "--set", "n=16",
+                "--method", "pod", "--modes", "4,5", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: pod basis requires even mode counts, got [5]\n")
     assert not out.exists()
 
 

@@ -90,15 +90,14 @@ def test_gram_schmidt_extends_basis():
 def test_greedy_constant_snapshots():
     z = np.array([1.0, 2.0, 3.0, 4.0])
     snaps = SnapshotSet(times=np.arange(5.0), states=np.tile(z, (5, 1)).T)
-    result = sm.greedy_basis(snaps, max_pairs=3, tol=1e-12)
+    result = sm.greedy_basis(snaps, max_pairs=1)
     assert result.basis.n_columns == 2
     assert result.worst_errors.shape == (1,)
     assert result.worst_errors[0] <= 1e-12
     assert result.selected == [0]
-    # with tol = 0 the stop happens via the degeneracy path instead
-    with pytest.warns(UserWarning, match="degenerate"):
-        result = sm.greedy_basis(snaps, max_pairs=3)
-    assert result.basis.n_columns == 2
+    # a second pair needs a snapshot outside the first pair's span
+    with pytest.raises(ValueError, match="degenerate"):
+        sm.greedy_basis(snaps, max_pairs=3)
 
 
 def test_greedy_rejects_zero_start():
@@ -151,9 +150,8 @@ def test_cotangent_coordinate_directions():
     basis.validate(tol=1e-12)
     proj = basis.lead @ basis.lead.T
     assert np.abs(proj - np.diag([1.0, 1.0, 0.0, 0.0])).max() <= 1e-12
-    with pytest.warns(UserWarning, match="rank"):
-        truncated, _ = sm.cotangent_lift(snaps, 3)
-    assert truncated.k == 2
+    with pytest.raises(ValueError, match="rank 2"):
+        sm.cotangent_lift(snaps, 3)
 
 
 def test_cotangent_wave_invariants(wave_n100):
@@ -178,10 +176,8 @@ def test_pod_single_and_orthogonal_snapshots():
     v, s = sm.pod_basis(snaps, 4)
     assert np.abs(v.T @ v - np.eye(4)).max() <= 1e-12
     assert np.abs(v @ v.T - np.eye(4)).max() <= 1e-12
-    with pytest.warns(UserWarning, match="rank"):
-        v, _ = sm.pod_basis(SnapshotSet(times=np.zeros(1),
-                                        states=z[:, None]), 2)
-    assert v.shape == (4, 1)
+    with pytest.raises(ValueError, match="rank 1"):
+        sm.pod_basis(SnapshotSet(times=np.zeros(1), states=z[:, None]), 2)
 
 
 def test_pod_wave_orthonormal(wave_n100):
