@@ -216,6 +216,19 @@ def _stability_warnings(dt_omega: dict) -> list[str]:
             for key, value in dt_omega.items() if value >= 2.0]
 
 
+def _momentum_warnings(bench, key: str, basis) -> list[str]:
+    """A manifest warning for the rdh or psd model ``key`` of a benchmark
+    with a nonlinear gradient on a basis that mixes q and p (a nonzero
+    p-block in its leading columns, as a greedy basis has): its reduced
+    gradient then reads the reduced momentum, which the Verlet stages
+    assume it does not."""
+    if bench.system.nonlinear_grad is None or not basis.lead[basis.n:].any():
+        return []
+    return [f"{key}: the basis mixes q and p, so the reduced gradient "
+            f"depends on the reduced momentum, which the Verlet stages "
+            f"assume it does not"]
+
+
 def cmd_run_full(args) -> int:
     bench = _build(args)
     out = Path(args.out)
@@ -367,14 +380,17 @@ def _run_reduced(reduced, config, method: str):
 def cmd_run_reduced(args) -> int:
     bench = _build(args)
     out = Path(args.out)
-    reduced = _project(bench, _basis_from_file(args.basis, args.method),
-                       args.method)
+    mapper = _basis_from_file(args.basis, args.method)
+    reduced = _project(bench, mapper, args.method)
     report, lift = _run_reduced(reduced, bench.config, args.method)
     m = lift.shape[1]
     recon = reduction.reconstruct(lift, report.snapshots, dx=bench.system.dx)
     files = [storage.write_report_csv(report, out / f"reduced_report_k{m}.csv")]
     files += storage.write_snapshots(recon, out / f"reconstructed_k{m}.mtx")
-    _write_manifest(args, bench, files, _end_warnings(report, bench.config),
+    warnings = _end_warnings(report, bench.config)
+    if args.method != "pod":
+        warnings += _momentum_warnings(bench, f"{args.method}_k{m}", mapper)
+    _write_manifest(args, bench, files, warnings,
                     reduced_run={"method": args.method, "modes": m,
                                  "wall_seconds": report.wall_seconds})
     print(f"run-reduced {bench.name} [{args.method}, {m} modes]: "
@@ -397,9 +413,11 @@ def _compare_cell(bench, config, method, mapper, reference, ref_energy,
     the spectral abscissa of the baseline generators is recorded as an
     additional diagnostic, and so is dt_omega_max of the rdh and psd models.
     A cell that ran also records its speedup, the full run's wall time over
-    its own. The columns are the error and energy on the snapshot grid, the
-    string and extended energy of an rdh run, the kinetic energy on
-    sine-gordon and the time-averaged error per component on the ladder.
+    its own, and an rdh cell its hext_drift, max_t |H_ext(t) - H_ext(0)|
+    over max_t |H_full(t)| on the snapshot grid. The columns are the error
+    and energy on the snapshot grid, the string and extended energy of an
+    rdh run, the kinetic energy on sine-gordon and the time-averaged error
+    per component on the ladder.
     """
     dx = bench.system.dx
     cell: dict = {"unstable": False}
@@ -438,8 +456,10 @@ def _compare_cell(bench, config, method, mapper, reference, ref_energy,
     cell["speedup"] = reference.wall_seconds / report.wall_seconds
     columns = {"err": err.per_instant, "H": energy}
     if method == "rdh":
+        hext = report.extended_energy[::config.snapshot_stride]
+        cell["hext_drift"] = float(np.abs(hext - hext[0]).max()) / scale
         columns["Estring"] = report.string_energy[::config.snapshot_stride]
-        columns["Hext"] = report.extended_energy[::config.snapshot_stride]
+        columns["Hext"] = hext
     if bench.name == "sine-gordon":
         v = lift[:bench.system.n] @ report.derivatives
         columns["kinetic"] = 0.5 * dx * np.sum(v * v, axis=0)
@@ -499,12 +519,15 @@ def cmd_compare(args) -> int:
         tables.append(("component_errors.csv", ["component"],
                        [np.arange(bench.system.dim)], ("avg",)))
 
-    summary, flagged = {}, []
+    summary, flagged, momentum = {}, [], []
     for method in methods:
         for m in modes:
             key = f"{method}_k{m}"
-            mapper = (pod_v[:, :m] if method == "pod"
-                      else sym_basis.truncate(m // 2))
+            if method == "pod":
+                mapper = pod_v[:, :m]
+            else:
+                mapper = sym_basis.truncate(m // 2)
+                momentum += _momentum_warnings(bench, key, mapper)
             summary[key], cols = _compare_cell(bench, config, method, mapper,
                                                full, ref_energy, model)
             if summary[key]["unstable"]:
@@ -521,7 +544,7 @@ def cmd_compare(args) -> int:
 
     warnings = _end_warnings(full, config) + _stability_warnings(
         {key: cell["dt_omega_max"] for key, cell in summary.items()
-         if "dt_omega_max" in cell})
+         if "dt_omega_max" in cell}) + momentum
     _write_manifest(args, bench, files, warnings, methods=methods,
                     modes=modes, basis_method=basis_method, cells=summary,
                     full_run={"wall_seconds": full.wall_seconds,

@@ -238,7 +238,8 @@ class TddSystem(_ExtraTerms):
     nonlinear_grad, potential : callable, optional
         Gradient and value of an additional potential term. The gradient must
         not depend on the momentum block (the kick stages evaluate it at the
-        start-of-stage momentum). Both take a state or a (2n, m) block of
+        start-of-stage momentum, and a step reuses the previous step's
+        end-of-step gradient). Both take a state or a (2n, m) block of
         states as columns: the gradient then returns one column per state,
         and the potential one value per column.
     input_vector : ndarray, optional
@@ -360,7 +361,10 @@ class _VerletStages:
     are formed once as dense matrices, so each implicit stage is one
     product; a stage whose block is zero is explicit and keeps ``None``.
     The gradient g must not depend on the momentum block, so stage 2 uses
-    its start-of-step p-block twice.
+    its start-of-step p-block twice, and stage 1's gradient is the previous
+    step's stage-3 one: a step whose q is bitwise the q_1 of the step before
+    takes that gradient, any other state has its gradient evaluated. A run
+    thus costs one gradient evaluation per step, plus one at node 0.
     """
 
     def __init__(self, dt: float):
@@ -388,6 +392,9 @@ class _VerletStages:
         u = terms.input_vector
         self.u_q = u[:n] if u is not None else None
         self.u_p = u[n:] if u is not None else None
+        # the last stage-3 gradient and the q it was evaluated at; a linear
+        # model stores nothing
+        self._end_q = self._end_extra = None
 
     def _kick_drift_kick(self, z, cs, ce):
         """The state one step after z."""
@@ -395,7 +402,10 @@ class _VerletStages:
         w = 0.5 * dt
         n = self.m_qq.shape[0]
         q, p = z[:n], z[n:]
-        extra = self._grad_extra(z)
+        if self._end_q is not None and np.array_equal(q, self._end_q):
+            extra = self._end_extra
+        else:
+            extra = self._grad_extra(z)
 
         # kick under the start-of-step constant
         rhs = p - w * (self.m_qq @ q + cs[:n])
@@ -426,6 +436,8 @@ class _VerletStages:
         p_new = p_half - w * grad_q
         if self.u_p is not None:
             p_new = p_new + w * self.u_p
+        if not self.linear:
+            self._end_q, self._end_extra = q_new, extra2
         return np.concatenate([q_new, p_new])
 
 
@@ -448,7 +460,9 @@ class VerletStepper(_VerletStages):
     tail and integral; ``step(z)`` takes the state of the current node.
     Each step reuses the previous step's end-of-step tail constant as its
     start-of-step one: the committed tail is bitwise the tail the step
-    computed for the end of the step.
+    computed for the end of the step. Likewise stage 1's nonlinear gradient
+    is the previous step's stage-3 gradient (see :class:`_VerletStages`),
+    so a run evaluates the gradient once per step.
 
     (I + w chi)^{-1} is formed once and every use multiplies by it: a CSR
     diagonal of reciprocals for a diagonal chi, else a dense inverse. When
@@ -813,7 +827,13 @@ def integrate(system: TddSystem, dt: float, n_steps: int | None = None,
 
 class DissipativeModel(_ExtraTerms):
     """Plain dissipative form dz/dt = J grad H(z) - R z + u with
-    H(z) = 0.5 z^T S z + potential(z) - z_bd . z."""
+    H(z) = 0.5 z^T S z + potential(z) - z_bd . z.
+
+    As for :class:`TddSystem`, the gradient of the potential must not
+    depend on the momentum block: the kick stages evaluate it at the
+    start-of-stage momentum, and a step reuses the previous step's
+    end-of-step gradient. Gradient and potential take a state or a
+    (2n, m) block of states as columns."""
 
     def __init__(self, stiffness, drift=None, z0=None, *, nonlinear_grad=None,
                  potential=None, input_vector=None, boundary_vector=None,

@@ -345,6 +345,67 @@ def test_compare_sine_gordon_kinetic_table(tmp_path):
     assert data[:, 1].max() > 0.0
 
 
+SG_SMALL = ("--benchmark", "sine-gordon", "--set", "n=40",
+            "--set", "t_final=4")
+MOMENTUM = "the reduced gradient depends on the reduced momentum"
+
+
+def test_compare_warns_of_a_nonlinear_model_on_a_mixing_basis(tmp_path):
+    """A greedy basis mixes q and p, so on sine-Gordon each rdh and psd
+    cell is warned of, by name, and no POD cell is."""
+    out = tmp_path / "greedy"
+    assert _run("compare", *SG_SMALL, "--modes", "4,8", "--basis-method",
+                "greedy", "--out", str(out)) == 0
+    warned = [w.split(":")[0] for w in _manifest(out)["warnings"]
+              if MOMENTUM in w]
+    assert warned == [f"{method}_k{m}" for method in ("rdh", "psd")
+                      for m in (4, 8)]
+
+
+@pytest.mark.parametrize("argv", [
+    (*SG_SMALL, "--modes", "4,8"),
+    ("--benchmark", "wave", "--set", "n=16", "--set", "t_final=1.0",
+     "--modes", "4,8", "--basis-method", "greedy"),
+], ids=["sine-gordon-cotangent", "wave-greedy"])
+def test_compare_without_a_momentum_dependent_gradient(tmp_path, argv):
+    """A cotangent basis keeps q and p apart, and the wave model has no
+    nonlinear gradient: neither compare warns of the reduced momentum."""
+    out = tmp_path / "quiet"
+    assert _run("compare", *argv, "--methods", "rdh,psd",
+                "--out", str(out)) == 0
+    assert not [w for w in _manifest(out)["warnings"] if MOMENTUM in w]
+
+
+def test_run_reduced_warns_of_a_nonlinear_model_on_a_mixing_basis(tmp_path):
+    basis = tmp_path / "basis"
+    assert _run("build-basis", *SG_SMALL, "--method", "greedy",
+                "--modes", "4", "--out", str(basis)) == 0
+    out = tmp_path / "psd"
+    assert _run("run-reduced", *SG_SMALL, "--method", "psd", "--basis",
+                str(basis / "basis_k4.mtx"), "--out", str(out)) == 0
+    [warning] = _manifest(out)["warnings"]
+    assert warning.startswith("psd_k4: ") and MOMENTUM in warning
+
+
+def test_compare_records_the_rdh_extended_energy_drift(tmp_path):
+    """Each rdh cell's hext_drift is max |H_ext - H_ext(0)| / max |H_full|
+    of the energy table's columns."""
+    out = tmp_path / "ladder"
+    assert _run("compare", "--benchmark", "ladder", "--set", "cells=10",
+                "--set", "t_final=5.0", "--modes", "4,8",
+                "--out", str(out)) == 0
+    header, data = read_csv(out / "energy.csv")
+    scale = np.abs(data[:, header.index("H_full")]).max()
+    cells = _manifest(out)["cells"]
+    for key, cell in cells.items():
+        if not key.startswith("rdh_"):
+            assert "hext_drift" not in cell
+            continue
+        hext = data[:, header.index(f"Hext_{key}")]
+        want = np.abs(hext - hext[0]).max() / scale
+        assert cell["hext_drift"] == pytest.approx(want, rel=1e-12)
+
+
 def test_compare_unknown_method(tmp_path, capsys):
     rc = _run("compare", "--benchmark", "wave", "--set", "n=16",
               "--methods", "rdh,foo", "--out", str(tmp_path / "x"))

@@ -653,6 +653,92 @@ def test_closed_and_dissipative_steppers_agree_without_memory(name, overrides):
     assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
 
+# -- one gradient evaluation per Verlet step ---------------------------------
+
+
+def _sine_gordon_n40():
+    config = sm.make_config("sine-gordon", {"n": 40})
+    return sm.build_benchmark("sine-gordon", config)
+
+
+class _GradCount:
+    """Counts the single-state calls of a model's nonlinear gradient; the
+    driver's block calls after the loop are left out."""
+
+    def __init__(self, model):
+        self.calls = 0
+        grad = model.nonlinear_grad
+
+        def counted(z):
+            if np.ndim(z) == 1:
+                self.calls += 1
+            return grad(z)
+        model.nonlinear_grad = counted
+
+
+def _sine_gordon_run(which, dt, n_steps):
+    """(model, integrate) of one sine-Gordon n = 40 Verlet run: the full
+    closed or dissipative model, or its rdh or psd reduction on 4
+    cotangent pairs."""
+    bench = _sine_gordon_n40()
+    if which == "full":
+        return bench.system, sm.integrate
+    if which == "dissipative":
+        return bench.dissipative_model(), sm.integrate_dissipative
+    full = sm.integrate(bench.system, dt=dt, n_steps=n_steps)
+    basis, _ = sm.cotangent_lift(full.snapshots, 4)
+    if which == "rdh":
+        return sm.rdh_reduce(bench.system, basis).system, sm.integrate
+    return (sm.psd_baseline(bench.dissipative_model(), basis).model,
+            sm.integrate_dissipative)
+
+
+@pytest.mark.parametrize("which", ["full", "dissipative", "rdh", "psd"])
+def test_verlet_runs_evaluate_the_gradient_once_per_step(which):
+    """Stage 1 of a step takes the gradient stage 3 of the step before
+    evaluated: a run of n steps calls the gradient of a single state
+    n + 1 times, once at node 0 and once per step."""
+    dt, n_steps = 0.01, 150
+    model, run = _sine_gordon_run(which, dt, n_steps)
+    count = _GradCount(model)
+    run(model, dt=dt, n_steps=n_steps, snapshot_stride=7)
+    assert count.calls == n_steps + 1
+
+
+def test_fresh_stepper_reproduces_a_recorded_node_bitwise():
+    """The reused gradient is bitwise the one a fresh stepper evaluates at
+    the start-of-step state, since the sine-Gordon gradient reads q only:
+    stepping a recorded node with a new stepper gives the next node."""
+    bench = _sine_gordon_n40()
+    model, dt = bench.dissipative_model(), bench.config.dt
+    states = sm.integrate_dissipative(model, dt=dt,
+                                      n_steps=40).snapshots.states
+    for node in (0, 17, 39):
+        stepper = dynamics.DissipativeVerletStepper(model, dt)
+        np.testing.assert_array_equal(stepper.step(states[:, node]),
+                                      states[:, node + 1])
+
+
+def test_stepper_given_another_state_evaluates_the_gradient():
+    """A state whose q is not the q the last step ended at has its
+    gradient evaluated again, and steps as a fresh stepper steps it; the
+    step from the state the last step returned evaluates once."""
+    bench = _sine_gordon_n40()
+    model, dt = bench.dissipative_model(), bench.config.dt
+    count = _GradCount(model)
+    stepper = dynamics.DissipativeVerletStepper(model, dt)
+    z1 = stepper.step(model.z0)
+    assert count.calls == 2
+    stepper.step(z1)
+    assert count.calls == 3
+    other = z1.copy()
+    other[3] += 1e-3
+    got = stepper.step(other)
+    assert count.calls == 5
+    want = dynamics.DissipativeVerletStepper(model, dt).step(other)
+    np.testing.assert_array_equal(got, want)
+
+
 def test_rk4_accuracy_linear_decay():
     rep = sm.integrate_rk4(lambda z: -z, np.array([1.0, 1.0]), dt=1e-2,
                            t_final=1.0)
