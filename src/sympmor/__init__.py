@@ -9,11 +9,11 @@ symplectic and unstructured Galerkin baselines.
 
 from .benchmarks import (Benchmark, LadderConfig, SineGordonConfig,
                          WaveConfig, benchmark_names, build_benchmark,
-                         build_oscillator, kink_profile, make_config,
-                         oscillator_exact, skew_to_canonical, spline_bump)
+                         kink_profile, make_config, skew_to_canonical,
+                         spline_bump)
 from .dynamics import (DissipativeModel, NonFiniteError, RunReport,
                        TddSystem, VerletStepper, cholesky_factor, integrate,
-                       integrate_dissipative, integrate_rk4, symmetric_sqrt)
+                       integrate_dissipative, integrate_rk4)
 from .reduction import (PodModel, ReducedDissipative, ReducedTdd,
                         TrajectoryError, dt_omega_max, l2_error, pod_baseline,
                         psd_baseline, rdh_reduce, reconstruct,
@@ -21,8 +21,7 @@ from .reduction import (PodModel, ReducedDissipative, ReducedTdd,
                         terminal_growth)
 from .symplectic import (CanonicalForm, DegenerateVector, GreedyResult,
                          OrthoSymplecticBasis, SnapshotSet, cotangent_lift,
-                         greedy_basis, pod_basis, symplectic_gram_schmidt,
-                         symplectic_inverse)
+                         greedy_basis, pod_basis, symplectic_gram_schmidt)
 
 __version__ = "0.1.0"
 
@@ -47,7 +46,6 @@ __all__ = [
     "WaveConfig",
     "benchmark_names",
     "build_benchmark",
-    "build_oscillator",
     "cholesky_factor",
     "cotangent_lift",
     "dt_omega_max",
@@ -58,7 +56,6 @@ __all__ = [
     "kink_profile",
     "l2_error",
     "make_config",
-    "oscillator_exact",
     "pod_baseline",
     "pod_basis",
     "psd_baseline",
@@ -67,10 +64,8 @@ __all__ = [
     "skew_to_canonical",
     "spectral_abscissa",
     "spline_bump",
-    "symmetric_sqrt",
     "symplectic_galerkin",
     "symplectic_gram_schmidt",
-    "symplectic_inverse",
     "terminal_growth",
     "__version__",
 ]

@@ -4,8 +4,8 @@ Three families: a dissipative linear wave equation on a periodic grid, the
 damped sine-Gordon equation with Dirichlet boundaries, and a driven
 resistor-inductor-capacitor ladder network brought to canonical coordinates.
 Each builder returns the closed time-dispersive formulation plus the plain
-dissipative operators used by the reference baselines. The wave, sine-Gordon
-and oscillator systems share one mechanical closure; the ladder is brought to
+dissipative operators used by the reference baselines. The wave and
+sine-Gordon systems share one mechanical closure; the ladder is brought to
 canonical form by its own transform.
 """
 
@@ -364,31 +364,6 @@ def build_ladder(config: LadderConfig) -> Benchmark:
             "input_physical": u_phys,
         },
     )
-
-
-# -- damped oscillator (validation helper) ------------------------------------
-
-
-def build_oscillator(k: float = 1.0, r: float = 0.5, q0: float = 1.0,
-                     p0: float = 0.0, chi_scale: float = 1.0) -> Benchmark:
-    """Scalar damped oscillator q'' + r q' + k q = 0 in closed form.
-
-    Not part of the named benchmark registry; used for convergence and
-    balance checks where an exact solution is available.
-    """
-    return _mechanical(np.array([[k]], dtype=float), chi_scale * r,
-                       np.array([q0, p0]), name="oscillator")
-
-
-def oscillator_exact(k: float, r: float, q0: float, t):
-    """Underdamped solution of q'' + r q' + k q = 0 started at rest."""
-    t = np.asarray(t, dtype=float)
-    if r ** 2 >= 4.0 * k:
-        raise ValueError("closed form here covers the underdamped case only")
-    omega = np.sqrt(k - 0.25 * r ** 2)
-    decay = np.exp(-0.5 * r * t)
-    return q0 * decay * (np.cos(omega * t)
-                         + (0.5 * r / omega) * np.sin(omega * t))
 
 
 # -- registry -----------------------------------------------------------------

@@ -140,23 +140,6 @@ def _require_psd(eigenvalues: np.ndarray, floor: float) -> None:
             f"susceptibility has negative eigenvalue {eigenvalues.min():.3e}")
 
 
-def symmetric_sqrt(chi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Symmetric PSD square root of a symmetric PSD matrix.
-
-    Diagonal matrices take a fast path. Eigenvalues in [-tol*scale, 0) are
-    treated as roundoff and clamped to zero; anything below that raises.
-    """
-    chi = np.asarray(chi, dtype=float)
-    floor = tol * max(1.0, float(np.abs(chi).max()))
-    if not (chi - np.diag(np.diag(chi))).any():
-        _require_psd(np.diag(chi), floor)
-        return np.diag(np.sqrt(np.clip(np.diag(chi), 0.0, None)))
-    vals, vecs = np.linalg.eigh(0.5 * (chi + chi.T))
-    _require_psd(vals, floor)
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    return 0.5 * (root + root.T)
-
-
 def _optional_array(v):
     return None if v is None else np.asarray(v, dtype=float)
 
@@ -364,7 +347,10 @@ class _VerletStages:
     its start-of-step p-block twice, and stage 1's gradient is the previous
     step's stage-3 one: a step whose q is bitwise the q_1 of the step before
     takes that gradient, any other state has its gradient evaluated. A run
-    thus costs one gradient evaluation per step, plus one at node 0.
+    thus costs one gradient evaluation per step, plus one at node 0. Apart
+    from that evaluation, at (q_1, p_h), a step is affine in its state and
+    in the gradients of stages 1 and 3, which :func:`_step_map` probes by
+    swapping ``_grad_extra``.
     """
 
     def __init__(self, dt: float):
@@ -577,13 +563,18 @@ class RunReport:
 # of this length, and _drive derives the series of each block.
 _BLOCK = 128
 
-# Linear models whose step map has at most this many rows advance by one
-# dense product per step (see _record_blocks). Measured with one BLAS
-# thread over 5000 steps, probes included, the map beats the stepper up to
-# about 480 rows on the closed CSR wave, the cheapest step per row, and
-# still at 800 rows on the dense closed ladder and 600 on its dissipative
-# form; the preset ladder's full map has 200 rows, the 1000-dim wave's
-# 2000.
+# Verlet models whose step map has at most this many columns advance by it
+# (see _record_blocks): the map state x for a linear model, x and the dim
+# gradient entries for a nonlinear one. Measured with one BLAS thread over
+# 5000 steps, probes included, the linear map beats the stepper up to about
+# 480 columns on the closed CSR wave, the cheapest step per row, and still
+# at 800 on the dense closed ladder and 600 on its dissipative form; the
+# preset ladder's full map has 200 columns, the 1000-dim wave's 2000. Over
+# 2000 steps of the full sine-Gordon model, mapped over stepped time reads
+# 0.59 at 300 columns (closed, n = 50), 0.81 at 360 (n = 60), 1.03 at 420
+# (n = 70) and 2.2 at 600 (n = 100, a 400-row state); the dissipative form
+# reads 0.82 at 320 columns and 1.24 at 400. The reduced sine-Gordon maps
+# have at most 180 columns (rdh k = 60).
 _MAP_DIM = 400
 
 # Largest entry the step map may form before the stepper takes over. A
@@ -627,29 +618,67 @@ def _trapezoid_sum(weight: float, rates):
 
 
 def _step_map(stepper, closed: bool, dim: int):
-    """Matrix Phi and vector c such that Phi x + c is the state one step
-    after x, for a stepper whose step is affine: x = (z, F) for a
+    """The step of a Verlet stepper as products: x = (z, F) for a
     :class:`VerletStepper` past node 0, loaded with
-    :meth:`VerletStepper._load`, and x = z otherwise. Both come from the
-    stepper's own ``step``: c is the step of x = 0, column j of Phi the step
-    of the unit vector e_j minus c. The probes leave the stepper at an
-    arbitrary state."""
+    :meth:`VerletStepper._load`, and x = z otherwise.
 
-    def image(x):
-        if not closed:
-            return stepper.step(x)
-        z, integral = x.reshape(2, dim)
-        stepper._load(z, integral)
-        return np.concatenate([stepper.step(z), stepper.integral])
+    A linear stepper gives (Phi, c, None) with Phi x + c the state one step
+    after x. With a nonlinear gradient the step is affine in x and in the
+    two gradients it takes, g_n at stage 1 and g_{n+1} at stage 3, so it
+    gives (B, c, G_1) with
 
-    unit = np.zeros((2 if closed else 1) * dim)
-    c = image(unit)
-    phi = np.empty((unit.size, unit.size))
-    for j in range(unit.size):
-        unit[j] = 1.0
-        phi[:, j] = image(unit) - c
-        unit[j] = 0.0
-    return phi, c
+        [s; x'] = B [x; g_n] + c,  g_{n+1} = grad(s),
+        x_{n+1} = x' + G_1 g_{n+1}[:n],
+
+    where s = (q_{n+1}, p_half) is the argument stage 3 passes to the
+    gradient; stage 3 kicks p with the q block of g_{n+1} only, so G_1 has
+    n columns, and it is zero on the q rows. Everything comes from the
+    stepper's own ``step``: c is the image of zero, and each column the
+    image of a unit vector minus c. For the probes of a nonlinear stepper
+    the stepper's gradient is swapped for one that returns the injected
+    g_n and g_{n+1} and records s, and restored after; the model's gradient
+    is never called. The probes leave the stepper at an arbitrary state."""
+    linear = stepper.linear
+    xdim = (2 if closed else 1) * dim
+    n = dim // 2
+    injected, seen = [], []
+
+    def injected_grad(z):
+        seen.append(z)
+        return injected.pop(0)
+
+    def image(v):
+        x = v[:xdim]
+        if not linear:
+            injected[:] = [v[xdim: xdim + dim],
+                           np.concatenate([v[xdim + dim:], np.zeros(n)])]
+            seen.clear()
+            stepper._end_q = None       # stage 1 takes the injected g_n
+        if closed:
+            z, integral = x.reshape(2, dim)
+            stepper._load(z, integral)
+            out = np.concatenate([stepper.step(z), stepper.integral])
+        else:
+            out = stepper.step(x)
+        return out if linear else np.concatenate([seen[-1], out])
+
+    unit = np.zeros(xdim if linear else xdim + dim + n)
+    real_grad = stepper._grad_extra
+    if not linear:
+        stepper._grad_extra = injected_grad
+    try:
+        c = image(unit)
+        phi = np.empty((c.size, unit.size))
+        for j in range(unit.size):
+            unit[j] = 1.0
+            phi[:, j] = image(unit) - c
+            unit[j] = 0.0
+    finally:
+        stepper._grad_extra = real_grad
+    if linear:
+        return phi, c, None
+    return (np.ascontiguousarray(phi[:, : xdim + dim]), c,
+            np.ascontiguousarray(phi[dim:, xdim + dim:]))
 
 
 def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
@@ -664,48 +693,75 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     right after the step.
 
     Each node is written by ``stepper.step``, whose state is checked for
-    finiteness at once, or by the step map. A linear stepper (no nonlinear
-    gradient) is affine in x = (z, F) for the closed form, whose co-state
-    is then f = K z - chi F, and in z otherwise. When x has at most
-    _MAP_DIM entries and the run more than one step, :func:`_step_map`
-    builds x <- Phi x + c from the stepper's own step once node 1 is
-    recorded, one probe step per row plus one, and the rest of each block
-    is advanced in place, x being the first layers of a node's row; the
-    states agree with the stepped run to roundoff, not bitwise. A chunk
-    with an entry past _MAP_RANGE is discarded, and the same loop steps on
-    from the last recorded node, so a run near overflow ends, or raises
-    :class:`NonFiniteError`, at the step the stepped run does.
+    finiteness at once, or by the step map. A Verlet step is affine in
+    x = (z, F) for the closed form, whose co-state is then f = K z - chi F,
+    and in z otherwise, once its one gradient evaluation is set apart. When
+    the map has at most _MAP_DIM columns and the run more than one step,
+    :func:`_step_map` builds it from the stepper's own step once node 1 is
+    recorded, one probe step per column plus one, and the rest of each
+    block is advanced in place, x being the first layers of a node's row:
+    x <- Phi x + c for a linear stepper (no nonlinear gradient), and for a
+    nonlinear one B [x; g] + c, the gradient g at its stage-3 argument and
+    the product with G_1, g starting from node 1's stage-3 gradient. The
+    states agree with the stepped run to roundoff, not bitwise, q/p-mixing
+    bases included, since the map takes the gradient where the stepper
+    does. A chunk with an entry past _MAP_RANGE is discarded, and the same
+    loop steps on from the last recorded node, its gradient handed to the
+    stepper as the one its last step kept, so a run near overflow ends, or
+    raises :class:`NonFiniteError`, at the step the stepped run does.
     """
     dim = z.size
+    n = dim // 2
     w = 0.5 * stepper.dt
     system = stepper.system if closed else None
     rows = np.empty((_BLOCK, 3 if closed else 2 if inline else 1, dim))
     # the map state x of each node: the leading (z, F), or z, of its row
-    xs = rows.reshape(_BLOCK, -1)[:, : (2 if closed else 1) * dim]
-    mapped = stepper.linear and xs.shape[1] <= _MAP_DIM and n_steps > 1
+    xdim = (2 if closed else 1) * dim
+    xs = rows.reshape(_BLOCK, -1)[:, :xdim]
+    linear = stepper.linear
+    # a nonlinear map also takes the gradient: dim more columns
+    mapped = (isinstance(stepper, _VerletStages) and n_steps > 1
+              and xdim + (0 if linear else dim) <= _MAP_DIM)
     phi = None
     for start in range(0, n_steps + 1, _BLOCK):
         m = min(_BLOCK, n_steps + 1 - start)
         j = 0
         while j < m:
             if phi is not None:         # map the rest of the block
-                y = x
-                for row in xs[j:m]:
-                    np.matmul(phi, y, out=row)
-                    row += c
-                    y = row
+                if linear:
+                    y = x
+                    for row in xs[j:m]:
+                        np.matmul(phi, y, out=row)
+                        row += c
+                        y = row
+                    y = y.copy()
+                else:
+                    # y = (x, g) of the current node, stage = (s, x')
+                    y = x.copy()
+                    y_x, y_g, s = y[:xdim], y[xdim:], stage[:dim]
+                    y_q = y_g[:n]
+                    for row in xs[j:m]:
+                        np.matmul(phi, y, out=stage)
+                        stage += c
+                        y_g[:] = grad(s)
+                        np.matmul(g1, y_q, out=row)
+                        row += stage[dim:]
+                        y_x[:] = row
                 if np.abs(xs[j:m]).max() <= _MAP_RANGE:
                     if closed:
                         rows[j:m, 2] = (system.k_op @ rows[j:m, 0].T
                                         - system.chi_apply(rows[j:m, 1].T)).T
-                    x = y.copy()
+                    x = y
                     j = m
                     continue
-                # step on from the last recorded node x
+                # step on from the last recorded node x, with its gradient
                 phi = None
                 z = x[:dim]
                 if closed:
-                    stepper._load(z, x[dim:])
+                    stepper._load(z, x[dim:xdim])
+                if not linear:
+                    stepper._end_q = z[:n].copy()
+                    stepper._end_extra = x[xdim:].copy()
             if start + j:
                 z = stepper.step(z)
                 if not np.isfinite(z).all():
@@ -718,8 +774,13 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                 rows[j, 1] = stepper.snapshot(z)
             j += 1
             if mapped and start + j == 2:
-                x = xs[1].copy()
-                phi, c = _step_map(stepper, closed, dim)
+                # node 1 and, for a nonlinear model, its stage-3 gradient
+                x = xs[1].copy() if linear else np.concatenate(
+                    [xs[1], stepper._end_extra])
+                phi, c, g1 = _step_map(stepper, closed, dim)
+                if not linear:
+                    grad = stepper._grad_extra
+                    stage = np.empty(c.size)
         yield rows[:m].transpose(1, 0, 2)
 
 
@@ -809,8 +870,9 @@ def integrate(system: TddSystem, dt: float, n_steps: int | None = None,
     decay to the strings. Snapshots (state, dz/dt and co-state) are stored
     every ``snapshot_stride`` steps; ``n_steps == 0`` yields the initial
     instant only. The derivatives are derived after the loop from the
-    recorded states and co-states. A model without a nonlinear gradient may
-    advance by its step map (see :func:`_record_blocks`).
+    recorded states and co-states. A model whose step map is small enough
+    advances by it, with one gradient evaluation per step for a nonlinear
+    model (see :func:`_record_blocks`).
 
     Raises
     ------
@@ -904,7 +966,8 @@ def integrate_dissipative(model: DissipativeModel, dt: float,
     scheme. String and extended energies are not defined for this
     formulation and are reported as zero / equal to H. The snapshot
     derivatives are derived after the loop from the recorded states. A
-    model without a nonlinear gradient may advance by its step map (see
+    model whose step map is small enough advances by it, with one gradient
+    evaluation per step for a nonlinear model (see
     :func:`_record_blocks`)."""
     return _drive(lambda: DissipativeVerletStepper(model, dt), model.z0, dt,
                   n_steps, t_final, snapshot_stride, model.dx,

@@ -60,29 +60,6 @@ class CanonicalForm:
         return j
 
 
-def symplectic_inverse(a: np.ndarray) -> np.ndarray:
-    """Symplectic (Moore-Penrose-like) inverse A^+ = J_{2k}^T A^T J_{2n}.
-
-    Parameters
-    ----------
-    a : ndarray, shape (2n, 2k)
-        Matrix with an even number of rows and columns.
-
-    Returns
-    -------
-    ndarray, shape (2k, 2n)
-        A^+, computed by block swaps and sign flips only (exact in floating
-        point up to the entries of A themselves).
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] % 2 or a.shape[1] % 2:
-        raise ValueError(f"matrix must have even dimensions, got {a.shape}")
-    n, k = a.shape[0] // 2, a.shape[1] // 2
-    at = a.T
-    at_j = np.hstack([-at[:, n:], at[:, :n]])          # A^T J_2n
-    return np.vstack([-at_j[k:, :], at_j[:k, :]])      # J_2k^T (A^T J_2n)
-
-
 @dataclass
 class SnapshotSet:
     """Trajectory samples: ``states[:, i]`` is the state at ``times[i]``.
@@ -121,8 +98,9 @@ class OrthoSymplecticBasis:
 
     The column pairing (column k+i equals J^T applied to column i) is
     maintained structurally, which makes the symplectic inverse A^+ equal
-    the transpose A^T. Lift, coefficients and projection are products with
-    the cached :attr:`matrix` and its transpose.
+    the transpose A^T, so the reduced coordinates of z are A^T z. Lift and
+    projection are products with the cached :attr:`matrix` and its
+    transpose.
     """
 
     def __init__(self, lead: np.ndarray):
@@ -157,10 +135,6 @@ class OrthoSymplecticBasis:
             self._matrix = np.hstack([self.lead, self.J.apply_transpose(self.lead)])
         return self._matrix
 
-    def coefficients(self, z):
-        """Reduced coordinates A^+ z = A^T z."""
-        return self.matrix.T @ z
-
     def project(self, z):
         """Orthogonal (= symplectic) projection A A^T z."""
         a = self.matrix
@@ -169,9 +143,6 @@ class OrthoSymplecticBasis:
     def lift(self, y):
         """Map reduced coordinates back: A y."""
         return self.matrix @ y
-
-    def symplectic_inverse(self) -> np.ndarray:
-        return symplectic_inverse(self.matrix)
 
     def truncate(self, pairs: int) -> "OrthoSymplecticBasis":
         """Sub-basis of the first ``pairs`` column pairs (nested by design)."""

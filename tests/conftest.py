@@ -13,6 +13,8 @@ import pytest
 import scipy.linalg
 
 import sympmor as sm
+from sympmor.benchmarks import Benchmark, _mechanical
+from sympmor.dynamics import _require_psd
 from sympmor.symplectic import (DegenerateVector, OrthoSymplecticBasis,
                                 symplectic_gram_schmidt)
 
@@ -49,6 +51,61 @@ def random_ortho_symplectic(n: int, pairs: int,
                 else np.hstack([basis.lead, e_new[:, None]]))
         basis = OrthoSymplecticBasis(lead)
     return basis
+
+
+def symplectic_inverse(a: np.ndarray) -> np.ndarray:
+    """Symplectic (Moore-Penrose-like) inverse A^+ = J_{2k}^T A^T J_{2n} of
+    a (2n, 2k) matrix, by block swaps and sign flips only (exact in
+    floating point up to the entries of A themselves)."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] % 2 or a.shape[1] % 2:
+        raise ValueError(f"matrix must have even dimensions, got {a.shape}")
+    n, k = a.shape[0] // 2, a.shape[1] // 2
+    at = a.T
+    at_j = np.hstack([-at[:, n:], at[:, :n]])          # A^T J_2n
+    return np.vstack([-at_j[k:, :], at_j[:k, :]])      # J_2k^T (A^T J_2n)
+
+
+def coefficients(basis: OrthoSymplecticBasis, z):
+    """Reduced coordinates A^+ z = A^T z of a state or a block of states."""
+    return basis.matrix.T @ z
+
+
+def symmetric_sqrt(chi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Symmetric PSD square root of a symmetric PSD matrix.
+
+    Diagonal matrices take a fast path. Eigenvalues in [-tol*scale, 0) are
+    treated as roundoff and clamped to zero; anything below that raises.
+    """
+    chi = np.asarray(chi, dtype=float)
+    floor = tol * max(1.0, float(np.abs(chi).max()))
+    if not (chi - np.diag(np.diag(chi))).any():
+        _require_psd(np.diag(chi), floor)
+        return np.diag(np.sqrt(np.clip(np.diag(chi), 0.0, None)))
+    vals, vecs = np.linalg.eigh(0.5 * (chi + chi.T))
+    _require_psd(vals, floor)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    return 0.5 * (root + root.T)
+
+
+def build_oscillator(k: float = 1.0, r: float = 0.5, q0: float = 1.0,
+                     p0: float = 0.0, chi_scale: float = 1.0) -> Benchmark:
+    """Scalar damped oscillator q'' + r q' + k q = 0 in closed form, through
+    the benchmarks' mechanical closure; for convergence and balance checks
+    where an exact solution is available."""
+    return _mechanical(np.array([[k]], dtype=float), chi_scale * r,
+                       np.array([q0, p0]), name="oscillator")
+
+
+def oscillator_exact(k: float, r: float, q0: float, t):
+    """Underdamped solution of q'' + r q' + k q = 0 started at rest."""
+    t = np.asarray(t, dtype=float)
+    if r ** 2 >= 4.0 * k:
+        raise ValueError("closed form here covers the underdamped case only")
+    omega = np.sqrt(k - 0.25 * r ** 2)
+    decay = np.exp(-0.5 * r * t)
+    return q0 * decay * (np.cos(omega * t)
+                         + (0.5 * r / omega) * np.sin(omega * t))
 
 
 def volterra_bound(report) -> float:

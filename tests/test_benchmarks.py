@@ -6,7 +6,7 @@ import pytest
 import sympmor as sm
 from sympmor import CanonicalForm
 
-from conftest import kink_speed
+from conftest import build_oscillator, kink_speed, oscillator_exact
 
 
 # -- dissipative wave ----------------------------------------------------------
@@ -258,14 +258,14 @@ def test_skew_to_canonical_errors():
 
 def test_oscillator_exact_properties():
     k, r, q0 = 2.0, 0.3, 1.5
-    assert sm.oscillator_exact(k, r, q0, 0.0) == q0
+    assert oscillator_exact(k, r, q0, 0.0) == q0
     h = 1e-5
-    slope = (sm.oscillator_exact(k, r, q0, h)
-             - sm.oscillator_exact(k, r, q0, -h)) / (2.0 * h)
+    slope = (oscillator_exact(k, r, q0, h)
+             - oscillator_exact(k, r, q0, -h)) / (2.0 * h)
     assert abs(slope) <= 1e-4
     with pytest.raises(ValueError, match="underdamped"):
-        sm.oscillator_exact(1.0, 2.0, 1.0, 0.0)
-    bench = sm.build_oscillator(k=4.0, r=0.1, q0=2.0)
+        oscillator_exact(1.0, 2.0, 1.0, 0.0)
+    bench = build_oscillator(k=4.0, r=0.1, q0=2.0)
     assert np.array_equal(bench.system.K, np.diag([2.0, 1.0]))
     assert np.array_equal(np.diag(bench.system.chi), [0.0, 0.1])
     assert np.array_equal(bench.system.z0, [2.0, 0.0])
@@ -273,7 +273,7 @@ def test_oscillator_exact_properties():
     for k in (0.0, -1.0):
         with pytest.raises(np.linalg.LinAlgError,
                            match="oscillator stiffness"):
-            sm.build_oscillator(k=k)
+            build_oscillator(k=k)
 
 
 def test_registry_and_config_errors():

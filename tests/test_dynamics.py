@@ -7,10 +7,11 @@ import scipy.linalg
 import scipy.sparse
 
 import sympmor as sm
-from sympmor import cholesky_factor, dynamics, symmetric_sqrt
+from sympmor import cholesky_factor, dynamics
 from sympmor.dynamics import VerletStepper
 
-from conftest import assert_volterra, extended_drift, passivity_fd
+from conftest import (assert_volterra, build_oscillator, extended_drift,
+                      oscillator_exact, passivity_fd, symmetric_sqrt)
 
 
 def _wave(n=16, **overrides):
@@ -71,7 +72,7 @@ def test_symmetric_sqrt_paths():
 
 
 def test_solve_auxiliary_without_dissipation():
-    bench = sm.build_oscillator(chi_scale=0.0)
+    bench = build_oscillator(chi_scale=0.0)
     z = np.array([0.3, -1.2])
     system = sm.TddSystem(bench.system.K, bench.system.chi, z)
     f0 = VerletStepper(system, 0.1).f
@@ -79,7 +80,7 @@ def test_solve_auxiliary_without_dissipation():
 
 
 def test_solve_auxiliary_matches_trapezoid_history():
-    bench = sm.build_oscillator(k=1.0, r=1.0)
+    bench = build_oscillator(k=1.0, r=1.0)
     system = bench.system
     dt = 1e-3
     stepper = VerletStepper(system, dt)
@@ -166,7 +167,7 @@ def test_verlet_matches_classical_implicit_scheme_without_memory():
 
 
 def test_verlet_energy_error_bounded_conservative():
-    bench = sm.build_oscillator(r=0.0)
+    bench = build_oscillator(r=0.0)
     h0 = bench.system.hamiltonian(bench.system.z0)
     dev = {}
     for t_final in (20.0, 40.0):
@@ -178,15 +179,15 @@ def test_verlet_energy_error_bounded_conservative():
 
 
 def test_verlet_second_order_damped_oscillator():
-    bench = sm.build_oscillator(k=1.0, r=0.5)
+    bench = build_oscillator(k=1.0, r=0.5)
     dt = 1e-3
     rep = sm.integrate(bench.system, dt=dt, t_final=10.0)
-    exact = sm.oscillator_exact(1.0, 0.5, 1.0, rep.times)
+    exact = oscillator_exact(1.0, 0.5, 1.0, rep.times)
     assert np.abs(rep.snapshots.states[0] - exact).max() <= dt ** 2
 
 
 def test_integrate_zero_horizon():
-    bench = sm.build_oscillator()
+    bench = build_oscillator()
     rep = sm.integrate(bench.system, dt=0.1, t_final=0.0)
     assert rep.n_steps == 0
     assert rep.times.shape == (1,)
@@ -196,7 +197,7 @@ def test_integrate_zero_horizon():
 
 
 def test_integrate_argument_validation():
-    bench = sm.build_oscillator()
+    bench = build_oscillator()
     with pytest.raises(ValueError, match="exactly one"):
         sm.integrate(bench.system, dt=0.1)
     with pytest.raises(ValueError, match="exactly one"):
@@ -235,7 +236,7 @@ def test_integrate_small_wave_diagnostics(wave_n100):
 
 
 def test_extended_hamiltonian_at_start():
-    bench = sm.build_oscillator()
+    bench = build_oscillator()
     rep = sm.integrate(bench.system, dt=1e-3, n_steps=0)
     h0 = bench.system.hamiltonian(bench.system.z0)
     assert abs(rep.extended_energy[0] - h0) <= 1e-14
@@ -251,7 +252,7 @@ def test_extended_hamiltonian_without_memory_tracks_h():
 
 
 def test_extended_hamiltonian_conserved_damped_oscillator(run_registry):
-    bench = sm.build_oscillator(k=1.0, r=0.5)
+    bench = build_oscillator(k=1.0, r=0.5)
     system = bench.system
     dt = 1e-3
     rep = sm.integrate(system, dt=dt, t_final=5.0)
@@ -369,12 +370,9 @@ def test_series_across_block_boundaries(name, overrides, n_steps):
     rep = sm.integrate(system, dt=config.dt, n_steps=n_steps,
                        snapshot_stride=stride)
     states, costates, rows = _series_by_hand(system, config.dt, n_steps)
-    for got, want in ((rep.snapshots.states, states[:, ::stride]),
-                      (rep.costates, costates[:, ::stride])):
-        if name == "ladder":    # linear: advanced by the step map
-            assert _close(got, want)
-        else:
-            assert np.array_equal(got, want)
+    # both models advance by the step map, so to roundoff
+    assert _close(rep.snapshots.states, states[:, ::stride])
+    assert _close(rep.costates, costates[:, ::stride])
     ham, e_string, h_ext, passivity, volterra, kz = rows
     if name == "ladder":
         assert np.abs(h_ext - ham - e_string).max() > 1e-6   # e != 0
@@ -430,6 +428,13 @@ def test_closed_map_path_matches_stepper_loop(make, n_steps, monkeypatch):
     maps = _MapCount(monkeypatch)
     rep = sm.integrate(system, dt=dt, n_steps=n_steps, snapshot_stride=7)
     assert maps.calls == 1
+    _assert_closed_run_matches_loop(rep, system, dt, n_steps)
+
+
+def _assert_closed_run_matches_loop(rep, system, dt, n_steps):
+    """States, co-states and derivatives of a closed run with stride 7
+    within 1e-12 of their max of a manual stepper loop's, its energy series
+    within 1e-12 of max |H|, and its Volterra residual within bound."""
     states, costates, rows = _series_by_hand(system, dt, n_steps)
     states, costates = states[:, ::7], costates[:, ::7]
     assert _close(rep.snapshots.states, states)
@@ -460,24 +465,81 @@ def test_dissipative_map_path_matches_stepper_loop(ladder50, monkeypatch):
     rep = sm.integrate_dissipative(model, dt=dt, n_steps=n_steps,
                                    snapshot_stride=7)
     assert maps.calls == 1
+    _assert_plain_run_matches_loop(rep, model, dt, n_steps)
+
+
+def _plain_loop(model, dt, n_steps):
+    """States of a manual DissipativeVerletStepper loop, one per node."""
     stepper = dynamics.DissipativeVerletStepper(model, dt)
-    z = model.z0
-    states = [z]
+    states = [model.z0]
     for _ in range(n_steps):
-        z = stepper.step(z)
-        states.append(z)
-    states = np.array(states).T
+        states.append(stepper.step(states[-1]))
+    return np.array(states).T
+
+
+def _assert_plain_run_matches_loop(rep, model, dt, n_steps):
+    """States and derivatives of a plain run with stride 7, and its H,
+    within 1e-12 of their max of a manual stepper loop's."""
+    states = _plain_loop(model, dt, n_steps)
     assert _close(rep.snapshots.states, states[:, ::7])
     assert _close(rep.derivatives, np.array(
         [model.state_derivative(c) for c in states[:, ::7].T]).T)
     assert _close(rep.hamiltonian, model.hamiltonian(states))
 
 
-def _unstable_wave(closed, dt):
-    """A linear wave model past the Verlet limit, its integrator and the
+@pytest.mark.parametrize("which, greedy", [
+    ("full", False), ("dissipative", False), ("rdh", False), ("psd", False),
+    ("rdh", True), ("psd", True)],
+    ids=["full", "dissipative", "rdh-cotangent", "psd-cotangent",
+         "rdh-greedy", "psd-greedy"])
+def test_nonlinear_map_path_matches_stepper_loop(which, greedy, monkeypatch):
+    """A sine-Gordon n = 30 Verlet run, full or reduced, advances by its
+    semi-linear step map: over two and a half recording blocks with stride
+    7 it matches a manual stepper loop within 1e-12 of the max, on greedy
+    bases that mix q and p too, since the map takes the gradient at the
+    stage-3 argument the stepper does."""
+    dt, n_steps = 0.02, 5 * dynamics._BLOCK // 2
+    model, run = _sine_gordon_run(which, dt, n_steps, n=30, greedy=greedy)
+    if greedy:      # the reduced gradient reads the reduced momentum
+        y = model.z0.copy()
+        y[y.size // 2:] += 0.1
+        assert not np.allclose(model.grad_extra(y),
+                               model.grad_extra(model.z0))
+    maps = _MapCount(monkeypatch)
+    rep = run(model, dt=dt, n_steps=n_steps, snapshot_stride=7)
+    assert maps.calls == 1
+    if run is sm.integrate:
+        _assert_closed_run_matches_loop(rep, model, dt, n_steps)
+    else:
+        _assert_plain_run_matches_loop(rep, model, dt, n_steps)
+
+
+@pytest.mark.parametrize("which", ["rdh", "psd"])
+def test_hand_back_seeds_the_stepper_with_the_map_gradient(which,
+                                                           monkeypatch):
+    """A chunk past _MAP_RANGE hands the stepper its last recorded node
+    and that node's stage-3 gradient, which is not evaluated again. With
+    _MAP_RANGE at zero the first mapped chunk is discarded, and a greedy
+    rdh or psd run, whose gradient reads p, steps on from node 1 as a
+    manual stepper loop does."""
+    dt, n_steps = 0.02, 5 * dynamics._BLOCK // 2
+    model, run = _sine_gordon_run(which, dt, n_steps, n=30, greedy=True)
+    monkeypatch.setattr(dynamics, "_MAP_RANGE", 0.0)
+    count = _GradCount(model)
+    rep = run(model, dt=dt, n_steps=n_steps, snapshot_stride=7)
+    # nodes 0 and 1 stepped, the discarded chunk of nodes 2 to _BLOCK - 1
+    # mapped, and one evaluation per step from node 1 on
+    assert count.calls == n_steps + 1 + (dynamics._BLOCK - 2)
+    if run is sm.integrate:
+        _assert_closed_run_matches_loop(rep, model, dt, n_steps)
+    else:
+        _assert_plain_run_matches_loop(rep, model, dt, n_steps)
+
+
+def _unstable(bench, closed, dt):
+    """A model of ``bench`` past the Verlet limit, its integrator and the
     step at which a manual stepper loop first leaves floating point range
     together with the states of that loop up to the step before."""
-    bench = _wave(n=16)
     if closed:
         model, run = bench.system, sm.integrate
         stepper = VerletStepper(model, dt)
@@ -495,6 +557,15 @@ def _unstable_wave(closed, dt):
     return model, run, step, np.array(states).T
 
 
+def _unstable_wave(closed, dt):
+    return _unstable(_wave(n=16), closed, dt)
+
+
+def _unstable_sine_gordon(closed, dt):
+    return _unstable(sm.build_benchmark(
+        "sine-gordon", sm.make_config("sine-gordon", {"n": 16})), closed, dt)
+
+
 @pytest.mark.parametrize("dt", [0.25, 0.5])
 @pytest.mark.parametrize("closed", [True, False])
 def test_unstable_linear_model_fails_at_the_stepper_loop_step(closed, dt,
@@ -510,35 +581,76 @@ def test_unstable_linear_model_fails_at_the_stepper_loop_step(closed, dt,
     assert exc_info.value.step == step
 
 
+@pytest.mark.parametrize("dt", [5.0, 6.0])
 @pytest.mark.parametrize("closed", [True, False])
-def test_unstable_run_ending_near_its_failure_step(closed):
+def test_unstable_nonlinear_model_fails_at_the_stepper_loop_step(
+        closed, dt, monkeypatch):
+    """The semi-linear map of a sine-Gordon model past the Verlet limit
+    hands the stepper its last node and that node's gradient, and the run
+    raises NonFiniteError at the manual stepper loop's step."""
+    model, run, step, _ = _unstable_sine_gordon(closed, dt)
+    maps = _MapCount(monkeypatch)
+    with pytest.raises(sm.NonFiniteError) as exc_info:
+        run(model, dt=dt, n_steps=600)
+    assert maps.calls == 1
+    assert exc_info.value.step == step
+
+
+def _assert_failure_step(unstable, closed, dt, rtol=1e-12):
     """A run that ends one to three steps before the manual stepper loop
-    overflows completes with that loop's states, and one that ends at or
-    just past that step fails there."""
-    dt = 0.25
-    model, run, step, states = _unstable_wave(closed, dt)
+    overflows completes with that loop's states, within ``rtol`` of their
+    max, and one that ends at or just past that step fails there."""
+    model, run, step, states = unstable(closed, dt)
     for n_steps in (step - 3, step - 1):
+        want = states[:, : n_steps + 1]
         rep = run(model, dt=dt, n_steps=n_steps)
-        assert _close(rep.snapshots.states, states[:, : n_steps + 1])
+        assert np.abs(rep.snapshots.states - want).max() \
+            <= rtol * np.abs(want).max()
     for n_steps in (step, step + 2):
         with pytest.raises(sm.NonFiniteError) as exc_info:
             run(model, dt=dt, n_steps=n_steps)
         assert exc_info.value.step == step
 
 
+@pytest.mark.parametrize("closed", [True, False])
+def test_unstable_run_ending_near_its_failure_step(closed):
+    """A linear run ending near its failure step: see
+    :func:`_assert_failure_step`."""
+    _assert_failure_step(_unstable_wave, closed, 0.25)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_unstable_nonlinear_run_ending_near_its_failure_step(closed):
+    """The same on sine-Gordon, whose map hands back to the stepper with
+    the map's gradient of the last recorded node. Within 1e-11: without
+    the sine the gap between map and loop stays at 4e-14 of the max, but
+    over the first twenty steps, as |q| grows from 6 to 1e14, the sine
+    amplifies it to 1.7e-12 closed and 7e-13 dissipative, long before the
+    hand-back."""
+    _assert_failure_step(_unstable_sine_gordon, closed, 5.0, rtol=1e-11)
+
+
 def test_map_path_selection(monkeypatch):
-    """The step map is taken for a linear model whose map has at most
-    _MAP_DIM rows, whatever the run's length past one step; a nonlinear
-    gradient or a larger map keep the stepper."""
+    """The step map is taken for a Verlet model whose map has at most
+    _MAP_DIM columns, whatever the run's length past one step: the map
+    state x for a linear model, x and the gradient for a nonlinear one.
+    A larger map keeps the stepper."""
     ladder = sm.build_benchmark("ladder").system         # 2 dim = 200
     assert 2 * ladder.dim <= dynamics._MAP_DIM
-    sine_gordon = sm.build_benchmark(
-        "sine-gordon", sm.make_config("sine-gordon", {"n": 30})).system
+
+    def sine_gordon(n):
+        return sm.build_benchmark(
+            "sine-gordon", sm.make_config("sine-gordon", {"n": n})).system
+    small = sine_gordon(30)                               # 3 dim = 180
+    assert 3 * small.dim <= dynamics._MAP_DIM
+    large = sine_gordon(80)                               # 3 dim = 480
+    assert 2 * large.dim <= dynamics._MAP_DIM < 3 * large.dim
     wave = _wave(n=150).system                            # 2 dim = 600
     assert 2 * wave.dim > dynamics._MAP_DIM
     for system, n_steps, mapped in ((ladder, 2, True),
                                     (ladder, 1, False),
-                                    (sine_gordon, 400, False),
+                                    (small, 400, True),
+                                    (large, 400, False),
                                     (wave, 601, False)):
         maps = _MapCount(monkeypatch)
         sm.integrate(system, dt=0.001, n_steps=n_steps)
@@ -676,17 +788,19 @@ class _GradCount:
         model.nonlinear_grad = counted
 
 
-def _sine_gordon_run(which, dt, n_steps):
-    """(model, integrate) of one sine-Gordon n = 40 Verlet run: the full
-    closed or dissipative model, or its rdh or psd reduction on 4
-    cotangent pairs."""
-    bench = _sine_gordon_n40()
+def _sine_gordon_run(which, dt, n_steps, n=40, greedy=False):
+    """(model, integrate) of one sine-Gordon Verlet run: the full closed or
+    dissipative model of n nodes, or its rdh or psd reduction on 4
+    cotangent, or greedy, pairs of the full run's n_steps."""
+    bench = sm.build_benchmark("sine-gordon",
+                               sm.make_config("sine-gordon", {"n": n}))
     if which == "full":
         return bench.system, sm.integrate
     if which == "dissipative":
         return bench.dissipative_model(), sm.integrate_dissipative
     full = sm.integrate(bench.system, dt=dt, n_steps=n_steps)
-    basis, _ = sm.cotangent_lift(full.snapshots, 4)
+    basis = (sm.greedy_basis(full.snapshots, 4).basis if greedy
+             else sm.cotangent_lift(full.snapshots, 4)[0])
     if which == "rdh":
         return sm.rdh_reduce(bench.system, basis).system, sm.integrate
     return (sm.psd_baseline(bench.dissipative_model(), basis).model,
@@ -708,11 +822,11 @@ def test_verlet_runs_evaluate_the_gradient_once_per_step(which):
 def test_fresh_stepper_reproduces_a_recorded_node_bitwise():
     """The reused gradient is bitwise the one a fresh stepper evaluates at
     the start-of-step state, since the sine-Gordon gradient reads q only:
-    stepping a recorded node with a new stepper gives the next node."""
+    stepping a node of a stepper loop with a new stepper gives the next
+    node."""
     bench = _sine_gordon_n40()
     model, dt = bench.dissipative_model(), bench.config.dt
-    states = sm.integrate_dissipative(model, dt=dt,
-                                      n_steps=40).snapshots.states
+    states = _plain_loop(model, dt, 40)
     for node in (0, 17, 39):
         stepper = dynamics.DissipativeVerletStepper(model, dt)
         np.testing.assert_array_equal(stepper.step(states[:, node]),
@@ -749,7 +863,7 @@ def test_rk4_accuracy_linear_decay():
 
 
 def test_kinetic_series_matches_velocity():
-    bench = sm.build_oscillator(r=0.0)
+    bench = build_oscillator(r=0.0)
     rep = sm.integrate(bench.system, dt=0.05, t_final=2.0)
     # conservative oscillator: the coordinate velocity is the momentum
     expected = 0.5 * rep.snapshots.states[1] ** 2

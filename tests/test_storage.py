@@ -11,6 +11,8 @@ from sympmor.storage import (build_manifest, format_float, read_csv,
                              write_manifest, write_matrix, write_report_csv,
                              write_snapshots)
 
+from conftest import build_oscillator
+
 
 def test_matrix_round_trip(tmp_path):
     rng = np.random.default_rng(0)
@@ -70,7 +72,7 @@ def test_format_float_round_trips():
 
 
 def test_report_csv_header_and_values(tmp_path):
-    bench = sm.build_oscillator()
+    bench = build_oscillator()
     report = sm.integrate(bench.system, dt=0.1, n_steps=5)
     path = write_report_csv(report, tmp_path / "report.csv")
     names, data = read_csv(path)
