@@ -6,8 +6,9 @@ emitted artifacts. All outputs are deterministic for a fixed configuration:
 CSV tables with 17-significant-digit floats, MatrixMarket arrays, and a JSON
 manifest with SHA-256 hashes of every artifact.
 
-Exit codes: 0 success, 2 configuration errors, 3 numerical failure
-(non-finite state during integration).
+Exit codes: 0 success, 2 configuration errors, 3 numerical failure (a
+run whose state, energy or residual became non-finite; the command writes
+nothing).
 """
 
 from __future__ import annotations
@@ -408,8 +409,9 @@ def _compare_cell(bench, config, method, mapper, reference, ref_energy,
     blew up.
 
     Every cell is measured against the one full closed-formulation run.
-    A cell is flagged unstable when its trajectory leaves floating point
-    range (blow-up) or its energy error shows sustained terminal growth;
+    A cell is flagged unstable when its run fails, at the first node whose
+    state, energy or residual is non-finite, or when the energy error of
+    its lifted states shows sustained terminal growth or overflows;
     the spectral abscissa of the baseline generators is recorded as an
     additional diagnostic, and so is dt_omega_max of the rdh and psd models.
     A cell that ran also records its speedup, the full run's wall time over

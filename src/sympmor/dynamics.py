@@ -31,9 +31,11 @@ from .symplectic import CanonicalForm, SnapshotSet
 
 
 class NonFiniteError(RuntimeError):
-    """State or co-state left the range of floating point numbers."""
+    """A run left the range of floating point numbers: at node ``step``,
+    the first whose state or per-node diagnostics (energies, rates and
+    residuals) are non-finite; ``what`` says which of the two."""
 
-    def __init__(self, step: int, what: str = "state"):
+    def __init__(self, step: int, what: str):
         self.step = step
         super().__init__(f"{what} became non-finite at step {step}")
 
@@ -577,13 +579,6 @@ _BLOCK = 128
 # have at most 180 columns (rdh k = 60).
 _MAP_DIM = 400
 
-# Largest entry the step map may form before the stepper takes over. A
-# step's intermediate products exceed its state by about the stage
-# matrices' norms and overflow a few steps before the state the map forms;
-# twenty orders of magnitude below overflow leave room for those norms, and
-# only a run that is blowing up comes near.
-_MAP_RANGE = 1e-20 * np.finfo(float).max
-
 
 def _closed_columns(system: TddSystem, states, memory, costates):
     """Per-node diagnostics of a closed run from (dim, m) blocks of states,
@@ -692,23 +687,21 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     RK4 stepper also dz/dt from ``snapshot``, called at each snapshot node
     right after the step.
 
-    Each node is written by ``stepper.step``, whose state is checked for
-    finiteness at once, or by the step map. A Verlet step is affine in
-    x = (z, F) for the closed form, whose co-state is then f = K z - chi F,
-    and in z otherwise, once its one gradient evaluation is set apart. When
-    the map has at most _MAP_DIM columns and the run more than one step,
-    :func:`_step_map` builds it from the stepper's own step once node 1 is
-    recorded, one probe step per column plus one, and the rest of each
-    block is advanced in place, x being the first layers of a node's row:
-    x <- Phi x + c for a linear stepper (no nonlinear gradient), and for a
-    nonlinear one B [x; g] + c, the gradient g at its stage-3 argument and
-    the product with G_1, g starting from node 1's stage-3 gradient. The
-    states agree with the stepped run to roundoff, not bitwise, q/p-mixing
-    bases included, since the map takes the gradient where the stepper
-    does. A chunk with an entry past _MAP_RANGE is discarded, and the same
-    loop steps on from the last recorded node, its gradient handed to the
-    stepper as the one its last step kept, so a run near overflow ends, or
-    raises :class:`NonFiniteError`, at the step the stepped run does.
+    Each node is written by ``stepper.step`` or by the step map; nothing
+    here checks what it writes, so a run that leaves floating point range
+    goes on to the end of its block, and :func:`_drive` raises. A Verlet
+    step is affine in x = (z, F) for the closed form, whose co-state is
+    then f = K z - chi F, and in z otherwise, once its one gradient
+    evaluation is set apart. When the map has at most _MAP_DIM columns and
+    the run more than one step, :func:`_step_map` builds it from the
+    stepper's own step once node 1 is recorded, one probe step per column
+    plus one, and every later node is advanced in place, x being the first
+    layers of a node's row: x <- Phi x + c for a linear stepper (no
+    nonlinear gradient), and for a nonlinear one B [x; g] + c, the
+    gradient g at its stage-3 argument and the product with G_1, g
+    starting from node 1's stage-3 gradient. The states agree with the
+    stepped run to roundoff, not bitwise, q/p-mixing bases included, since
+    the map takes the gradient where the stepper does.
     """
     dim = z.size
     n = dim // 2
@@ -726,46 +719,9 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     for start in range(0, n_steps + 1, _BLOCK):
         m = min(_BLOCK, n_steps + 1 - start)
         j = 0
-        while j < m:
-            if phi is not None:         # map the rest of the block
-                if linear:
-                    y = x
-                    for row in xs[j:m]:
-                        np.matmul(phi, y, out=row)
-                        row += c
-                        y = row
-                    y = y.copy()
-                else:
-                    # y = (x, g) of the current node, stage = (s, x')
-                    y = x.copy()
-                    y_x, y_g, s = y[:xdim], y[xdim:], stage[:dim]
-                    y_q = y_g[:n]
-                    for row in xs[j:m]:
-                        np.matmul(phi, y, out=stage)
-                        stage += c
-                        y_g[:] = grad(s)
-                        np.matmul(g1, y_q, out=row)
-                        row += stage[dim:]
-                        y_x[:] = row
-                if np.abs(xs[j:m]).max() <= _MAP_RANGE:
-                    if closed:
-                        rows[j:m, 2] = (system.k_op @ rows[j:m, 0].T
-                                        - system.chi_apply(rows[j:m, 1].T)).T
-                    x = y
-                    j = m
-                    continue
-                # step on from the last recorded node x, with its gradient
-                phi = None
-                z = x[:dim]
-                if closed:
-                    stepper._load(z, x[dim:xdim])
-                if not linear:
-                    stepper._end_q = z[:n].copy()
-                    stepper._end_extra = x[xdim:].copy()
+        while phi is None and j < m:
             if start + j:
                 z = stepper.step(z)
-                if not np.isfinite(z).all():
-                    raise NonFiniteError(start + j)
             rows[j, 0] = z
             if closed:
                 rows[j, 1] = stepper.tail + w * stepper.f
@@ -781,6 +737,27 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                 if not linear:
                     grad = stepper._grad_extra
                     stage = np.empty(c.size)
+                    # x = (x, g) of the current node, stage = (s, x')
+                    x_x, x_g, s = x[:xdim], x[xdim:], stage[:dim]
+                    x_q = x_g[:n]
+        if phi is not None:             # map the rest of the block
+            if linear:
+                for row in xs[j:m]:
+                    np.matmul(phi, x, out=row)
+                    row += c
+                    x = row
+                x = x.copy()
+            else:
+                for row in xs[j:m]:
+                    np.matmul(phi, x, out=stage)
+                    stage += c
+                    x_g[:] = grad(s)
+                    np.matmul(g1, x_q, out=row)
+                    row += stage[dim:]
+                    x_x[:] = row
+            if closed:
+                rows[j:m, 2] = (system.k_op @ rows[j:m, 0].T
+                                - system.chi_apply(rows[j:m, 1].T)).T
         yield rows[:m].transpose(1, 0, 2)
 
 
@@ -792,15 +769,19 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     The stepper provides ``step(z)`` (the next state), a ``kind`` and
     ``linear``, true when its step is affine in its state. The nodes come
     from :func:`_record_blocks`, by the step or by the step map. Numpy's
-    overflow and invalid warnings are silenced in the loop, which reports a
-    blow-up as :class:`NonFiniteError` at the step where the stepped run
-    leaves floating point range.
+    overflow and invalid warnings are silenced in the loop.
 
     Each block gives up its snapshot nodes and is reduced to per-node
-    diagnostics column by column. For a :class:`VerletStepper` the string
-    energy and the input work, trapezoid sums of f^T chi f and of the
-    supply rate, are summed once after the loop, and the extended energy is
-    0.5 ||f||^2 + potential(z) - z_bd . z + E_string + e. Other runs' energy
+    diagnostics column by column. This is the one place a run fails: it
+    raises :class:`NonFiniteError` at the block's first node whose state,
+    or whose H, stored energy, rates, Volterra residual or max |K z|, is
+    non-finite. An RK4 run's derivative layer is not read, since its rows
+    off the snapshot grid are never written.
+
+    For a :class:`VerletStepper` the string energy and the input work,
+    trapezoid sums of f^T chi f and of the supply rate, are summed once
+    after the loop, and the extended energy is 0.5 ||f||^2 + potential(z)
+    - z_bd . z + E_string + e. Other runs' energy
     is ``hamiltonian`` of their states (zero when None); their extended
     energy is H and their other series are zero. The snapshot derivatives
     dz/dt of the Verlet forms are derived after the loop, _BLOCK columns at
@@ -834,9 +815,16 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
                               snapshot_stride)
             cols = slice(first, first + picks.size)
             store[kept, :, cols] = block[kept][:, picks].transpose(0, 2, 1)
-            columns.append(
+            diagnostics = (
                 _closed_columns(stepper.system, *(r.T for r in block))
                 if closed else _plain_columns(hamiltonian, block[0].T))
+            bad_state = ~np.isfinite(block[0]).all(axis=1)
+            bad = bad_state | ~np.isfinite(diagnostics).all(axis=0)
+            if bad.any():
+                node = int(bad.argmax())
+                raise NonFiniteError(start + node, "state" if bad_state[node]
+                                     else "energy or residual")
+            columns.append(diagnostics)
         for s in range(0, store.shape[2], _BLOCK):
             cols = store[:, :, s: s + _BLOCK]
             if closed:
@@ -877,8 +865,9 @@ def integrate(system: TddSystem, dt: float, n_steps: int | None = None,
     Raises
     ------
     NonFiniteError
-        When the state leaves floating point range; the exception names the
-        offending step.
+        At the first node whose state, energies, rates or residuals are
+        non-finite (see :func:`_drive`), once the block that holds it is
+        recorded; the exception names that node's step.
     """
     return _drive(lambda: VerletStepper(system, dt), system.z0, dt, n_steps,
                   t_final, snapshot_stride, system.dx)
@@ -968,7 +957,8 @@ def integrate_dissipative(model: DissipativeModel, dt: float,
     derivatives are derived after the loop from the recorded states. A
     model whose step map is small enough advances by it, with one gradient
     evaluation per step for a nonlinear model (see
-    :func:`_record_blocks`)."""
+    :func:`_record_blocks`). Raises :class:`NonFiniteError` at the first
+    node whose state or H is non-finite."""
     return _drive(lambda: DissipativeVerletStepper(model, dt), model.z0, dt,
                   n_steps, t_final, snapshot_stride, model.dx,
                   model.hamiltonian)
@@ -1004,6 +994,7 @@ def integrate_rk4(rhs, z0, dt: float, n_steps: int | None = None,
     right-hand side. Used by the unstructured POD baseline, whose energy is
     evaluated on the lifted states, so every energy series is zero. Per step
     the right-hand side is called for the four stages, then once more at
-    each snapshot instant (from t = 0 on) for dz/dt."""
+    each snapshot instant (from t = 0 on) for dz/dt. Raises
+    :class:`NonFiniteError` at the first node whose state is non-finite."""
     return _drive(lambda: _Rk4Stepper(rhs, dt), z0, dt, n_steps, t_final,
                   snapshot_stride, dx)

@@ -178,11 +178,14 @@ def dt_omega_max(model, dt: float) -> float:
 
 def terminal_growth(error_series) -> bool:
     """True when a series ends at its maximum after growing at least
-    tenfold beyond everything seen in the first half of the run; the
+    tenfold beyond everything seen in the first half of the run, or starts
+    finite and later turns non-finite (an energy that overflowed); the
     signature of an energy error that grows without bound."""
     err = np.asarray(error_series, dtype=float)
-    if err.size < 2 or not np.isfinite(err).all():
+    if err.size < 2 or not np.isfinite(err[0]):
         return False
+    if not np.isfinite(err).all():
+        return True
     early = float(err[: max(1, err.size // 2)].max())
     if early <= 0.0:
         return False
@@ -226,10 +229,6 @@ class TrajectoryError:
     @property
     def max_unweighted(self) -> float:
         return float(self.per_instant_unweighted.max())
-
-    @property
-    def mean_unweighted(self) -> float:
-        return float(self.per_instant_unweighted.mean())
 
     @property
     def max_relative(self) -> float:

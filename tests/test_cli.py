@@ -108,6 +108,31 @@ def test_run_full_nonfinite_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_energy_overflow_exits_3_and_writes_nothing(tmp_path, capsys):
+    """At dt = 1.0 the wave's energy overflows while its state is finite:
+    run-full, an rdh run on a cotangent basis and a compare exit 3 at the
+    first node whose energy or residual is non-finite, and write no output
+    directory."""
+    basis = tmp_path / "basis"
+    assert _run("build-basis", "--benchmark", "wave", "--set", "n=16",
+                "--set", "t_final=1.0", "--method", "cotangent",
+                "--modes", "8", "--out", str(basis)) == 0
+    capsys.readouterr()
+    blow_up = ("--benchmark", "wave", "--set", "n=16", "--set", "dt=1.0",
+               "--set", "t_final=100")
+    for argv, step in (
+            (("run-full",), 82),
+            (("run-reduced", "--method", "rdh",
+              "--basis", str(basis / "basis_k8.mtx")), 97),
+            (("compare", "--methods", "rdh,psd", "--modes", "8"), 82)):
+        out = tmp_path / argv[0]
+        assert _run(*argv, *blow_up, "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: energy or residual became non-finite at "
+            f"step {step}\n")
+        assert not out.exists()
+
+
 def test_build_basis_greedy_degenerate_snapshots(tmp_path):
     state = np.zeros(32)
     state[:16] = np.linspace(1.0, 2.0, 16)
@@ -554,7 +579,8 @@ def small_bases(tmp_path_factory):
     columns), three 100-row bases that are not orthonormal (a paired
     basis scaled by 3, a sheared pair with lead columns e and e + e', and
     a POD basis scaled by 3), a paired basis with a NaN entry, a POD basis
-    of 5 columns, and three snapshot files that do not fit a 100-row state
+    of 5 columns, an orthonormal basis whose columns are not paired, and
+    three snapshot files that do not fit a 100-row state
     (20-row states, a NaN entry, and a times file one entry short)."""
     root = tmp_path_factory.mktemp("bases")
     for method in ("cotangent", "pod"):
@@ -574,6 +600,7 @@ def small_bases(tmp_path_factory):
     non_finite[0, 0] = np.nan
     write_matrix(root / "non_finite.mtx", non_finite)
     write_matrix(root / "pod_odd.mtx", np.eye(100)[:, :5])
+    write_matrix(root / "unpaired.mtx", np.eye(100)[:, :4])
     states = np.eye(100)[:, :3]
     write_snapshots(sm.SnapshotSet(np.arange(3.0), states[:20]),
                     root / "snaps_dim20.mtx")
@@ -616,6 +643,7 @@ def small_bases(tmp_path_factory):
      "POD basis not orthonormal"),
     (("run-reduced", "--method", "pod", "--basis", "no_columns.mtx"),
      "at least one column"),
+    (("reduce", "--basis", "unpaired.mtx"), "columns are not paired"),
     (("reduce", "--basis", "non_finite.mtx"), "non-finite"),
     (("run-reduced", "--method", "pod", "--basis", "non_finite.mtx"),
      "non-finite"),
@@ -634,15 +662,15 @@ def small_bases(tmp_path_factory):
         "reduce-sheared", "run-reduced-rdh-scaled", "run-reduced-rdh-sheared",
         "run-reduced-psd-scaled", "run-reduced-psd-sheared",
         "run-reduced-pod-scaled", "run-reduced-pod-no-columns",
-        "reduce-non-finite", "run-reduced-pod-non-finite",
+        "reduce-unpaired", "reduce-non-finite", "run-reduced-pod-non-finite",
         "run-reduced-pod-odd-columns", "build-basis-snapshot-dim",
         "build-basis-snapshot-non-finite", "build-basis-snapshot-times"])
 def test_input_file_mistakes_exit_2(tmp_path, capsys, small_bases, argv,
                                     message):
     """A basis of the wrong dimension or shape, a basis that is not
-    orthonormal (paired or POD) or not finite, a snapshot file that does
-    not fit the benchmark, and a missing input file are configuration
-    errors: exit 2 with one ``error:`` line."""
+    orthonormal (paired or POD), not paired or not finite, a snapshot file
+    that does not fit the benchmark, and a missing input file are
+    configuration errors: exit 2 with one ``error:`` line."""
     argv = [str(small_bases / a) if a.endswith(".mtx") else a for a in argv]
     rc = _run(*argv, "--benchmark", "wave", "--set", "n=50",
               "--set", "t_final=0.5", "--out", str(tmp_path / "x"))

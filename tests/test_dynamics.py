@@ -296,10 +296,17 @@ def test_passivity_ladder_every_instant(ladder50):
 
 
 def test_nonfinite_state_detected():
+    """Wave n = 16 at dt = 1.0 overflows its energy at step 82, long before
+    its state does; the run raises there and names the energy."""
     bench = _wave(n=16)
-    with pytest.raises(sm.NonFiniteError, match="step") as exc_info:
-        sm.integrate(bench.system, dt=1.0, t_final=300.0)
-    assert exc_info.value.step >= 1
+    with pytest.raises(sm.NonFiniteError,
+                       match="energy or residual became non-finite at "
+                             "step 82$") as exc_info:
+        sm.integrate(bench.system, dt=1.0, t_final=100.0)
+    assert exc_info.value.step == 82
+    rep = sm.integrate(bench.system, dt=1.0, n_steps=81)
+    assert np.isfinite(rep.hamiltonian).all()
+    assert np.isfinite(rep.snapshots.states).all()
 
 
 def _series_by_hand(system, dt, n_steps):
@@ -514,46 +521,34 @@ def test_nonlinear_map_path_matches_stepper_loop(which, greedy, monkeypatch):
         _assert_plain_run_matches_loop(rep, model, dt, n_steps)
 
 
-@pytest.mark.parametrize("which", ["rdh", "psd"])
-def test_hand_back_seeds_the_stepper_with_the_map_gradient(which,
-                                                           monkeypatch):
-    """A chunk past _MAP_RANGE hands the stepper its last recorded node
-    and that node's stage-3 gradient, which is not evaluated again. With
-    _MAP_RANGE at zero the first mapped chunk is discarded, and a greedy
-    rdh or psd run, whose gradient reads p, steps on from node 1 as a
-    manual stepper loop does."""
-    dt, n_steps = 0.02, 5 * dynamics._BLOCK // 2
-    model, run = _sine_gordon_run(which, dt, n_steps, n=30, greedy=True)
-    monkeypatch.setattr(dynamics, "_MAP_RANGE", 0.0)
-    count = _GradCount(model)
-    rep = run(model, dt=dt, n_steps=n_steps, snapshot_stride=7)
-    # nodes 0 and 1 stepped, the discarded chunk of nodes 2 to _BLOCK - 1
-    # mapped, and one evaluation per step from node 1 on
-    assert count.calls == n_steps + 1 + (dynamics._BLOCK - 2)
-    if run is sm.integrate:
-        _assert_closed_run_matches_loop(rep, model, dt, n_steps)
-    else:
-        _assert_plain_run_matches_loop(rep, model, dt, n_steps)
-
-
 def _unstable(bench, closed, dt):
     """A model of ``bench`` past the Verlet limit, its integrator and the
-    step at which a manual stepper loop first leaves floating point range
-    together with the states of that loop up to the step before."""
+    first step at which a manual stepper loop's state or per-node
+    diagnostics (:func:`dynamics._closed_columns` closed, ``hamiltonian``
+    plain) are non-finite, together with the states of that loop up to
+    the step before."""
+    w = 0.5 * dt
     if closed:
         model, run = bench.system, sm.integrate
         stepper = VerletStepper(model, dt)
+
+        def diagnostics(z):
+            return dynamics._closed_columns(
+                model, z[:, None], (stepper.tail + w * stepper.f)[:, None],
+                stepper.f[:, None])
     else:
         model, run = bench.dissipative_model(), sm.integrate_dissipative
         stepper = dynamics.DissipativeVerletStepper(model, dt)
+        diagnostics = model.hamiltonian
     states = [model.z0]
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, 601):
             z = stepper.step(states[-1])
-            if not np.isfinite(z).all():
+            if not (np.isfinite(z).all()
+                    and np.isfinite(diagnostics(z)).all()):
                 break
             states.append(z)
-    assert dynamics._BLOCK < step < 600    # past the first chunk
+    assert 1 < step < 600      # past node 1, where the step map is built
     return model, run, step, np.array(states).T
 
 
@@ -570,11 +565,22 @@ def _unstable_sine_gordon(closed, dt):
 @pytest.mark.parametrize("closed", [True, False])
 def test_unstable_linear_model_fails_at_the_stepper_loop_step(closed, dt,
                                                               monkeypatch):
-    """Past the Verlet limit the step map raises NonFiniteError at the
-    step where the manual stepper loop first leaves floating point range,
-    though the state the map forms would overflow a few steps later."""
+    """Past the Verlet limit a run by the step map raises NonFiniteError
+    at the step where the manual stepper loop's state or diagnostics first
+    leave floating point range, and so does the stepped run."""
     model, run, step, _ = _unstable_wave(closed, dt)
+    _assert_fails_mapped_and_stepped(model, run, dt, step, monkeypatch)
+
+
+def _assert_fails_mapped_and_stepped(model, run, dt, step, monkeypatch):
+    """A 600-step run of ``model`` fails at ``step``, by its step map and
+    with the map turned off."""
     maps = _MapCount(monkeypatch)
+    with pytest.raises(sm.NonFiniteError) as exc_info:
+        run(model, dt=dt, n_steps=600)
+    assert maps.calls == 1
+    assert exc_info.value.step == step
+    monkeypatch.setattr(dynamics, "_MAP_DIM", 0)
     with pytest.raises(sm.NonFiniteError) as exc_info:
         run(model, dt=dt, n_steps=600)
     assert maps.calls == 1
@@ -585,22 +591,20 @@ def test_unstable_linear_model_fails_at_the_stepper_loop_step(closed, dt,
 @pytest.mark.parametrize("closed", [True, False])
 def test_unstable_nonlinear_model_fails_at_the_stepper_loop_step(
         closed, dt, monkeypatch):
-    """The semi-linear map of a sine-Gordon model past the Verlet limit
-    hands the stepper its last node and that node's gradient, and the run
-    raises NonFiniteError at the manual stepper loop's step."""
+    """A sine-Gordon model past the Verlet limit raises NonFiniteError at
+    the manual stepper loop's step, by its semi-linear map and stepped."""
     model, run, step, _ = _unstable_sine_gordon(closed, dt)
-    maps = _MapCount(monkeypatch)
-    with pytest.raises(sm.NonFiniteError) as exc_info:
-        run(model, dt=dt, n_steps=600)
-    assert maps.calls == 1
-    assert exc_info.value.step == step
+    _assert_fails_mapped_and_stepped(model, run, dt, step, monkeypatch)
 
 
 def _assert_failure_step(unstable, closed, dt, rtol=1e-12):
     """A run that ends one to three steps before the manual stepper loop
-    overflows completes with that loop's states, within ``rtol`` of their
-    max, and one that ends at or just past that step fails there."""
+    leaves floating point range completes with that loop's states, within
+    ``rtol`` of their max, and one that ends at or just past that step
+    fails there. The step lies past the first block, whose nodes 0 and 1
+    are stepped, in a block the map writes from its first node."""
     model, run, step, states = unstable(closed, dt)
+    assert dynamics._BLOCK < step
     for n_steps in (step - 3, step - 1):
         want = states[:, : n_steps + 1]
         rep = run(model, dt=dt, n_steps=n_steps)
@@ -621,12 +625,10 @@ def test_unstable_run_ending_near_its_failure_step(closed):
 
 @pytest.mark.parametrize("closed", [True, False])
 def test_unstable_nonlinear_run_ending_near_its_failure_step(closed):
-    """The same on sine-Gordon, whose map hands back to the stepper with
-    the map's gradient of the last recorded node. Within 1e-11: without
-    the sine the gap between map and loop stays at 4e-14 of the max, but
-    over the first twenty steps, as |q| grows from 6 to 1e14, the sine
-    amplifies it to 1.7e-12 closed and 7e-13 dissipative, long before the
-    hand-back."""
+    """The same on sine-Gordon, by its semi-linear map. Within 1e-11:
+    without the sine the gap between map and loop stays at 4e-14 of the
+    max, but over the first twenty steps, as |q| grows from 6 to 1e14, the
+    sine amplifies it to 1.7e-12 closed and 7e-13 dissipative."""
     _assert_failure_step(_unstable_sine_gordon, closed, 5.0, rtol=1e-11)
 
 
@@ -860,6 +862,20 @@ def test_rk4_accuracy_linear_decay():
     # the POD baseline's energy is measured on lifted states, not here
     assert not rep.hamiltonian.any() and not rep.extended_energy.any()
     assert rep.kind == "rk4"
+
+
+def test_rk4_blow_up_names_the_state():
+    """An RK4 run has zero energy series, so it fails at the first node
+    whose state is non-finite, and says so."""
+    stepper = dynamics._Rk4Stepper(lambda z: 1e3 * z, 1.0)
+    z, step = np.ones(2), 0
+    with np.errstate(over="ignore"):
+        while np.isfinite(z).all():
+            z, step = stepper.step(z), step + 1
+    with pytest.raises(sm.NonFiniteError,
+                       match=f"^state became non-finite at step {step}$"):
+        sm.integrate_rk4(lambda z: 1e3 * z, np.ones(2), dt=1.0,
+                         n_steps=step + 5, snapshot_stride=3)
 
 
 def test_kinetic_series_matches_velocity():

@@ -216,6 +216,21 @@ def test_pod_wave_energy_growth_is_flagged(wave_n500):
         f"half, final value {dev[-1]:.4g}")
 
 
+def test_terminal_growth():
+    """Growth is a series that ends at its maximum, tenfold past its first
+    half, or one that starts finite and later turns non-finite, as the
+    energy error of a cell whose lifted energy overflows does."""
+    assert terminal_growth([1.0, 1.0, 2.0, 20.0])
+    assert not terminal_growth([1.0, 1.0, 20.0, 19.0])   # not at its max
+    assert not terminal_growth([1.0, 1.0, 2.0, 9.0])     # under tenfold
+    assert not terminal_growth([0.0, 0.0, 0.0, 5.0])     # no early scale
+    assert not terminal_growth([1.0])
+    for bad in (np.inf, np.nan):
+        assert terminal_growth([1.0, 2.0, bad, bad])
+        assert terminal_growth([1.0, 1e300, bad, 3.0])
+        assert not terminal_growth([bad, 1.0, 2.0, 20.0])
+
+
 def test_pulled_back_gradients_on_a_block():
     """Every reduction pulls the sine-Gordon gradient g back through its
     basis matrix, for a block of reduced states as columns: A^T g(A y) for
