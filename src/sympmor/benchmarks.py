@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
-from .dynamics import DissipativeModel, TddSystem, cholesky_factor
+from .dynamics import DissipativeModel, TddSystem, _Csr, cholesky_factor
 from .symplectic import CanonicalForm
 
 
@@ -37,13 +38,17 @@ def spline_bump(s):
 @dataclass
 class Benchmark:
     """A built system together with the operators that the plain dissipative
-    baselines need (H(z) = 0.5 z^T stiffness z, drift matrix R)."""
+    baselines need (H(z) = 0.5 z^T stiffness z, drift matrix R).
+
+    The wave and sine-Gordon benchmarks (and every system built by
+    ``_mechanical``) hold ``system.K``, ``system.chi``, ``stiffness`` and
+    ``drift`` as CSR matrices; the ladder holds dense arrays."""
 
     name: str
     system: TddSystem
     config: object
-    stiffness: np.ndarray
-    drift: np.ndarray | None
+    stiffness: np.ndarray | scipy.sparse.csr_array
+    drift: np.ndarray | scipy.sparse.csr_array | None
     grid: np.ndarray | None = None
     extras: dict = field(default_factory=dict)
 
@@ -96,18 +101,25 @@ def _mechanical(stiff_q, damping, z0, *, config=None, grid=None,
     """Damped mechanical system q'' = -S_q q - r q' in both forms.
 
     The closed form has K = blockdiag(chol S_q, I) and chi = diag(0, r); the
-    plain form has stiffness blockdiag(S_q, I) and drift chi. ``damping`` is
-    r, one value per coordinate or one for all. ``terms`` go to the
+    plain form has stiffness blockdiag(S_q, I) and drift chi. All four are
+    CSR matrices, built from ``stiff_q`` (dense or sparse) without a dense
+    n x n or 2n x 2n array: the Cholesky factor of a banded S_q, or of a
+    periodic one that leaves the band only in its last row and column,
+    is taken in band storage (see ``cholesky_factor``). ``damping`` is r,
+    one value per coordinate or one for all. ``terms`` go to the
     ``TddSystem``, and their ``name`` names the benchmark.
     """
+    stiff_q = _Csr(stiff_q)
     n = stiff_q.shape[0]
     name = terms["name"]
     k_q = cholesky_factor(stiff_q, name=f"{name} stiffness")
-    chi = np.diag(np.concatenate([np.zeros(n), np.broadcast_to(damping, n)]))
-    system = TddSystem(scipy.linalg.block_diag(k_q, np.eye(n)), chi, z0,
+    eye = scipy.sparse.identity(n)
+    chi = _Csr(scipy.sparse.diags(
+        np.concatenate([np.zeros(n), np.broadcast_to(damping, n)])))
+    system = TddSystem(_Csr(scipy.sparse.block_diag((k_q, eye))), chi, z0,
                        **terms)
     return Benchmark(name=name, system=system, config=config,
-                     stiffness=scipy.linalg.block_diag(stiff_q, np.eye(n)),
+                     stiffness=_Csr(scipy.sparse.block_diag((stiff_q, eye))),
                      drift=chi.copy(), grid=grid, extras=extras or {})
 
 
@@ -160,12 +172,12 @@ def build_wave(config: WaveConfig) -> Benchmark:
 
     # periodic forward difference; d^T d is the 3-point second-difference
     # stencil, PSD with the constant vector in its null space
-    d = (-np.eye(n) + np.eye(n, k=1)) / dx
-    d[n - 1, 0] = 1.0 / dx
+    d = scipy.sparse.diags([-np.ones(n), np.ones(n - 1), [1.0]],
+                           [0, 1, 1 - n]) / dx
     lap = d.T @ d
     lap = 0.5 * (lap + lap.T)
     mu = config.regularization * config.c2
-    stiff_q = config.c2 * lap + mu * np.eye(n)
+    stiff_q = config.c2 * lap + mu * scipy.sparse.identity(n)
     z0 = np.concatenate([spline_bump(10.0 * np.abs(x / config.length - 0.5)),
                          np.zeros(n)])
     return _mechanical(stiff_q, config.chi_scale * config.damping_values(), z0,
@@ -220,7 +232,8 @@ def build_sine_gordon(config: SineGordonConfig) -> Benchmark:
     dx = config.length / (n + 1)
     x = dx * np.arange(1, n + 1)
 
-    lap = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / dx ** 2
+    lap = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1],
+                             shape=(n, n)) / dx ** 2
     x0 = config.length / 4.0 if config.x0 is None else config.x0
     q0, p0 = kink_profile(x, x0, config.velocity)
     z0 = np.concatenate([q0, p0])

@@ -40,15 +40,16 @@ class NonFiniteError(RuntimeError):
         super().__init__(f"{what} became non-finite at step {step}")
 
 
-def _sym_deviation(m: np.ndarray) -> float:
-    return float(np.abs(m - m.T).max())
+def _sym_deviation(m) -> float:
+    return float(abs(m - m.T).max())
 
 
-# Full-order operators with at most this share of nonzero entries are applied
-# in CSR. Measured with one BLAS thread, a CSR matvec beats the dense one
-# above about 5 % nonzeros at dimension 200 and above about 30 % at
-# dimension 1000; the wave and sine-Gordon factors hold 0.2 % at n = 500,
-# the ladder's K and the triangular reduced factors far more than the cut.
+# Dense operators with at most this share of nonzero entries are applied in
+# CSR. Measured with one BLAS thread, a CSR matvec beats the dense one above
+# about 5 % nonzeros at dimension 200 and above about 30 % at dimension
+# 1000; the wave and sine-Gordon factors (built sparse) hold 0.2 % at
+# n = 500, the ladder's K and the triangular reduced factors far more than
+# the cut.
 _SPARSE_SHARE = 0.05
 
 
@@ -61,9 +62,19 @@ class _Csr(scipy.sparse.csr_array):
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
 
-def _operator(m: np.ndarray):
-    """``m`` as a CSR matrix when at most _SPARSE_SHARE of its entries are
-    nonzero, else ``m`` itself."""
+def _stored(m):
+    """An operator as it is kept, public or derived: a sparse matrix as a
+    float CSR one, any other as a float array (itself if it is one)."""
+    if scipy.sparse.issparse(m):
+        return _Csr(m, dtype=float)
+    return np.asarray(m, dtype=float)
+
+
+def _operator(m):
+    """A sparse ``m`` itself, else ``m`` as a CSR matrix when at most
+    _SPARSE_SHARE of its entries are nonzero, else ``m`` itself."""
+    if scipy.sparse.issparse(m):
+        return m
     if np.count_nonzero(m) <= _SPARSE_SHARE * m.size:
         return _Csr(m)
     return m
@@ -73,9 +84,16 @@ def _dense(m) -> np.ndarray:
     return m.toarray() if scipy.sparse.issparse(m) else m
 
 
-def _as_stored(m):
-    """A stepper operator derived from ``K``: sparse results stay CSR."""
-    return _Csr(m) if scipy.sparse.issparse(m) else m
+def _entries(m) -> np.ndarray:
+    """The stored entries of a sparse ``m``, else ``m`` itself."""
+    return m.data if scipy.sparse.issparse(m) else m
+
+
+def _canonical_times(j: CanonicalForm, m):
+    """J m, a CSR matrix for a sparse ``m``."""
+    if scipy.sparse.issparse(m):
+        return _Csr(scipy.sparse.vstack([m[j.n:], -m[: j.n]]))
+    return j.apply(m)
 
 
 def _reciprocal_condition(k) -> float:
@@ -110,29 +128,77 @@ def _reciprocal_condition(k) -> float:
     return 1.0 / (norm * sparse_linalg.onenormest(inverse))
 
 
-def cholesky_factor(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+def cholesky_factor(m, name: str = "matrix"):
     """Upper-triangular factor L with L^T L = M, for symmetric PSD M.
+
+    A dense M gives a dense L. A sparse M gives a CSR L, factored in band
+    storage without a dense matrix: the banded factor of M, or, when only
+    M's last row and column reach past the band of its leading block (a
+    periodic stencil), the bordered factor [[U, u], [0, d]] with U the
+    banded factor of the leading block, U^T u its last column and
+    d^2 = M[-1, -1] - u . u. Both agree with the dense factor to roundoff
+    (bitwise, as measured, on the tridiagonal sine-Gordon stencil).
 
     Raises ``np.linalg.LinAlgError`` naming the first failing pivot when M is
     not positive definite, and ``ValueError`` when M is not symmetric to
     1e-12 relative.
     """
-    m = np.asarray(m, dtype=float)
+    m = _stored(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
+    scale = max(1.0, float(abs(m).max()))
     if _sym_deviation(m) > 1e-12 * scale:
         raise ValueError(f"{name} is not symmetric to 1e-12 relative")
     msym = 0.5 * (m + m.T)
+    if scipy.sparse.issparse(msym):
+        return _banded_cholesky(_Csr(msym), name)
     try:
         lower = np.linalg.cholesky(msym)
     except np.linalg.LinAlgError:
         # LAPACK's potrf reports the order of the first failing leading minor
         info = scipy.linalg.lapack.dpotrf(msym, lower=True)[1]
-        pivot = f": pivot {info - 1} fails" if info > 0 else ""
-        raise np.linalg.LinAlgError(
-            f"{name} is not positive definite{pivot}") from None
+        _not_positive_definite(name, info)
     return lower.T
+
+
+def _not_positive_definite(name: str, info: int):
+    """Raise for a factorization whose LAPACK ``info`` (the order of the
+    first failing leading minor, or 0) says M is not positive definite."""
+    pivot = f": pivot {info - 1} fails" if info > 0 else ""
+    raise np.linalg.LinAlgError(
+        f"{name} is not positive definite{pivot}") from None
+
+
+def _banded_cholesky(m: _Csr, name: str) -> _Csr:
+    """CSR upper factor of the symmetric CSR ``m``: the banded or bordered
+    factor of :func:`cholesky_factor`."""
+    size = m.shape[0]
+    entries = m.tocoo()
+    offset = entries.col - entries.row
+    # the band of the leading block, and whether the last column leaves it
+    lead = (entries.row < size - 1) & (entries.col < size - 1)
+    band = int(offset[lead].max(initial=0))
+    bordered = int(offset.max(initial=0)) > band
+    order = size - 1 if bordered else size
+    # lower band storage: row d holds the d-th subdiagonal
+    ab = np.zeros((band + 1, order))
+    for d in range(band + 1):
+        ab[d, : order - d] = m.diagonal(d)[: order - d]
+    factor, info = scipy.linalg.lapack.dpbtrf(ab, lower=1)
+    if info > 0:
+        _not_positive_definite(name, info)
+    upper = scipy.sparse.diags([factor[d, : order - d]
+                                for d in range(band + 1)],
+                               list(range(band + 1)), shape=(order, order))
+    if bordered:
+        column = m[[order]].toarray().ravel()     # the last row, by symmetry
+        u, _ = scipy.linalg.lapack.dtbtrs(factor, column[:order], uplo="L")
+        pivot = column[order] - u @ u
+        if not pivot > 0.0:
+            _not_positive_definite(name, size)
+        upper = scipy.sparse.bmat(
+            [[upper, u[:, None]], [None, np.array([[np.sqrt(pivot)]])]])
+    return _Csr(upper)
 
 
 def _require_psd(eigenvalues: np.ndarray, floor: float) -> None:
@@ -213,9 +279,9 @@ class TddSystem(_ExtraTerms):
 
     Parameters
     ----------
-    K : ndarray, shape (2n, 2n)
+    K : ndarray or sparse matrix, shape (2n, 2n)
         Full-rank stiffness factor; the quadratic energy is 0.5 ||K z||^2.
-    chi : ndarray, shape (2n, 2n)
+    chi : ndarray or sparse matrix, shape (2n, 2n)
         Symmetric PSD susceptibility acting on the memory integral of f.
     z0 : ndarray, shape (2n,)
         Initial state; canonical and physical at once, since the memory
@@ -236,9 +302,13 @@ class TddSystem(_ExtraTerms):
     dx : float
         Grid weight for L2 norms and the kinetic energy of PDE states.
 
-    ``k_op`` and ``kt_op`` apply K and K^T: CSR matrices when at most 5 %
-    of the entries of K are nonzero, K and its transpose otherwise. ``K``
-    and ``chi`` themselves stay dense arrays.
+    ``K`` and ``chi`` are kept as given: a sparse matrix as a CSR one, and
+    validated without a dense copy, any other as a dense array. ``k_op``
+    and ``kt_op`` apply K and K^T: a CSR ``K`` itself, and for a dense K
+    CSR matrices when at most 5 % of its entries are nonzero, K and its
+    transpose otherwise. A diagonal chi is applied as its diagonal; any
+    other chi is checked for PSD (and, in the closed Verlet step, inverted)
+    as a dense matrix.
 
     The energy terms (``hamiltonian``, ``nonquadratic_energy``,
     ``dissipation_rate``, ``supply_rate`` and ``grad_extra``) accept a state
@@ -249,8 +319,8 @@ class TddSystem(_ExtraTerms):
     def __init__(self, K, chi, z0, *, nonlinear_grad=None, potential=None,
                  input_vector=None, boundary_vector=None, dx: float = 1.0,
                  name: str = ""):
-        self.K = np.asarray(K, dtype=float)
-        self.chi = np.asarray(chi, dtype=float)
+        self.K = _stored(K)
+        self.chi = _stored(chi)
         self.z0 = np.asarray(z0, dtype=float)
         if self.K.ndim != 2 or self.K.shape[0] != self.K.shape[1]:
             raise ValueError(f"K must be square, got {self.K.shape}")
@@ -265,11 +335,11 @@ class TddSystem(_ExtraTerms):
         self._init_terms(nonlinear_grad, potential, input_vector,
                          boundary_vector, dx, name)
         self.k_op = _operator(self.K)
-        self.kt_op = self.K.T if self.k_op is self.K else _Csr(self.k_op.T)
+        self.kt_op = _stored(self.k_op.T)
         self._chi_diag = self._chi_op = None
-        offdiag = self.chi - np.diag(np.diag(self.chi))
-        if not offdiag.any():
-            self._chi_diag = np.diag(self.chi).copy()
+        diagonal = self.chi.diagonal().copy()
+        if np.count_nonzero(_entries(self.chi)) == np.count_nonzero(diagonal):
+            self._chi_diag = diagonal
         else:
             self._chi_op = _operator(self.chi)
         self.validate()
@@ -277,16 +347,16 @@ class TddSystem(_ExtraTerms):
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
-        if not np.isfinite(self.K).all():
+        if not np.isfinite(_entries(self.K)).all():
             raise ValueError("K has a non-finite entry")
-        chi_max = float(np.abs(self.chi).max())
+        chi_max = float(abs(self.chi).max())
         if not np.isfinite(chi_max):
             raise ValueError("susceptibility has a non-finite entry")
         scale = max(1.0, chi_max)
         if _sym_deviation(self.chi) > 1e-12 * scale:
             raise ValueError("susceptibility must be symmetric to 1e-12 relative")
         _require_psd(self._chi_diag if self._chi_diag is not None
-                     else np.linalg.eigvalsh(self.chi), 1e-12 * scale)
+                     else np.linalg.eigvalsh(_dense(self.chi)), 1e-12 * scale)
         rcond = _reciprocal_condition(self.k_op)
         if rcond <= 1e-12:
             raise ValueError(
@@ -368,10 +438,10 @@ class _VerletStages:
         self._grad_extra = terms.grad_extra
         # without a nonlinear gradient the step is affine in its state
         self.linear = terms.nonlinear_grad is None
-        self.m_qq = _as_stored(m[:n, :n])
-        self.m_qp = _as_stored(m[:n, n:])
-        self.m_pq = _as_stored(m[n:, :n])
-        self.m_pp = _as_stored(m[n:, n:])
+        self.m_qq = _stored(m[:n, :n])
+        self.m_qp = _stored(m[:n, n:])
+        self.m_pq = _stored(m[n:, :n])
+        self.m_pp = _stored(m[n:, n:])
         self._kick_inv = self._drift_inv = None
         if abs(self.m_qp).max() != 0.0:
             self._kick_inv = np.linalg.inv(np.eye(n) + w * _dense(self.m_qp))
@@ -469,10 +539,11 @@ class VerletStepper(_VerletStages):
             self._wi = _Csr(scipy.sparse.diags(
                 1.0 / (1.0 + w * system._chi_diag)))
         else:
-            self._wi = np.linalg.inv(np.eye(system.dim) + w * system.chi)
+            self._wi = np.linalg.inv(np.eye(system.dim)
+                                     + w * _dense(system.chi))
         wi_k = self._wi @ system.k_op
         m = system.kt_op @ wi_k
-        self.kt_wi = _as_stored(wi_k.T)           # K^T (I + w chi)^{-1}
+        self.kt_wi = _stored(wi_k.T)           # K^T (I + w chi)^{-1}
         self._init_stages(system, 0.5 * (m + m.T))
         self.f = self._wi @ (system.k_op @ system.z0)
         self.tail = np.zeros(system.dim)
@@ -553,12 +624,17 @@ class RunReport:
         """Physical state K^{-1} f of a time-dispersive run of ``system`` on
         its snapshot grid; the plain dissipative model and its POD/Galerkin
         reductions evolve this state, whose quadratic energy is
-        0.5 ||f||^2."""
+        0.5 ||f||^2. A sparse K is solved by its sparse LU factors."""
         if self.costates is None:
             raise ValueError(f"a {self.kind} run carries no co-states")
-        return SnapshotSet(self.snapshots.times,
-                           np.linalg.solve(system.K, self.costates),
-                           self.snapshots.dx)
+        if scipy.sparse.issparse(system.K):
+            # imported here, as in _reciprocal_condition
+            from scipy.sparse import linalg as sparse_linalg
+            states = sparse_linalg.splu(
+                scipy.sparse.csc_array(system.K)).solve(self.costates)
+        else:
+            states = np.linalg.solve(system.K, self.costates)
+        return SnapshotSet(self.snapshots.times, states, self.snapshots.dx)
 
 
 # Nodes per recorded block: _record_blocks writes every node into a block
@@ -884,20 +960,22 @@ class DissipativeModel(_ExtraTerms):
     depend on the momentum block: the kick stages evaluate it at the
     start-of-stage momentum, and a step reuses the previous step's
     end-of-step gradient. Gradient and potential take a state or a
-    (2n, m) block of states as columns."""
+    (2n, m) block of states as columns. The stiffness S and drift R are
+    kept as given, a sparse matrix as a CSR one and any other as a dense
+    array, and so are the operators derived from them."""
 
     def __init__(self, stiffness, drift=None, z0=None, *, nonlinear_grad=None,
                  potential=None, input_vector=None, boundary_vector=None,
                  dx: float = 1.0, name: str = ""):
-        self.stiffness = np.asarray(stiffness, dtype=float)
+        self.stiffness = _stored(stiffness)
         dim = self.stiffness.shape[0]
         if self.stiffness.shape != (dim, dim) or dim % 2:
             raise ValueError(f"stiffness must be square even-dim, got {self.stiffness.shape}")
-        scale = max(1.0, float(np.abs(self.stiffness).max()))
+        scale = max(1.0, float(abs(self.stiffness).max()))
         if _sym_deviation(self.stiffness) > 1e-10 * scale:
             raise ValueError("stiffness must be symmetric")
-        self.stiffness = 0.5 * (self.stiffness + self.stiffness.T)
-        self.drift = _optional_array(drift)
+        self.stiffness = _stored(0.5 * (self.stiffness + self.stiffness.T))
+        self.drift = None if drift is None else _stored(drift)
         if self.drift is not None and self.drift.shape != (dim, dim):
             raise ValueError("drift must match stiffness in shape")
         self.z0 = np.zeros(dim) if z0 is None else np.asarray(z0, dtype=float)
@@ -915,11 +993,12 @@ class DissipativeModel(_ExtraTerms):
         return self._flow(self.stiffness @ z, z,
                           None if self.drift is None else self.drift @ z)
 
-    def linear_operator(self) -> np.ndarray:
-        """Dense J S - R, the generator of the linear part of the flow."""
-        op = self.J.apply(self.stiffness)
+    def linear_operator(self):
+        """J S - R, the generator of the linear part of the flow; CSR when
+        S and R are."""
+        op = _canonical_times(self.J, self.stiffness)
         if self.drift is not None:
-            op = op - self.drift
+            op = _stored(op - self.drift)
         return op
 
 
@@ -940,7 +1019,8 @@ class DissipativeVerletStepper(_VerletStages):
         super().__init__(dt)
         self.model = model
         s, d = model.stiffness, model.drift
-        self._init_stages(model, s if d is None else s + model.J.apply(d))
+        self._init_stages(model,
+                          s if d is None else s + _canonical_times(model.J, d))
         self._no_tail = np.zeros(model.dim)
 
     def step(self, z):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DissipativeModel, TddSystem, cholesky_factor
+from .dynamics import DissipativeModel, TddSystem, _dense, cholesky_factor
 from .symplectic import OrthoSymplecticBasis, SnapshotSet
 
 
@@ -171,9 +171,13 @@ def dt_omega_max(model, dt: float) -> float:
     the flow, not sufficient: the stages split S into its q and p blocks,
     and the closed form steps with K^T (I + w chi)^{-1} K, so a run below 2
     can still blow up.
+
+    The eigenvalues are computed densely, a sparse S included: ARPACK,
+    asked for the largest-magnitude eigenvalue of a sparse J S, does not
+    converge on the clustered top frequencies of the full wave model.
     """
     s = model.K.T @ model.K if isinstance(model, TddSystem) else model.stiffness
-    return float(dt * np.abs(np.linalg.eigvals(model.J.apply(s))).max())
+    return float(dt * np.abs(np.linalg.eigvals(model.J.apply(_dense(s)))).max())
 
 
 def terminal_growth(error_series) -> bool:

@@ -299,8 +299,8 @@ def wave_n100_sweep(wave_n100, run_registry):
                                        v.T @ model.stiffness @ v)
     cells["pod", 40] = cell
     return {"bench": bench, "full": full, "cells": cells,
-            "full_log_norm": energy_log_norm(model.linear_operator(),
-                                             model.stiffness)}
+            "full_log_norm": energy_log_norm(
+                model.linear_operator().toarray(), model.stiffness.toarray())}
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,14 @@
 """Benchmark builders: operators, initial data, and physical behaviour."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sympmor as sm
-from sympmor import CanonicalForm
+from sympmor import CanonicalForm, dynamics
 
 from conftest import build_oscillator, kink_speed, oscillator_exact
 
@@ -40,17 +44,18 @@ def test_wave_operators():
     config = sm.make_config("wave", {"n": 100})
     bench = sm.build_benchmark("wave", config)
     n = 100
-    stiff_q = bench.stiffness[:n, :n]
+    stiffness = bench.stiffness.toarray()
+    stiff_q = stiffness[:n, :n]
     scale = np.abs(stiff_q).max()
     # periodic second difference annihilates constants up to the shift
     mu = config.regularization * config.c2
     row_sums = stiff_q @ np.ones(n) - mu * np.ones(n)
     assert np.abs(row_sums).max() <= 1e-10 * scale
-    k = bench.system.K
+    k = bench.system.K.toarray()
     assert np.abs(np.tril(k, -1)).max() == 0.0
-    assert np.abs(k.T @ k - bench.stiffness).max() <= 1e-10 * scale
-    assert np.array_equal(bench.stiffness[n:, n:], np.eye(n))
-    chi = bench.system.chi
+    assert np.abs(k.T @ k - stiffness).max() <= 1e-10 * scale
+    assert np.array_equal(stiffness[n:, n:], np.eye(n))
+    chi = bench.system.chi.toarray()
     assert np.abs(chi[:n, :n]).max() == 0.0
     assert np.abs(np.diag(chi)[n:] - config.damping_values()).max() <= 1e-15
 
@@ -177,6 +182,76 @@ def test_sine_gordon_kinetic_decay(sg_n100):
     assert checkpoints[-1] <= 0.01 * kin.max()
 
 
+# -- sparse mechanical operators -----------------------------------------------
+
+
+def _dense_stiffness(name, config):
+    """S_q of the wave or sine-Gordon benchmark formed as a dense array from
+    the difference matrices: the reference for the sparse builders."""
+    n = config.n
+    if name == "wave":
+        dx = config.length / n
+        d = (-np.eye(n) + np.eye(n, k=1)) / dx
+        d[n - 1, 0] = 1.0 / dx
+        lap = d.T @ d
+        lap = 0.5 * (lap + lap.T)
+        mu = config.regularization * config.c2
+        return config.c2 * lap + mu * np.eye(n)
+    dx = config.length / (n + 1)
+    return (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / dx ** 2
+
+
+@pytest.mark.parametrize("name", ["wave", "sine-gordon"])
+def test_sparse_build_matches_dense_reference(name):
+    """The CSR operators against the dense stencil and its dense Cholesky
+    factor at n = 40: K^T K is the stiffness, and a closed run with the
+    dense K follows the same trajectory."""
+    config = sm.make_config(name, {"n": 40})
+    bench = sm.build_benchmark(name, config)
+    system = bench.system
+    for op in (system.K, system.chi, bench.stiffness, bench.drift):
+        assert isinstance(op, dynamics._Csr)
+    stiff_q = _dense_stiffness(name, config)
+    scale = np.abs(stiff_q).max()
+    k = system.K
+    assert abs(k.T @ k - bench.stiffness).max() <= 1e-10 * scale
+    assert np.abs(bench.stiffness.toarray()
+                  - scipy.linalg.block_diag(stiff_q, np.eye(40))).max() \
+        <= 1e-12 * scale
+    reference = sm.TddSystem(
+        scipy.linalg.block_diag(sm.cholesky_factor(stiff_q), np.eye(40)),
+        system.chi.toarray(), system.z0,
+        nonlinear_grad=system.nonlinear_grad, potential=system.potential,
+        boundary_vector=system.boundary_vector, dx=system.dx)
+    run = {"dt": config.dt, "t_final": config.t_final,
+           "snapshot_stride": config.snapshot_stride}
+    got, want = sm.integrate(system, **run), sm.integrate(reference, **run)
+    for a, b in ((got.snapshots.states, want.snapshots.states),
+                 (got.costates, want.costates)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("name", ["wave", "sine-gordon"])
+def test_build_at_n2000_is_fast_and_holds_no_dense_matrix(name):
+    """One dense n x n array at n = 2000 takes 32 MB; the sparse build
+    allocates at most 4 MB of Python-tracked memory (about 1.1 MB
+    measured) and takes well under 0.2 s (best of three)."""
+    config = sm.make_config(name, {"n": 2000})
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        sm.build_benchmark(name, config)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.2
+    tracemalloc.start()
+    try:
+        sm.build_benchmark(name, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 # -- ladder network ------------------------------------------------------------
 
 
@@ -266,10 +341,10 @@ def test_oscillator_exact_properties():
     with pytest.raises(ValueError, match="underdamped"):
         oscillator_exact(1.0, 2.0, 1.0, 0.0)
     bench = build_oscillator(k=4.0, r=0.1, q0=2.0)
-    assert np.array_equal(bench.system.K, np.diag([2.0, 1.0]))
-    assert np.array_equal(np.diag(bench.system.chi), [0.0, 0.1])
+    assert np.array_equal(bench.system.K.toarray(), np.diag([2.0, 1.0]))
+    assert np.array_equal(bench.system.chi.diagonal(), [0.0, 0.1])
     assert np.array_equal(bench.system.z0, [2.0, 0.0])
-    assert np.array_equal(bench.stiffness, np.diag([4.0, 1.0]))
+    assert np.array_equal(bench.stiffness.toarray(), np.diag([4.0, 1.0]))
     for k in (0.0, -1.0):
         with pytest.raises(np.linalg.LinAlgError,
                            match="oscillator stiffness"):

@@ -6,12 +6,15 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import sympmor as sm
+from sympmor import cli
 from sympmor.cli import main
 from sympmor.storage import (read_csv, read_matrix, read_snapshots,
                              read_vector, verify_manifest, write_matrix,
@@ -467,6 +470,33 @@ def test_compare_flags_blown_up_cells(tmp_path):
                       "H_psd_k50"]
     assert np.isfinite(data[:, :4]).all()
     assert np.isnan(data[:, 4:]).all()
+
+
+def test_compare_cell_flags_an_overflowing_lifted_energy_without_warning():
+    """A POD cell whose RK4 state stays finite while its lifted energy and
+    error leave floating point range: at dt = 1.0 the wave n = 16 POD k8
+    model does so from about node 155, its state only past node 300. The
+    cell is flagged unstable, and computing it warns of nothing."""
+    stable = sm.build_benchmark("wave", sm.make_config("wave", {"n": 16}))
+    full = sm.integrate(stable.system, dt=stable.config.dt,
+                        t_final=stable.config.t_final)
+    v, _ = sm.pod_basis(full.snapshots, 8)
+    config = sm.make_config("wave", {"n": 16, "dt": 1.0, "t_final": 250.0})
+    bench = sm.build_benchmark("wave", config)
+    # a hand-built reference on the cell's snapshot grid: z0 at every node
+    times = np.arange(0.0, config.t_final + 0.5, config.snapshot_stride)
+    states = np.repeat(bench.system.z0[:, None], times.size, axis=1)
+    reference = SimpleNamespace(
+        snapshots=sm.SnapshotSet(times, states, bench.system.dx),
+        wall_seconds=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cell, columns = cli._compare_cell(
+            bench, config, "pod", v, reference,
+            bench.system.hamiltonian(states), bench.dissipative_model())
+    assert cell["unstable"] is True
+    assert cell["energy_growth"] is True
+    assert np.isfinite(columns["H"][0]) and not np.isfinite(columns["H"]).all()
 
 
 def test_deterministic_artifacts(tmp_path):

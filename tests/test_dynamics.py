@@ -30,20 +30,40 @@ def test_cholesky_identity_and_diagonal():
 
 def test_cholesky_wave_stiffness(wave_n100):
     bench, _ = wave_n100
-    m = bench.stiffness
-    l = cholesky_factor(m, name="stiffness")
+    l = cholesky_factor(bench.stiffness, name="stiffness").toarray()
+    m = bench.stiffness.toarray()
     assert np.abs(np.tril(l, -1)).max() == 0.0
     assert np.abs(l.T @ l - m).max() <= 1e-10 * np.abs(m).max()
 
 
 def test_cholesky_reports_failing_pivot():
-    with pytest.raises(np.linalg.LinAlgError, match="pivot 1"):
-        cholesky_factor(np.diag([1.0, -1.0]))
-    with pytest.raises(np.linalg.LinAlgError, match="pivot 0"):
-        cholesky_factor(np.diag([-1.0, 1.0]))
-    with pytest.raises(np.linalg.LinAlgError, match="pivot 1"):
-        cholesky_factor(np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0],
-                                  [0.0, 0.0, 1.0]]))
+    for form in (np.asarray, scipy.sparse.csr_array):   # dense and band
+        with pytest.raises(np.linalg.LinAlgError, match="pivot 1"):
+            cholesky_factor(form(np.diag([1.0, -1.0])))
+        with pytest.raises(np.linalg.LinAlgError, match="pivot 0"):
+            cholesky_factor(form(np.diag([-1.0, 1.0])))
+        with pytest.raises(np.linalg.LinAlgError, match="pivot 1"):
+            cholesky_factor(form(np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0],
+                                           [0.0, 0.0, 1.0]])))
+        # the last pivot fails; its column leaves the leading block's band
+        with pytest.raises(np.linalg.LinAlgError, match="pivot 2"):
+            cholesky_factor(form(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+                                           [1.0, 0.0, 1.0]])))
+
+
+def test_sparse_cholesky_factors_of_band_and_periodic_matrices():
+    """The band factor of a sparse matrix, and the bordered factor of one
+    whose last row and column leave the band, match the dense factor."""
+    n = 30
+    band = (np.diag(np.full(n, 6.0)) - np.eye(n, k=1) - np.eye(n, k=-1)
+            + 0.5 * (np.eye(n, k=2) + np.eye(n, k=-2)))
+    periodic = band.copy()
+    periodic[0, -1] = periodic[-1, 0] = -1.0
+    for m in (band, periodic):
+        factor = cholesky_factor(scipy.sparse.csr_array(m))
+        assert isinstance(factor, dynamics._Csr)
+        assert np.abs(factor.toarray() - cholesky_factor(m)).max() <= 1e-14
+        assert abs(factor.T @ factor - m).max() <= 1e-14 * 6.0
 
 
 def test_cholesky_input_validation():
@@ -734,7 +754,8 @@ def test_dissipative_verlet_second_order_dense_drift():
 def test_dissipative_verlet_second_order_wave_drift():
     model = _wave(n=16).dissipative_model()
     t_final = 2.0
-    exact = scipy.linalg.expm(t_final * model.linear_operator()) @ model.z0
+    exact = (scipy.linalg.expm(t_final * model.linear_operator().toarray())
+             @ model.z0)
     errors = []
     for dt in (0.02, 0.01, 0.005):
         n_steps = int(round(t_final / dt))
@@ -933,11 +954,16 @@ def test_sparse_path_matches_dense_reference(name, overrides, monkeypatch):
     report = sm.integrate(bench.system, **run)
     assert_volterra(report, name)
 
-    # the dense reference: every operator kept as the dense array
+    # the dense reference: the same K and chi as dense arrays, and every
+    # operator kept dense
     monkeypatch.setattr(dynamics, "_operator", lambda m: m)
-    dense = sm.build_benchmark(name, config)
-    assert all(isinstance(op, np.ndarray) for op in _operators(dense.system))
-    reference = sm.integrate(dense.system, **run)
+    system = bench.system
+    dense = sm.TddSystem(system.K.toarray(), system.chi.toarray(), system.z0,
+                         nonlinear_grad=system.nonlinear_grad,
+                         potential=system.potential,
+                         boundary_vector=system.boundary_vector, dx=system.dx)
+    assert all(isinstance(op, np.ndarray) for op in _operators(dense))
+    reference = sm.integrate(dense, **run)
     for got, want in ((report.snapshots.states, reference.snapshots.states),
                       (report.costates, reference.costates)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
