@@ -287,12 +287,15 @@ class TddSystem(_ExtraTerms):
         Initial state; canonical and physical at once, since the memory
         integral starts at zero.
     nonlinear_grad, potential : callable, optional
-        Gradient and value of an additional potential term. The gradient must
-        not depend on the momentum block (the kick stages evaluate it at the
-        start-of-stage momentum, and a step reuses the previous step's
-        end-of-step gradient). Both take a state or a (2n, m) block of
-        states as columns: the gradient then returns one column per state,
-        and the potential one value per column.
+        Gradient and value of an additional potential of the positions:
+        both read only the q block, and the gradient's momentum block is
+        zero (the kick stages evaluate it at the start-of-stage momentum, a
+        step reuses the previous step's end-of-step gradient, and the
+        reductions pull both back through the basis's q rows alone; they
+        check the gradient at z0 and raise ``ValueError`` if it breaks
+        this). Both take a state or a (2n, m) block of states as columns:
+        the gradient then returns one column per state, and the potential
+        one value per column.
     input_vector : ndarray, optional
         Constant input u added to dz/dt; the associated supply rate is
         (K u)^T f.
@@ -399,6 +402,20 @@ class TddSystem(_ExtraTerms):
         return _column_dot(f, self.chi_apply(f))
 
 
+def _stage_inverse(block, weight: float):
+    """(I + weight * block)^{-1} of a stage matrix block, None for a zero
+    block: a CSR diagonal of reciprocals when the block is a CSR matrix with
+    its nonzeros on the diagonal (the plain form's J R of a mechanical
+    model), else a dense inverse."""
+    if abs(block).max() == 0.0:
+        return None
+    if scipy.sparse.issparse(block):
+        diagonal = block.diagonal()
+        if np.count_nonzero(block.data) == np.count_nonzero(diagonal):
+            return _Csr(scipy.sparse.diags(1.0 / (1.0 + weight * diagonal)))
+    return np.linalg.inv(np.eye(block.shape[0]) + weight * _dense(block))
+
+
 class _VerletStages:
     """Kick-drift-kick stages of dz/dt = J (M z + c + g(z) - z_bd) + u, the
     one Stoermer-Verlet kernel of both model forms.
@@ -413,16 +430,22 @@ class _VerletStages:
 
     Stages 1 and 2 are implicit only through the qp and pq blocks of the
     stage matrix M. The inverses (I + w m_qp)^{-1} and (I - w m_pq)^{-1}
-    are formed once as dense matrices, so each implicit stage is one
-    product; a stage whose block is zero is explicit and keeps ``None``.
-    The gradient g must not depend on the momentum block, so stage 2 uses
-    its start-of-step p-block twice, and stage 1's gradient is the previous
-    step's stage-3 one: a step whose q is bitwise the q_1 of the step before
-    takes that gradient, any other state has its gradient evaluated. A run
-    thus costs one gradient evaluation per step, plus one at node 0. Apart
-    from that evaluation, at (q_1, p_h), a step is affine in its state and
-    in the gradients of stages 1 and 3, which :func:`_step_map` probes by
-    swapping ``_grad_extra``.
+    are formed once, a CSR diagonal for a diagonal CSR block and a dense
+    matrix otherwise, so each implicit stage is one product; a stage whose
+    block is zero is explicit and keeps ``None``.
+
+    The gradient g is that of a potential of the positions: it reads only
+    q and its momentum block is zero, which the reductions check before
+    they pull it back through the basis's q rows alone (a reduced gradient
+    on a basis that mixes q and p reads the reduced momentum, and the CLI
+    warns of it). So stage 2 uses its start-of-step p-block twice, and
+    stage 1's gradient is the previous step's stage-3 one: a step whose q
+    is bitwise the q_1 of the step before takes that gradient, any other
+    state has its gradient evaluated. A run thus costs one gradient
+    evaluation per step, plus one at node 0. Apart from that evaluation, at
+    (q_1, p_h), a step is affine in its state and in the gradients of
+    stages 1 and 3, which :func:`_step_map` probes by swapping
+    ``_grad_extra``.
     """
 
     def __init__(self, dt: float):
@@ -442,11 +465,8 @@ class _VerletStages:
         self.m_qp = _stored(m[:n, n:])
         self.m_pq = _stored(m[n:, :n])
         self.m_pp = _stored(m[n:, n:])
-        self._kick_inv = self._drift_inv = None
-        if abs(self.m_qp).max() != 0.0:
-            self._kick_inv = np.linalg.inv(np.eye(n) + w * _dense(self.m_qp))
-        if abs(self.m_pq).max() != 0.0:
-            self._drift_inv = np.linalg.inv(np.eye(n) - w * _dense(self.m_pq))
+        self._kick_inv = _stage_inverse(self.m_qp, w)
+        self._drift_inv = _stage_inverse(self.m_pq, -w)
         u = terms.input_vector
         self.u_q = u[:n] if u is not None else None
         self.u_p = u[n:] if u is not None else None
@@ -956,11 +976,14 @@ class DissipativeModel(_ExtraTerms):
     """Plain dissipative form dz/dt = J grad H(z) - R z + u with
     H(z) = 0.5 z^T S z + potential(z) - z_bd . z.
 
-    As for :class:`TddSystem`, the gradient of the potential must not
-    depend on the momentum block: the kick stages evaluate it at the
-    start-of-stage momentum, and a step reuses the previous step's
-    end-of-step gradient. Gradient and potential take a state or a
-    (2n, m) block of states as columns. The stiffness S and drift R are
+    As for :class:`TddSystem`, the potential is one of the positions: it
+    and its gradient read only the q block, and the gradient's momentum
+    block is zero. The kick stages evaluate the gradient at the
+    start-of-stage momentum, a step reuses the previous step's end-of-step
+    gradient, and the reductions pull both back through the basis's q rows
+    alone, after checking the gradient at z0 (``ValueError`` if it breaks
+    this). Gradient and potential take a state or a (2n, m) block of states
+    as columns. The stiffness S and drift R are
     kept as given, a sparse matrix as a CSR one and any other as a dense
     array, and so are the operators derived from them."""
 

@@ -17,23 +17,61 @@ from .dynamics import DissipativeModel, TddSystem, _dense, cholesky_factor
 from .symplectic import OrthoSymplecticBasis, SnapshotSet
 
 
-def _pulled_back(a: np.ndarray, model) -> dict:
-    """Constructor keywords of a model reduced onto the basis matrix ``a``:
-    the coordinates a^T z0, a^T u and a^T z_bd, the gradient
-    y -> a^T g(a y) and the potential y -> V(a y) (None where the model's
-    is), and the unit grid weight. Like the full ones, the gradient and
-    potential take a state or a block of states as columns."""
-    if a.shape[0] != model.dim:
-        raise ValueError(
-            f"basis dimension {a.shape[0]} does not match model {model.dim}")
+def _through_positions(model, rows: np.ndarray, back: np.ndarray):
+    """The model's gradient and potential pulled back through the position
+    rows ``rows`` (n x m) of a basis: y -> back g(z)[:n] and y -> V(z), with
+    z = (rows y, 0), of a state or of each column of a block; None where
+    the model's is. ``back`` (m x n) maps the gradient's q block to reduced
+    coordinates. Both arrays are kept C-contiguous.
+
+    This holds because the model's extra energy is a potential of the
+    positions: its gradient reads only q and has a zero momentum block, so
+    g(A y) = g(z) for any basis matrix A with q rows ``rows``. Checked once,
+    at the model's z0: raises ``ValueError`` unless the gradient there has a
+    zero momentum block and equals, bitwise, the gradient at z0 with its
+    momentum block zeroed."""
     grad, potential = model.nonlinear_grad, model.potential
+    if grad is None and potential is None:
+        return None, None
+    n = model.n
+    if grad is not None:
+        at_z0 = np.asarray(grad(model.z0), dtype=float)
+        q_only = model.z0.copy()
+        q_only[n:] = 0.0
+        if (at_z0[n:].any()
+                or not np.array_equal(at_z0, np.asarray(grad(q_only),
+                                                        dtype=float))):
+            raise ValueError(
+                "the nonlinear gradient must read only the positions and "
+                "have a zero momentum block (checked at z0)")
+    rows = np.ascontiguousarray(rows)
+    back = np.ascontiguousarray(back)
+
+    def lift(y):
+        z = np.zeros((2 * n,) + np.shape(y)[1:])
+        z[:n] = rows @ y
+        return z
     red_grad = red_potential = None
     if grad is not None:
         def red_grad(y):
-            return a.T @ np.asarray(grad(a @ y), dtype=float)
+            return back @ np.asarray(grad(lift(y)), dtype=float)[:n]
     if potential is not None:
         def red_potential(y):
-            return potential(a @ y)
+            return potential(lift(y))
+    return red_grad, red_potential
+
+
+def _pulled_back(a: np.ndarray, model) -> dict:
+    """Constructor keywords of a model reduced onto the basis matrix ``a``:
+    the coordinates a^T z0, a^T u and a^T z_bd, the gradient
+    y -> a_q^T g(a_q y) and the potential y -> V(a_q y) through the
+    position rows a_q = a[:n] alone (see :func:`_through_positions`; None
+    where the model's is), and the unit grid weight."""
+    if a.shape[0] != model.dim:
+        raise ValueError(
+            f"basis dimension {a.shape[0]} does not match model {model.dim}")
+    a_q = a[: model.n]
+    red_grad, red_potential = _through_positions(model, a_q, a_q.T)
     u, bd = model.input_vector, model.boundary_vector
     return dict(z0=a.T @ model.z0, nonlinear_grad=red_grad,
                 potential=red_potential,
@@ -134,21 +172,19 @@ def pod_baseline(model: DissipativeModel, v: np.ndarray) -> PodModel:
     v = np.asarray(v, dtype=float)
     if v.shape[0] != model.dim:
         raise ValueError("POD basis does not match the model dimension")
-    j = model.J
     matrix = v.T @ model.linear_operator() @ v
     constant = None
     if model.boundary_vector is not None or model.input_vector is not None:
         c = np.zeros(model.dim)
         if model.boundary_vector is not None:
-            c = c + j.apply(-model.boundary_vector)
+            c = c + model.J.apply(-model.boundary_vector)
         if model.input_vector is not None:
             c = c + model.input_vector
         constant = v.T @ c
-    grad = model.nonlinear_grad
-    nonlinear = None
-    if grad is not None:      # enters the flow as J g(z)
-        def nonlinear(y):
-            return v.T @ j.apply(grad(v @ y))
+    # the flow's J g(z) = (g_p, -g_q) = (0, -g_q) for a potential of the
+    # positions, so V^T J g(V y) = -V_p^T g(V_q y)
+    n = model.n
+    nonlinear, _ = _through_positions(model, v[:n], -v[n:].T)
     return PodModel(matrix=matrix, constant=constant, nonlinear=nonlinear,
                     v=v, y0=v.T @ model.z0)
 
@@ -210,7 +246,9 @@ class TrajectoryError:
     """Per-instant and aggregate L2 distances between two trajectories.
 
     ``weighted`` norms carry the sqrt(dx) grid factor of the reference;
-    relative aggregates are normalized by the peak weighted reference norm.
+    relative aggregates are normalized by the peak weighted reference norm
+    (against an all-zero reference they read 0 for a zero error, inf
+    otherwise).
     """
 
     times: np.ndarray
@@ -234,13 +272,21 @@ class TrajectoryError:
     def max_unweighted(self) -> float:
         return float(self.per_instant_unweighted.max())
 
+    def _relative(self, error: float) -> float:
+        """``error`` over the peak reference norm; against an all-zero
+        reference, 0 for a zero error and inf for any other."""
+        peak = float(self.reference_norms.max())
+        if peak == 0.0:
+            return 0.0 if error == 0.0 else float("inf")
+        return error / peak
+
     @property
     def max_relative(self) -> float:
-        return self.max_weighted / float(self.reference_norms.max())
+        return self._relative(self.max_weighted)
 
     @property
     def mean_relative(self) -> float:
-        return self.mean_weighted / float(self.reference_norms.max())
+        return self._relative(self.mean_weighted)
 
 
 def l2_error(reference: SnapshotSet, candidate: SnapshotSet) -> TrajectoryError:

@@ -257,6 +257,77 @@ def test_pulled_back_gradients_on_a_block():
             <= 1e-14 * scale
 
 
+def _sine_gordon_n40(t_final=4.0):
+    config = sm.make_config("sine-gordon", {"n": 40, "t_final": t_final})
+    return config, sm.build_benchmark("sine-gordon", config)
+
+
+def _reductions(bench, basis):
+    """The rdh, psd and pod models of one basis (POD on its matrix)."""
+    model = bench.dissipative_model()
+    return (sm.rdh_reduce(bench.system, basis).system,
+            sm.psd_baseline(model, basis).model,
+            sm.pod_baseline(model, basis.matrix))
+
+
+@pytest.mark.parametrize("method", ["cotangent", "greedy"])
+def test_position_rows_pull_back_matches_every_row(method):
+    """The reductions pull the sine-Gordon potential back through the
+    basis's q rows alone. The rdh, psd and pod cells at 8 modes, on a
+    cotangent basis and on a greedy one that mixes q and p, agree to 1e-12
+    relative with the same cells rebuilt on the gradient lifted through
+    every row: A^T g(A y) for rdh and psd, V^T J g(V y) for pod."""
+    config, bench = _sine_gordon_n40()
+    grid = {"dt": config.dt, "t_final": config.t_final,
+            "snapshot_stride": config.snapshot_stride}
+    full = sm.integrate(bench.system, **grid)
+    basis = (sm.cotangent_lift(full.snapshots, 4)[0] if method == "cotangent"
+             else sm.greedy_basis(full.snapshots, 4).basis)
+    assert basis.n_columns == 8
+    if method == "greedy":
+        assert np.abs(basis.matrix[bench.system.n:, : 4]).max() > 0.0
+    rdh, psd, pod = _reductions(bench, basis)
+    runs = {"rdh": lambda: sm.integrate(rdh, **grid),
+            "psd": lambda: sm.integrate_dissipative(psd, **grid),
+            "pod": lambda: sm.integrate_rk4(pod.rhs, pod.y0, **grid)}
+    cells = {name: run().snapshots.states for name, run in runs.items()}
+
+    a = basis.matrix
+    grad = bench.system.nonlinear_grad
+    j = CanonicalForm(bench.system.n)
+    rdh.nonlinear_grad = psd.nonlinear_grad = lambda y: a.T @ grad(a @ y)
+    pod.nonlinear = lambda y: a.T @ j.apply(grad(a @ y))
+    for name, run in runs.items():
+        want = run().snapshots.states
+        assert np.abs(cells[name] - want).max() \
+            <= 1e-12 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("reads_momentum", [True, False])
+def test_reductions_reject_a_gradient_off_the_positions(reads_momentum):
+    """A gradient that reads the momentum block, or returns a nonzero one,
+    is no potential of the positions: every reduction rejects it."""
+    _, bench = _sine_gordon_n40()
+    n = bench.system.n
+    assert np.abs(bench.system.z0[n:]).max() > 0.0   # a moving kink
+
+    def off_positions(z):
+        out = np.zeros_like(z)
+        if reads_momentum:
+            out[:n] = np.sin(z[:n]) + z[n:]
+        else:
+            out[:n] = out[n:] = np.sin(z[:n])
+        return out
+    bench.system.nonlinear_grad = off_positions
+    basis = random_ortho_symplectic(n, 4, rng=43)
+    model = bench.dissipative_model()
+    for reduce in (lambda: sm.rdh_reduce(bench.system, basis),
+                   lambda: sm.psd_baseline(model, basis),
+                   lambda: sm.pod_baseline(model, basis.matrix)):
+        with pytest.raises(ValueError, match="positions"):
+            reduce()
+
+
 def test_reconstruct_routes():
     basis = random_ortho_symplectic(4, 2, rng=21)
     rng = np.random.default_rng(22)
@@ -299,6 +370,20 @@ def test_l2_error_aggregates():
                                      states=np.zeros((6, 1))))
     with pytest.raises(ValueError, match="time"):
         sm.l2_error(ref, SnapshotSet(times=times + 1.0, states=states))
+
+
+def test_relative_errors_against_a_zero_reference():
+    """Against an all-zero reference the relative aggregates read 0 for a
+    zero error and inf for any other, not a division by zero."""
+    times = np.arange(3.0)
+    zero = SnapshotSet(times=times, states=np.zeros((4, 3)), dx=0.5)
+    same = sm.l2_error(zero, SnapshotSet(times=times,
+                                         states=np.zeros((4, 3)), dx=0.5))
+    assert same.max_relative == 0.0 and same.mean_relative == 0.0
+    states = np.zeros((4, 3))
+    states[1, 2] = 1.0
+    off = sm.l2_error(zero, SnapshotSet(times=times, states=states, dx=0.5))
+    assert off.max_relative == np.inf and off.mean_relative == np.inf
 
 
 def test_symplectic_inverse_swaps_canonical_forms():
