@@ -17,6 +17,8 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +161,14 @@ def _basis_from_file(path, method: str):
 # -- subcommands --------------------------------------------------------------
 
 
+@contextmanager
+def _stage(stages: dict, key: str):
+    """Add the wall seconds of the ``with`` block to ``stages[key]``."""
+    t0 = time.perf_counter()
+    yield
+    stages[key] = stages.get(key, 0.0) + time.perf_counter() - t0
+
+
 def _grid(config) -> dict:
     """Time-grid keywords of every run of one configuration."""
     return {"dt": config.dt, "t_final": config.t_final,
@@ -293,33 +303,37 @@ def cmd_build_basis(args) -> int:
     method = args.method
     modes = _parse_modes(args.modes, [20, 40, 60])
     _require_even(modes, f"{method} basis")
-    snapshots, warnings = _collect_snapshots(args, bench)
-    basis, values, info = _make_basis(method, snapshots, max(modes))
+    stages = {}
+    with _stage(stages, "snapshots"):
+        snapshots, warnings = _collect_snapshots(args, bench)
+    with _stage(stages, "basis"):
+        basis, values, info = _make_basis(method, snapshots, max(modes))
     info.update(method=method, modes=modes)
     files = []
-    if method in SYMPLECTIC_METHODS:
-        checks = {}
-        for m in modes:
-            sub = basis.truncate(m // 2)
-            sub.validate(tol=1e-10)
-            checks[str(m)] = "pass"
-            files.append(storage.write_matrix(out / f"basis_k{m}.mtx",
-                                              sub.matrix))
-        info["invariant_check"] = checks
-        value_kind = ("greedy_worst_error" if method == "greedy"
-                      else "stacked_singular_value")
-    else:
-        for m in modes:
-            files.append(storage.write_matrix(out / f"basis_k{m}.mtx",
-                                              basis[:, :m]))
-        value_kind = "singular_value"
-    info["values_kind"] = value_kind
-    files.append(storage.write_csv(
-        out / "singular_values.csv",
-        ["index", "value"],
-        [np.arange(len(values)), np.asarray(values)],
-    ))
-    _write_manifest(args, bench, files, warnings, basis=info)
+    with _stage(stages, "write"):
+        if method in SYMPLECTIC_METHODS:
+            checks = {}
+            for m in modes:
+                sub = basis.truncate(m // 2)
+                sub.validate(tol=1e-10)
+                checks[str(m)] = "pass"
+                files.append(storage.write_matrix(out / f"basis_k{m}.mtx",
+                                                  sub.matrix))
+            info["invariant_check"] = checks
+            value_kind = ("greedy_worst_error" if method == "greedy"
+                          else "stacked_singular_value")
+        else:
+            for m in modes:
+                files.append(storage.write_matrix(out / f"basis_k{m}.mtx",
+                                                  basis[:, :m]))
+            value_kind = "singular_value"
+        info["values_kind"] = value_kind
+        files.append(storage.write_csv(
+            out / "singular_values.csv",
+            ["index", "value"],
+            [np.arange(len(values)), np.asarray(values)],
+        ))
+    _write_manifest(args, bench, files, warnings, basis=info, stages=stages)
     print(f"build-basis {bench.name} [{method}]: modes {modes} -> {out}")
     return 0
 
@@ -495,12 +509,16 @@ def cmd_compare(args) -> int:
     basis_method = args.basis_method or "cotangent"
     paired = "rdh" in methods or "psd" in methods
 
-    full = _integrate_full(bench, paired and basis_method == "greedy")
+    stages = {}
+    with _stage(stages, "full_solve"):
+        full = _integrate_full(bench, paired and basis_method == "greedy")
     if paired:
-        sym_basis, _, _ = _make_basis(basis_method, full.snapshots,
-                                      max(modes))
+        with _stage(stages, "basis"):
+            sym_basis, _, _ = _make_basis(basis_method, full.snapshots,
+                                          max(modes))
     if "pod" in methods:
-        pod_v, _, _ = _make_basis("pod", full.snapshots, max(modes))
+        with _stage(stages, "pod_basis"):
+            pod_v, _, _ = _make_basis("pod", full.snapshots, max(modes))
     ref_energy = bench.system.hamiltonian(full.snapshots.states)
     # the baselines all project one dissipative model
     model = (bench.dissipative_model()
@@ -533,8 +551,9 @@ def cmd_compare(args) -> int:
             else:
                 mapper = sym_basis.truncate(m // 2)
                 momentum += _momentum_warnings(bench, key, mapper)
-            summary[key], cols = _compare_cell(bench, config, method, mapper,
-                                               full, ref_energy, model)
+            with _stage(stages, "cells"):
+                summary[key], cols = _compare_cell(
+                    bench, config, method, mapper, full, ref_energy, model)
             if summary[key]["unstable"]:
                 flagged.append(key)
             for _, headers, columns, prefixes in tables:
@@ -544,8 +563,9 @@ def cmd_compare(args) -> int:
                     headers.append(f"{prefix}_{key}")
                     columns.append(np.full(len(columns[0]), np.nan)
                                    if cols is None else cols[prefix])
-    files = [storage.write_csv(out / file, headers, columns)
-             for file, headers, columns, _ in tables]
+    with _stage(stages, "write"):
+        files = [storage.write_csv(out / file, headers, columns)
+                 for file, headers, columns, _ in tables]
 
     warnings = _end_warnings(full, config) + _stability_warnings(
         {key: cell["dt_omega_max"] for key, cell in summary.items()
@@ -554,7 +574,8 @@ def cmd_compare(args) -> int:
                     modes=modes, basis_method=basis_method, cells=summary,
                     full_run={"wall_seconds": full.wall_seconds,
                               "volterra_max": full.volterra_max,
-                              "kz_max": full.kz_max})
+                              "kz_max": full.kz_max},
+                    stages=stages)
     note = f", unstable: {', '.join(flagged)}" if flagged else ""
     print(f"compare {name}: {len(methods) * len(modes)} cells "
           f"({', '.join(methods)}; modes {modes}){note} -> {out}")

@@ -199,7 +199,7 @@ def symplectic_gram_schmidt(v, basis: OrthoSymplecticBasis | None,
 @dataclass
 class GreedyResult:
     basis: OrthoSymplecticBasis
-    worst_errors: np.ndarray   # max projection error before each enrichment
+    worst_errors: np.ndarray   # max projection error at 1, ..., k pairs
     selected: list = field(default_factory=list)
 
 
@@ -232,6 +232,12 @@ def greedy_basis(snapshots: SnapshotSet, max_pairs: int) -> GreedyResult:
     next-worst instant; snapshots that are all degenerate before
     ``max_pairs`` pairs are reached raise ValueError.
 
+    Each snapshot's squared projection error is downdated by the squared
+    coefficients of each new pair, since the basis is orthonormal. A
+    downdated square below 1e-8 of the snapshot's squared norm has lost
+    most of its digits to cancellation, so it is recomputed exactly by
+    projection (the norm-downdating safeguard of LAPACK's xGEQP3).
+
     Returns
     -------
     GreedyResult
@@ -240,16 +246,27 @@ def greedy_basis(snapshots: SnapshotSet, max_pairs: int) -> GreedyResult:
     """
     if max_pairs < 1:
         raise ValueError("max_pairs must be at least 1")
-    basis = OrthoSymplecticBasis(_greedy_start(snapshots.states[:, 0])[:, None])
+    states = snapshots.states
+    norm2 = np.einsum("ij,ij->j", states, states)
+    sq = norm2
+    basis = OrthoSymplecticBasis(_greedy_start(states[:, 0])[:, None])
     selected = [0]
     history = []
-    while basis.k < max_pairs:
-        errs = _projection_errors(basis, snapshots.states)
+    while True:
+        e = basis.lead[:, -1]
+        coeffs = np.vstack([e, basis.J.apply_transpose(e)]) @ states
+        sq = sq - np.einsum("ij,ij->j", coeffs, coeffs)
+        lost = sq < 1e-8 * norm2
+        if lost.any():
+            sq[lost] = _projection_errors(basis, states[:, lost]) ** 2
+        errs = np.sqrt(sq)
         history.append(float(errs.max()))
+        if basis.k == max_pairs:
+            break
         # stable sort on negated errors: earliest instant wins ties
         for idx in np.argsort(-errs, kind="stable"):
             try:
-                e_new = symplectic_gram_schmidt(snapshots.states[:, idx], basis)
+                e_new = symplectic_gram_schmidt(states[:, idx], basis)
             except DegenerateVector:
                 continue
             basis = OrthoSymplecticBasis(np.hstack([basis.lead, e_new[:, None]]))
@@ -261,7 +278,6 @@ def greedy_basis(snapshots: SnapshotSet, max_pairs: int) -> GreedyResult:
                 f"symplectic rank {basis.k}: every remaining snapshot is "
                 f"degenerate"
             )
-    history.append(float(_projection_errors(basis, snapshots.states).max()))
     return GreedyResult(basis=basis, worst_errors=np.asarray(history),
                         selected=selected)
 
@@ -270,7 +286,15 @@ def _leading_left_singular_vectors(block: np.ndarray, count: int,
                                    what: str):
     """The ``count`` leading left singular vectors of ``block`` and its full
     singular value sequence. A request past the numerical rank, or a block
-    of rank zero, raises ValueError."""
+    of rank zero, raises ValueError.
+
+    A block with more columns than rows is first reduced to the square
+    factor ``r^T`` of ``block^T = q r`` (Chan's R-SVD): ``block = r^T q^T``
+    with orthonormal ``q``, so ``r^T`` has the block's left singular vectors
+    and singular values, and the long right singular vectors are never
+    formed. LAPACK's SVD already QR-factors a tall block first."""
+    if block.shape[1] > block.shape[0]:
+        block = np.linalg.qr(block.T, mode="r").T
     u, s, _ = np.linalg.svd(block, full_matrices=False)
     rank = int(np.sum(s > s[0] * 1e-14)) if s.size else 0
     if rank == 0:

@@ -774,6 +774,19 @@ def test_modes_past_the_snapshot_rank_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_ladder_pod_past_its_snapshot_rank_exit_2(tmp_path, capsys):
+    """A 5 s ladder run leaves 501 snapshots of 100 states, a wide block
+    (the SVD helper's R-SVD route) of numerical rank 17: the default 30 POD
+    modes are one ``error:`` line naming that rank."""
+    out = tmp_path / "x"
+    assert _run("compare", "--benchmark", "ladder", "--set", "t_final=5",
+                "--methods", "pod", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: requested 30 POD modes but the snapshots have rank 17\n")
+    assert not out.exists()
+
+
 def test_build_basis_rejects_odd_pod_modes(tmp_path, capsys):
     """A POD basis of odd width cannot be run (its reduced state would be
     odd), so build-basis rejects it before it integrates."""
@@ -812,7 +825,8 @@ def test_every_manifest_records_its_run(tmp_path, small_bases, command, argv,
                                         integrates):
     """Every command's manifest names the command, the benchmark, its
     config, the seed and the warnings; a t_final off the step grid is
-    warned of by each command that integrates."""
+    warned of by each command that integrates. compare and build-basis
+    record the wall seconds of their stages."""
     argv = [str(small_bases / a) if a.endswith(".mtx") else a for a in argv]
     out = tmp_path / command
     assert _run(command, *argv, "--benchmark", "wave", "--set", "n=10",
@@ -829,6 +843,13 @@ def test_every_manifest_records_its_run(tmp_path, small_bases, command, argv,
             "t_final 0.503 is not a whole number of steps")
     else:
         assert manifest["warnings"] == []
+    stages = {"build-basis": {"snapshots", "basis", "write"},
+              "compare": {"full_solve", "basis", "cells", "write"}}
+    if command in stages:
+        assert set(manifest["stages"]) == stages[command]
+        assert all(v >= 0.0 for v in manifest["stages"].values())
+    else:
+        assert "stages" not in manifest
 
 
 def test_lowdiss_structured_and_symplectic_agree(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 import sympmor as sm
 from sympmor import (CanonicalForm, DegenerateVector, OrthoSymplecticBasis,
                      SnapshotSet)
-from sympmor.symplectic import symplectic_gram_schmidt
+from sympmor.symplectic import (_leading_left_singular_vectors,
+                                symplectic_gram_schmidt)
 
 from conftest import coefficients, random_ortho_symplectic, symplectic_inverse
 
@@ -127,6 +128,44 @@ def test_greedy_history_matches_brute_force(wave_n100):
         assert abs(brute - errs[pairs - 1]) <= 1e-10 * (1.0 + brute)
 
 
+def _exact_greedy(states, max_pairs):
+    """Reference greedy: every pick from the projection errors of the whole
+    snapshot matrix, recomputed for each basis. Returns the selected
+    indices and the worst-error history."""
+    basis = OrthoSymplecticBasis(states[:, :1] / np.linalg.norm(states[:, 0]))
+    selected, history = [0], []
+    while True:
+        errs = np.linalg.norm(states - basis.project(states), axis=0)
+        history.append(errs.max())
+        if basis.k == max_pairs:
+            return selected, np.asarray(history)
+        for idx in np.argsort(-errs, kind="stable"):
+            try:
+                e_new = symplectic_gram_schmidt(states[:, idx], basis)
+            except DegenerateVector:
+                continue
+            basis = OrthoSymplecticBasis(np.hstack([basis.lead,
+                                                    e_new[:, None]]))
+            selected.append(int(idx))
+            break
+
+
+def test_greedy_recomputes_cancelled_errors():
+    """Snapshots within 1e-9 of the first keep about 1e-18 of their squared
+    norm past the first pair, below the rounding error of a downdated
+    square: greedy_basis recomputes them by projection, so its picks and
+    history follow the exact projection."""
+    rng = np.random.default_rng(3)
+    z0 = rng.standard_normal(40)
+    states = np.column_stack(
+        [z0] + [z0 + 1e-9 * rng.standard_normal(40) for _ in range(11)])
+    snaps = SnapshotSet(times=np.arange(12.0), states=states)
+    result = sm.greedy_basis(snaps, max_pairs=4)
+    selected, history = _exact_greedy(states, 4)
+    assert result.selected == selected
+    assert np.all(np.abs(result.worst_errors - history) <= 1e-10 * history)
+
+
 def test_cotangent_single_snapshot():
     q0 = np.array([3.0, 4.0])
     z = np.concatenate([q0, np.zeros(2)])
@@ -214,6 +253,33 @@ def test_basis_singular_values(wave_n100):
     for build in (sm.pod_basis, sm.cotangent_lift):
         with pytest.raises(ValueError, match="rank zero"):
             build(zeros, 1)
+
+
+@pytest.mark.parametrize("shape", [(12, 300), (300, 12), (12, 12)],
+                         ids=["wide", "tall", "square"])
+def test_leading_left_singular_vectors_match_lapack(shape):
+    """Both routes of the SVD helper, the R-SVD of a wide block and LAPACK's
+    SVD of a tall or square one, give np.linalg.svd's singular values and,
+    up to sign, its left singular vectors on well separated modes; a
+    rank-deficient block is rejected past its rank on either route."""
+    rng = np.random.default_rng(9)
+    m, n = shape
+    r = min(shape)
+    u0 = np.linalg.qr(rng.standard_normal((m, r)))[0]
+    v0 = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    block = (u0 * 2.0 ** -np.arange(r)) @ v0.T
+    u, s = _leading_left_singular_vectors(block, r, "modes")
+    u_ref, s_ref, _ = np.linalg.svd(block, full_matrices=False)
+    assert s.shape == s_ref.shape
+    assert np.abs(s - s_ref).max() <= 1e-13 * s_ref[0]
+    signs = np.sign(np.sum(u * u_ref, axis=0))
+    assert np.abs(u * signs - u_ref).max() <= 1e-10
+
+    deficient = u0[:, :3] @ v0[:, :3].T
+    assert _leading_left_singular_vectors(deficient, 3, "modes")[0].shape \
+        == (m, 3)
+    with pytest.raises(ValueError, match="requested 4 modes .* rank 3"):
+        _leading_left_singular_vectors(deficient, 4, "modes")
 
 
 def test_random_ortho_symplectic_deterministic():
