@@ -15,10 +15,10 @@ from .dynamics import (DissipativeModel, NonFiniteError, RunReport,
                        TddSystem, VerletStepper, cholesky_factor, integrate,
                        integrate_dissipative, integrate_rk4)
 from .reduction import (PodModel, ReducedDissipative, ReducedTdd,
-                        TrajectoryError, dt_omega_max, l2_error, pod_baseline,
+                        TrajectoryError, l2_error, pod_baseline,
                         psd_baseline, rdh_reduce, reconstruct,
-                        spectral_abscissa, symplectic_galerkin,
-                        terminal_growth)
+                        spectral_abscissa, spectral_radius,
+                        symplectic_galerkin, terminal_growth)
 from .symplectic import (CanonicalForm, DegenerateVector, GreedyResult,
                          OrthoSymplecticBasis, SnapshotSet, cotangent_lift,
                          greedy_basis, pod_basis, symplectic_gram_schmidt)
@@ -48,7 +48,6 @@ __all__ = [
     "build_benchmark",
     "cholesky_factor",
     "cotangent_lift",
-    "dt_omega_max",
     "greedy_basis",
     "integrate",
     "integrate_dissipative",
@@ -63,6 +62,7 @@ __all__ = [
     "reconstruct",
     "skew_to_canonical",
     "spectral_abscissa",
+    "spectral_radius",
     "spline_bump",
     "symplectic_galerkin",
     "symplectic_gram_schmidt",

@@ -428,6 +428,9 @@ def build_benchmark(name: str, config=None) -> Benchmark:
         config = make_config(name)
     if not isinstance(config, cls):
         raise TypeError(f"{name} expects a {cls.__name__}")
-    built = builder(config)
+    # a config value that overflows an operator leaves a non-finite entry,
+    # which cholesky_factor and TddSystem reject by name
+    with np.errstate(all="ignore"):
+        built = builder(config)
     built.name = name   # registry name wins (wave-lowdiss keeps its identity)
     return built

@@ -218,13 +218,19 @@ def _end_warnings(report, config) -> list[str]:
     return warnings
 
 
-def _stability_warnings(dt_omega: dict) -> list[str]:
-    """Manifest warnings for reduced models whose dt_omega_max reaches 2, by
-    cell name. Staying below 2 is necessary for a stable Stoermer-Verlet
-    run, not sufficient: a model without a warning may still blow up."""
-    return [f"{key}: dt_omega_max {value:.6g} >= 2, past the Verlet "
-            f"stability limit (below 2 is necessary, not sufficient)"
-            for key, value in dt_omega.items() if value >= 2.0]
+def _step_radius(step_map) -> float | None:
+    """The spectral radius of a step map; None for a stepped or RK4 run."""
+    return None if step_map is None else reduction.spectral_radius(step_map)
+
+
+def _stability_warnings(radii: dict) -> list[str]:
+    """Manifest warnings, by cell name, for reduced models whose step map
+    has a spectral radius past 1 + 1e-9: its linear part grows
+    exponentially. Stable maps measure at most 1 + 3e-15, those of runs
+    that blow up 2.1 and more."""
+    return [f"{key}: step_radius {value:.6g} > 1, the linear step map "
+            f"grows exponentially" for key, value in radii.items()
+            if value is not None and value > 1.0 + 1e-9]
 
 
 def _momentum_warnings(bench, key: str, basis) -> list[str]:
@@ -344,7 +350,13 @@ def cmd_reduce(args) -> int:
     basis = _basis_from_file(args.basis, "rdh")
     m = basis.n_columns
     red = _project(bench, basis, "rdh")
-    dt_omega = reduction.dt_omega_max(red.system, bench.config.dt)
+    # two steps build the step map, at node 1
+    try:
+        step_map = dynamics.integrate(red.system, bench.config.dt,
+                                      n_steps=2).step_map
+    except NonFiniteError as exc:
+        step_map = exc.step_map
+    radius = _step_radius(step_map)
     files = [
         storage.write_matrix(out / f"reduced_K_k{m}.mtx", red.system.K),
         storage.write_matrix(out / f"reduced_chi_k{m}.mtx", red.system.chi),
@@ -357,8 +369,8 @@ def cmd_reduce(args) -> int:
         files.append(storage.write_matrix(out / f"reduced_boundary_k{m}.mtx",
                                           red.system.boundary_vector))
     _write_manifest(args, bench, files,
-                    _stability_warnings({f"rdh_k{m}": dt_omega}),
-                    reduction={"modes": m}, dt_omega_max=dt_omega)
+                    _stability_warnings({f"rdh_k{m}": radius}),
+                    reduction={"modes": m}, step_radius=radius)
     print(f"reduce {bench.name}: {m} modes -> {out}")
     return 0
 
@@ -399,15 +411,19 @@ def cmd_run_reduced(args) -> int:
     reduced = _project(bench, mapper, args.method)
     report, lift = _run_reduced(reduced, bench.config, args.method)
     m = lift.shape[1]
+    key = f"{args.method}_k{m}"
     recon = reduction.reconstruct(lift, report.snapshots, dx=bench.system.dx)
     files = [storage.write_report_csv(report, out / f"reduced_report_k{m}.csv")]
     files += storage.write_snapshots(recon, out / f"reconstructed_k{m}.mtx")
-    warnings = _end_warnings(report, bench.config)
+    radius = _step_radius(report.step_map)
+    warnings = (_end_warnings(report, bench.config)
+                + _stability_warnings({key: radius}))
     if args.method != "pod":
-        warnings += _momentum_warnings(bench, f"{args.method}_k{m}", mapper)
+        warnings += _momentum_warnings(bench, key, mapper)
     _write_manifest(args, bench, files, warnings,
                     reduced_run={"method": args.method, "modes": m,
-                                 "wall_seconds": report.wall_seconds})
+                                 "wall_seconds": report.wall_seconds},
+                    step_radius=radius)
     print(f"run-reduced {bench.name} [{args.method}, {m} modes]: "
           f"{report.n_steps} steps -> {out}")
     return 0
@@ -427,8 +443,9 @@ def _compare_cell(bench, config, method, mapper, reference, ref_energy,
     state, energy or residual is non-finite, or when the energy error of
     its lifted states shows sustained terminal growth or overflows;
     the spectral abscissa of the baseline generators is recorded as an
-    additional diagnostic, and so is dt_omega_max of the rdh and psd models.
-    A cell that ran also records its speedup, the full run's wall time over
+    additional diagnostic, and so is the step_radius of each run's step
+    map, failed runs included (None for pod's RK4 runs). A cell that ran
+    also records its speedup, the full run's wall time over
     its own, and an rdh cell its hext_drift, max_t |H_ext(t) - H_ext(0)|
     over max_t |H_full(t)| on the snapshot grid. The columns are the error
     and energy on the snapshot grid, the string and extended energy of an
@@ -442,17 +459,16 @@ def _compare_cell(bench, config, method, mapper, reference, ref_energy,
         cell["abscissa"] = reduction.spectral_abscissa(
             reduced.model.linear_operator() if method == "psd"
             else reduced.matrix)
-    if method != "pod":   # the Verlet steppers' stability measure
-        cell["dt_omega_max"] = reduction.dt_omega_max(
-            reduced.system if method == "rdh" else reduced.model, config.dt)
     try:
         report, lift = _run_reduced(reduced, config, method)
     except NonFiniteError as exc:
+        cell["step_radius"] = _step_radius(exc.step_map)
         cell["unstable"] = True
         cell["failure_step"] = exc.step
         cell["max_error"] = cell["mean_error"] = cell["energy_error"] = \
             float("inf")
         return cell, None
+    cell["step_radius"] = _step_radius(report.step_map)
     recon = reduction.reconstruct(lift, report.snapshots, dx=dx)
     # a finite reduced state can lift to an energy or error past floating
     # point range; terminal_growth flags that cell as unstable
@@ -567,9 +583,9 @@ def cmd_compare(args) -> int:
         files = [storage.write_csv(out / file, headers, columns)
                  for file, headers, columns, _ in tables]
 
-    warnings = _end_warnings(full, config) + _stability_warnings(
-        {key: cell["dt_omega_max"] for key, cell in summary.items()
-         if "dt_omega_max" in cell}) + momentum
+    radii = {key: cell["step_radius"] for key, cell in summary.items()}
+    warnings = (_end_warnings(full, config) + _stability_warnings(radii)
+                + momentum)
     _write_manifest(args, bench, files, warnings, methods=methods,
                     modes=modes, basis_method=basis_method, cells=summary,
                     full_run={"wall_seconds": full.wall_seconds,

@@ -33,24 +33,17 @@ from .symplectic import CanonicalForm, SnapshotSet
 class NonFiniteError(RuntimeError):
     """A run left the range of floating point numbers: at node ``step``,
     the first whose state or per-node diagnostics (energies, rates and
-    residuals) are non-finite; ``what`` says which of the two."""
+    residuals) are non-finite; ``what`` says which of the two.
+    ``step_map`` is the run's linear step map, as on :class:`RunReport`."""
 
-    def __init__(self, step: int, what: str):
+    def __init__(self, step: int, what: str, step_map=None):
         self.step = step
+        self.step_map = step_map
         super().__init__(f"{what} became non-finite at step {step}")
 
 
 def _sym_deviation(m) -> float:
     return float(abs(m - m.T).max())
-
-
-# Dense operators with at most this share of nonzero entries are applied in
-# CSR. Measured with one BLAS thread, a CSR matvec beats the dense one above
-# about 5 % nonzeros at dimension 200 and above about 30 % at dimension
-# 1000; the wave and sine-Gordon factors (built sparse) hold 0.2 % at
-# n = 500, the ladder's K and the triangular reduced factors far more than
-# the cut.
-_SPARSE_SHARE = 0.05
 
 
 class _Csr(scipy.sparse.csr_array):
@@ -68,16 +61,6 @@ def _stored(m):
     if scipy.sparse.issparse(m):
         return _Csr(m, dtype=float)
     return np.asarray(m, dtype=float)
-
-
-def _operator(m):
-    """A sparse ``m`` itself, else ``m`` as a CSR matrix when at most
-    _SPARSE_SHARE of its entries are nonzero, else ``m`` itself."""
-    if scipy.sparse.issparse(m):
-        return m
-    if np.count_nonzero(m) <= _SPARSE_SHARE * m.size:
-        return _Csr(m)
-    return m
 
 
 def _dense(m) -> np.ndarray:
@@ -140,12 +123,14 @@ def cholesky_factor(m, name: str = "matrix"):
     (bitwise, as measured, on the tridiagonal sine-Gordon stencil).
 
     Raises ``np.linalg.LinAlgError`` naming the first failing pivot when M is
-    not positive definite, and ``ValueError`` when M is not symmetric to
-    1e-12 relative.
+    not positive definite, and ``ValueError`` when M has a non-finite entry
+    or is not symmetric to 1e-12 relative.
     """
     m = _stored(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got {m.shape}")
+    if not np.isfinite(_entries(m)).all():
+        raise ValueError(f"{name} has a non-finite entry")
     scale = max(1.0, float(abs(m).max()))
     if _sym_deviation(m) > 1e-12 * scale:
         raise ValueError(f"{name} is not symmetric to 1e-12 relative")
@@ -305,13 +290,11 @@ class TddSystem(_ExtraTerms):
     dx : float
         Grid weight for L2 norms and the kinetic energy of PDE states.
 
-    ``K`` and ``chi`` are kept as given: a sparse matrix as a CSR one, and
-    validated without a dense copy, any other as a dense array. ``k_op``
-    and ``kt_op`` apply K and K^T: a CSR ``K`` itself, and for a dense K
-    CSR matrices when at most 5 % of its entries are nonzero, K and its
-    transpose otherwise. A diagonal chi is applied as its diagonal; any
-    other chi is checked for PSD (and, in the closed Verlet step, inverted)
-    as a dense matrix.
+    ``K`` and ``chi`` are kept and applied as given: a sparse matrix as a
+    CSR one, and validated without a dense copy, any other as a dense
+    array; ``kt_op`` is K^T in the same format. A diagonal chi is applied
+    as its diagonal; any other chi is checked for PSD (and, in the closed
+    Verlet step, inverted) as a dense matrix.
 
     The energy terms (``hamiltonian``, ``nonquadratic_energy``,
     ``dissipation_rate``, ``supply_rate`` and ``grad_extra``) accept a state
@@ -337,14 +320,11 @@ class TddSystem(_ExtraTerms):
             raise ValueError(f"z0 must have shape ({self.dim},)")
         self._init_terms(nonlinear_grad, potential, input_vector,
                          boundary_vector, dx, name)
-        self.k_op = _operator(self.K)
-        self.kt_op = _stored(self.k_op.T)
-        self._chi_diag = self._chi_op = None
+        self.kt_op = _stored(self.K.T)
+        self._chi_diag = None
         diagonal = self.chi.diagonal().copy()
         if np.count_nonzero(_entries(self.chi)) == np.count_nonzero(diagonal):
             self._chi_diag = diagonal
-        else:
-            self._chi_op = _operator(self.chi)
         self.validate()
 
     # -- validation -------------------------------------------------------
@@ -360,7 +340,7 @@ class TddSystem(_ExtraTerms):
             raise ValueError("susceptibility must be symmetric to 1e-12 relative")
         _require_psd(self._chi_diag if self._chi_diag is not None
                      else np.linalg.eigvalsh(_dense(self.chi)), 1e-12 * scale)
-        rcond = _reciprocal_condition(self.k_op)
+        rcond = _reciprocal_condition(self.K)
         if rcond <= 1e-12:
             raise ValueError(
                 f"K is numerically rank deficient: estimated 1/cond_1 = "
@@ -372,11 +352,11 @@ class TddSystem(_ExtraTerms):
     def chi_apply(self, v):
         if self._chi_diag is not None:
             return (self._chi_diag * v.T).T
-        return self._chi_op @ v
+        return self.chi @ v
 
     def hamiltonian(self, z):
         """Energy 0.5 ||K z||^2 + potential(z) - z_bd . z."""
-        kz = self.k_op @ z
+        kz = self.K @ z
         return self.nonquadratic_energy(z, 0.5 * _column_dot(kz, kz))
 
     def state_derivative(self, z, f):
@@ -391,7 +371,7 @@ class TddSystem(_ExtraTerms):
         """
         if self.input_vector is None:
             return np.zeros(np.shape(f)[1:])
-        s = (self.k_op @ self.input_vector) @ f
+        s = (self.K @ self.input_vector) @ f
         extra = self.grad_extra(z)
         if extra is not None:
             s = s + self.input_vector @ extra
@@ -544,9 +524,8 @@ class VerletStepper(_VerletStages):
 
     (I + w chi)^{-1} is formed once and every use multiplies by it: a CSR
     diagonal of reciprocals for a diagonal chi, else a dense inverse. When
-    the system applies K in CSR, K^T (I + w chi)^{-1} and the blocks of M
-    are formed and stored in CSR as well, unless a non-diagonal chi makes
-    them dense.
+    K is CSR, K^T (I + w chi)^{-1} and the blocks of M are formed and
+    stored in CSR as well, unless a non-diagonal chi makes them dense.
     """
 
     kind = "tdd"
@@ -561,11 +540,11 @@ class VerletStepper(_VerletStages):
         else:
             self._wi = np.linalg.inv(np.eye(system.dim)
                                      + w * _dense(system.chi))
-        wi_k = self._wi @ system.k_op
+        wi_k = self._wi @ system.K
         m = system.kt_op @ wi_k
         self.kt_wi = _stored(wi_k.T)           # K^T (I + w chi)^{-1}
         self._init_stages(system, 0.5 * (m + m.T))
-        self.f = self._wi @ (system.k_op @ system.z0)
+        self.f = self._wi @ (system.K @ system.z0)
         self.tail = np.zeros(system.dim)
         self.integral = np.zeros(system.dim)
         # start-of-step constant -K^T (I + w chi)^{-1} chi tail of the next step
@@ -580,7 +559,7 @@ class VerletStepper(_VerletStages):
         chi_tail_end = sys_.chi_apply(tail)
         ce = -(self.kt_wi @ chi_tail_end)
         z_new = self._kick_drift_kick(z, self._cs, ce)
-        self.f = self._wi @ (sys_.k_op @ z_new - chi_tail_end)
+        self.f = self._wi @ (sys_.K @ z_new - chi_tail_end)
         self.tail = tail
         self.integral = tail + w * self.f
         self._cs = ce
@@ -591,7 +570,7 @@ class VerletStepper(_VerletStages):
         z, with the co-state K z - chi integral and the tail integral - w f
         and its start-of-step constant derived as a step would leave them."""
         sys_ = self.system
-        self.f = sys_.k_op @ z - sys_.chi_apply(integral)
+        self.f = sys_.K @ z - sys_.chi_apply(integral)
         self.integral = integral
         self.tail = integral - 0.5 * self.dt * self.f
         self._cs = -(self.kt_wi @ sys_.chi_apply(self.tail))
@@ -613,6 +592,11 @@ class RunReport:
     ``times``; they, ``volterra_max``, ``kz_max`` and the derivatives of
     the Verlet runs are derived after the steps from the states (and
     co-states) the driver recorded in blocks.
+
+    ``step_map`` is the linear part of the map the run advanced by (see
+    :func:`_record_blocks`): Phi of a linear run, and of a nonlinear one
+    the x' rows of B on x, its step with the gradient frozen at zero. A
+    run that did not take the map, stepped or RK4, has None.
     """
 
     times: np.ndarray
@@ -630,6 +614,7 @@ class RunReport:
     kind: str = "tdd"
     costates: np.ndarray | None = None   # f = K z - chi F columns, aligned
                                          # with snapshots (tdd runs only)
+    step_map: np.ndarray | None = None
 
     @property
     def snapshot_times(self):
@@ -682,7 +667,7 @@ def _closed_columns(system: TddSystem, states, memory, costates):
     non-quadratic energy, f^T chi f, the supply rate, the passivity residual
     -f^T chi f, and the largest entries of |K z - f - chi (tail + w f)|
     (the Volterra residual) and of |K z|."""
-    kz = system.k_op @ states
+    kz = system.K @ states
     nonquad = system.nonquadratic_energy(states, np.zeros(states.shape[1]))
     diss = system.dissipation_rate(costates)
     volterra = kz - (costates + system.chi_apply(memory))
@@ -777,8 +762,9 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     """The one node source of :func:`_drive`: every node of a run from the
     state z at node 0, written into blocks of _BLOCK nodes aligned at node
     0 and yielded as (layers, m, dim) views of one reused buffer (m is
-    _BLOCK but in the last block). The layers are the state z; for a
-    :class:`VerletStepper` also its memory argument tail + w f (the
+    _BLOCK but in the last block), each with the ``step_map`` of
+    :class:`RunReport` (None until it is built). The layers are the state
+    z; for a :class:`VerletStepper` also its memory argument tail + w f (the
     committed integral F, and w f0 at node 0) and its co-state f; for an
     RK4 stepper also dz/dt from ``snapshot``, called at each snapshot node
     right after the step.
@@ -811,7 +797,7 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     # a nonlinear map also takes the gradient: dim more columns
     mapped = (isinstance(stepper, _VerletStages) and n_steps > 1
               and xdim + (0 if linear else dim) <= _MAP_DIM)
-    phi = None
+    phi = linear_block = None
     for start in range(0, n_steps + 1, _BLOCK):
         m = min(_BLOCK, n_steps + 1 - start)
         j = 0
@@ -830,6 +816,7 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                 x = xs[1].copy() if linear else np.concatenate(
                     [xs[1], stepper._end_extra])
                 phi, c, g1 = _step_map(stepper, closed, dim)
+                linear_block = phi if linear else phi[dim:, :xdim]
                 if not linear:
                     grad = stepper._grad_extra
                     stage = np.empty(c.size)
@@ -852,9 +839,9 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                     row += stage[dim:]
                     x_x[:] = row
             if closed:
-                rows[j:m, 2] = (system.k_op @ rows[j:m, 0].T
+                rows[j:m, 2] = (system.K @ rows[j:m, 0].T
                                 - system.chi_apply(rows[j:m, 1].T)).T
-        yield rows[:m].transpose(1, 0, 2)
+        yield rows[:m].transpose(1, 0, 2), linear_block
 
 
 def _drive(make_stepper, z0, dt: float, n_steps: int | None,
@@ -864,7 +851,8 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
 
     The stepper provides ``step(z)`` (the next state), a ``kind`` and
     ``linear``, true when its step is affine in its state. The nodes come
-    from :func:`_record_blocks`, by the step or by the step map. Numpy's
+    from :func:`_record_blocks`, by the step or by the step map, whose
+    linear block the report and the error carry as ``step_map``. Numpy's
     overflow and invalid warnings are silenced in the loop.
 
     Each block gives up its snapshot nodes and is reduced to per-node
@@ -905,7 +893,8 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
                             inline)
     columns = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, block in zip(range(0, n_steps + 1, _BLOCK), blocks):
+        for start, (block, step_map) in zip(range(0, n_steps + 1, _BLOCK),
+                                            blocks):
             first = -(-start // snapshot_stride)
             picks = np.arange(first * snapshot_stride - start, block.shape[1],
                               snapshot_stride)
@@ -919,7 +908,7 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
             if bad.any():
                 node = int(bad.argmax())
                 raise NonFiniteError(start + node, "state" if bad_state[node]
-                                     else "energy or residual")
+                                     else "energy or residual", step_map)
             columns.append(diagnostics)
         for s in range(0, store.shape[2], _BLOCK):
             cols = store[:, :, s: s + _BLOCK]
@@ -939,7 +928,7 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
         derivatives=store[1], volterra_max=float(volterra.max()),
         kz_max=float(kz.max()), dt=dt, n_steps=n_steps,
         wall_seconds=time.perf_counter() - t0, kind=stepper.kind,
-        costates=store[2] if closed else None,
+        costates=store[2] if closed else None, step_map=step_map,
     )
 
 

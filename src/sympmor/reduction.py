@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DissipativeModel, TddSystem, _dense, cholesky_factor
+from .dynamics import DissipativeModel, TddSystem, cholesky_factor
 from .symplectic import OrthoSymplecticBasis, SnapshotSet
 
 
@@ -96,7 +96,7 @@ def _closed_reduction(system: TddSystem, basis: OrthoSymplecticBasis,
     pulled back through A."""
     a = basis.matrix
     fields = _pulled_back(a, system)
-    ka = system.k_op @ a
+    ka = system.K @ a
     k_red = cholesky_factor(ka.T @ ka, name="projected stiffness")
     chi_red = reduced_chi(a)
     reduced = TddSystem(K=k_red, chi=0.5 * (chi_red + chi_red.T),
@@ -199,21 +199,10 @@ def spectral_abscissa(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvals(np.asarray(matrix, dtype=float)).real.max())
 
 
-def dt_omega_max(model, dt: float) -> float:
-    """dt times the largest frequency of a model's quadratic energy
-    0.5 z^T S z: dt max |eig(J S)|, with S = K^T K for a TddSystem and the
-    stiffness for a DissipativeModel. A value below 2 is necessary for the
-    Stoermer-Verlet step to be linearly stable on the conservative part of
-    the flow, not sufficient: the stages split S into its q and p blocks,
-    and the closed form steps with K^T (I + w chi)^{-1} K, so a run below 2
-    can still blow up.
-
-    The eigenvalues are computed densely, a sparse S included: ARPACK,
-    asked for the largest-magnitude eigenvalue of a sparse J S, does not
-    converge on the clustered top frequencies of the full wave model.
-    """
-    s = model.K.T @ model.K if isinstance(model, TddSystem) else model.stiffness
-    return float(dt * np.abs(np.linalg.eigvals(model.J.apply(_dense(s)))).max())
+def spectral_radius(matrix: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a dense step map, such as a run's
+    ``step_map``: above 1 the map's iterates grow exponentially."""
+    return float(np.abs(np.linalg.eigvals(matrix)).max())
 
 
 def terminal_growth(error_series) -> bool:

@@ -211,23 +211,35 @@ def test_reduce_and_run_reduced_roundtrip(tmp_path):
     assert np.abs(chi - ref.system.chi).max() <= 1e-13
     assert np.abs(z0 - ref.system.z0).max() <= 1e-13
     assert _manifest(red_dir)["reduction"] == {"modes": 8}
-    assert _manifest(red_dir)["dt_omega_max"] == pytest.approx(
-        sm.dt_omega_max(ref.system, bench.config.dt), rel=1e-12)
+    # the spectral radius of the step map of the model it writes
+    radius = _manifest(red_dir)["step_radius"]
+    assert radius == pytest.approx(sm.spectral_radius(sm.integrate(
+        ref.system, bench.config.dt, n_steps=2).step_map), rel=1e-12)
+    assert radius <= 1.0 + 1e-9
     assert _manifest(red_dir)["warnings"] == []
     # a step past the Verlet stability limit of the reduced model
     coarse = tmp_path / "coarse"
     assert _run("reduce", "--benchmark", "wave", "--set", "n=16",
                 "--set", "t_final=1.0", "--set", "dt=1.0",
                 "--basis", str(basis_file), "--out", str(coarse)) == 0
-    assert _manifest(coarse)["dt_omega_max"] >= 2.0
+    assert _manifest(coarse)["step_radius"] == pytest.approx(39.63,
+                                                             rel=1e-3)
     [warning] = _manifest(coarse)["warnings"]
-    assert warning.startswith("rdh_k8: dt_omega_max")
+    assert warning.startswith("rdh_k8: step_radius 39.63")
+    # a step so long that the two-step run overflows still gives the map
+    huge = tmp_path / "huge"
+    assert _run("reduce", "--benchmark", "wave", "--set", "n=16",
+                "--set", "t_final=1.0", "--set", "dt=1e100",
+                "--basis", str(basis_file), "--out", str(huge)) == 0
+    assert _manifest(huge)["step_radius"] > 1e100
 
     run_dir = tmp_path / "run"
     assert _run("run-reduced", "--benchmark", "wave", "--set", "n=16",
                 "--set", "t_final=1.0", "--basis", str(basis_file),
                 "--method", "rdh", "--out", str(run_dir)) == 0
     assert verify_manifest(run_dir / "manifest.json")[1] == []
+    assert _manifest(run_dir)["step_radius"] == pytest.approx(radius,
+                                                              rel=1e-12)
     header, data = read_csv(run_dir / "reduced_report_k8.csv")
     hext = data[:, 3]
     assert np.abs(hext - hext[0]).max() <= 1e-3 * abs(hext[0])
@@ -345,8 +357,9 @@ def test_compare_ladder_components(tmp_path, capsys):
 
 def test_default_ladder_compare_manifest(tmp_path):
     """Every cell that ran records its speedup over the full run, every
-    Verlet cell its dt_omega_max, below the stability limit 2 here, the
-    run has nothing to warn of, and its artifacts pass ``check``."""
+    Verlet cell the spectral radius of its step map, at most 1 + 1e-9
+    here, and every POD cell none; the run has nothing to warn of, and its
+    artifacts pass ``check``."""
     out = tmp_path / "ladder"
     assert _run("compare", "--benchmark", "ladder", "--out", str(out)) == 0
     assert _run("check", "--manifest", str(out / "manifest.json")) == 0
@@ -358,8 +371,10 @@ def test_default_ladder_compare_manifest(tmp_path):
         assert cell["speedup"] > 0.0
         assert cell["speedup"] == pytest.approx(
             manifest["full_run"]["wall_seconds"] / cell["wall_seconds"])
-        if not key.startswith("pod_"):
-            assert 0.0 < cell["dt_omega_max"] < 2.0
+        if key.startswith("pod_"):
+            assert cell["step_radius"] is None
+        else:
+            assert 0.0 < cell["step_radius"] <= 1.0 + 1e-9
 
 
 def test_compare_sine_gordon_kinetic_table(tmp_path):
@@ -449,18 +464,25 @@ def test_compare_unknown_method(tmp_path, capsys):
 def test_compare_flags_blown_up_cells(tmp_path):
     """Reduced cells that leave floating point range are recorded as
     unstable with the step of the failure, not raised out of compare, and
-    write an all-NaN column for every column of their method."""
+    write an all-NaN column for every column of their method. Both record
+    the spectral radius of their step map, about 2.111, and are warned
+    of."""
     out = tmp_path / "blow"
     rc = _run("compare", "--benchmark", "wave-lowdiss",
               "--basis-method", "greedy", "--set", "n=100",
               "--modes", "50", "--methods", "rdh,psd", "--out", str(out))
     assert rc == 0
     assert _run("check", "--manifest", str(out / "manifest.json")) == 0
-    cells = _manifest(out)["cells"]
+    manifest = _manifest(out)
+    cells = manifest["cells"]
     for key in ("rdh_k50", "psd_k50"):
         assert cells[key]["unstable"] is True
         step = cells[key]["failure_step"]
         assert isinstance(step, int) and step >= 1
+        assert cells[key]["step_radius"] == pytest.approx(2.111, abs=1e-3)
+    warned = [w.split(":")[0] for w in manifest["warnings"]
+              if "step_radius" in w]
+    assert warned == ["rdh_k50", "psd_k50"]
     header, data = read_csv(out / "errors.csv")
     assert header == ["t", "err_rdh_k50", "err_psd_k50"]
     assert np.isnan(data[:, 1:]).all()
@@ -812,6 +834,22 @@ def test_config_field_errors(tmp_path, capsys, name, setting, message):
                 "--out", str(tmp_path / "x")) == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, settings, message", [
+    ("wave", ("n=16", "c2=1e308"), "wave stiffness has a non-finite entry"),
+    ("ladder", ("cells=2", "capacitance=1e-320"), "K has a non-finite entry"),
+], ids=["wave-c2", "ladder-capacitance"])
+def test_a_config_value_that_overflows_an_operator_exits_2(
+        tmp_path, capsys, name, settings, message):
+    """A finite config value whose operator overflows exits 2 with one
+    stderr line naming the non-finite entry, and warns of nothing."""
+    sets = [arg for setting in settings for arg in ("--set", setting)]
+    out = tmp_path / "x"
+    assert _run("run-full", "--benchmark", name, *sets,
+                "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, argv, integrates", [

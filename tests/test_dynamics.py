@@ -1,6 +1,7 @@
 """Time-dispersive dynamics: factorizations, the memory constraint, the
 staggered integrator and its diagnostics."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -73,6 +74,12 @@ def test_cholesky_input_validation():
         cholesky_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
         cholesky_factor(np.zeros((2, 3)))
+    # inf - inf is NaN, which a symmetry check alone lets through
+    for form in (np.asarray, scipy.sparse.csr_array):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError,
+                               match="stiffness has a non-finite entry"):
+                cholesky_factor(form(np.diag([1.0, bad])), name="stiffness")
 
 
 def test_symmetric_sqrt_paths():
@@ -602,11 +609,13 @@ def _assert_fails_mapped_and_stepped(model, run, dt, step, monkeypatch):
         run(model, dt=dt, n_steps=600)
     assert maps.calls == 1
     assert exc_info.value.step == step
+    assert exc_info.value.step_map is not None
     monkeypatch.setattr(dynamics, "_MAP_DIM", 0)
     with pytest.raises(sm.NonFiniteError) as exc_info:
         run(model, dt=dt, n_steps=600)
     assert maps.calls == 1
     assert exc_info.value.step == step
+    assert exc_info.value.step_map is None
 
 
 @pytest.mark.parametrize("dt", [5.0, 6.0])
@@ -844,6 +853,24 @@ def test_verlet_runs_evaluate_the_gradient_once_per_step(which):
     assert count.calls == n_steps + 1
 
 
+@pytest.mark.parametrize("which", ["rdh", "psd"])
+def test_nonlinear_step_map_is_the_linear_models_map(which, monkeypatch):
+    """A reduced sine-Gordon run carries the linear block of its
+    semi-linear map, the x' rows on x, as its step map: the map of the same
+    model without its nonlinear gradient, to 1e-13 relative. A stepped run
+    carries none."""
+    dt = 0.02
+    model, run = _sine_gordon_run(which, dt, 100)
+    got = run(model, dt=dt, n_steps=2).step_map
+    linear = copy.copy(model)
+    linear.nonlinear_grad = None
+    want = run(linear, dt=dt, n_steps=2).step_map
+    assert got.shape == want.shape == (want.shape[1],) * 2
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    monkeypatch.setattr(dynamics, "_MAP_DIM", 0)
+    assert run(model, dt=dt, n_steps=2).step_map is None
+
+
 def test_fresh_stepper_reproduces_a_recorded_node_bitwise():
     """The reused gradient is bitwise the one a fresh stepper evaluates at
     the start-of-step state, since the sine-Gordon gradient reads q only:
@@ -885,6 +912,7 @@ def test_rk4_accuracy_linear_decay():
     # the POD baseline's energy is measured on lifted states, not here
     assert not rep.hamiltonian.any() and not rep.extended_energy.any()
     assert rep.kind == "rk4"
+    assert rep.step_map is None
 
 
 def test_rk4_blow_up_names_the_state():
@@ -939,7 +967,7 @@ def test_system_validation_errors():
 
 def _operators(system, dt=0.01):
     stepper = VerletStepper(system, dt)
-    return (system.k_op, system.kt_op, stepper.kt_wi, stepper.m_qq,
+    return (system.K, system.kt_op, stepper.kt_wi, stepper.m_qq,
             stepper.m_qp, stepper.m_pq, stepper.m_pp)
 
 
@@ -947,7 +975,7 @@ def _operators(system, dt=0.01):
     ("wave", {"n": 100}),
     ("sine-gordon", {"n": 60, "t_final": 10.0}),
 ])
-def test_sparse_path_matches_dense_reference(name, overrides, monkeypatch):
+def test_sparse_path_matches_dense_reference(name, overrides):
     config = sm.make_config(name, overrides)
     bench = sm.build_benchmark(name, config)
     assert all(scipy.sparse.issparse(op) for op in _operators(bench.system))
@@ -956,9 +984,8 @@ def test_sparse_path_matches_dense_reference(name, overrides, monkeypatch):
     report = sm.integrate(bench.system, **run)
     assert_volterra(report, name)
 
-    # the dense reference: the same K and chi as dense arrays, and every
-    # operator kept dense
-    monkeypatch.setattr(dynamics, "_operator", lambda m: m)
+    # the dense reference: the same K and chi as dense arrays, which keep
+    # every operator dense
     system = bench.system
     dense = sm.TddSystem(system.K.toarray(), system.chi.toarray(), system.z0,
                          nonlinear_grad=system.nonlinear_grad,
@@ -1014,11 +1041,12 @@ def test_plain_wave_stepper_keeps_a_diagonal_stage_inverse():
 
 @pytest.mark.parametrize("diagonal", [0.0, 1e-14])
 def test_rank_check_on_sparse_path(diagonal):
-    k = np.eye(200)
-    k[7, 7] = diagonal
-    assert scipy.sparse.issparse(dynamics._operator(k))
+    """A CSR K takes the sparse rank estimate."""
+    k = np.ones(200)
+    k[7] = diagonal
     with pytest.raises(ValueError, match="rank"):
-        sm.TddSystem(k, np.zeros((200, 200)), np.zeros(200))
+        sm.TddSystem(scipy.sparse.diags(k, format="csr"),
+                     np.zeros((200, 200)), np.zeros(200))
 
 
 def test_rank_check_on_dense_path():
@@ -1029,7 +1057,6 @@ def test_rank_check_on_dense_path():
         k = q1 @ np.diag(np.logspace(0.0, np.log10(ratio), 8)) @ q2.T
         sv = np.linalg.svd(k, compute_uv=False)
         assert sv[-1] / sv[0] == pytest.approx(ratio, rel=1e-2)
-        assert isinstance(dynamics._operator(k), np.ndarray)
         if deficient:
             with pytest.raises(ValueError, match="rank"):
                 sm.TddSystem(k, np.zeros((8, 8)), np.zeros(8))

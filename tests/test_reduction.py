@@ -400,11 +400,18 @@ def test_spectral_abscissa_values():
     assert abs(sm.spectral_abscissa(rotation)) <= 1e-12
 
 
-@pytest.mark.parametrize("k", [1.0, 4.0])
-def test_dt_omega_max_of_the_oscillator(k):
-    """dt max |eig(J S)| is dt omega = dt sqrt(k) for the closed form
-    (S = K^T K) and for the plain form (S the stiffness) alike."""
-    bench = build_oscillator(k=k)
-    for model in (bench.system, bench.dissipative_model()):
-        assert sm.dt_omega_max(model, 0.1) == pytest.approx(
-            0.1 * np.sqrt(k), rel=1e-15, abs=0.0)
+@pytest.mark.parametrize("h_omega", [0.5, 1.9, 2.5, 4.0])
+def test_step_radius_of_the_undamped_oscillator(h_omega):
+    """Verlet on q'' = -omega^2 q: the spectral radius of the step map is 1
+    for h omega < 2, and |b| + sqrt(b^2 - 1) with b = 1 - (h omega)^2 / 2
+    past it. The plain form's map and the closed form's, whose memory
+    integral does not feed back without damping, read the same."""
+    omega = 2.0
+    bench = build_oscillator(k=omega ** 2, r=0.0)
+    b = 1.0 - 0.5 * h_omega ** 2
+    want = 1.0 if h_omega < 2.0 else abs(b) + np.sqrt(b * b - 1.0)
+    for model, run in ((bench.dissipative_model(), sm.integrate_dissipative),
+                       (bench.system, sm.integrate)):
+        step_map = run(model, dt=h_omega / omega, n_steps=2).step_map
+        assert sm.spectral_radius(step_map) == pytest.approx(
+            want, rel=1e-12, abs=0.0)
