@@ -249,17 +249,12 @@ def build_sine_gordon(config: SineGordonConfig) -> Benchmark:
     bd[-1] = b / dx ** 2
     boundary = np.concatenate([bd, np.zeros(n)])
 
-    def grad(z):
-        out = np.zeros_like(z)
-        out[:n] = np.sin(z[:n])
-        return out
-
-    def potential(z):
-        return np.sum(1.0 - np.cos(z[:n]), axis=0)
+    def potential(q):
+        return np.sum(1.0 - np.cos(q), axis=0)
 
     return _mechanical(lap, config.chi_scale * config.r, z0, config=config,
                        grid=x, extras={"x0": x0, "bc": (a, b)},
-                       nonlinear_grad=grad, potential=potential,
+                       nonlinear_grad=np.sin, potential=potential,
                        boundary_vector=boundary, dx=dx, name="sine-gordon")
 
 

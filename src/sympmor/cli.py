@@ -233,19 +233,6 @@ def _stability_warnings(radii: dict) -> list[str]:
             if value is not None and value > 1.0 + 1e-9]
 
 
-def _momentum_warnings(bench, key: str, basis) -> list[str]:
-    """A manifest warning for the rdh or psd model ``key`` of a benchmark
-    with a nonlinear gradient on a basis that mixes q and p (a nonzero
-    p-block in its leading columns, as a greedy basis has): its reduced
-    gradient then reads the reduced momentum, which the Verlet stages
-    assume it does not."""
-    if bench.system.nonlinear_grad is None or not basis.lead[basis.n:].any():
-        return []
-    return [f"{key}: the basis mixes q and p, so the reduced gradient "
-            f"depends on the reduced momentum, which the Verlet stages "
-            f"assume it does not"]
-
-
 def cmd_run_full(args) -> int:
     bench = _build(args)
     out = Path(args.out)
@@ -418,8 +405,6 @@ def cmd_run_reduced(args) -> int:
     radius = _step_radius(report.step_map)
     warnings = (_end_warnings(report, bench.config)
                 + _stability_warnings({key: radius}))
-    if args.method != "pod":
-        warnings += _momentum_warnings(bench, key, mapper)
     _write_manifest(args, bench, files, warnings,
                     reduced_run={"method": args.method, "modes": m,
                                  "wall_seconds": report.wall_seconds},
@@ -522,12 +507,17 @@ def cmd_compare(args) -> int:
     default_modes = [10, 20, 30] if name == "ladder" else [20, 40, 60]
     modes = _parse_modes(args.modes, default_modes)
     _require_even(modes, "symplectic reduction")
-    basis_method = args.basis_method or "cotangent"
     paired = "rdh" in methods or "psd" in methods
+    # the symplectic basis generator, recorded only when a cell uses it
+    basis_method = (args.basis_method or "cotangent") if paired else None
+    if basis_method == "greedy" and bench.system.nonlinear_grad is not None:
+        raise ConfigError(
+            f"a greedy basis mixes q and p, so rdh and psd cannot reduce the "
+            f"nonlinear {name} model onto it; use --basis-method cotangent")
 
     stages = {}
     with _stage(stages, "full_solve"):
-        full = _integrate_full(bench, paired and basis_method == "greedy")
+        full = _integrate_full(bench, basis_method == "greedy")
     if paired:
         with _stage(stages, "basis"):
             sym_basis, _, _ = _make_basis(basis_method, full.snapshots,
@@ -558,15 +548,12 @@ def cmd_compare(args) -> int:
         tables.append(("component_errors.csv", ["component"],
                        [np.arange(bench.system.dim)], ("avg",)))
 
-    summary, flagged, momentum = {}, [], []
+    summary, flagged = {}, []
     for method in methods:
         for m in modes:
             key = f"{method}_k{m}"
-            if method == "pod":
-                mapper = pod_v[:, :m]
-            else:
-                mapper = sym_basis.truncate(m // 2)
-                momentum += _momentum_warnings(bench, key, mapper)
+            mapper = (pod_v[:, :m] if method == "pod"
+                      else sym_basis.truncate(m // 2))
             with _stage(stages, "cells"):
                 summary[key], cols = _compare_cell(
                     bench, config, method, mapper, full, ref_energy, model)
@@ -584,8 +571,7 @@ def cmd_compare(args) -> int:
                  for file, headers, columns, _ in tables]
 
     radii = {key: cell["step_radius"] for key, cell in summary.items()}
-    warnings = (_end_warnings(full, config) + _stability_warnings(radii)
-                + momentum)
+    warnings = _end_warnings(full, config) + _stability_warnings(radii)
     _write_manifest(args, bench, files, warnings, methods=methods,
                     modes=modes, basis_method=basis_method, cells=summary,
                     full_run={"wall_seconds": full.wall_seconds,

@@ -2,10 +2,11 @@
 
 The model class evolves
 
-    dz/dt = J (K^T f + g(z) - z_bd) + u,
+    dz/dt = J (K^T f + (g(q), 0) - z_bd) + u,
     f + chi * integral_0^t f ds = K z,
 
-where the auxiliary co-state f carries the memory of hidden bath modes; the
+where the auxiliary co-state f carries the memory of hidden bath modes, g
+is the gradient of a potential of the positions q alone, and the
 susceptibility chi is symmetric positive semidefinite. A trapezoid rule
 discretizes the memory integral, and a Stoermer-Verlet scheme staggers the
 kick/drift updates. With the memory tail split between the step endpoints
@@ -193,6 +194,24 @@ def _require_psd(eigenvalues: np.ndarray, floor: float) -> None:
             f"susceptibility has negative eigenvalue {eigenvalues.min():.3e}")
 
 
+def _diagonal(m):
+    """The diagonal of a dense or CSR ``m`` whose nonzeros all lie on it,
+    else None."""
+    diagonal = m.diagonal().copy()
+    if np.count_nonzero(_entries(m)) == np.count_nonzero(diagonal):
+        return diagonal
+    return None
+
+
+def _shifted_inverse(m, weight: float):
+    """(I + weight * m)^{-1}: a CSR diagonal of reciprocals for a diagonal
+    ``m`` (see :func:`_diagonal`), else a dense inverse."""
+    diagonal = _diagonal(m)
+    if diagonal is not None:
+        return _Csr(scipy.sparse.diags(1.0 / (1.0 + weight * diagonal)))
+    return np.linalg.inv(np.eye(m.shape[0]) + weight * _dense(m))
+
+
 def _optional_array(v):
     return None if v is None else np.asarray(v, dtype=float)
 
@@ -204,7 +223,8 @@ def _column_dot(a, b):
 
 class _ExtraTerms:
     """Terms both model forms share beyond their quadratic energy: a
-    potential V with gradient g, a boundary vector z_bd and an input u."""
+    potential V(q) of the positions with gradient g(q), a boundary vector
+    z_bd and an input u."""
 
     def _init_terms(self, nonlinear_grad, potential, input_vector,
                     boundary_vector, dx, name):
@@ -216,29 +236,34 @@ class _ExtraTerms:
         self.name = name
         self.J = CanonicalForm(self.n)
 
+    def _column(self, v, z):
+        """A constant vector v shaped to broadcast against z's columns."""
+        return v.reshape((-1,) + (1,) * (np.ndim(z) - 1))
+
     def grad_extra(self, z):
-        """Non-quadratic gradient terms g(z) - z_bd, of a state or of each
-        column of a (dim, m) block."""
-        out = None
+        """Non-quadratic gradient terms (g(q), 0) - z_bd, of a state or of
+        each column of a (dim, m) block; None without either."""
+        if self.nonlinear_grad is None and self.boundary_vector is None:
+            return None
+        out = np.zeros(np.shape(z))
         if self.nonlinear_grad is not None:
-            out = np.asarray(self.nonlinear_grad(z), dtype=float)
+            out[: self.n] = self.nonlinear_grad(z[: self.n])
         if self.boundary_vector is not None:
-            bd = self.boundary_vector.reshape((-1,) + (1,) * (np.ndim(z) - 1))
-            out = -bd if out is None else out - bd
+            out -= self._column(self.boundary_vector, z)
         return out
 
     def nonquadratic_energy(self, z, h=0.0):
-        """h + V(z) - z_bd . z, summed left to right, of a state or of each
+        """h + V(q) - z_bd . z, summed left to right, of a state or of each
         column of a (dim, m) block; the energies pass their quadratic part
         as ``h``."""
         if self.potential is not None:
-            h = h + self.potential(z)
+            h = h + self.potential(z[: self.n])
         if self.boundary_vector is not None:
             h = h - self.boundary_vector @ z
         return h
 
     def _flow(self, force, z, drift=None):
-        """dz/dt = J (force + g(z) - z_bd) - drift + u, where ``force`` is
+        """dz/dt = J (force + g(q) - z_bd) - drift + u, where ``force`` is
         the gradient of the quadratic energy; of a state or of each column
         of a (dim, m) block."""
         extra = self.grad_extra(z)
@@ -248,8 +273,7 @@ class _ExtraTerms:
         if drift is not None:
             dz = dz - drift
         if self.input_vector is not None:
-            dz = dz + self.input_vector.reshape(
-                (-1,) + (1,) * (np.ndim(z) - 1))
+            dz = dz + self._column(self.input_vector, z)
         return dz
 
 
@@ -272,15 +296,10 @@ class TddSystem(_ExtraTerms):
         Initial state; canonical and physical at once, since the memory
         integral starts at zero.
     nonlinear_grad, potential : callable, optional
-        Gradient and value of an additional potential of the positions:
-        both read only the q block, and the gradient's momentum block is
-        zero (the kick stages evaluate it at the start-of-stage momentum, a
-        step reuses the previous step's end-of-step gradient, and the
-        reductions pull both back through the basis's q rows alone; they
-        check the gradient at z0 and raise ``ValueError`` if it breaks
-        this). Both take a state or a (2n, m) block of states as columns:
-        the gradient then returns one column per state, and the potential
-        one value per column.
+        Gradient g(q) = dV/dq and value V(q) of an additional potential of
+        the positions. Both take the positions q, of shape (n,) or an
+        (n, m) block of columns; the gradient returns an array of the same
+        shape, and the potential one value per column.
     input_vector : ndarray, optional
         Constant input u added to dz/dt; the associated supply rate is
         (K u)^T f.
@@ -321,10 +340,7 @@ class TddSystem(_ExtraTerms):
         self._init_terms(nonlinear_grad, potential, input_vector,
                          boundary_vector, dx, name)
         self.kt_op = _stored(self.K.T)
-        self._chi_diag = None
-        diagonal = self.chi.diagonal().copy()
-        if np.count_nonzero(_entries(self.chi)) == np.count_nonzero(diagonal):
-            self._chi_diag = diagonal
+        self._chi_diag = _diagonal(self.chi)
         self.validate()
 
     # -- validation -------------------------------------------------------
@@ -355,16 +371,17 @@ class TddSystem(_ExtraTerms):
         return self.chi @ v
 
     def hamiltonian(self, z):
-        """Energy 0.5 ||K z||^2 + potential(z) - z_bd . z."""
+        """Energy 0.5 ||K z||^2 + V(q) - z_bd . z."""
         kz = self.K @ z
         return self.nonquadratic_energy(z, 0.5 * _column_dot(kz, kz))
 
     def state_derivative(self, z, f):
-        """dz/dt given the co-state: J (K^T f + g(z) - z_bd) + u."""
+        """dz/dt given the co-state: J (K^T f + (g(q), 0) - z_bd) + u."""
         return self._flow(self.kt_op @ f, z)
 
     def supply_rate(self, z, f):
-        """Instantaneous work rate of the input: (K u)^T f + (g(z) - z_bd)^T u.
+        """Instantaneous work rate of the input:
+        (K u)^T f + ((g(q), 0) - z_bd)^T u.
 
         The second term vanishes without nonlinear/boundary terms; it is what
         the input feeds into the non-quadratic part of the energy.
@@ -382,23 +399,9 @@ class TddSystem(_ExtraTerms):
         return _column_dot(f, self.chi_apply(f))
 
 
-def _stage_inverse(block, weight: float):
-    """(I + weight * block)^{-1} of a stage matrix block, None for a zero
-    block: a CSR diagonal of reciprocals when the block is a CSR matrix with
-    its nonzeros on the diagonal (the plain form's J R of a mechanical
-    model), else a dense inverse."""
-    if abs(block).max() == 0.0:
-        return None
-    if scipy.sparse.issparse(block):
-        diagonal = block.diagonal()
-        if np.count_nonzero(block.data) == np.count_nonzero(diagonal):
-            return _Csr(scipy.sparse.diags(1.0 / (1.0 + weight * diagonal)))
-    return np.linalg.inv(np.eye(block.shape[0]) + weight * _dense(block))
-
-
 class _VerletStages:
-    """Kick-drift-kick stages of dz/dt = J (M z + c + g(z) - z_bd) + u, the
-    one Stoermer-Verlet kernel of both model forms.
+    """Kick-drift-kick stages of dz/dt = J (M z + c + (g(q), 0) - z_bd) + u,
+    the one Stoermer-Verlet kernel of both model forms.
 
     Per step (w = dt/2), with c split into a start-of-step constant ``cs``
     and an end-of-step one ``ce``:
@@ -410,22 +413,19 @@ class _VerletStages:
 
     Stages 1 and 2 are implicit only through the qp and pq blocks of the
     stage matrix M. The inverses (I + w m_qp)^{-1} and (I - w m_pq)^{-1}
-    are formed once, a CSR diagonal for a diagonal CSR block and a dense
+    are formed once, a CSR diagonal for a diagonal block and a dense
     matrix otherwise, so each implicit stage is one product; a stage whose
     block is zero is explicit and keeps ``None``.
 
-    The gradient g is that of a potential of the positions: it reads only
-    q and its momentum block is zero, which the reductions check before
-    they pull it back through the basis's q rows alone (a reduced gradient
-    on a basis that mixes q and p reads the reduced momentum, and the CLI
-    warns of it). So stage 2 uses its start-of-step p-block twice, and
-    stage 1's gradient is the previous step's stage-3 one: a step whose q
-    is bitwise the q_1 of the step before takes that gradient, any other
-    state has its gradient evaluated. A run thus costs one gradient
-    evaluation per step, plus one at node 0. Apart from that evaluation, at
-    (q_1, p_h), a step is affine in its state and in the gradients of
-    stages 1 and 3, which :func:`_step_map` probes by swapping
-    ``_grad_extra``.
+    The boundary vector is a constant, so -J z_bd joins the input u once,
+    at setup, as the per-stage constants ``u_q`` and ``u_p`` (None where
+    zero). The gradient g of the potential of the positions enters the two
+    kicks only, and stage 1's is the previous step's stage-3 one: a step
+    whose q is bitwise the q_1 of the step before takes that gradient, any
+    other state has its gradient evaluated. A run thus costs one gradient
+    evaluation per step, plus one at node 0. Apart from that evaluation,
+    at q_1, a step is affine in its state and in the gradients of stages 1
+    and 3, which :func:`_step_map` probes by swapping ``_grad``.
     """
 
     def __init__(self, dt: float):
@@ -434,25 +434,32 @@ class _VerletStages:
         self.dt = float(dt)
 
     def _init_stages(self, terms: _ExtraTerms, m) -> None:
-        """Split the stage matrix ``m`` (dense or CSR) and the input of
+        """Split the stage matrix ``m`` (dense or CSR) and the constants of
         ``terms`` into q/p blocks and invert the implicit stages."""
         w = 0.5 * self.dt
         n = terms.n
-        self._grad_extra = terms.grad_extra
+        self._grad = terms.nonlinear_grad
         # without a nonlinear gradient the step is affine in its state
-        self.linear = terms.nonlinear_grad is None
+        self.linear = self._grad is None
         self.m_qq = _stored(m[:n, :n])
         self.m_qp = _stored(m[:n, n:])
         self.m_pq = _stored(m[n:, :n])
         self.m_pp = _stored(m[n:, n:])
-        self._kick_inv = _stage_inverse(self.m_qp, w)
-        self._drift_inv = _stage_inverse(self.m_pq, -w)
-        u = terms.input_vector
-        self.u_q = u[:n] if u is not None else None
-        self.u_p = u[n:] if u is not None else None
+        self._kick_inv = self._drift_inv = None
+        if abs(self.m_qp).max() != 0.0:
+            self._kick_inv = _shifted_inverse(self.m_qp, w)
+        if abs(self.m_pq).max() != 0.0:
+            self._drift_inv = _shifted_inverse(self.m_pq, -w)
+        u, bd = terms.input_vector, terms.boundary_vector
+        if bd is not None:
+            u = (0.0 if u is None else u) - terms.J.apply(bd)
+        self.u_q = self.u_p = None
+        if u is not None:
+            self.u_q = u[:n] if u[:n].any() else None
+            self.u_p = u[n:] if u[n:].any() else None
         # the last stage-3 gradient and the q it was evaluated at; a linear
         # model stores nothing
-        self._end_q = self._end_extra = None
+        self._end_q = self._end_g = None
 
     def _kick_drift_kick(self, z, cs, ce):
         """The state one step after z."""
@@ -460,24 +467,21 @@ class _VerletStages:
         w = 0.5 * dt
         n = self.m_qq.shape[0]
         q, p = z[:n], z[n:]
-        if self._end_q is not None and np.array_equal(q, self._end_q):
-            extra = self._end_extra
-        else:
-            extra = self._grad_extra(z)
 
         # kick under the start-of-step constant
         rhs = p - w * (self.m_qq @ q + cs[:n])
-        if extra is not None:
-            rhs = rhs - w * extra[:n]
+        if not self.linear:
+            if self._end_q is not None and np.array_equal(q, self._end_q):
+                g = self._end_g
+            else:
+                g = self._grad(q)
+            rhs = rhs - w * g
         if self.u_p is not None:
             rhs = rhs + w * self.u_p
         p_half = rhs if self._kick_inv is None else self._kick_inv @ rhs
 
-        # drift averaging the two constants; the extra gradient is
-        # momentum-independent by contract, so its p-block enters twice
+        # drift averaging the two constants
         rhs = q + w * (2.0 * (self.m_pp @ p_half) + cs[n:] + ce[n:])
-        if extra is not None:
-            rhs = rhs + dt * extra[n:]
         if self._drift_inv is not None:
             rhs = rhs + w * (self.m_pq @ q)
         if self.u_q is not None:
@@ -485,17 +489,16 @@ class _VerletStages:
         q_new = rhs if self._drift_inv is None else self._drift_inv @ rhs
 
         # second kick under the end-of-step constant
-        extra2 = self._grad_extra(np.concatenate([q_new, p_half]))
         grad_q = self.m_qq @ q_new + ce[:n]
-        if extra2 is not None:
-            grad_q = grad_q + extra2[:n]
+        if not self.linear:
+            g = self._grad(q_new)
+            grad_q = grad_q + g
+            self._end_q, self._end_g = q_new, g
         if self._kick_inv is not None:
             grad_q = grad_q + self.m_qp @ p_half
         p_new = p_half - w * grad_q
         if self.u_p is not None:
             p_new = p_new + w * self.u_p
-        if not self.linear:
-            self._end_q, self._end_extra = q_new, extra2
         return np.concatenate([q_new, p_new])
 
 
@@ -534,12 +537,7 @@ class VerletStepper(_VerletStages):
         super().__init__(dt)
         self.system = system
         w = 0.5 * self.dt
-        if system._chi_diag is not None:
-            self._wi = _Csr(scipy.sparse.diags(
-                1.0 / (1.0 + w * system._chi_diag)))
-        else:
-            self._wi = np.linalg.inv(np.eye(system.dim)
-                                     + w * _dense(system.chi))
+        self._wi = _shifted_inverse(system.chi, w)
         wi_k = self._wi @ system.K
         m = system.kt_op @ wi_k
         self.kt_wi = _stored(wi_k.T)           # K^T (I + w chi)^{-1}
@@ -647,17 +645,22 @@ class RunReport:
 _BLOCK = 128
 
 # Verlet models whose step map has at most this many columns advance by it
-# (see _record_blocks): the map state x for a linear model, x and the dim
-# gradient entries for a nonlinear one. Measured with one BLAS thread over
-# 5000 steps, probes included, the linear map beats the stepper up to about
-# 480 columns on the closed CSR wave, the cheapest step per row, and still
-# at 800 on the dense closed ladder and 600 on its dissipative form; the
-# preset ladder's full map has 200 columns, the 1000-dim wave's 2000. Over
-# 2000 steps of the full sine-Gordon model, mapped over stepped time reads
-# 0.59 at 300 columns (closed, n = 50), 0.81 at 360 (n = 60), 1.03 at 420
-# (n = 70) and 2.2 at 600 (n = 100, a 400-row state); the dissipative form
-# reads 0.82 at 320 columns and 1.24 at 400. The reduced sine-Gordon maps
-# have at most 180 columns (rdh k = 60).
+# (see _record_blocks): the map state x for a linear model, x and the n
+# gradient entries for a nonlinear one, so 5n columns for a closed
+# sine-Gordon model of n nodes and 3n for its plain form. Measured with one
+# BLAS thread over 5000 steps, probes included, the linear map beats the
+# stepper up to about 480 columns on the closed CSR wave, the cheapest step
+# per row, and still at 800 on the dense closed ladder and 600 on its
+# dissipative form; the preset ladder's full map has 200 columns, the
+# 1000-dim wave's 2000. Over 2000 steps of the full sine-Gordon model
+# (best of seven, one BLAS thread), mapped over stepped time reads 0.62 at
+# 300 columns (closed, n = 60), 0.71 at 350 (n = 70), 1.08 at 375 (n = 75)
+# and 1.32 at 400 (n = 80); the plain form reads 0.57 at 300 (n = 100),
+# 0.87 at 360 (n = 120), 0.93 at 378 and 1.03 at 399 (n = 133). So the
+# nonlinear maps cross over near 365 (closed) and 395 (plain) columns; the
+# bound sits below the linear crossover, and a full nonlinear model of 365
+# to 400 columns maps at up to 1.3 times its stepped time. The reduced
+# sine-Gordon maps have at most 150 columns (rdh k = 60; psd k = 60 has 90).
 _MAP_DIM = 400
 
 
@@ -700,34 +703,32 @@ def _step_map(stepper, closed: bool, dim: int):
 
     A linear stepper gives (Phi, c, None) with Phi x + c the state one step
     after x. With a nonlinear gradient the step is affine in x and in the
-    two gradients it takes, g_n at stage 1 and g_{n+1} at stage 3, so it
-    gives (B, c, G_1) with
+    two gradients it takes, g_n at stage 1 and g_{n+1} at stage 3, each of
+    n = dim / 2 entries, so it gives (B, c, G_1) with
 
         [s; x'] = B [x; g_n] + c,  g_{n+1} = grad(s),
-        x_{n+1} = x' + G_1 g_{n+1}[:n],
+        x_{n+1} = x' + G_1 g_{n+1},
 
-    where s = (q_{n+1}, p_half) is the argument stage 3 passes to the
-    gradient; stage 3 kicks p with the q block of g_{n+1} only, so G_1 has
-    n columns, and it is zero on the q rows. Everything comes from the
-    stepper's own ``step``: c is the image of zero, and each column the
-    image of a unit vector minus c. For the probes of a nonlinear stepper
-    the stepper's gradient is swapped for one that returns the injected
-    g_n and g_{n+1} and records s, and restored after; the model's gradient
-    is never called. The probes leave the stepper at an arbitrary state."""
+    where s = q_{n+1} is the argument stage 3 passes to the gradient; G_1
+    is zero on the q rows. Everything comes from the stepper's own
+    ``step``: c is the image of zero, and each column the image of a unit
+    vector minus c. For the probes of a nonlinear stepper the stepper's
+    gradient is swapped for one that returns the injected g_n and g_{n+1}
+    and records s, and restored after; the model's gradient is never
+    called. The probes leave the stepper at an arbitrary state."""
     linear = stepper.linear
     xdim = (2 if closed else 1) * dim
     n = dim // 2
     injected, seen = [], []
 
-    def injected_grad(z):
-        seen.append(z)
+    def injected_grad(q):
+        seen.append(q)
         return injected.pop(0)
 
     def image(v):
         x = v[:xdim]
         if not linear:
-            injected[:] = [v[xdim: xdim + dim],
-                           np.concatenate([v[xdim + dim:], np.zeros(n)])]
+            injected[:] = [v[xdim: xdim + n], v[xdim + n:]]
             seen.clear()
             stepper._end_q = None       # stage 1 takes the injected g_n
         if closed:
@@ -738,10 +739,10 @@ def _step_map(stepper, closed: bool, dim: int):
             out = stepper.step(x)
         return out if linear else np.concatenate([seen[-1], out])
 
-    unit = np.zeros(xdim if linear else xdim + dim + n)
-    real_grad = stepper._grad_extra
+    unit = np.zeros(xdim if linear else xdim + 2 * n)
+    real_grad = stepper._grad
     if not linear:
-        stepper._grad_extra = injected_grad
+        stepper._grad = injected_grad
     try:
         c = image(unit)
         phi = np.empty((c.size, unit.size))
@@ -750,11 +751,11 @@ def _step_map(stepper, closed: bool, dim: int):
             phi[:, j] = image(unit) - c
             unit[j] = 0.0
     finally:
-        stepper._grad_extra = real_grad
+        stepper._grad = real_grad
     if linear:
         return phi, c, None
-    return (np.ascontiguousarray(phi[:, : xdim + dim]), c,
-            np.ascontiguousarray(phi[dim:, xdim + dim:]))
+    return (np.ascontiguousarray(phi[:, : xdim + n]), c,
+            np.ascontiguousarray(phi[n:, xdim + n:]))
 
 
 def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
@@ -780,10 +781,10 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     plus one, and every later node is advanced in place, x being the first
     layers of a node's row: x <- Phi x + c for a linear stepper (no
     nonlinear gradient), and for a nonlinear one B [x; g] + c, the
-    gradient g at its stage-3 argument and the product with G_1, g
+    gradient g at its stage-3 argument q and the product with G_1, g
     starting from node 1's stage-3 gradient. The states agree with the
-    stepped run to roundoff, not bitwise, q/p-mixing bases included, since
-    the map takes the gradient where the stepper does.
+    stepped run to roundoff, not bitwise, since the map takes the gradient
+    where the stepper does.
     """
     dim = z.size
     n = dim // 2
@@ -794,9 +795,9 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     xdim = (2 if closed else 1) * dim
     xs = rows.reshape(_BLOCK, -1)[:, :xdim]
     linear = stepper.linear
-    # a nonlinear map also takes the gradient: dim more columns
+    # a nonlinear map also takes the gradient: n more columns
     mapped = (isinstance(stepper, _VerletStages) and n_steps > 1
-              and xdim + (0 if linear else dim) <= _MAP_DIM)
+              and xdim + (0 if linear else n) <= _MAP_DIM)
     phi = linear_block = None
     for start in range(0, n_steps + 1, _BLOCK):
         m = min(_BLOCK, n_steps + 1 - start)
@@ -814,15 +815,14 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
             if mapped and start + j == 2:
                 # node 1 and, for a nonlinear model, its stage-3 gradient
                 x = xs[1].copy() if linear else np.concatenate(
-                    [xs[1], stepper._end_extra])
+                    [xs[1], stepper._end_g])
                 phi, c, g1 = _step_map(stepper, closed, dim)
-                linear_block = phi if linear else phi[dim:, :xdim]
+                linear_block = phi if linear else phi[n:, :xdim]
                 if not linear:
-                    grad = stepper._grad_extra
+                    grad = stepper._grad
                     stage = np.empty(c.size)
                     # x = (x, g) of the current node, stage = (s, x')
-                    x_x, x_g, s = x[:xdim], x[xdim:], stage[:dim]
-                    x_q = x_g[:n]
+                    x_x, x_g, s = x[:xdim], x[xdim:], stage[:n]
         if phi is not None:             # map the rest of the block
             if linear:
                 for row in xs[j:m]:
@@ -835,8 +835,8 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                     np.matmul(phi, x, out=stage)
                     stage += c
                     x_g[:] = grad(s)
-                    np.matmul(g1, x_q, out=row)
-                    row += stage[dim:]
+                    np.matmul(g1, x_g, out=row)
+                    row += stage[n:]
                     x_x[:] = row
             if closed:
                 rows[j:m, 2] = (system.K @ rows[j:m, 0].T
@@ -864,7 +864,7 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
 
     For a :class:`VerletStepper` the string energy and the input work,
     trapezoid sums of f^T chi f and of the supply rate, are summed once
-    after the loop, and the extended energy is 0.5 ||f||^2 + potential(z)
+    after the loop, and the extended energy is 0.5 ||f||^2 + V(q)
     - z_bd . z + E_string + e. Other runs' energy
     is ``hamiltonian`` of their states (zero when None); their extended
     energy is H and their other series are zero. The snapshot derivatives
@@ -938,7 +938,7 @@ def integrate(system: TddSystem, dt: float, n_steps: int | None = None,
     """Integrate the time-dispersive model and collect diagnostics.
 
     Records the visible energy H, the string energy, the conserved extended
-    energy 0.5 ||f||^2 + potential(z) - z_bd . z + E_string + e, and the
+    energy 0.5 ||f||^2 + V(q) - z_bd . z + E_string + e, and the
     passivity residual dH_ext/dt - 0 = -f^T chi f <= 0 linking visible energy
     decay to the strings. Snapshots (state, dz/dt and co-state) are stored
     every ``snapshot_stride`` steps; ``n_steps == 0`` yields the initial
@@ -963,18 +963,12 @@ def integrate(system: TddSystem, dt: float, n_steps: int | None = None,
 
 class DissipativeModel(_ExtraTerms):
     """Plain dissipative form dz/dt = J grad H(z) - R z + u with
-    H(z) = 0.5 z^T S z + potential(z) - z_bd . z.
+    H(z) = 0.5 z^T S z + V(q) - z_bd . z.
 
-    As for :class:`TddSystem`, the potential is one of the positions: it
-    and its gradient read only the q block, and the gradient's momentum
-    block is zero. The kick stages evaluate the gradient at the
-    start-of-stage momentum, a step reuses the previous step's end-of-step
-    gradient, and the reductions pull both back through the basis's q rows
-    alone, after checking the gradient at z0 (``ValueError`` if it breaks
-    this). Gradient and potential take a state or a (2n, m) block of states
-    as columns. The stiffness S and drift R are
-    kept as given, a sparse matrix as a CSR one and any other as a dense
-    array, and so are the operators derived from them."""
+    As for :class:`TddSystem`, the potential V(q) and its gradient g(q)
+    take the positions, of shape (n,) or (n, m). The stiffness S and drift
+    R are kept as given, a sparse matrix as a CSR one and any other as a
+    dense array, and so are the operators derived from them."""
 
     def __init__(self, stiffness, drift=None, z0=None, *, nonlinear_grad=None,
                  potential=None, input_vector=None, boundary_vector=None,
@@ -1017,8 +1011,8 @@ class DissipativeModel(_ExtraTerms):
 class DissipativeVerletStepper(_VerletStages):
     """Stoermer-Verlet for the plain dissipative form.
 
-    dz/dt = J (S z + g(z) - z_bd) - R z + u is J (M z + g(z) - z_bd) + u
-    with M = S + J R, so the drift -R z enters the stages of
+    dz/dt = J (S z + (g(q), 0) - z_bd) - R z + u is
+    J (M z + (g(q), 0) - z_bd) + u with M = S + J R, so the drift -R z enters the stages of
     :class:`_VerletStages` through M, without a memory constant. The step
     stays time-symmetric: the first kick is implicit in the new
     half-momentum, the final kick is its adjoint, and the position update

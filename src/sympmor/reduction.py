@@ -19,59 +19,47 @@ from .symplectic import OrthoSymplecticBasis, SnapshotSet
 
 def _through_positions(model, rows: np.ndarray, back: np.ndarray):
     """The model's gradient and potential pulled back through the position
-    rows ``rows`` (n x m) of a basis: y -> back g(z)[:n] and y -> V(z), with
-    z = (rows y, 0), of a state or of each column of a block; None where
-    the model's is. ``back`` (m x n) maps the gradient's q block to reduced
-    coordinates. Both arrays are kept C-contiguous.
-
-    This holds because the model's extra energy is a potential of the
-    positions: its gradient reads only q and has a zero momentum block, so
-    g(A y) = g(z) for any basis matrix A with q rows ``rows``. Checked once,
-    at the model's z0: raises ``ValueError`` unless the gradient there has a
-    zero momentum block and equals, bitwise, the gradient at z0 with its
-    momentum block zeroed."""
+    rows ``rows`` (n x m) of a basis: y -> back g(rows y) and
+    y -> V(rows y), of a vector or of each column of a block; None where
+    the model's is. ``back`` (m' x n) maps the gradient to reduced
+    coordinates. Both arrays are kept C-contiguous."""
     grad, potential = model.nonlinear_grad, model.potential
-    if grad is None and potential is None:
-        return None, None
-    n = model.n
-    if grad is not None:
-        at_z0 = np.asarray(grad(model.z0), dtype=float)
-        q_only = model.z0.copy()
-        q_only[n:] = 0.0
-        if (at_z0[n:].any()
-                or not np.array_equal(at_z0, np.asarray(grad(q_only),
-                                                        dtype=float))):
-            raise ValueError(
-                "the nonlinear gradient must read only the positions and "
-                "have a zero momentum block (checked at z0)")
     rows = np.ascontiguousarray(rows)
     back = np.ascontiguousarray(back)
-
-    def lift(y):
-        z = np.zeros((2 * n,) + np.shape(y)[1:])
-        z[:n] = rows @ y
-        return z
     red_grad = red_potential = None
     if grad is not None:
         def red_grad(y):
-            return back @ np.asarray(grad(lift(y)), dtype=float)[:n]
+            return back @ grad(rows @ y)
     if potential is not None:
         def red_potential(y):
-            return potential(lift(y))
+            return potential(rows @ y)
     return red_grad, red_potential
 
 
-def _pulled_back(a: np.ndarray, model) -> dict:
-    """Constructor keywords of a model reduced onto the basis matrix ``a``:
-    the coordinates a^T z0, a^T u and a^T z_bd, the gradient
-    y -> a_q^T g(a_q y) and the potential y -> V(a_q y) through the
-    position rows a_q = a[:n] alone (see :func:`_through_positions`; None
-    where the model's is), and the unit grid weight."""
+def _pulled_back(basis: OrthoSymplecticBasis, model) -> dict:
+    """Constructor keywords of a model reduced onto an ortho-symplectic
+    basis A: the coordinates A^T z0, A^T u and A^T z_bd, the gradient
+    y_q -> Phi^T g(Phi y_q) and the potential y_q -> V(Phi y_q) of the
+    reduced positions, through the q rows Phi = E_q of the basis's lead
+    block E (None where the model's is), and the unit grid weight.
+
+    A = [[E_q, -E_p], [E_p, E_q]], so the reduced model keeps the
+    potential one of its positions only when E_p = 0, as on a cotangent
+    basis; on a basis that mixes q and p the potential of a nonlinear
+    model would read the reduced momentum, and ``ValueError`` is
+    raised."""
+    a = basis.matrix
     if a.shape[0] != model.dim:
         raise ValueError(
             f"basis dimension {a.shape[0]} does not match model {model.dim}")
-    a_q = a[: model.n]
-    red_grad, red_potential = _through_positions(model, a_q, a_q.T)
+    nonlinear = model.nonlinear_grad is not None or model.potential is not None
+    if nonlinear and basis.lead[model.n:].any():
+        raise ValueError(
+            f"the {basis.n_columns}-column basis mixes q and p (its lead "
+            f"block has nonzero momentum rows), so the reduced potential "
+            f"of {model.name or 'the model'} would read the reduced momentum")
+    phi = basis.lead[: model.n]
+    red_grad, red_potential = _through_positions(model, phi, phi.T)
     u, bd = model.input_vector, model.boundary_vector
     return dict(z0=a.T @ model.z0, nonlinear_grad=red_grad,
                 potential=red_potential,
@@ -95,7 +83,7 @@ def _closed_reduction(system: TddSystem, basis: OrthoSymplecticBasis,
     A^T K^T K A, well defined for any full-rank K; every other field is
     pulled back through A."""
     a = basis.matrix
-    fields = _pulled_back(a, system)
+    fields = _pulled_back(basis, system)
     ka = system.K @ a
     k_red = cholesky_factor(ka.T @ ka, name="projected stiffness")
     chi_red = reduced_chi(a)
@@ -137,7 +125,7 @@ def psd_baseline(model: DissipativeModel,
     extension): dy/dt = J_2k grad H(Ay) - A^+ R A y + A^+ u, with the
     symplectic inverse A^+ = A^T of the ortho-symplectic basis."""
     a = basis.matrix
-    fields = _pulled_back(a, model)
+    fields = _pulled_back(basis, model)
     reduced = DissipativeModel(
         stiffness=a.T @ model.stiffness @ a,
         drift=None if model.drift is None else a.T @ model.drift @ a,
@@ -181,8 +169,8 @@ def pod_baseline(model: DissipativeModel, v: np.ndarray) -> PodModel:
         if model.input_vector is not None:
             c = c + model.input_vector
         constant = v.T @ c
-    # the flow's J g(z) = (g_p, -g_q) = (0, -g_q) for a potential of the
-    # positions, so V^T J g(V y) = -V_p^T g(V_q y)
+    # the flow's J (g(q), 0) = (0, -g(q)), so V^T J (g(V_q y), 0) is
+    # -V_p^T g(V_q y)
     n = model.n
     nonlinear, _ = _through_positions(model, v[:n], -v[n:].T)
     return PodModel(matrix=matrix, constant=constant, nonlinear=nonlinear,

@@ -110,24 +110,31 @@ def test_sine_gordon_kink_profile():
 
 
 def test_sine_gordon_gradient_and_potential():
+    """The gradient and the potential take the positions alone: q of shape
+    (n,) or (n, m) maps to sin(q) of the same shape, and to one value
+    sum(1 - cos q) per column, whose derivative is the gradient."""
     bench = sm.build_benchmark("sine-gordon",
                                sm.make_config("sine-gordon", {"n": 12}))
     grad = bench.system.nonlinear_grad
     potential = bench.system.potential
-    zero = np.zeros(24)
+    zero = np.zeros(12)
     assert np.abs(grad(zero)).max() == 0.0
     assert potential(zero) == 0.0
     rng = np.random.default_rng(17)
-    z = rng.uniform(-2.0, 2.0, size=24)
-    g = grad(z)
-    assert np.abs(g[12:]).max() == 0.0
-    assert np.abs(g[:12] - np.sin(z[:12])).max() <= 1e-14
+    q = rng.uniform(-2.0, 2.0, size=(12, 3))
+    g = grad(q)
+    assert g.shape == q.shape
+    np.testing.assert_array_equal(g, np.sin(q))
+    np.testing.assert_array_equal(grad(q[:, 1]), g[:, 1])
+    assert potential(q).shape == (3,)
+    assert potential(q[:, 1]) == potential(q)[1]
     eps = 1e-6
-    for i in (0, 5, 11, 15):
-        probe = np.zeros(24)
+    for i in (0, 5, 11):
+        probe = np.zeros(12)
         probe[i] = eps
-        fd = (potential(z + probe) - potential(z - probe)) / (2.0 * eps)
-        assert abs(fd - g[i]) <= 1e-6
+        fd = (potential(q[:, 0] + probe)
+              - potential(q[:, 0] - probe)) / (2.0 * eps)
+        assert abs(fd - g[i, 0]) <= 1e-6
 
 
 def test_sine_gordon_boundary_vector():

@@ -390,44 +390,90 @@ def test_compare_sine_gordon_kinetic_table(tmp_path):
 
 SG_SMALL = ("--benchmark", "sine-gordon", "--set", "n=40",
             "--set", "t_final=4")
-MOMENTUM = "the reduced gradient depends on the reduced momentum"
 
 
-def test_compare_warns_of_a_nonlinear_model_on_a_mixing_basis(tmp_path):
-    """A greedy basis mixes q and p, so on sine-Gordon each rdh and psd
-    cell is warned of, by name, and no POD cell is."""
+def _rejected(capsys, out, message):
+    """One ``error:`` line holding ``message``, and nothing under ``out``."""
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0], errors
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("methods", ["rdh", "psd", "rdh,psd,pod"])
+def test_compare_rejects_a_nonlinear_model_on_a_mixing_basis(
+        tmp_path, capsys, monkeypatch, methods):
+    """A greedy basis mixes q and p, and rdh and psd reduce the sine-Gordon
+    potential only onto a basis that keeps them apart: a compare with an
+    rdh or psd cell on a greedy basis exits 2 before the full model is
+    integrated, and writes nothing."""
+    def integrate(*args, **kwargs):
+        raise AssertionError("the full model was integrated")
+
+    monkeypatch.setattr("sympmor.dynamics.integrate", integrate)
     out = tmp_path / "greedy"
-    assert _run("compare", *SG_SMALL, "--modes", "4,8", "--basis-method",
-                "greedy", "--out", str(out)) == 0
-    warned = [w.split(":")[0] for w in _manifest(out)["warnings"]
-              if MOMENTUM in w]
-    assert warned == [f"{method}_k{m}" for method in ("rdh", "psd")
-                      for m in (4, 8)]
+    assert _run("compare", *SG_SMALL, "--modes", "4", "--methods", methods,
+                "--basis-method", "greedy", "--out", str(out)) == 2
+    _rejected(capsys, out, "a greedy basis mixes q and p")
+
+
+WAVE_SMALL = ("--benchmark", "wave", "--set", "n=16", "--set", "t_final=1.0")
+
+
+@pytest.mark.parametrize("argv, recorded", [
+    ((*WAVE_SMALL, "--methods", "pod"), None),
+    ((*WAVE_SMALL, "--methods", "pod", "--basis-method", "greedy"), None),
+    ((*WAVE_SMALL, "--methods", "psd"), "cotangent"),
+    ((*WAVE_SMALL, "--methods", "rdh,pod", "--basis-method", "greedy"),
+     "greedy"),
+    ((*SG_SMALL, "--methods", "pod", "--basis-method", "greedy"), None),
+], ids=["pod", "pod-greedy", "psd", "rdh-greedy", "sine-gordon-pod-greedy"])
+def test_compare_records_the_basis_method_of_its_symplectic_cells(
+        tmp_path, argv, recorded):
+    """The manifest's basis_method names the generator of the basis the
+    rdh and psd cells reduce onto, and is null when no such cell runs; a
+    POD-only compare builds no symplectic basis, so a greedy
+    --basis-method has nothing to reject on sine-Gordon either."""
+    out = tmp_path / "cmp"
+    assert _run("compare", *argv, "--modes", "4", "--out", str(out)) == 0
+    assert _manifest(out)["basis_method"] == recorded
 
 
 @pytest.mark.parametrize("argv", [
     (*SG_SMALL, "--modes", "4,8"),
-    ("--benchmark", "wave", "--set", "n=16", "--set", "t_final=1.0",
-     "--modes", "4,8", "--basis-method", "greedy"),
+    (*WAVE_SMALL, "--modes", "4,8", "--basis-method", "greedy"),
 ], ids=["sine-gordon-cotangent", "wave-greedy"])
 def test_compare_without_a_momentum_dependent_gradient(tmp_path, argv):
     """A cotangent basis keeps q and p apart, and the wave model has no
-    nonlinear gradient: neither compare warns of the reduced momentum."""
+    nonlinear gradient: both compares run every rdh and psd cell, with
+    nothing to warn of."""
     out = tmp_path / "quiet"
     assert _run("compare", *argv, "--methods", "rdh,psd",
                 "--out", str(out)) == 0
-    assert not [w for w in _manifest(out)["warnings"] if MOMENTUM in w]
+    manifest = _manifest(out)
+    assert manifest["warnings"] == []
+    assert sorted(manifest["cells"]) == ["psd_k4", "psd_k8", "rdh_k4",
+                                         "rdh_k8"]
+    assert not any(cell["unstable"] for cell in manifest["cells"].values())
 
 
-def test_run_reduced_warns_of_a_nonlinear_model_on_a_mixing_basis(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ("run-reduced", "--method", "psd"),
+    ("run-reduced", "--method", "rdh"),
+    ("reduce",),
+], ids=["run-reduced-psd", "run-reduced-rdh", "reduce"])
+def test_single_runs_reject_a_nonlinear_model_on_a_mixing_basis(
+        tmp_path, capsys, argv):
+    """run-reduced and reduce on a greedy basis of sine-Gordon exit 2 with
+    the reduction's error, and write nothing."""
     basis = tmp_path / "basis"
     assert _run("build-basis", *SG_SMALL, "--method", "greedy",
                 "--modes", "4", "--out", str(basis)) == 0
-    out = tmp_path / "psd"
-    assert _run("run-reduced", *SG_SMALL, "--method", "psd", "--basis",
-                str(basis / "basis_k4.mtx"), "--out", str(out)) == 0
-    [warning] = _manifest(out)["warnings"]
-    assert warning.startswith("psd_k4: ") and MOMENTUM in warning
+    capsys.readouterr()
+    out = tmp_path / "reduced"
+    assert _run(*argv, *SG_SMALL, "--basis", str(basis / "basis_k4.mtx"),
+                "--out", str(out)) == 2
+    _rejected(capsys, out, "the 4-column basis mixes q and p")
 
 
 def test_compare_records_the_rdh_extended_energy_drift(tmp_path):

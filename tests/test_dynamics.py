@@ -422,15 +422,19 @@ def test_series_across_block_boundaries(name, overrides, n_steps):
 
 
 class _MapCount:
-    """Counts the step maps :func:`dynamics._step_map` builds."""
+    """Counts the step maps :func:`dynamics._step_map` builds and keeps the
+    shape of each map's first matrix, Phi or B."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
+        self.shapes = []
         build = dynamics._step_map
 
         def counted(*args):
             self.calls += 1
-            return build(*args)
+            built = build(*args)
+            self.shapes.append(built[0].shape)
+            return built
         monkeypatch.setattr(dynamics, "_step_map", counted)
 
 
@@ -523,24 +527,16 @@ def _assert_plain_run_matches_loop(rep, model, dt, n_steps):
     assert _close(rep.hamiltonian, model.hamiltonian(states))
 
 
-@pytest.mark.parametrize("which, greedy", [
-    ("full", False), ("dissipative", False), ("rdh", False), ("psd", False),
-    ("rdh", True), ("psd", True)],
-    ids=["full", "dissipative", "rdh-cotangent", "psd-cotangent",
-         "rdh-greedy", "psd-greedy"])
-def test_nonlinear_map_path_matches_stepper_loop(which, greedy, monkeypatch):
+@pytest.mark.parametrize("which", ["full", "dissipative", "rdh", "psd"],
+                         ids=["full", "dissipative", "rdh-cotangent",
+                              "psd-cotangent"])
+def test_nonlinear_map_path_matches_stepper_loop(which, monkeypatch):
     """A sine-Gordon n = 30 Verlet run, full or reduced, advances by its
     semi-linear step map: over two and a half recording blocks with stride
-    7 it matches a manual stepper loop within 1e-12 of the max, on greedy
-    bases that mix q and p too, since the map takes the gradient at the
-    stage-3 argument the stepper does."""
+    7 it matches a manual stepper loop within 1e-12 of the max, since the
+    map takes the gradient at the stage-3 argument the stepper does."""
     dt, n_steps = 0.02, 5 * dynamics._BLOCK // 2
-    model, run = _sine_gordon_run(which, dt, n_steps, n=30, greedy=greedy)
-    if greedy:      # the reduced gradient reads the reduced momentum
-        y = model.z0.copy()
-        y[y.size // 2:] += 0.1
-        assert not np.allclose(model.grad_extra(y),
-                               model.grad_extra(model.z0))
+    model, run = _sine_gordon_run(which, dt, n_steps, n=30)
     maps = _MapCount(monkeypatch)
     rep = run(model, dt=dt, n_steps=n_steps, snapshot_stride=7)
     assert maps.calls == 1
@@ -666,28 +662,37 @@ def test_unstable_nonlinear_run_ending_near_its_failure_step(closed):
 def test_map_path_selection(monkeypatch):
     """The step map is taken for a Verlet model whose map has at most
     _MAP_DIM columns, whatever the run's length past one step: the map
-    state x for a linear model, x and the gradient for a nonlinear one.
-    A larger map keeps the stepper."""
+    state x for a linear model, x and the n gradient entries for a
+    nonlinear one, so 5n columns for a closed sine-Gordon model of n nodes
+    and 3n for its plain form. A larger map keeps the stepper."""
     ladder = sm.build_benchmark("ladder").system         # 2 dim = 200
     assert 2 * ladder.dim <= dynamics._MAP_DIM
 
     def sine_gordon(n):
         return sm.build_benchmark(
-            "sine-gordon", sm.make_config("sine-gordon", {"n": n})).system
-    small = sine_gordon(30)                               # 3 dim = 180
-    assert 3 * small.dim <= dynamics._MAP_DIM
-    large = sine_gordon(80)                               # 3 dim = 480
-    assert 2 * large.dim <= dynamics._MAP_DIM < 3 * large.dim
+            "sine-gordon", sm.make_config("sine-gordon", {"n": n}))
+    small = sine_gordon(30).system                        # 5n = 150
+    edge = sine_gordon(80).system                         # 5n = 400
+    large = sine_gordon(81).system                        # 5n = 405
+    assert 5 * edge.n <= dynamics._MAP_DIM < 5 * large.n
+    plain = sine_gordon(133).dissipative_model()          # 3n = 399
+    plain_large = sine_gordon(134).dissipative_model()    # 3n = 402
+    assert 3 * plain.n <= dynamics._MAP_DIM < 3 * plain_large.n
     wave = _wave(n=150).system                            # 2 dim = 600
     assert 2 * wave.dim > dynamics._MAP_DIM
-    for system, n_steps, mapped in ((ladder, 2, True),
-                                    (ladder, 1, False),
-                                    (small, 400, True),
-                                    (large, 400, False),
-                                    (wave, 601, False)):
+    for model, n_steps, mapped in ((ladder, 2, True),
+                                   (ladder, 1, False),
+                                   (small, 400, True),
+                                   (edge, 400, True),
+                                   (large, 400, False),
+                                   (plain, 400, True),
+                                   (plain_large, 400, False),
+                                   (wave, 601, False)):
         maps = _MapCount(monkeypatch)
-        sm.integrate(system, dt=0.001, n_steps=n_steps)
-        assert maps.calls == int(mapped), (system.name, n_steps)
+        run = (sm.integrate if isinstance(model, sm.TddSystem)
+               else sm.integrate_dissipative)
+        run(model, dt=0.001, n_steps=n_steps)
+        assert maps.calls == int(mapped), (model.name, model.n, n_steps)
 
 
 def test_state_derivative_of_a_block_is_per_column():
@@ -822,10 +827,10 @@ class _GradCount:
         model.nonlinear_grad = counted
 
 
-def _sine_gordon_run(which, dt, n_steps, n=40, greedy=False):
+def _sine_gordon_run(which, dt, n_steps, n=40):
     """(model, integrate) of one sine-Gordon Verlet run: the full closed or
     dissipative model of n nodes, or its rdh or psd reduction on 4
-    cotangent, or greedy, pairs of the full run's n_steps."""
+    cotangent pairs of the full run's n_steps."""
     bench = sm.build_benchmark("sine-gordon",
                                sm.make_config("sine-gordon", {"n": n}))
     if which == "full":
@@ -833,8 +838,7 @@ def _sine_gordon_run(which, dt, n_steps, n=40, greedy=False):
     if which == "dissipative":
         return bench.dissipative_model(), sm.integrate_dissipative
     full = sm.integrate(bench.system, dt=dt, n_steps=n_steps)
-    basis = (sm.greedy_basis(full.snapshots, 4).basis if greedy
-             else sm.cotangent_lift(full.snapshots, 4)[0])
+    basis = sm.cotangent_lift(full.snapshots, 4)[0]
     if which == "rdh":
         return sm.rdh_reduce(bench.system, basis).system, sm.integrate
     return (sm.psd_baseline(bench.dissipative_model(), basis).model,
@@ -869,6 +873,27 @@ def test_nonlinear_step_map_is_the_linear_models_map(which, monkeypatch):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     monkeypatch.setattr(dynamics, "_MAP_DIM", 0)
     assert run(model, dt=dt, n_steps=2).step_map is None
+
+
+@pytest.mark.parametrize("which, size", [("rdh", 150), ("psd", 90)])
+def test_default_sine_gordon_k60_maps(which, size, monkeypatch):
+    """The default sine-Gordon compare's k = 60 cells advance by a
+    semi-linear map B of x and the 30 reduced-position gradient entries:
+    150 x 150 for rdh, whose x = (z, F) has 120 entries, and 90 x 90 for
+    psd, whose x = z has 60."""
+    config = sm.make_config("sine-gordon")
+    bench = sm.build_benchmark("sine-gordon", config)
+    full = sm.integrate(bench.system, dt=config.dt, t_final=config.t_final,
+                        snapshot_stride=config.snapshot_stride)
+    basis = sm.cotangent_lift(full.snapshots, 30)[0]
+    maps = _MapCount(monkeypatch)
+    if which == "rdh":
+        sm.integrate(sm.rdh_reduce(bench.system, basis).system,
+                     dt=config.dt, n_steps=2)
+    else:
+        sm.integrate_dissipative(sm.psd_baseline(
+            bench.dissipative_model(), basis).model, dt=config.dt, n_steps=2)
+    assert maps.shapes == [(size, size)]
 
 
 def test_fresh_stepper_reproduces_a_recorded_node_bitwise():

@@ -231,29 +231,43 @@ def test_terminal_growth():
         assert not terminal_growth([bad, 1.0, 2.0, 20.0])
 
 
+def _separable_basis(n: int, pairs: int, rng) -> OrthoSymplecticBasis:
+    """Random ortho-symplectic basis that keeps q and p apart: its lead
+    block is (Phi, 0) for an n x pairs Phi with orthonormal columns."""
+    phi, _ = np.linalg.qr(np.random.default_rng(rng).standard_normal(
+        (n, pairs)))
+    return OrthoSymplecticBasis(np.vstack([phi, np.zeros((n, pairs))]))
+
+
 def test_pulled_back_gradients_on_a_block():
     """Every reduction pulls the sine-Gordon gradient g back through its
-    basis matrix, for a block of reduced states as columns: A^T g(A y) for
-    rdh and psd, V^T J g(V y) for the POD nonlinear term."""
+    basis, for a block of reduced states as columns: Phi^T g(Phi y_q) of
+    the reduced positions for rdh and psd, on a basis with q rows
+    Phi = E_q that keeps q and p apart, and -V_p^T g(V_q y) for the POD
+    nonlinear term, on a matrix that mixes them."""
     bench = sm.build_benchmark("sine-gordon",
                                sm.make_config("sine-gordon", {"n": 40}))
     model = bench.dissipative_model()
-    basis = random_ortho_symplectic(bench.system.n, 5, rng=41)
-    a = basis.matrix
+    n, grad = bench.system.n, bench.system.nonlinear_grad
+    separable = _separable_basis(n, 5, rng=41)
+    phi = separable.lead[:n]
+    v = random_ortho_symplectic(n, 5, rng=41).matrix
     y = np.random.default_rng(42).standard_normal((10, 7))
+    y_q = y[:5]
     cases = [
-        (sm.rdh_reduce(bench.system, basis).system.nonlinear_grad,
-         a.T @ bench.system.nonlinear_grad(a @ y)),
-        (sm.psd_baseline(model, basis).model.nonlinear_grad,
-         a.T @ model.nonlinear_grad(a @ y)),
-        (sm.pod_baseline(model, a).nonlinear,
-         a.T @ model.J.apply(model.nonlinear_grad(a @ y))),
+        (sm.rdh_reduce(bench.system, separable).system.nonlinear_grad, y_q,
+         phi.T @ grad(phi @ y_q)),
+        (sm.psd_baseline(model, separable).model.nonlinear_grad, y_q,
+         phi.T @ grad(phi @ y_q)),
+        (sm.pod_baseline(model, v).nonlinear, y,
+         -v[n:].T @ grad(v[:n] @ y)),
     ]
-    for reduced, expected in cases:
+    for reduced, arg, expected in cases:
         scale = np.abs(expected).max()
         assert scale > 0.0
-        assert np.abs(reduced(y) - expected).max() <= 1e-14 * scale
-        assert np.abs(reduced(y[:, 3]) - expected[:, 3]).max() \
+        assert reduced(arg).shape == expected.shape
+        assert np.abs(reduced(arg) - expected).max() <= 1e-14 * scale
+        assert np.abs(reduced(arg[:, 3]) - expected[:, 3]).max() \
             <= 1e-14 * scale
 
 
@@ -273,10 +287,12 @@ def _reductions(bench, basis):
 @pytest.mark.parametrize("method", ["cotangent", "greedy"])
 def test_position_rows_pull_back_matches_every_row(method):
     """The reductions pull the sine-Gordon potential back through the
-    basis's q rows alone. The rdh, psd and pod cells at 8 modes, on a
-    cotangent basis and on a greedy one that mixes q and p, agree to 1e-12
-    relative with the same cells rebuilt on the gradient lifted through
-    every row: A^T g(A y) for rdh and psd, V^T J g(V y) for pod."""
+    basis's q rows alone. The cells at 8 modes, rdh, psd and pod on a
+    cotangent basis and pod on a greedy one that mixes q and p, agree to
+    1e-12 relative with the same cells rebuilt on the gradient lifted
+    through every row of the basis matrix: the reduced-position rows of
+    A^T (g(q), 0) at q the position rows of A (y_q, 0) for rdh and psd, and
+    V^T J (g(q), 0) at q those of V y for pod."""
     config, bench = _sine_gordon_n40()
     grid = {"dt": config.dt, "t_final": config.t_final,
             "snapshot_stride": config.snapshot_stride}
@@ -284,48 +300,61 @@ def test_position_rows_pull_back_matches_every_row(method):
     basis = (sm.cotangent_lift(full.snapshots, 4)[0] if method == "cotangent"
              else sm.greedy_basis(full.snapshots, 4).basis)
     assert basis.n_columns == 8
-    if method == "greedy":
-        assert np.abs(basis.matrix[bench.system.n:, : 4]).max() > 0.0
-    rdh, psd, pod = _reductions(bench, basis)
-    runs = {"rdh": lambda: sm.integrate(rdh, **grid),
-            "psd": lambda: sm.integrate_dissipative(psd, **grid),
-            "pod": lambda: sm.integrate_rk4(pod.rhs, pod.y0, **grid)}
-    cells = {name: run().snapshots.states for name, run in runs.items()}
-
+    n, k = bench.system.n, basis.k
     a = basis.matrix
     grad = bench.system.nonlinear_grad
-    j = CanonicalForm(bench.system.n)
-    rdh.nonlinear_grad = psd.nonlinear_grad = lambda y: a.T @ grad(a @ y)
-    pod.nonlinear = lambda y: a.T @ j.apply(grad(a @ y))
+    j = CanonicalForm(n)
+
+    def lifted(y):
+        z = a @ y
+        return np.concatenate([grad(z[:n]), np.zeros_like(z[n:])])
+    model = bench.dissipative_model()
+    pod = sm.pod_baseline(model, a)
+    runs = {"pod": lambda: sm.integrate_rk4(pod.rhs, pod.y0, **grid)}
+    if method == "cotangent":
+        rdh = sm.rdh_reduce(bench.system, basis).system
+        psd = sm.psd_baseline(model, basis).model
+        runs["rdh"] = lambda: sm.integrate(rdh, **grid)
+        runs["psd"] = lambda: sm.integrate_dissipative(psd, **grid)
+    else:
+        assert np.abs(basis.lead[n:]).max() > 0.0
+    cells = {name: run().snapshots.states for name, run in runs.items()}
+
+    if method == "cotangent":
+        rdh.nonlinear_grad = psd.nonlinear_grad = lambda y_q: (a.T @ lifted(
+            np.concatenate([y_q, np.zeros_like(y_q)])))[:k]
+    pod.nonlinear = lambda y: a.T @ j.apply(lifted(y))
     for name, run in runs.items():
         want = run().snapshots.states
         assert np.abs(cells[name] - want).max() \
             <= 1e-12 * np.abs(want).max(), name
 
 
-@pytest.mark.parametrize("reads_momentum", [True, False])
-def test_reductions_reject_a_gradient_off_the_positions(reads_momentum):
-    """A gradient that reads the momentum block, or returns a nonzero one,
-    is no potential of the positions: every reduction rejects it."""
+def test_symplectic_reductions_reject_a_mixing_basis():
+    """rdh, psd and the symplectic Galerkin projection of a nonlinear model
+    need a basis whose lead block has zero momentum rows: on one that
+    mixes q and p the reduced potential would read the reduced momentum,
+    so each raises ValueError naming the basis. POD reduces onto the same
+    matrix, and the linear wave onto the same kind of basis."""
     _, bench = _sine_gordon_n40()
     n = bench.system.n
-    assert np.abs(bench.system.z0[n:]).max() > 0.0   # a moving kink
-
-    def off_positions(z):
-        out = np.zeros_like(z)
-        if reads_momentum:
-            out[:n] = np.sin(z[:n]) + z[n:]
-        else:
-            out[:n] = out[n:] = np.sin(z[:n])
-        return out
-    bench.system.nonlinear_grad = off_positions
     basis = random_ortho_symplectic(n, 4, rng=43)
+    assert np.abs(basis.lead[n:]).max() > 0.0
     model = bench.dissipative_model()
     for reduce in (lambda: sm.rdh_reduce(bench.system, basis),
-                   lambda: sm.psd_baseline(model, basis),
-                   lambda: sm.pod_baseline(model, basis.matrix)):
-        with pytest.raises(ValueError, match="positions"):
+                   lambda: sm.symplectic_galerkin(bench.system, basis),
+                   lambda: sm.psd_baseline(model, basis)):
+        with pytest.raises(ValueError,
+                           match="the 8-column basis mixes q and p"):
             reduce()
+    assert sm.pod_baseline(model, basis.matrix).nonlinear is not None
+    assert sm.rdh_reduce(bench.system,
+                         _separable_basis(n, 4, rng=43)).system.n == 4
+    wave = sm.build_benchmark("wave", sm.make_config("wave", {"n": n}))
+    mixing = random_ortho_symplectic(n, 4, rng=44)
+    assert sm.rdh_reduce(wave.system, mixing).system.nonlinear_grad is None
+    assert sm.psd_baseline(wave.dissipative_model(),
+                           mixing).model.nonlinear_grad is None
 
 
 def test_reconstruct_routes():
