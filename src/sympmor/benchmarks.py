@@ -42,7 +42,9 @@ class Benchmark:
 
     The wave and sine-Gordon benchmarks (and every system built by
     ``_mechanical``) hold ``system.K``, ``system.chi``, ``stiffness`` and
-    ``drift`` as CSR matrices; the ladder holds dense arrays."""
+    ``drift`` as CSR matrices; the ladder holds dense arrays.
+    ``default_modes`` are the mode counts ``compare`` runs when none are
+    given."""
 
     name: str
     system: TddSystem
@@ -51,6 +53,7 @@ class Benchmark:
     drift: np.ndarray | scipy.sparse.csr_array | None
     grid: np.ndarray | None = None
     extras: dict = field(default_factory=dict)
+    default_modes: tuple = (20, 40, 60)
 
     def dissipative_model(self) -> DissipativeModel:
         return DissipativeModel(
@@ -366,6 +369,7 @@ def build_ladder(config: LadderConfig) -> Benchmark:
     return Benchmark(
         name="ladder", system=system, config=config,
         stiffness=stiffness, drift=drift, grid=None,
+        default_modes=(10, 20, 30),
         extras={
             "transform": t, "transform_inv": t_inv, "block_magnitudes": lam,
             "skew": skew, "q_diag": q_diag, "r_diag": r_diag,

@@ -20,6 +20,7 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -417,27 +418,42 @@ def cmd_run_reduced(args) -> int:
 # -- compare ------------------------------------------------------------------
 
 
-def _compare_cell(bench, config, method, mapper, reference, ref_energy,
-                  model):
+def _reference(bench, full) -> SimpleNamespace:
+    """What every compare cell is measured against, formed once from the
+    full run ``full`` of ``bench``: the ``run`` itself, its ``energy`` H on
+    the snapshot grid, the energy ``scale`` max |H| (at least 1e-300) and
+    the weighted L2 ``norms`` of its snapshots."""
+    snapshots = full.snapshots
+    energy = bench.system.hamiltonian(snapshots.states)
+    norms = np.sqrt(snapshots.dx) * np.linalg.norm(snapshots.states, axis=0)
+    return SimpleNamespace(run=full, energy=energy, norms=norms,
+                           scale=max(float(np.abs(energy).max()), 1e-300))
+
+
+def _compare_cell(bench, method, mapper, reference, model):
     """One (method, mode-count) comparison cell: its manifest summary and
     its table columns by prefix, or None for the columns of a run that
     blew up.
 
-    Every cell is measured against the one full closed-formulation run.
-    A cell is flagged unstable when its run fails, at the first node whose
-    state, energy or residual is non-finite, or when the energy error of
-    its lifted states shows sustained terminal growth or overflows;
-    the spectral abscissa of the baseline generators is recorded as an
-    additional diagnostic, and so is the step_radius of each run's step
-    map, failed runs included (None for pod's RK4 runs). A cell that ran
-    also records its speedup, the full run's wall time over
+    Every cell is measured against the one full closed-formulation run of
+    ``reference``. A cell is flagged unstable when its run fails, at the
+    first node whose state, energy or residual is non-finite, or when the
+    energy error of its lifted states shows sustained terminal growth or
+    overflows; the spectral abscissa of the baseline generators is
+    recorded as an additional diagnostic, and so is the step_radius of
+    each run's step map, failed runs included (None for pod's RK4 runs). A
+    cell that ran also records its speedup, the full run's wall time over
     its own, and an rdh cell its hext_drift, max_t |H_ext(t) - H_ext(0)|
-    over max_t |H_full(t)| on the snapshot grid. The columns are the error
-    and energy on the snapshot grid, the string and extended energy of an
-    rdh run, the kinetic energy on sine-gordon and the time-averaged error
-    per component on the ladder.
+    over max_t |H_full(t)| on the snapshot grid.
+
+    The reduced snapshots are lifted once, A Y, and differenced once from
+    the full ones; the error on the snapshot grid and the time-averaged
+    error per component of a benchmark with a canonical ``transform`` (the
+    ladder's) both come from that difference. The other columns are the
+    energy on the snapshot grid, the string and extended energy of an rdh
+    run, and the kinetic energy of a model with a potential.
     """
-    dx = bench.system.dx
+    config = bench.config
     cell: dict = {"unstable": False}
     reduced = _project(bench, mapper, method, model)
     if method != "rdh":   # the linear generator of a baseline model
@@ -454,41 +470,44 @@ def _compare_cell(bench, config, method, mapper, reference, ref_energy,
             float("inf")
         return cell, None
     cell["step_radius"] = _step_radius(report.step_map)
-    recon = reduction.reconstruct(lift, report.snapshots, dx=dx)
+    full = reference.run.snapshots
     # a finite reduced state can lift to an energy or error past floating
     # point range; terminal_growth flags that cell as unstable
     with np.errstate(over="ignore", invalid="ignore"):
-        err = reduction.l2_error(reference.snapshots, recon)
-        energy = bench.system.hamiltonian(recon.states)
+        lifted = lift @ report.snapshots.states
+        energy = bench.system.hamiltonian(lifted)
+        diff = np.subtract(full.states, lifted, out=lifted)   # X - A Y
+        err = reduction.TrajectoryError(
+            times=full.times,
+            per_instant=np.sqrt(full.dx) * np.linalg.norm(diff, axis=0),
+            reference_norms=reference.norms, dx=full.dx)
     cell["max_error"] = err.max_weighted
     cell["mean_error"] = err.mean_weighted
     cell["max_relative"] = err.max_relative
     cell["mean_relative"] = err.mean_relative
-    scale = max(float(np.abs(ref_energy).max()), 1e-300)
-    cell["energy_error"] = float(np.abs(energy - ref_energy).mean()) / scale
-    cell["energy_growth"] = reduction.terminal_growth(
-        np.abs(energy - ref_energy))
+    gap = np.abs(energy - reference.energy)
+    cell["energy_error"] = float(gap.mean()) / reference.scale
+    cell["energy_growth"] = reduction.terminal_growth(gap)
     if cell["energy_growth"]:
         cell["unstable"] = True
     cell["volterra_max"] = report.volterra_max
     cell["kz_max"] = report.kz_max
     cell["wall_seconds"] = report.wall_seconds
-    cell["speedup"] = reference.wall_seconds / report.wall_seconds
+    cell["speedup"] = reference.run.wall_seconds / report.wall_seconds
     columns = {"err": err.per_instant, "H": energy}
     if method == "rdh":
         hext = report.extended_energy[::config.snapshot_stride]
-        cell["hext_drift"] = float(np.abs(hext - hext[0]).max()) / scale
+        cell["hext_drift"] = (float(np.abs(hext - hext[0]).max())
+                              / reference.scale)
         columns["Estring"] = report.string_energy[::config.snapshot_stride]
         columns["Hext"] = hext
-    if bench.name == "sine-gordon":
+    if bench.system.potential is not None:
         v = lift[:bench.system.n] @ report.derivatives
-        columns["kinetic"] = 0.5 * dx * np.sum(v * v, axis=0)
-    if bench.name == "ladder":
+        columns["kinetic"] = 0.5 * bench.system.dx * np.sum(v * v, axis=0)
+    if "transform" in bench.extras:
         # interleaved charge/flux coordinates recovered through the
         # transform
-        diff = bench.extras["transform"] @ (reference.snapshots.states
-                                            - recon.states)
-        columns["avg"] = np.abs(diff).mean(axis=1)
+        columns["avg"] = np.abs(bench.extras["transform"] @ diff).mean(axis=1)
     return cell, columns
 
 
@@ -504,8 +523,7 @@ def cmd_compare(args) -> int:
     if not methods:
         raise ConfigError(f"--methods {args.methods!r} names no method; "
                           f"valid: rdh, psd, pod")
-    default_modes = [10, 20, 30] if name == "ladder" else [20, 40, 60]
-    modes = _parse_modes(args.modes, default_modes)
+    modes = _parse_modes(args.modes, bench.default_modes)
     _require_even(modes, "symplectic reduction")
     paired = "rdh" in methods or "psd" in methods
     # the symplectic basis generator, recorded only when a cell uses it
@@ -525,7 +543,7 @@ def cmd_compare(args) -> int:
     if "pod" in methods:
         with _stage(stages, "pod_basis"):
             pod_v, _, _ = _make_basis("pod", full.snapshots, max(modes))
-    ref_energy = bench.system.hamiltonian(full.snapshots.states)
+    reference = _reference(bench, full)
     # the baselines all project one dissipative model
     model = (bench.dissipative_model()
              if "psd" in methods or "pod" in methods else None)
@@ -538,13 +556,13 @@ def cmd_compare(args) -> int:
     tables = [
         ("errors.csv", ["t"], [times], ("err",)),
         ("energy.csv", ["t", "H_full", "Estring_full", "Hext_full"],
-         [times, ref_energy, full.string_energy[::stride],
+         [times, reference.energy, full.string_energy[::stride],
           full.extended_energy[::stride]], ("H", "Estring", "Hext")),
     ]
-    if name == "sine-gordon":
+    if bench.system.potential is not None:
         tables.append(("kinetic.csv", ["t", "kinetic_full"],
                        [times, full.kinetic_series()], ("kinetic",)))
-    if name == "ladder":   # time-averaged error per physical component
+    if "transform" in bench.extras:   # time-averaged error per component
         tables.append(("component_errors.csv", ["component"],
                        [np.arange(bench.system.dim)], ("avg",)))
 
@@ -555,8 +573,8 @@ def cmd_compare(args) -> int:
             mapper = (pod_v[:, :m] if method == "pod"
                       else sym_basis.truncate(m // 2))
             with _stage(stages, "cells"):
-                summary[key], cols = _compare_cell(
-                    bench, config, method, mapper, full, ref_energy, model)
+                summary[key], cols = _compare_cell(bench, method, mapper,
+                                                   reference, model)
             if summary[key]["unstable"]:
                 flagged.append(key)
             for _, headers, columns, prefixes in tables:
@@ -659,8 +677,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", metavar="LIST",
                    help="subset of rdh,psd,pod (default all)")
     p.add_argument("--modes", metavar="LIST",
-                   help="comma-separated mode counts "
-                        "(default 20,40,60; ladder 10,20,30)")
+                   help="comma-separated mode counts (default: the "
+                        "benchmark's own, 10,20,30 for a ladder and "
+                        "20,40,60 otherwise)")
     p.add_argument("--basis-method", choices=["greedy", "cotangent"],
                    help="symplectic basis generator (default cotangent)")
     p.set_defaults(func=cmd_compare)

@@ -236,6 +236,14 @@ class _ExtraTerms:
         self.name = name
         self.J = CanonicalForm(self.n)
 
+    def constant_term(self):
+        """u - J z_bd, the part of dz/dt that depends on no state; None
+        without either."""
+        u, bd = self.input_vector, self.boundary_vector
+        if bd is None:
+            return u
+        return (0.0 if u is None else u) - self.J.apply(bd)
+
     def _column(self, v, z):
         """A constant vector v shaped to broadcast against z's columns."""
         return v.reshape((-1,) + (1,) * (np.ndim(z) - 1))
@@ -450,9 +458,7 @@ class _VerletStages:
             self._kick_inv = _shifted_inverse(self.m_qp, w)
         if abs(self.m_pq).max() != 0.0:
             self._drift_inv = _shifted_inverse(self.m_pq, -w)
-        u, bd = terms.input_vector, terms.boundary_vector
-        if bd is not None:
-            u = (0.0 if u is None else u) - terms.J.apply(bd)
+        u = terms.constant_term()
         self.u_q = self.u_p = None
         if u is not None:
             self.u_q = u[:n] if u[:n].any() else None
@@ -644,23 +650,15 @@ class RunReport:
 # of this length, and _drive derives the series of each block.
 _BLOCK = 128
 
-# Verlet models whose step map has at most this many columns advance by it
-# (see _record_blocks): the map state x for a linear model, x and the n
-# gradient entries for a nonlinear one, so 5n columns for a closed
-# sine-Gordon model of n nodes and 3n for its plain form. Measured with one
-# BLAS thread over 5000 steps, probes included, the linear map beats the
-# stepper up to about 480 columns on the closed CSR wave, the cheapest step
-# per row, and still at 800 on the dense closed ladder and 600 on its
-# dissipative form; the preset ladder's full map has 200 columns, the
-# 1000-dim wave's 2000. Over 2000 steps of the full sine-Gordon model
-# (best of seven, one BLAS thread), mapped over stepped time reads 0.62 at
-# 300 columns (closed, n = 60), 0.71 at 350 (n = 70), 1.08 at 375 (n = 75)
-# and 1.32 at 400 (n = 80); the plain form reads 0.57 at 300 (n = 100),
-# 0.87 at 360 (n = 120), 0.93 at 378 and 1.03 at 399 (n = 133). So the
-# nonlinear maps cross over near 365 (closed) and 395 (plain) columns; the
-# bound sits below the linear crossover, and a full nonlinear model of 365
-# to 400 columns maps at up to 1.3 times its stepped time. The reduced
-# sine-Gordon maps have at most 150 columns (rdh k = 60; psd k = 60 has 90).
+# A Verlet model advances by its step map (see _record_blocks) when a
+# mapped step multiplies at most _MAP_DIM ** 2 entries: Phi's xdim ** 2 for
+# a linear model of map state x, and B's (xdim + n) ** 2 plus G_1's xdim n
+# for a nonlinear one, 29 n^2 for a closed sine-Gordon model of n nodes and
+# 11 n^2 for its plain form (mapped up to n = 74 and n = 120). With one BLAS
+# thread a linear map beats the stepper up to about 480 columns on the CSR
+# wave, the cheapest step per row; at the nonlinear edges, over 2000 steps
+# (best of eleven, Intel Xeon), mapped over stepped time reads 0.76-0.90
+# inside (n = 74, 120) and 0.83-1.02 just outside (n = 75, 121).
 _MAP_DIM = 400
 
 
@@ -775,16 +773,16 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     goes on to the end of its block, and :func:`_drive` raises. A Verlet
     step is affine in x = (z, F) for the closed form, whose co-state is
     then f = K z - chi F, and in z otherwise, once its one gradient
-    evaluation is set apart. When the map has at most _MAP_DIM columns and
-    the run more than one step, :func:`_step_map` builds it from the
-    stepper's own step once node 1 is recorded, one probe step per column
-    plus one, and every later node is advanced in place, x being the first
-    layers of a node's row: x <- Phi x + c for a linear stepper (no
-    nonlinear gradient), and for a nonlinear one B [x; g] + c, the
-    gradient g at its stage-3 argument q and the product with G_1, g
-    starting from node 1's stage-3 gradient. The states agree with the
-    stepped run to roundoff, not bitwise, since the map takes the gradient
-    where the stepper does.
+    evaluation is set apart. When a mapped step multiplies at most
+    _MAP_DIM ** 2 entries and the run has more than one step,
+    :func:`_step_map` builds the map from the stepper's own step once node
+    1 is recorded, one probe step per column plus one, and every later
+    node is advanced in place, x being the first layers of a node's row:
+    x <- Phi x + c for a linear stepper (no nonlinear gradient), and for a
+    nonlinear one B [x; g] + c, the gradient g at its stage-3 argument q
+    and the product with G_1, g starting from node 1's stage-3 gradient.
+    The states agree with the stepped run to roundoff, not bitwise, since
+    the map takes the gradient where the stepper does.
     """
     dim = z.size
     n = dim // 2
@@ -795,9 +793,10 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     xdim = (2 if closed else 1) * dim
     xs = rows.reshape(_BLOCK, -1)[:, :xdim]
     linear = stepper.linear
-    # a nonlinear map also takes the gradient: n more columns
+    # the entries a mapped step multiplies: Phi's, or B's and G_1's
+    entries = xdim ** 2 if linear else (xdim + n) ** 2 + xdim * n
     mapped = (isinstance(stepper, _VerletStages) and n_steps > 1
-              and xdim + (0 if linear else n) <= _MAP_DIM)
+              and entries <= _MAP_DIM ** 2)
     phi = linear_block = None
     for start in range(0, n_steps + 1, _BLOCK):
         m = min(_BLOCK, n_steps + 1 - start)

@@ -161,14 +161,8 @@ def pod_baseline(model: DissipativeModel, v: np.ndarray) -> PodModel:
     if v.shape[0] != model.dim:
         raise ValueError("POD basis does not match the model dimension")
     matrix = v.T @ model.linear_operator() @ v
-    constant = None
-    if model.boundary_vector is not None or model.input_vector is not None:
-        c = np.zeros(model.dim)
-        if model.boundary_vector is not None:
-            c = c + model.J.apply(-model.boundary_vector)
-        if model.input_vector is not None:
-            c = c + model.input_vector
-        constant = v.T @ c
+    c = model.constant_term()
+    constant = None if c is None else v.T @ c
     # the flow's J (g(q), 0) = (0, -g(q)), so V^T J (g(V_q y), 0) is
     # -V_p^T g(V_q y)
     n = model.n

@@ -317,14 +317,23 @@ def test_compare_duplicate_method_is_zero_difference(tmp_path):
     assert np.array_equal(data[:, 1], data[:, 2])
 
 
-def test_compare_ladder_components(tmp_path, capsys):
+def test_compare_ladder_components(tmp_path, capsys, monkeypatch):
     """The error and component-error columns equal those recomputed from
-    run-full's snapshots and run-reduced's trajectory on the same basis."""
+    run-full's snapshots and run-reduced's trajectory on the same basis;
+    compare itself neither reconstructs through ``reduction.reconstruct``
+    nor measures through ``reduction.l2_error``."""
     config = ("--benchmark", "ladder", "--set", "cells=10",
               "--set", "t_final=5.0")
     out = tmp_path / "ladder"
-    assert _run("compare", *config, "--methods", "rdh", "--modes", "4",
-                "--out", str(out)) == 0
+
+    def unused(*args, **kwargs):
+        raise AssertionError("compare called a single-run helper")
+
+    with monkeypatch.context() as patched:
+        patched.setattr("sympmor.reduction.reconstruct", unused)
+        patched.setattr("sympmor.reduction.l2_error", unused)
+        assert _run("compare", *config, "--methods", "rdh", "--modes", "4",
+                    "--out", str(out)) == 0
     header, data = read_csv(out / "component_errors.csv")
     assert header == ["component", "avg_rdh_k4"]
     assert data.shape == (20, 2)
@@ -375,6 +384,33 @@ def test_default_ladder_compare_manifest(tmp_path):
             assert cell["step_radius"] is None
         else:
             assert 0.0 < cell["step_radius"] <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("family, preset, argv, modes, table", [
+    ("sine-gordon", {"n": 20, "t_final": 2.0}, ("--modes", "4"), [4],
+     "kinetic.csv"),
+    ("ladder", {"cells": 20, "t_final": 20.0}, (), [10, 20, 30],
+     "component_errors.csv"),
+], ids=["sine-gordon", "ladder"])
+def test_a_registry_preset_keeps_its_family_tables(
+        tmp_path, monkeypatch, family, preset, argv, modes, table):
+    """compare reads no registry name: a preset registered under a name
+    of its own writes its family's table, kinetic.csv for a model with a
+    potential and component_errors.csv for one with a canonical transform,
+    and runs its family's default mode counts."""
+    cls, builder, _ = sm.benchmarks._REGISTRY[family]
+    monkeypatch.setitem(sm.benchmarks._REGISTRY, f"{family}-preset",
+                        (cls, builder, preset))
+    out = tmp_path / "preset"
+    assert _run("compare", "--benchmark", f"{family}-preset", "--methods",
+                "rdh", *argv, "--out", str(out)) == 0
+    manifest = _manifest(out)
+    assert manifest["benchmark"] == f"{family}-preset"
+    assert manifest["modes"] == modes
+    assert table in manifest["files"]
+    header, data = read_csv(out / table)
+    assert header[-1].endswith(f"_rdh_k{modes[-1]}")
+    assert np.isfinite(data).all()
 
 
 def test_compare_sine_gordon_kinetic_table(tmp_path):
@@ -560,8 +596,8 @@ def test_compare_cell_flags_an_overflowing_lifted_energy_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cell, columns = cli._compare_cell(
-            bench, config, "pod", v, reference,
-            bench.system.hamiltonian(states), bench.dissipative_model())
+            bench, "pod", v, cli._reference(bench, reference),
+            bench.dissipative_model())
     assert cell["unstable"] is True
     assert cell["energy_growth"] is True
     assert np.isfinite(columns["H"][0]) and not np.isfinite(columns["H"]).all()
