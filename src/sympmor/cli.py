@@ -20,7 +20,6 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -418,31 +417,22 @@ def cmd_run_reduced(args) -> int:
 # -- compare ------------------------------------------------------------------
 
 
-def _reference(bench, full) -> SimpleNamespace:
-    """What every compare cell is measured against, formed once from the
-    full run ``full`` of ``bench``: the ``run`` itself, its ``energy`` H on
-    the snapshot grid, the energy ``scale`` max |H| (at least 1e-300) and
-    the weighted L2 ``norms`` of its snapshots."""
-    snapshots = full.snapshots
-    energy = bench.system.hamiltonian(snapshots.states)
-    norms = np.sqrt(snapshots.dx) * np.linalg.norm(snapshots.states, axis=0)
-    return SimpleNamespace(run=full, energy=energy, norms=norms,
-                           scale=max(float(np.abs(energy).max()), 1e-300))
-
-
-def _compare_cell(bench, method, mapper, reference, model):
+def _compare_cell(bench, method, mapper, reference, ref_energy, ref_norms,
+                  model):
     """One (method, mode-count) comparison cell: its manifest summary and
     its table columns by prefix, or None for the columns of a run that
     blew up.
 
-    Every cell is measured against the one full closed-formulation run of
-    ``reference``. A cell is flagged unstable when its run fails, at the
-    first node whose state, energy or residual is non-finite, or when the
-    energy error of its lifted states shows sustained terminal growth or
-    overflows; the spectral abscissa of the baseline generators is
-    recorded as an additional diagnostic, and so is the step_radius of
-    each run's step map, failed runs included (None for pod's RK4 runs). A
-    cell that ran also records its speedup, the full run's wall time over
+    Every cell is measured against the one full closed-formulation run
+    ``reference``, its energy ``ref_energy`` and the weighted norms
+    ``ref_norms`` of its snapshots, all formed once per compare.
+    A cell is flagged unstable when its run fails, at the first node whose
+    state, energy or residual is non-finite, or when the energy error of
+    its lifted states shows sustained terminal growth or overflows;
+    the spectral abscissa of the baseline generators is recorded as an
+    additional diagnostic, and so is the step_radius of each run's step
+    map, failed runs included (None for pod's RK4 runs). A cell that ran
+    also records its speedup, the full run's wall time over
     its own, and an rdh cell its hext_drift, max_t |H_ext(t) - H_ext(0)|
     over max_t |H_full(t)| on the snapshot grid.
 
@@ -453,7 +443,7 @@ def _compare_cell(bench, method, mapper, reference, model):
     energy on the snapshot grid, the string and extended energy of an rdh
     run, and the kinetic energy of a model with a potential.
     """
-    config = bench.config
+    config, dx = bench.config, bench.system.dx
     cell: dict = {"unstable": False}
     reduced = _project(bench, mapper, method, model)
     if method != "rdh":   # the linear generator of a baseline model
@@ -470,7 +460,7 @@ def _compare_cell(bench, method, mapper, reference, model):
             float("inf")
         return cell, None
     cell["step_radius"] = _step_radius(report.step_map)
-    full = reference.run.snapshots
+    full = reference.snapshots
     # a finite reduced state can lift to an energy or error past floating
     # point range; terminal_growth flags that cell as unstable
     with np.errstate(over="ignore", invalid="ignore"):
@@ -479,31 +469,31 @@ def _compare_cell(bench, method, mapper, reference, model):
         diff = np.subtract(full.states, lifted, out=lifted)   # X - A Y
         err = reduction.TrajectoryError(
             times=full.times,
-            per_instant=np.sqrt(full.dx) * np.linalg.norm(diff, axis=0),
-            reference_norms=reference.norms, dx=full.dx)
+            per_instant=reduction.weighted_norms(diff, dx),
+            reference_norms=ref_norms, dx=dx)
     cell["max_error"] = err.max_weighted
     cell["mean_error"] = err.mean_weighted
     cell["max_relative"] = err.max_relative
     cell["mean_relative"] = err.mean_relative
-    gap = np.abs(energy - reference.energy)
-    cell["energy_error"] = float(gap.mean()) / reference.scale
+    scale = max(float(np.abs(ref_energy).max()), 1e-300)
+    gap = np.abs(energy - ref_energy)
+    cell["energy_error"] = float(gap.mean()) / scale
     cell["energy_growth"] = reduction.terminal_growth(gap)
     if cell["energy_growth"]:
         cell["unstable"] = True
     cell["volterra_max"] = report.volterra_max
     cell["kz_max"] = report.kz_max
     cell["wall_seconds"] = report.wall_seconds
-    cell["speedup"] = reference.run.wall_seconds / report.wall_seconds
+    cell["speedup"] = reference.wall_seconds / report.wall_seconds
     columns = {"err": err.per_instant, "H": energy}
     if method == "rdh":
         hext = report.extended_energy[::config.snapshot_stride]
-        cell["hext_drift"] = (float(np.abs(hext - hext[0]).max())
-                              / reference.scale)
+        cell["hext_drift"] = float(np.abs(hext - hext[0]).max()) / scale
         columns["Estring"] = report.string_energy[::config.snapshot_stride]
         columns["Hext"] = hext
     if bench.system.potential is not None:
         v = lift[:bench.system.n] @ report.derivatives
-        columns["kinetic"] = 0.5 * bench.system.dx * np.sum(v * v, axis=0)
+        columns["kinetic"] = 0.5 * dx * np.sum(v * v, axis=0)
     if "transform" in bench.extras:
         # interleaved charge/flux coordinates recovered through the
         # transform
@@ -543,7 +533,10 @@ def cmd_compare(args) -> int:
     if "pod" in methods:
         with _stage(stages, "pod_basis"):
             pod_v, _, _ = _make_basis("pod", full.snapshots, max(modes))
-    reference = _reference(bench, full)
+    # what every cell is measured against, formed once
+    ref_energy = bench.system.hamiltonian(full.snapshots.states)
+    ref_norms = reduction.weighted_norms(full.snapshots.states,
+                                         full.snapshots.dx)
     # the baselines all project one dissipative model
     model = (bench.dissipative_model()
              if "psd" in methods or "pod" in methods else None)
@@ -556,7 +549,7 @@ def cmd_compare(args) -> int:
     tables = [
         ("errors.csv", ["t"], [times], ("err",)),
         ("energy.csv", ["t", "H_full", "Estring_full", "Hext_full"],
-         [times, reference.energy, full.string_energy[::stride],
+         [times, ref_energy, full.string_energy[::stride],
           full.extended_energy[::stride]], ("H", "Estring", "Hext")),
     ]
     if bench.system.potential is not None:
@@ -573,8 +566,8 @@ def cmd_compare(args) -> int:
             mapper = (pod_v[:, :m] if method == "pod"
                       else sym_basis.truncate(m // 2))
             with _stage(stages, "cells"):
-                summary[key], cols = _compare_cell(bench, method, mapper,
-                                                   reference, model)
+                summary[key], cols = _compare_cell(
+                    bench, method, mapper, full, ref_energy, ref_norms, model)
             if summary[key]["unstable"]:
                 flagged.append(key)
             for _, headers, columns, prefixes in tables:

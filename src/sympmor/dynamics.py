@@ -650,15 +650,23 @@ class RunReport:
 # of this length, and _drive derives the series of each block.
 _BLOCK = 128
 
-# A Verlet model advances by its step map (see _record_blocks) when a
-# mapped step multiplies at most _MAP_DIM ** 2 entries: Phi's xdim ** 2 for
-# a linear model of map state x, and B's (xdim + n) ** 2 plus G_1's xdim n
-# for a nonlinear one, 29 n^2 for a closed sine-Gordon model of n nodes and
-# 11 n^2 for its plain form (mapped up to n = 74 and n = 120). With one BLAS
-# thread a linear map beats the stepper up to about 480 columns on the CSR
-# wave, the cheapest step per row; at the nonlinear edges, over 2000 steps
-# (best of eleven, Intel Xeon), mapped over stepped time reads 0.76-0.90
-# inside (n = 74, 120) and 0.83-1.02 just outside (n = 75, 121).
+# Verlet models whose step map has at most this many columns advance by it
+# (see _record_blocks): the map state x for a linear model, x and the n
+# gradient entries for a nonlinear one, so 5n columns for a closed
+# sine-Gordon model of n nodes and 3n for its plain form. Measured with one
+# BLAS thread over 5000 steps, probes included, the linear map beats the
+# stepper up to about 480 columns on the closed CSR wave, the cheapest step
+# per row, and still at 800 on the dense closed ladder and 600 on its
+# dissipative form; the preset ladder's full map has 200 columns, the
+# 1000-dim wave's 2000. Over 2000 steps of the full sine-Gordon model
+# with one BLAS thread, mapped over stepped time read 0.62 at 300 columns
+# (closed, n = 60), 0.71 at 350 (n = 70), 1.08 at 375 (n = 75) and 1.32 at
+# 400 (n = 80) in one best of seven; alternating pairs (best of eleven,
+# Intel Xeon) read 0.66 at n = 70, 0.88-0.94 at n = 75 and 0.88-1.03 at
+# n = 80, and for the plain form 0.87 at 360 (n = 120) and 1.00 at 399
+# (n = 133). So up to the bound a nonlinear map costs at most about what
+# stepping does, and the bound sits below the linear crossover. The reduced
+# sine-Gordon maps have at most 150 columns (rdh k = 60; psd k = 60 has 90).
 _MAP_DIM = 400
 
 
@@ -773,16 +781,16 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     goes on to the end of its block, and :func:`_drive` raises. A Verlet
     step is affine in x = (z, F) for the closed form, whose co-state is
     then f = K z - chi F, and in z otherwise, once its one gradient
-    evaluation is set apart. When a mapped step multiplies at most
-    _MAP_DIM ** 2 entries and the run has more than one step,
-    :func:`_step_map` builds the map from the stepper's own step once node
-    1 is recorded, one probe step per column plus one, and every later
-    node is advanced in place, x being the first layers of a node's row:
-    x <- Phi x + c for a linear stepper (no nonlinear gradient), and for a
-    nonlinear one B [x; g] + c, the gradient g at its stage-3 argument q
-    and the product with G_1, g starting from node 1's stage-3 gradient.
-    The states agree with the stepped run to roundoff, not bitwise, since
-    the map takes the gradient where the stepper does.
+    evaluation is set apart. When the map has at most _MAP_DIM columns and
+    the run more than one step, :func:`_step_map` builds it from the
+    stepper's own step once node 1 is recorded, one probe step per column
+    plus one, and every later node is advanced in place, x being the first
+    layers of a node's row: x <- Phi x + c for a linear stepper (no
+    nonlinear gradient), and for a nonlinear one B [x; g] + c, the
+    gradient g at its stage-3 argument q and the product with G_1, g
+    starting from node 1's stage-3 gradient. The states agree with the
+    stepped run to roundoff, not bitwise, since the map takes the gradient
+    where the stepper does.
     """
     dim = z.size
     n = dim // 2
@@ -793,10 +801,9 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     xdim = (2 if closed else 1) * dim
     xs = rows.reshape(_BLOCK, -1)[:, :xdim]
     linear = stepper.linear
-    # the entries a mapped step multiplies: Phi's, or B's and G_1's
-    entries = xdim ** 2 if linear else (xdim + n) ** 2 + xdim * n
+    # a nonlinear map also takes the gradient: n more columns
     mapped = (isinstance(stepper, _VerletStages) and n_steps > 1
-              and entries <= _MAP_DIM ** 2)
+              and xdim + (0 if linear else n) <= _MAP_DIM)
     phi = linear_block = None
     for start in range(0, n_steps + 1, _BLOCK):
         m = min(_BLOCK, n_steps + 1 - start)

@@ -212,6 +212,12 @@ def reconstruct(lift: np.ndarray, snapshots: SnapshotSet,
                        dx=dx)
 
 
+def weighted_norms(states: np.ndarray, dx: float) -> np.ndarray:
+    """The L2 norm of each column of ``states`` with the sqrt(dx) grid
+    factor, the norm of every error and reference column."""
+    return np.sqrt(dx) * np.linalg.norm(states, axis=0)
+
+
 @dataclass
 class TrajectoryError:
     """Per-instant and aggregate L2 distances between two trajectories.
@@ -270,11 +276,10 @@ def l2_error(reference: SnapshotSet, candidate: SnapshotSet) -> TrajectoryError:
     t_scale = max(1.0, float(np.abs(reference.times).max()))
     if np.abs(reference.times - candidate.times).max() > 1e-12 * t_scale:
         raise ValueError("snapshot time grids differ")
-    w = np.sqrt(reference.dx)
     diff = reference.states - candidate.states
     return TrajectoryError(
         times=reference.times.copy(),
-        per_instant=w * np.linalg.norm(diff, axis=0),
-        reference_norms=w * np.linalg.norm(reference.states, axis=0),
+        per_instant=weighted_norms(diff, reference.dx),
+        reference_norms=weighted_norms(reference.states, reference.dx),
         dx=reference.dx,
     )

@@ -596,7 +596,8 @@ def test_compare_cell_flags_an_overflowing_lifted_energy_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cell, columns = cli._compare_cell(
-            bench, "pod", v, cli._reference(bench, reference),
+            bench, "pod", v, reference, bench.system.hamiltonian(states),
+            sm.reduction.weighted_norms(states, bench.system.dx),
             bench.dissipative_model())
     assert cell["unstable"] is True
     assert cell["energy_growth"] is True

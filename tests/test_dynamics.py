@@ -660,28 +660,26 @@ def test_unstable_nonlinear_run_ending_near_its_failure_step(closed):
 
 
 def test_map_path_selection(monkeypatch):
-    """The step map is taken for a Verlet model whose mapped step
-    multiplies at most _MAP_DIM ** 2 entries, whatever the run's length
-    past one step: Phi's xdim ** 2 for a linear model with map state x of
-    xdim entries, and B's (xdim + n) ** 2 plus G_1's xdim n for a
-    nonlinear one, so 29 n^2 for a closed sine-Gordon model of n nodes and
-    11 n^2 for its plain form. A larger map keeps the stepper."""
-    bound = dynamics._MAP_DIM ** 2
-    ladder = sm.build_benchmark("ladder").system         # xdim = 200
-    assert (2 * ladder.dim) ** 2 <= bound
+    """The step map is taken for a Verlet model whose map has at most
+    _MAP_DIM columns, whatever the run's length past one step: the map
+    state x for a linear model, x and the n gradient entries for a
+    nonlinear one, so 5n columns for a closed sine-Gordon model of n nodes
+    and 3n for its plain form. A larger map keeps the stepper."""
+    ladder = sm.build_benchmark("ladder").system         # 2 dim = 200
+    assert 2 * ladder.dim <= dynamics._MAP_DIM
 
     def sine_gordon(n):
         return sm.build_benchmark(
             "sine-gordon", sm.make_config("sine-gordon", {"n": n}))
-    small = sine_gordon(30).system                        # 29 n^2 = 26100
-    edge = sine_gordon(74).system                         # 158804
-    large = sine_gordon(75).system                        # 163125
-    assert 29 * edge.n ** 2 <= bound < 29 * large.n ** 2
-    plain = sine_gordon(120).dissipative_model()          # 11 n^2 = 158400
-    plain_large = sine_gordon(121).dissipative_model()    # 161051
-    assert 11 * plain.n ** 2 <= bound < 11 * plain_large.n ** 2
-    wave = _wave(n=150).system                            # xdim = 600
-    assert (2 * wave.dim) ** 2 > bound
+    small = sine_gordon(30).system                        # 5n = 150
+    edge = sine_gordon(80).system                         # 5n = 400
+    large = sine_gordon(81).system                        # 5n = 405
+    assert 5 * edge.n <= dynamics._MAP_DIM < 5 * large.n
+    plain = sine_gordon(133).dissipative_model()          # 3n = 399
+    plain_large = sine_gordon(134).dissipative_model()    # 3n = 402
+    assert 3 * plain.n <= dynamics._MAP_DIM < 3 * plain_large.n
+    wave = _wave(n=150).system                            # 2 dim = 600
+    assert 2 * wave.dim > dynamics._MAP_DIM
     for model, n_steps, mapped in ((ladder, 2, True),
                                    (ladder, 1, False),
                                    (small, 400, True),
