@@ -43,8 +43,8 @@ class Benchmark:
     The wave and sine-Gordon benchmarks (and every system built by
     ``_mechanical``) hold ``system.K``, ``system.chi``, ``stiffness`` and
     ``drift`` as CSR matrices; the ladder holds dense arrays.
-    ``default_modes`` are the mode counts ``compare`` runs when none are
-    given."""
+    ``default_modes`` are the mode counts ``compare`` runs and
+    ``build-basis`` writes when none are given."""
 
     name: str
     system: TddSystem

@@ -169,10 +169,14 @@ def _stage(stages: dict, key: str):
     stages[key] = stages.get(key, 0.0) + time.perf_counter() - t0
 
 
-def _grid(config) -> dict:
-    """Time-grid keywords of every run of one configuration."""
-    return {"dt": config.dt, "t_final": config.t_final,
-            "snapshot_stride": config.snapshot_stride}
+def _on_grid(run, *args, config):
+    """``run(*args)`` on the time grid of ``config``; a grid the run cannot
+    hold (see :func:`dynamics._drive`) is a configuration error."""
+    try:
+        return run(*args, dt=config.dt, t_final=config.t_final,
+                   snapshot_stride=config.snapshot_stride)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _integrate_full(bench, greedy: bool = False):
@@ -184,7 +188,7 @@ def _integrate_full(bench, greedy: bool = False):
             _greedy_start(bench.system.z0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    return dynamics.integrate(bench.system, **_grid(bench.config))
+    return _on_grid(dynamics.integrate, bench.system, config=bench.config)
 
 
 def _write_manifest(args, bench, files, warnings, **extra) -> None:
@@ -294,7 +298,7 @@ def cmd_build_basis(args) -> int:
     bench = _build(args)
     out = Path(args.out)
     method = args.method
-    modes = _parse_modes(args.modes, [20, 40, 60])
+    modes = _parse_modes(args.modes, bench.default_modes)
     _require_even(modes, f"{method} basis")
     stages = {}
     with _stage(stages, "snapshots"):
@@ -381,14 +385,14 @@ def _project(bench, mapper, method: str, model=None):
 def _run_reduced(reduced, config, method: str):
     """Integrate one projected model; returns (report, lift), the lift the
     basis matrix that maps its reduced coordinates back to the full space."""
-    grid = _grid(config)
     if method == "rdh":
-        return (dynamics.integrate(reduced.system, **grid),
+        return (_on_grid(dynamics.integrate, reduced.system, config=config),
                 reduced.basis.matrix)
     if method == "psd":
-        return (dynamics.integrate_dissipative(reduced.model, **grid),
-                reduced.basis.matrix)
-    return dynamics.integrate_rk4(reduced.rhs, reduced.y0, **grid), reduced.v
+        return (_on_grid(dynamics.integrate_dissipative, reduced.model,
+                         config=config), reduced.basis.matrix)
+    return (_on_grid(dynamics.integrate_rk4, reduced.rhs, reduced.y0,
+                     config=config), reduced.v)
 
 
 def cmd_run_reduced(args) -> int:
@@ -645,7 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["greedy", "cotangent", "pod"],
                    default="greedy")
     p.add_argument("--modes", metavar="LIST",
-                   help="comma-separated mode counts (default 20,40,60)")
+                   help="comma-separated mode counts (default: the "
+                        "benchmark's own, as in compare)")
     p.add_argument("--snapshots", metavar="PATH.mtx",
                    help="reuse snapshots from a previous run-full instead of "
                         "integrating")

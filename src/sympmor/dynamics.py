@@ -428,12 +428,9 @@ class _VerletStages:
     The boundary vector is a constant, so -J z_bd joins the input u once,
     at setup, as the per-stage constants ``u_q`` and ``u_p`` (None where
     zero). The gradient g of the potential of the positions enters the two
-    kicks only, and stage 1's is the previous step's stage-3 one: a step
-    whose q is bitwise the q_1 of the step before takes that gradient, any
-    other state has its gradient evaluated. A run thus costs one gradient
-    evaluation per step, plus one at node 0. Apart from that evaluation,
-    at q_1, a step is affine in its state and in the gradients of stages 1
-    and 3, which :func:`_step_map` probes by swapping ``_grad``.
+    kicks only, each evaluated at its own q, so a step costs two gradient
+    evaluations. A step is affine in its state and in those two gradients,
+    which :func:`_step_map` probes by swapping ``_grad``.
     """
 
     def __init__(self, dt: float):
@@ -463,9 +460,6 @@ class _VerletStages:
         if u is not None:
             self.u_q = u[:n] if u[:n].any() else None
             self.u_p = u[n:] if u[n:].any() else None
-        # the last stage-3 gradient and the q it was evaluated at; a linear
-        # model stores nothing
-        self._end_q = self._end_g = None
 
     def _kick_drift_kick(self, z, cs, ce):
         """The state one step after z."""
@@ -477,11 +471,7 @@ class _VerletStages:
         # kick under the start-of-step constant
         rhs = p - w * (self.m_qq @ q + cs[:n])
         if not self.linear:
-            if self._end_q is not None and np.array_equal(q, self._end_q):
-                g = self._end_g
-            else:
-                g = self._grad(q)
-            rhs = rhs - w * g
+            rhs = rhs - w * self._grad(q)
         if self.u_p is not None:
             rhs = rhs + w * self.u_p
         p_half = rhs if self._kick_inv is None else self._kick_inv @ rhs
@@ -497,9 +487,7 @@ class _VerletStages:
         # second kick under the end-of-step constant
         grad_q = self.m_qq @ q_new + ce[:n]
         if not self.linear:
-            g = self._grad(q_new)
-            grad_q = grad_q + g
-            self._end_q, self._end_g = q_new, g
+            grad_q = grad_q + self._grad(q_new)
         if self._kick_inv is not None:
             grad_q = grad_q + self.m_qp @ p_half
         p_new = p_half - w * grad_q
@@ -527,9 +515,7 @@ class VerletStepper(_VerletStages):
     tail and integral; ``step(z)`` takes the state of the current node.
     Each step reuses the previous step's end-of-step tail constant as its
     start-of-step one: the committed tail is bitwise the tail the step
-    computed for the end of the step. Likewise stage 1's nonlinear gradient
-    is the previous step's stage-3 gradient (see :class:`_VerletStages`),
-    so a run evaluates the gradient once per step.
+    computed for the end of the step.
 
     (I + w chi)^{-1} is formed once and every use multiplies by it: a CSR
     diagonal of reciprocals for a diagonal chi, else a dense inverse. When
@@ -736,7 +722,6 @@ def _step_map(stepper, closed: bool, dim: int):
         if not linear:
             injected[:] = [v[xdim: xdim + n], v[xdim + n:]]
             seen.clear()
-            stepper._end_q = None       # stage 1 takes the injected g_n
         if closed:
             z, integral = x.reshape(2, dim)
             stepper._load(z, integral)
@@ -780,17 +765,17 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     here checks what it writes, so a run that leaves floating point range
     goes on to the end of its block, and :func:`_drive` raises. A Verlet
     step is affine in x = (z, F) for the closed form, whose co-state is
-    then f = K z - chi F, and in z otherwise, once its one gradient
-    evaluation is set apart. When the map has at most _MAP_DIM columns and
-    the run more than one step, :func:`_step_map` builds it from the
-    stepper's own step once node 1 is recorded, one probe step per column
-    plus one, and every later node is advanced in place, x being the first
-    layers of a node's row: x <- Phi x + c for a linear stepper (no
+    then f = K z - chi F, and in z otherwise, and in its stage-1 gradient,
+    once its stage-3 one is set apart. When the map has at most _MAP_DIM
+    columns and the run more than one step, :func:`_step_map` builds it
+    from the stepper's own step once node 1 is recorded, one probe step per
+    column plus one, and every later node is advanced in place, x being the
+    first layers of a node's row: x <- Phi x + c for a linear stepper (no
     nonlinear gradient), and for a nonlinear one B [x; g] + c, the
     gradient g at its stage-3 argument q and the product with G_1, g
-    starting from node 1's stage-3 gradient. The states agree with the
-    stepped run to roundoff, not bitwise, since the map takes the gradient
-    where the stepper does.
+    starting from the gradient at node 1's q: one evaluation per mapped
+    step. The states agree with the stepped run to roundoff, not bitwise,
+    since the map takes the gradient where the stepper does.
     """
     dim = z.size
     n = dim // 2
@@ -819,9 +804,9 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                 rows[j, 1] = stepper.snapshot(z)
             j += 1
             if mapped and start + j == 2:
-                # node 1 and, for a nonlinear model, its stage-3 gradient
+                # node 1 and, for a nonlinear model, its gradient
                 x = xs[1].copy() if linear else np.concatenate(
-                    [xs[1], stepper._end_g])
+                    [xs[1], stepper._grad(xs[1, :n])])
                 phi, c, g1 = _step_map(stepper, closed, dim)
                 linear_block = phi if linear else phi[n:, :xdim]
                 if not linear:
@@ -866,7 +851,8 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     raises :class:`NonFiniteError` at the block's first node whose state,
     or whose H, stored energy, rates, Volterra residual or max |K z|, is
     non-finite. An RK4 run's derivative layer is not read, since its rows
-    off the snapshot grid are never written.
+    off the snapshot grid are never written. A grid of no finite step count
+    or whose snapshots cannot be allocated raises ValueError at the start.
 
     For a :class:`VerletStepper` the string energy and the input work,
     trapezoid sums of f^T chi f and of the supply rate, are summed once
@@ -880,6 +866,8 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     if (n_steps is None) == (t_final is None):
         raise ValueError("specify exactly one of n_steps and t_final")
     if n_steps is None:
+        if not np.isfinite(t_final / dt):
+            raise ValueError("t_final / dt is not a finite step count")
         n_steps = int(round(t_final / dt))
     if n_steps < 0:
         raise ValueError("step count must be nonnegative")
@@ -891,8 +879,12 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     inline = isinstance(stepper, _Rk4Stepper)
     w = 0.5 * dt
     z = np.array(z0, dtype=float)
-    store = np.empty((3 if closed else 2, z.size,
-                      n_steps // snapshot_stride + 1))
+    try:
+        store = np.empty((3 if closed else 2, z.size,
+                          n_steps // snapshot_stride + 1))
+    except (ValueError, MemoryError):
+        raise ValueError(f"the snapshots of {n_steps:.3g} steps cannot be "
+                         "allocated") from None
     # the block layers kept at snapshot nodes share the store's layer index
     kept = [0, 2] if closed else [0, 1] if inline else [0]
     blocks = _record_blocks(stepper, z, n_steps, snapshot_stride, closed,

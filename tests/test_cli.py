@@ -176,6 +176,18 @@ def test_build_basis_cotangent_outputs(tmp_path):
     assert info["values_kind"] == "stacked_singular_value"
 
 
+def test_build_basis_writes_the_benchmarks_default_modes(tmp_path):
+    """Without --modes, build-basis writes the benchmark's default mode
+    counts, 10, 20 and 30 for the ladder, as compare runs them."""
+    out = tmp_path / "basis"
+    assert _run("build-basis", "--benchmark", "ladder", "--set", "cells=20",
+                "--method", "pod", "--out", str(out)) == 0
+    assert verify_manifest(out / "manifest.json")[1] == []
+    assert _manifest(out)["basis"]["modes"] == [10, 20, 30]
+    assert sorted(p.name for p in out.glob("*.mtx")) == [
+        "basis_k10.mtx", "basis_k20.mtx", "basis_k30.mtx"]
+
+
 def test_build_basis_rejects_bad_mode_lists(tmp_path, capsys):
     base = ("build-basis", "--benchmark", "wave", "--set", "n=16",
             "--set", "t_final=0.1", "--out", str(tmp_path / "x"))
@@ -911,12 +923,17 @@ def test_build_basis_rejects_odd_pod_modes(tmp_path, capsys):
     ("wave", "dt=NaN", "dt must be finite, got nan"),
     ("wave", "length=0", "length must be positive"),
     ("sine-gordon", "length=-5", "length must be positive"),
+    ("wave", "dt=5e-324", "t_final / dt is not a finite step count"),
+    ("wave", "t_final=1e300",
+     "the snapshots of 5e+302 steps cannot be allocated"),
 ])
 def test_config_field_errors(tmp_path, capsys, name, setting, message):
+    out = tmp_path / "x"
     assert _run("run-full", "--benchmark", name, "--set", setting,
-                "--out", str(tmp_path / "x")) == 2
+                "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, settings, message", [

@@ -804,7 +804,7 @@ def test_closed_and_dissipative_steppers_agree_without_memory(name, overrides):
     assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
 
-# -- one gradient evaluation per Verlet step ---------------------------------
+# -- gradient evaluations of a Verlet run ------------------------------------
 
 
 def _sine_gordon_n40():
@@ -846,15 +846,29 @@ def _sine_gordon_run(which, dt, n_steps, n=40):
 
 
 @pytest.mark.parametrize("which", ["full", "dissipative", "rdh", "psd"])
-def test_verlet_runs_evaluate_the_gradient_once_per_step(which):
-    """Stage 1 of a step takes the gradient stage 3 of the step before
-    evaluated: a run of n steps calls the gradient of a single state
-    n + 1 times, once at node 0 and once per step."""
+def test_mapped_verlet_runs_evaluate_the_gradient_once_per_mapped_step(
+        which):
+    """A run of n steps calls the gradient of a single state n + 2 times:
+    at both kicks of the stepped first step, at node 1's q for the map
+    input, and once in each of the n - 1 mapped steps."""
     dt, n_steps = 0.01, 150
     model, run = _sine_gordon_run(which, dt, n_steps)
     count = _GradCount(model)
     run(model, dt=dt, n_steps=n_steps, snapshot_stride=7)
-    assert count.calls == n_steps + 1
+    assert count.calls == n_steps + 2
+
+
+@pytest.mark.parametrize("which", ["full", "dissipative", "rdh", "psd"])
+def test_stepped_verlet_runs_evaluate_the_gradient_at_each_kick(
+        which, monkeypatch):
+    """Without the step map each kick evaluates the gradient at its own q:
+    a run of n steps calls it 2 n times."""
+    dt, n_steps = 0.01, 150
+    model, run = _sine_gordon_run(which, dt, n_steps)
+    monkeypatch.setattr(dynamics, "_MAP_DIM", 0)
+    count = _GradCount(model)
+    run(model, dt=dt, n_steps=n_steps, snapshot_stride=7)
+    assert count.calls == 2 * n_steps
 
 
 @pytest.mark.parametrize("which", ["rdh", "psd"])
@@ -897,10 +911,9 @@ def test_default_sine_gordon_k60_maps(which, size, monkeypatch):
 
 
 def test_fresh_stepper_reproduces_a_recorded_node_bitwise():
-    """The reused gradient is bitwise the one a fresh stepper evaluates at
-    the start-of-step state, since the sine-Gordon gradient reads q only:
-    stepping a node of a stepper loop with a new stepper gives the next
-    node."""
+    """A plain Verlet step reads its state alone, each kick evaluating
+    the gradient at its own q: stepping a node of a stepper loop with a
+    new stepper gives the next node bitwise."""
     bench = _sine_gordon_n40()
     model, dt = bench.dissipative_model(), bench.config.dt
     states = _plain_loop(model, dt, 40)
@@ -911,9 +924,9 @@ def test_fresh_stepper_reproduces_a_recorded_node_bitwise():
 
 
 def test_stepper_given_another_state_evaluates_the_gradient():
-    """A state whose q is not the q the last step ended at has its
-    gradient evaluated again, and steps as a fresh stepper steps it; the
-    step from the state the last step returned evaluates once."""
+    """Every step evaluates the gradient twice, from the state the last
+    step returned or from another, and a stepper given another state
+    steps it as a fresh stepper does."""
     bench = _sine_gordon_n40()
     model, dt = bench.dissipative_model(), bench.config.dt
     count = _GradCount(model)
@@ -921,11 +934,11 @@ def test_stepper_given_another_state_evaluates_the_gradient():
     z1 = stepper.step(model.z0)
     assert count.calls == 2
     stepper.step(z1)
-    assert count.calls == 3
+    assert count.calls == 4
     other = z1.copy()
     other[3] += 1e-3
     got = stepper.step(other)
-    assert count.calls == 5
+    assert count.calls == 6
     want = dynamics.DissipativeVerletStepper(model, dt).step(other)
     np.testing.assert_array_equal(got, want)
 
