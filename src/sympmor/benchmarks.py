@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -43,8 +43,10 @@ class Benchmark:
     The wave and sine-Gordon benchmarks (and every system built by
     ``_mechanical``) hold ``system.K``, ``system.chi``, ``stiffness`` and
     ``drift`` as CSR matrices; the ladder holds dense arrays.
-    ``default_modes`` are the mode counts ``compare`` runs and
-    ``build-basis`` writes when none are given."""
+    ``transform`` maps canonical states to physical coordinates where they
+    differ (the ladder's T), else None. ``default_modes`` are the mode
+    counts ``compare`` runs and ``build-basis`` writes when none are
+    given."""
 
     name: str
     system: TddSystem
@@ -52,7 +54,7 @@ class Benchmark:
     stiffness: np.ndarray | scipy.sparse.csr_array
     drift: np.ndarray | scipy.sparse.csr_array | None
     grid: np.ndarray | None = None
-    extras: dict = field(default_factory=dict)
+    transform: np.ndarray | None = None
     default_modes: tuple = (20, 40, 60)
 
     def dissipative_model(self) -> DissipativeModel:
@@ -100,7 +102,7 @@ def _check_fields(config) -> None:
 
 
 def _mechanical(stiff_q, damping, z0, *, config=None, grid=None,
-                extras=None, **terms) -> Benchmark:
+                **terms) -> Benchmark:
     """Damped mechanical system q'' = -S_q q - r q' in both forms.
 
     The closed form has K = blockdiag(chol S_q, I) and chi = diag(0, r); the
@@ -123,7 +125,7 @@ def _mechanical(stiff_q, damping, z0, *, config=None, grid=None,
                        **terms)
     return Benchmark(name=name, system=system, config=config,
                      stiffness=_Csr(scipy.sparse.block_diag((stiff_q, eye))),
-                     drift=chi.copy(), grid=grid, extras=extras or {})
+                     drift=chi.copy(), grid=grid)
 
 
 # -- dissipative wave ---------------------------------------------------------
@@ -256,8 +258,7 @@ def build_sine_gordon(config: SineGordonConfig) -> Benchmark:
         return np.sum(1.0 - np.cos(q), axis=0)
 
     return _mechanical(lap, config.chi_scale * config.r, z0, config=config,
-                       grid=x, extras={"x0": x0, "bc": (a, b)},
-                       nonlinear_grad=np.sin, potential=potential,
+                       grid=x, nonlinear_grad=np.sin, potential=potential,
                        boundary_vector=boundary, dx=dx, name="sine-gordon")
 
 
@@ -354,7 +355,7 @@ def build_ladder(config: LadderConfig) -> Benchmark:
     u_phys = np.zeros(dim)
     u_phys[0] = config.drive
 
-    t, t_inv, lam = skew_to_canonical(skew)
+    t, t_inv, _ = skew_to_canonical(skew)
     k = q_diag[:, None] * t                  # Q T, the canonical stiffness factor
     chi = np.diag(config.chi_scale * q_diag ** 2 * r_diag)
     u_canonical = t_inv @ u_phys
@@ -369,12 +370,7 @@ def build_ladder(config: LadderConfig) -> Benchmark:
     return Benchmark(
         name="ladder", system=system, config=config,
         stiffness=stiffness, drift=drift, grid=None,
-        default_modes=(10, 20, 30),
-        extras={
-            "transform": t, "transform_inv": t_inv, "block_magnitudes": lam,
-            "skew": skew, "q_diag": q_diag, "r_diag": r_diag,
-            "input_physical": u_phys,
-        },
+        transform=t, default_modes=(10, 20, 30),
     )
 
 

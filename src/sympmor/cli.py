@@ -474,7 +474,7 @@ def _compare_cell(bench, method, mapper, reference, ref_energy, ref_norms,
         err = reduction.TrajectoryError(
             times=full.times,
             per_instant=reduction.weighted_norms(diff, dx),
-            reference_norms=ref_norms, dx=dx)
+            reference_norms=ref_norms)
     cell["max_error"] = err.max_weighted
     cell["mean_error"] = err.mean_weighted
     cell["max_relative"] = err.max_relative
@@ -498,10 +498,10 @@ def _compare_cell(bench, method, mapper, reference, ref_energy, ref_norms,
     if bench.system.potential is not None:
         v = lift[:bench.system.n] @ report.derivatives
         columns["kinetic"] = 0.5 * dx * np.sum(v * v, axis=0)
-    if "transform" in bench.extras:
+    if bench.transform is not None:
         # interleaved charge/flux coordinates recovered through the
         # transform
-        columns["avg"] = np.abs(bench.extras["transform"] @ diff).mean(axis=1)
+        columns["avg"] = np.abs(bench.transform @ diff).mean(axis=1)
     return cell, columns
 
 
@@ -559,7 +559,7 @@ def cmd_compare(args) -> int:
     if bench.system.potential is not None:
         tables.append(("kinetic.csv", ["t", "kinetic_full"],
                        [times, full.kinetic_series()], ("kinetic",)))
-    if "transform" in bench.extras:   # time-averaged error per component
+    if bench.transform is not None:   # time-averaged error per component
         tables.append(("component_errors.csv", ["component"],
                        [np.arange(bench.system.dim)], ("avg",)))
 

@@ -584,9 +584,9 @@ class RunReport:
     co-states) the driver recorded in blocks.
 
     ``step_map`` is the linear part of the map the run advanced by (see
-    :func:`_record_blocks`): Phi of a linear run, and of a nonlinear one
-    the x' rows of B on x, its step with the gradient frozen at zero. A
-    run that did not take the map, stepped or RK4, has None.
+    :func:`_record_blocks`): the columns of Phi or B on x, the step with
+    any gradient frozen at zero. A run that did not take the map, stepped
+    or RK4, has None.
     """
 
     times: np.ndarray
@@ -638,21 +638,23 @@ _BLOCK = 128
 
 # Verlet models whose step map has at most this many columns advance by it
 # (see _record_blocks): the map state x for a linear model, x and the n
-# gradient entries for a nonlinear one, so 5n columns for a closed
-# sine-Gordon model of n nodes and 3n for its plain form. Measured with one
-# BLAS thread over 5000 steps, probes included, the linear map beats the
-# stepper up to about 480 columns on the closed CSR wave, the cheapest step
-# per row, and still at 800 on the dense closed ladder and 600 on its
-# dissipative form; the preset ladder's full map has 200 columns, the
-# 1000-dim wave's 2000. Over 2000 steps of the full sine-Gordon model
-# with one BLAS thread, mapped over stepped time read 0.62 at 300 columns
+# gradient entries for a nonlinear one, whose rows are x alone; so 5n
+# columns and 4n rows for a closed sine-Gordon model of n nodes, 3n and 2n
+# for its plain form. Measured with one BLAS thread over 5000 steps, probes
+# included, the linear map beats the stepper up to about 480 columns on the
+# closed CSR wave, the cheapest step per row, and still at 800 on the dense
+# closed ladder and 600 on its dissipative form; the preset ladder's full
+# map has 200 columns, the 1000-dim wave's 2000. Over 2000 steps of the
+# full sine-Gordon model with one BLAS thread, on a B that also gave the
+# n entries of q_{n+1}, mapped over stepped time read 0.62 at 300 columns
 # (closed, n = 60), 0.71 at 350 (n = 70), 1.08 at 375 (n = 75) and 1.32 at
 # 400 (n = 80) in one best of seven; alternating pairs (best of eleven,
 # Intel Xeon) read 0.66 at n = 70, 0.88-0.94 at n = 75 and 0.88-1.03 at
 # n = 80, and for the plain form 0.87 at 360 (n = 120) and 1.00 at 399
 # (n = 133). So up to the bound a nonlinear map costs at most about what
-# stepping does, and the bound sits below the linear crossover. The reduced
-# sine-Gordon maps have at most 150 columns (rdh k = 60; psd k = 60 has 90).
+# stepping does, and the bound sits below the linear crossover. The
+# reduced sine-Gordon maps are at most 120 x 150 (rdh k = 60; psd k = 60
+# is 60 x 90).
 _MAP_DIM = 400
 
 
@@ -698,42 +700,33 @@ def _step_map(stepper, closed: bool, dim: int):
     two gradients it takes, g_n at stage 1 and g_{n+1} at stage 3, each of
     n = dim / 2 entries, so it gives (B, c, G_1) with
 
-        [s; x'] = B [x; g_n] + c,  g_{n+1} = grad(s),
-        x_{n+1} = x' + G_1 g_{n+1},
+        x' = B [x; g_n] + c,  x_{n+1} = x' + G_1 grad(q'),
 
-    where s = q_{n+1} is the argument stage 3 passes to the gradient; G_1
-    is zero on the q rows. Everything comes from the stepper's own
-    ``step``: c is the image of zero, and each column the image of a unit
-    vector minus c. For the probes of a nonlinear stepper the stepper's
-    gradient is swapped for one that returns the injected g_n and g_{n+1}
-    and records s, and restored after; the model's gradient is never
+    where q' = q_{n+1}, the q rows of x', is the argument stage 3 passes
+    to the gradient: G_1 is zero on the q rows. Everything comes from the
+    stepper's own ``step``: c is the image of zero, and each column the
+    image of a unit vector minus c. For the probes of a nonlinear stepper
+    the stepper's gradient is swapped for one that returns the injected
+    g_n and g_{n+1}, and restored after; the model's gradient is never
     called. The probes leave the stepper at an arbitrary state."""
     linear = stepper.linear
     xdim = (2 if closed else 1) * dim
     n = dim // 2
-    injected, seen = [], []
-
-    def injected_grad(q):
-        seen.append(q)
-        return injected.pop(0)
+    injected = []
 
     def image(v):
         x = v[:xdim]
-        if not linear:
-            injected[:] = [v[xdim: xdim + n], v[xdim + n:]]
-            seen.clear()
+        injected[:] = [v[xdim: xdim + n], v[xdim + n:]]
         if closed:
             z, integral = x.reshape(2, dim)
             stepper._load(z, integral)
-            out = np.concatenate([stepper.step(z), stepper.integral])
-        else:
-            out = stepper.step(x)
-        return out if linear else np.concatenate([seen[-1], out])
+            return np.concatenate([stepper.step(z), stepper.integral])
+        return stepper.step(x)
 
     unit = np.zeros(xdim if linear else xdim + 2 * n)
     real_grad = stepper._grad
     if not linear:
-        stepper._grad = injected_grad
+        stepper._grad = lambda q: injected.pop(0)
     try:
         c = image(unit)
         phi = np.empty((c.size, unit.size))
@@ -746,7 +739,7 @@ def _step_map(stepper, closed: bool, dim: int):
     if linear:
         return phi, c, None
     return (np.ascontiguousarray(phi[:, : xdim + n]), c,
-            np.ascontiguousarray(phi[n:, xdim + n:]))
+            np.ascontiguousarray(phi[:, xdim + n:]))
 
 
 def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
@@ -771,11 +764,11 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     from the stepper's own step once node 1 is recorded, one probe step per
     column plus one, and every later node is advanced in place, x being the
     first layers of a node's row: x <- Phi x + c for a linear stepper (no
-    nonlinear gradient), and for a nonlinear one B [x; g] + c, the
-    gradient g at its stage-3 argument q and the product with G_1, g
-    starting from the gradient at node 1's q: one evaluation per mapped
-    step. The states agree with the stepped run to roundoff, not bitwise,
-    since the map takes the gradient where the stepper does.
+    nonlinear gradient), and for a nonlinear one x <- B [x; g] + c, the
+    gradient g at that vector's q rows and x <- x + G_1 g, g starting from
+    the gradient at node 1's q: one evaluation per mapped step, at the q
+    the node records. The states agree with the stepped run to roundoff,
+    not bitwise, since the map takes the gradient where the stepper does.
     """
     dim = z.size
     n = dim // 2
@@ -808,12 +801,12 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                 x = xs[1].copy() if linear else np.concatenate(
                     [xs[1], stepper._grad(xs[1, :n])])
                 phi, c, g1 = _step_map(stepper, closed, dim)
-                linear_block = phi if linear else phi[n:, :xdim]
+                linear_block = phi[:, :xdim]
                 if not linear:
                     grad = stepper._grad
-                    stage = np.empty(c.size)
-                    # x = (x, g) of the current node, stage = (s, x')
-                    x_x, x_g, s = x[:xdim], x[xdim:], stage[:n]
+                    kick = np.empty(xdim)
+                    # x = (x, g) of the current node
+                    x_x, x_g = x[:xdim], x[xdim:]
         if phi is not None:             # map the rest of the block
             if linear:
                 for row in xs[j:m]:
@@ -823,11 +816,11 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                 x = x.copy()
             else:
                 for row in xs[j:m]:
-                    np.matmul(phi, x, out=stage)
-                    stage += c
-                    x_g[:] = grad(s)
-                    np.matmul(g1, x_g, out=row)
-                    row += stage[n:]
+                    np.matmul(phi, x, out=row)
+                    row += c
+                    x_g[:] = grad(row[:n])
+                    np.matmul(g1, x_g, out=kick)
+                    row += kick
                     x_x[:] = row
             if closed:
                 rows[j:m, 2] = (system.K @ rows[j:m, 0].T

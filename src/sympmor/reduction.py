@@ -183,7 +183,10 @@ def spectral_abscissa(matrix: np.ndarray) -> float:
 
 def spectral_radius(matrix: np.ndarray) -> float:
     """Largest eigenvalue modulus of a dense step map, such as a run's
-    ``step_map``: above 1 the map's iterates grow exponentially."""
+    ``step_map``: above 1 the map's iterates grow exponentially. A map with
+    a non-finite entry (one that overflowed) has radius inf."""
+    if not np.isfinite(matrix).all():
+        return float("inf")
     return float(np.abs(np.linalg.eigvals(matrix)).max())
 
 
@@ -231,11 +234,6 @@ class TrajectoryError:
     times: np.ndarray
     per_instant: np.ndarray
     reference_norms: np.ndarray
-    dx: float
-
-    @property
-    def per_instant_unweighted(self):
-        return self.per_instant / np.sqrt(self.dx)
 
     @property
     def max_weighted(self) -> float:
@@ -244,10 +242,6 @@ class TrajectoryError:
     @property
     def mean_weighted(self) -> float:
         return float(self.per_instant.mean())
-
-    @property
-    def max_unweighted(self) -> float:
-        return float(self.per_instant_unweighted.max())
 
     def _relative(self, error: float) -> float:
         """``error`` over the peak reference norm; against an all-zero
@@ -281,5 +275,4 @@ def l2_error(reference: SnapshotSet, candidate: SnapshotSet) -> TrajectoryError:
         times=reference.times.copy(),
         per_instant=weighted_norms(diff, reference.dx),
         reference_norms=weighted_norms(reference.states, reference.dx),
-        dx=reference.dx,
     )

@@ -64,10 +64,6 @@ def read_snapshots(path, dx: float = 1.0) -> SnapshotSet:
                        states=read_matrix(path), dx=dx)
 
 
-def format_float(x: float) -> str:
-    return FLOAT_FMT % float(x)
-
-
 def write_csv(path, header, columns) -> Path:
     """Comma-separated table; one column per array, 17 significant digits."""
     path = Path(path)

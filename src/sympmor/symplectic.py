@@ -230,7 +230,8 @@ def greedy_basis(snapshots: SnapshotSet, max_pairs: int) -> GreedyResult:
     orthogonalized by :func:`symplectic_gram_schmidt`, together with its
     J^T partner. Degenerate candidates are skipped in favor of the
     next-worst instant; snapshots that are all degenerate before
-    ``max_pairs`` pairs are reached raise ValueError.
+    ``max_pairs`` pairs are reached raise ValueError, and so does a
+    snapshot whose squared norm overflows.
 
     Each snapshot's squared projection error is downdated by the squared
     coefficients of each new pair, since the basis is orthonormal. A
@@ -248,6 +249,10 @@ def greedy_basis(snapshots: SnapshotSet, max_pairs: int) -> GreedyResult:
         raise ValueError("max_pairs must be at least 1")
     states = snapshots.states
     norm2 = np.einsum("ij,ij->j", states, states)
+    if not np.isfinite(norm2).all():
+        raise ValueError(
+            f"the squared norm of snapshot {int(np.isfinite(norm2).argmin())} "
+            "overflows: the greedy errors cannot be measured")
     sq = norm2
     basis = OrthoSymplecticBasis(_greedy_start(states[:, 0])[:, None])
     selected = [0]

@@ -151,10 +151,12 @@ def test_sine_gordon_boundary_vector():
     x0 = snug.length / 4.0
     left, _ = sm.kink_profile(np.array([0.0]), x0, snug.velocity)
     right, _ = sm.kink_profile(np.array([snug.length]), x0, snug.velocity)
-    a, b = bench2.extras["bc"]
+    bd2 = bench2.system.boundary_vector
+    # the boundary values the builder took, the kink's tails
+    a, b = bd2[0] * dx ** 2, bd2[9] * dx ** 2
     assert a == pytest.approx(float(left[0]), abs=1e-14)
     assert b == pytest.approx(float(right[0]), abs=1e-14)
-    assert bench2.system.boundary_vector[0] == pytest.approx(a / dx ** 2)
+    assert np.abs(bd2[1:9]).max() == 0.0 and np.abs(bd2[10:]).max() == 0.0
 
 
 def test_sine_gordon_config_validation():
@@ -262,10 +264,28 @@ def test_build_at_n2000_is_fast_and_holds_no_dense_matrix(name):
 # -- ladder network ------------------------------------------------------------
 
 
+def _ladder_parts(config):
+    """The physical operators of a ladder config, in its interleaved
+    (charge, flux) order: the skew structure matrix, the diagonals of Q and
+    R, and the input, together with T, T^{-1} and the block magnitudes
+    that skew_to_canonical gives for the skew matrix."""
+    dim = 2 * config.cells
+    skew = np.diag(np.ones(dim - 1), 1) - np.diag(np.ones(dim - 1), -1)
+    q_diag = np.empty(dim)
+    q_diag[0::2] = 1.0 / config.capacitance
+    q_diag[1::2] = 1.0 / config.inductance
+    r_diag = np.zeros(dim)
+    r_diag[1::2] = config.resistance
+    r_diag[-1] += config.load_resistance
+    u = np.zeros(dim)
+    u[0] = config.drive
+    return (skew, q_diag, r_diag, u) + sm.skew_to_canonical(skew)
+
+
 def test_ladder_single_cell_is_canonical():
     bench = sm.build_benchmark("ladder", sm.make_config("ladder",
                                                         {"cells": 1}))
-    assert np.array_equal(bench.extras["transform"], np.eye(2))
+    assert np.array_equal(bench.transform, np.eye(2))
     assert np.array_equal(bench.system.K, np.eye(2))
     assert np.array_equal(np.diag(bench.system.chi), [0.0, 0.2 + 0.4])
     assert np.array_equal(bench.system.input_vector, [1.0, 0.0])
@@ -273,24 +293,21 @@ def test_ladder_single_cell_is_canonical():
 
 
 def test_ladder_transform_invariants():
-    bench = sm.build_benchmark("ladder", sm.make_config("ladder",
-                                                        {"cells": 50}))
-    t = bench.extras["transform"]
-    t_inv = bench.extras["transform_inv"]
-    skew = bench.extras["skew"]
+    config = sm.make_config("ladder", {"cells": 50})
+    bench = sm.build_benchmark("ladder", config)
+    skew, _, _, _, t, t_inv, lam = _ladder_parts(config)
+    assert np.array_equal(bench.transform, t)
     j = CanonicalForm(50).matrix()
     assert np.abs(t_inv @ skew @ t_inv.T - j).max() <= 1e-10
     assert np.abs(t @ t_inv - np.eye(100)).max() <= 1e-12
-    assert bench.extras["block_magnitudes"].min() > 0.0
+    assert lam.min() > 0.0
 
 
 def test_ladder_operators():
     config = sm.make_config("ladder", {"cells": 50})
     bench = sm.build_benchmark("ladder", config)
-    t = bench.extras["transform"]
-    t_inv = bench.extras["transform_inv"]
-    q_diag = bench.extras["q_diag"]
-    r_diag = bench.extras["r_diag"]
+    _, q_diag, r_diag, u, t, t_inv, _ = _ladder_parts(config)
+    assert np.array_equal(bench.transform, t)
     assert r_diag[-1] == config.resistance + config.load_resistance
     assert np.abs(r_diag[0::2]).max() == 0.0
     assert np.array_equal(bench.system.K, q_diag[:, None] * t)
@@ -299,17 +316,16 @@ def test_ladder_operators():
     assert np.abs(chi - np.diag(np.diag(chi))).max() == 0.0
     expected_drift = t_inv @ (chi @ t)
     assert np.abs(bench.drift - expected_drift).max() <= 1e-14
-    u = bench.extras["input_physical"]
     assert np.abs(bench.system.input_vector - t_inv @ u).max() <= 1e-14
     gram = bench.system.K.T @ bench.system.K
     assert np.abs(bench.stiffness - 0.5 * (gram + gram.T)).max() <= 1e-14
 
 
 def test_ladder_energy_invariance():
-    bench = sm.build_benchmark("ladder", sm.make_config("ladder",
-                                                        {"cells": 20}))
-    t = bench.extras["transform"]
-    q_diag = bench.extras["q_diag"]
+    config = sm.make_config("ladder", {"cells": 20})
+    bench = sm.build_benchmark("ladder", config)
+    _, q_diag, _, _, t, _, _ = _ladder_parts(config)
+    assert np.array_equal(bench.transform, t)
     rng = np.random.default_rng(5)
     y = rng.standard_normal(40)
     canonical = 0.5 * np.sum((bench.system.K @ y) ** 2)

@@ -157,6 +157,31 @@ def test_build_basis_greedy_degenerate_snapshots(tmp_path):
     assert rc == 2
 
 
+def test_build_basis_greedy_on_overflowing_snapshots_exits_2(tmp_path,
+                                                             capsys):
+    """Finite snapshots whose squared norms overflow: a greedy basis exits
+    2 with one error line naming the overflow, without warning and without
+    an --out directory; the SVD-based methods accept them."""
+    full = tmp_path / "full"
+    assert _run("run-full", "--benchmark", "wave", "--set", "n=16",
+                "--set", "t_final=0.1", "--out", str(full)) == 0
+    snaps = read_snapshots(full / "snapshots.mtx")
+    big = tmp_path / "big.mtx"
+    write_snapshots(sm.SnapshotSet(snaps.times, 1e305 * snaps.states), big)
+    capsys.readouterr()
+    argv = ["build-basis", "--benchmark", "wave", "--set", "n=16",
+            "--modes", "4", "--snapshots", str(big)]
+    out = tmp_path / "greedy"
+    assert _run(*argv, "--method", "greedy", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflows" in err
+    assert not out.exists()
+    for method in ("cotangent", "pod"):
+        assert _run(*argv, "--method", method,
+                    "--out", str(tmp_path / method)) == 0
+
+
 def test_build_basis_cotangent_outputs(tmp_path):
     out = tmp_path / "basis"
     assert _run("build-basis", "--benchmark", "wave", "--set", "n=16",
@@ -244,6 +269,14 @@ def test_reduce_and_run_reduced_roundtrip(tmp_path):
                 "--set", "t_final=1.0", "--set", "dt=1e100",
                 "--basis", str(basis_file), "--out", str(huge)) == 0
     assert _manifest(huge)["step_radius"] > 1e100
+    # and one so long that the step map itself overflows
+    inf = tmp_path / "inf"
+    assert _run("reduce", "--benchmark", "wave", "--set", "n=16",
+                "--set", "t_final=1.0", "--set", "dt=1e300",
+                "--basis", str(basis_file), "--out", str(inf)) == 0
+    assert _manifest(inf)["step_radius"] == float("inf")
+    [warning] = _manifest(inf)["warnings"]
+    assert warning.startswith("rdh_k8: step_radius inf > 1")
 
     run_dir = tmp_path / "run"
     assert _run("run-reduced", "--benchmark", "wave", "--set", "n=16",
@@ -360,7 +393,7 @@ def test_compare_ladder_components(tmp_path, capsys, monkeypatch):
     full = read_snapshots(tmp_path / "full" / "snapshots.mtx")
     recon = read_snapshots(tmp_path / "red" / "reconstructed_k4.mtx")
     transform = sm.build_benchmark("ladder", sm.make_config(
-        "ladder", {"cells": 10, "t_final": 5.0})).extras["transform"]
+        "ladder", {"cells": 10, "t_final": 5.0})).transform
     avg = np.abs(transform @ (full.states - recon.states)).mean(axis=1)
     np.testing.assert_allclose(data[:, 1], avg, rtol=1e-12, atol=0.0)
     header, errors = read_csv(out / "errors.csv")

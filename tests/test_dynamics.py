@@ -889,12 +889,14 @@ def test_nonlinear_step_map_is_the_linear_models_map(which, monkeypatch):
     assert run(model, dt=dt, n_steps=2).step_map is None
 
 
-@pytest.mark.parametrize("which, size", [("rdh", 150), ("psd", 90)])
-def test_default_sine_gordon_k60_maps(which, size, monkeypatch):
+@pytest.mark.parametrize("which, shape", [("rdh", (120, 150)),
+                                          ("psd", (60, 90))],
+                         ids=["rdh-150", "psd-90"])
+def test_default_sine_gordon_k60_maps(which, shape, monkeypatch):
     """The default sine-Gordon compare's k = 60 cells advance by a
-    semi-linear map B of x and the 30 reduced-position gradient entries:
-    150 x 150 for rdh, whose x = (z, F) has 120 entries, and 90 x 90 for
-    psd, whose x = z has 60."""
+    semi-linear map B from x and the 30 reduced-position gradient entries
+    to x: 120 x 150 for rdh, whose x = (z, F) has 120 entries, and 60 x 90
+    for psd, whose x = z has 60."""
     config = sm.make_config("sine-gordon")
     bench = sm.build_benchmark("sine-gordon", config)
     full = sm.integrate(bench.system, dt=config.dt, t_final=config.t_final,
@@ -907,7 +909,33 @@ def test_default_sine_gordon_k60_maps(which, size, monkeypatch):
     else:
         sm.integrate_dissipative(sm.psd_baseline(
             bench.dissipative_model(), basis).model, dt=config.dt, n_steps=2)
-    assert maps.shapes == [(size, size)]
+    assert maps.shapes == [shape]
+
+
+@pytest.mark.parametrize("which", ["full", "rdh", "psd"])
+def test_mapped_gradient_argument_is_the_recorded_position(which,
+                                                           monkeypatch):
+    """A mapped sine-Gordon run evaluates the gradient at the q it records:
+    at q_0 and q_1 in the stepped first step, at q_1 for the map input,
+    and at q_{i} in the mapped step to node i, bitwise."""
+    dt, n_steps = 0.01, 150
+    model, run = _sine_gordon_run(which, dt, n_steps)
+    args = []
+    grad = model.nonlinear_grad
+
+    def recorded(q):
+        if np.ndim(q) == 1:
+            args.append(np.array(q))
+        return grad(q)
+    model.nonlinear_grad = recorded
+    maps = _MapCount(monkeypatch)
+    rep = run(model, dt=dt, n_steps=n_steps, snapshot_stride=1)
+    assert maps.calls == 1
+    q = rep.snapshots.states[: model.n]
+    want = [q[:, 0], q[:, 1], q[:, 1]] + list(q[:, 2:].T)
+    assert len(args) == len(want) == n_steps + 2
+    for got, node in zip(args, want):
+        np.testing.assert_array_equal(got, node)
 
 
 def test_fresh_stepper_reproduces_a_recorded_node_bitwise():

@@ -42,7 +42,8 @@ def test_identity_reduction_error_over_long_run():
                            snapshot_stride=10)
     recon = sm.reconstruct(red.basis.matrix, reduced.snapshots,
                            dx=bench.system.dx)
-    assert sm.l2_error(full.snapshots, recon).max_unweighted <= 1e-8
+    error = sm.l2_error(full.snapshots, recon)
+    assert error.max_weighted / np.sqrt(bench.system.dx) <= 1e-8
 
 
 def test_chi_zero_reduction_matches_symplectic_baseline(run_registry):
@@ -393,7 +394,8 @@ def test_l2_error_aggregates():
     assert abs(zero.max_relative - 1.0) <= 1e-12
     assert abs(zero.mean_relative - norms.mean() / norms.max()) <= 1e-12
     unweighted = np.linalg.norm(states, axis=0)
-    assert np.abs(zero.per_instant_unweighted - unweighted).max() <= 1e-13
+    assert np.abs(zero.per_instant / np.sqrt(0.25)
+                  - unweighted).max() <= 1e-13
     with pytest.raises(ValueError, match="shapes"):
         sm.l2_error(ref, SnapshotSet(times=np.zeros(1),
                                      states=np.zeros((6, 1))))

@@ -5,11 +5,10 @@ import pytest
 
 import sympmor as sm
 from sympmor import SnapshotSet
-from sympmor.storage import (build_manifest, format_float, read_csv,
-                             read_matrix, read_snapshots, read_vector,
-                             sha256_file, verify_manifest, write_csv,
-                             write_manifest, write_matrix, write_report_csv,
-                             write_snapshots)
+from sympmor.storage import (build_manifest, read_csv, read_matrix,
+                             read_snapshots, read_vector, sha256_file,
+                             verify_manifest, write_csv, write_manifest,
+                             write_matrix, write_report_csv, write_snapshots)
 
 from conftest import build_oscillator
 
@@ -66,9 +65,12 @@ def test_write_csv_and_read_back(tmp_path):
         write_csv(tmp_path / "bad.csv", header, [np.zeros(3), np.zeros(2)])
 
 
-def test_format_float_round_trips():
-    for v in (np.pi, 1.0 / 3.0, 1e-300, -0.0, 12345.6789, 2.0 ** -52):
-        assert float(format_float(v)) == v
+def test_format_float_round_trips(tmp_path):
+    values = np.array([np.pi, 1.0 / 3.0, 1e-300, -0.0, 12345.6789,
+                       2.0 ** -52])
+    _, data = read_csv(write_csv(tmp_path / "floats.csv", ["v"], [values]))
+    np.testing.assert_array_equal(data[:, 0], values)
+    assert np.signbit(data[3, 0])
 
 
 def test_report_csv_header_and_values(tmp_path):
