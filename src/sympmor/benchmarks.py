@@ -53,7 +53,6 @@ class Benchmark:
     config: object
     stiffness: np.ndarray | scipy.sparse.csr_array
     drift: np.ndarray | scipy.sparse.csr_array | None
-    grid: np.ndarray | None = None
     transform: np.ndarray | None = None
     default_modes: tuple = (20, 40, 60)
 
@@ -101,8 +100,7 @@ def _check_fields(config) -> None:
             f"snapshot_stride must be at least 1, got {config.snapshot_stride}")
 
 
-def _mechanical(stiff_q, damping, z0, *, config=None, grid=None,
-                **terms) -> Benchmark:
+def _mechanical(stiff_q, damping, z0, *, config=None, **terms) -> Benchmark:
     """Damped mechanical system q'' = -S_q q - r q' in both forms.
 
     The closed form has K = blockdiag(chol S_q, I) and chi = diag(0, r); the
@@ -125,7 +123,7 @@ def _mechanical(stiff_q, damping, z0, *, config=None, grid=None,
                        **terms)
     return Benchmark(name=name, system=system, config=config,
                      stiffness=_Csr(scipy.sparse.block_diag((stiff_q, eye))),
-                     drift=chi.copy(), grid=grid)
+                     drift=chi.copy())
 
 
 # -- dissipative wave ---------------------------------------------------------
@@ -186,7 +184,7 @@ def build_wave(config: WaveConfig) -> Benchmark:
     z0 = np.concatenate([spline_bump(10.0 * np.abs(x / config.length - 0.5)),
                          np.zeros(n)])
     return _mechanical(stiff_q, config.chi_scale * config.damping_values(), z0,
-                       config=config, grid=x, dx=dx, name="wave")
+                       config=config, dx=dx, name="wave")
 
 
 # -- sine-Gordon --------------------------------------------------------------
@@ -258,7 +256,7 @@ def build_sine_gordon(config: SineGordonConfig) -> Benchmark:
         return np.sum(1.0 - np.cos(q), axis=0)
 
     return _mechanical(lap, config.chi_scale * config.r, z0, config=config,
-                       grid=x, nonlinear_grad=np.sin, potential=potential,
+                       nonlinear_grad=np.sin, potential=potential,
                        boundary_vector=boundary, dx=dx, name="sine-gordon")
 
 
@@ -369,7 +367,7 @@ def build_ladder(config: LadderConfig) -> Benchmark:
     drift = t_inv @ (chi @ t)
     return Benchmark(
         name="ladder", system=system, config=config,
-        stiffness=stiffness, drift=drift, grid=None,
+        stiffness=stiffness, drift=drift,
         transform=t, default_modes=(10, 20, 30),
     )
 

@@ -217,7 +217,7 @@ def _end_warnings(report, config) -> list[str]:
         warnings.append(
             f"{report.n_steps} steps are not a multiple of snapshot_stride "
             f"{config.snapshot_stride}: the last snapshot is at t = "
-            f"{float(report.snapshot_times[-1]):.12g}, the run ends at "
+            f"{float(report.snapshots.times[-1]):.12g}, the run ends at "
             f"t = {end:.12g}")
     return warnings
 
@@ -260,8 +260,7 @@ def _collect_snapshots(args, bench):
     if args.snapshots:
         path = args.snapshots
         try:
-            snapshots = _read_input(storage.read_snapshots, path,
-                                    bench.system.dx)
+            snapshots = _read_input(storage.read_snapshots, path)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
         if snapshots.dim != bench.system.dim:
@@ -341,12 +340,15 @@ def cmd_reduce(args) -> int:
     basis = _basis_from_file(args.basis, "rdh")
     m = basis.n_columns
     red = _project(bench, basis, "rdh")
-    # two steps build the step map, at node 1
+    # two steps build the step map, at node 1; a dt whose implicit stage
+    # is singular is a configuration error
     try:
         step_map = dynamics.integrate(red.system, bench.config.dt,
                                       n_steps=2).step_map
     except NonFiniteError as exc:
         step_map = exc.step_map
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     radius = _step_radius(step_map)
     files = [
         storage.write_matrix(out / f"reduced_K_k{m}.mtx", red.system.K),
@@ -403,7 +405,7 @@ def cmd_run_reduced(args) -> int:
     report, lift = _run_reduced(reduced, bench.config, args.method)
     m = lift.shape[1]
     key = f"{args.method}_k{m}"
-    recon = reduction.reconstruct(lift, report.snapshots, dx=bench.system.dx)
+    recon = reduction.reconstruct(lift, report.snapshots)
     files = [storage.write_report_csv(report, out / f"reduced_report_k{m}.csv")]
     files += storage.write_snapshots(recon, out / f"reconstructed_k{m}.mtx")
     radius = _step_radius(report.step_map)
@@ -422,14 +424,15 @@ def cmd_run_reduced(args) -> int:
 
 
 def _compare_cell(bench, method, mapper, reference, ref_energy, ref_norms,
-                  model):
+                  model, dx):
     """One (method, mode-count) comparison cell: its manifest summary and
     its table columns by prefix, or None for the columns of a run that
     blew up.
 
     Every cell is measured against the one full closed-formulation run
     ``reference``, its energy ``ref_energy`` and the weighted norms
-    ``ref_norms`` of its snapshots, all formed once per compare.
+    ``ref_norms`` of its snapshots, all formed once per compare with the
+    model's grid weight ``dx``.
     A cell is flagged unstable when its run fails, at the first node whose
     state, energy or residual is non-finite, or when the energy error of
     its lifted states shows sustained terminal growth or overflows;
@@ -440,14 +443,15 @@ def _compare_cell(bench, method, mapper, reference, ref_energy, ref_norms,
     its own, and an rdh cell its hext_drift, max_t |H_ext(t) - H_ext(0)|
     over max_t |H_full(t)| on the snapshot grid.
 
-    The reduced snapshots are lifted once, A Y, and differenced once from
-    the full ones; the error on the snapshot grid and the time-averaged
+    The reduced snapshots are lifted once, A Y, by
+    :func:`reduction.reconstruct`, and differenced once from the full ones
+    in place; the error on the snapshot grid and the time-averaged
     error per component of a benchmark with a canonical ``transform`` (the
     ladder's) both come from that difference. The other columns are the
     energy on the snapshot grid, the string and extended energy of an rdh
     run, and the kinetic energy of a model with a potential.
     """
-    config, dx = bench.config, bench.system.dx
+    config = bench.config
     cell: dict = {"unstable": False}
     reduced = _project(bench, mapper, method, model)
     if method != "rdh":   # the linear generator of a baseline model
@@ -468,11 +472,10 @@ def _compare_cell(bench, method, mapper, reference, ref_energy, ref_norms,
     # a finite reduced state can lift to an energy or error past floating
     # point range; terminal_growth flags that cell as unstable
     with np.errstate(over="ignore", invalid="ignore"):
-        lifted = lift @ report.snapshots.states
+        lifted = reduction.reconstruct(lift, report.snapshots).states
         energy = bench.system.hamiltonian(lifted)
         diff = np.subtract(full.states, lifted, out=lifted)   # X - A Y
         err = reduction.TrajectoryError(
-            times=full.times,
             per_instant=reduction.weighted_norms(diff, dx),
             reference_norms=ref_norms)
     cell["max_error"] = err.max_weighted
@@ -496,8 +499,8 @@ def _compare_cell(bench, method, mapper, reference, ref_energy, ref_norms,
         columns["Estring"] = report.string_energy[::config.snapshot_stride]
         columns["Hext"] = hext
     if bench.system.potential is not None:
-        v = lift[:bench.system.n] @ report.derivatives
-        columns["kinetic"] = 0.5 * dx * np.sum(v * v, axis=0)
+        columns["kinetic"] = reduction.kinetic_energy(
+            lift[:bench.system.n] @ report.derivatives, dx)
     if bench.transform is not None:
         # interleaved charge/flux coordinates recovered through the
         # transform
@@ -538,9 +541,9 @@ def cmd_compare(args) -> int:
         with _stage(stages, "pod_basis"):
             pod_v, _, _ = _make_basis("pod", full.snapshots, max(modes))
     # what every cell is measured against, formed once
+    dx = bench.system.dx
     ref_energy = bench.system.hamiltonian(full.snapshots.states)
-    ref_norms = reduction.weighted_norms(full.snapshots.states,
-                                         full.snapshots.dx)
+    ref_norms = reduction.weighted_norms(full.snapshots.states, dx)
     # the baselines all project one dissipative model
     model = (bench.dissipative_model()
              if "psd" in methods or "pod" in methods else None)
@@ -557,8 +560,10 @@ def cmd_compare(args) -> int:
           full.extended_energy[::stride]], ("H", "Estring", "Hext")),
     ]
     if bench.system.potential is not None:
+        kinetic = reduction.kinetic_energy(
+            full.derivatives[:bench.system.n], dx)
         tables.append(("kinetic.csv", ["t", "kinetic_full"],
-                       [times, full.kinetic_series()], ("kinetic",)))
+                       [times, kinetic], ("kinetic",)))
     if bench.transform is not None:   # time-averaged error per component
         tables.append(("component_errors.csv", ["component"],
                        [np.arange(bench.system.dim)], ("avg",)))
@@ -571,7 +576,8 @@ def cmd_compare(args) -> int:
                       else sym_basis.truncate(m // 2))
             with _stage(stages, "cells"):
                 summary[key], cols = _compare_cell(
-                    bench, method, mapper, full, ref_energy, ref_norms, model)
+                    bench, method, mapper, full, ref_energy, ref_norms, model,
+                    dx)
             if summary[key]["unstable"]:
                 flagged.append(key)
             for _, headers, columns, prefixes in tables:

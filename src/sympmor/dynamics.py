@@ -203,13 +203,21 @@ def _diagonal(m):
     return None
 
 
-def _shifted_inverse(m, weight: float):
+def _shifted_inverse(m, weight: float, stage: str):
     """(I + weight * m)^{-1}: a CSR diagonal of reciprocals for a diagonal
-    ``m`` (see :func:`_diagonal`), else a dense inverse."""
+    ``m`` (see :func:`_diagonal`), else a dense inverse. A singular shift
+    raises ValueError naming the ``stage`` of the step it inverts and
+    dt = 2 |weight|."""
     diagonal = _diagonal(m)
-    if diagonal is not None:
-        return _Csr(scipy.sparse.diags(1.0 / (1.0 + weight * diagonal)))
-    return np.linalg.inv(np.eye(m.shape[0]) + weight * _dense(m))
+    if diagonal is None:
+        try:
+            return np.linalg.inv(np.eye(m.shape[0]) + weight * _dense(m))
+        except np.linalg.LinAlgError:
+            pass
+    elif (shift := 1.0 + weight * diagonal).all():
+        return _Csr(scipy.sparse.diags(1.0 / shift))
+    raise ValueError(f"the {stage} of the Verlet step is singular at "
+                     f"dt = {2.0 * abs(weight)!r}")
 
 
 def _optional_array(v):
@@ -452,9 +460,9 @@ class _VerletStages:
         self.m_pp = _stored(m[n:, n:])
         self._kick_inv = self._drift_inv = None
         if abs(self.m_qp).max() != 0.0:
-            self._kick_inv = _shifted_inverse(self.m_qp, w)
+            self._kick_inv = _shifted_inverse(self.m_qp, w, "first kick")
         if abs(self.m_pq).max() != 0.0:
-            self._drift_inv = _shifted_inverse(self.m_pq, -w)
+            self._drift_inv = _shifted_inverse(self.m_pq, -w, "drift")
         u = terms.constant_term()
         self.u_q = self.u_p = None
         if u is not None:
@@ -529,7 +537,7 @@ class VerletStepper(_VerletStages):
         super().__init__(dt)
         self.system = system
         w = 0.5 * self.dt
-        self._wi = _shifted_inverse(system.chi, w)
+        self._wi = _shifted_inverse(system.chi, w, "co-state solve")
         wi_k = self._wi @ system.K
         m = system.kt_op @ wi_k
         self.kt_wi = _stored(wi_k.T)           # K^T (I + w chi)^{-1}
@@ -606,15 +614,6 @@ class RunReport:
                                          # with snapshots (tdd runs only)
     step_map: np.ndarray | None = None
 
-    @property
-    def snapshot_times(self):
-        return self.snapshots.times
-
-    def kinetic_series(self):
-        """0.5 dx ||dq/dt||^2 on the snapshot grid."""
-        v = self.derivatives[: self.derivatives.shape[0] // 2]
-        return 0.5 * self.snapshots.dx * np.sum(v * v, axis=0)
-
     def physical_snapshots(self, system: TddSystem) -> SnapshotSet:
         """Physical state K^{-1} f of a time-dispersive run of ``system`` on
         its snapshot grid; the plain dissipative model and its POD/Galerkin
@@ -629,7 +628,7 @@ class RunReport:
                 scipy.sparse.csc_array(system.K)).solve(self.costates)
         else:
             states = np.linalg.solve(system.K, self.costates)
-        return SnapshotSet(self.snapshots.times, states, self.snapshots.dx)
+        return SnapshotSet(self.snapshots.times, states)
 
 
 # Nodes per recorded block: _record_blocks writes every node into a block
@@ -829,7 +828,7 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
 
 
 def _drive(make_stepper, z0, dt: float, n_steps: int | None,
-           t_final: float | None, snapshot_stride: int, dx: float,
+           t_final: float | None, snapshot_stride: int,
            hamiltonian=None) -> RunReport:
     """Run a stepper over the time grid and assemble its report.
 
@@ -915,7 +914,7 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     return RunReport(
         times=times, hamiltonian=ham, string_energy=e_str, extended_energy=h_ext,
         passivity_residual=passiv,
-        snapshots=SnapshotSet(times[::snapshot_stride], store[0], dx),
+        snapshots=SnapshotSet(times[::snapshot_stride], store[0]),
         derivatives=store[1], volterra_max=float(volterra.max()),
         kz_max=float(kz.max()), dt=dt, n_steps=n_steps,
         wall_seconds=time.perf_counter() - t0, kind=stepper.kind,
@@ -946,7 +945,7 @@ def integrate(system: TddSystem, dt: float, n_steps: int | None = None,
         recorded; the exception names that node's step.
     """
     return _drive(lambda: VerletStepper(system, dt), system.z0, dt, n_steps,
-                  t_final, snapshot_stride, system.dx)
+                  t_final, snapshot_stride)
 
 
 # -- plain dissipative form (reference baselines) ---------------------------
@@ -1037,8 +1036,7 @@ def integrate_dissipative(model: DissipativeModel, dt: float,
     :func:`_record_blocks`). Raises :class:`NonFiniteError` at the first
     node whose state or H is non-finite."""
     return _drive(lambda: DissipativeVerletStepper(model, dt), model.z0, dt,
-                  n_steps, t_final, snapshot_stride, model.dx,
-                  model.hamiltonian)
+                  n_steps, t_final, snapshot_stride, model.hamiltonian)
 
 
 class _Rk4Stepper:
@@ -1065,8 +1063,8 @@ class _Rk4Stepper:
 
 
 def integrate_rk4(rhs, z0, dt: float, n_steps: int | None = None,
-                  t_final: float | None = None, snapshot_stride: int = 1,
-                  dx: float = 1.0) -> RunReport:
+                  t_final: float | None = None,
+                  snapshot_stride: int = 1) -> RunReport:
     """Classical fourth-order Runge-Kutta loop for an arbitrary autonomous
     right-hand side. Used by the unstructured POD baseline, whose energy is
     evaluated on the lifted states, so every energy series is zero. Per step
@@ -1074,4 +1072,4 @@ def integrate_rk4(rhs, z0, dt: float, n_steps: int | None = None,
     each snapshot instant (from t = 0 on) for dz/dt. Raises
     :class:`NonFiniteError` at the first node whose state is non-finite."""
     return _drive(lambda: _Rk4Stepper(rhs, dt), z0, dt, n_steps, t_final,
-                  snapshot_stride, dx)
+                  snapshot_stride)

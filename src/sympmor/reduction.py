@@ -207,12 +207,10 @@ def terminal_growth(error_series) -> bool:
                 and err[-1] >= 10.0 * early)
 
 
-def reconstruct(lift: np.ndarray, snapshots: SnapshotSet,
-                dx: float) -> SnapshotSet:
+def reconstruct(lift: np.ndarray, snapshots: SnapshotSet) -> SnapshotSet:
     """Lift reduced-coordinate snapshots back to the full space through a
     basis matrix: the states ``lift @ Y``."""
-    return SnapshotSet(times=snapshots.times, states=lift @ snapshots.states,
-                       dx=dx)
+    return SnapshotSet(times=snapshots.times, states=lift @ snapshots.states)
 
 
 def weighted_norms(states: np.ndarray, dx: float) -> np.ndarray:
@@ -221,17 +219,22 @@ def weighted_norms(states: np.ndarray, dx: float) -> np.ndarray:
     return np.sqrt(dx) * np.linalg.norm(states, axis=0)
 
 
+def kinetic_energy(rates: np.ndarray, dx: float) -> np.ndarray:
+    """0.5 dx ||v||^2 of each column of the velocities ``rates``, dq/dt on
+    the snapshot grid."""
+    return 0.5 * dx * np.sum(rates * rates, axis=0)
+
+
 @dataclass
 class TrajectoryError:
     """Per-instant and aggregate L2 distances between two trajectories.
 
-    ``weighted`` norms carry the sqrt(dx) grid factor of the reference;
+    ``weighted`` norms carry the sqrt(dx) grid factor of the model;
     relative aggregates are normalized by the peak weighted reference norm
     (against an all-zero reference they read 0 for a zero error, inf
     otherwise).
     """
 
-    times: np.ndarray
     per_instant: np.ndarray
     reference_norms: np.ndarray
 
@@ -260,8 +263,10 @@ class TrajectoryError:
         return self._relative(self.mean_weighted)
 
 
-def l2_error(reference: SnapshotSet, candidate: SnapshotSet) -> TrajectoryError:
-    """Columnwise L2 distance between two snapshot sets on the same grid."""
+def l2_error(reference: SnapshotSet, candidate: SnapshotSet,
+             dx: float) -> TrajectoryError:
+    """Columnwise L2 distance, with the grid weight ``dx``, between two
+    snapshot sets on the same grid."""
     if reference.states.shape != candidate.states.shape:
         raise ValueError(
             f"snapshot shapes differ: {reference.states.shape} vs "
@@ -271,8 +276,6 @@ def l2_error(reference: SnapshotSet, candidate: SnapshotSet) -> TrajectoryError:
     if np.abs(reference.times - candidate.times).max() > 1e-12 * t_scale:
         raise ValueError("snapshot time grids differ")
     diff = reference.states - candidate.states
-    return TrajectoryError(
-        times=reference.times.copy(),
-        per_instant=weighted_norms(diff, reference.dx),
-        reference_norms=weighted_norms(reference.states, reference.dx),
-    )
+    return TrajectoryError(per_instant=weighted_norms(diff, dx),
+                           reference_norms=weighted_norms(reference.states,
+                                                          dx))

@@ -58,10 +58,10 @@ def write_snapshots(snapshots: SnapshotSet, path) -> list[Path]:
     return [path, _times_path(path)]
 
 
-def read_snapshots(path, dx: float = 1.0) -> SnapshotSet:
+def read_snapshots(path) -> SnapshotSet:
     path = Path(path)
     return SnapshotSet(times=read_vector(_times_path(path)),
-                       states=read_matrix(path), dx=dx)
+                       states=read_matrix(path))
 
 
 def write_csv(path, header, columns) -> Path:
@@ -78,16 +78,6 @@ def write_csv(path, header, columns) -> Path:
                fmt=FLOAT_FMT, delimiter=",", header=",".join(header),
                comments="")
     return path
-
-
-def read_csv(path):
-    """Header list and data array (rows x columns) of a CSV written above."""
-    text = Path(path).read_text().strip().splitlines()
-    header = text[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
-    if data.size == 0:
-        data = data.reshape(0, len(header))
-    return header, data
 
 
 def write_report_csv(report, path) -> Path:

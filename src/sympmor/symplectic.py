@@ -63,14 +63,11 @@ class CanonicalForm:
 @dataclass
 class SnapshotSet:
     """Trajectory samples: ``states[:, i]`` is the state at ``times[i]``.
-
-    ``dx`` is the grid spacing of semi-discretized PDE states; L2 norms of
-    such states carry a factor sqrt(dx). Plain ODE states use dx = 1.
-    """
+    The grid weight of its norms belongs to the model that produced it
+    (``TddSystem.dx``)."""
 
     times: np.ndarray
     states: np.ndarray
-    dx: float = 1.0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

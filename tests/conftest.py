@@ -8,6 +8,8 @@ of them at once at the end of the acceptance suite.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -140,9 +142,23 @@ def passivity_fd(system, report) -> np.ndarray:
     return (stored[2:] - stored[:-2]) / (2.0 * dt) - supply[1:-1]
 
 
-def kink_speed(report, grid) -> float:
-    """Propagation speed of the level-pi front of the q profile: linear
-    interpolation of the crossing point in x, least-squares slope in t."""
+def read_csv(path):
+    """Header list and data array (rows x columns) of a CSV written by
+    ``storage.write_csv``."""
+    text = Path(path).read_text().strip().splitlines()
+    header = text[0].split(",")
+    data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
+    if data.size == 0:
+        data = data.reshape(0, len(header))
+    return header, data
+
+
+def kink_speed(report, config) -> float:
+    """Propagation speed of the level-pi front of the q profile on the
+    interior nodes x_i = i dx, i = 1..n, of the sine-Gordon ``config``'s
+    Dirichlet grid: linear interpolation of the crossing point in x,
+    least-squares slope in t."""
+    grid = config.length / (config.n + 1) * np.arange(1, config.n + 1)
     states = report.snapshots.states
     n = states.shape[0] // 2
     centers = np.empty(states.shape[1])
@@ -252,8 +268,9 @@ def wave_n500_greedy40(wave_n500, run_registry):
 
 
 def _error_cell(bench, reference, lift, report):
-    recon = sm.reconstruct(lift, report.snapshots, dx=bench.system.dx)
-    return {"report": report, "error": sm.l2_error(reference, recon)}
+    recon = sm.reconstruct(lift, report.snapshots)
+    return {"report": report,
+            "error": sm.l2_error(reference, recon, bench.system.dx)}
 
 
 @pytest.fixture(scope="session")
@@ -318,12 +335,13 @@ def lowdiss_pair(lowdiss_n100, run_registry):
         psd.model, dt=config.dt, t_final=config.t_final,
         snapshot_stride=config.snapshot_stride)
     a = basis.matrix
-    recon_rdh = sm.reconstruct(a, rep_rdh.snapshots, dx=bench.system.dx)
-    recon_psd = sm.reconstruct(a, rep_psd.snapshots, dx=bench.system.dx)
+    recon_rdh = sm.reconstruct(a, rep_rdh.snapshots)
+    recon_psd = sm.reconstruct(a, rep_psd.snapshots)
+    dx = bench.system.dx
     return {
-        "err_rdh": sm.l2_error(full.snapshots, recon_rdh),
-        "err_psd": sm.l2_error(full.snapshots, recon_psd),
-        "mutual": sm.l2_error(recon_rdh, recon_psd),
+        "err_rdh": sm.l2_error(full.snapshots, recon_rdh, dx),
+        "err_psd": sm.l2_error(full.snapshots, recon_psd, dx),
+        "mutual": sm.l2_error(recon_rdh, recon_psd, dx),
     }
 
 
@@ -345,17 +363,16 @@ def ladder_reduced(ladder50, run_registry):
 def sg_reduced(sg_n100, run_registry):
     """Kinetic-energy errors of closed reductions of the damped kink."""
     bench, full = sg_n100
-    kin_full = full.kinetic_series()
+    n, dx = bench.system.n, bench.system.dx
+    kin_full = sm.reduction.kinetic_energy(full.derivatives[:n], dx)
     basis30, _ = sm.cotangent_lift(full.snapshots, 30)
-    n = bench.system.n
     errors = {}
     for m in (20, 40, 60):
         sub = basis30.truncate(m // 2)
         red = sm.rdh_reduce(bench.system, sub)
         rep = _reduced_run(red.system, bench.config, run_registry,
                            f"sine-gordon-rdh-{m}")
-        v = sub.lift(rep.derivatives)[:n]
-        kin = 0.5 * bench.system.dx * np.sum(v * v, axis=0)
+        kin = sm.reduction.kinetic_energy(sub.lift(rep.derivatives)[:n], dx)
         errors[m] = float(np.abs(kin - kin_full).max())
     return {"kinetic_errors": errors, "kinetic_full": kin_full}
 

@@ -67,7 +67,10 @@ def test_wave_initial_state():
     assert np.argmax(q0) == 50
     assert np.abs(bench.system.z0[100:]).max() == 0.0
     assert bench.system.dx == pytest.approx(0.01)
-    assert bench.grid.shape == (100,)
+    config = bench.config
+    grid = bench.system.dx * np.arange(config.n)
+    assert grid.shape == (100,)
+    assert grid[np.argmax(q0)] == pytest.approx(0.5 * config.length)
 
 
 def test_wave_config_validation():
@@ -176,14 +179,15 @@ def test_sine_gordon_kink_speed_short_run(run_registry):
     report = sm.integrate(bench.system, dt=config.dt, t_final=5.0,
                           snapshot_stride=config.snapshot_stride)
     run_registry.add("sine-gordon-speed-short", report)
-    speed = kink_speed(report, bench.grid)
+    speed = kink_speed(report, config)
     assert abs(speed - config.velocity) / config.velocity <= 0.02
 
 
 def test_sine_gordon_kinetic_decay(sg_n100):
-    _, report = sg_n100
-    kin = report.kinetic_series()
-    t = report.snapshot_times
+    bench, report = sg_n100
+    kin = sm.reduction.kinetic_energy(report.derivatives[:bench.system.n],
+                                      bench.system.dx)
+    t = report.snapshots.times
     dt_snap = t[1] - t[0]
     checkpoints = [kin[int(round(v / dt_snap))]
                    for v in (1.0, 10.0, 20.0, 30.0, 40.0)]

@@ -16,9 +16,10 @@ import pytest
 import sympmor as sm
 from sympmor import cli
 from sympmor.cli import main
-from sympmor.storage import (read_csv, read_matrix, read_snapshots,
-                             read_vector, verify_manifest, write_matrix,
-                             write_snapshots)
+from sympmor.storage import (read_matrix, read_snapshots, read_vector,
+                             verify_manifest, write_matrix, write_snapshots)
+
+from conftest import read_csv
 
 
 def _run(*argv):
@@ -223,7 +224,7 @@ def test_build_basis_rejects_bad_mode_lists(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-def test_reduce_and_run_reduced_roundtrip(tmp_path):
+def test_reduce_and_run_reduced_roundtrip(tmp_path, capsys):
     full = tmp_path / "full"
     assert _run_full_small(full) == 0
     basis_dir = tmp_path / "basis"
@@ -288,10 +289,29 @@ def test_reduce_and_run_reduced_roundtrip(tmp_path):
     header, data = read_csv(run_dir / "reduced_report_k8.csv")
     hext = data[:, 3]
     assert np.abs(hext - hext[0]).max() <= 1e-3 * abs(hext[0])
-    recon = read_snapshots(run_dir / "reconstructed_k8.mtx", dx=1.0 / 16)
-    full_snaps = read_snapshots(full / "snapshots.mtx", dx=1.0 / 16)
-    err = sm.l2_error(full_snaps, recon)
+    recon = read_snapshots(run_dir / "reconstructed_k8.mtx")
+    full_snaps = read_snapshots(full / "snapshots.mtx")
+    err = sm.l2_error(full_snaps, recon, 1.0 / 16)
     assert err.max_relative < 1.0
+
+    # on a greedy basis, which mixes q and p, a long enough step makes an
+    # implicit stage singular: a configuration error naming the stage and
+    # dt, with no output directory
+    grid = ("--benchmark", "wave", "--set", "n=32", "--set", "t_final=1.0")
+    greedy = tmp_path / "greedy"
+    assert _run("build-basis", *grid, "--method", "greedy", "--modes", "8",
+                "--out", str(greedy)) == 0
+    capsys.readouterr()
+    for command, dt, stage in (("reduce", "1e100", "first kick"),
+                               ("reduce", "1e160", "drift"),
+                               ("run-reduced", "1e100", "first kick")):
+        out = tmp_path / f"singular-{command}-{dt}"
+        assert _run(command, *grid, "--set", f"dt={dt}", "--basis",
+                    str(greedy / "basis_k8.mtx"), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: the {stage} of the Verlet step is singular at "
+            f"dt = {float(dt)!r}\n")
+        assert not out.exists()
 
 
 def test_run_reduced_baseline_methods(tmp_path):
@@ -365,8 +385,8 @@ def test_compare_duplicate_method_is_zero_difference(tmp_path):
 def test_compare_ladder_components(tmp_path, capsys, monkeypatch):
     """The error and component-error columns equal those recomputed from
     run-full's snapshots and run-reduced's trajectory on the same basis;
-    compare itself neither reconstructs through ``reduction.reconstruct``
-    nor measures through ``reduction.l2_error``."""
+    compare lifts through ``reduction.reconstruct``, as run-reduced does,
+    but does not measure through ``reduction.l2_error``."""
     config = ("--benchmark", "ladder", "--set", "cells=10",
               "--set", "t_final=5.0")
     out = tmp_path / "ladder"
@@ -375,7 +395,6 @@ def test_compare_ladder_components(tmp_path, capsys, monkeypatch):
         raise AssertionError("compare called a single-run helper")
 
     with monkeypatch.context() as patched:
-        patched.setattr("sympmor.reduction.reconstruct", unused)
         patched.setattr("sympmor.reduction.l2_error", unused)
         assert _run("compare", *config, "--methods", "rdh", "--modes", "4",
                     "--out", str(out)) == 0
@@ -399,7 +418,7 @@ def test_compare_ladder_components(tmp_path, capsys, monkeypatch):
     header, errors = read_csv(out / "errors.csv")
     assert header == ["t", "err_rdh_k4"]
     np.testing.assert_allclose(errors[:, 1],
-                               sm.l2_error(full, recon).per_instant,
+                               sm.l2_error(full, recon, 1.0).per_instant,
                                rtol=1e-12, atol=0.0)
 
     rc = _run("compare", "--benchmark", "ladder", "--set", "cells=10",
@@ -636,14 +655,14 @@ def test_compare_cell_flags_an_overflowing_lifted_energy_without_warning():
     times = np.arange(0.0, config.t_final + 0.5, config.snapshot_stride)
     states = np.repeat(bench.system.z0[:, None], times.size, axis=1)
     reference = SimpleNamespace(
-        snapshots=sm.SnapshotSet(times, states, bench.system.dx),
+        snapshots=sm.SnapshotSet(times, states),
         wall_seconds=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cell, columns = cli._compare_cell(
             bench, "pod", v, reference, bench.system.hamiltonian(states),
             sm.reduction.weighted_norms(states, bench.system.dx),
-            bench.dissipative_model())
+            bench.dissipative_model(), bench.system.dx)
     assert cell["unstable"] is True
     assert cell["energy_growth"] is True
     assert np.isfinite(columns["H"][0]) and not np.isfinite(columns["H"]).all()
@@ -1039,12 +1058,11 @@ def test_lowdiss_structured_and_symplectic_agree(tmp_path):
         assert _run("run-reduced", "--benchmark", "wave-lowdiss", "--set",
                     "n=100", "--basis", str(basis_file), "--method", method,
                     "--out", str(out)) == 0
-        runs[method] = read_snapshots(out / "reconstructed_k40.mtx",
-                                      dx=0.01)
-    reference = read_snapshots(full / "snapshots.mtx", dx=0.01)
-    err_rdh = sm.l2_error(reference, runs["rdh"]).mean_weighted
-    err_psd = sm.l2_error(reference, runs["psd"]).mean_weighted
-    mutual = sm.l2_error(runs["rdh"], runs["psd"]).mean_weighted
+        runs[method] = read_snapshots(out / "reconstructed_k40.mtx")
+    reference = read_snapshots(full / "snapshots.mtx")
+    err_rdh = sm.l2_error(reference, runs["rdh"], 0.01).mean_weighted
+    err_psd = sm.l2_error(reference, runs["psd"], 0.01).mean_weighted
+    mutual = sm.l2_error(runs["rdh"], runs["psd"], 0.01).mean_weighted
     floor = 0.01 * min(err_rdh, err_psd)
     assert abs(err_rdh - err_psd) <= floor
     assert mutual <= floor

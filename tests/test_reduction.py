@@ -40,9 +40,8 @@ def test_identity_reduction_error_over_long_run():
                         snapshot_stride=10)
     reduced = sm.integrate(red.system, dt=0.01, n_steps=1000,
                            snapshot_stride=10)
-    recon = sm.reconstruct(red.basis.matrix, reduced.snapshots,
-                           dx=bench.system.dx)
-    error = sm.l2_error(full.snapshots, recon)
+    recon = sm.reconstruct(red.basis.matrix, reduced.snapshots)
+    error = sm.l2_error(full.snapshots, recon, bench.system.dx)
     assert error.max_weighted / np.sqrt(bench.system.dx) <= 1e-8
 
 
@@ -204,7 +203,7 @@ def test_pod_wave_energy_growth_is_flagged(wave_n500):
                            t_final=config.t_final,
                            snapshot_stride=config.snapshot_stride)
     energy_full = bench.system.hamiltonian(physical.states)
-    recon = sm.reconstruct(v, rep.snapshots, dx=bench.system.dx)
+    recon = sm.reconstruct(v, rep.snapshots)
     dev = np.abs(bench.system.hamiltonian(recon.states) - energy_full)
     quarter = len(dev) // 4
     means = [float(dev[i * quarter:(i + 1) * quarter].mean())
@@ -363,17 +362,14 @@ def test_reconstruct_routes():
     rng = np.random.default_rng(22)
     y = rng.standard_normal((4, 3))
     times = np.arange(3.0)
-    lifted = sm.reconstruct(basis.matrix, SnapshotSet(times=times, states=y),
-                            dx=0.5)
+    lifted = sm.reconstruct(basis.matrix, SnapshotSet(times=times, states=y))
     assert lifted.states.shape == (8, 3)
-    assert lifted.dx == 0.5
     assert np.array_equal(lifted.states, basis.lift(y))
     z = basis.lift(rng.standard_normal(4))
     assert np.abs(basis.lift(coefficients(basis, z)) - z).max() <= 1e-12
     v = rng.standard_normal((8, 4))
     plain = sm.reconstruct(
-        v, SnapshotSet(times=times, states=rng.standard_normal((4, 3))),
-        dx=1.0)
+        v, SnapshotSet(times=times, states=rng.standard_normal((4, 3))))
     assert plain.states.shape == (8, 3)
 
 
@@ -381,14 +377,13 @@ def test_l2_error_aggregates():
     times = np.arange(4.0)
     rng = np.random.default_rng(23)
     states = rng.standard_normal((6, 4))
-    ref = SnapshotSet(times=times, states=states, dx=0.25)
-    same = sm.l2_error(ref, SnapshotSet(times=times, states=states.copy(),
-                                        dx=0.25))
+    ref = SnapshotSet(times=times, states=states)
+    same = sm.l2_error(ref, SnapshotSet(times=times, states=states.copy()),
+                       0.25)
     assert same.max_weighted == 0.0
     assert same.mean_weighted == 0.0
     zero = sm.l2_error(ref, SnapshotSet(times=times,
-                                        states=np.zeros_like(states),
-                                        dx=0.25))
+                                        states=np.zeros_like(states)), 0.25)
     norms = 0.5 * np.linalg.norm(states, axis=0)
     assert np.abs(zero.per_instant - norms).max() <= 1e-14
     assert abs(zero.max_relative - 1.0) <= 1e-12
@@ -398,22 +393,22 @@ def test_l2_error_aggregates():
                   - unweighted).max() <= 1e-13
     with pytest.raises(ValueError, match="shapes"):
         sm.l2_error(ref, SnapshotSet(times=np.zeros(1),
-                                     states=np.zeros((6, 1))))
+                                     states=np.zeros((6, 1))), 0.25)
     with pytest.raises(ValueError, match="time"):
-        sm.l2_error(ref, SnapshotSet(times=times + 1.0, states=states))
+        sm.l2_error(ref, SnapshotSet(times=times + 1.0, states=states), 0.25)
 
 
 def test_relative_errors_against_a_zero_reference():
     """Against an all-zero reference the relative aggregates read 0 for a
     zero error and inf for any other, not a division by zero."""
     times = np.arange(3.0)
-    zero = SnapshotSet(times=times, states=np.zeros((4, 3)), dx=0.5)
+    zero = SnapshotSet(times=times, states=np.zeros((4, 3)))
     same = sm.l2_error(zero, SnapshotSet(times=times,
-                                         states=np.zeros((4, 3)), dx=0.5))
+                                         states=np.zeros((4, 3))), 0.5)
     assert same.max_relative == 0.0 and same.mean_relative == 0.0
     states = np.zeros((4, 3))
     states[1, 2] = 1.0
-    off = sm.l2_error(zero, SnapshotSet(times=times, states=states, dx=0.5))
+    off = sm.l2_error(zero, SnapshotSet(times=times, states=states), 0.5)
     assert off.max_relative == np.inf and off.mean_relative == np.inf
 
 
@@ -446,3 +441,50 @@ def test_step_radius_of_the_undamped_oscillator(h_omega):
         step_map = run(model, dt=h_omega / omega, n_steps=2).step_map
         assert sm.spectral_radius(step_map) == pytest.approx(
             want, rel=1e-12, abs=0.0)
+
+
+def _rdh_psd_physical_gap(bench, basis, dt):
+    """Per node, max |K_r^{-1} f_r - y_psd| over max |y_psd| of the rdh
+    and psd runs of one basis at step ``dt``, on the snapshot grid of
+    ``bench``'s config."""
+    config = bench.config
+    rdh, psd, _ = _reductions(bench, basis)
+    grid = dict(dt=dt, t_final=config.t_final,
+                snapshot_stride=round(config.snapshot_stride * config.dt / dt))
+    closed = sm.integrate(rdh, **grid).physical_snapshots(rdh).states
+    plain = sm.integrate_dissipative(psd, **grid).snapshots.states
+    return np.abs(closed - plain).max(axis=0) / np.abs(plain).max()
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("wave", {"t_final": 2.0}),
+    ("sine-gordon", {"t_final": 4.0, "velocity": 0.0}),
+    ("sine-gordon", {"t_final": 4.0}),
+])
+def test_rdh_and_psd_are_one_reduced_ode_on_a_cotangent_basis(name,
+                                                              overrides):
+    """With K = blockdiag(L, I), chi on the momenta only and a basis that
+    keeps q and p apart, the physical state w = K_r^{-1} f_r of the closed
+    reduced model obeys psd's equation: the generators agree to roundoff,
+    and the runs differ by the two Verlet schemes, O(dt^2). A run that
+    starts moving (the default kink) has one more gap, at node 0: the
+    closed run starts from the co-state (I + w chi_r)^{-1} K_r y0, whose
+    physical momentum p0 / (1 + w r) is O(dt) off the initial data."""
+    config = sm.make_config(name, {"n": 40, **overrides})
+    bench = sm.build_benchmark(name, config)
+    full = sm.integrate(bench.system, dt=config.dt, t_final=config.t_final,
+                        snapshot_stride=config.snapshot_stride)
+    basis, _ = sm.cotangent_lift(full.snapshots, 4)
+    rdh, psd, _ = _reductions(bench, basis)
+    k_r = np.asarray(rdh.K)
+    closed = (rdh.J.matrix() @ k_r.T @ k_r
+              - np.linalg.solve(k_r, np.asarray(rdh.chi) @ k_r))
+    plain = psd.linear_operator()
+    assert np.abs(closed - plain).max() <= 1e-12 * np.abs(plain).max()
+    coarse = _rdh_psd_physical_gap(bench, basis, config.dt)
+    fine = _rdh_psd_physical_gap(bench, basis, 0.5 * config.dt)
+    if bench.system.z0[bench.system.n:].any():
+        assert coarse.argmax() == 0 and fine.argmax() == 0
+        assert coarse[0] / fine[0] == pytest.approx(2.0, abs=0.1)
+    else:
+        assert coarse.max() / fine.max() == pytest.approx(4.0, abs=0.2)

@@ -5,12 +5,12 @@ import pytest
 
 import sympmor as sm
 from sympmor import SnapshotSet
-from sympmor.storage import (build_manifest, read_csv, read_matrix,
-                             read_snapshots, read_vector, sha256_file,
-                             verify_manifest, write_csv, write_manifest,
-                             write_matrix, write_report_csv, write_snapshots)
+from sympmor.storage import (build_manifest, read_matrix, read_snapshots,
+                             read_vector, sha256_file, verify_manifest,
+                             write_csv, write_manifest, write_matrix,
+                             write_report_csv, write_snapshots)
 
-from conftest import build_oscillator
+from conftest import build_oscillator, read_csv
 
 
 def test_matrix_round_trip(tmp_path):
@@ -36,13 +36,12 @@ def test_read_vector_rejects_matrix(tmp_path):
 def test_snapshots_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     snaps = SnapshotSet(times=np.linspace(0.0, 1.0, 4),
-                        states=rng.standard_normal((6, 4)), dx=0.5)
+                        states=rng.standard_normal((6, 4)))
     paths = write_snapshots(snaps, tmp_path / "states.mtx")
     assert [p.name for p in paths] == ["states.mtx", "states_times.mtx"]
-    back = read_snapshots(tmp_path / "states.mtx", dx=0.5)
+    back = read_snapshots(tmp_path / "states.mtx")
     assert np.array_equal(back.states, snaps.states)
     assert np.array_equal(back.times, snaps.times)
-    assert back.dx == 0.5
 
 
 def test_write_csv_and_read_back(tmp_path):

@@ -351,5 +351,5 @@ def test_snapshot_set_validation():
         SnapshotSet(times=np.zeros(2), states=np.zeros((4, 1)))
     with pytest.raises(ValueError, match="2-d"):
         SnapshotSet(times=np.zeros(1), states=np.zeros(4))
-    s = SnapshotSet(times=np.zeros(1), states=np.zeros((4, 1)), dx=0.5)
-    assert s.dim == 4 and s.count == 1 and s.dx == 0.5
+    s = SnapshotSet(times=np.zeros(1), states=np.zeros((4, 1)))
+    assert s.dim == 4 and s.count == 1
