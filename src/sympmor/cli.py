@@ -163,10 +163,13 @@ def _basis_from_file(path, method: str):
 
 @contextmanager
 def _stage(stages: dict, key: str):
-    """Add the wall seconds of the ``with`` block to ``stages[key]``."""
+    """Add the wall seconds of the ``with`` block, one that raises
+    included, to ``stages[key]``."""
     t0 = time.perf_counter()
-    yield
-    stages[key] = stages.get(key, 0.0) + time.perf_counter() - t0
+    try:
+        yield
+    finally:
+        stages[key] = stages.get(key, 0.0) + time.perf_counter() - t0
 
 
 def _on_grid(run, *args, config):
@@ -423,16 +426,69 @@ def cmd_run_reduced(args) -> int:
 # -- compare ------------------------------------------------------------------
 
 
-def _compare_cell(bench, method, mapper, reference, ref_energy, ref_norms,
-                  model, dx):
+@dataclasses.dataclass
+class _Projection:
+    """The full snapshots X seen through a compare basis A with orthonormal
+    columns, what every cell on that basis takes its error from.
+
+    For a reference state x and a lifted reduced state A y,
+    ||x - A y||^2 = ||x - A A^T x||^2 + ||A^T x - y||^2: the basis's
+    projection floor, the same for every method, and the drift of the
+    reduced dynamics, in the basis's own coordinates. So a cell's error
+    needs no lift, only ``coords``, C = A^T X, and ``floor2``, the squared
+    floor of each snapshot, the column sums of (X - A C)^2.
+    """
+
+    coords: np.ndarray
+    floor2: np.ndarray
+
+    def truncate(self, rows) -> "_Projection":
+        """The projection onto the columns ``rows`` of A. A row of C outside
+        them adds its square to the floor, a sum that cannot cancel."""
+        outside = np.ones(len(self.coords), dtype=bool)
+        outside[rows] = False
+        rest = self.coords[outside]
+        return _Projection(
+            coords=self.coords[rows],
+            floor2=self.floor2 + np.einsum("ij,ij->j", rest, rest))
+
+
+def _projection(lift, states) -> _Projection:
+    """The :class:`_Projection` of the snapshots ``states`` through the
+    basis matrix ``lift``, with one lift A C, made and differenced in
+    place."""
+    coords = lift.T @ states
+    resid = lift @ coords
+    np.subtract(states, resid, out=resid)   # X - A C
+    floor2 = np.einsum("ij,ij->j", resid, resid)
+    return _Projection(coords=coords, floor2=floor2)
+
+
+def _cell_rows(method: str, m: int, top: int) -> np.ndarray:
+    """The columns of a compare basis of ``top`` columns that make up the
+    basis of an m-mode cell: POD's leading m, and the first m/2 of each
+    half of a symplectic basis [E | J^T E]."""
+    if method == "pod":
+        return np.arange(m)
+    half = top // 2
+    return np.r_[0:m // 2, half:half + m // 2]
+
+
+def _compare_cell(bench, method, mapper, projection, reference, ref_energy,
+                  ref_norms, transformed, model, dx, stages):
     """One (method, mode-count) comparison cell: its manifest summary and
     its table columns by prefix, or None for the columns of a run that
-    blew up.
+    blew up. The wall seconds of its reduction, its run and its
+    measurement are added to ``stages``.
 
     Every cell is measured against the one full closed-formulation run
-    ``reference``, its energy ``ref_energy`` and the weighted norms
-    ``ref_norms`` of its snapshots, all formed once per compare with the
-    model's grid weight ``dx``.
+    ``reference``, its energy ``ref_energy``, the weighted norms
+    ``ref_norms`` of its snapshots and, on a benchmark with a canonical
+    transform T, their image ``transformed``, T X (None otherwise), all
+    formed once per compare with the model's grid weight ``dx``, and
+    through ``projection``, the full snapshots seen through the compare's
+    basis at its largest mode count, of which the cell takes its own rows
+    (see :class:`_Projection`).
     A cell is flagged unstable when its run fails, at the first node whose
     state, energy or residual is non-finite, or when the energy error of
     its lifted states shows sustained terminal growth or overflows;
@@ -440,26 +496,30 @@ def _compare_cell(bench, method, mapper, reference, ref_energy, ref_norms,
     additional diagnostic, and so is the step_radius of each run's step
     map, failed runs included (None for pod's RK4 runs). A cell that ran
     also records its speedup, the full run's wall time over
-    its own, and an rdh cell its hext_drift, max_t |H_ext(t) - H_ext(0)|
-    over max_t |H_full(t)| on the snapshot grid.
+    its own, its floor_max and drift_max, the two parts of its error
+    normalized as max_relative is, and an rdh cell its hext_drift,
+    max_t |H_ext(t) - H_ext(0)| over max_t |H_full(t)| on the snapshot
+    grid.
 
-    The reduced snapshots are lifted once, A Y, by
-    :func:`reduction.reconstruct`, and differenced once from the full ones
-    in place; the error on the snapshot grid and the time-averaged
-    error per component of a benchmark with a canonical ``transform`` (the
-    ladder's) both come from that difference. The other columns are the
-    energy on the snapshot grid, the string and extended energy of an rdh
-    run, and the kinetic energy of a model with a potential.
+    The columns are the error and the energy of the lifted states on the
+    snapshot grid, both computed in reduced coordinates, the string and
+    extended energy of an rdh run, the kinetic energy of a model with a
+    potential, from its lifted velocities' q rows, and the time-averaged
+    error per component of a benchmark with a canonical transform (the
+    ladder's), mean |T X - (T A) Y|.
     """
     config = bench.config
     cell: dict = {"unstable": False}
-    reduced = _project(bench, mapper, method, model)
-    if method != "rdh":   # the linear generator of a baseline model
-        cell["abscissa"] = reduction.spectral_abscissa(
-            reduced.model.linear_operator() if method == "psd"
-            else reduced.matrix)
+    with _stage(stages, "reduce"):
+        reduced = _project(bench, mapper, method, model)
+    with _stage(stages, "measure"):
+        if method != "rdh":   # the linear generator of a baseline model
+            cell["abscissa"] = reduction.spectral_abscissa(
+                reduced.model.linear_operator() if method == "psd"
+                else reduced.matrix)
     try:
-        report, lift = _run_reduced(reduced, config, method)
+        with _stage(stages, "integrate"):
+            report, lift = _run_reduced(reduced, config, method)
     except NonFiniteError as exc:
         cell["step_radius"] = _step_radius(exc.step_map)
         cell["unstable"] = True
@@ -468,20 +528,39 @@ def _compare_cell(bench, method, mapper, reference, ref_energy, ref_norms,
             float("inf")
         return cell, None
     cell["step_radius"] = _step_radius(report.step_map)
-    full = reference.snapshots
+    with _stage(stages, "measure"):
+        columns = _measure_cell(bench, method, cell, report, lift,
+                                projection, reference, ref_energy, ref_norms,
+                                transformed, dx)
+    return cell, columns
+
+
+def _measure_cell(bench, method, cell, report, lift, proj, reference,
+                  ref_energy, ref_norms, transformed, dx):
+    """The table columns of a cell that ran, with its summary entries
+    added to ``cell``; see :func:`_compare_cell`."""
+    config = bench.config
+    y = report.snapshots.states
+    proj = proj.truncate(_cell_rows(method, lift.shape[1], len(proj.coords)))
     # a finite reduced state can lift to an energy or error past floating
     # point range; terminal_growth flags that cell as unstable
     with np.errstate(over="ignore", invalid="ignore"):
-        lifted = reduction.reconstruct(lift, report.snapshots).states
-        energy = bench.system.hamiltonian(lifted)
-        diff = np.subtract(full.states, lifted, out=lifted)   # X - A Y
+        drift = proj.coords - y                    # A^T X - Y
+        drift2 = np.einsum("ij,ij->j", drift, drift)
+        # freed before the energy and component temporaries: on the ladder
+        # (30 x 5001) keeping it raises the compare's peak RSS by 1.2 MB
+        del drift
         err = reduction.TrajectoryError(
-            per_instant=reduction.weighted_norms(diff, dx),
+            per_instant=np.sqrt(dx * (proj.floor2 + drift2)),
             reference_norms=ref_norms)
+        energy = bench.system.hamiltonian(y, lift)
     cell["max_error"] = err.max_weighted
     cell["mean_error"] = err.mean_weighted
     cell["max_relative"] = err.max_relative
     cell["mean_relative"] = err.mean_relative
+    for part, squares in (("floor_max", proj.floor2), ("drift_max", drift2)):
+        cell[part] = reduction.TrajectoryError(
+            np.sqrt(dx * squares), ref_norms).max_relative
     scale = max(float(np.abs(ref_energy).max()), 1e-300)
     gap = np.abs(energy - ref_energy)
     cell["energy_error"] = float(gap.mean()) / scale
@@ -501,11 +580,13 @@ def _compare_cell(bench, method, mapper, reference, ref_energy, ref_norms,
     if bench.system.potential is not None:
         columns["kinetic"] = reduction.kinetic_energy(
             lift[:bench.system.n] @ report.derivatives, dx)
-    if bench.transform is not None:
+    if transformed is not None:
         # interleaved charge/flux coordinates recovered through the
-        # transform
-        columns["avg"] = np.abs(bench.transform @ diff).mean(axis=1)
-    return cell, columns
+        # transform: T X - (T A) Y, in place
+        diff = (bench.transform @ lift) @ y
+        np.subtract(transformed, diff, out=diff)
+        columns["avg"] = np.abs(diff, out=diff).mean(axis=1)
+    return columns
 
 
 def cmd_compare(args) -> int:
@@ -531,19 +612,30 @@ def cmd_compare(args) -> int:
             f"nonlinear {name} model onto it; use --basis-method cotangent")
 
     stages = {}
+    top = max(modes)
     with _stage(stages, "full_solve"):
         full = _integrate_full(bench, basis_method == "greedy")
     if paired:
         with _stage(stages, "basis"):
-            sym_basis, _, _ = _make_basis(basis_method, full.snapshots,
-                                          max(modes))
+            sym_basis, _, _ = _make_basis(basis_method, full.snapshots, top)
     if "pod" in methods:
         with _stage(stages, "pod_basis"):
-            pod_v, _, _ = _make_basis("pod", full.snapshots, max(modes))
-    # what every cell is measured against, formed once
+            pod_v, _, _ = _make_basis("pod", full.snapshots, top)
+    # what every cell is measured against, formed once: the reference
+    # energy, norms and transform, and each basis at its largest mode count
+    # applied to the full snapshots
     dx = bench.system.dx
-    ref_energy = bench.system.hamiltonian(full.snapshots.states)
-    ref_norms = reduction.weighted_norms(full.snapshots.states, dx)
+    states = full.snapshots.states
+    with _stage(stages, "measure"):
+        ref_energy = bench.system.hamiltonian(states)
+        ref_norms = reduction.weighted_norms(states, dx)
+        transformed = (None if bench.transform is None
+                       else bench.transform @ states)
+        projections = {}
+        if paired:
+            projections["sym"] = _projection(sym_basis.matrix, states)
+        if "pod" in methods:
+            projections["pod"] = _projection(pod_v, states)
     # the baselines all project one dissipative model
     model = (bench.dissipative_model()
              if "psd" in methods or "pod" in methods else None)
@@ -574,10 +666,10 @@ def cmd_compare(args) -> int:
             key = f"{method}_k{m}"
             mapper = (pod_v[:, :m] if method == "pod"
                       else sym_basis.truncate(m // 2))
-            with _stage(stages, "cells"):
-                summary[key], cols = _compare_cell(
-                    bench, method, mapper, full, ref_energy, ref_norms, model,
-                    dx)
+            summary[key], cols = _compare_cell(
+                bench, method, mapper,
+                projections["pod" if method == "pod" else "sym"], full,
+                ref_energy, ref_norms, transformed, model, dx, stages)
             if summary[key]["unstable"]:
                 flagged.append(key)
             for _, headers, columns, prefixes in tables:
@@ -587,6 +679,9 @@ def cmd_compare(args) -> int:
                     headers.append(f"{prefix}_{key}")
                     columns.append(np.full(len(columns[0]), np.nan)
                                    if cols is None else cols[prefix])
+    # the projections are not needed past the cells: free them before the
+    # tables are formatted
+    del projections, transformed
     with _stage(stages, "write"):
         files = [storage.write_csv(out / file, headers, columns)
                  for file, headers, columns, _ in tables]

@@ -268,14 +268,18 @@ class _ExtraTerms:
             out -= self._column(self.boundary_vector, z)
         return out
 
-    def nonquadratic_energy(self, z, h=0.0):
+    def nonquadratic_energy(self, z, h=0.0, lift=None):
         """h + V(q) - z_bd . z, summed left to right, of a state or of each
         column of a (dim, m) block; the energies pass their quadratic part
-        as ``h``."""
+        as ``h``. With a basis matrix ``lift`` A, z holds reduced
+        coordinates and the terms are those of the lifted state A z, formed
+        without lifting it: V(A_q z) - (A^T z_bd) . z."""
         if self.potential is not None:
-            h = h + self.potential(z[: self.n])
+            h = h + self.potential(z[: self.n] if lift is None
+                                   else lift[: self.n] @ z)
         if self.boundary_vector is not None:
-            h = h - self.boundary_vector @ z
+            bd = self.boundary_vector
+            h = h - (bd if lift is None else lift.T @ bd) @ z
         return h
 
     def _flow(self, force, z, drift=None):
@@ -386,10 +390,18 @@ class TddSystem(_ExtraTerms):
             return (self._chi_diag * v.T).T
         return self.chi @ v
 
-    def hamiltonian(self, z):
-        """Energy 0.5 ||K z||^2 + V(q) - z_bd . z."""
-        kz = self.K @ z
-        return self.nonquadratic_energy(z, 0.5 * _column_dot(kz, kz))
+    def hamiltonian(self, z, lift=None):
+        """Energy 0.5 ||K z||^2 + V(q) - z_bd . z. With a basis matrix
+        ``lift`` A, z holds reduced coordinates, a vector or a (k, m)
+        block, and this is the energy H(A z) of the states they lift to,
+        formed without lifting them, from the k x k Gram matrix
+        G = (K A)^T (K A): 0.5 z^T G z + V(A_q z) - (A^T z_bd) . z."""
+        if lift is None:
+            kz = self.K @ z
+            return self.nonquadratic_energy(z, 0.5 * _column_dot(kz, kz))
+        ka = self.K @ lift
+        return self.nonquadratic_energy(
+            z, 0.5 * _column_dot(z, (ka.T @ ka) @ z), lift)
 
     def state_derivative(self, z, f):
         """dz/dt given the co-state: J (K^T f + (g(q), 0) - z_bd) + u."""

@@ -384,9 +384,10 @@ def test_compare_duplicate_method_is_zero_difference(tmp_path):
 
 def test_compare_ladder_components(tmp_path, capsys, monkeypatch):
     """The error and component-error columns equal those recomputed from
-    run-full's snapshots and run-reduced's trajectory on the same basis;
-    compare lifts through ``reduction.reconstruct``, as run-reduced does,
-    but does not measure through ``reduction.l2_error``."""
+    run-full's snapshots and run-reduced's lifted trajectory on the same
+    basis; compare measures in the basis's coordinates, and calls neither
+    ``reduction.reconstruct`` nor ``reduction.l2_error``, both patched to
+    raise."""
     config = ("--benchmark", "ladder", "--set", "cells=10",
               "--set", "t_final=5.0")
     out = tmp_path / "ladder"
@@ -396,6 +397,7 @@ def test_compare_ladder_components(tmp_path, capsys, monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr("sympmor.reduction.l2_error", unused)
+        patched.setattr("sympmor.reduction.reconstruct", unused)
         assert _run("compare", *config, "--methods", "rdh", "--modes", "4",
                     "--out", str(out)) == 0
     header, data = read_csv(out / "component_errors.csv")
@@ -426,6 +428,73 @@ def test_compare_ladder_components(tmp_path, capsys, monkeypatch):
               "--out", str(tmp_path / "nope"))
     assert rc == 2
     assert "starts at rest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--benchmark", "wave", "--set", "n=40", "--set", "t_final=1.0"),
+    ("--benchmark", "wave", "--set", "n=40", "--set", "t_final=1.0",
+     "--basis-method", "greedy"),
+    ("--benchmark", "ladder", "--set", "cells=10", "--set", "t_final=5.0"),
+], ids=["wave-cotangent", "wave-greedy", "ladder"])
+def test_compare_error_splits_into_floor_and_drift(tmp_path, monkeypatch,
+                                                   argv):
+    """compare measures every cell in reduced coordinates, with
+    ``reduction.reconstruct`` patched to raise. At every node the lifted
+    error ||x - A y||^2, recomputed through ``reconstruct``, equals the
+    floor ||x - A A^T x||^2 plus the drift ||A^T x - y||^2, to 1e-12
+    relative or to rounding, and so does the square of the cell's
+    errors.csv column; the manifest's floor_max and drift_max are the two
+    parts' maxima over the peak reference norm, and the cell's energy.csv
+    column is the energy of the lifted states to 1e-12 of its largest. The
+    4-mode cells take their floor from the 8-mode basis's, plus the rows
+    of A^T X outside the cell."""
+    out = tmp_path / "cmp"
+
+    def unused(*args, **kwargs):
+        raise AssertionError("compare lifted a reduced trajectory")
+
+    with monkeypatch.context() as patched:
+        patched.setattr("sympmor.reduction.reconstruct", unused)
+        assert _run("compare", *argv, "--modes", "4,8",
+                    "--out", str(out)) == 0
+    manifest = _manifest(out)
+    name = manifest["benchmark"]
+    bench = sm.build_benchmark(name, sm.make_config(name, manifest["config"]))
+    full = cli._integrate_full(bench)
+    x, dx = full.snapshots.states, bench.system.dx
+    peak = sm.reduction.weighted_norms(x, dx).max()
+    # an error below 1e-15 of the peak norm is rounding: the greedy basis
+    # holds z0, so its t = 0 error is
+    rounding = (1e-15 * peak) ** 2
+    sym_basis, _, _ = cli._make_basis(manifest["basis_method"],
+                                      full.snapshots, 8)
+    pod_v, _, _ = cli._make_basis("pod", full.snapshots, 8)
+    header, errors = read_csv(out / "errors.csv")
+    energy_header, energies = read_csv(out / "energy.csv")
+    assert len(manifest["cells"]) == 6
+    for key, cell in manifest["cells"].items():
+        method, m = key.split("_k")[0], int(key.split("_k")[1])
+        mapper = (pod_v[:, :m] if method == "pod"
+                  else sym_basis.truncate(m // 2))
+        report, lift = cli._run_reduced(cli._project(bench, mapper, method),
+                                        bench.config, method)
+        y = report.snapshots.states
+        lifted = sm.reconstruct(lift, report.snapshots).states
+        err2 = dx * np.sum((x - lifted) ** 2, axis=0)
+        floor2 = dx * np.sum((x - lift @ (lift.T @ x)) ** 2, axis=0)
+        drift2 = dx * np.sum((lift.T @ x - y) ** 2, axis=0)
+        np.testing.assert_allclose(floor2 + drift2, err2, rtol=1e-12,
+                                   atol=rounding)
+        np.testing.assert_allclose(errors[:, header.index(f"err_{key}")] ** 2,
+                                   err2, rtol=1e-12, atol=rounding)
+        assert cell["floor_max"] == pytest.approx(
+            np.sqrt(floor2.max()) / peak, rel=1e-12)
+        assert cell["drift_max"] == pytest.approx(
+            np.sqrt(drift2.max()) / peak, rel=1e-12)
+        h = bench.system.hamiltonian(lifted)
+        np.testing.assert_allclose(
+            energies[:, energy_header.index(f"H_{key}")], h, rtol=0.0,
+            atol=1e-12 * np.abs(h).max())
 
 
 def test_default_ladder_compare_manifest(tmp_path):
@@ -486,6 +555,28 @@ def test_compare_sine_gordon_kinetic_table(tmp_path):
     assert header == ["t", "kinetic_full", "kinetic_rdh_k4"]
     assert np.isfinite(data).all()
     assert data[:, 1].max() > 0.0
+
+
+def test_sine_gordon_kink_error_is_the_reduction_floor(tmp_path):
+    """With ``consistent_bc`` the sine-gordon model holds the kink's own
+    tails as boundary values, so the largest rdh cell's error is within 2x
+    its projection floor, and that floor is the basis's: at n = 100,
+    t_final = 10 and 20 modes, 6.4e-4 against an error of 7.6e-4 (the
+    default boundary's jump radiates into the momenta and lifts the floor
+    to 0.049)."""
+    cells = {}
+    for consistent in ("true", "false"):
+        out = tmp_path / consistent
+        assert _run("compare", "--benchmark", "sine-gordon", "--set", "n=100",
+                    "--set", "t_final=10", "--set",
+                    f"consistent_bc={consistent}", "--methods", "rdh",
+                    "--modes", "10,20", "--out", str(out)) == 0
+        manifest = _manifest(out)
+        assert manifest["config"]["consistent_bc"] is (consistent == "true")
+        cells[consistent] = manifest["cells"]["rdh_k20"]
+    kink = cells["true"]
+    assert kink["floor_max"] <= kink["max_relative"] <= 2 * kink["floor_max"]
+    assert cells["false"]["floor_max"] > 10 * kink["floor_max"]
 
 
 SG_SMALL = ("--benchmark", "sine-gordon", "--set", "n=40",
@@ -651,18 +742,18 @@ def test_compare_cell_flags_an_overflowing_lifted_energy_without_warning():
     v, _ = sm.pod_basis(full.snapshots, 8)
     config = sm.make_config("wave", {"n": 16, "dt": 1.0, "t_final": 250.0})
     bench = sm.build_benchmark("wave", config)
-    # a hand-built reference on the cell's snapshot grid: z0 at every node
+    # a hand-built reference on the cell's snapshot grid: z0 at every node,
+    # seen through the cell's basis
     times = np.arange(0.0, config.t_final + 0.5, config.snapshot_stride)
     states = np.repeat(bench.system.z0[:, None], times.size, axis=1)
-    reference = SimpleNamespace(
-        snapshots=sm.SnapshotSet(times, states),
-        wall_seconds=1.0)
+    reference = SimpleNamespace(wall_seconds=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cell, columns = cli._compare_cell(
-            bench, "pod", v, reference, bench.system.hamiltonian(states),
-            sm.reduction.weighted_norms(states, bench.system.dx),
-            bench.dissipative_model(), bench.system.dx)
+            bench, "pod", v, cli._projection(v, states), reference,
+            bench.system.hamiltonian(states),
+            sm.reduction.weighted_norms(states, bench.system.dx), None,
+            bench.dissipative_model(), bench.system.dx, {})
     assert cell["unstable"] is True
     assert cell["energy_growth"] is True
     assert np.isfinite(columns["H"][0]) and not np.isfinite(columns["H"]).all()
@@ -1034,7 +1125,8 @@ def test_every_manifest_records_its_run(tmp_path, small_bases, command, argv,
     else:
         assert manifest["warnings"] == []
     stages = {"build-basis": {"snapshots", "basis", "write"},
-              "compare": {"full_solve", "basis", "cells", "write"}}
+              "compare": {"full_solve", "basis", "reduce", "integrate",
+                          "measure", "write"}}
     if command in stages:
         assert set(manifest["stages"]) == stages[command]
         assert all(v >= 0.0 for v in manifest["stages"].values())

@@ -271,6 +271,26 @@ def test_integrate_small_wave_diagnostics(wave_n100):
 # -- extended energy and passivity ---------------------------------------------
 
 
+@pytest.mark.parametrize("name, overrides", [
+    ("sine-gordon", {"n": 20}),
+    ("ladder", {"cells": 10}),
+])
+def test_hamiltonian_through_a_lift_is_the_energy_of_the_lifted_states(
+        name, overrides):
+    """hamiltonian(Y, A) equals hamiltonian(A Y) for any basis matrix A,
+    formed without the lift: with a sparse K, a potential and a boundary
+    vector (sine-gordon), and with a dense K (the ladder)."""
+    system = sm.build_benchmark(name, sm.make_config(name, overrides)).system
+    rng = np.random.default_rng(0)
+    lift = rng.standard_normal((system.dim, 6))
+    y = rng.standard_normal((6, 5))
+    h = system.hamiltonian(lift @ y)
+    np.testing.assert_allclose(system.hamiltonian(y, lift), h,
+                               rtol=0.0, atol=1e-12 * np.abs(h).max())
+    assert system.hamiltonian(y[:, 0], lift) == pytest.approx(
+        h[0], rel=1e-12)
+
+
 def test_extended_hamiltonian_at_start():
     bench = build_oscillator()
     rep = sm.integrate(bench.system, dt=1e-3, n_steps=0)
