@@ -20,7 +20,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .dynamics import DissipativeModel, TddSystem, _Csr, cholesky_factor
+from .dynamics import (DissipativeModel, TddSystem, _Csr, _entries,
+                       cholesky_factor)
 from .symplectic import CanonicalForm
 
 
@@ -421,9 +422,13 @@ def build_benchmark(name: str, config=None) -> Benchmark:
         config = make_config(name)
     if not isinstance(config, cls):
         raise TypeError(f"{name} expects a {cls.__name__}")
-    # a config value that overflows an operator leaves a non-finite entry,
-    # which cholesky_factor and TddSystem reject by name
+    # a config value that overflows an operator leaves a non-finite entry:
+    # cholesky_factor and TddSystem reject one in K or chi, and the loop
+    # below one in the baselines' stiffness or drift, each by name
     with np.errstate(all="ignore"):
         built = builder(config)
+    for what, op in (("stiffness", built.stiffness), ("drift", built.drift)):
+        if op is not None and not np.isfinite(_entries(op)).all():
+            raise ValueError(f"{name} {what} has a non-finite entry")
     built.name = name   # registry name wins (wave-lowdiss keeps its identity)
     return built

@@ -526,16 +526,15 @@ class VerletStepper(_VerletStages):
     gradient, the end-of-step tail h_{n+1} for the rest. The committed
     co-state then solves the node-(n+1) constraint at (q_1, p_1 | h_{n+1}).
 
-    The stepper owns the memory of its current node n: the co-state ``f``,
-    the trapezoid integral ``integral`` = F_n and the ``tail`` h_n =
-    F_{n-1} + w f_{n-1}, the part of the quadrature that excludes the
+    The stepper owns the memory of its current node n: the co-state ``f``
+    and the trapezoid integral ``integral`` = F_n, whose tail
+    h_n = F_n - w f_n is the part of the quadrature that excludes the
     node's own contribution, so the constraint reads
-    (I + w chi) f_n = K z_n - chi h_n. It starts at node 0 with the
-    empty-history co-state (I + w chi)^{-1} K z0 of ``system.z0`` and zero
-    tail and integral; ``step(z)`` takes the state of the current node.
-    Each step reuses the previous step's end-of-step tail constant as its
-    start-of-step one: the committed tail is bitwise the tail the step
-    computed for the end of the step.
+    (I + w chi) f_n = K z_n - chi h_n, that is f_n = K z_n - chi F_n. It
+    starts at node 0 from ``system.z0`` and F_0 = 0, loaded by
+    :meth:`_load`; ``step(z)`` takes the state of the current node. Each
+    step reuses the previous step's end-of-step tail constant as its
+    start-of-step one.
 
     (I + w chi)^{-1} is formed once and every use multiplies by it: a CSR
     diagonal of reciprocals for a diagonal chi, else a dense inverse. When
@@ -554,11 +553,7 @@ class VerletStepper(_VerletStages):
         m = system.kt_op @ wi_k
         self.kt_wi = _stored(wi_k.T)           # K^T (I + w chi)^{-1}
         self._init_stages(system, 0.5 * (m + m.T))
-        self.f = self._wi @ (system.K @ system.z0)
-        self.tail = np.zeros(system.dim)
-        self.integral = np.zeros(system.dim)
-        # start-of-step constant -K^T (I + w chi)^{-1} chi tail of the next step
-        self._cs = -(self.kt_wi @ system.chi_apply(self.tail))
+        self._load(system.z0, np.zeros(system.dim))
 
     def step(self, z):
         """Advance the state z of the current node by one step and commit
@@ -570,20 +565,20 @@ class VerletStepper(_VerletStages):
         ce = -(self.kt_wi @ chi_tail_end)
         z_new = self._kick_drift_kick(z, self._cs, ce)
         self.f = self._wi @ (sys_.K @ z_new - chi_tail_end)
-        self.tail = tail
         self.integral = tail + w * self.f
         self._cs = ce
         return z_new
 
     def _load(self, z, integral):
-        """Make ``integral`` the memory of a node past node 0 whose state is
-        z, with the co-state K z - chi integral and the tail integral - w f
-        and its start-of-step constant derived as a step would leave them."""
+        """Make ``integral`` the memory of the current node, whose state is
+        z, with the co-state K z - chi integral and the start-of-step
+        constant -K^T (I + w chi)^{-1} chi (integral - w f) that a step
+        would leave."""
         sys_ = self.system
         self.f = sys_.K @ z - sys_.chi_apply(integral)
         self.integral = integral
-        self.tail = integral - 0.5 * self.dt * self.f
-        self._cs = -(self.kt_wi @ sys_.chi_apply(self.tail))
+        tail = integral - 0.5 * self.dt * self.f
+        self._cs = -(self.kt_wi @ sys_.chi_apply(tail))
 
 
 @dataclass
@@ -671,10 +666,10 @@ _MAP_DIM = 400
 
 def _closed_columns(system: TddSystem, states, memory, costates):
     """Per-node diagnostics of a closed run from (dim, m) blocks of states,
-    memory arguments tail + w f and co-states f: H, 0.5 ||f||^2 plus the
+    memory integrals F and co-states f: H, 0.5 ||f||^2 plus the
     non-quadratic energy, f^T chi f, the supply rate, the passivity residual
-    -f^T chi f, and the largest entries of |K z - f - chi (tail + w f)|
-    (the Volterra residual) and of |K z|."""
+    -f^T chi f, and the largest entries of |K z - f - chi F| (the Volterra
+    residual) and of |K z|."""
     kz = system.K @ states
     nonquad = system.nonquadratic_energy(states, np.zeros(states.shape[1]))
     diss = system.dissipation_rate(costates)
@@ -703,8 +698,8 @@ def _trapezoid_sum(weight: float, rates):
 
 def _step_map(stepper, closed: bool, dim: int):
     """The step of a Verlet stepper as products: x = (z, F) for a
-    :class:`VerletStepper` past node 0, loaded with
-    :meth:`VerletStepper._load`, and x = z otherwise.
+    :class:`VerletStepper`, loaded with :meth:`VerletStepper._load`, and
+    x = z otherwise.
 
     A linear stepper gives (Phi, c, None) with Phi x + c the state one step
     after x. With a nonlinear gradient the step is affine in x and in the
@@ -760,10 +755,9 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     0 and yielded as (layers, m, dim) views of one reused buffer (m is
     _BLOCK but in the last block), each with the ``step_map`` of
     :class:`RunReport` (None until it is built). The layers are the state
-    z; for a :class:`VerletStepper` also its memory argument tail + w f (the
-    committed integral F, and w f0 at node 0) and its co-state f; for an
-    RK4 stepper also dz/dt from ``snapshot``, called at each snapshot node
-    right after the step.
+    z; for a :class:`VerletStepper` also its memory integral F and its
+    co-state f; for an RK4 stepper also dz/dt from ``snapshot``, called at
+    each snapshot node right after the step.
 
     Each node is written by ``stepper.step`` or by the step map; nothing
     here checks what it writes, so a run that leaves floating point range
@@ -783,7 +777,6 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     """
     dim = z.size
     n = dim // 2
-    w = 0.5 * stepper.dt
     system = stepper.system if closed else None
     rows = np.empty((_BLOCK, 3 if closed else 2 if inline else 1, dim))
     # the map state x of each node: the leading (z, F), or z, of its row
@@ -802,7 +795,7 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                 z = stepper.step(z)
             rows[j, 0] = z
             if closed:
-                rows[j, 1] = stepper.tail + w * stepper.f
+                rows[j, 1] = stepper.integral
                 rows[j, 2] = stepper.f
             elif inline and (start + j) % snapshot_stride == 0:
                 rows[j, 1] = stepper.snapshot(z)

@@ -111,16 +111,8 @@ class OrthoSymplecticBasis:
         self._matrix = None
 
     @property
-    def n(self) -> int:
-        return self.lead.shape[0] // 2
-
-    @property
     def k(self) -> int:
         return self.lead.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
 
     @property
     def n_columns(self) -> int:

@@ -298,6 +298,25 @@ def test_extended_hamiltonian_at_start():
     assert abs(rep.extended_energy[0] - h0) <= 1e-14
 
 
+def test_closed_run_starts_from_the_initial_data():
+    """Node 0 of a closed run that starts moving holds the empty memory
+    F = 0: the co-state is K z0, the physical state K^{-1} f is z0, and
+    H_ext starts at H. (An empty-history co-state (I + w chi)^{-1} K z0
+    would put w f0 in the memory, 1e-3 off on this kink.)"""
+    bench = _sine_gordon_n40()
+    system, config = bench.system, bench.config
+    assert system.z0[system.n:].any()
+    rep = sm.integrate(system, dt=config.dt, t_final=config.t_final,
+                       snapshot_stride=config.snapshot_stride)
+    kz0 = system.K @ system.z0
+    assert np.abs(rep.costates[:, 0] - kz0).max() <= 1e-15 * np.abs(kz0).max()
+    physical = rep.physical_snapshots(system).states[:, 0]
+    assert (np.abs(physical - system.z0).max()
+            <= 1e-14 * np.abs(system.z0).max())
+    h0 = rep.hamiltonian[0]
+    assert abs(rep.extended_energy[0] - h0) <= 1e-14 * abs(h0)
+
+
 def test_extended_hamiltonian_without_memory_tracks_h():
     bench = _wave(n=16, chi_scale=0.0)
     system = bench.system
@@ -327,6 +346,25 @@ def test_extended_hamiltonian_conserved_damped_oscillator(run_registry):
         diss = new
     h_ext = 0.5 * float(stepper.f @ stepper.f) + e_string
     assert abs(h_ext - rep.extended_energy[-1]) <= 1e-12
+
+
+def test_extended_energy_balances_an_input_on_a_potential():
+    """An input u on a model with a potential and a boundary vector also
+    feeds the non-quadratic energy, at the rate ((g(q), 0) - z_bd)^T u of
+    ``supply_rate``: with it counted, H_ext of a sine-Gordon kink driven by
+    u, which quadruples H, keeps the Verlet scheme's O(dt^2) drift (1.8e-4
+    at dt, 4.4e-5 at dt/2); without it H_ext drifts by 4.5 of H(0)."""
+    config = sm.make_config("sine-gordon", {"n": 20, "t_final": 4.0})
+    s = sm.build_benchmark("sine-gordon", config).system
+    system = sm.TddSystem(s.K, s.chi, s.z0, nonlinear_grad=s.nonlinear_grad,
+                          potential=s.potential,
+                          input_vector=np.full(s.dim, 0.5),
+                          boundary_vector=s.boundary_vector, dx=s.dx)
+    coarse, fine = (
+        extended_drift(sm.integrate(system, dt=dt, t_final=config.t_final))
+        for dt in (config.dt, 0.5 * config.dt))
+    assert coarse.max() <= 1e-3
+    assert coarse.max() / fine.max() == pytest.approx(4.0, abs=0.2)
 
 
 def test_passivity_residual_definition(ladder50):
@@ -369,7 +407,7 @@ def _series_by_hand(system, dt, n_steps):
     """States, co-states and the six diagnostics of a closed run from a
     manual stepper loop, node by node, with the per-step formulas: H, the
     running trapezoid string energy and input work, H_ext, -f^T chi f, and
-    the Volterra residual and |K z| against the memory F (w f0 at node 0)."""
+    the Volterra residual and |K z| against the memory F."""
     stepper = VerletStepper(system, dt)
     w = 0.5 * dt
     u = system.input_vector
@@ -393,10 +431,9 @@ def _series_by_hand(system, dt, n_steps):
             e_string += w * (diss_prev + diss)
             work -= w * (supply_prev + supply)
         diss_prev, supply_prev = diss, supply
-        memory = stepper.integral if i else w * f
         rows.append((0.5 * float(kz @ kz) + nonquad, e_string,
                      0.5 * float(f @ f) + nonquad + e_string + work, -diss,
-                     np.abs(kz - f - system.chi @ memory).max(),
+                     np.abs(kz - f - system.chi @ stepper.integral).max(),
                      np.abs(kz).max()))
         states.append(z)
         costates.append(f)
@@ -579,14 +616,13 @@ def _unstable(bench, closed, dt):
     diagnostics (:func:`dynamics._closed_columns` closed, ``hamiltonian``
     plain) are non-finite, together with the states of that loop up to
     the step before."""
-    w = 0.5 * dt
     if closed:
         model, run = bench.system, sm.integrate
         stepper = VerletStepper(model, dt)
 
         def diagnostics(z):
             return dynamics._closed_columns(
-                model, z[:, None], (stepper.tail + w * stepper.f)[:, None],
+                model, z[:, None], stepper.integral[:, None],
                 stepper.f[:, None])
     else:
         model, run = bench.dissipative_model(), sm.integrate_dissipative
