@@ -243,12 +243,17 @@ def _stability_warnings(radii: dict) -> list[str]:
 def cmd_run_full(args) -> int:
     bench = _build(args)
     out = Path(args.out)
-    report = _integrate_full(bench)
-    files = [storage.write_report_csv(report, out / "full_report.csv")]
-    files += storage.write_snapshots(report.snapshots, out / "snapshots.mtx")
+    stages = {}
+    with _stage(stages, "full_solve"):
+        report = _integrate_full(bench)
+    with _stage(stages, "write"):
+        files = [storage.write_report_csv(report, out / "full_report.csv")]
+        files += storage.write_snapshots(report.snapshots,
+                                         out / "snapshots.mtx")
     _write_manifest(args, bench, files, _end_warnings(report, bench.config),
                     n_steps=report.n_steps, volterra_max=report.volterra_max,
-                    kz_max=report.kz_max, wall_seconds=report.wall_seconds)
+                    kz_max=report.kz_max, wall_seconds=report.wall_seconds,
+                    stages=stages)
     print(f"run-full {bench.name}: {report.n_steps} steps, "
           f"H {report.hamiltonian[0]:.6g} -> {report.hamiltonian[-1]:.6g}, "
           f"max |residual| {report.volterra_max:.3e} -> {out}")
@@ -404,20 +409,26 @@ def cmd_run_reduced(args) -> int:
     bench = _build(args)
     out = Path(args.out)
     mapper = _basis_from_file(args.basis, args.method)
-    reduced = _project(bench, mapper, args.method)
-    report, lift = _run_reduced(reduced, bench.config, args.method)
+    stages = {}
+    with _stage(stages, "reduce"):
+        reduced = _project(bench, mapper, args.method)
+    with _stage(stages, "integrate"):
+        report, lift = _run_reduced(reduced, bench.config, args.method)
     m = lift.shape[1]
     key = f"{args.method}_k{m}"
-    recon = reduction.reconstruct(lift, report.snapshots)
-    files = [storage.write_report_csv(report, out / f"reduced_report_k{m}.csv")]
-    files += storage.write_snapshots(recon, out / f"reconstructed_k{m}.mtx")
+    with _stage(stages, "write"):
+        recon = reduction.reconstruct(lift, report.snapshots)
+        files = [storage.write_report_csv(report,
+                                          out / f"reduced_report_k{m}.csv")]
+        files += storage.write_snapshots(recon,
+                                         out / f"reconstructed_k{m}.mtx")
     radius = _step_radius(report.step_map)
     warnings = (_end_warnings(report, bench.config)
                 + _stability_warnings({key: radius}))
     _write_manifest(args, bench, files, warnings,
                     reduced_run={"method": args.method, "modes": m,
                                  "wall_seconds": report.wall_seconds},
-                    step_radius=radius)
+                    step_radius=radius, stages=stages)
     print(f"run-reduced {bench.name} [{args.method}, {m} modes]: "
           f"{report.n_steps} steps -> {out}")
     return 0

@@ -56,6 +56,30 @@ class _Csr(scipy.sparse.csr_array):
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
 
+class _Diagonal:
+    """A diagonal operator kept as its ``diagonal``. A product with a
+    vector or a dense block scales its rows, a block coming back C-ordered
+    as from a CSR product; a product with a sparse matrix (at setup) is the
+    CSR product itself. The values are the CSR product's, each entry the
+    one term d_i v_i, but for the sign of a zero: the CSR product adds the
+    term to +0."""
+
+    def __init__(self, diagonal: np.ndarray):
+        self.diagonal = diagonal
+        self.shape = (diagonal.size, diagonal.size)
+
+    @property
+    def nbytes(self) -> int:
+        return self.diagonal.nbytes
+
+    def __matmul__(self, v):
+        if scipy.sparse.issparse(v):
+            return _Csr(scipy.sparse.diags(self.diagonal)) @ v
+        if v.ndim == 1:
+            return self.diagonal * v
+        return np.multiply(self.diagonal[:, None], v, order="C")
+
+
 def _stored(m):
     """An operator as it is kept, public or derived: a sparse matrix as a
     float CSR one, any other as a float array (itself if it is one)."""
@@ -204,10 +228,10 @@ def _diagonal(m):
 
 
 def _shifted_inverse(m, weight: float, stage: str):
-    """(I + weight * m)^{-1}: a CSR diagonal of reciprocals for a diagonal
-    ``m`` (see :func:`_diagonal`), else a dense inverse. A singular shift
-    raises ValueError naming the ``stage`` of the step it inverts and
-    dt = 2 |weight|."""
+    """(I + weight * m)^{-1}: for a diagonal ``m`` (see :func:`_diagonal`),
+    its diagonal of reciprocals kept as a :class:`_Diagonal`, else a dense
+    inverse. A singular shift raises ValueError naming the ``stage`` of the
+    step it inverts and dt = 2 |weight|."""
     diagonal = _diagonal(m)
     if diagonal is None:
         try:
@@ -215,9 +239,19 @@ def _shifted_inverse(m, weight: float, stage: str):
         except np.linalg.LinAlgError:
             pass
     elif (shift := 1.0 + weight * diagonal).all():
-        return _Csr(scipy.sparse.diags(1.0 / shift))
+        return _Diagonal(1.0 / shift)
     raise ValueError(f"the {stage} of the Verlet step is singular at "
                      f"dt = {2.0 * abs(weight)!r}")
+
+
+def _kept(block):
+    """A stage block as a step applies it: a CSR block whose nonzeros all
+    lie on its diagonal as a :class:`_Diagonal`, any other as it is."""
+    if scipy.sparse.issparse(block):
+        diagonal = _diagonal(block)
+        if diagonal is not None:
+            return _Diagonal(diagonal)
+    return block
 
 
 def _optional_array(v):
@@ -441,16 +475,24 @@ class _VerletStages:
 
     Stages 1 and 2 are implicit only through the qp and pq blocks of the
     stage matrix M. The inverses (I + w m_qp)^{-1} and (I - w m_pq)^{-1}
-    are formed once, a CSR diagonal for a diagonal block and a dense
-    matrix otherwise, so each implicit stage is one product; a stage whose
-    block is zero is explicit and keeps ``None``.
+    are formed once, a diagonal kept as a vector for a diagonal block and
+    a dense matrix otherwise, so each implicit stage is one product; a
+    stage whose block is zero is explicit and keeps ``None``. A CSR block
+    of M whose nonzeros lie on its diagonal (m_pp of the wave and
+    sine-Gordon models) is kept as its diagonal too, so its product is an
+    elementwise one; dense blocks stay dense.
+
+    Stage 1 takes the force m_qq q_n from the caller, and
+    :meth:`_kick_drift_kick` returns stage 3's m_qq q_1 with the new state,
+    so a stepper that carries it makes one m_qq product per step.
 
     The boundary vector is a constant, so -J z_bd joins the input u once,
-    at setup, as the per-stage constants ``u_q`` and ``u_p`` (None where
-    zero). The gradient g of the potential of the positions enters the two
-    kicks only, each evaluated at its own q, so a step costs two gradient
-    evaluations. A step is affine in its state and in those two gradients,
-    which :func:`_step_map` probes by swapping ``_grad``.
+    at setup, in the per-stage constants ``_wu_p`` = w u_p and ``_dtu_q`` =
+    dt u_q (None where zero). The gradient g of the potential of the
+    positions enters the two kicks only, each evaluated at its own q, so a
+    step costs two gradient evaluations. A step is affine in its state and
+    in those two gradients, which :func:`_step_map` probes by swapping
+    ``_grad``.
     """
 
     def __init__(self, dt: float):
@@ -466,54 +508,55 @@ class _VerletStages:
         self._grad = terms.nonlinear_grad
         # without a nonlinear gradient the step is affine in its state
         self.linear = self._grad is None
-        self.m_qq = _stored(m[:n, :n])
-        self.m_qp = _stored(m[:n, n:])
-        self.m_pq = _stored(m[n:, :n])
-        self.m_pp = _stored(m[n:, n:])
+        qq, qp, pq, pp = (_stored(b) for b in (m[:n, :n], m[:n, n:],
+                                                m[n:, :n], m[n:, n:]))
         self._kick_inv = self._drift_inv = None
-        if abs(self.m_qp).max() != 0.0:
-            self._kick_inv = _shifted_inverse(self.m_qp, w, "first kick")
-        if abs(self.m_pq).max() != 0.0:
-            self._drift_inv = _shifted_inverse(self.m_pq, -w, "drift")
+        if abs(qp).max() != 0.0:
+            self._kick_inv = _shifted_inverse(qp, w, "first kick")
+        if abs(pq).max() != 0.0:
+            self._drift_inv = _shifted_inverse(pq, -w, "drift")
+        self.m_qq, self.m_qp, self.m_pq, self.m_pp = map(_kept,
+                                                         (qq, qp, pq, pp))
         u = terms.constant_term()
-        self.u_q = self.u_p = None
+        self._dtu_q = self._wu_p = None
         if u is not None:
-            self.u_q = u[:n] if u[:n].any() else None
-            self.u_p = u[n:] if u[n:].any() else None
+            self._dtu_q = self.dt * u[:n] if u[:n].any() else None
+            self._wu_p = w * u[n:] if u[n:].any() else None
 
-    def _kick_drift_kick(self, z, cs, ce):
-        """The state one step after z."""
-        dt = self.dt
-        w = 0.5 * dt
+    def _kick_drift_kick(self, z, force, cs, ce):
+        """The state one step after z, and its force m_qq q_1, given z's
+        force m_qq q_n."""
+        w = 0.5 * self.dt
         n = self.m_qq.shape[0]
         q, p = z[:n], z[n:]
 
         # kick under the start-of-step constant
-        rhs = p - w * (self.m_qq @ q + cs[:n])
+        rhs = p - w * (force + cs[:n])
         if not self.linear:
             rhs = rhs - w * self._grad(q)
-        if self.u_p is not None:
-            rhs = rhs + w * self.u_p
+        if self._wu_p is not None:
+            rhs = rhs + self._wu_p
         p_half = rhs if self._kick_inv is None else self._kick_inv @ rhs
 
         # drift averaging the two constants
         rhs = q + w * (2.0 * (self.m_pp @ p_half) + cs[n:] + ce[n:])
         if self._drift_inv is not None:
             rhs = rhs + w * (self.m_pq @ q)
-        if self.u_q is not None:
-            rhs = rhs + dt * self.u_q
+        if self._dtu_q is not None:
+            rhs = rhs + self._dtu_q
         q_new = rhs if self._drift_inv is None else self._drift_inv @ rhs
 
         # second kick under the end-of-step constant
-        grad_q = self.m_qq @ q_new + ce[:n]
+        force = self.m_qq @ q_new
+        grad_q = force + ce[:n]
         if not self.linear:
             grad_q = grad_q + self._grad(q_new)
         if self._kick_inv is not None:
             grad_q = grad_q + self.m_qp @ p_half
         p_new = p_half - w * grad_q
-        if self.u_p is not None:
-            p_new = p_new + w * self.u_p
-        return np.concatenate([q_new, p_new])
+        if self._wu_p is not None:
+            p_new = p_new + self._wu_p
+        return np.concatenate([q_new, p_new]), force
 
 
 class VerletStepper(_VerletStages):
@@ -530,16 +573,18 @@ class VerletStepper(_VerletStages):
     and the trapezoid integral ``integral`` = F_n, whose tail
     h_n = F_n - w f_n is the part of the quadrature that excludes the
     node's own contribution, so the constraint reads
-    (I + w chi) f_n = K z_n - chi h_n, that is f_n = K z_n - chi F_n. It
-    starts at node 0 from ``system.z0`` and F_0 = 0, loaded by
-    :meth:`_load`; ``step(z)`` takes the state of the current node. Each
-    step reuses the previous step's end-of-step tail constant as its
-    start-of-step one.
+    (I + w chi) f_n = K z_n - chi h_n, that is f_n = K z_n - chi F_n. The
+    node state also holds the force m_qq q_n of stage 1 and the
+    start-of-step tail constant, each the one the previous step left (its
+    stage-3 force and its end-of-step constant), so a step makes one m_qq
+    product. It starts at node 0 from ``system.z0`` and F_0 = 0, loaded by
+    :meth:`_load`; ``step(z)`` takes the state of the current node.
 
-    (I + w chi)^{-1} is formed once and every use multiplies by it: a CSR
-    diagonal of reciprocals for a diagonal chi, else a dense inverse. When
-    K is CSR, K^T (I + w chi)^{-1} and the blocks of M are formed and
-    stored in CSR as well, unless a non-diagonal chi makes them dense.
+    (I + w chi)^{-1} is formed once and every use multiplies by it: for a
+    diagonal chi its diagonal of reciprocals, kept as a vector, else a
+    dense inverse. When K is CSR, K^T (I + w chi)^{-1} and the blocks of M
+    are formed and stored in CSR as well (a diagonal block as its
+    diagonal), unless a non-diagonal chi makes them dense.
     """
 
     kind = "tdd"
@@ -563,7 +608,8 @@ class VerletStepper(_VerletStages):
         tail = self.integral + w * self.f
         chi_tail_end = sys_.chi_apply(tail)
         ce = -(self.kt_wi @ chi_tail_end)
-        z_new = self._kick_drift_kick(z, self._cs, ce)
+        z_new, self._force = self._kick_drift_kick(z, self._force, self._cs,
+                                                   ce)
         self.f = self._wi @ (sys_.K @ z_new - chi_tail_end)
         self.integral = tail + w * self.f
         self._cs = ce
@@ -571,10 +617,11 @@ class VerletStepper(_VerletStages):
 
     def _load(self, z, integral):
         """Make ``integral`` the memory of the current node, whose state is
-        z, with the co-state K z - chi integral and the start-of-step
-        constant -K^T (I + w chi)^{-1} chi (integral - w f) that a step
-        would leave."""
+        z, with the co-state K z - chi integral, and the force m_qq q and
+        the start-of-step constant -K^T (I + w chi)^{-1} chi (integral - w f)
+        that a step would leave."""
         sys_ = self.system
+        self._force = self.m_qq @ z[: sys_.n]
         self.f = sys_.K @ z - sys_.chi_apply(integral)
         self.integral = integral
         tail = integral - 0.5 * self.dt * self.f
@@ -647,8 +694,10 @@ _BLOCK = 128
 # gradient entries for a nonlinear one, whose rows are x alone; so 5n
 # columns and 4n rows for a closed sine-Gordon model of n nodes, 3n and 2n
 # for its plain form. Measured with one BLAS thread over 5000 steps, probes
-# included, the linear map beats the stepper up to about 480 columns on the
-# closed CSR wave, the cheapest step per row, and still at 800 on the dense
+# included, the linear map beats the stepper up to about 400 columns on the
+# closed CSR wave, the cheapest step per row (mapped over stepped time, the
+# median of eleven alternating pairs on an Intel Xeon: 0.61 at 340 columns,
+# 0.72-0.86 at 360-380, 1.00-1.03 at 400), and still at 800 on the dense
 # closed ladder and 600 on its dissipative form; the preset ladder's full
 # map has 200 columns, the 1000-dim wave's 2000. Over 2000 steps of the
 # full sine-Gordon model with one BLAS thread, on a B that also gave the
@@ -1025,7 +1074,9 @@ class DissipativeVerletStepper(_VerletStages):
         self._no_tail = np.zeros(model.dim)
 
     def step(self, z):
-        return self._kick_drift_kick(z, self._no_tail, self._no_tail)
+        force = self.m_qq @ z[: self.model.n]
+        return self._kick_drift_kick(z, force, self._no_tail,
+                                     self._no_tail)[0]
 
 
 def integrate_dissipative(model: DissipativeModel, dt: float,

@@ -1113,7 +1113,8 @@ def test_every_manifest_records_its_run(tmp_path, small_bases, command, argv,
     """Every command's manifest names the command, the benchmark, its
     config, the seed and the warnings; a t_final off the step grid is
     warned of by each command that integrates. compare and build-basis
-    record the wall seconds of their stages."""
+    record the wall seconds of their stages, and so do run-full and
+    run-reduced."""
     argv = [str(small_bases / a) if a.endswith(".mtx") else a for a in argv]
     out = tmp_path / command
     assert _run(command, *argv, "--benchmark", "wave", "--set", "n=10",
@@ -1132,7 +1133,9 @@ def test_every_manifest_records_its_run(tmp_path, small_bases, command, argv,
         assert manifest["warnings"] == []
     stages = {"build-basis": {"snapshots", "basis", "write"},
               "compare": {"full_solve", "basis", "reduce", "integrate",
-                          "measure", "write"}}
+                          "measure", "write"},
+              "run-full": {"full_solve", "write"},
+              "run-reduced": {"reduce", "integrate", "write"}}
     if command in stages:
         assert set(manifest["stages"]) == stages[command]
         assert all(v >= 0.0 for v in manifest["stages"].values())

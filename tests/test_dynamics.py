@@ -108,8 +108,13 @@ def test_solve_auxiliary_without_dissipation():
     assert np.array_equal(f0, system.K @ z)
 
 
-def test_solve_auxiliary_matches_trapezoid_history():
-    bench = build_oscillator(k=1.0, r=1.0)
+@pytest.mark.parametrize("p0", [0.0, 1.0])
+def test_solve_auxiliary_matches_trapezoid_history(p0):
+    """Every co-state solves its node's constraint with the trapezoid
+    tail of the raw history, node 0's included: there F_0 = 0, so its tail
+    is -w f_0, which a moving start (p0 = 1, chi on the momentum) tells
+    apart from the empty-history solve."""
+    bench = build_oscillator(k=1.0, r=1.0, p0=p0)
     system = bench.system
     dt = 1e-3
     stepper = VerletStepper(system, dt)
@@ -124,7 +129,7 @@ def test_solve_auxiliary_matches_trapezoid_history():
     # trapezoid tail and a dense solve
     lhs = np.eye(2) + 0.5 * dt * system.chi
     for node, z in enumerate(states):
-        tail = np.zeros(2)
+        tail = -0.5 * dt * history[0]
         if node:
             tail = dt * (0.5 * history[0] + sum(history[1:node]))
         f_ref = np.linalg.solve(lhs, system.K @ z - system.chi @ tail)
@@ -1108,7 +1113,11 @@ def _operators(system, dt=0.01):
 def test_sparse_path_matches_dense_reference(name, overrides):
     config = sm.make_config(name, overrides)
     bench = sm.build_benchmark(name, config)
-    assert all(scipy.sparse.issparse(op) for op in _operators(bench.system))
+    # CSR, or a diagonal kept as its vector (m_pp), never an n x n array
+    operators = _operators(bench.system)
+    assert all(scipy.sparse.issparse(op) or isinstance(op, dynamics._Diagonal)
+               for op in operators)
+    assert isinstance(operators[-1], dynamics._Diagonal)
     run = {"dt": config.dt, "t_final": config.t_final,
            "snapshot_stride": config.snapshot_stride}
     report = sm.integrate(bench.system, **run)
@@ -1141,10 +1150,32 @@ def test_dense_and_reduced_operators_stay_dense(wave_n100, sg_n100, ladder50):
             system.name
 
 
+def test_diagonal_products_are_csr_products():
+    """A diagonal kept as its vector multiplies a vector, a dense block
+    and a CSR matrix to the CSR diagonal's products bitwise, a dense block
+    coming back C-ordered as the CSR product does (the layout later BLAS
+    products round by)."""
+    rng = np.random.default_rng(4)
+    d = rng.uniform(0.5, 2.0, 6)
+    diagonal, csr = dynamics._Diagonal(d), dynamics._Csr(scipy.sparse.diags(d))
+    assert diagonal.shape == (6, 6) and diagonal.nbytes == d.nbytes
+    v = rng.standard_normal(6)
+    np.testing.assert_array_equal(diagonal @ v, csr @ v)
+    for block in (rng.standard_normal((6, 4)), rng.standard_normal((4, 6)).T):
+        got, want = diagonal @ block, csr @ block
+        np.testing.assert_array_equal(got, want)
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+    sparse = dynamics._Csr(scipy.sparse.random(6, 6, density=0.4,
+                                                random_state=4))
+    got = diagonal @ sparse
+    assert scipy.sparse.issparse(got)
+    np.testing.assert_array_equal(got.toarray(), (csr @ sparse).toarray())
+
+
 def test_plain_wave_stepper_keeps_a_diagonal_stage_inverse():
     """The full wave's plain form has m_qp = diag(r), so its kick inverse is
-    a CSR diagonal of reciprocals: an n = 2000 stepper builds without an
-    n x n array (a dense one takes 32 MB), and a 20-step run matches the
+    kept as its diagonal of reciprocals: an n = 2000 stepper builds without
+    an n x n array (a dense one takes 32 MB), and a 20-step run matches the
     same stepper with the dense inverse to 1e-14 relative."""
     config = sm.make_config("wave", {"n": 2000})
     model = sm.build_benchmark("wave", config).dissipative_model()
@@ -1155,18 +1186,48 @@ def test_plain_wave_stepper_keeps_a_diagonal_stage_inverse():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-    assert scipy.sparse.issparse(stepper._kick_inv)
+    assert isinstance(stepper._kick_inv, dynamics._Diagonal)
     assert stepper._drift_inv is None
     report = sm.integrate_dissipative(model, config.dt, n_steps=20)
 
     stepper._kick_inv = np.linalg.inv(
-        np.eye(model.n) + 0.5 * config.dt * stepper.m_qp.toarray())
+        np.eye(model.n) + 0.5 * config.dt * np.diag(stepper.m_qp.diagonal))
     states = [model.z0]
     for _ in range(20):
         states.append(stepper.step(states[-1]))
     want = np.array(states).T
     got = report.snapshots.states
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["wave", "sine-gordon"])
+def test_loaded_stepper_reproduces_a_stepped_node_bitwise(name, monkeypatch):
+    """A closed stepper carries its node's force m_qq q from step to step;
+    a fresh one given a node's (z, F) by ``_load`` forms it, and steps to
+    the next node's state and co-state of a stepped n = 40 run bitwise.
+    The memory agrees to roundoff only: ``_load`` forms the node's
+    co-state as K z - chi F, which differs from the carried one in the
+    last bits, and F_{j+1} = F_j + w (f_j + f_{j+1})."""
+    bench = sm.build_benchmark(name, sm.make_config(name, {"n": 40}))
+    system, dt, n_steps = bench.system, bench.config.dt, 60
+    monkeypatch.setattr(dynamics, "_MAP_DIM", 0)
+    rep = sm.integrate(system, dt=dt, n_steps=n_steps)
+    stepper = VerletStepper(system, dt)
+    nodes = [(system.z0, stepper.integral, stepper.f)]
+    for _ in range(n_steps):
+        nodes.append((stepper.step(nodes[-1][0]), stepper.integral,
+                      stepper.f))
+    np.testing.assert_array_equal(np.array([z for z, _, _ in nodes]).T,
+                                  rep.snapshots.states)
+    for j in (0, 1, 17, n_steps - 1):
+        fresh = VerletStepper(system, dt)
+        fresh._load(*nodes[j][:2])
+        np.testing.assert_array_equal(fresh.step(nodes[j][0]),
+                                      nodes[j + 1][0])
+        np.testing.assert_array_equal(fresh.f, nodes[j + 1][2])
+        memory = nodes[j + 1][1]
+        assert (np.abs(fresh.integral - memory).max()
+                <= 1e-15 * np.abs(memory).max())
 
 
 @pytest.mark.parametrize("diagonal", [0.0, 1e-14])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sympmor as sm
-from sympmor import SnapshotSet
+from sympmor import SnapshotSet, storage
 from sympmor.storage import (build_manifest, read_matrix, read_snapshots,
                              read_vector, sha256_file, verify_manifest,
                              write_csv, write_manifest, write_matrix,
@@ -62,6 +62,30 @@ def test_write_csv_and_read_back(tmp_path):
         write_csv(tmp_path / "bad.csv", ["a"], cols)
     with pytest.raises(ValueError, match="lengths differ"):
         write_csv(tmp_path / "bad.csv", header, [np.zeros(3), np.zeros(2)])
+
+
+def _savetxt_bytes(path, header, columns):
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 2 * storage._CSV_CHUNK + 3])
+def test_write_csv_bytes_are_savetxt_bytes(tmp_path, rows):
+    """The chunked writer gives np.savetxt's bytes, special values, an int
+    column, an empty table and chunk boundaries included."""
+    rng = np.random.default_rng(rows)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
+                        -1.7976931348623157e308])
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    floats[: special.size] = special[: rows]
+    cols = [np.arange(rows), floats, np.resize(special, rows)]
+    header = ["i", "x", "s"]
+    want = _savetxt_bytes(tmp_path / "want.csv", header, cols)
+    assert write_csv(tmp_path / "t.csv", header, cols).read_bytes() == want
+    ints = [np.arange(rows) - 3]
+    want = _savetxt_bytes(tmp_path / "want_int.csv", ["i"], ints)
+    assert write_csv(tmp_path / "i.csv", ["i"], ints).read_bytes() == want
 
 
 def test_format_float_round_trips(tmp_path):
