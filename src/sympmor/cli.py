@@ -42,46 +42,20 @@ def _parse_set_item(item: str):
     key, sep, raw = item.partition("=")
     if not sep:
         raise ConfigError(f"--set expects key=value, got {item!r}")
-    key = key.strip()
-    if key == "chi":
-        # convenience alias: scales the susceptibility ("chi=0" disables it)
-        key = "chi_scale"
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    return key, value
+    return key.strip(), value
 
 
 def resolve_config(args):
-    """Benchmark name and config from defaults, --config file and --set."""
-    name = getattr(args, "benchmark", None)
-    overrides = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        try:
-            data = json.loads(_read_input(Path.read_text, path))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") \
-                from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        file_bench = data.pop("benchmark", None)
-        if file_bench is not None:
-            if name is not None and name != file_bench:
-                raise ConfigError(
-                    f"--benchmark {name} conflicts with config file "
-                    f"benchmark {file_bench}"
-                )
-            name = file_bench
-        overrides.update(data)
-    for item in getattr(args, "set", None) or []:
-        key, value = _parse_set_item(item)
-        overrides[key] = value
-    if name is None:
-        raise ConfigError("no benchmark selected (--benchmark or config file)")
+    """Benchmark name and config: the --benchmark defaults, then each
+    --set override in order."""
+    overrides = dict(_parse_set_item(item) for item in args.set or [])
     try:
-        return name, benchmarks.make_config(name, overrides)
+        return args.benchmark, benchmarks.make_config(args.benchmark,
+                                                      overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -347,31 +321,31 @@ def cmd_reduce(args) -> int:
     out = Path(args.out)
     basis = _basis_from_file(args.basis, "rdh")
     m = basis.n_columns
-    red = _project(bench, basis, "rdh")
+    stages = {}
+    with _stage(stages, "reduce"):
+        system = _project(bench, basis, "rdh").system
     # two steps build the step map, at node 1; a dt whose implicit stage
     # is singular is a configuration error
-    try:
-        step_map = dynamics.integrate(red.system, bench.config.dt,
-                                      n_steps=2).step_map
-    except NonFiniteError as exc:
-        step_map = exc.step_map
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    with _stage(stages, "integrate"):
+        try:
+            step_map = dynamics.integrate(system, bench.config.dt,
+                                          n_steps=2).step_map
+        except NonFiniteError as exc:
+            step_map = exc.step_map
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     radius = _step_radius(step_map)
-    files = [
-        storage.write_matrix(out / f"reduced_K_k{m}.mtx", red.system.K),
-        storage.write_matrix(out / f"reduced_chi_k{m}.mtx", red.system.chi),
-        storage.write_matrix(out / f"reduced_z0_k{m}.mtx", red.system.z0),
-    ]
-    if red.system.input_vector is not None:
-        files.append(storage.write_matrix(out / f"reduced_input_k{m}.mtx",
-                                          red.system.input_vector))
-    if red.system.boundary_vector is not None:
-        files.append(storage.write_matrix(out / f"reduced_boundary_k{m}.mtx",
-                                          red.system.boundary_vector))
+    with _stage(stages, "write"):
+        files = [storage.write_matrix(out / f"reduced_{part}_k{m}.mtx", value)
+                 for part, value in (("K", system.K), ("chi", system.chi),
+                                     ("z0", system.z0),
+                                     ("input", system.input_vector),
+                                     ("boundary", system.boundary_vector))
+                 if value is not None]
     _write_manifest(args, bench, files,
                     _stability_warnings({f"rdh_k{m}": radius}),
-                    reduction={"modes": m}, step_radius=radius)
+                    reduction={"modes": m}, step_radius=radius,
+                    stages=stages)
     print(f"reduce {bench.name}: {m} modes -> {out}")
     return 0
 
@@ -561,17 +535,16 @@ def _measure_cell(bench, method, cell, report, lift, proj, reference,
         # freed before the energy and component temporaries: on the ladder
         # (30 x 5001) keeping it raises the compare's peak RSS by 1.2 MB
         del drift
-        err = reduction.TrajectoryError(
-            per_instant=np.sqrt(dx * (proj.floor2 + drift2)),
-            reference_norms=ref_norms)
+        err = reduction.TrajectoryError.from_squares(
+            proj.floor2 + drift2, ref_norms, dx)
         energy = bench.system.hamiltonian(y, lift)
     cell["max_error"] = err.max_weighted
     cell["mean_error"] = err.mean_weighted
     cell["max_relative"] = err.max_relative
     cell["mean_relative"] = err.mean_relative
     for part, squares in (("floor_max", proj.floor2), ("drift_max", drift2)):
-        cell[part] = reduction.TrajectoryError(
-            np.sqrt(dx * squares), ref_norms).max_relative
+        cell[part] = reduction.TrajectoryError.from_squares(
+            squares, ref_norms, dx).max_relative
     scale = max(float(np.abs(ref_energy).max()), 1e-300)
     gap = np.abs(energy - ref_energy)
     cell["energy_error"] = float(gap.mean()) / scale
@@ -737,14 +710,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--benchmark", choices=benchmarks.benchmark_names(),
+    common.add_argument("--benchmark", required=True,
+                        choices=benchmarks.benchmark_names(),
                         help="benchmark system to build")
-    common.add_argument("--config", metavar="PATH.json",
-                        help="JSON file with config overrides "
-                             "(may include a 'benchmark' key)")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="config override; repeatable ('chi=0' disables "
-                             "the susceptibility)")
+                        help="config override of a benchmark default; "
+                             "repeatable, the last one of a key wins")
     common.add_argument("--out", default="out", metavar="DIR",
                         help="output directory (default: %(default)s)")
     common.add_argument("--seed", type=int, default=0,

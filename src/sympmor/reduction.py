@@ -238,6 +238,15 @@ class TrajectoryError:
     per_instant: np.ndarray
     reference_norms: np.ndarray
 
+    @classmethod
+    def from_squares(cls, squares: np.ndarray, reference_norms: np.ndarray,
+                     dx: float) -> "TrajectoryError":
+        """The error whose squared unweighted distance at each instant is
+        ``squares``, weighted with the grid weight ``dx`` as
+        :func:`weighted_norms` weights the reference."""
+        return cls(per_instant=np.sqrt(dx * squares),
+                   reference_norms=reference_norms)
+
     @property
     def max_weighted(self) -> float:
         return float(self.per_instant.max())

@@ -23,7 +23,12 @@ from conftest import read_csv
 
 
 def _run(*argv):
-    return main(list(argv))
+    """The exit code of ``sympmor *argv``: main's return value, or the code
+    of the SystemExit by which argparse rejects a command line."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 def _manifest(out):
@@ -82,10 +87,10 @@ def test_build_basis_warns_of_an_unsampled_end(tmp_path):
     assert "t = 0.096" in warning and "t = 0.1" in warning
 
 
-def test_run_full_chi_alias_disables_dissipation(tmp_path):
+def test_run_full_chi_scale_zero_disables_dissipation(tmp_path):
     out = tmp_path / "cons"
     assert _run("run-full", "--benchmark", "wave", "--set", "n=16",
-                "--set", "t_final=1.0", "--set", "chi=0",
+                "--set", "t_final=1.0", "--set", "chi_scale=0",
                 "--out", str(out)) == 0
     manifest = _manifest(out)
     assert manifest["config"]["chi_scale"] == 0
@@ -820,36 +825,40 @@ def test_missing_snapshot_times_file_is_named(tmp_path, capsys):
                    f"{full / 'snapshots_times.mtx'}"]
 
 
-def test_config_file_and_set_precedence(tmp_path):
+def test_a_config_file_or_the_chi_alias_is_rejected(tmp_path, capsys):
+    """A run is configured by --benchmark and --set alone: --config is no
+    option (argparse exits 2) and chi is no config key; neither writes an
+    output directory."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"benchmark": "wave", "n": 16,
                                "t_final": 0.5}))
     out = tmp_path / "out"
-    assert _run("run-full", "--config", str(cfg), "--set", "n=20",
-                "--out", str(out)) == 0
-    manifest = _manifest(out)
-    assert manifest["benchmark"] == "wave"
-    assert manifest["config"]["n"] == 20
-    assert manifest["config"]["t_final"] == 0.5
+    assert _run("run-full", "--benchmark", "wave", "--config", str(cfg),
+                "--set", "n=20", "--out", str(out)) == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not out.exists()
+    assert _run("run-full", "--benchmark", "wave", "--set", "n=16",
+                "--set", "chi=0", "--out", str(out)) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resolve_config_of_a_parsed_command_line(tmp_path):
+    """The call perfbench makes: the benchmark's defaults with each --set
+    applied."""
+    name, config = cli.resolve_config(cli.build_parser().parse_args(
+        ["compare", "--benchmark", "wave", "--set", "c2=0.09",
+         "--out", str(tmp_path)]))
+    assert name == "wave"
+    assert isinstance(config, sm.WaveConfig)
+    assert config.c2 == 0.09
 
 
 def test_configuration_errors(tmp_path, capsys):
     out = str(tmp_path / "x")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"benchmark": "wave", "n": 16}))
-    assert _run("run-full", "--benchmark", "ladder", "--config", str(cfg),
-                "--out", out) == 2
-    assert "conflicts" in capsys.readouterr().err
-    assert _run("run-full", "--config", str(tmp_path / "nope.json"),
-                "--out", out) == 2
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert _run("run-full", "--config", str(bad), "--out", out) == 2
-    listy = tmp_path / "list.json"
-    listy.write_text("[1, 2]")
-    assert _run("run-full", "--config", str(listy), "--out", out) == 2
     assert _run("run-full", "--out", out) == 2
-    assert "no benchmark selected" in capsys.readouterr().err
+    assert ("the following arguments are required: --benchmark"
+            in capsys.readouterr().err)
     assert _run("run-full", "--benchmark", "wave", "--set", "n",
                 "--out", out) == 2
     assert "key=value" in capsys.readouterr().err
@@ -1112,9 +1121,8 @@ def test_every_manifest_records_its_run(tmp_path, small_bases, command, argv,
                                         integrates):
     """Every command's manifest names the command, the benchmark, its
     config, the seed and the warnings; a t_final off the step grid is
-    warned of by each command that integrates. compare and build-basis
-    record the wall seconds of their stages, and so do run-full and
-    run-reduced."""
+    warned of by each command that integrates. Each records the wall
+    seconds of its stages."""
     argv = [str(small_bases / a) if a.endswith(".mtx") else a for a in argv]
     out = tmp_path / command
     assert _run(command, *argv, "--benchmark", "wave", "--set", "n=10",
@@ -1134,13 +1142,11 @@ def test_every_manifest_records_its_run(tmp_path, small_bases, command, argv,
     stages = {"build-basis": {"snapshots", "basis", "write"},
               "compare": {"full_solve", "basis", "reduce", "integrate",
                           "measure", "write"},
+              "reduce": {"reduce", "integrate", "write"},
               "run-full": {"full_solve", "write"},
               "run-reduced": {"reduce", "integrate", "write"}}
-    if command in stages:
-        assert set(manifest["stages"]) == stages[command]
-        assert all(v >= 0.0 for v in manifest["stages"].values())
-    else:
-        assert "stages" not in manifest
+    assert set(manifest["stages"]) == stages[command]
+    assert all(v >= 0.0 for v in manifest["stages"].values())
 
 
 def test_lowdiss_structured_and_symplectic_agree(tmp_path):
