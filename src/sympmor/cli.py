@@ -88,14 +88,18 @@ def _require_even(modes, what: str):
         raise ConfigError(f"{what} requires even mode counts, got {odd}")
 
 
-def _read_input(read, path, *args):
-    """``read(path, *args)`` of an input file; a missing file is a
-    configuration error."""
+def _read_input(read, path):
+    """``read(path)`` of an input file; a missing file, or one the reader
+    rejects, is a configuration error that names the path once."""
     try:
-        return read(path, *args)
+        return read(path)
     except (FileNotFoundError, IsADirectoryError) as exc:
         raise ConfigError(f"input file not found: {exc.filename or path}") \
             from None
+    except ValueError as exc:
+        message = str(exc)
+        raise ConfigError(message if str(path) in message
+                          else f"{path}: {message}") from None
 
 
 def _basis_from_file(path, method: str):
@@ -241,10 +245,7 @@ def _collect_snapshots(args, bench):
     is a configuration error."""
     if args.snapshots:
         path = args.snapshots
-        try:
-            snapshots = _read_input(storage.read_snapshots, path)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        snapshots = _read_input(storage.read_snapshots, path)
         if snapshots.dim != bench.system.dim:
             raise ConfigError(
                 f"{path}: states of dimension {snapshots.dim}, but "
@@ -427,9 +428,14 @@ class _Projection:
     coords: np.ndarray
     floor2: np.ndarray
 
-    def truncate(self, rows) -> "_Projection":
-        """The projection onto the columns ``rows`` of A. A row of C outside
-        them adds its square to the floor, a sum that cannot cancel."""
+    def truncate(self, method: str, m: int) -> "_Projection":
+        """The projection onto the columns of A that make up the basis of an
+        m-mode cell of ``method``: POD's leading m, the first m/2 of each
+        half of a symplectic basis [E | J^T E]. A row of C outside them adds
+        its square to the floor, a sum that cannot cancel."""
+        half = len(self.coords) // 2
+        rows = (np.arange(m) if method == "pod"
+                else np.r_[0:m // 2, half:half + m // 2])
         outside = np.ones(len(self.coords), dtype=bool)
         outside[rows] = False
         rest = self.coords[outside]
@@ -449,42 +455,53 @@ def _projection(lift, states) -> _Projection:
     return _Projection(coords=coords, floor2=floor2)
 
 
-def _cell_rows(method: str, m: int, top: int) -> np.ndarray:
-    """The columns of a compare basis of ``top`` columns that make up the
-    basis of an m-mode cell: POD's leading m, and the first m/2 of each
-    half of a symplectic basis [E | J^T E]."""
-    if method == "pod":
-        return np.arange(m)
-    half = top // 2
-    return np.r_[0:m // 2, half:half + m // 2]
+@dataclasses.dataclass
+class _Reference:
+    """The full run every compare cell is measured against: its energy H on
+    the snapshot grid and its scale max(max_t |H|, 1e-300), the weighted
+    norms of its snapshots X, T X on a benchmark with a canonical transform
+    T, the :class:`_Projection` of X through each compare basis by key
+    ("sym", "pod"), and the run's wall seconds."""
+
+    energy: np.ndarray
+    energy_scale: float
+    norms: np.ndarray
+    transformed: np.ndarray | None
+    projections: dict
+    wall_seconds: float
+
+    @classmethod
+    def of(cls, bench, full, bases: dict) -> "_Reference":
+        """The reference of ``bench``'s full run through ``bases``."""
+        states = full.snapshots.states
+        energy = bench.system.hamiltonian(states)
+        return cls(
+            energy=energy,
+            energy_scale=max(float(np.abs(energy).max()), 1e-300),
+            norms=reduction.weighted_norms(states, bench.system.dx),
+            transformed=(None if bench.transform is None
+                         else bench.transform @ states),
+            projections={key: _projection(lift, states)
+                         for key, lift in bases.items()},
+            wall_seconds=full.wall_seconds)
 
 
-def _compare_cell(bench, method, mapper, projection, reference, ref_energy,
-                  ref_norms, transformed, model, dx, stages):
-    """One (method, mode-count) comparison cell: its manifest summary and
-    its table columns by prefix, or None for the columns of a run that
-    blew up. The wall seconds of its reduction, its run and its
-    measurement are added to ``stages``.
+def _compare_cell(bench, method, mapper, reference, model, stages):
+    """One (method, mode-count) comparison cell, measured against the
+    :class:`_Reference` ``reference``: its manifest summary and its table
+    columns by prefix, or None for the columns of a run that blew up. The
+    wall seconds of its reduction, run and measurement go to ``stages``.
 
-    Every cell is measured against the one full closed-formulation run
-    ``reference``, its energy ``ref_energy``, the weighted norms
-    ``ref_norms`` of its snapshots and, on a benchmark with a canonical
-    transform T, their image ``transformed``, T X (None otherwise), all
-    formed once per compare with the model's grid weight ``dx``, and
-    through ``projection``, the full snapshots seen through the compare's
-    basis at its largest mode count, of which the cell takes its own rows
-    (see :class:`_Projection`).
     A cell is flagged unstable when its run fails, at the first node whose
     state, energy or residual is non-finite, or when the energy error of
     its lifted states shows sustained terminal growth or overflows;
     the spectral abscissa of the baseline generators is recorded as an
     additional diagnostic, and so is the step_radius of each run's step
     map, failed runs included (None for pod's RK4 runs). A cell that ran
-    also records its speedup, the full run's wall time over
-    its own, its floor_max and drift_max, the two parts of its error
-    normalized as max_relative is, and an rdh cell its hext_drift,
-    max_t |H_ext(t) - H_ext(0)| over max_t |H_full(t)| on the snapshot
-    grid.
+    also records its speedup, the full run's wall time over its own, its
+    floor_max and drift_max, the two parts of its error normalized as
+    max_relative is, and an rdh cell its hext_drift,
+    max_t |H_ext(t) - H_ext(0)| over max_t |H_full(t)| on the snapshot grid.
 
     The columns are the error and the energy of the lifted states on the
     snapshot grid, both computed in reduced coordinates, the string and
@@ -493,7 +510,7 @@ def _compare_cell(bench, method, mapper, projection, reference, ref_energy,
     error per component of a benchmark with a canonical transform (the
     ladder's), mean |T X - (T A) Y|.
     """
-    config = bench.config
+    config, dx = bench.config, bench.system.dx
     cell: dict = {"unstable": False}
     with _stage(stages, "reduce"):
         reduced = _project(bench, mapper, method, model)
@@ -514,63 +531,55 @@ def _compare_cell(bench, method, mapper, projection, reference, ref_energy,
         return cell, None
     cell["step_radius"] = _step_radius(report.step_map)
     with _stage(stages, "measure"):
-        columns = _measure_cell(bench, method, cell, report, lift,
-                                projection, reference, ref_energy, ref_norms,
-                                transformed, dx)
+        y = report.snapshots.states
+        proj = reference.projections["pod" if method == "pod" else "sym"]
+        proj = proj.truncate(method, lift.shape[1])
+        # a finite reduced state can lift to an energy or error past
+        # floating point range; terminal_growth flags that cell as unstable
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = proj.coords - y                    # A^T X - Y
+            drift2 = np.einsum("ij,ij->j", drift, drift)
+            # freed before the energy and component temporaries: on the
+            # ladder (30 x 5001) keeping it raises the compare's peak RSS by
+            # 1.2 MB
+            del drift
+            err = reduction.TrajectoryError.from_squares(
+                proj.floor2 + drift2, reference.norms, dx)
+            energy = bench.system.hamiltonian(y, lift)
+        cell["max_error"] = err.max_weighted
+        cell["mean_error"] = err.mean_weighted
+        cell["max_relative"] = err.max_relative
+        cell["mean_relative"] = err.mean_relative
+        for part, squares in (("floor_max", proj.floor2),
+                              ("drift_max", drift2)):
+            cell[part] = reduction.TrajectoryError.from_squares(
+                squares, reference.norms, dx).max_relative
+        scale = reference.energy_scale
+        gap = np.abs(energy - reference.energy)
+        cell["energy_error"] = float(gap.mean()) / scale
+        cell["energy_growth"] = reduction.terminal_growth(gap)
+        if cell["energy_growth"]:
+            cell["unstable"] = True
+        cell["volterra_max"] = report.volterra_max
+        cell["kz_max"] = report.kz_max
+        cell["wall_seconds"] = report.wall_seconds
+        cell["speedup"] = reference.wall_seconds / report.wall_seconds
+        columns = {"err": err.per_instant, "H": energy}
+        if method == "rdh":
+            hext = report.extended_energy[::config.snapshot_stride]
+            cell["hext_drift"] = float(np.abs(hext - hext[0]).max()) / scale
+            columns["Estring"] = report.string_energy[::config.snapshot_stride]
+            columns["Hext"] = hext
+        if bench.system.potential is not None:
+            columns["kinetic"] = reduction.kinetic_energy(
+                lift[:bench.system.n] @ report.derivatives, dx)
+        if reference.transformed is not None:
+            # interleaved charge/flux coordinates recovered through the
+            # transform: T X - (T A) Y, in place
+            diff = (bench.transform @ lift) @ y
+            np.subtract(reference.transformed, diff, out=diff)
+            columns["avg"] = np.abs(diff, out=diff).mean(axis=1)
     return cell, columns
-
-
-def _measure_cell(bench, method, cell, report, lift, proj, reference,
-                  ref_energy, ref_norms, transformed, dx):
-    """The table columns of a cell that ran, with its summary entries
-    added to ``cell``; see :func:`_compare_cell`."""
-    config = bench.config
-    y = report.snapshots.states
-    proj = proj.truncate(_cell_rows(method, lift.shape[1], len(proj.coords)))
-    # a finite reduced state can lift to an energy or error past floating
-    # point range; terminal_growth flags that cell as unstable
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = proj.coords - y                    # A^T X - Y
-        drift2 = np.einsum("ij,ij->j", drift, drift)
-        # freed before the energy and component temporaries: on the ladder
-        # (30 x 5001) keeping it raises the compare's peak RSS by 1.2 MB
-        del drift
-        err = reduction.TrajectoryError.from_squares(
-            proj.floor2 + drift2, ref_norms, dx)
-        energy = bench.system.hamiltonian(y, lift)
-    cell["max_error"] = err.max_weighted
-    cell["mean_error"] = err.mean_weighted
-    cell["max_relative"] = err.max_relative
-    cell["mean_relative"] = err.mean_relative
-    for part, squares in (("floor_max", proj.floor2), ("drift_max", drift2)):
-        cell[part] = reduction.TrajectoryError.from_squares(
-            squares, ref_norms, dx).max_relative
-    scale = max(float(np.abs(ref_energy).max()), 1e-300)
-    gap = np.abs(energy - ref_energy)
-    cell["energy_error"] = float(gap.mean()) / scale
-    cell["energy_growth"] = reduction.terminal_growth(gap)
-    if cell["energy_growth"]:
-        cell["unstable"] = True
-    cell["volterra_max"] = report.volterra_max
-    cell["kz_max"] = report.kz_max
-    cell["wall_seconds"] = report.wall_seconds
-    cell["speedup"] = reference.wall_seconds / report.wall_seconds
-    columns = {"err": err.per_instant, "H": energy}
-    if method == "rdh":
-        hext = report.extended_energy[::config.snapshot_stride]
-        cell["hext_drift"] = float(np.abs(hext - hext[0]).max()) / scale
-        columns["Estring"] = report.string_energy[::config.snapshot_stride]
-        columns["Hext"] = hext
-    if bench.system.potential is not None:
-        columns["kinetic"] = reduction.kinetic_energy(
-            lift[:bench.system.n] @ report.derivatives, dx)
-    if transformed is not None:
-        # interleaved charge/flux coordinates recovered through the
-        # transform: T X - (T A) Y, in place
-        diff = (bench.transform @ lift) @ y
-        np.subtract(transformed, diff, out=diff)
-        columns["avg"] = np.abs(diff, out=diff).mean(axis=1)
-    return columns
 
 
 def cmd_compare(args) -> int:
@@ -585,8 +594,11 @@ def cmd_compare(args) -> int:
     if not methods:
         raise ConfigError(f"--methods {args.methods!r} names no method; "
                           f"valid: rdh, psd, pod")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ConfigError(f"--methods repeats {', '.join(repeated)}")
     modes = _parse_modes(args.modes, bench.default_modes)
-    _require_even(modes, "symplectic reduction")
+    _require_even(modes, "compare")
     paired = "rdh" in methods or "psd" in methods
     # the symplectic basis generator, recorded only when a cell uses it
     basis_method = (args.basis_method or "cotangent") if paired else None
@@ -599,27 +611,17 @@ def cmd_compare(args) -> int:
     top = max(modes)
     with _stage(stages, "full_solve"):
         full = _integrate_full(bench, basis_method == "greedy")
+    bases = {}
     if paired:
         with _stage(stages, "basis"):
             sym_basis, _, _ = _make_basis(basis_method, full.snapshots, top)
+        bases["sym"] = sym_basis.matrix
     if "pod" in methods:
         with _stage(stages, "pod_basis"):
             pod_v, _, _ = _make_basis("pod", full.snapshots, top)
-    # what every cell is measured against, formed once: the reference
-    # energy, norms and transform, and each basis at its largest mode count
-    # applied to the full snapshots
-    dx = bench.system.dx
-    states = full.snapshots.states
+        bases["pod"] = pod_v
     with _stage(stages, "measure"):
-        ref_energy = bench.system.hamiltonian(states)
-        ref_norms = reduction.weighted_norms(states, dx)
-        transformed = (None if bench.transform is None
-                       else bench.transform @ states)
-        projections = {}
-        if paired:
-            projections["sym"] = _projection(sym_basis.matrix, states)
-        if "pod" in methods:
-            projections["pod"] = _projection(pod_v, states)
+        reference = _Reference.of(bench, full, bases)
     # the baselines all project one dissipative model
     model = (bench.dissipative_model()
              if "psd" in methods or "pod" in methods else None)
@@ -632,12 +634,12 @@ def cmd_compare(args) -> int:
     tables = [
         ("errors.csv", ["t"], [times], ("err",)),
         ("energy.csv", ["t", "H_full", "Estring_full", "Hext_full"],
-         [times, ref_energy, full.string_energy[::stride],
+         [times, reference.energy, full.string_energy[::stride],
           full.extended_energy[::stride]], ("H", "Estring", "Hext")),
     ]
     if bench.system.potential is not None:
         kinetic = reduction.kinetic_energy(
-            full.derivatives[:bench.system.n], dx)
+            full.derivatives[:bench.system.n], bench.system.dx)
         tables.append(("kinetic.csv", ["t", "kinetic_full"],
                        [times, kinetic], ("kinetic",)))
     if bench.transform is not None:   # time-averaged error per component
@@ -650,10 +652,8 @@ def cmd_compare(args) -> int:
             key = f"{method}_k{m}"
             mapper = (pod_v[:, :m] if method == "pod"
                       else sym_basis.truncate(m // 2))
-            summary[key], cols = _compare_cell(
-                bench, method, mapper,
-                projections["pod" if method == "pod" else "sym"], full,
-                ref_energy, ref_norms, transformed, model, dx, stages)
+            summary[key], cols = _compare_cell(bench, method, mapper,
+                                               reference, model, stages)
             if summary[key]["unstable"]:
                 flagged.append(key)
             for _, headers, columns, prefixes in tables:
@@ -663,9 +663,7 @@ def cmd_compare(args) -> int:
                     headers.append(f"{prefix}_{key}")
                     columns.append(np.full(len(columns[0]), np.nan)
                                    if cols is None else cols[prefix])
-    # the projections are not needed past the cells: free them before the
-    # tables are formatted
-    del projections, transformed
+    del reference   # free the projections and T X before the tables
     with _stage(stages, "write"):
         files = [storage.write_csv(out / file, headers, columns)
                  for file, headers, columns, _ in tables]
@@ -685,11 +683,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        n_files, problems = _read_input(storage.verify_manifest,
-                                        Path(args.manifest))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    n_files, problems = _read_input(storage.verify_manifest,
+                                    Path(args.manifest))
     if problems:
         for p in problems:
             print(f"FAIL {p}")

@@ -31,12 +31,16 @@ def write_matrix(path, array) -> Path:
 
 def read_matrix(path) -> np.ndarray:
     try:
-        return np.asarray(scipy.io.mmread(Path(path)), dtype=float)
+        m = scipy.io.mmread(Path(path))
     except FileNotFoundError as exc:
         # newer scipy mmread names the missing file in its message only
         if exc.filename is None:
             exc.filename = str(path)
         raise
+    if not isinstance(m, np.ndarray):
+        raise ValueError("coordinate (sparse) MatrixMarket format; expected "
+                         "a dense array")
+    return np.asarray(m, dtype=float)
 
 
 def read_vector(path) -> np.ndarray:

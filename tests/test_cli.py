@@ -12,6 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse
 
 import sympmor as sm
 from sympmor import cli
@@ -377,16 +379,6 @@ def test_compare_wave_errors_decrease(tmp_path):
             assert col in energy_header
 
 
-def test_compare_duplicate_method_is_zero_difference(tmp_path):
-    out = tmp_path / "dup"
-    assert _run("compare", "--benchmark", "wave", "--set", "n=16",
-                "--set", "t_final=1.0", "--methods", "rdh,rdh",
-                "--modes", "8", "--out", str(out)) == 0
-    header, data = read_csv(out / "errors.csv")
-    assert header == ["t", "err_rdh_k8", "err_rdh_k8"]
-    assert np.array_equal(data[:, 1], data[:, 2])
-
-
 def test_compare_ladder_components(tmp_path, capsys, monkeypatch):
     """The error and component-error columns equal those recomputed from
     run-full's snapshots and run-reduced's lifted trajectory on the same
@@ -452,16 +444,26 @@ def test_compare_error_splits_into_floor_and_drift(tmp_path, monkeypatch,
     parts' maxima over the peak reference norm, and the cell's energy.csv
     column is the energy of the lifted states to 1e-12 of its largest. The
     4-mode cells take their floor from the 8-mode basis's, plus the rows
-    of A^T X outside the cell."""
+    of A^T X outside the cell, and the snapshots are projected once per
+    basis, not once per cell."""
     out = tmp_path / "cmp"
 
     def unused(*args, **kwargs):
         raise AssertionError("compare lifted a reduced trajectory")
 
+    projected = []
+
+    def projection(lift, states):
+        projected.append(lift.shape)
+        return original(lift, states)
+
+    original = cli._projection
     with monkeypatch.context() as patched:
         patched.setattr("sympmor.reduction.reconstruct", unused)
+        patched.setattr(cli, "_projection", projection)
         assert _run("compare", *argv, "--modes", "4,8",
                     "--out", str(out)) == 0
+    assert len(projected) == 2   # the symplectic basis and POD's
     manifest = _manifest(out)
     name = manifest["benchmark"]
     bench = sm.build_benchmark(name, sm.make_config(name, manifest["config"]))
@@ -695,6 +697,9 @@ def test_compare_records_the_rdh_extended_energy_drift(tmp_path):
 
 
 def test_compare_unknown_method(tmp_path, capsys):
+    """An unknown, a missing or a repeated method, and an odd mode count
+    of a POD-only compare, exit 2 with one error line and no --out
+    directory."""
     rc = _run("compare", "--benchmark", "wave", "--set", "n=16",
               "--methods", "rdh,foo", "--out", str(tmp_path / "x"))
     assert rc == 2
@@ -703,6 +708,15 @@ def test_compare_unknown_method(tmp_path, capsys):
               "--methods", ",", "--out", str(tmp_path / "x"))
     assert rc == 2
     assert "names no method" in capsys.readouterr().err
+    rc = _run("compare", "--benchmark", "wave", "--set", "n=16",
+              "--methods", "rdh,psd,rdh", "--out", str(tmp_path / "x"))
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --methods repeats rdh\n"
+    rc = _run("compare", "--benchmark", "wave", "--set", "n=16",
+              "--methods", "pod", "--modes", "5", "--out", str(tmp_path / "x"))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: compare requires even mode counts, got [5]\n")
     assert not (tmp_path / "x").exists()
 
 
@@ -754,14 +768,13 @@ def test_compare_cell_flags_an_overflowing_lifted_energy_without_warning():
     # seen through the cell's basis
     times = np.arange(0.0, config.t_final + 0.5, config.snapshot_stride)
     states = np.repeat(bench.system.z0[:, None], times.size, axis=1)
-    reference = SimpleNamespace(wall_seconds=1.0)
+    full = SimpleNamespace(snapshots=sm.SnapshotSet(times, states),
+                           wall_seconds=1.0)
+    reference = cli._Reference.of(bench, full, {"pod": v})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cell, columns = cli._compare_cell(
-            bench, "pod", v, cli._projection(v, states), reference,
-            bench.system.hamiltonian(states),
-            sm.reduction.weighted_norms(states, bench.system.dx), None,
-            bench.dissipative_model(), bench.system.dx, {})
+        cell, columns = cli._compare_cell(bench, "pod", v, reference,
+                                          bench.dissipative_model(), {})
     assert cell["unstable"] is True
     assert cell["energy_growth"] is True
     assert np.isfinite(columns["H"][0]) and not np.isfinite(columns["H"]).all()
@@ -883,7 +896,9 @@ def small_bases(tmp_path_factory):
     a POD basis scaled by 3), a paired basis with a NaN entry, a POD basis
     of 5 columns, an orthonormal basis whose columns are not paired, and
     three snapshot files that do not fit a 100-row state
-    (20-row states, a NaN entry, and a times file one entry short)."""
+    (20-row states, a NaN entry, and a times file one entry short), a text
+    file that is not MatrixMarket, and an orthonormal POD basis written in
+    MatrixMarket's coordinate (sparse) format."""
     root = tmp_path_factory.mktemp("bases")
     for method in ("cotangent", "pod"):
         assert _run("build-basis", "--benchmark", "wave", "--set", "n=10",
@@ -911,6 +926,9 @@ def small_bases(tmp_path_factory):
                     root / "snaps_nan.mtx")
     write_matrix(root / "snaps_short.mtx", np.eye(100)[:, :3])
     write_matrix(root / "snaps_short_times.mtx", np.arange(2.0))
+    (root / "not_mtx.mtx").write_text("0.5 0.5\n")
+    scipy.io.mmwrite(root / "sparse.mtx",
+                     scipy.sparse.coo_matrix(np.eye(100)[:, :4]))
     return root
 
 
@@ -957,6 +975,9 @@ def small_bases(tmp_path_factory):
      "non-finite"),
     (("build-basis", "--snapshots", "snaps_short.mtx"),
      "3 states vs 2 times"),
+    (("reduce", "--basis", "not_mtx.mtx"), "not_mtx.mtx: "),
+    (("run-reduced", "--method", "pod", "--basis", "sparse.mtx"),
+     "coordinate (sparse) MatrixMarket format"),
 ], ids=["run-reduced-rdh-dim", "run-reduced-psd-dim", "run-reduced-pod-dim",
         "reduce-dim", "reduce-missing", "run-reduced-missing",
         "build-basis-missing", "reduce-odd-rows", "run-reduced-odd-rows",
@@ -966,13 +987,15 @@ def small_bases(tmp_path_factory):
         "run-reduced-pod-scaled", "run-reduced-pod-no-columns",
         "reduce-unpaired", "reduce-non-finite", "run-reduced-pod-non-finite",
         "run-reduced-pod-odd-columns", "build-basis-snapshot-dim",
-        "build-basis-snapshot-non-finite", "build-basis-snapshot-times"])
+        "build-basis-snapshot-non-finite", "build-basis-snapshot-times",
+        "reduce-not-matrix-market", "run-reduced-pod-coordinate-format"])
 def test_input_file_mistakes_exit_2(tmp_path, capsys, small_bases, argv,
                                     message):
     """A basis of the wrong dimension or shape, a basis that is not
     orthonormal (paired or POD), not paired or not finite, a snapshot file
-    that does not fit the benchmark, and a missing input file are
-    configuration errors: exit 2 with one ``error:`` line."""
+    that does not fit the benchmark, a missing input file, and one that is
+    not a dense MatrixMarket array are configuration errors: exit 2 with
+    one ``error:`` line, which names the file at most once."""
     argv = [str(small_bases / a) if a.endswith(".mtx") else a for a in argv]
     rc = _run(*argv, "--benchmark", "wave", "--set", "n=50",
               "--set", "t_final=0.5", "--out", str(tmp_path / "x"))
@@ -980,6 +1003,7 @@ def test_input_file_mistakes_exit_2(tmp_path, capsys, small_bases, argv,
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
     assert len(errors) == 1 and message in errors[0]
+    assert errors[0].count(str(small_bases)) <= 1
     assert not (tmp_path / "x").exists()
 
 
