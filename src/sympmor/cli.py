@@ -506,9 +506,10 @@ def _compare_cell(bench, method, mapper, reference, model, stages):
     The columns are the error and the energy of the lifted states on the
     snapshot grid, both computed in reduced coordinates, the string and
     extended energy of an rdh run, the kinetic energy of a model with a
-    potential, from its lifted velocities' q rows, and the time-averaged
-    error per component of a benchmark with a canonical transform (the
-    ladder's), mean |T X - (T A) Y|.
+    potential, from its lifted velocities' q rows (rdh and psd from their
+    model's ``velocity``), and the time-averaged error per component of a
+    benchmark with a canonical transform (the ladder's),
+    mean |T X - (T A) Y|.
     """
     config, dx = bench.config, bench.system.dx
     cell: dict = {"unstable": False}
@@ -571,8 +572,14 @@ def _compare_cell(bench, method, mapper, reference, model, stages):
             columns["Estring"] = report.string_energy[::config.snapshot_stride]
             columns["Hext"] = hext
         if bench.system.potential is not None:
-            columns["kinetic"] = reduction.kinetic_energy(
-                lift[:bench.system.n] @ report.derivatives, dx)
+            n = bench.system.n
+            if method == "pod":
+                rates = lift[:n] @ report.derivatives
+            else:   # A_q = [E_q, 0] on the cotangent basis a potential needs
+                rates = mapper.lead[:n] @ (
+                    reduced.system.velocity(report.costates)
+                    if method == "rdh" else reduced.model.velocity(y))
+            columns["kinetic"] = reduction.kinetic_energy(rates, dx)
         if reference.transformed is not None:
             # interleaved charge/flux coordinates recovered through the
             # transform: T X - (T A) Y, in place
@@ -639,7 +646,7 @@ def cmd_compare(args) -> int:
     ]
     if bench.system.potential is not None:
         kinetic = reduction.kinetic_energy(
-            full.derivatives[:bench.system.n], bench.system.dx)
+            bench.system.velocity(full.costates), bench.system.dx)
         tables.append(("kinetic.csv", ["t", "kinetic_full"],
                        [times, kinetic], ("kinetic",)))
     if bench.transform is not None:   # time-averaged error per component

@@ -317,18 +317,23 @@ class _ExtraTerms:
         return h
 
     def _flow(self, force, z, drift=None):
-        """dz/dt = J (force + g(q) - z_bd) - drift + u, where ``force`` is
-        the gradient of the quadratic energy; of a state or of each column
-        of a (dim, m) block."""
-        extra = self.grad_extra(z)
-        if extra is not None:
-            force = force + extra
+        """dz/dt = J (force + (g(q), 0)) - drift + u - J z_bd, where
+        ``force`` is the gradient of the quadratic energy; of a state or of
+        each column of a (dim, m) block."""
         dz = self.J.apply(force)
+        if self.nonlinear_grad is not None:
+            dz[self.n:] -= self.nonlinear_grad(z[: self.n])
+        return self._plus_constant(dz, drift, slice(None))
+
+    def _plus_constant(self, rates, drift, rows):
+        """rates - drift + (u - J z_bd)[rows]: the rows ``rows`` of dz/dt
+        given those of J (force + (g(q), 0)) as ``rates``."""
         if drift is not None:
-            dz = dz - drift
-        if self.input_vector is not None:
-            dz = dz + self._column(self.input_vector, z)
-        return dz
+            rates = rates - drift
+        constant = self.constant_term()
+        if constant is not None:
+            rates = rates + self._column(constant[rows], rates)
+        return rates
 
 
 class TddSystem(_ExtraTerms):
@@ -440,6 +445,14 @@ class TddSystem(_ExtraTerms):
     def state_derivative(self, z, f):
         """dz/dt given the co-state: J (K^T f + (g(q), 0) - z_bd) + u."""
         return self._flow(self.kt_op @ f, z)
+
+    def velocity(self, f):
+        """dq/dt given the co-state, the q rows of :meth:`state_derivative`:
+        (K^T f)_p - (z_bd)_p + u_q, of a co-state or of each column of a
+        (2n, m) block. J sends the gradient's q rows, where g(q) sits, to
+        the p rows of dz/dt, so no gradient is evaluated."""
+        return self._plus_constant(self.kt_op[self.n:] @ f, None,
+                                   slice(self.n))
 
     def supply_rate(self, z, f):
         """Instantaneous work rate of the input:
@@ -641,9 +654,9 @@ class RunReport:
     physical state (in reduced coordinates) and carry no co-states.
 
     The four energy and passivity series hold one value per node of
-    ``times``; they, ``volterra_max``, ``kz_max`` and the derivatives of
-    the Verlet runs are derived after the steps from the states (and
-    co-states) the driver recorded in blocks.
+    ``times``; they, ``volterra_max`` and ``kz_max`` are derived after the
+    steps from the states (and co-states) the driver recorded in blocks. A
+    Verlet run records no derivatives; its model's ``velocity`` gives dq/dt.
 
     ``step_map`` is the linear part of the map the run advanced by (see
     :func:`_record_blocks`): the columns of Phi or B on x, the step with
@@ -657,7 +670,7 @@ class RunReport:
     extended_energy: np.ndarray
     passivity_residual: np.ndarray
     snapshots: SnapshotSet
-    derivatives: np.ndarray        # dz/dt columns, aligned with snapshots
+    derivatives: np.ndarray | None   # dz/dt of an RK4 run, per snapshot
     volterra_max: float
     kz_max: float
     dt: float
@@ -805,8 +818,8 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     _BLOCK but in the last block), each with the ``step_map`` of
     :class:`RunReport` (None until it is built). The layers are the state
     z; for a :class:`VerletStepper` also its memory integral F and its
-    co-state f; for an RK4 stepper also dz/dt from ``snapshot``, called at
-    each snapshot node right after the step.
+    co-state f; for an RK4 stepper (``inline``) also dz/dt from its
+    ``rhs``, called at each snapshot node right after the step.
 
     Each node is written by ``stepper.step`` or by the step map; nothing
     here checks what it writes, so a run that leaves floating point range
@@ -847,7 +860,7 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                 rows[j, 1] = stepper.integral
                 rows[j, 2] = stepper.f
             elif inline and (start + j) % snapshot_stride == 0:
-                rows[j, 1] = stepper.snapshot(z)
+                rows[j, 1] = stepper.rhs(z)
             j += 1
             if mapped and start + j == 2:
                 # node 1 and, for a nonlinear model, its gradient
@@ -905,9 +918,7 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     after the loop, and the extended energy is 0.5 ||f||^2 + V(q)
     - z_bd . z + E_string + e. Other runs' energy
     is ``hamiltonian`` of their states (zero when None); their extended
-    energy is H and their other series are zero. The snapshot derivatives
-    dz/dt of the Verlet forms are derived after the loop, _BLOCK columns at
-    a time; those of an RK4 run are recorded in the blocks.
+    energy is H and their other series are zero.
     """
     if (n_steps is None) == (t_final is None):
         raise ValueError("specify exactly one of n_steps and t_final")
@@ -925,14 +936,13 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     inline = isinstance(stepper, _Rk4Stepper)
     w = 0.5 * dt
     z = np.array(z0, dtype=float)
+    # the block layers kept at snapshot nodes, in the store's layer order
+    kept = [0, 2] if closed else [0, 1] if inline else [0]
     try:
-        store = np.empty((3 if closed else 2, z.size,
-                          n_steps // snapshot_stride + 1))
+        store = np.empty((len(kept), z.size, n_steps // snapshot_stride + 1))
     except (ValueError, MemoryError):
         raise ValueError(f"the snapshots of {n_steps:.3g} steps cannot be "
                          "allocated") from None
-    # the block layers kept at snapshot nodes share the store's layer index
-    kept = [0, 2] if closed else [0, 1] if inline else [0]
     blocks = _record_blocks(stepper, z, n_steps, snapshot_stride, closed,
                             inline)
     columns = []
@@ -943,7 +953,7 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
             picks = np.arange(first * snapshot_stride - start, block.shape[1],
                               snapshot_stride)
             cols = slice(first, first + picks.size)
-            store[kept, :, cols] = block[kept][:, picks].transpose(0, 2, 1)
+            store[:, :, cols] = block[kept][:, picks].transpose(0, 2, 1)
             diagnostics = (
                 _closed_columns(stepper.system, *(r.T for r in block))
                 if closed else _plain_columns(hamiltonian, block[0].T))
@@ -954,12 +964,6 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
                 raise NonFiniteError(start + node, "state" if bad_state[node]
                                      else "energy or residual", step_map)
             columns.append(diagnostics)
-        for s in range(0, store.shape[2], _BLOCK):
-            cols = store[:, :, s: s + _BLOCK]
-            if closed:
-                cols[1] = stepper.system.state_derivative(cols[0], cols[2])
-            elif not inline:
-                cols[1] = stepper.model.state_derivative(cols[0])
         ham, stored, diss, supply, passiv, volterra, kz = np.concatenate(
             columns, axis=1)
         e_str = _trapezoid_sum(w, diss)
@@ -969,10 +973,11 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
         times=times, hamiltonian=ham, string_energy=e_str, extended_energy=h_ext,
         passivity_residual=passiv,
         snapshots=SnapshotSet(times[::snapshot_stride], store[0]),
-        derivatives=store[1], volterra_max=float(volterra.max()),
+        derivatives=store[1] if inline else None,
+        volterra_max=float(volterra.max()),
         kz_max=float(kz.max()), dt=dt, n_steps=n_steps,
         wall_seconds=time.perf_counter() - t0, kind=stepper.kind,
-        costates=store[2] if closed else None, step_map=step_map,
+        costates=store[1] if closed else None, step_map=step_map,
     )
 
 
@@ -984,12 +989,12 @@ def integrate(system: TddSystem, dt: float, n_steps: int | None = None,
     Records the visible energy H, the string energy, the conserved extended
     energy 0.5 ||f||^2 + V(q) - z_bd . z + E_string + e, and the
     passivity residual dH_ext/dt - 0 = -f^T chi f <= 0 linking visible energy
-    decay to the strings. Snapshots (state, dz/dt and co-state) are stored
-    every ``snapshot_stride`` steps; ``n_steps == 0`` yields the initial
-    instant only. The derivatives are derived after the loop from the
-    recorded states and co-states. A model whose step map is small enough
-    advances by it, with one gradient evaluation per step for a nonlinear
-    model (see :func:`_record_blocks`).
+    decay to the strings. Snapshots (state and co-state) are stored every
+    ``snapshot_stride`` steps; ``n_steps == 0`` yields the initial instant
+    only. The run records no derivatives: dq/dt of the snapshots is
+    ``system.velocity(report.costates)``. A model whose step map is small
+    enough advances by it, with one gradient evaluation per step for a
+    nonlinear model (see :func:`_record_blocks`).
 
     Raises
     ------
@@ -1043,6 +1048,16 @@ class DissipativeModel(_ExtraTerms):
         return self._flow(self.stiffness @ z, z,
                           None if self.drift is None else self.drift @ z)
 
+    def velocity(self, z):
+        """dq/dt, the q rows of :meth:`state_derivative`:
+        (S z)_p - (z_bd)_p - (R z)_q + u_q, of a state or of each column of
+        a (dim, m) block; as for :meth:`TddSystem.velocity`, no gradient is
+        evaluated."""
+        n = self.n
+        return self._plus_constant(
+            self.stiffness[n:] @ z,
+            None if self.drift is None else self.drift[:n] @ z, slice(n))
+
     def linear_operator(self):
         """J S - R, the generator of the linear part of the flow; CSR when
         S and R are."""
@@ -1085,10 +1100,10 @@ def integrate_dissipative(model: DissipativeModel, dt: float,
                           snapshot_stride: int = 1) -> RunReport:
     """Integrate the plain dissipative form with the symmetrized Verlet
     scheme. String and extended energies are not defined for this
-    formulation and are reported as zero / equal to H. The snapshot
-    derivatives are derived after the loop from the recorded states. A
-    model whose step map is small enough advances by it, with one gradient
-    evaluation per step for a nonlinear model (see
+    formulation and are reported as zero / equal to H. The run records no
+    derivatives: dq/dt of the snapshots is ``model.velocity`` of their
+    states. A model whose step map is small enough advances by it, with one
+    gradient evaluation per step for a nonlinear model (see
     :func:`_record_blocks`). Raises :class:`NonFiniteError` at the first
     node whose state or H is non-finite."""
     return _drive(lambda: DissipativeVerletStepper(model, dt), model.z0, dt,
@@ -1112,10 +1127,6 @@ class _Rk4Stepper:
         k3 = rhs(z + 0.5 * dt * k2)
         k4 = rhs(z + dt * k3)
         return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def snapshot(self, z):
-        """dz/dt at a snapshot node, evaluated in the loop."""
-        return self.rhs(z)
 
 
 def integrate_rk4(rhs, z0, dt: float, n_steps: int | None = None,

@@ -40,6 +40,8 @@ def read_matrix(path) -> np.ndarray:
     if not isinstance(m, np.ndarray):
         raise ValueError("coordinate (sparse) MatrixMarket format; expected "
                          "a dense array")
+    if np.iscomplexobj(m):
+        raise ValueError("complex MatrixMarket field; expected a real array")
     return np.asarray(m, dtype=float)
 
 

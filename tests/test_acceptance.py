@@ -150,7 +150,7 @@ def test_a10_kink_speed_and_kinetic_decay(sg_free_kink, sg_n100, sg_reduced):
     assert abs(speed - 0.5) / 0.5 <= 0.02
     sg_bench, sg_report = sg_n100
     kin = sm.reduction.kinetic_energy(
-        sg_report.derivatives[:sg_bench.system.n], sg_bench.system.dx)
+        sg_bench.system.velocity(sg_report.costates), sg_bench.system.dx)
     assert kin[-1] <= 0.1 * kin.max()
     errors = sg_reduced["kinetic_errors"]
     assert errors[60] < errors[20]

@@ -897,8 +897,9 @@ def small_bases(tmp_path_factory):
     of 5 columns, an orthonormal basis whose columns are not paired, and
     three snapshot files that do not fit a 100-row state
     (20-row states, a NaN entry, and a times file one entry short), a text
-    file that is not MatrixMarket, and an orthonormal POD basis written in
-    MatrixMarket's coordinate (sparse) format."""
+    file that is not MatrixMarket, an orthonormal POD basis written in
+    MatrixMarket's coordinate (sparse) format, and a 2 x 1 array, and a
+    snapshot file with real times, of MatrixMarket's complex field."""
     root = tmp_path_factory.mktemp("bases")
     for method in ("cotangent", "pod"):
         assert _run("build-basis", "--benchmark", "wave", "--set", "n=10",
@@ -929,6 +930,11 @@ def small_bases(tmp_path_factory):
     (root / "not_mtx.mtx").write_text("0.5 0.5\n")
     scipy.io.mmwrite(root / "sparse.mtx",
                      scipy.sparse.coo_matrix(np.eye(100)[:, :4]))
+    complex_array = ("%%MatrixMarket matrix array complex general\n"
+                     "2 1\n1.0 2.0\n3.0 -1.0\n")
+    (root / "complex.mtx").write_text(complex_array)
+    (root / "snaps_complex.mtx").write_text(complex_array)
+    write_matrix(root / "snaps_complex_times.mtx", np.arange(1.0))
     return root
 
 
@@ -978,6 +984,9 @@ def small_bases(tmp_path_factory):
     (("reduce", "--basis", "not_mtx.mtx"), "not_mtx.mtx: "),
     (("run-reduced", "--method", "pod", "--basis", "sparse.mtx"),
      "coordinate (sparse) MatrixMarket format"),
+    (("reduce", "--basis", "complex.mtx"), "complex MatrixMarket field"),
+    (("build-basis", "--snapshots", "snaps_complex.mtx"),
+     "complex MatrixMarket field"),
 ], ids=["run-reduced-rdh-dim", "run-reduced-psd-dim", "run-reduced-pod-dim",
         "reduce-dim", "reduce-missing", "run-reduced-missing",
         "build-basis-missing", "reduce-odd-rows", "run-reduced-odd-rows",
@@ -988,13 +997,14 @@ def small_bases(tmp_path_factory):
         "reduce-unpaired", "reduce-non-finite", "run-reduced-pod-non-finite",
         "run-reduced-pod-odd-columns", "build-basis-snapshot-dim",
         "build-basis-snapshot-non-finite", "build-basis-snapshot-times",
-        "reduce-not-matrix-market", "run-reduced-pod-coordinate-format"])
+        "reduce-not-matrix-market", "run-reduced-pod-coordinate-format",
+        "reduce-complex-field", "build-basis-snapshot-complex-field"])
 def test_input_file_mistakes_exit_2(tmp_path, capsys, small_bases, argv,
                                     message):
     """A basis of the wrong dimension or shape, a basis that is not
     orthonormal (paired or POD), not paired or not finite, a snapshot file
     that does not fit the benchmark, a missing input file, and one that is
-    not a dense MatrixMarket array are configuration errors: exit 2 with
+    not a dense real MatrixMarket array are configuration errors: exit 2 with
     one ``error:`` line, which names the file at most once."""
     argv = [str(small_bases / a) if a.endswith(".mtx") else a for a in argv]
     rc = _run(*argv, "--benchmark", "wave", "--set", "n=50",

@@ -530,7 +530,7 @@ def _close(got, want):
 def test_closed_map_path_matches_stepper_loop(make, n_steps, monkeypatch):
     """A linear closed model advances by its step map; over two and a half
     recording blocks, and around the end of the first, with stride 7 its
-    states, co-states and derivatives match a manual stepper loop within
+    states, co-states and velocities match a manual stepper loop within
     1e-12 of their max, and its energy series within 1e-12 of max |H|."""
     system, dt = make()
     assert system.nonlinear_grad is None
@@ -541,14 +541,17 @@ def test_closed_map_path_matches_stepper_loop(make, n_steps, monkeypatch):
 
 
 def _assert_closed_run_matches_loop(rep, system, dt, n_steps):
-    """States, co-states and derivatives of a closed run with stride 7
+    """States, co-states and velocities of a closed run with stride 7
     within 1e-12 of their max of a manual stepper loop's, its energy series
-    within 1e-12 of max |H|, and its Volterra residual within bound."""
+    within 1e-12 of max |H|, and its Volterra residual within bound. The
+    run records no derivatives."""
     states, costates, rows = _series_by_hand(system, dt, n_steps)
     states, costates = states[:, ::7], costates[:, ::7]
     assert _close(rep.snapshots.states, states)
     assert _close(rep.costates, costates)
-    assert _close(rep.derivatives, system.state_derivative(states, costates))
+    assert rep.derivatives is None
+    assert _close(system.velocity(rep.costates),
+                  system.state_derivative(states, costates)[: system.n])
     ham, e_string, h_ext, passivity, _, kz = rows
     # the energy series against the run's energy scale: H_ext balances
     # terms of the size of H and ends near zero on the driven ladder
@@ -587,12 +590,14 @@ def _plain_loop(model, dt, n_steps):
 
 
 def _assert_plain_run_matches_loop(rep, model, dt, n_steps):
-    """States and derivatives of a plain run with stride 7, and its H,
-    within 1e-12 of their max of a manual stepper loop's."""
+    """States and velocities of a plain run with stride 7, and its H,
+    within 1e-12 of their max of a manual stepper loop's. The run records
+    no derivatives."""
     states = _plain_loop(model, dt, n_steps)
     assert _close(rep.snapshots.states, states[:, ::7])
-    assert _close(rep.derivatives, np.array(
-        [model.state_derivative(c) for c in states[:, ::7].T]).T)
+    assert rep.derivatives is None
+    assert _close(model.velocity(rep.snapshots.states), np.array(
+        [model.state_derivative(c)[: model.n] for c in states[:, ::7].T]).T)
     assert _close(rep.hamiltonian, model.hamiltonian(states))
 
 
@@ -782,6 +787,42 @@ def test_state_derivative_of_a_block_is_per_column():
                            rtol=1e-14, atol=1e-14)
 
 
+@pytest.mark.parametrize("name, overrides", [
+    ("wave", {"n": 20}), ("ladder", {"cells": 6}),
+    ("sine-gordon", {"n": 20})])
+def test_velocity_is_the_q_rows_of_the_state_derivative(name, overrides):
+    """``velocity`` equals the q rows of ``state_derivative`` within 1e-13
+    of their max, of a vector and of a block, on the closed and the plain
+    form of the wave (diagonal chi, CSR operators), the ladder (dense K, an
+    input vector) and sine-Gordon (a boundary vector), and on their rdh and
+    psd reductions onto a cotangent basis. No Verlet run of them records
+    derivatives."""
+    config = sm.make_config(name, overrides)
+    bench = sm.build_benchmark(name, config)
+    full = sm.integrate(bench.system, dt=config.dt, n_steps=40)
+    basis, _ = sm.cotangent_lift(full.snapshots, 3)
+    model = bench.dissipative_model()
+    rng = np.random.default_rng(11)
+    for system, run in (
+            (bench.system, sm.integrate),
+            (sm.rdh_reduce(bench.system, basis).system, sm.integrate),
+            (model, sm.integrate_dissipative),
+            (sm.psd_baseline(model, basis).model, sm.integrate_dissipative)):
+        closed = run is sm.integrate
+        z, f = rng.standard_normal((2, system.dim, 5))
+        for cols in (0, slice(None)):
+            if closed:
+                got = system.velocity(f[:, cols])
+                want = system.state_derivative(z[:, cols], f[:, cols])
+            else:
+                got = system.velocity(z[:, cols])
+                want = system.state_derivative(z[:, cols])
+            want = want[: system.n]
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert run(system, dt=config.dt, n_steps=3).derivatives is None
+
+
 def test_plain_series_across_block_boundaries():
     """A psd run's H is the reduced model's energy of each recorded state,
     across block boundaries; its extended energy is H and its string
@@ -880,16 +921,14 @@ def _sine_gordon_n40():
 
 
 class _GradCount:
-    """Counts the single-state calls of a model's nonlinear gradient; the
-    driver's block calls after the loop are left out."""
+    """Counts the calls of a model's nonlinear gradient."""
 
     def __init__(self, model):
         self.calls = 0
         grad = model.nonlinear_grad
 
         def counted(z):
-            if np.ndim(z) == 1:
-                self.calls += 1
+            self.calls += 1
             return grad(z)
         model.nonlinear_grad = counted
 
@@ -915,9 +954,9 @@ def _sine_gordon_run(which, dt, n_steps, n=40):
 @pytest.mark.parametrize("which", ["full", "dissipative", "rdh", "psd"])
 def test_mapped_verlet_runs_evaluate_the_gradient_once_per_mapped_step(
         which):
-    """A run of n steps calls the gradient of a single state n + 2 times:
-    at both kicks of the stepped first step, at node 1's q for the map
-    input, and once in each of the n - 1 mapped steps."""
+    """A run of n steps calls the gradient n + 2 times, all inside its
+    steps: at both kicks of the stepped first step, at node 1's q for the
+    map input, and once in each of the n - 1 mapped steps."""
     dt, n_steps = 0.01, 150
     model, run = _sine_gordon_run(which, dt, n_steps)
     count = _GradCount(model)
@@ -929,7 +968,7 @@ def test_mapped_verlet_runs_evaluate_the_gradient_once_per_mapped_step(
 def test_stepped_verlet_runs_evaluate_the_gradient_at_each_kick(
         which, monkeypatch):
     """Without the step map each kick evaluates the gradient at its own q:
-    a run of n steps calls it 2 n times."""
+    a run of n steps calls it 2 n times, and nowhere else."""
     dt, n_steps = 0.01, 150
     model, run = _sine_gordon_run(which, dt, n_steps)
     monkeypatch.setattr(dynamics, "_MAP_DIM", 0)
@@ -991,8 +1030,7 @@ def test_mapped_gradient_argument_is_the_recorded_position(which,
     grad = model.nonlinear_grad
 
     def recorded(q):
-        if np.ndim(q) == 1:
-            args.append(np.array(q))
+        args.append(np.array(q))
         return grad(q)
     model.nonlinear_grad = recorded
     maps = _MapCount(monkeypatch)
@@ -1062,12 +1100,26 @@ def test_rk4_blow_up_names_the_state():
                          n_steps=step + 5, snapshot_stride=3)
 
 
+def test_rk4_calls_its_rhs_four_times_a_step_and_once_a_snapshot():
+    """10 steps at stride 3 make 4 stage calls a step and one call at each
+    of the snapshot nodes 0, 3, 6 and 9, whose dz/dt the run records."""
+    calls = [0]
+
+    def rhs(z):
+        calls[0] += 1
+        return -z
+    rep = sm.integrate_rk4(rhs, np.ones(2), dt=0.1, n_steps=10,
+                           snapshot_stride=3)
+    assert calls[0] == 4 * 10 + 4
+    np.testing.assert_array_equal(rep.derivatives, -rep.snapshots.states)
+
+
 def test_kinetic_series_matches_velocity():
     bench = build_oscillator(r=0.0)
     rep = sm.integrate(bench.system, dt=0.05, t_final=2.0)
     # conservative oscillator: the coordinate velocity is the momentum
     expected = 0.5 * rep.snapshots.states[1] ** 2
-    kinetic = sm.reduction.kinetic_energy(rep.derivatives[:1],
+    kinetic = sm.reduction.kinetic_energy(bench.system.velocity(rep.costates),
                                           bench.system.dx)
     assert np.abs(kinetic - expected).max() <= 1e-12
 

@@ -27,6 +27,17 @@ def test_matrix_round_trip(tmp_path):
     assert np.array_equal(read_vector(vpath), v)
 
 
+@pytest.mark.filterwarnings("error")
+def test_read_matrix_rejects_a_complex_field(tmp_path):
+    """A complex array is not cast to float, which would drop its
+    imaginary parts with only a warning: the field is named instead."""
+    path = tmp_path / "c.mtx"
+    path.write_text("%%MatrixMarket matrix array complex general\n"
+                    "2 1\n1.0 2.0\n3.0 -1.0\n")
+    with pytest.raises(ValueError, match="complex MatrixMarket field"):
+        read_matrix(path)
+
+
 def test_read_vector_rejects_matrix(tmp_path):
     path = write_matrix(tmp_path / "m.mtx", np.eye(3))
     with pytest.raises(ValueError, match="vector"):
