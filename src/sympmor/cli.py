@@ -260,10 +260,11 @@ def _collect_snapshots(args, bench):
 
 def _make_basis(method: str, snapshots, modes: int):
     """Basis of ``modes`` columns (``modes // 2`` pairs for a symplectic
-    method), its per-mode diagnostic values (greedy errors or singular
-    values) and the method's extra manifest info. Snapshots of too low a
-    rank for ``modes`` columns, or of rank zero (a run at rest), are a
-    configuration error."""
+    method), its diagnostic values, one per column or pair (the greedy
+    worst errors, or the leading singular values of the POD or stacked
+    cotangent block), and the method's extra manifest info. Snapshots of
+    too low a rank for ``modes`` columns, or of rank zero (a run at rest),
+    are a configuration error."""
     try:
         if method == "greedy":
             result = greedy_basis(snapshots, modes // 2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 
 class DegenerateVector(Exception):
@@ -276,17 +277,57 @@ def greedy_basis(snapshots: SnapshotSet, max_pairs: int) -> GreedyResult:
                         selected=selected)
 
 
+# the Gram route answers a request whose last eigenvalue is at least this
+# fraction of the first (s_count >= 1e-4 s_0): squaring the block costs
+# about eps (s_0 / s_count)^2, at most about 2e-8, relative there
+_GRAM_CUT = 1e-8
+
+
 def _leading_left_singular_vectors(block: np.ndarray, count: int,
                                    what: str):
-    """The ``count`` leading left singular vectors of ``block`` and its full
-    singular value sequence. A request past the numerical rank, or a block
-    of rank zero, raises ValueError.
+    """The ``count`` leading left singular vectors of ``block`` and their
+    singular values. A request past the numerical rank, or a block of rank
+    zero, raises ValueError.
 
-    A block with more columns than rows is first reduced to the square
-    factor ``r^T`` of ``block^T = q r`` (Chan's R-SVD): ``block = r^T q^T``
-    with orthonormal ``q``, so ``r^T`` has the block's left singular vectors
-    and singular values, and the long right singular vectors are never
-    formed. LAPACK's SVD already QR-factors a tall block first."""
+    The method of snapshots: the block is scaled by the power of two just
+    above ``max |block|`` (exact, so its Gram neither overflows nor
+    underflows), and the ``count`` leading eigenpairs of its Gram on the
+    smaller side give the modes. A wide block's eigenvectors of
+    ``x x^T`` are its left singular vectors; a tall block's eigenvectors
+    ``v`` of ``x^T x`` are mapped to ``x v``, orthonormalized by one
+    Householder QR with a positive diagonal, which keeps nested spans. The
+    singular values are the norms of ``x^T u`` or ``x v``, scaled back.
+
+    A request whose last eigenvalue falls below ``_GRAM_CUT`` of the first
+    (below the Gram's resolution), or that goes past ``min(block.shape)``,
+    or a zero block, takes the SVD of the unscaled block instead, with the
+    rank rule ``s > 1e-14 s_0``. A block with more columns than rows is
+    there first reduced to the square factor ``r^T`` of ``block^T = q r``
+    (Chan's R-SVD): ``block = r^T q^T`` with orthonormal ``q``, so ``r^T``
+    has the block's left singular vectors and singular values, and the long
+    right singular vectors are never formed. LAPACK's SVD already
+    QR-factors a tall block first."""
+    top = np.abs(block).max(initial=0.0)
+    if 0 < count <= min(block.shape) and 0.0 < top < np.inf:
+        exponent = np.frexp(top)[1]
+        x = np.ldexp(block, -exponent)
+        wide = x.shape[1] > x.shape[0]
+        gram = x @ x.T if wide else x.T @ x
+        side = gram.shape[0]
+        lam, vecs = scipy.linalg.eigh(gram, overwrite_a=True,
+                                      subset_by_index=[side - count,
+                                                       side - 1])
+        if lam[0] >= _GRAM_CUT * lam[-1]:
+            vecs = vecs[:, ::-1]
+            if wide:
+                u = np.ascontiguousarray(vecs)
+                s = np.linalg.norm(x.T @ u, axis=0)
+            else:
+                w = x @ vecs
+                s = np.linalg.norm(w, axis=0)
+                u, r = np.linalg.qr(w)
+                u *= np.sign(np.diag(r))
+            return u, np.ldexp(s, exponent)
     if block.shape[1] > block.shape[0]:
         block = np.linalg.qr(block.T, mode="r").T
     u, s, _ = np.linalg.svd(block, full_matrices=False)
@@ -297,20 +338,23 @@ def _leading_left_singular_vectors(block: np.ndarray, count: int,
         raise ValueError(
             f"requested {count} {what} but the snapshots have rank {rank}"
         )
-    return u[:, :count], s
+    return u[:, :count], s[:count]
 
 
 def cotangent_lift(snapshots: SnapshotSet, pairs: int):
-    """Cotangent-lift basis: shared SVD factor for the q and p blocks.
+    """Cotangent-lift basis: shared factor for the q and p blocks.
 
     Stacks the q- and p-parts of all snapshots side by side, takes the
-    ``pairs`` leading left singular vectors Phi and returns the (exactly
+    ``pairs`` leading left singular vectors Phi of that wide block (by the
+    eigenpairs of its Gram, or its SVD past the Gram's resolution; see
+    ``_leading_left_singular_vectors``) and returns the (exactly
     ortho-symplectic) basis blockdiag(Phi, Phi).
 
     Returns
     -------
     (OrthoSymplecticBasis, ndarray)
-        The basis and the full singular value sequence of the stacked block.
+        The basis and the ``pairs`` leading singular values of the stacked
+        block.
     """
     n = snapshots.dim // 2
     stacked = np.hstack([snapshots.states[:n], snapshots.states[n:]])
@@ -319,8 +363,10 @@ def cotangent_lift(snapshots: SnapshotSet, pairs: int):
 
 
 def pod_basis(snapshots: SnapshotSet, modes: int):
-    """Plain POD basis: leading left singular vectors of the snapshot matrix,
-    and the full singular value sequence.
+    """Plain POD basis: the ``modes`` leading left singular vectors of the
+    snapshot matrix and their singular values, by the eigenpairs of its
+    Gram on the smaller side, or its SVD past the Gram's resolution (see
+    ``_leading_left_singular_vectors``).
 
     No symplectic structure; reference baseline only.
     """

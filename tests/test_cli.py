@@ -169,7 +169,9 @@ def test_build_basis_greedy_on_overflowing_snapshots_exits_2(tmp_path,
                                                              capsys):
     """Finite snapshots whose squared norms overflow: a greedy basis exits
     2 with one error line naming the overflow, without warning and without
-    an --out directory; the SVD-based methods accept them."""
+    an --out directory; the POD and cotangent methods scale the block by a
+    power of two before they form its Gram, and write the bases of the
+    unscaled snapshots (to the rounding of the factor 1e305)."""
     full = tmp_path / "full"
     assert _run("run-full", "--benchmark", "wave", "--set", "n=16",
                 "--set", "t_final=0.1", "--out", str(full)) == 0
@@ -188,6 +190,29 @@ def test_build_basis_greedy_on_overflowing_snapshots_exits_2(tmp_path,
     for method in ("cotangent", "pod"):
         assert _run(*argv, "--method", method,
                     "--out", str(tmp_path / method)) == 0
+        assert _run(*argv[:-1], str(full / "snapshots.mtx"),
+                    "--method", method,
+                    "--out", str(tmp_path / f"{method}-unscaled")) == 0
+        basis = read_matrix(tmp_path / method / "basis_k4.mtx")
+        unscaled = read_matrix(tmp_path / f"{method}-unscaled"
+                               / "basis_k4.mtx")
+        assert np.abs(basis - unscaled).max() <= 1e-12
+
+
+def test_pod_basis_round_trip(tmp_path):
+    """A POD basis that build-basis writes from the wave's tall 200 x 751
+    snapshot block (the Gram route, its modes orthonormalized by QR) passes
+    the orthonormality check run-reduced applies when it loads the file."""
+    out = tmp_path / "basis"
+    assert _run("build-basis", "--benchmark", "wave", "--set", "n=100",
+                "--method", "pod", "--modes", "20,40",
+                "--out", str(out)) == 0
+    _, data = read_csv(out / "singular_values.csv")
+    assert data.shape == (40, 2)
+    for m in (20, 40):
+        assert _run("run-reduced", "--benchmark", "wave", "--set", "n=100",
+                    "--method", "pod", "--basis", str(out / f"basis_k{m}.mtx"),
+                    "--out", str(tmp_path / f"pod{m}")) == 0
 
 
 def test_build_basis_cotangent_outputs(tmp_path):

@@ -230,24 +230,26 @@ def test_pod_wave_orthonormal(wave_n100):
 
 def test_basis_singular_values(wave_n100):
     """The singular values that pod_basis and cotangent_lift return: the
-    full sequence of the snapshot matrix and of the stacked q/p block."""
+    leading ones of the snapshot matrix and of the stacked q/p block, one
+    per mode or pair."""
     _, report = wave_n100
     _, sv = sm.pod_basis(report.snapshots, 20)
     ref = np.linalg.svd(report.snapshots.states, compute_uv=False)
-    assert np.abs(sv - ref).max() <= 1e-12 * ref[0]
+    assert sv.shape == (20,)
+    assert np.abs(sv - ref[:20]).max() <= 1e-12 * ref[0]
     n = report.snapshots.dim // 2
     stacked = np.hstack([report.snapshots.states[:n],
                          report.snapshots.states[n:]])
     _, sv = sm.cotangent_lift(report.snapshots, 10)
     ref = np.linalg.svd(stacked, compute_uv=False)
-    assert np.abs(sv - ref).max() <= 1e-12 * ref[0]
+    assert sv.shape == (10,)
+    assert np.abs(sv - ref[:10]).max() <= 1e-12 * ref[0]
 
     z = np.array([1.0, -1.0, 0.5, 2.0])
     repeated = SnapshotSet(times=np.arange(5.0), states=np.tile(z, (5, 1)).T)
     _, sv = sm.pod_basis(repeated, 1)
-    assert sv.shape == (4,)
+    assert sv.shape == (1,)
     assert abs(sv[0] - np.sqrt(5.0) * np.linalg.norm(z)) <= 1e-12
-    assert np.abs(sv[1:]).max() <= 1e-12 * sv[0]
 
     zeros = SnapshotSet(times=np.arange(3.0), states=np.zeros((4, 3)))
     for build in (sm.pod_basis, sm.cotangent_lift):
@@ -255,31 +257,104 @@ def test_basis_singular_values(wave_n100):
             build(zeros, 1)
 
 
-@pytest.mark.parametrize("shape", [(12, 300), (300, 12), (12, 12)],
-                         ids=["wide", "tall", "square"])
-def test_leading_left_singular_vectors_match_lapack(shape):
-    """Both routes of the SVD helper, the R-SVD of a wide block and LAPACK's
-    SVD of a tall or square one, give np.linalg.svd's singular values and,
-    up to sign, its left singular vectors on well separated modes; a
-    rank-deficient block is rejected past its rank on either route."""
+def _svd_route(block, count):
+    """The SVD route of the helper, as the sole route before the Gram one:
+    the R-SVD of a wide block, LAPACK's SVD of a tall or square one."""
+    if block.shape[1] > block.shape[0]:
+        block = np.linalg.qr(block.T, mode="r").T
+    u, s, _ = np.linalg.svd(block, full_matrices=False)
+    return u[:, :count], s[:count]
+
+
+def _without_svd(monkeypatch, block, count):
+    """The helper's answer with the SVD patched to fail: the Gram route."""
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the Gram route ran an SVD")
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", no_svd)
+        return _leading_left_singular_vectors(block, count, "modes")
+
+
+@pytest.mark.parametrize("shape, base", [
+    ((12, 300), 2.0), ((300, 12), 2.0), ((12, 12), 2.0),
+    ((12, 300), 10.0), ((300, 12), 10.0), ((12, 12), 10.0),
+], ids=["wide", "tall", "square", "wide-svd", "tall-svd", "square-svd"])
+def test_leading_left_singular_vectors_match_lapack(shape, base,
+                                                    monkeypatch):
+    """A spectrum 2^-i stays above the Gram route's cut (s_11 / s_0 =
+    4.9e-4 >= 1e-4), and the Gram route gives np.linalg.svd's singular
+    values and, up to sign, its left singular vectors on well separated
+    modes. A spectrum 10^-i falls below it (s_7 / s_0 = 1e-7), and the SVD
+    route returns bitwise the R-SVD or LAPACK SVD answer. A rank-deficient
+    block is rejected past its rank on either route."""
     rng = np.random.default_rng(9)
     m, n = shape
     r = min(shape)
     u0 = np.linalg.qr(rng.standard_normal((m, r)))[0]
     v0 = np.linalg.qr(rng.standard_normal((n, r)))[0]
-    block = (u0 * 2.0 ** -np.arange(r)) @ v0.T
-    u, s = _leading_left_singular_vectors(block, r, "modes")
+    block = (u0 * base ** -np.arange(r)) @ v0.T
     u_ref, s_ref, _ = np.linalg.svd(block, full_matrices=False)
-    assert s.shape == s_ref.shape
-    assert np.abs(s - s_ref).max() <= 1e-13 * s_ref[0]
-    signs = np.sign(np.sum(u * u_ref, axis=0))
-    assert np.abs(u * signs - u_ref).max() <= 1e-10
+    for count in (r, r - 4):
+        if base == 2.0:
+            u, s = _without_svd(monkeypatch, block, count)
+            assert s.shape == (count,)
+            assert np.abs(s - s_ref[:count]).max() <= 1e-13 * s_ref[0]
+            signs = np.sign(np.sum(u * u_ref[:, :count], axis=0))
+            assert np.abs(u * signs - u_ref[:, :count]).max() <= 1e-10
+        else:
+            u, s = _leading_left_singular_vectors(block, count, "modes")
+            u_svd, s_svd = _svd_route(block, count)
+            assert np.array_equal(u, u_svd) and np.array_equal(s, s_svd)
 
     deficient = u0[:, :3] @ v0[:, :3].T
     assert _leading_left_singular_vectors(deficient, 3, "modes")[0].shape \
         == (m, 3)
     with pytest.raises(ValueError, match="requested 4 modes .* rank 3"):
         _leading_left_singular_vectors(deficient, 4, "modes")
+
+
+@pytest.mark.parametrize("last, gram", [(1.05e-4, True), (0.95e-4, False)],
+                         ids=["above", "below"])
+def test_tall_block_on_either_side_of_the_cut(last, gram, monkeypatch):
+    """A tall block whose 40th singular value sits just above the cut
+    (s_39 / s_0 = 1.05e-4) takes the Gram route, and its mapped modes
+    ``x v`` are orthonormalized by QR: |U^T U - I| stays at roundoff, far
+    below the 1e-10 a POD basis file must meet (normalizing ``x v`` alone
+    reads about 3e-10 here), and the basis spans the SVD's leading modes.
+    Just below the cut (0.95e-4) the block takes the SVD route."""
+    rng = np.random.default_rng(3)
+    u0 = np.linalg.qr(rng.standard_normal((400, 200)))[0]
+    v0 = np.linalg.qr(rng.standard_normal((200, 200)))[0]
+    block = (u0 * last ** (np.arange(200) / 39)) @ v0.T
+    u_svd, s_svd = _svd_route(block, 40)
+    if not gram:
+        u, s = _leading_left_singular_vectors(block, 40, "modes")
+        assert np.array_equal(u, u_svd) and np.array_equal(s, s_svd)
+        return
+    u, s = _without_svd(monkeypatch, block, 40)
+    assert np.abs(u.T @ u - np.eye(40)).max() <= 1e-13
+    assert np.linalg.norm(u - u_svd @ (u_svd.T @ u), 2) <= 1e-8
+    assert np.abs(s - s_svd).max() <= 1e-13 * s_svd[0]
+
+
+def test_bases_of_power_of_two_scaled_snapshots():
+    """Snapshots scaled by 2^900 or 2^-900, whose Gram would overflow or
+    underflow to a false rank zero unscaled, give bitwise the POD and
+    cotangent bases of the unscaled ones, with exactly scaled singular
+    values."""
+    config = sm.make_config("wave", {"n": 16})
+    bench = sm.build_benchmark("wave", config)
+    snaps = sm.integrate(bench.system, dt=config.dt, t_final=config.t_final,
+                         snapshot_stride=config.snapshot_stride).snapshots
+    for build, count in ((sm.pod_basis, 16), (sm.cotangent_lift, 8)):
+        basis, sv = build(snaps, count)
+        matrix = getattr(basis, "matrix", basis)
+        for exponent in (900, -900):
+            scaled = SnapshotSet(snaps.times, np.ldexp(snaps.states,
+                                                       exponent))
+            other, other_sv = build(scaled, count)
+            assert np.array_equal(getattr(other, "matrix", other), matrix)
+            assert np.array_equal(other_sv, np.ldexp(sv, exponent))
 
 
 def test_random_ortho_symplectic_deterministic():
