@@ -326,8 +326,8 @@ def cmd_reduce(args) -> int:
     stages = {}
     with _stage(stages, "reduce"):
         system = _project(bench, basis, "rdh").system
-    # two steps build the step map, at node 1; a dt whose implicit stage
-    # is singular is a configuration error
+    # two steps, the fewest a step map is built for; a dt whose implicit
+    # stage is singular is a configuration error
     with _stage(stages, "integrate"):
         try:
             step_map = dynamics.integrate(system, bench.config.dt,
@@ -458,11 +458,11 @@ def _projection(lift, states) -> _Projection:
 
 @dataclasses.dataclass
 class _Reference:
-    """The full run every compare cell is measured against: its energy H on
-    the snapshot grid and its scale max(max_t |H|, 1e-300), the weighted
-    norms of its snapshots X, T X on a benchmark with a canonical transform
-    T, the :class:`_Projection` of X through each compare basis by key
-    ("sym", "pod"), and the run's wall seconds."""
+    """The full run every compare cell is measured against: its own energy
+    series H on the snapshot grid and its scale max(max_t |H|, 1e-300), the
+    weighted norms of its snapshots X, T X on a benchmark with a canonical
+    transform T, the :class:`_Projection` of X through each compare basis
+    by key ("sym", "pod"), and the run's wall seconds."""
 
     energy: np.ndarray
     energy_scale: float
@@ -475,7 +475,7 @@ class _Reference:
     def of(cls, bench, full, bases: dict) -> "_Reference":
         """The reference of ``bench``'s full run through ``bases``."""
         states = full.snapshots.states
-        energy = bench.system.hamiltonian(states)
+        energy = full.hamiltonian[::bench.config.snapshot_stride]
         return cls(
             energy=energy,
             energy_scale=max(float(np.abs(energy).max()), 1e-300),

@@ -811,87 +811,77 @@ def _step_map(stepper, closed: bool, dim: int):
 
 
 def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
-                   closed: bool, inline: bool):
+                   closed: bool, inline: bool, step_map):
     """The one node source of :func:`_drive`: every node of a run from the
     state z at node 0, written into blocks of _BLOCK nodes aligned at node
     0 and yielded as (layers, m, dim) views of one reused buffer (m is
-    _BLOCK but in the last block), each with the ``step_map`` of
-    :class:`RunReport` (None until it is built). The layers are the state
-    z; for a :class:`VerletStepper` also its memory integral F and its
-    co-state f; for an RK4 stepper (``inline``) also dz/dt from its
-    ``rhs``, called at each snapshot node right after the step.
+    _BLOCK but in the last block). The layers are the state z; for a
+    :class:`VerletStepper` also its memory integral F and its co-state f;
+    for an RK4 stepper (``inline``) also dz/dt from its ``rhs``, called at
+    each snapshot node right after the step.
 
-    Each node is written by ``stepper.step`` or by the step map; nothing
-    here checks what it writes, so a run that leaves floating point range
-    goes on to the end of its block, and :func:`_drive` raises. A Verlet
-    step is affine in x = (z, F) for the closed form, whose co-state is
-    then f = K z - chi F, and in z otherwise, and in its stage-1 gradient,
-    once its stage-3 one is set apart. When the map has at most _MAP_DIM
-    columns and the run more than one step, :func:`_step_map` builds it
-    from the stepper's own step once node 1 is recorded, one probe step per
-    column plus one, and every later node is advanced in place, x being the
-    first layers of a node's row: x <- Phi x + c for a linear stepper (no
-    nonlinear gradient), and for a nonlinear one x <- B [x; g] + c, the
-    gradient g at that vector's q rows and x <- x + G_1 g, g starting from
-    the gradient at node 1's q: one evaluation per mapped step, at the q
-    the node records. The states agree with the stepped run to roundoff,
-    not bitwise, since the map takes the gradient where the stepper does.
+    Without a ``step_map`` each node after node 0 comes from
+    ``stepper.step``. With one, the (Phi, c, G_1) of :func:`_step_map`,
+    every node is x, the first layers of its row, advanced from x_0: the
+    exact (z, 0) of node 0 for the closed form, whose co-state is then
+    f = K z - chi F, and z otherwise. A linear map (no G_1) advances
+    x <- Phi x + c, a semi-linear one x <- B [x; g] + c, g the gradient at
+    that vector's q rows and x <- x + G_1 g, g starting from the gradient
+    at q_0: one evaluation per step, at the q the node records. The states
+    agree with the stepped run's to roundoff, not bitwise: the map takes
+    the gradient where the stepper does, in other arithmetic. Nothing here
+    checks what it writes, so a run that leaves floating point range goes
+    on to the end of its block, and :func:`_drive` raises.
     """
     dim = z.size
-    n = dim // 2
-    system = stepper.system if closed else None
     rows = np.empty((_BLOCK, 3 if closed else 2 if inline else 1, dim))
-    # the map state x of each node: the leading (z, F), or z, of its row
-    xdim = (2 if closed else 1) * dim
+    if step_map is None:
+        for start in range(0, n_steps + 1, _BLOCK):
+            m = min(_BLOCK, n_steps + 1 - start)
+            for j in range(m):
+                if start + j:
+                    z = stepper.step(z)
+                rows[j, 0] = z
+                if closed:
+                    rows[j, 1] = stepper.integral
+                    rows[j, 2] = stepper.f
+                elif inline and (start + j) % snapshot_stride == 0:
+                    rows[j, 1] = stepper.rhs(z)
+            yield rows[:m].transpose(1, 0, 2)
+        return
+    phi, c, g1 = step_map
+    xdim = c.size
     xs = rows.reshape(_BLOCK, -1)[:, :xdim]
-    linear = stepper.linear
-    # a nonlinear map also takes the gradient: n more columns
-    mapped = (isinstance(stepper, _VerletStages) and n_steps > 1
-              and xdim + (0 if linear else n) <= _MAP_DIM)
-    phi = linear_block = None
+    xs[0] = 0.0
+    xs[0, :dim] = z
+    x = xs[0]           # the last node's x, read in its row by a linear map
+    if g1 is not None:
+        n = dim // 2
+        grad = stepper._grad
+        kick = np.empty(xdim)
+        # x = (x, g) of the current node
+        x = np.concatenate([x, grad(z[:n])])
+        x_x, x_g = x[:xdim], x[xdim:]
     for start in range(0, n_steps + 1, _BLOCK):
         m = min(_BLOCK, n_steps + 1 - start)
-        j = 0
-        while phi is None and j < m:
-            if start + j:
-                z = stepper.step(z)
-            rows[j, 0] = z
-            if closed:
-                rows[j, 1] = stepper.integral
-                rows[j, 2] = stepper.f
-            elif inline and (start + j) % snapshot_stride == 0:
-                rows[j, 1] = stepper.rhs(z)
-            j += 1
-            if mapped and start + j == 2:
-                # node 1 and, for a nonlinear model, its gradient
-                x = xs[1].copy() if linear else np.concatenate(
-                    [xs[1], stepper._grad(xs[1, :n])])
-                phi, c, g1 = _step_map(stepper, closed, dim)
-                linear_block = phi[:, :xdim]
-                if not linear:
-                    grad = stepper._grad
-                    kick = np.empty(xdim)
-                    # x = (x, g) of the current node
-                    x_x, x_g = x[:xdim], x[xdim:]
-        if phi is not None:             # map the rest of the block
-            if linear:
-                for row in xs[j:m]:
-                    np.matmul(phi, x, out=row)
-                    row += c
-                    x = row
-                x = x.copy()
-            else:
-                for row in xs[j:m]:
-                    np.matmul(phi, x, out=row)
-                    row += c
-                    x_g[:] = grad(row[:n])
-                    np.matmul(g1, x_g, out=kick)
-                    row += kick
-                    x_x[:] = row
-            if closed:
-                rows[j:m, 2] = (system.K @ rows[j:m, 0].T
-                                - system.chi_apply(rows[j:m, 1].T)).T
-        yield rows[:m].transpose(1, 0, 2), linear_block
+        todo = xs[0 if start else 1: m]         # node 0 is x_0
+        if g1 is None:
+            for row in todo:
+                np.matmul(phi, x, out=row)
+                row += c
+                x = row
+        else:
+            for row in todo:
+                np.matmul(phi, x, out=row)
+                row += c
+                x_g[:] = grad(row[:n])
+                np.matmul(g1, x_g, out=kick)
+                row += kick
+                x_x[:] = row
+        if closed:
+            rows[:m, 2] = (stepper.system.K @ rows[:m, 0].T
+                           - stepper.system.chi_apply(rows[:m, 1].T)).T
+        yield rows[:m].transpose(1, 0, 2)
 
 
 def _drive(make_stepper, z0, dt: float, n_steps: int | None,
@@ -899,11 +889,13 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
            hamiltonian=None) -> RunReport:
     """Run a stepper over the time grid and assemble its report.
 
-    The stepper provides ``step(z)`` (the next state), a ``kind`` and
-    ``linear``, true when its step is affine in its state. The nodes come
-    from :func:`_record_blocks`, by the step or by the step map, whose
-    linear block the report and the error carry as ``step_map``. Numpy's
-    overflow and invalid warnings are silenced in the loop.
+    The stepper provides ``step(z)`` (the next state) and a ``kind``. A
+    Verlet stepper whose map has at most _MAP_DIM columns, on a run of
+    more than one step, gives its step map (:func:`_step_map`) before node
+    0, and the run advances by it alone; any other run by ``step``. The
+    nodes come from :func:`_record_blocks`; the report and the error carry
+    the map's linear block as ``step_map``. Numpy's overflow and invalid
+    warnings are silenced from the probes on.
 
     Each block gives up its snapshot nodes and is reduced to per-node
     diagnostics column by column. This is the one place a run fails: it
@@ -936,6 +928,11 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     inline = isinstance(stepper, _Rk4Stepper)
     w = 0.5 * dt
     z = np.array(z0, dtype=float)
+    # the map state x = (z, F) or z; a nonlinear map also takes the
+    # gradient: n more columns
+    xdim = (2 if closed else 1) * z.size
+    mapped = (isinstance(stepper, _VerletStages) and n_steps > 1
+              and xdim + (0 if stepper.linear else z.size // 2) <= _MAP_DIM)
     # the block layers kept at snapshot nodes, in the store's layer order
     kept = [0, 2] if closed else [0, 1] if inline else [0]
     try:
@@ -943,12 +940,13 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     except (ValueError, MemoryError):
         raise ValueError(f"the snapshots of {n_steps:.3g} steps cannot be "
                          "allocated") from None
-    blocks = _record_blocks(stepper, z, n_steps, snapshot_stride, closed,
-                            inline)
     columns = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, (block, step_map) in zip(range(0, n_steps + 1, _BLOCK),
-                                            blocks):
+        maps = _step_map(stepper, closed, z.size) if mapped else None
+        step_map = None if maps is None else maps[0][:, :xdim]
+        blocks = _record_blocks(stepper, z, n_steps, snapshot_stride, closed,
+                                inline, maps)
+        for start, block in zip(range(0, n_steps + 1, _BLOCK), blocks):
             first = -(-start // snapshot_stride)
             picks = np.arange(first * snapshot_stride - start, block.shape[1],
                               snapshot_stride)
@@ -993,8 +991,8 @@ def integrate(system: TddSystem, dt: float, n_steps: int | None = None,
     ``snapshot_stride`` steps; ``n_steps == 0`` yields the initial instant
     only. The run records no derivatives: dq/dt of the snapshots is
     ``system.velocity(report.costates)``. A model whose step map is small
-    enough advances by it, with one gradient evaluation per step for a
-    nonlinear model (see :func:`_record_blocks`).
+    enough advances by it alone from node 0, a nonlinear one evaluating
+    its gradient at q_0 and once per step (see :func:`_record_blocks`).
 
     Raises
     ------
@@ -1023,16 +1021,19 @@ class DissipativeModel(_ExtraTerms):
                  potential=None, input_vector=None, boundary_vector=None,
                  dx: float = 1.0, name: str = ""):
         self.stiffness = _stored(stiffness)
+        self.drift = None if drift is None else _stored(drift)
         dim = self.stiffness.shape[0]
         if self.stiffness.shape != (dim, dim) or dim % 2:
             raise ValueError(f"stiffness must be square even-dim, got {self.stiffness.shape}")
+        if self.drift is not None and self.drift.shape != (dim, dim):
+            raise ValueError("drift must match stiffness in shape")
+        for label, m in (("stiffness", self.stiffness), ("drift", self.drift)):
+            if m is not None and not np.isfinite(_entries(m)).all():
+                raise ValueError(f"{label} has a non-finite entry")
         scale = max(1.0, float(abs(self.stiffness).max()))
         if _sym_deviation(self.stiffness) > 1e-10 * scale:
             raise ValueError("stiffness must be symmetric")
         self.stiffness = _stored(0.5 * (self.stiffness + self.stiffness.T))
-        self.drift = None if drift is None else _stored(drift)
-        if self.drift is not None and self.drift.shape != (dim, dim):
-            raise ValueError("drift must match stiffness in shape")
         self.z0 = np.zeros(dim) if z0 is None else np.asarray(z0, dtype=float)
         self.dim = dim
         self.n = dim // 2
@@ -1102,10 +1103,10 @@ def integrate_dissipative(model: DissipativeModel, dt: float,
     scheme. String and extended energies are not defined for this
     formulation and are reported as zero / equal to H. The run records no
     derivatives: dq/dt of the snapshots is ``model.velocity`` of their
-    states. A model whose step map is small enough advances by it, with one
-    gradient evaluation per step for a nonlinear model (see
-    :func:`_record_blocks`). Raises :class:`NonFiniteError` at the first
-    node whose state or H is non-finite."""
+    states. A model whose step map is small enough advances by it alone
+    from node 0, a nonlinear one evaluating its gradient at q_0 and once
+    per step (see :func:`_record_blocks`). Raises :class:`NonFiniteError`
+    at the first node whose state or H is non-finite."""
     return _drive(lambda: DissipativeVerletStepper(model, dt), model.z0, dt,
                   n_steps, t_final, snapshot_stride, model.hamiltonian)
 
@@ -1114,7 +1115,6 @@ class _Rk4Stepper:
     """Classical fourth-order Runge-Kutta step of dz/dt = rhs(z)."""
 
     kind = "rk4"
-    linear = False      # the right-hand side is opaque
 
     def __init__(self, rhs, dt: float):
         self.rhs = rhs

@@ -16,7 +16,7 @@ import scipy.io
 import scipy.sparse
 
 import sympmor as sm
-from sympmor import cli
+from sympmor import cli, dynamics
 from sympmor.cli import main
 from sympmor.storage import (read_matrix, read_snapshots, read_vector,
                              verify_manifest, write_matrix, write_snapshots)
@@ -326,24 +326,49 @@ def test_reduce_and_run_reduced_roundtrip(tmp_path, capsys):
     err = sm.l2_error(full_snaps, recon, 1.0 / 16)
     assert err.max_relative < 1.0
 
-    # on a greedy basis, which mixes q and p, a long enough step makes an
-    # implicit stage singular: a configuration error naming the stage and
-    # dt, with no output directory
-    grid = ("--benchmark", "wave", "--set", "n=32", "--set", "t_final=1.0")
-    greedy = tmp_path / "greedy"
-    assert _run("build-basis", *grid, "--method", "greedy", "--modes", "8",
-                "--out", str(greedy)) == 0
+    # a dt at which an implicit stage of the reduced step is singular: a
+    # configuration error naming the stage and dt, with no output directory
+    grid = ("--benchmark", "wave", "--set", "n=16", "--set", "t_final=1.0",
+            "--set", "damping=constant", "--set", "constant_r=0")
     capsys.readouterr()
-    for command, dt, stage in (("reduce", "1e100", "first kick"),
-                               ("reduce", "1e160", "drift"),
-                               ("run-reduced", "1e100", "first kick")):
-        out = tmp_path / f"singular-{command}-{dt}"
-        assert _run(command, *grid, "--set", f"dt={dt}", "--basis",
-                    str(greedy / "basis_k8.mtx"), "--out", str(out)) == 2
+    for command, stage in (("reduce", "first kick"), ("reduce", "drift"),
+                           ("run-reduced", "first kick")):
+        out = tmp_path / f"singular-{command}-{stage.replace(' ', '-')}"
+        path, dt = _singular_stage_case(tmp_path / "singular.mtx", stage)
+        assert _run(command, *grid, "--set", f"dt={dt!r}", "--basis",
+                    str(path), "--out", str(out)) == 2
         assert capsys.readouterr().err == (
             f"error: the {stage} of the Verlet step is singular at "
-            f"dt = {float(dt)!r}\n")
+            f"dt = {dt!r}\n")
         assert not out.exists()
+
+
+def _singular_stage_case(path, stage):
+    """A one-pair basis, written to ``path``, of the n = 16 wave without
+    damping, and a dt at which the ``stage`` ("first kick" or "drift") of
+    its rdh model's Verlet step is exactly singular. With chi = 0 the
+    stage matrix M = K^T K of the reduced model does not depend on dt, and
+    its 1 x 1 blocks m_qp = m_pq = m make the first kick 1 + w m and the
+    drift 1 - w m (w = dt / 2). A lead of one node's q and p entries mixes
+    them, with m < 0 or m > 0 by the sign of its p entry; the angle and dt
+    are the first whose stage block rounds to zero."""
+    bench = sm.build_benchmark("wave", sm.make_config(
+        "wave", {"n": 16, "damping": "constant", "constant_r": 0.0}))
+    sign = 1.0 if stage == "first kick" else -1.0
+    n = bench.system.n
+    for angle in np.linspace(0.3, 1.2, 10):
+        lead = np.zeros((2 * n, 1))
+        lead[0, 0], lead[n, 0] = np.cos(angle), sign * np.sin(angle)
+        write_matrix(path, sm.OrthoSymplecticBasis(lead).matrix)
+        basis = sm.OrthoSymplecticBasis(read_matrix(path)[:, :1])
+        system = sm.rdh_reduce(bench.system, basis).system
+        m = dynamics.VerletStepper(system, 1.0).m_qp.item()
+        assert sign * m < 0.0
+        for ulps in range(-4, 5):
+            dt = float(2.0 / abs(m) * (1.0 + ulps * 2.0 ** -52))
+            if 1.0 + (sign * 0.5 * dt) * m == 0.0:
+                return path, dt
+    raise AssertionError(f"no singular {stage}")
 
 
 def test_run_reduced_baseline_methods(tmp_path):
@@ -789,12 +814,14 @@ def test_compare_cell_flags_an_overflowing_lifted_energy_without_warning():
     v, _ = sm.pod_basis(full.snapshots, 8)
     config = sm.make_config("wave", {"n": 16, "dt": 1.0, "t_final": 250.0})
     bench = sm.build_benchmark("wave", config)
-    # a hand-built reference on the cell's snapshot grid: z0 at every node,
-    # seen through the cell's basis
+    # a hand-built reference on the cell's snapshot grid: z0 and its energy
+    # at every node, seen through the cell's basis
     times = np.arange(0.0, config.t_final + 0.5, config.snapshot_stride)
     states = np.repeat(bench.system.z0[:, None], times.size, axis=1)
+    energy = np.full(int(config.t_final / config.dt) + 1,
+                     bench.system.hamiltonian(bench.system.z0))
     full = SimpleNamespace(snapshots=sm.SnapshotSet(times, states),
-                           wall_seconds=1.0)
+                           hamiltonian=energy, wall_seconds=1.0)
     reference = cli._Reference.of(bench, full, {"pod": v})
     with warnings.catch_warnings():
         warnings.simplefilter("error")

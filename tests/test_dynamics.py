@@ -646,7 +646,7 @@ def _unstable(bench, closed, dt):
                     and np.isfinite(diagnostics(z)).all()):
                 break
             states.append(z)
-    assert 1 < step < 600      # past node 1, where the step map is built
+    assert 1 < step < 600      # past the first step, within the run
     return model, run, step, np.array(states).T
 
 
@@ -701,8 +701,8 @@ def _assert_failure_step(unstable, closed, dt, rtol=1e-12):
     """A run that ends one to three steps before the manual stepper loop
     leaves floating point range completes with that loop's states, within
     ``rtol`` of their max, and one that ends at or just past that step
-    fails there. The step lies past the first block, whose nodes 0 and 1
-    are stepped, in a block the map writes from its first node."""
+    fails there. The step lies past the first block, in a block the map
+    writes from its first node."""
     model, run, step, states = unstable(closed, dt)
     assert dynamics._BLOCK < step
     for n_steps in (step - 3, step - 1):
@@ -954,14 +954,51 @@ def _sine_gordon_run(which, dt, n_steps, n=40):
 @pytest.mark.parametrize("which", ["full", "dissipative", "rdh", "psd"])
 def test_mapped_verlet_runs_evaluate_the_gradient_once_per_mapped_step(
         which):
-    """A run of n steps calls the gradient n + 2 times, all inside its
-    steps: at both kicks of the stepped first step, at node 1's q for the
-    map input, and once in each of the n - 1 mapped steps."""
+    """A run of n steps calls the gradient n + 1 times: at q_0 for the map
+    input and once in each of the n mapped steps."""
     dt, n_steps = 0.01, 150
     model, run = _sine_gordon_run(which, dt, n_steps)
     count = _GradCount(model)
     run(model, dt=dt, n_steps=n_steps, snapshot_stride=7)
-    assert count.calls == n_steps + 2
+    assert count.calls == n_steps + 1
+
+
+@pytest.mark.parametrize("which", ["full", "dissipative", "rdh", "psd",
+                                   "ladder"])
+def test_mapped_verlet_runs_step_only_to_probe(which, monkeypatch):
+    """A mapped run calls its stepper's ``step`` once per probe of
+    :func:`dynamics._step_map`, one more than the probed columns (x, and
+    for a nonlinear model both injected gradients), and never for a node:
+    241 calls for the closed sine-Gordon model of n = 40, whose x has 160
+    entries."""
+    dt, n_steps = 0.01, 150
+    if which == "ladder":
+        model, run = _ladder_with_input()[0], sm.integrate
+    else:
+        model, run = _sine_gordon_run(which, dt, n_steps)
+    calls = {"probe": 0, "node": 0}
+    columns, probing = [], []
+    build = dynamics._step_map
+
+    def probed(*args):
+        probing.append(True)
+        try:
+            phi, c, g1 = build(*args)
+        finally:
+            probing.pop()
+        columns.append(phi.shape[1] + (0 if g1 is None else g1.shape[1]))
+        return phi, c, g1
+    monkeypatch.setattr(dynamics, "_step_map", probed)
+    for cls in (VerletStepper, dynamics.DissipativeVerletStepper):
+        def counted(stepper, z, step=cls.step):
+            calls["probe" if probing else "node"] += 1
+            return step(stepper, z)
+        monkeypatch.setattr(cls, "step", counted)
+    run(model, dt=dt, n_steps=n_steps)
+    assert len(columns) == 1
+    assert calls == {"probe": columns[0] + 1, "node": 0}
+    if which == "full":
+        assert calls["probe"] == 241
 
 
 @pytest.mark.parametrize("which", ["full", "dissipative", "rdh", "psd"])
@@ -1022,8 +1059,8 @@ def test_default_sine_gordon_k60_maps(which, shape, monkeypatch):
 def test_mapped_gradient_argument_is_the_recorded_position(which,
                                                            monkeypatch):
     """A mapped sine-Gordon run evaluates the gradient at the q it records:
-    at q_0 and q_1 in the stepped first step, at q_1 for the map input,
-    and at q_{i} in the mapped step to node i, bitwise."""
+    at q_0 for the map input and at q_i in the mapped step to node i,
+    bitwise."""
     dt, n_steps = 0.01, 150
     model, run = _sine_gordon_run(which, dt, n_steps)
     args = []
@@ -1037,8 +1074,8 @@ def test_mapped_gradient_argument_is_the_recorded_position(which,
     rep = run(model, dt=dt, n_steps=n_steps, snapshot_stride=1)
     assert maps.calls == 1
     q = rep.snapshots.states[: model.n]
-    want = [q[:, 0], q[:, 1], q[:, 1]] + list(q[:, 2:].T)
-    assert len(args) == len(want) == n_steps + 2
+    want = list(q.T)
+    assert len(args) == len(want) == n_steps + 1
     for got, node in zip(args, want):
         np.testing.assert_array_equal(got, node)
 
@@ -1147,6 +1184,23 @@ def test_system_validation_errors():
         sm.TddSystem(eye, np.diag([0.0, np.nan]), np.zeros(2))
     with pytest.raises(ValueError):
         sm.TddSystem(eye, np.zeros((2, 2)), np.zeros(3))
+
+
+@pytest.mark.parametrize("form", [np.asarray, scipy.sparse.csr_array],
+                         ids=["dense", "csr"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dissipative_model_rejects_a_non_finite_operator(form, bad):
+    """A non-finite stiffness or drift is a ValueError naming the operator
+    when the model is built, not a NonFiniteError at step 0 of its run,
+    and checking it warns of nothing. Finite operators pass, and the model
+    keeps its name."""
+    eye = np.eye(2)
+    model = sm.DissipativeModel(form(eye), drift=form(eye), name="m")
+    assert model.name == "m"
+    with pytest.raises(ValueError, match="^stiffness has a non-finite entry$"):
+        sm.DissipativeModel(form(np.diag([bad, 1.0])))
+    with pytest.raises(ValueError, match="^drift has a non-finite entry$"):
+        sm.DissipativeModel(form(eye), drift=form(np.diag([0.0, bad])))
 
 
 # -- sparse full-order path ---------------------------------------------------
