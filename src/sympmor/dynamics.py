@@ -258,6 +258,11 @@ def _optional_array(v):
     return None if v is None else np.asarray(v, dtype=float)
 
 
+def _column(v, z):
+    """A constant vector v shaped to broadcast against z's columns."""
+    return v.reshape((-1,) + (1,) * (np.ndim(z) - 1))
+
+
 def _column_dot(a, b):
     """a . b of two vectors, or of each pair of columns of two blocks."""
     return np.sum(a * b, axis=0)
@@ -286,10 +291,6 @@ class _ExtraTerms:
             return u
         return (0.0 if u is None else u) - self.J.apply(bd)
 
-    def _column(self, v, z):
-        """A constant vector v shaped to broadcast against z's columns."""
-        return v.reshape((-1,) + (1,) * (np.ndim(z) - 1))
-
     def grad_extra(self, z):
         """Non-quadratic gradient terms (g(q), 0) - z_bd, of a state or of
         each column of a (dim, m) block; None without either."""
@@ -299,7 +300,7 @@ class _ExtraTerms:
         if self.nonlinear_grad is not None:
             out[: self.n] = self.nonlinear_grad(z[: self.n])
         if self.boundary_vector is not None:
-            out -= self._column(self.boundary_vector, z)
+            out -= _column(self.boundary_vector, z)
         return out
 
     def nonquadratic_energy(self, z, h=0.0, lift=None):
@@ -332,7 +333,7 @@ class _ExtraTerms:
             rates = rates - drift
         constant = self.constant_term()
         if constant is not None:
-            rates = rates + self._column(constant[rows], rates)
+            rates = rates + _column(constant[rows], rates)
         return rates
 
 
@@ -505,7 +506,9 @@ class _VerletStages:
     positions enters the two kicks only, each evaluated at its own q, so a
     step costs two gradient evaluations. A step is affine in its state and
     in those two gradients, which :func:`_step_map` probes by swapping
-    ``_grad``.
+    ``_grad``. Every stage is a product or an elementwise operation, so
+    the state may be a (dim, m) block of columns, stepped as m states at
+    once; that is how :func:`_step_map` probes a whole map in one step.
     """
 
     def __init__(self, dt: float):
@@ -538,37 +541,41 @@ class _VerletStages:
 
     def _kick_drift_kick(self, z, force, cs, ce):
         """The state one step after z, and its force m_qq q_1, given z's
-        force m_qq q_n."""
+        force m_qq q_n; z is a state or a (dim, m) block of columns, and
+        the constants cs and ce are in its shape, or None where zero."""
         w = 0.5 * self.dt
         n = self.m_qq.shape[0]
         q, p = z[:n], z[n:]
 
         # kick under the start-of-step constant
-        rhs = p - w * (force + cs[:n])
+        rhs = p - w * (force if cs is None else force + cs[:n])
         if not self.linear:
             rhs = rhs - w * self._grad(q)
         if self._wu_p is not None:
-            rhs = rhs + self._wu_p
+            rhs = rhs + _column(self._wu_p, rhs)
         p_half = rhs if self._kick_inv is None else self._kick_inv @ rhs
 
         # drift averaging the two constants
-        rhs = q + w * (2.0 * (self.m_pp @ p_half) + cs[n:] + ce[n:])
+        grad_p = 2.0 * (self.m_pp @ p_half)
+        if cs is not None:
+            grad_p = grad_p + cs[n:] + ce[n:]
+        rhs = q + w * grad_p
         if self._drift_inv is not None:
             rhs = rhs + w * (self.m_pq @ q)
         if self._dtu_q is not None:
-            rhs = rhs + self._dtu_q
+            rhs = rhs + _column(self._dtu_q, rhs)
         q_new = rhs if self._drift_inv is None else self._drift_inv @ rhs
 
         # second kick under the end-of-step constant
         force = self.m_qq @ q_new
-        grad_q = force + ce[:n]
+        grad_q = force if ce is None else force + ce[:n]
         if not self.linear:
             grad_q = grad_q + self._grad(q_new)
         if self._kick_inv is not None:
             grad_q = grad_q + self.m_qp @ p_half
         p_new = p_half - w * grad_q
         if self._wu_p is not None:
-            p_new = p_new + self._wu_p
+            p_new = p_new + _column(self._wu_p, p_new)
         return np.concatenate([q_new, p_new]), force
 
 
@@ -591,7 +598,9 @@ class VerletStepper(_VerletStages):
     start-of-step tail constant, each the one the previous step left (its
     stage-3 force and its end-of-step constant), so a step makes one m_qq
     product. It starts at node 0 from ``system.z0`` and F_0 = 0, loaded by
-    :meth:`_load`; ``step(z)`` takes the state of the current node.
+    :meth:`_load`; ``step(z)`` takes the state of the current node. Both
+    also take a (dim, m) block of states as columns, each with its own
+    memory, which is how :func:`_step_map` probes the map.
 
     (I + w chi)^{-1} is formed once and every use multiplies by it: for a
     diagonal chi its diagonal of reciprocals, kept as a vector, else a
@@ -707,7 +716,8 @@ _BLOCK = 128
 # gradient entries for a nonlinear one, whose rows are x alone; so 5n
 # columns and 4n rows for a closed sine-Gordon model of n nodes, 3n and 2n
 # for its plain form. Measured with one BLAS thread over 5000 steps, probes
-# included, the linear map beats the stepper up to about 400 columns on the
+# included (one step per probed column then, one product per node), the
+# linear map beats the stepper up to about 400 columns on the
 # closed CSR wave, the cheapest step per row (mapped over stepped time, the
 # median of eleven alternating pairs on an Intel Xeon: 0.61 at 340 columns,
 # 0.72-0.86 at 360-380, 1.00-1.03 at 400), and still at 800 on the dense
@@ -722,8 +732,21 @@ _BLOCK = 128
 # (n = 133). So up to the bound a nonlinear map costs at most about what
 # stepping does, and the bound sits below the linear crossover. The
 # reduced sine-Gordon maps are at most 120 x 150 (rdh k = 60; psd k = 60
-# is 60 x 90).
+# is 60 x 90). Since then the probes take one block step and a linear map
+# advances a window of nodes per product (_WINDOW), which only moves the
+# crossover up; the bound stays, so the same runs are mapped.
 _MAP_DIM = 400
+
+# Most nodes a linear map advances per product (see _record_blocks): W =
+# min(_WINDOW, 2**17 // d**2, n_steps), at least 1, for d columns, so its
+# stacked powers hold at most 2**17 entries (1 MB): W is 16 up to 90
+# columns, 9 at 120, 3 at 200 and 1 past 362. Per node, sequential ->
+# windowed, one BLAS thread, an orthogonal map over 4000 steps, three
+# rounds of best of seven on a noisy Intel Xeon: 1.9-2.2 -> 0.8-0.9 us at
+# 60 columns, 2.6-3.0 -> 1.7 at 90, 3.6-4.5 -> 2.3-3.7 at 120, 6.2-7.6 ->
+# 5.6-8.2 at 200, and 11-16 -> 11-12 and 25 -> 22-23 at 300 and 400
+# (W = 1); W = 8 at 200 columns read 13-14 us, so W shrinks with d.
+_WINDOW = 16
 
 
 def _closed_columns(system: TddSystem, states, memory, costates):
@@ -771,40 +794,34 @@ def _step_map(stepper, closed: bool, dim: int):
         x' = B [x; g_n] + c,  x_{n+1} = x' + G_1 grad(q'),
 
     where q' = q_{n+1}, the q rows of x', is the argument stage 3 passes
-    to the gradient: G_1 is zero on the q rows. Everything comes from the
-    stepper's own ``step``: c is the image of zero, and each column the
-    image of a unit vector minus c. For the probes of a nonlinear stepper
-    the stepper's gradient is swapped for one that returns the injected
-    g_n and g_{n+1}, and restored after; the model's gradient is never
-    called. The probes leave the stepper at an arbitrary state."""
-    linear = stepper.linear
+    to the gradient: G_1 is zero on the q rows. Everything comes from one
+    ``step`` of the stepper on the probe block [0 | I], whose columns are
+    the zero vector and the unit vectors: c is the image of column 0, and
+    each column of the map the image of a unit vector minus c. The rows of
+    the block past x hold the injected g_n and g_{n+1}: for the probe of a
+    nonlinear stepper its gradient is swapped for one that returns those
+    two row blocks in turn, and restored after; the model's gradient is
+    never called. The probe leaves the stepper at an arbitrary state."""
     xdim = (2 if closed else 1) * dim
     n = dim // 2
-    injected = []
-
-    def image(v):
-        x = v[:xdim]
-        injected[:] = [v[xdim: xdim + n], v[xdim + n:]]
-        if closed:
-            z, integral = x.reshape(2, dim)
-            stepper._load(z, integral)
-            return np.concatenate([stepper.step(z), stepper.integral])
-        return stepper.step(x)
-
-    unit = np.zeros(xdim if linear else xdim + 2 * n)
+    size = xdim if stepper.linear else xdim + 2 * n
+    probes = np.eye(size, size + 1, 1)
+    injected = iter((probes[xdim: xdim + n], probes[xdim + n:]))
     real_grad = stepper._grad
-    if not linear:
-        stepper._grad = lambda q: injected.pop(0)
+    if not stepper.linear:
+        stepper._grad = lambda q: next(injected)
     try:
-        c = image(unit)
-        phi = np.empty((c.size, unit.size))
-        for j in range(unit.size):
-            unit[j] = 1.0
-            phi[:, j] = image(unit) - c
-            unit[j] = 0.0
+        if closed:
+            stepper._load(probes[:dim], probes[dim:xdim])
+            images = np.concatenate([stepper.step(probes[:dim]),
+                                     stepper.integral])
+        else:
+            images = stepper.step(probes[:xdim])
     finally:
         stepper._grad = real_grad
-    if linear:
+    c = images[:, 0].copy()
+    phi = images[:, 1:] - c[:, None]
+    if stepper.linear:
         return phi, c, None
     return (np.ascontiguousarray(phi[:, : xdim + n]), c,
             np.ascontiguousarray(phi[:, xdim + n:]))
@@ -825,13 +842,18 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     every node is x, the first layers of its row, advanced from x_0: the
     exact (z, 0) of node 0 for the closed form, whose co-state is then
     f = K z - chi F, and z otherwise. A linear map (no G_1) advances
-    x <- Phi x + c, a semi-linear one x <- B [x; g] + c, g the gradient at
-    that vector's q rows and x <- x + G_1 g, g starting from the gradient
-    at q_0: one evaluation per step, at the q the node records. The states
-    agree with the stepped run's to roundoff, not bitwise: the map takes
-    the gradient where the stepper does, in other arithmetic. Nothing here
-    checks what it writes, so a run that leaves floating point range goes
-    on to the end of its block, and :func:`_drive` raises.
+    x <- Phi x + c a window of W nodes per product (see _WINDOW): from
+    the stacked powers P = [Phi; Phi^2; ...; Phi^W] and shifts
+    D = [c; Phi c + c; ...], formed once by that recurrence, P x + D are
+    the next W nodes of the block (fewer at its end), and the last of them
+    is the x of the next window. A semi-linear map advances one node at a
+    time, x <- B [x; g] + c, g the gradient at that vector's q rows and
+    x <- x + G_1 g, g starting from the gradient at q_0: one evaluation
+    per step, at the q the node records. The states agree with the stepped
+    run's to roundoff, not bitwise: the map takes the gradient where the
+    stepper does, in other arithmetic. Nothing here checks what it writes,
+    so a run that leaves floating point range goes on to the end of its
+    block, and :func:`_drive` raises.
     """
     dim = z.size
     rows = np.empty((_BLOCK, 3 if closed else 2 if inline else 1, dim))
@@ -855,7 +877,14 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     xs[0] = 0.0
     xs[0, :dim] = z
     x = xs[0]           # the last node's x, read in its row by a linear map
-    if g1 is not None:
+    if g1 is None:
+        window = max(1, min(_WINDOW, 2**17 // xdim**2, n_steps))
+        powers, shifts = [phi], [c]
+        for _ in range(window - 1):
+            powers.append(phi @ powers[-1])
+            shifts.append(phi @ shifts[-1] + c)
+        powers, shifts = np.array(powers), np.array(shifts)
+    else:
         n = dim // 2
         grad = stepper._grad
         kick = np.empty(xdim)
@@ -866,10 +895,15 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
         m = min(_BLOCK, n_steps + 1 - start)
         todo = xs[0 if start else 1: m]         # node 0 is x_0
         if g1 is None:
-            for row in todo:
-                np.matmul(phi, x, out=row)
-                row += c
-                x = row
+            whole = len(todo) - len(todo) % window
+            for nodes in todo[:whole].reshape(-1, window, xdim):
+                np.matmul(powers, x, out=nodes)
+                nodes += shifts
+                x = nodes[-1]
+            rest = todo[whole:]
+            np.matmul(powers[: len(rest)], x, out=rest)
+            rest += shifts[: len(rest)]
+            x = todo[-1]
         else:
             for row in todo:
                 np.matmul(phi, x, out=row)
@@ -891,11 +925,11 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
 
     The stepper provides ``step(z)`` (the next state) and a ``kind``. A
     Verlet stepper whose map has at most _MAP_DIM columns, on a run of
-    more than one step, gives its step map (:func:`_step_map`) before node
-    0, and the run advances by it alone; any other run by ``step``. The
-    nodes come from :func:`_record_blocks`; the report and the error carry
-    the map's linear block as ``step_map``. Numpy's overflow and invalid
-    warnings are silenced from the probes on.
+    more than one step, gives its step map (:func:`_step_map`, one block
+    step) before node 0, and the run advances by it alone; any other run
+    by ``step``. The nodes come from :func:`_record_blocks`; the report
+    and the error carry the map's linear block as ``step_map``. Numpy's
+    overflow and invalid warnings are silenced from the probe on.
 
     Each block gives up its snapshot nodes and is reduced to per-node
     diagnostics column by column. This is the one place a run fails: it
@@ -1087,12 +1121,11 @@ class DissipativeVerletStepper(_VerletStages):
         s, d = model.stiffness, model.drift
         self._init_stages(model,
                           s if d is None else s + _canonical_times(model.J, d))
-        self._no_tail = np.zeros(model.dim)
 
     def step(self, z):
+        """The state one step after z, a state or a (dim, m) block."""
         force = self.m_qq @ z[: self.model.n]
-        return self._kick_drift_kick(z, force, self._no_tail,
-                                     self._no_tail)[0]
+        return self._kick_drift_kick(z, force, None, None)[0]
 
 
 def integrate_dissipative(model: DissipativeModel, dt: float,

@@ -966,18 +966,17 @@ def test_mapped_verlet_runs_evaluate_the_gradient_once_per_mapped_step(
 @pytest.mark.parametrize("which", ["full", "dissipative", "rdh", "psd",
                                    "ladder"])
 def test_mapped_verlet_runs_step_only_to_probe(which, monkeypatch):
-    """A mapped run calls its stepper's ``step`` once per probe of
-    :func:`dynamics._step_map`, one more than the probed columns (x, and
-    for a nonlinear model both injected gradients), and never for a node:
-    241 calls for the closed sine-Gordon model of n = 40, whose x has 160
-    entries."""
+    """A mapped run calls its stepper's ``step`` once, in
+    :func:`dynamics._step_map`, on a probe block of one column more than
+    the map probes (x, and for a nonlinear model both injected gradients),
+    and never for a node: an 80 x 241 block for the closed sine-Gordon
+    model of n = 40, whose x has 160 entries."""
     dt, n_steps = 0.01, 150
     if which == "ladder":
         model, run = _ladder_with_input()[0], sm.integrate
     else:
         model, run = _sine_gordon_run(which, dt, n_steps)
-    calls = {"probe": 0, "node": 0}
-    columns, probing = [], []
+    calls, columns, probing = [], [], []
     build = dynamics._step_map
 
     def probed(*args):
@@ -991,14 +990,98 @@ def test_mapped_verlet_runs_step_only_to_probe(which, monkeypatch):
     monkeypatch.setattr(dynamics, "_step_map", probed)
     for cls in (VerletStepper, dynamics.DissipativeVerletStepper):
         def counted(stepper, z, step=cls.step):
-            calls["probe" if probing else "node"] += 1
+            calls.append(("probe" if probing else "node", np.shape(z)))
             return step(stepper, z)
         monkeypatch.setattr(cls, "step", counted)
     run(model, dt=dt, n_steps=n_steps)
     assert len(columns) == 1
-    assert calls == {"probe": columns[0] + 1, "node": 0}
+    assert calls == [("probe", (model.dim, columns[0] + 1))]
     if which == "full":
-        assert calls["probe"] == 241
+        assert calls[0][1] == (80, 241)
+
+
+def _probed_map(stepper, closed: bool, dim: int):
+    """The map of :func:`dynamics._step_map` probed one ``step`` per
+    column, as a reference: c the image of zero, and each column the
+    image of a unit vector minus c, the G_1 columns last; a nonlinear
+    stepper's gradient returns the injected g_n, then g_{n+1}."""
+    xdim = (2 if closed else 1) * dim
+    n = dim // 2
+    size = xdim if stepper.linear else xdim + 2 * n
+    injected = []
+    stepper._grad = lambda q: injected.pop(0)
+
+    def image(v):
+        injected[:] = [v[xdim: xdim + n], v[xdim + n:]]
+        if closed:
+            stepper._load(v[:dim], v[dim:xdim])
+            return np.concatenate([stepper.step(v[:dim]), stepper.integral])
+        return stepper.step(v[:xdim])
+    c = image(np.zeros(size))
+    return np.array([image(unit) - c for unit in np.eye(size)]).T, c
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "plain"])
+@pytest.mark.parametrize("name, n", [("ladder", 10), ("sine-gordon", 30)])
+def test_block_step_map_matches_a_probe_per_column(name, n, closed):
+    """The map :func:`dynamics._step_map` images in one block step matches
+    the map probed one column at a time within 1e-12 of its max, and so
+    does c: for both Verlet steppers, linear with an input (the ladder)
+    and nonlinear with a boundary vector (sine-Gordon)."""
+    key = "cells" if name == "ladder" else "n"
+    bench = sm.build_benchmark(name, sm.make_config(name, {key: n}))
+    config = bench.config
+    model = bench.system if closed else bench.dissipative_model()
+    stepper = VerletStepper if closed else dynamics.DissipativeVerletStepper
+    assert (model.nonlinear_grad is None) == (name == "ladder")
+    assert (model.input_vector is not None) == (name == "ladder")
+    assert (model.boundary_vector is not None) == (name == "sine-gordon")
+    phi, c, g1 = dynamics._step_map(stepper(model, config.dt), closed,
+                                    model.dim)
+    got = phi if g1 is None else np.hstack([phi, g1])
+    want, want_c = _probed_map(stepper(model, config.dt), closed, model.dim)
+    assert got.shape == want.shape
+    assert _close(got, want)
+    assert _close(c, want_c)
+
+
+def _ladder_plain():
+    config = sm.make_config("ladder", {"cells": 10})
+    return sm.build_benchmark("ladder", config).dissipative_model(), config.dt
+
+
+@pytest.mark.parametrize("n_steps", [
+    2, dynamics._WINDOW - 1, dynamics._WINDOW, dynamics._WINDOW + 1,
+    dynamics._BLOCK - 1, dynamics._BLOCK, dynamics._BLOCK + 1])
+@pytest.mark.parametrize("make, run", [
+    (_ladder_with_input, sm.integrate),
+    (_ladder_plain, sm.integrate_dissipative),
+    (_greedy_wave_rdh, sm.integrate)],
+    ids=["ladder", "ladder-plain", "wave-rdh"])
+def test_windowed_map_runs_match_stepped_runs(make, run, n_steps,
+                                              monkeypatch):
+    """A linear map of at most 90 columns advances _WINDOW nodes per
+    product. Runs of a window's length and around it, and around a block's
+    length, with stride 3, match the stepped run (``_MAP_DIM`` = 0): the
+    states and co-states within 1e-12 of their max, the energy series
+    within 1e-12 of max |H|."""
+    model, dt = make()
+    assert model.nonlinear_grad is None
+    xdim = (2 if run is sm.integrate else 1) * model.dim
+    assert xdim <= 90
+    maps = _MapCount(monkeypatch)
+    got = run(model, dt=dt, n_steps=n_steps, snapshot_stride=3)
+    monkeypatch.setattr(dynamics, "_MAP_DIM", 0)
+    want = run(model, dt=dt, n_steps=n_steps, snapshot_stride=3)
+    assert maps.calls == 1 and want.step_map is None
+    assert _close(got.snapshots.states, want.snapshots.states)
+    if run is sm.integrate:
+        assert _close(got.costates, want.costates)
+    tol = 1e-12 * np.abs(want.hamiltonian).max()
+    for series in ("hamiltonian", "string_energy", "extended_energy",
+                   "passivity_residual"):
+        assert (np.abs(getattr(got, series) - getattr(want, series)).max()
+                <= tol)
 
 
 @pytest.mark.parametrize("which", ["full", "dissipative", "rdh", "psd"])
