@@ -20,6 +20,7 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -102,14 +103,14 @@ def _read_input(read, path):
                           else f"{path}: {message}") from None
 
 
-def _basis_from_file(path, method: str):
+def _basis_from_file(path, kind: str):
     """Load a basis written by build-basis and check it the way build-basis
-    does before it writes: a POD basis (for ``method`` pod) must have
-    orthonormal columns, any other an ortho-symplectic column pairing."""
+    does before it writes: a POD basis (``kind`` "pod") must have
+    orthonormal columns, a "sym" one an ortho-symplectic column pairing."""
     a = _read_input(storage.read_matrix, path)
     if not np.isfinite(a).all():
         raise ConfigError(f"{path}: basis has a non-finite entry")
-    if method == "pod":
+    if kind == "pod":
         if not a.shape[1] or a.shape[1] % 2:
             raise ConfigError(f"{path}: a POD basis needs at least one "
                               f"column and an even column count, got shape "
@@ -321,11 +322,12 @@ def cmd_build_basis(args) -> int:
 def cmd_reduce(args) -> int:
     bench = _build(args)
     out = Path(args.out)
-    basis = _basis_from_file(args.basis, "rdh")
+    rdh = _METHODS["rdh"]
+    basis = _basis_from_file(args.basis, rdh.basis)
     m = basis.n_columns
     stages = {}
     with _stage(stages, "reduce"):
-        system = _project(bench, basis, "rdh").system
+        system = _project(bench, basis, rdh).system
     # two steps, the fewest a step map is built for; a dt whose implicit
     # stage is singular is a configuration error
     with _stage(stages, "integrate"):
@@ -352,44 +354,72 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _project(bench, mapper, method: str, model=None):
-    """Reduced model of one method: a ReducedTdd for rdh, else a baseline
-    projected from ``model`` (the benchmark's dissipative model when None).
-    A basis that does not fit the model is a configuration error."""
+class _Method(NamedTuple):
+    """One reduction method of compare and run-reduced, a record of
+    :data:`_METHODS`. Its functions look the reduction and dynamics
+    functions up when called, so that a wrapper set on those modules
+    afterwards (perfbench's timers) sees every call."""
+
+    basis: str      # its basis: "sym" ortho-symplectic, "pod" orthonormal
+    closed: bool    # reduces the closed system: string and Hext energies
+    reduce: Callable     # (bench, mapper, model) -> reduced model
+    run: Callable        # (reduced, config) -> (report, lift matrix)
+    generator: Callable | None  # reduced -> linear operator of the abscissa
+    rates: Callable      # (reduced, report, n) -> lifted dq/dt, n rows
+
+
+_METHODS = {
+    "rdh": _Method(
+        "sym", True,
+        lambda bench, mapper, model: reduction.rdh_reduce(bench.system,
+                                                          mapper),
+        lambda red, config: (_on_grid(dynamics.integrate, red.system,
+                                      config=config), red.basis.matrix),
+        None,
+        # A_q = [E_q, 0] on the cotangent basis a potential needs
+        lambda red, report, n: red.basis.lead[:n] @ red.system.velocity(
+            report.costates)),
+    "psd": _Method(
+        "sym", False,
+        lambda bench, mapper, model: reduction.psd_baseline(model, mapper),
+        lambda red, config: (_on_grid(dynamics.integrate_dissipative,
+                                      red.model, config=config),
+                             red.basis.matrix),
+        lambda red: red.model.linear_operator(),
+        lambda red, report, n: red.basis.lead[:n] @ red.model.velocity(
+            report.snapshots.states)),
+    "pod": _Method(
+        "pod", False,
+        lambda bench, mapper, model: reduction.pod_baseline(model, mapper),
+        lambda red, config: (_on_grid(dynamics.integrate_rk4, red.rhs,
+                                      red.y0, config=config), red.v),
+        lambda red: red.matrix,
+        lambda red, report, n: red.v[:n] @ report.derivatives),
+}
+
+
+def _project(bench, mapper, method: _Method, model=None):
+    """The reduced model of ``method`` on ``mapper``; an open method
+    projects ``model``, the benchmark's dissipative model when None. A
+    basis that does not fit the model is a configuration error."""
     try:
-        if method == "rdh":
-            return reduction.rdh_reduce(bench.system, mapper)
-        if model is None:
+        if model is None and not method.closed:
             model = bench.dissipative_model()
-        if method == "psd":
-            return reduction.psd_baseline(model, mapper)
-        return reduction.pod_baseline(model, mapper)
+        return method.reduce(bench, mapper, model)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise ConfigError(f"reduction failed: {exc}") from None
-
-
-def _run_reduced(reduced, config, method: str):
-    """Integrate one projected model; returns (report, lift), the lift the
-    basis matrix that maps its reduced coordinates back to the full space."""
-    if method == "rdh":
-        return (_on_grid(dynamics.integrate, reduced.system, config=config),
-                reduced.basis.matrix)
-    if method == "psd":
-        return (_on_grid(dynamics.integrate_dissipative, reduced.model,
-                         config=config), reduced.basis.matrix)
-    return (_on_grid(dynamics.integrate_rk4, reduced.rhs, reduced.y0,
-                     config=config), reduced.v)
 
 
 def cmd_run_reduced(args) -> int:
     bench = _build(args)
     out = Path(args.out)
-    mapper = _basis_from_file(args.basis, args.method)
+    method = _METHODS[args.method]
+    mapper = _basis_from_file(args.basis, method.basis)
     stages = {}
     with _stage(stages, "reduce"):
-        reduced = _project(bench, mapper, args.method)
+        reduced = _project(bench, mapper, method)
     with _stage(stages, "integrate"):
-        report, lift = _run_reduced(reduced, bench.config, args.method)
+        report, lift = method.run(reduced, bench.config)
     m = lift.shape[1]
     key = f"{args.method}_k{m}"
     with _stage(stages, "write"):
@@ -429,13 +459,13 @@ class _Projection:
     coords: np.ndarray
     floor2: np.ndarray
 
-    def truncate(self, method: str, m: int) -> "_Projection":
+    def truncate(self, kind: str, m: int) -> "_Projection":
         """The projection onto the columns of A that make up the basis of an
-        m-mode cell of ``method``: POD's leading m, the first m/2 of each
-        half of a symplectic basis [E | J^T E]. A row of C outside them adds
-        its square to the floor, a sum that cannot cancel."""
+        m-mode cell on a basis of ``kind``: POD's leading m, the first m/2
+        of each half of a symplectic basis [E | J^T E]. A row of C outside
+        them adds its square to the floor, a sum that cannot cancel."""
         half = len(self.coords) // 2
-        rows = (np.arange(m) if method == "pod"
+        rows = (np.arange(m) if kind == "pod"
                 else np.r_[0:m // 2, half:half + m // 2])
         outside = np.ones(len(self.coords), dtype=bool)
         outside[rows] = False
@@ -487,43 +517,43 @@ class _Reference:
             wall_seconds=full.wall_seconds)
 
 
-def _compare_cell(bench, method, mapper, reference, model, stages):
-    """One (method, mode-count) comparison cell, measured against the
-    :class:`_Reference` ``reference``: its manifest summary and its table
-    columns by prefix, or None for the columns of a run that blew up. The
-    wall seconds of its reduction, run and measurement go to ``stages``.
+def _compare_cell(bench, name, mapper, reference, model, stages):
+    """One comparison cell of the :data:`_METHODS` record ``name`` on
+    ``mapper``, measured against the :class:`_Reference` ``reference``:
+    its manifest summary and its table columns by prefix, or None for the
+    columns of a run that blew up. The wall seconds of its reduction, run
+    and measurement go to ``stages``.
 
     A cell is flagged unstable when its run fails, at the first node whose
     state, energy or residual is non-finite, or when the energy error of
-    its lifted states shows sustained terminal growth or overflows;
-    the spectral abscissa of the baseline generators is recorded as an
-    additional diagnostic, and so is the step_radius of each run's step
-    map, failed runs included (None for pod's RK4 runs). A cell that ran
-    also records its speedup, the full run's wall time over its own, its
-    floor_max and drift_max, the two parts of its error normalized as
-    max_relative is, and an rdh cell its hext_drift,
-    max_t |H_ext(t) - H_ext(0)| over max_t |H_full(t)| on the snapshot grid.
+    its lifted states shows sustained terminal growth or overflows. It
+    records the spectral abscissa of its record's generator, if any, and
+    the step_radius of its run's step map, failed runs included. A cell
+    that ran also records its speedup, the full run's wall time over its
+    own, its floor_max and drift_max, the two parts of its error
+    normalized as max_relative is, and a closed cell its hext_drift,
+    max_t |H_ext(t) - H_ext(0)| over max_t |H_full(t)| on the snapshot
+    grid.
 
     The columns are the error and the energy of the lifted states on the
-    snapshot grid, both computed in reduced coordinates, the string and
-    extended energy of an rdh run, the kinetic energy of a model with a
-    potential, from its lifted velocities' q rows (rdh and psd from their
-    model's ``velocity``), and the time-averaged error per component of a
-    benchmark with a canonical transform (the ladder's),
+    snapshot grid, both computed in reduced coordinates, a closed run's
+    string and extended energy, the kinetic energy of its record's rates
+    on a model with a potential, and the time-averaged error per
+    component of a benchmark with a canonical transform (the ladder's),
     mean |T X - (T A) Y|.
     """
     config, dx = bench.config, bench.system.dx
+    method = _METHODS[name]
     cell: dict = {"unstable": False}
     with _stage(stages, "reduce"):
         reduced = _project(bench, mapper, method, model)
     with _stage(stages, "measure"):
-        if method != "rdh":   # the linear generator of a baseline model
+        if method.generator is not None:
             cell["abscissa"] = reduction.spectral_abscissa(
-                reduced.model.linear_operator() if method == "psd"
-                else reduced.matrix)
+                method.generator(reduced))
     try:
         with _stage(stages, "integrate"):
-            report, lift = _run_reduced(reduced, config, method)
+            report, lift = method.run(reduced, config)
     except NonFiniteError as exc:
         cell["step_radius"] = _step_radius(exc.step_map)
         cell["unstable"] = True
@@ -534,8 +564,8 @@ def _compare_cell(bench, method, mapper, reference, model, stages):
     cell["step_radius"] = _step_radius(report.step_map)
     with _stage(stages, "measure"):
         y = report.snapshots.states
-        proj = reference.projections["pod" if method == "pod" else "sym"]
-        proj = proj.truncate(method, lift.shape[1])
+        proj = reference.projections[method.basis].truncate(
+            method.basis, lift.shape[1])
         # a finite reduced state can lift to an energy or error past
         # floating point range; terminal_growth flags that cell as unstable
         with np.errstate(over="ignore", invalid="ignore"):
@@ -567,20 +597,14 @@ def _compare_cell(bench, method, mapper, reference, model, stages):
         cell["wall_seconds"] = report.wall_seconds
         cell["speedup"] = reference.wall_seconds / report.wall_seconds
         columns = {"err": err.per_instant, "H": energy}
-        if method == "rdh":
+        if method.closed:
             hext = report.extended_energy[::config.snapshot_stride]
             cell["hext_drift"] = float(np.abs(hext - hext[0]).max()) / scale
             columns["Estring"] = report.string_energy[::config.snapshot_stride]
             columns["Hext"] = hext
         if bench.system.potential is not None:
-            n = bench.system.n
-            if method == "pod":
-                rates = lift[:n] @ report.derivatives
-            else:   # A_q = [E_q, 0] on the cotangent basis a potential needs
-                rates = mapper.lead[:n] @ (
-                    reduced.system.velocity(report.costates)
-                    if method == "rdh" else reduced.model.velocity(y))
-            columns["kinetic"] = reduction.kinetic_energy(rates, dx)
+            columns["kinetic"] = reduction.kinetic_energy(
+                method.rates(reduced, report, bench.system.n), dx)
         if reference.transformed is not None:
             # interleaved charge/flux coordinates recovered through the
             # transform: T X - (T A) Y, in place
@@ -594,22 +618,24 @@ def cmd_compare(args) -> int:
     bench = _build(args)
     name, config = bench.name, bench.config
     out = Path(args.out)
-    methods = [m.strip() for m in (args.methods or "rdh,psd,pod").split(",")
-               if m.strip()]
-    unknown = [m for m in methods if m not in ("rdh", "psd", "pod")]
+    valid = ", ".join(_METHODS)
+    methods = [m.strip() for m in (args.methods or ",".join(_METHODS))
+               .split(",") if m.strip()]
+    unknown = [m for m in methods if m not in _METHODS]
     if unknown:
-        raise ConfigError(f"unknown methods {unknown}; valid: rdh, psd, pod")
+        raise ConfigError(f"unknown methods {unknown}; valid: {valid}")
     if not methods:
         raise ConfigError(f"--methods {args.methods!r} names no method; "
-                          f"valid: rdh, psd, pod")
+                          f"valid: {valid}")
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
         raise ConfigError(f"--methods repeats {', '.join(repeated)}")
     modes = _parse_modes(args.modes, bench.default_modes)
     _require_even(modes, "compare")
-    paired = "rdh" in methods or "psd" in methods
+    kinds = {_METHODS[m].basis for m in methods}
     # the symplectic basis generator, recorded only when a cell uses it
-    basis_method = (args.basis_method or "cotangent") if paired else None
+    basis_method = ((args.basis_method or "cotangent") if "sym" in kinds
+                    else None)
     if basis_method == "greedy" and bench.system.nonlinear_grad is not None:
         raise ConfigError(
             f"a greedy basis mixes q and p, so rdh and psd cannot reduce the "
@@ -620,22 +646,22 @@ def cmd_compare(args) -> int:
     with _stage(stages, "full_solve"):
         full = _integrate_full(bench, basis_method == "greedy")
     bases = {}
-    if paired:
+    if basis_method:
         with _stage(stages, "basis"):
             sym_basis, _, _ = _make_basis(basis_method, full.snapshots, top)
         bases["sym"] = sym_basis.matrix
-    if "pod" in methods:
+    if "pod" in kinds:
         with _stage(stages, "pod_basis"):
             pod_v, _, _ = _make_basis("pod", full.snapshots, top)
         bases["pod"] = pod_v
     with _stage(stages, "measure"):
         reference = _Reference.of(bench, full, bases)
-    # the baselines all project one dissipative model
-    model = (bench.dissipative_model()
-             if "psd" in methods or "pod" in methods else None)
+    # the open methods all project one dissipative model
+    model = (None if all(_METHODS[m].closed for m in methods)
+             else bench.dissipative_model())
 
     # (file, headers, columns, column prefixes of each cell); a cell adds
-    # one column per prefix, a blown-up cell a NaN column, and only rdh
+    # one column per prefix, a blown-up cell a NaN column, and only closed
     # cells have string and extended energy
     times = full.snapshots.times
     stride = config.snapshot_stride
@@ -656,9 +682,10 @@ def cmd_compare(args) -> int:
 
     summary, flagged = {}, []
     for method in methods:
+        record = _METHODS[method]
         for m in modes:
             key = f"{method}_k{m}"
-            mapper = (pod_v[:, :m] if method == "pod"
+            mapper = (pod_v[:, :m] if record.basis == "pod"
                       else sym_basis.truncate(m // 2))
             summary[key], cols = _compare_cell(bench, method, mapper,
                                                reference, model, stages)
@@ -666,7 +693,7 @@ def cmd_compare(args) -> int:
                 flagged.append(key)
             for _, headers, columns, prefixes in tables:
                 for prefix in prefixes:
-                    if method != "rdh" and prefix in ("Estring", "Hext"):
+                    if not record.closed and prefix in ("Estring", "Hext"):
                         continue
                     headers.append(f"{prefix}_{key}")
                     columns.append(np.full(len(columns[0]), np.nan)
@@ -752,14 +779,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="integrate a reduced model and write the "
                             "reconstructed trajectory")
     p.add_argument("--basis", required=True, metavar="PATH.mtx")
-    p.add_argument("--method", choices=["rdh", "psd", "pod"], default="rdh")
+    p.add_argument("--method", choices=list(_METHODS), default="rdh")
     p.set_defaults(func=cmd_run_reduced)
 
     p = sub.add_parser("compare", parents=[common],
                        help="run full and reduced models across methods and "
                             "mode counts; write error/energy tables")
     p.add_argument("--methods", metavar="LIST",
-                   help="subset of rdh,psd,pod (default all)")
+                   help=f"subset of {','.join(_METHODS)} (default all)")
     p.add_argument("--modes", metavar="LIST",
                    help="comma-separated mode counts (default: the "
                         "benchmark's own, 10,20,30 for a ladder and "

@@ -406,6 +406,63 @@ def test_run_reduced_baseline_methods(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("method", list(cli._METHODS))
+def test_run_reduced_and_compare_share_one_path(tmp_path, method):
+    """run-reduced and compare reduce and run a method through its one
+    record: the error of run-reduced's reconstruction on a build-basis
+    file (cotangent for a paired method, POD otherwise) against the full
+    snapshots is compare's err column of that method, to 1e-12."""
+    wave = ("--benchmark", "wave", "--set", "n=16", "--set", "t_final=1.0")
+    kind = "pod" if cli._METHODS[method].basis == "pod" else "cotangent"
+    assert _run_full_small(tmp_path / "full") == 0
+    assert _run("build-basis", *wave, "--method", kind, "--modes", "8",
+                "--snapshots", str(tmp_path / "full" / "snapshots.mtx"),
+                "--out", str(tmp_path / "basis")) == 0
+    assert _run("run-reduced", *wave, "--method", method,
+                "--basis", str(tmp_path / "basis" / "basis_k8.mtx"),
+                "--out", str(tmp_path / "red")) == 0
+    assert _run("compare", *wave, "--methods", method, "--modes", "8",
+                "--out", str(tmp_path / "cmp")) == 0
+    full = read_snapshots(tmp_path / "full" / "snapshots.mtx")
+    recon = read_snapshots(tmp_path / "red" / "reconstructed_k8.mtx")
+    dx = sm.build_benchmark("wave", sm.make_config(
+        "wave", {"n": 16, "t_final": 1.0})).system.dx
+    header, errors = read_csv(tmp_path / "cmp" / "errors.csv")
+    np.testing.assert_allclose(errors[:, header.index(f"err_{method}_k8")],
+                               sm.l2_error(full, recon, dx).per_instant,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_methods_look_up_reduction_and_integration_when_called(monkeypatch,
+                                                               tmp_path):
+    """Every method record calls the reduction and dynamics functions the
+    modules hold at call time, not at import, so a wrapper set on them (as
+    perfbench times its spans) sees each call: on a 2-mode-count compare,
+    one reduction per cell of each method, one integrate_dissipative and
+    one integrate_rk4 run per psd and pod cell, and one integrate run for
+    the full model plus one per rdh cell."""
+    calls = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("rdh_reduce", "psd_baseline", "pod_baseline"):
+        counting(sm.reduction, name)
+    for name in ("integrate", "integrate_dissipative", "integrate_rk4"):
+        counting(dynamics, name)
+    assert _run("compare", "--benchmark", "wave", "--set", "n=16",
+                "--set", "t_final=1.0", "--modes", "4,8",
+                "--out", str(tmp_path / "cmp")) == 0
+    assert calls == {"rdh_reduce": 2, "psd_baseline": 2, "pod_baseline": 2,
+                     "integrate": 3, "integrate_dissipative": 2,
+                     "integrate_rk4": 2}
+
+
 def test_compare_wave_errors_decrease(tmp_path):
     out = tmp_path / "cmp"
     assert _run("compare", "--benchmark", "wave", "--set", "n=100",
@@ -531,10 +588,11 @@ def test_compare_error_splits_into_floor_and_drift(tmp_path, monkeypatch,
     assert len(manifest["cells"]) == 6
     for key, cell in manifest["cells"].items():
         method, m = key.split("_k")[0], int(key.split("_k")[1])
-        mapper = (pod_v[:, :m] if method == "pod"
+        record = cli._METHODS[method]
+        mapper = (pod_v[:, :m] if record.basis == "pod"
                   else sym_basis.truncate(m // 2))
-        report, lift = cli._run_reduced(cli._project(bench, mapper, method),
-                                        bench.config, method)
+        report, lift = record.run(cli._project(bench, mapper, record),
+                                  bench.config)
         y = report.snapshots.states
         lifted = sm.reconstruct(lift, report.snapshots).states
         err2 = dx * np.sum((x - lifted) ** 2, axis=0)
