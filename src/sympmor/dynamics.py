@@ -607,6 +607,12 @@ class VerletStepper(_VerletStages):
     dense inverse. When K is CSR, K^T (I + w chi)^{-1} and the blocks of M
     are formed and stored in CSR as well (a diagonal block as its
     diagonal), unless a non-diagonal chi makes them dense.
+
+    ``_live`` holds the columns of chi with a nonzero entry: the entries of
+    F that chi F reads, so the only ones that act on the next step. An
+    entry of F off them changes neither z nor f, bitwise but for the sign
+    of a zero (each product with it is a zero), and :func:`_step_map`
+    carries F on these columns alone.
     """
 
     kind = "tdd"
@@ -619,6 +625,9 @@ class VerletStepper(_VerletStages):
         wi_k = self._wi @ system.K
         m = system.kt_op @ wi_k
         self.kt_wi = _stored(wi_k.T)           # K^T (I + w chi)^{-1}
+        chi_diag = system._chi_diag
+        self._live = np.flatnonzero(abs(_dense(system.chi)).max(axis=0)
+                                    if chi_diag is None else chi_diag)
         self._init_stages(system, 0.5 * (m + m.T))
         self._load(system.z0, np.zeros(system.dim))
 
@@ -669,8 +678,10 @@ class RunReport:
 
     ``step_map`` is the linear part of the map the run advanced by (see
     :func:`_record_blocks`): the columns of Phi or B on x, the step with
-    any gradient frozen at zero. A run that did not take the map, stepped
-    or RK4, has None.
+    any gradient frozen at zero. A closed run's x is (z, F_live), F on the
+    live columns of chi (see :func:`_step_map`), so its map is square of
+    dim plus their number; F off them never acts on the state. A run that
+    did not take the map, stepped or RK4, has None.
     """
 
     times: np.ndarray
@@ -713,52 +724,72 @@ _BLOCK = 128
 
 # Verlet models whose step map has at most this many columns advance by it
 # (see _record_blocks): the map state x for a linear model, x and the n
-# gradient entries for a nonlinear one, whose rows are x alone; so 5n
-# columns and 4n rows for a closed sine-Gordon model of n nodes, 3n and 2n
-# for its plain form. Measured with one BLAS thread over 5000 steps, probes
+# gradient entries for a nonlinear one, whose rows are x alone. A closed x
+# is (z, F_live), F on the live columns of chi only (see _step_map); so 4n
+# columns and 3n rows for a closed sine-Gordon model of n nodes (chi damps
+# its n momenta), 3n and 2n for its plain form, and 3n for a closed wave.
+# The crossovers below were measured in columns when a closed x held all
+# of F; counted in live columns the same runs or more map: closed
+# sine-Gordon up to n = 100 (80 before), the closed wave up to n = 133
+# (100 before). Measured with one BLAS thread over 5000 steps, probes
 # included (one step per probed column then, one product per node), the
-# linear map beats the stepper up to about 400 columns on the
-# closed CSR wave, the cheapest step per row (mapped over stepped time, the
-# median of eleven alternating pairs on an Intel Xeon: 0.61 at 340 columns,
+# linear map beats the stepper up to about 400 columns on the closed CSR
+# wave, the cheapest step per row (mapped over stepped time, the median of
+# eleven alternating pairs on an Intel Xeon: 0.61 at 340 columns,
 # 0.72-0.86 at 360-380, 1.00-1.03 at 400), and still at 800 on the dense
 # closed ladder and 600 on its dissipative form; the preset ladder's full
-# map has 200 columns, the 1000-dim wave's 2000. Over 2000 steps of the
-# full sine-Gordon model with one BLAS thread, on a B that also gave the
-# n entries of q_{n+1}, mapped over stepped time read 0.62 at 300 columns
-# (closed, n = 60), 0.71 at 350 (n = 70), 1.08 at 375 (n = 75) and 1.32 at
-# 400 (n = 80) in one best of seven; alternating pairs (best of eleven,
-# Intel Xeon) read 0.66 at n = 70, 0.88-0.94 at n = 75 and 0.88-1.03 at
-# n = 80, and for the plain form 0.87 at 360 (n = 120) and 1.00 at 399
-# (n = 133). So up to the bound a nonlinear map costs at most about what
-# stepping does, and the bound sits below the linear crossover. The
-# reduced sine-Gordon maps are at most 120 x 150 (rdh k = 60; psd k = 60
-# is 60 x 90). Since then the probes take one block step and a linear map
-# advances a window of nodes per product (_WINDOW), which only moves the
-# crossover up; the bound stays, so the same runs are mapped.
+# map has 150 columns (200 with all of F), the 1000-dim wave's 1500. Over
+# 2000 steps of the full sine-Gordon model with one BLAS thread, on a B
+# that also gave the n entries of q_{n+1}, mapped over stepped time read
+# 0.62 at 300 columns (closed, n = 60), 0.71 at 350 (n = 70), 1.08 at 375
+# (n = 75) and 1.32 at 400 (n = 80) in one best of seven; alternating
+# pairs (best of eleven, Intel Xeon) read 0.66 at n = 70, 0.88-0.94 at
+# n = 75 and 0.88-1.03 at n = 80, and for the plain form 0.87 at 360
+# (n = 120) and 1.00 at 399 (n = 133). So up to the bound a nonlinear map
+# costs at most about what stepping does, and the bound sits below the
+# linear crossover. The reduced sine-Gordon maps are at most 90 x 120 (rdh
+# k = 60 on a cotangent basis; psd k = 60 is 60 x 90). Since then the
+# probes take one block step and a linear map advances a window of nodes
+# per product (_WINDOW), which only moves the crossover up; the bound
+# stays. No preset compare changes path: their full sine-Gordon and wave
+# runs (n = 500) step, and the full ladder and every rdh and psd run map.
 _MAP_DIM = 400
 
 # Most nodes a linear map advances per product (see _record_blocks): W =
 # min(_WINDOW, 2**17 // d**2, n_steps), at least 1, for d columns, so its
 # stacked powers hold at most 2**17 entries (1 MB): W is 16 up to 90
-# columns, 9 at 120, 3 at 200 and 1 past 362. Per node, sequential ->
-# windowed, one BLAS thread, an orthogonal map over 4000 steps, three
-# rounds of best of seven on a noisy Intel Xeon: 1.9-2.2 -> 0.8-0.9 us at
-# 60 columns, 2.6-3.0 -> 1.7 at 90, 3.6-4.5 -> 2.3-3.7 at 120, 6.2-7.6 ->
-# 5.6-8.2 at 200, and 11-16 -> 11-12 and 25 -> 22-23 at 300 and 400
-# (W = 1); W = 8 at 200 columns read 13-14 us, so W shrinks with d.
+# columns, 9 at 120, 5 at 150 (the preset ladder), 3 at 200 and 1 past
+# 362. Per node, sequential -> windowed, one BLAS thread, an orthogonal
+# map over 4000 steps, three rounds of best of seven on a noisy Intel
+# Xeon: 1.9-2.2 -> 0.8-0.9 us at 60 columns, 2.6-3.0 -> 1.7 at 90,
+# 3.6-4.5 -> 2.3-3.7 at 120, 6.2-7.6 -> 5.6-8.2 at 200, and 11-16 ->
+# 11-12 and 25 -> 22-23 at 300 and 400 (W = 1); W = 8 at 200 columns read
+# 13-14 us, so W shrinks with d.
 _WINDOW = 16
 
 
-def _closed_columns(system: TddSystem, states, memory, costates):
+def _closed_columns(system: TddSystem, states, memory, costates, kz=None,
+                    chi_f=None):
     """Per-node diagnostics of a closed run from (dim, m) blocks of states,
     memory integrals F and co-states f: H, 0.5 ||f||^2 plus the
     non-quadratic energy, f^T chi f, the supply rate, the passivity residual
     -f^T chi f, and the largest entries of |K z - f - chi F| (the Volterra
-    residual) and of |K z|."""
-    kz = system.K @ states
+    residual) and of |K z|.
+
+    ``kz`` and ``chi_f`` are K z and chi F when the caller has formed them,
+    as a mapped block does (see :func:`_record_blocks`); they are formed
+    here otherwise, by the same products. A stepped run's co-state comes
+    from the stepper's own solve, so its Volterra residual measures how
+    well that solve meets the constraint. A mapped run's co-state is
+    f = K z - chi F of these very products, so its residual is only the
+    rounding of f so formed, K z - ((K z - chi F) + chi F): the map's own
+    error shows in the states, not here."""
+    if kz is None:
+        kz = system.K @ states
+        chi_f = system.chi_apply(memory)
     nonquad = system.nonquadratic_energy(states, np.zeros(states.shape[1]))
     diss = system.dissipation_rate(costates)
-    volterra = kz - (costates + system.chi_apply(memory))
+    volterra = kz - (costates + chi_f)
     return np.array([0.5 * _column_dot(kz, kz) + nonquad,
                      0.5 * _column_dot(costates, costates) + nonquad,
                      diss, system.supply_rate(states, costates), -diss,
@@ -782,9 +813,11 @@ def _trapezoid_sum(weight: float, rates):
 
 
 def _step_map(stepper, closed: bool, dim: int):
-    """The step of a Verlet stepper as products: x = (z, F) for a
-    :class:`VerletStepper`, loaded with :meth:`VerletStepper._load`, and
-    x = z otherwise.
+    """The step of a Verlet stepper as products: x = (z, F_live) for a
+    :class:`VerletStepper`, F_live the memory integral F on the columns
+    ``stepper._live`` that chi F reads, and x = z otherwise. F off those
+    columns never acts on z or f, so it is left out, and a closed model
+    with chi = 0 maps z alone.
 
     A linear stepper gives (Phi, c, None) with Phi x + c the state one step
     after x. With a nonlinear gradient the step is affine in x and in the
@@ -797,12 +830,15 @@ def _step_map(stepper, closed: bool, dim: int):
     to the gradient: G_1 is zero on the q rows. Everything comes from one
     ``step`` of the stepper on the probe block [0 | I], whose columns are
     the zero vector and the unit vectors: c is the image of column 0, and
-    each column of the map the image of a unit vector minus c. The rows of
-    the block past x hold the injected g_n and g_{n+1}: for the probe of a
-    nonlinear stepper its gradient is swapped for one that returns those
-    two row blocks in turn, and restored after; the model's gradient is
-    never called. The probe leaves the stepper at an arbitrary state."""
-    xdim = (2 if closed else 1) * dim
+    each column of the map the image of a unit vector minus c. A closed
+    probe is loaded with F zero off the live columns, and its image keeps
+    the live rows of the new F. The rows of the block past x hold the
+    injected g_n and g_{n+1}: for the probe of a nonlinear stepper its
+    gradient is swapped for one that returns those two row blocks in turn,
+    and restored after; the model's gradient is never called. The probe
+    leaves the stepper at an arbitrary state."""
+    live = stepper._live if closed else np.arange(0)
+    xdim = dim + live.size
     n = dim // 2
     size = xdim if stepper.linear else xdim + 2 * n
     probes = np.eye(size, size + 1, 1)
@@ -812,9 +848,11 @@ def _step_map(stepper, closed: bool, dim: int):
         stepper._grad = lambda q: next(injected)
     try:
         if closed:
-            stepper._load(probes[:dim], probes[dim:xdim])
+            memory = np.zeros((dim, size + 1))
+            memory[live] = probes[dim:xdim]
+            stepper._load(probes[:dim], memory)
             images = np.concatenate([stepper.step(probes[:dim]),
-                                     stepper.integral])
+                                     stepper.integral[live]])
         else:
             images = stepper.step(probes[:xdim])
     finally:
@@ -832,22 +870,30 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     """The one node source of :func:`_drive`: every node of a run from the
     state z at node 0, written into blocks of _BLOCK nodes aligned at node
     0 and yielded as (layers, m, dim) views of one reused buffer (m is
-    _BLOCK but in the last block). The layers are the state z; for a
-    :class:`VerletStepper` also its memory integral F and its co-state f;
-    for an RK4 stepper (``inline``) also dz/dt from its ``rhs``, called at
-    each snapshot node right after the step.
+    _BLOCK but in the last block), each with the products it shares (see
+    below). The layers are the state z; for a :class:`VerletStepper` also
+    its memory integral F and its co-state f; for an RK4 stepper
+    (``inline``) also dz/dt from its ``rhs``, called at each snapshot node
+    right after the step.
 
     Without a ``step_map`` each node after node 0 comes from
-    ``stepper.step``. With one, the (Phi, c, G_1) of :func:`_step_map`,
-    every node is x, the first layers of its row, advanced from x_0: the
-    exact (z, 0) of node 0 for the closed form, whose co-state is then
-    f = K z - chi F, and z otherwise. A linear map (no G_1) advances
-    x <- Phi x + c a window of W nodes per product (see _WINDOW): from
-    the stacked powers P = [Phi; Phi^2; ...; Phi^W] and shifts
-    D = [c; Phi c + c; ...], formed once by that recurrence, P x + D are
-    the next W nodes of the block (fewer at its end), and the last of them
-    is the x of the next window. A semi-linear map advances one node at a
-    time, x <- B [x; g] + c, g the gradient at that vector's q rows and
+    ``stepper.step``, and a block shares no products. With one, the
+    (Phi, c, G_1) of :func:`_step_map`, every node is x advanced from x_0:
+    the exact (z, 0) of node 0 for the closed form, and z otherwise. A
+    plain x is the state layer of its row; a closed x = (z, F_live) has a
+    buffer of its own, whose block is copied into the state layer and the
+    live columns of the memory layer, which holds zero off them. The
+    closed block then forms K z and chi F once, for its co-state
+    f = K z - chi F and for :func:`_closed_columns`, and shares them as the
+    pair (K z, chi F) of (dim, m) blocks; a plain block shares ().
+
+    A linear map (no G_1) advances x <- Phi x + c a window of W nodes per
+    product (see _WINDOW): from the stacked powers
+    P = [Phi; Phi^2; ...; Phi^W] and shifts D = [c; Phi c + c; ...],
+    formed once by that recurrence, P x + D are the next W nodes of the
+    block (fewer at its end), and the last of them is the x of the next
+    window. A semi-linear map advances one node at a time,
+    x <- B [x; g] + c, g the gradient at that vector's q rows and
     x <- x + G_1 g, g starting from the gradient at q_0: one evaluation
     per step, at the q the node records. The states agree with the stepped
     run's to roundoff, not bitwise: the map takes the gradient where the
@@ -869,12 +915,16 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                     rows[j, 2] = stepper.f
                 elif inline and (start + j) % snapshot_stride == 0:
                     rows[j, 1] = stepper.rhs(z)
-            yield rows[:m].transpose(1, 0, 2)
+            yield rows[:m].transpose(1, 0, 2), ()
         return
     phi, c, g1 = step_map
     xdim = c.size
-    xs = rows.reshape(_BLOCK, -1)[:, :xdim]
-    xs[0] = 0.0
+    if closed:
+        system, live = stepper.system, stepper._live
+        xs = np.zeros((_BLOCK, xdim))
+        rows[:, 1] = 0.0                  # F off the live columns
+    else:
+        xs = rows[:, 0]
     xs[0, :dim] = z
     x = xs[0]           # the last node's x, read in its row by a linear map
     if g1 is None:
@@ -912,10 +962,14 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                 np.matmul(g1, x_g, out=kick)
                 row += kick
                 x_x[:] = row
+        shared = ()
         if closed:
-            rows[:m, 2] = (stepper.system.K @ rows[:m, 0].T
-                           - stepper.system.chi_apply(rows[:m, 1].T)).T
-        yield rows[:m].transpose(1, 0, 2)
+            states, memory = rows[:m, 0], rows[:m, 1]
+            states[:] = xs[:m, :dim]
+            memory[:, live] = xs[:m, dim:]
+            shared = (system.K @ states.T, system.chi_apply(memory.T))
+            rows[:m, 2] = (shared[0] - shared[1]).T
+        yield rows[:m].transpose(1, 0, 2), shared
 
 
 def _drive(make_stepper, z0, dt: float, n_steps: int | None,
@@ -932,7 +986,8 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     overflow and invalid warnings are silenced from the probe on.
 
     Each block gives up its snapshot nodes and is reduced to per-node
-    diagnostics column by column. This is the one place a run fails: it
+    diagnostics column by column, from the products it shares if it was
+    mapped closed. This is the one place a run fails: it
     raises :class:`NonFiniteError` at the block's first node whose state,
     or whose H, stored energy, rates, Volterra residual or max |K z|, is
     non-finite. An RK4 run's derivative layer is not read, since its rows
@@ -962,9 +1017,9 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     inline = isinstance(stepper, _Rk4Stepper)
     w = 0.5 * dt
     z = np.array(z0, dtype=float)
-    # the map state x = (z, F) or z; a nonlinear map also takes the
+    # the map state x = (z, F_live) or z; a nonlinear map also takes the
     # gradient: n more columns
-    xdim = (2 if closed else 1) * z.size
+    xdim = z.size + (stepper._live.size if closed else 0)
     mapped = (isinstance(stepper, _VerletStages) and n_steps > 1
               and xdim + (0 if stepper.linear else z.size // 2) <= _MAP_DIM)
     # the block layers kept at snapshot nodes, in the store's layer order
@@ -980,14 +1035,16 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
         step_map = None if maps is None else maps[0][:, :xdim]
         blocks = _record_blocks(stepper, z, n_steps, snapshot_stride, closed,
                                 inline, maps)
-        for start, block in zip(range(0, n_steps + 1, _BLOCK), blocks):
+        for start, (block, shared) in zip(range(0, n_steps + 1, _BLOCK),
+                                          blocks):
             first = -(-start // snapshot_stride)
             picks = np.arange(first * snapshot_stride - start, block.shape[1],
                               snapshot_stride)
             cols = slice(first, first + picks.size)
             store[:, :, cols] = block[kept][:, picks].transpose(0, 2, 1)
             diagnostics = (
-                _closed_columns(stepper.system, *(r.T for r in block))
+                _closed_columns(stepper.system, *(r.T for r in block),
+                                *shared)
                 if closed else _plain_columns(hamiltonian, block[0].T))
             bad_state = ~np.isfinite(block[0]).all(axis=1)
             bad = bad_state | ~np.isfinite(diagnostics).all(axis=0)

@@ -546,13 +546,14 @@ def test_compare_error_splits_into_floor_and_drift(tmp_path, monkeypatch,
     ``reduction.reconstruct`` patched to raise. At every node the lifted
     error ||x - A y||^2, recomputed through ``reconstruct``, equals the
     floor ||x - A A^T x||^2 plus the drift ||A^T x - y||^2, to 1e-12
-    relative or to rounding, and so does the square of the cell's
-    errors.csv column; the manifest's floor_max and drift_max are the two
-    parts' maxima over the peak reference norm, and the cell's energy.csv
-    column is the energy of the lifted states to 1e-12 of its largest. The
-    4-mode cells take their floor from the 8-mode basis's, plus the rows
-    of A^T X outside the cell, and the snapshots are projected once per
-    basis, not once per cell."""
+    relative or to the split's rounding (see ``split_rounding``), and so
+    does the square of the cell's errors.csv column; the manifest's
+    floor_max and drift_max are the two parts' maxima over the peak
+    reference norm, and the cell's energy.csv column is the energy of the
+    lifted states to 1e-12 of its largest. The 4-mode cells take their
+    floor from the 8-mode basis's, plus the rows of A^T X outside the
+    cell, and the snapshots are projected once per basis, not once per
+    cell."""
     out = tmp_path / "cmp"
 
     def unused(*args, **kwargs):
@@ -576,13 +577,44 @@ def test_compare_error_splits_into_floor_and_drift(tmp_path, monkeypatch,
     bench = sm.build_benchmark(name, sm.make_config(name, manifest["config"]))
     full = cli._integrate_full(bench)
     x, dx = full.snapshots.states, bench.system.dx
-    peak = sm.reduction.weighted_norms(x, dx).max()
-    # an error below 1e-15 of the peak norm is rounding: the greedy basis
-    # holds z0, so its t = 0 error is
-    rounding = (1e-15 * peak) ** 2
+    x_norms = sm.reduction.weighted_norms(x, dx)
+    peak = x_norms.max()
     sym_basis, _, _ = cli._make_basis(manifest["basis_method"],
                                       full.snapshots, 8)
     pod_v, _, _ = cli._make_basis("pod", full.snapshots, 8)
+    eps = np.finfo(float).eps
+
+    def split_rounding(lead, err2):
+        """The rounding of the split at each node, first order in eps,
+        for cells on the basis ``lead`` (N x m; a cell's basis is some of
+        its columns).
+
+        With e = x - A y = f + A d, f = x - A A^T x and d = A^T x - y,
+        ||e||^2 - ||f||^2 - ||d||^2 = 2 (A^T f) . d + d^T (A^T A - I) d
+        and A^T f = (I - A^T A) A^T x, so the first term is at most
+        2 eta ||x|| ||e||, eta = ||I - A^T A||_2 (the second is inside
+        rtol). Each vector is formed by one product with A or A^T, whose
+        rounding is at most gamma_k |A| |v| entrywise, k the length of its
+        sums (Higham, Accuracy and Stability of Numerical Algorithms,
+        2nd ed., sec. 3.5), so in norm k u sqrt(m) ||v||, u = eps / 2,
+        since || |A| ||_2 <= ||A||_F = sqrt(m). Its square gains twice
+        its inner product with that rounding: e from A y (k = m, ||y|| <=
+        ||x|| + ||e||), f from A (A^T x) (k = m; the rounding of A^T x
+        moves f by A times it, orthogonal to f to first order), and d
+        from A^T x (k = N). With ||f||, ||d|| <= ||e||, the sum is at most
+        eps sqrt(m) (2 m + N) ||x|| ||e||, the ||e||^2 part of ||y||
+        inside rtol. So c = 2 eta / eps + sqrt(m) (2 m + N), measured in
+        the weighted norms, which scale every term alike. An error below
+        1e-15 of the peak norm is rounding too: the greedy basis holds
+        z0, so its t = 0 error is."""
+        n_rows, m = lead.shape
+        eta = np.linalg.norm(np.eye(m) - lead.T @ lead, 2)
+        c = 2.0 * eta / eps + np.sqrt(m) * (2 * m + n_rows)
+        return (1e-15 * peak) ** 2 + c * eps * x_norms * np.sqrt(err2)
+
+    def assert_close(got, want, rounding):
+        np.testing.assert_array_less(np.abs(got - want),
+                                     1e-12 * np.abs(want) + rounding)
     header, errors = read_csv(out / "errors.csv")
     energy_header, energies = read_csv(out / "energy.csv")
     assert len(manifest["cells"]) == 6
@@ -598,10 +630,11 @@ def test_compare_error_splits_into_floor_and_drift(tmp_path, monkeypatch,
         err2 = dx * np.sum((x - lifted) ** 2, axis=0)
         floor2 = dx * np.sum((x - lift @ (lift.T @ x)) ** 2, axis=0)
         drift2 = dx * np.sum((lift.T @ x - y) ** 2, axis=0)
-        np.testing.assert_allclose(floor2 + drift2, err2, rtol=1e-12,
-                                   atol=rounding)
-        np.testing.assert_allclose(errors[:, header.index(f"err_{key}")] ** 2,
-                                   err2, rtol=1e-12, atol=rounding)
+        rounding = split_rounding(
+            pod_v if record.basis == "pod" else sym_basis.matrix, err2)
+        assert_close(floor2 + drift2, err2, rounding)
+        assert_close(errors[:, header.index(f"err_{key}")] ** 2, err2,
+                     rounding)
         assert cell["floor_max"] == pytest.approx(
             np.sqrt(floor2.max()) / peak, rel=1e-12)
         assert cell["drift_max"] == pytest.approx(

@@ -736,23 +736,27 @@ def test_map_path_selection(monkeypatch):
     """The step map is taken for a Verlet model whose map has at most
     _MAP_DIM columns, whatever the run's length past one step: the map
     state x for a linear model, x and the n gradient entries for a
-    nonlinear one, so 5n columns for a closed sine-Gordon model of n nodes
-    and 3n for its plain form. A larger map keeps the stepper."""
-    ladder = sm.build_benchmark("ladder").system         # 2 dim = 200
-    assert 2 * ladder.dim <= dynamics._MAP_DIM
+    nonlinear one. A closed x carries F on the live columns of chi alone,
+    so 4n columns for a closed sine-Gordon model of n nodes (chi damps the
+    n momenta), dim + 50 for the ladder (50 damped coordinates) and 3n for
+    a plain sine-Gordon model. A larger map keeps the stepper."""
+    ladder = sm.build_benchmark("ladder").system         # dim + 50 = 150
+    assert sm.integrate(ladder, dt=0.01, n_steps=2).step_map.shape \
+        == (150, 150)
 
     def sine_gordon(n):
         return sm.build_benchmark(
             "sine-gordon", sm.make_config("sine-gordon", {"n": n}))
-    small = sine_gordon(30).system                        # 5n = 150
-    edge = sine_gordon(80).system                         # 5n = 400
-    large = sine_gordon(81).system                        # 5n = 405
-    assert 5 * edge.n <= dynamics._MAP_DIM < 5 * large.n
+    small = sine_gordon(30).system                        # 4n = 120
+    edge = sine_gordon(100).system                        # 4n = 400
+    large = sine_gordon(101).system                       # 4n = 404
+    assert VerletStepper(edge, 0.01)._live.size == edge.n
+    assert 4 * edge.n <= dynamics._MAP_DIM < 4 * large.n
     plain = sine_gordon(133).dissipative_model()          # 3n = 399
     plain_large = sine_gordon(134).dissipative_model()    # 3n = 402
     assert 3 * plain.n <= dynamics._MAP_DIM < 3 * plain_large.n
-    wave = _wave(n=150).system                            # 2 dim = 600
-    assert 2 * wave.dim > dynamics._MAP_DIM
+    wave = _wave(n=150).system                            # 3n = 450
+    assert 3 * wave.n > dynamics._MAP_DIM
     for model, n_steps, mapped in ((ladder, 2, True),
                                    (ladder, 1, False),
                                    (small, 400, True),
@@ -969,8 +973,8 @@ def test_mapped_verlet_runs_step_only_to_probe(which, monkeypatch):
     """A mapped run calls its stepper's ``step`` once, in
     :func:`dynamics._step_map`, on a probe block of one column more than
     the map probes (x, and for a nonlinear model both injected gradients),
-    and never for a node: an 80 x 241 block for the closed sine-Gordon
-    model of n = 40, whose x has 160 entries."""
+    and never for a node: an 80 x 201 block for the closed sine-Gordon
+    model of n = 40, whose x = (z, F_live) has 120 entries."""
     dt, n_steps = 0.01, 150
     if which == "ladder":
         model, run = _ladder_with_input()[0], sm.integrate
@@ -997,15 +1001,18 @@ def test_mapped_verlet_runs_step_only_to_probe(which, monkeypatch):
     assert len(columns) == 1
     assert calls == [("probe", (model.dim, columns[0] + 1))]
     if which == "full":
-        assert calls[0][1] == (80, 241)
+        assert calls[0][1] == (80, 201)
 
 
 def _probed_map(stepper, closed: bool, dim: int):
     """The map of :func:`dynamics._step_map` probed one ``step`` per
     column, as a reference: c the image of zero, and each column the
-    image of a unit vector minus c, the G_1 columns last; a nonlinear
-    stepper's gradient returns the injected g_n, then g_{n+1}."""
-    xdim = (2 if closed else 1) * dim
+    image of a unit vector minus c, the G_1 columns last; a closed x is
+    (z, F_live), loaded with F zero off the live columns of chi; a
+    nonlinear stepper's gradient returns the injected g_n, then
+    g_{n+1}."""
+    live = stepper._live if closed else np.arange(0)
+    xdim = dim + live.size
     n = dim // 2
     size = xdim if stepper.linear else xdim + 2 * n
     injected = []
@@ -1014,8 +1021,11 @@ def _probed_map(stepper, closed: bool, dim: int):
     def image(v):
         injected[:] = [v[xdim: xdim + n], v[xdim + n:]]
         if closed:
-            stepper._load(v[:dim], v[dim:xdim])
-            return np.concatenate([stepper.step(v[:dim]), stepper.integral])
+            memory = np.zeros(dim)
+            memory[live] = v[dim:xdim]
+            stepper._load(v[:dim], memory)
+            return np.concatenate([stepper.step(v[:dim]),
+                                   stepper.integral[live]])
         return stepper.step(v[:xdim])
     c = image(np.zeros(size))
     return np.array([image(unit) - c for unit in np.eye(size)]).T, c
@@ -1045,6 +1055,79 @@ def test_block_step_map_matches_a_probe_per_column(name, n, closed):
     assert _close(c, want_c)
 
 
+def _cotangent_wave_rdh():
+    config = sm.make_config("wave", {"n": 16, "t_final": 1.0})
+    bench = sm.build_benchmark("wave", config)
+    full = sm.integrate(bench.system, dt=config.dt, t_final=config.t_final)
+    basis = sm.cotangent_lift(full.snapshots, 6)[0]
+    return sm.rdh_reduce(bench.system, basis).system, config.dt
+
+
+@pytest.mark.parametrize("make", [_ladder_with_input, _cotangent_wave_rdh],
+                         ids=["ladder", "wave-rdh-cotangent"])
+def test_memory_off_the_live_columns_acts_on_nothing(make):
+    """chi F reads F only on the columns of chi with a nonzero entry, the
+    stepper's ``_live``: one step from (z, F) and from (z, F + e_i), with
+    i a zero column of chi, gives bitwise-equal z and f, and the same F on
+    the live columns. So the step map carries F_live alone."""
+    system, dt = make()
+    stepper = VerletStepper(system, dt)
+    live = stepper._live
+    dead = np.setdiff1d(np.arange(system.dim), live)
+    chi = np.asarray(dynamics._dense(system.chi))
+    assert dead.size == system.dim // 2 and not chi[:, dead].any()
+    rng = np.random.default_rng(3)
+    z, memory = rng.standard_normal((2, system.dim))
+
+    def step(integral):
+        fresh = VerletStepper(system, dt)
+        fresh._load(z, integral)
+        return fresh.step(z), fresh.f, fresh.integral[live]
+    want = step(memory)
+    for i in dead[[0, -1]]:
+        shifted = memory.copy()
+        shifted[i] += 1.0
+        for got, expected in zip(step(shifted), want):
+            np.testing.assert_array_equal(got, expected)
+
+
+def test_closed_map_without_memory_is_the_plain_map():
+    """A closed model with chi = 0 maps z alone, and its map and states
+    equal those of its plain form (stiffness K^T K, zero drift) to
+    roundoff."""
+    config = sm.make_config("ladder", {"cells": 10, "chi_scale": 0.0})
+    bench = sm.build_benchmark("ladder", config)
+    closed = sm.integrate(bench.system, dt=config.dt, n_steps=300)
+    plain = sm.integrate_dissipative(bench.dissipative_model(),
+                                     dt=config.dt, n_steps=300)
+    assert closed.step_map.shape == plain.step_map.shape == (20, 20)
+    assert _close(closed.step_map, plain.step_map)
+    assert _close(closed.snapshots.states, plain.snapshots.states)
+
+
+@pytest.mark.parametrize("make", [_ladder_with_input, _greedy_wave_rdh],
+                         ids=["ladder", "wave-rdh-greedy"])
+def test_mapped_block_diagnostics_are_the_recomputed_columns(make,
+                                                             monkeypatch):
+    """A mapped closed block hands the K z and chi F that formed its
+    co-states to :func:`dynamics._closed_columns`, and its diagnostics
+    equal the columns recomputed from the block's states, memory and
+    co-states alone, bitwise."""
+    system, dt = make()
+    shared = []
+    columns = dynamics._closed_columns
+
+    def checked(system, states, memory, costates, *products):
+        shared.append(len(products))
+        got = columns(system, states, memory, costates, *products)
+        np.testing.assert_array_equal(
+            got, columns(system, states, memory, costates))
+        return got
+    monkeypatch.setattr(dynamics, "_closed_columns", checked)
+    rep = sm.integrate(system, dt=dt, n_steps=5 * dynamics._BLOCK // 2)
+    assert rep.step_map is not None and shared == [2, 2, 2]
+
+
 def _ladder_plain():
     config = sm.make_config("ladder", {"cells": 10})
     return sm.build_benchmark("ladder", config).dissipative_model(), config.dt
@@ -1056,21 +1139,28 @@ def _ladder_plain():
 @pytest.mark.parametrize("make, run", [
     (_ladder_with_input, sm.integrate),
     (_ladder_plain, sm.integrate_dissipative),
-    (_greedy_wave_rdh, sm.integrate)],
-    ids=["ladder", "ladder-plain", "wave-rdh"])
+    (_greedy_wave_rdh, sm.integrate),
+    (_cotangent_wave_rdh, sm.integrate)],
+    ids=["ladder", "ladder-plain", "wave-rdh", "wave-rdh-cotangent"])
 def test_windowed_map_runs_match_stepped_runs(make, run, n_steps,
                                               monkeypatch):
     """A linear map of at most 90 columns advances _WINDOW nodes per
-    product. Runs of a window's length and around it, and around a block's
-    length, with stride 3, match the stepped run (``_MAP_DIM`` = 0): the
-    states and co-states within 1e-12 of their max, the energy series
-    within 1e-12 of max |H|."""
+    product; a closed map's columns are z and F on the live columns of
+    chi alone, fewer than all of F on each closed model here. Runs of a
+    window's length and around it, and around a block's length, with
+    stride 3, match the stepped run (``_MAP_DIM`` = 0): the states and
+    co-states within 1e-12 of their max, the energy series within 1e-12
+    of max |H|."""
     model, dt = make()
     assert model.nonlinear_grad is None
-    xdim = (2 if run is sm.integrate else 1) * model.dim
+    xdim = model.dim
+    if run is sm.integrate:
+        xdim += VerletStepper(model, dt)._live.size
+        assert xdim < 2 * model.dim
     assert xdim <= 90
     maps = _MapCount(monkeypatch)
     got = run(model, dt=dt, n_steps=n_steps, snapshot_stride=3)
+    assert maps.shapes == [(xdim, xdim)]
     monkeypatch.setattr(dynamics, "_MAP_DIM", 0)
     want = run(model, dt=dt, n_steps=n_steps, snapshot_stride=3)
     assert maps.calls == 1 and want.step_map is None
@@ -1115,13 +1205,14 @@ def test_nonlinear_step_map_is_the_linear_models_map(which, monkeypatch):
     assert run(model, dt=dt, n_steps=2).step_map is None
 
 
-@pytest.mark.parametrize("which, shape", [("rdh", (120, 150)),
+@pytest.mark.parametrize("which, shape", [("rdh", (90, 120)),
                                           ("psd", (60, 90))],
                          ids=["rdh-150", "psd-90"])
 def test_default_sine_gordon_k60_maps(which, shape, monkeypatch):
     """The default sine-Gordon compare's k = 60 cells advance by a
     semi-linear map B from x and the 30 reduced-position gradient entries
-    to x: 120 x 150 for rdh, whose x = (z, F) has 120 entries, and 60 x 90
+    to x: 90 x 120 for rdh, whose x = (z, F_live) has 90 entries (the
+    cotangent chi_red is zero on the 30 reduced positions), and 60 x 90
     for psd, whose x = z has 60."""
     config = sm.make_config("sine-gordon")
     bench = sm.build_benchmark("sine-gordon", config)
