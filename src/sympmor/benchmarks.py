@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .dynamics import (DissipativeModel, TddSystem, _Csr, _entries,
+from .dynamics import (DissipativeModel, TddSystem, _Csr, _require_finite,
                        cholesky_factor)
 from .symplectic import CanonicalForm
 
@@ -428,7 +428,7 @@ def build_benchmark(name: str, config=None) -> Benchmark:
     with np.errstate(all="ignore"):
         built = builder(config)
     for what, op in (("stiffness", built.stiffness), ("drift", built.drift)):
-        if op is not None and not np.isfinite(_entries(op)).all():
-            raise ValueError(f"{name} {what} has a non-finite entry")
+        if op is not None:
+            _require_finite(op, f"{name} {what}")
     built.name = name   # registry name wins (wave-lowdiss keeps its identity)
     return built

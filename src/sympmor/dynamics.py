@@ -43,10 +43,6 @@ class NonFiniteError(RuntimeError):
         super().__init__(f"{what} became non-finite at step {step}")
 
 
-def _sym_deviation(m) -> float:
-    return float(abs(m - m.T).max())
-
-
 class _Csr(scipy.sparse.csr_array):
     """CSR array that reports the bytes of its data, indices and indptr as
     ``nbytes``, like the dense operators it stands in for."""
@@ -95,6 +91,25 @@ def _dense(m) -> np.ndarray:
 def _entries(m) -> np.ndarray:
     """The stored entries of a sparse ``m``, else ``m`` itself."""
     return m.data if scipy.sparse.issparse(m) else m
+
+
+def _require_finite(m, name: str) -> None:
+    """Raise ValueError naming ``name`` unless every entry of ``m``, dense
+    or sparse, is finite."""
+    if not np.isfinite(_entries(m)).all():
+        raise ValueError(f"{name} has a non-finite entry")
+
+
+def _require_symmetric(m, name: str, tol: float) -> float:
+    """The one operator check: raise ValueError naming ``name`` unless
+    every entry of the square ``m``, dense or sparse, is finite and m is
+    symmetric to ``tol`` relative to max(1, max |m|); returns that
+    scale."""
+    _require_finite(m, name)
+    scale = max(1.0, float(abs(m).max()))
+    if float(abs(m - m.T).max()) > tol * scale:
+        raise ValueError(f"{name} is not symmetric to {tol:g} relative")
+    return scale
 
 
 def _canonical_times(j: CanonicalForm, m):
@@ -149,16 +164,12 @@ def cholesky_factor(m, name: str = "matrix"):
 
     Raises ``np.linalg.LinAlgError`` naming the first failing pivot when M is
     not positive definite, and ``ValueError`` when M has a non-finite entry
-    or is not symmetric to 1e-12 relative.
+    or is not symmetric to 1e-12 relative (see :func:`_require_symmetric`).
     """
     m = _stored(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got {m.shape}")
-    if not np.isfinite(_entries(m)).all():
-        raise ValueError(f"{name} has a non-finite entry")
-    scale = max(1.0, float(abs(m).max()))
-    if _sym_deviation(m) > 1e-12 * scale:
-        raise ValueError(f"{name} is not symmetric to 1e-12 relative")
+    _require_symmetric(m, name, 1e-12)
     msym = 0.5 * (m + m.T)
     if scipy.sparse.issparse(msym):
         return _banded_cholesky(_Csr(msym), name)
@@ -254,8 +265,15 @@ def _kept(block):
     return block
 
 
-def _optional_array(v):
-    return None if v is None else np.asarray(v, dtype=float)
+def _vector(v, dim: int, field: str):
+    """``v`` as a float vector, None for None; raise ValueError naming
+    ``field`` unless its shape is (dim,)."""
+    if v is None:
+        return None
+    v = np.asarray(v, dtype=float)
+    if v.shape != (dim,):
+        raise ValueError(f"{field} must have shape ({dim},), got {v.shape}")
+    return v
 
 
 def _column(v, z):
@@ -269,16 +287,24 @@ def _column_dot(a, b):
 
 
 class _ExtraTerms:
-    """Terms both model forms share beyond their quadratic energy: a
-    potential V(q) of the positions with gradient g(q), a boundary vector
-    z_bd and an input u."""
+    """What both model forms share beyond their quadratic energy: the
+    phase space, its initial state, a potential V(q) of the positions with
+    gradient g(q), a boundary vector z_bd and an input u."""
 
-    def _init_terms(self, nonlinear_grad, potential, input_vector,
+    def _init_terms(self, dim, z0, nonlinear_grad, potential, input_vector,
                     boundary_vector, dx, name):
+        """Set the phase space of even dimension ``dim``, with n = dim / 2,
+        and the shared terms; z0, u and z_bd must each have shape (dim,)."""
+        if dim % 2:
+            raise ValueError("phase space dimension must be even")
+        self.dim = dim
+        self.n = dim // 2
+        self.z0 = _vector(z0, dim, "z0")
         self.nonlinear_grad = nonlinear_grad
         self.potential = potential
-        self.input_vector = _optional_array(input_vector)
-        self.boundary_vector = _optional_array(boundary_vector)
+        self.input_vector = _vector(input_vector, dim, "input_vector")
+        self.boundary_vector = _vector(boundary_vector, dim,
+                                       "boundary_vector")
         self.dx = float(dx)
         self.name = name
         self.J = CanonicalForm(self.n)
@@ -386,19 +412,12 @@ class TddSystem(_ExtraTerms):
                  name: str = ""):
         self.K = _stored(K)
         self.chi = _stored(chi)
-        self.z0 = np.asarray(z0, dtype=float)
         if self.K.ndim != 2 or self.K.shape[0] != self.K.shape[1]:
             raise ValueError(f"K must be square, got {self.K.shape}")
-        if self.K.shape[0] % 2:
-            raise ValueError("phase space dimension must be even")
-        self.dim = self.K.shape[0]
-        self.n = self.dim // 2
         if self.chi.shape != self.K.shape:
             raise ValueError("chi must match K in shape")
-        if self.z0.shape != (self.dim,):
-            raise ValueError(f"z0 must have shape ({self.dim},)")
-        self._init_terms(nonlinear_grad, potential, input_vector,
-                         boundary_vector, dx, name)
+        self._init_terms(self.K.shape[0], z0, nonlinear_grad, potential,
+                         input_vector, boundary_vector, dx, name)
         self.kt_op = _stored(self.K.T)
         self._chi_diag = _diagonal(self.chi)
         self.validate()
@@ -406,14 +425,8 @@ class TddSystem(_ExtraTerms):
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
-        if not np.isfinite(_entries(self.K)).all():
-            raise ValueError("K has a non-finite entry")
-        chi_max = float(abs(self.chi).max())
-        if not np.isfinite(chi_max):
-            raise ValueError("susceptibility has a non-finite entry")
-        scale = max(1.0, chi_max)
-        if _sym_deviation(self.chi) > 1e-12 * scale:
-            raise ValueError("susceptibility must be symmetric to 1e-12 relative")
+        _require_finite(self.K, "K")
+        scale = _require_symmetric(self.chi, "susceptibility", 1e-12)
         _require_psd(self._chi_diag if self._chi_diag is not None
                      else np.linalg.eigvalsh(_dense(self.chi)), 1e-12 * scale)
         rcond = _reciprocal_condition(self.K)
@@ -728,65 +741,46 @@ _BLOCK = 128
 # is (z, F_live), F on the live columns of chi only (see _step_map); so 4n
 # columns and 3n rows for a closed sine-Gordon model of n nodes (chi damps
 # its n momenta), 3n and 2n for its plain form, and 3n for a closed wave.
-# The crossovers below were measured in columns when a closed x held all
-# of F; counted in live columns the same runs or more map: closed
-# sine-Gordon up to n = 100 (80 before), the closed wave up to n = 133
-# (100 before). Measured with one BLAS thread over 5000 steps, probes
-# included (one step per probed column then, one product per node), the
-# linear map beats the stepper up to about 400 columns on the closed CSR
-# wave, the cheapest step per row (mapped over stepped time, the median of
-# eleven alternating pairs on an Intel Xeon: 0.61 at 340 columns,
-# 0.72-0.86 at 360-380, 1.00-1.03 at 400), and still at 800 on the dense
-# closed ladder and 600 on its dissipative form; the preset ladder's full
-# map has 150 columns (200 with all of F), the 1000-dim wave's 1500. Over
-# 2000 steps of the full sine-Gordon model with one BLAS thread, on a B
-# that also gave the n entries of q_{n+1}, mapped over stepped time read
-# 0.62 at 300 columns (closed, n = 60), 0.71 at 350 (n = 70), 1.08 at 375
-# (n = 75) and 1.32 at 400 (n = 80) in one best of seven; alternating
-# pairs (best of eleven, Intel Xeon) read 0.66 at n = 70, 0.88-0.94 at
-# n = 75 and 0.88-1.03 at n = 80, and for the plain form 0.87 at 360
-# (n = 120) and 1.00 at 399 (n = 133). So up to the bound a nonlinear map
-# costs at most about what stepping does, and the bound sits below the
-# linear crossover. The reduced sine-Gordon maps are at most 90 x 120 (rdh
-# k = 60 on a cotangent basis; psd k = 60 is 60 x 90). Since then the
-# probes take one block step and a linear map advances a window of nodes
-# per product (_WINDOW), which only moves the crossover up; the bound
-# stays. No preset compare changes path: their full sine-Gordon and wave
-# runs (n = 500) step, and the full ladder and every rdh and psd run map.
+# The bound sits where mapping stops paying. Mapped over stepped time, one
+# BLAS thread, probes included, on an Intel Xeon: a linear map beats the
+# stepper up to about 400 columns on the closed CSR wave, the cheapest
+# step per row (0.61 at 340 columns, 0.72-0.86 at 360-380, 1.00-1.03 at
+# 400), and still at 800 on the dense closed ladder and 600 on its plain
+# form; a semi-linear map on the full sine-Gordon model reads 0.66 at 350
+# columns, 0.88-1.03 at 375-400 closed and 1.00 at 399 plain. So up to the
+# bound a nonlinear map costs at most about what stepping does. The full
+# closed sine-Gordon model maps up to n = 100, its plain form and the
+# closed wave up to n = 133; the preset full wave and sine-Gordon runs
+# (n = 500) step, and the full ladder (150 columns) and every rdh and psd
+# run map.
 _MAP_DIM = 400
 
 # Most nodes a linear map advances per product (see _record_blocks): W =
 # min(_WINDOW, 2**17 // d**2, n_steps), at least 1, for d columns, so its
 # stacked powers hold at most 2**17 entries (1 MB): W is 16 up to 90
 # columns, 9 at 120, 5 at 150 (the preset ladder), 3 at 200 and 1 past
-# 362. Per node, sequential -> windowed, one BLAS thread, an orthogonal
-# map over 4000 steps, three rounds of best of seven on a noisy Intel
-# Xeon: 1.9-2.2 -> 0.8-0.9 us at 60 columns, 2.6-3.0 -> 1.7 at 90,
-# 3.6-4.5 -> 2.3-3.7 at 120, 6.2-7.6 -> 5.6-8.2 at 200, and 11-16 ->
-# 11-12 and 25 -> 22-23 at 300 and 400 (W = 1); W = 8 at 200 columns read
-# 13-14 us, so W shrinks with d.
+# 362. W shrinks with d because a wide window stops paying. Per node,
+# sequential -> windowed, one BLAS thread, an orthogonal map over 4000
+# steps, best of seven on a noisy Intel Xeon: 1.9-2.2 -> 0.8-0.9 us at 60
+# columns, 2.6-3.0 -> 1.7 at 90, 3.6-4.5 -> 2.3-3.7 at 120, 6.2-7.6 ->
+# 5.6-8.2 at 200 (13-14 us with W = 8), and 11-16 -> 11-12 and 25 -> 22-23
+# at 300 and 400 (W = 1).
 _WINDOW = 16
 
 
-def _closed_columns(system: TddSystem, states, memory, costates, kz=None,
-                    chi_f=None):
-    """Per-node diagnostics of a closed run from (dim, m) blocks of states,
-    memory integrals F and co-states f: H, 0.5 ||f||^2 plus the
-    non-quadratic energy, f^T chi f, the supply rate, the passivity residual
-    -f^T chi f, and the largest entries of |K z - f - chi F| (the Volterra
-    residual) and of |K z|.
+def _closed_columns(system: TddSystem, states, costates, kz, chi_f):
+    """Per-node diagnostics of a closed run from (dim, m) blocks of states
+    z and co-states f and the products K z and chi F that
+    :func:`_record_blocks` formed for their block: H, 0.5 ||f||^2 plus the
+    non-quadratic energy, f^T chi f, the supply rate, the passivity
+    residual -f^T chi f, and the largest entries of |K z - f - chi F| (the
+    Volterra residual) and of |K z|.
 
-    ``kz`` and ``chi_f`` are K z and chi F when the caller has formed them,
-    as a mapped block does (see :func:`_record_blocks`); they are formed
-    here otherwise, by the same products. A stepped run's co-state comes
-    from the stepper's own solve, so its Volterra residual measures how
-    well that solve meets the constraint. A mapped run's co-state is
-    f = K z - chi F of these very products, so its residual is only the
-    rounding of f so formed, K z - ((K z - chi F) + chi F): the map's own
-    error shows in the states, not here."""
-    if kz is None:
-        kz = system.K @ states
-        chi_f = system.chi_apply(memory)
+    On a stepped block f is the stepper's own solve, so the Volterra
+    residual measures how well that solve meets the constraint. On a
+    mapped block f = K z - chi F was formed from these very products, so
+    the residual is only the rounding of f so formed: the map's own error
+    shows in the states, not here."""
     nonquad = system.nonquadratic_energy(states, np.zeros(states.shape[1]))
     diss = system.dissipation_rate(costates)
     volterra = kz - (costates + chi_f)
@@ -869,43 +863,72 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                    closed: bool, inline: bool, step_map):
     """The one node source of :func:`_drive`: every node of a run from the
     state z at node 0, written into blocks of _BLOCK nodes aligned at node
-    0 and yielded as (layers, m, dim) views of one reused buffer (m is
-    _BLOCK but in the last block), each with the products it shares (see
-    below). The layers are the state z; for a :class:`VerletStepper` also
-    its memory integral F and its co-state f; for an RK4 stepper
-    (``inline``) also dz/dt from its ``rhs``, called at each snapshot node
-    right after the step.
+    0, each yielded as (layers, m, dim) views of one reused buffer (m is
+    _BLOCK but in the last block) together with the products it formed.
+    The layers are the state z; for a :class:`VerletStepper` also its
+    memory integral F and its co-state f; for an RK4 stepper (``inline``)
+    also dz/dt from its ``rhs``, called at each snapshot node right after
+    the step.
 
-    Without a ``step_map`` each node after node 0 comes from
-    ``stepper.step``, and a block shares no products. With one, the
+    A block fills its nodes one of three ways. Without a ``step_map`` each
+    node after node 0 comes from ``stepper.step``. With one, the
     (Phi, c, G_1) of :func:`_step_map`, every node is x advanced from x_0:
     the exact (z, 0) of node 0 for the closed form, and z otherwise. A
     plain x is the state layer of its row; a closed x = (z, F_live) has a
     buffer of its own, whose block is copied into the state layer and the
-    live columns of the memory layer, which holds zero off them. The
-    closed block then forms K z and chi F once, for its co-state
-    f = K z - chi F and for :func:`_closed_columns`, and shares them as the
-    pair (K z, chi F) of (dim, m) blocks; a plain block shares ().
+    live columns of the memory layer, which holds zero off them.
 
-    A linear map (no G_1) advances x <- Phi x + c a window of W nodes per
-    product (see _WINDOW): from the stacked powers
-    P = [Phi; Phi^2; ...; Phi^W] and shifts D = [c; Phi c + c; ...],
-    formed once by that recurrence, P x + D are the next W nodes of the
-    block (fewer at its end), and the last of them is the x of the next
-    window. A semi-linear map advances one node at a time,
-    x <- B [x; g] + c, g the gradient at that vector's q rows and
-    x <- x + G_1 g, g starting from the gradient at q_0: one evaluation
-    per step, at the q the node records. The states agree with the stepped
-    run's to roundoff, not bitwise: the map takes the gradient where the
-    stepper does, in other arithmetic. Nothing here checks what it writes,
-    so a run that leaves floating point range goes on to the end of its
-    block, and :func:`_drive` raises.
+    - A linear map (no G_1) advances x <- Phi x + c a window of W nodes
+      per product (see _WINDOW): from the stacked powers
+      P = [Phi; Phi^2; ...; Phi^W] and shifts D = [c; Phi c + c; ...],
+      formed once by that recurrence, P x + D are the next W nodes of the
+      block (fewer at its end), and the last of them is the x of the next
+      window.
+    - A semi-linear map advances one node at a time, x <- B [x; g] + c,
+      g the gradient at that vector's q rows and x <- x + G_1 g, g
+      starting from the gradient at q_0: one evaluation per step, at the q
+      the node records. The states agree with the stepped run's to
+      roundoff, not bitwise: the map takes the gradient where the stepper
+      does, in other arithmetic.
+
+    Every closed block, stepped or mapped, then forms K z and chi F once
+    from its state and memory layers and yields them as the pair
+    (K z, chi F) of (dim, m) blocks, which :func:`_closed_columns` reads;
+    a mapped block first forms its co-states f = K z - chi F from them. A
+    plain block yields (). Nothing here checks what it writes, so a run
+    that leaves floating point range goes on to the end of its block, and
+    :func:`_drive` raises.
     """
     dim = z.size
     rows = np.empty((_BLOCK, 3 if closed else 2 if inline else 1, dim))
-    if step_map is None:
-        for start in range(0, n_steps + 1, _BLOCK):
-            m = min(_BLOCK, n_steps + 1 - start)
+    phi, c, g1 = step_map or (None, None, None)
+    if step_map is not None:
+        xdim = c.size
+        if closed:
+            live = stepper._live
+            xs = np.zeros((_BLOCK, xdim))
+            rows[:, 1] = 0.0                  # F off the live columns
+        else:
+            xs = rows[:, 0]
+        xs[0, :dim] = z
+        x = xs[0]       # the last node's x, read in its row by a linear map
+        if g1 is None:
+            window = max(1, min(_WINDOW, 2**17 // xdim**2, n_steps))
+            powers, shifts = [phi], [c]
+            for _ in range(window - 1):
+                powers.append(phi @ powers[-1])
+                shifts.append(phi @ shifts[-1] + c)
+            powers, shifts = np.array(powers), np.array(shifts)
+        else:
+            n = dim // 2
+            grad = stepper._grad
+            kick = np.empty(xdim)
+            # x = (x, g) of the current node
+            x = np.concatenate([x, grad(z[:n])])
+            x_x, x_g = x[:xdim], x[xdim:]
+    for start in range(0, n_steps + 1, _BLOCK):
+        m = min(_BLOCK, n_steps + 1 - start)
+        if step_map is None:
             for j in range(m):
                 if start + j:
                     z = stepper.step(z)
@@ -915,61 +938,36 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                     rows[j, 2] = stepper.f
                 elif inline and (start + j) % snapshot_stride == 0:
                     rows[j, 1] = stepper.rhs(z)
-            yield rows[:m].transpose(1, 0, 2), ()
-        return
-    phi, c, g1 = step_map
-    xdim = c.size
-    if closed:
-        system, live = stepper.system, stepper._live
-        xs = np.zeros((_BLOCK, xdim))
-        rows[:, 1] = 0.0                  # F off the live columns
-    else:
-        xs = rows[:, 0]
-    xs[0, :dim] = z
-    x = xs[0]           # the last node's x, read in its row by a linear map
-    if g1 is None:
-        window = max(1, min(_WINDOW, 2**17 // xdim**2, n_steps))
-        powers, shifts = [phi], [c]
-        for _ in range(window - 1):
-            powers.append(phi @ powers[-1])
-            shifts.append(phi @ shifts[-1] + c)
-        powers, shifts = np.array(powers), np.array(shifts)
-    else:
-        n = dim // 2
-        grad = stepper._grad
-        kick = np.empty(xdim)
-        # x = (x, g) of the current node
-        x = np.concatenate([x, grad(z[:n])])
-        x_x, x_g = x[:xdim], x[xdim:]
-    for start in range(0, n_steps + 1, _BLOCK):
-        m = min(_BLOCK, n_steps + 1 - start)
-        todo = xs[0 if start else 1: m]         # node 0 is x_0
-        if g1 is None:
-            whole = len(todo) - len(todo) % window
-            for nodes in todo[:whole].reshape(-1, window, xdim):
-                np.matmul(powers, x, out=nodes)
-                nodes += shifts
-                x = nodes[-1]
-            rest = todo[whole:]
-            np.matmul(powers[: len(rest)], x, out=rest)
-            rest += shifts[: len(rest)]
-            x = todo[-1]
         else:
-            for row in todo:
-                np.matmul(phi, x, out=row)
-                row += c
-                x_g[:] = grad(row[:n])
-                np.matmul(g1, x_g, out=kick)
-                row += kick
-                x_x[:] = row
-        shared = ()
+            todo = xs[0 if start else 1: m]     # node 0 is x_0
+            if g1 is None:
+                whole = len(todo) - len(todo) % window
+                for nodes in todo[:whole].reshape(-1, window, xdim):
+                    np.matmul(powers, x, out=nodes)
+                    nodes += shifts
+                    x = nodes[-1]
+                rest = todo[whole:]
+                np.matmul(powers[: len(rest)], x, out=rest)
+                rest += shifts[: len(rest)]
+                x = todo[-1]
+            else:
+                for row in todo:
+                    np.matmul(phi, x, out=row)
+                    row += c
+                    x_g[:] = grad(row[:n])
+                    np.matmul(g1, x_g, out=kick)
+                    row += kick
+                    x_x[:] = row
+            if closed:
+                rows[:m, 0] = xs[:m, :dim]
+                rows[:m, 1][:, live] = xs[:m, dim:]
+        products = ()
         if closed:
-            states, memory = rows[:m, 0], rows[:m, 1]
-            states[:] = xs[:m, :dim]
-            memory[:, live] = xs[:m, dim:]
-            shared = (system.K @ states.T, system.chi_apply(memory.T))
-            rows[:m, 2] = (shared[0] - shared[1]).T
-        yield rows[:m].transpose(1, 0, 2), shared
+            products = (stepper.system.K @ rows[:m, 0].T,
+                        stepper.system.chi_apply(rows[:m, 1].T))
+            if step_map is not None:
+                rows[:m, 2] = (products[0] - products[1]).T
+        yield rows[:m].transpose(1, 0, 2), products
 
 
 def _drive(make_stepper, z0, dt: float, n_steps: int | None,
@@ -986,20 +984,22 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     overflow and invalid warnings are silenced from the probe on.
 
     Each block gives up its snapshot nodes and is reduced to per-node
-    diagnostics column by column, from the products it shares if it was
-    mapped closed. This is the one place a run fails: it
-    raises :class:`NonFiniteError` at the block's first node whose state,
-    or whose H, stored energy, rates, Volterra residual or max |K z|, is
-    non-finite. An RK4 run's derivative layer is not read, since its rows
-    off the snapshot grid are never written. A grid of no finite step count
-    or whose snapshots cannot be allocated raises ValueError at the start.
+    diagnostics column by column: a closed block by
+    :func:`_closed_columns` from the pair (K z, chi F) it yields, stepped
+    or mapped, a plain one by :func:`_plain_columns`. This is the one
+    place a run fails: it raises :class:`NonFiniteError` at the block's
+    first node whose state, or whose H, stored energy, rates, Volterra
+    residual or max |K z|, is non-finite. An RK4 run's derivative layer is
+    not read, since its rows off the snapshot grid are never written. A
+    grid of no finite step count or whose snapshots cannot be allocated
+    raises ValueError at the start.
 
     For a :class:`VerletStepper` the string energy and the input work,
     trapezoid sums of f^T chi f and of the supply rate, are summed once
     after the loop, and the extended energy is 0.5 ||f||^2 + V(q)
-    - z_bd . z + E_string + e. Other runs' energy
-    is ``hamiltonian`` of their states (zero when None); their extended
-    energy is H and their other series are zero.
+    - z_bd . z + E_string + e. Other runs' energy is ``hamiltonian`` of
+    their states (zero when None); their extended energy is H and their
+    other series are zero.
     """
     if (n_steps is None) == (t_final is None):
         raise ValueError("specify exactly one of n_steps and t_final")
@@ -1035,16 +1035,16 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
         step_map = None if maps is None else maps[0][:, :xdim]
         blocks = _record_blocks(stepper, z, n_steps, snapshot_stride, closed,
                                 inline, maps)
-        for start, (block, shared) in zip(range(0, n_steps + 1, _BLOCK),
-                                          blocks):
+        for start, (block, products) in zip(range(0, n_steps + 1, _BLOCK),
+                                            blocks):
             first = -(-start // snapshot_stride)
             picks = np.arange(first * snapshot_stride - start, block.shape[1],
                               snapshot_stride)
             cols = slice(first, first + picks.size)
             store[:, :, cols] = block[kept][:, picks].transpose(0, 2, 1)
             diagnostics = (
-                _closed_columns(stepper.system, *(r.T for r in block),
-                                *shared)
+                _closed_columns(stepper.system, block[0].T, block[2].T,
+                                *products)
                 if closed else _plain_columns(hamiltonian, block[0].T))
             bad_state = ~np.isfinite(block[0]).all(axis=1)
             bad = bad_state | ~np.isfinite(diagnostics).all(axis=0)
@@ -1114,22 +1114,17 @@ class DissipativeModel(_ExtraTerms):
         self.stiffness = _stored(stiffness)
         self.drift = None if drift is None else _stored(drift)
         dim = self.stiffness.shape[0]
-        if self.stiffness.shape != (dim, dim) or dim % 2:
-            raise ValueError(f"stiffness must be square even-dim, got {self.stiffness.shape}")
+        if self.stiffness.shape != (dim, dim):
+            raise ValueError(f"stiffness must be square, got {self.stiffness.shape}")
         if self.drift is not None and self.drift.shape != (dim, dim):
             raise ValueError("drift must match stiffness in shape")
-        for label, m in (("stiffness", self.stiffness), ("drift", self.drift)):
-            if m is not None and not np.isfinite(_entries(m)).all():
-                raise ValueError(f"{label} has a non-finite entry")
-        scale = max(1.0, float(abs(self.stiffness).max()))
-        if _sym_deviation(self.stiffness) > 1e-10 * scale:
-            raise ValueError("stiffness must be symmetric")
-        self.stiffness = _stored(0.5 * (self.stiffness + self.stiffness.T))
-        self.z0 = np.zeros(dim) if z0 is None else np.asarray(z0, dtype=float)
-        self.dim = dim
-        self.n = dim // 2
-        self._init_terms(nonlinear_grad, potential, input_vector,
+        self._init_terms(dim, np.zeros(dim) if z0 is None else z0,
+                         nonlinear_grad, potential, input_vector,
                          boundary_vector, dx, name)
+        _require_symmetric(self.stiffness, "stiffness", 1e-10)
+        if self.drift is not None:
+            _require_finite(self.drift, "drift")
+        self.stiffness = _stored(0.5 * (self.stiffness + self.stiffness.T))
 
     def hamiltonian(self, z):
         """H of a state, or of each column of a (dim, m) block."""

@@ -631,9 +631,10 @@ def _unstable(bench, closed, dt):
         stepper = VerletStepper(model, dt)
 
         def diagnostics(z):
+            states, memory = z[:, None], stepper.integral[:, None]
             return dynamics._closed_columns(
-                model, z[:, None], stepper.integral[:, None],
-                stepper.f[:, None])
+                model, states, stepper.f[:, None], model.K @ states,
+                model.chi_apply(memory))
     else:
         model, run = bench.dissipative_model(), sm.integrate_dissipative
         stepper = dynamics.DissipativeVerletStepper(model, dt)
@@ -1109,23 +1110,39 @@ def test_closed_map_without_memory_is_the_plain_map():
                          ids=["ladder", "wave-rdh-greedy"])
 def test_mapped_block_diagnostics_are_the_recomputed_columns(make,
                                                              monkeypatch):
-    """A mapped closed block hands the K z and chi F that formed its
-    co-states to :func:`dynamics._closed_columns`, and its diagnostics
-    equal the columns recomputed from the block's states, memory and
-    co-states alone, bitwise."""
+    """Every closed block, of a mapped run and of a stepped one
+    (``_MAP_DIM`` = 0), yields the pair (K z, chi F): bitwise
+    ``system.K @ states`` and ``system.chi_apply(memory)`` of that block's
+    own state and memory layers. :func:`dynamics._closed_columns`
+    receives that very pair for every block."""
     system, dt = make()
-    shared = []
-    columns = dynamics._closed_columns
+    source, columns = dynamics._record_blocks, dynamics._closed_columns
+    blocks, received = [], []
 
-    def checked(system, states, memory, costates, *products):
-        shared.append(len(products))
-        got = columns(system, states, memory, costates, *products)
-        np.testing.assert_array_equal(
-            got, columns(system, states, memory, costates))
-        return got
+    def recorded(*args):
+        for block, products in source(*args):
+            # copies of the layers, laid out as the block's (m, dim) rows
+            blocks.append((block[0].copy().T, block[1].copy().T, products))
+            yield block, products
+
+    def checked(system, states, costates, kz, chi_f):
+        received.append((kz, chi_f))
+        return columns(system, states, costates, kz, chi_f)
+    monkeypatch.setattr(dynamics, "_record_blocks", recorded)
     monkeypatch.setattr(dynamics, "_closed_columns", checked)
-    rep = sm.integrate(system, dt=dt, n_steps=5 * dynamics._BLOCK // 2)
-    assert rep.step_map is not None and shared == [2, 2, 2]
+    for map_dim in (dynamics._MAP_DIM, 0):
+        monkeypatch.setattr(dynamics, "_MAP_DIM", map_dim)
+        blocks.clear()
+        received.clear()
+        rep = sm.integrate(system, dt=dt, n_steps=5 * dynamics._BLOCK // 2)
+        assert (rep.step_map is not None) == (map_dim > 0)
+        assert len(blocks) == len(received) == 3
+        for (states, memory, products), pair in zip(blocks, received):
+            assert len(products) == 2
+            assert pair[0] is products[0] and pair[1] is products[1]
+            np.testing.assert_array_equal(products[0], system.K @ states)
+            np.testing.assert_array_equal(products[1],
+                                          system.chi_apply(memory))
 
 
 def _ladder_plain():
@@ -1375,6 +1392,66 @@ def test_dissipative_model_rejects_a_non_finite_operator(form, bad):
         sm.DissipativeModel(form(np.diag([bad, 1.0])))
     with pytest.raises(ValueError, match="^drift has a non-finite entry$"):
         sm.DissipativeModel(form(eye), drift=form(np.diag([0.0, bad])))
+
+
+# each owner of the one operator check: how it builds from a 2 x 2
+# operator, the name its errors give, and its tolerance
+_OPERATOR_OWNERS = {
+    "cholesky": (lambda m: cholesky_factor(m, name="M"), "M", 1e-12),
+    "susceptibility": (lambda m: sm.TddSystem(np.eye(2), m, np.zeros(2)),
+                       "susceptibility", 1e-12),
+    "stiffness": (sm.DissipativeModel, "stiffness", 1e-10),
+}
+
+
+@pytest.mark.parametrize("owner", list(_OPERATOR_OWNERS))
+@pytest.mark.parametrize("case", ["nan", "inf", "asymmetric", "inside"])
+def test_operator_check_of_each_owner(owner, case):
+    """The Cholesky factor, the susceptibility of a closed model and the
+    stiffness of a plain one each reject a non-finite entry, and an
+    asymmetry just past their tolerance relative to max(1, max |m|), by
+    name; an asymmetry just inside it passes."""
+    build, name, tol = _OPERATOR_OWNERS[owner]
+    m = np.array([[2.0, 1.0], [1.0, 2.0]])      # positive definite, scale 2
+    if case in ("nan", "inf"):
+        m[1, 1] = getattr(np, case)
+        with pytest.raises(ValueError, match=f"^{name} has a non-finite entry$"):
+            build(m)
+        return
+    m[0, 1] += (1.01 if case == "asymmetric" else 0.99) * tol * 2.0
+    if case == "inside":
+        build(m)
+        return
+    with pytest.raises(ValueError, match=f"^{name} is not symmetric"):
+        build(m)
+
+
+def _model_of(form, z0=(1, 0, 0, 0), **vectors):
+    """A 4-dim closed (``tdd``) or plain model from z0 and ``vectors``. The
+    plain model once accepted ``input_vector=np.ones(3)`` and integrated it
+    with the 1-entry p-half of u broadcast over both momenta."""
+    if form == "tdd":
+        return sm.TddSystem(np.eye(4), np.zeros((4, 4)), z0, **vectors)
+    return sm.DissipativeModel(np.eye(4), z0=z0, **vectors)
+
+
+@pytest.mark.parametrize("form", ["tdd", "dissipative"])
+@pytest.mark.parametrize("field, value", [
+    ("z0", np.zeros(3)), ("z0", np.zeros(5)), ("z0", np.zeros((4, 1))),
+    ("input_vector", np.ones(3)), ("input_vector", np.ones(5)),
+    ("boundary_vector", np.ones(3)), ("boundary_vector", np.ones(5))],
+    ids=["z0-3", "z0-5", "z0-4x1", "input-3", "input-5", "boundary-3",
+         "boundary-5"])
+def test_models_reject_a_mis_shaped_vector(form, field, value):
+    """Either model form rejects a z0, input or boundary vector whose shape
+    is not (dim,) when it is built, naming the field, rather than
+    broadcasting it in the run; vectors of shape (dim,) build."""
+    with pytest.raises(ValueError, match=rf"^{field} must have shape \(4,\)"):
+        _model_of(form, **{field: value})
+    model = _model_of(form, z0=np.ones(4), input_vector=np.ones(4),
+                      boundary_vector=np.ones(4))
+    assert model.z0.shape == model.input_vector.shape == (4,)
+    assert model.boundary_vector.shape == (4,)
 
 
 # -- sparse full-order path ---------------------------------------------------
