@@ -27,8 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+# the CSR product kernel behind scipy's own matmul (see _Csr)
+from scipy.sparse import _sparsetools
 
 from .symplectic import CanonicalForm, SnapshotSet
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 class NonFiniteError(RuntimeError):
@@ -45,11 +49,34 @@ class NonFiniteError(RuntimeError):
 
 class _Csr(scipy.sparse.csr_array):
     """CSR array that reports the bytes of its data, indices and indptr as
-    ``nbytes``, like the dense operators it stands in for."""
+    ``nbytes``, like the dense operators it stands in for.
+
+    Its product with a 1-D, C-contiguous float64 vector (an ndarray, not a
+    subclass), for float64 entries, is the bare ``csr_matvec`` kernel
+    writing into a fresh zero vector: what scipy's own vector product runs
+    after its dispatch, so the result is bitwise the same, and each CSR
+    product of a stepped Verlet step skips the dispatch (on the 1000-row
+    sine-Gordon K, 9.0 us through scipy against 5.5 us for the kernel
+    alone, one core of an Intel Xeon). Every other operand (a block, a
+    strided view, another dtype, a sparse matrix) takes scipy's
+    ``__matmul__``."""
 
     @property
     def nbytes(self) -> int:
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+    def __matmul__(self, v):
+        shape = self.shape
+        # ``is`` on the dtypes: an unusual float64 (say byte-swapped) only
+        # takes scipy's path
+        if (type(v) is np.ndarray and v.dtype is _FLOAT64
+                and v.shape == shape[1:] and v.flags.c_contiguous
+                and self.data.dtype is _FLOAT64):
+            out = np.zeros(shape[0])
+            _sparsetools.csr_matvec(shape[0], shape[1], self.indptr,
+                                    self.indices, self.data, v, out)
+            return out
+        return super().__matmul__(v)
 
 
 class _Diagonal:
@@ -69,10 +96,10 @@ class _Diagonal:
         return self.diagonal.nbytes
 
     def __matmul__(self, v):
+        if isinstance(v, np.ndarray) and v.ndim == 1:
+            return self.diagonal * v
         if scipy.sparse.issparse(v):
             return _Csr(scipy.sparse.diags(self.diagonal)) @ v
-        if v.ndim == 1:
-            return self.diagonal * v
         return np.multiply(self.diagonal[:, None], v, order="C")
 
 
@@ -439,9 +466,12 @@ class TddSystem(_ExtraTerms):
     # -- building blocks ---------------------------------------------------
 
     def chi_apply(self, v):
-        if self._chi_diag is not None:
-            return (self._chi_diag * v.T).T
-        return self.chi @ v
+        """chi v of a vector, or of each column of a (2n, m) block."""
+        if self._chi_diag is None:
+            return self.chi @ v
+        if v.ndim == 1:
+            return self._chi_diag * v
+        return (self._chi_diag * v.T).T
 
     def hamiltonian(self, z, lift=None):
         """Energy 0.5 ||K z||^2 + V(q) - z_bd . z. With a basis matrix
@@ -522,6 +552,14 @@ class _VerletStages:
     ``_grad``. Every stage is a product or an elementwise operation, so
     the state may be a (dim, m) block of columns, stepped as m states at
     once; that is how :func:`_step_map` probes a whole map in one step.
+
+    The stages work in place on the temporaries they allocate themselves,
+    in the order of operations of the plain expressions (the only swaps
+    are exact ones, such as x + y for y + x), so the bits are theirs. They
+    never write into what they are given or hand on: the state z, the
+    incoming force and constants, the gradient's return value (during a
+    probe a view of the probe block) and the returned force. So a state
+    and a probe block take the one code path.
     """
 
     def __init__(self, dt: float):
@@ -561,34 +599,45 @@ class _VerletStages:
         q, p = z[:n], z[n:]
 
         # kick under the start-of-step constant
-        rhs = p - w * (force if cs is None else force + cs[:n])
+        if cs is None:
+            rhs = w * force
+        else:
+            rhs = force + cs[:n]
+            rhs *= w
+        np.subtract(p, rhs, out=rhs)
         if not self.linear:
-            rhs = rhs - w * self._grad(q)
+            rhs -= w * self._grad(q)
         if self._wu_p is not None:
-            rhs = rhs + _column(self._wu_p, rhs)
+            rhs += _column(self._wu_p, rhs)
         p_half = rhs if self._kick_inv is None else self._kick_inv @ rhs
 
         # drift averaging the two constants
-        grad_p = 2.0 * (self.m_pp @ p_half)
+        rhs = self.m_pp @ p_half
+        rhs *= 2.0
         if cs is not None:
-            grad_p = grad_p + cs[n:] + ce[n:]
-        rhs = q + w * grad_p
+            rhs += cs[n:]
+            rhs += ce[n:]
+        rhs *= w
+        np.add(q, rhs, out=rhs)
         if self._drift_inv is not None:
-            rhs = rhs + w * (self.m_pq @ q)
+            drift = self.m_pq @ q
+            drift *= w
+            rhs += drift
         if self._dtu_q is not None:
-            rhs = rhs + _column(self._dtu_q, rhs)
+            rhs += _column(self._dtu_q, rhs)
         q_new = rhs if self._drift_inv is None else self._drift_inv @ rhs
 
         # second kick under the end-of-step constant
         force = self.m_qq @ q_new
-        grad_q = force if ce is None else force + ce[:n]
+        grad_q = force.copy() if ce is None else force + ce[:n]
         if not self.linear:
-            grad_q = grad_q + self._grad(q_new)
+            grad_q += self._grad(q_new)
         if self._kick_inv is not None:
-            grad_q = grad_q + self.m_qp @ p_half
-        p_new = p_half - w * grad_q
+            grad_q += self.m_qp @ p_half
+        grad_q *= w
+        p_new = np.subtract(p_half, grad_q, out=grad_q)
         if self._wu_p is not None:
-            p_new = p_new + _column(self._wu_p, p_new)
+            p_new += _column(self._wu_p, p_new)
         return np.concatenate([q_new, p_new]), force
 
 
@@ -621,6 +670,10 @@ class VerletStepper(_VerletStages):
     are formed and stored in CSR as well (a diagonal block as its
     diagonal), unless a non-diagonal chi makes them dense.
 
+    :meth:`step` and :meth:`_load` work in place as the stages do, on
+    temporaries of their own: never on z, ``f``, ``integral``, the force or
+    the start-of-step constant they were given or keep.
+
     ``_live`` holds the columns of chi with a nonzero entry: the entries of
     F that chi F reads, so the only ones that act on the next step. An
     entry of F off them changes neither z nor f, bitwise but for the sign
@@ -649,13 +702,18 @@ class VerletStepper(_VerletStages):
         the new co-state and the trapezoid memory; returns the new state."""
         sys_ = self.system
         w = 0.5 * self.dt
-        tail = self.integral + w * self.f
+        tail = w * self.f
+        tail += self.integral
         chi_tail_end = sys_.chi_apply(tail)
-        ce = -(self.kt_wi @ chi_tail_end)
+        ce = self.kt_wi @ chi_tail_end
+        np.negative(ce, out=ce)
         z_new, self._force = self._kick_drift_kick(z, self._force, self._cs,
                                                    ce)
-        self.f = self._wi @ (sys_.K @ z_new - chi_tail_end)
-        self.integral = tail + w * self.f
+        kz = sys_.K @ z_new
+        kz -= chi_tail_end
+        self.f = self._wi @ kz
+        tail += w * self.f
+        self.integral = tail
         self._cs = ce
         return z_new
 
@@ -666,10 +724,14 @@ class VerletStepper(_VerletStages):
         that a step would leave."""
         sys_ = self.system
         self._force = self.m_qq @ z[: sys_.n]
-        self.f = sys_.K @ z - sys_.chi_apply(integral)
+        f = sys_.K @ z
+        f -= sys_.chi_apply(integral)
+        self.f = f
         self.integral = integral
-        tail = integral - 0.5 * self.dt * self.f
-        self._cs = -(self.kt_wi @ sys_.chi_apply(tail))
+        tail = 0.5 * self.dt * f
+        np.subtract(integral, tail, out=tail)
+        cs = self.kt_wi @ sys_.chi_apply(tail)
+        self._cs = np.negative(cs, out=cs)
 
 
 @dataclass
@@ -741,14 +803,20 @@ _BLOCK = 128
 # is (z, F_live), F on the live columns of chi only (see _step_map); so 4n
 # columns and 3n rows for a closed sine-Gordon model of n nodes (chi damps
 # its n momenta), 3n and 2n for its plain form, and 3n for a closed wave.
-# The bound sits where mapping stops paying. Mapped over stepped time, one
-# BLAS thread, probes included, on an Intel Xeon: a linear map beats the
-# stepper up to about 400 columns on the closed CSR wave, the cheapest
-# step per row (0.61 at 340 columns, 0.72-0.86 at 360-380, 1.00-1.03 at
-# 400), and still at 800 on the dense closed ladder and 600 on its plain
-# form; a semi-linear map on the full sine-Gordon model reads 0.66 at 350
-# columns, 0.88-1.03 at 375-400 closed and 1.00 at 399 plain. So up to the
-# bound a nonlinear map costs at most about what stepping does. The full
+# The bound sat where mapping stopped paying. Mapped over stepped time,
+# one BLAS thread, probes included, on an Intel Xeon: on the closed CSR
+# wave, the cheapest step per row, a linear map read 0.61 at 340 columns,
+# 0.72-0.86 at 360-380 and 1.00-1.03 at 400 against a stepper whose CSR
+# products went through scipy's dispatch, and still beat it at 800 on the
+# dense closed ladder and 600 on its plain form; a semi-linear map on the
+# full sine-Gordon model read 0.66 at 350 columns, 0.88-1.03 at 375-400
+# closed and 1.00 at 399 plain. Against the stepper of the bare CSR kernel
+# and in-place stages (see _Csr and _VerletStages), the closed wave's
+# linear map reads 0.73-0.95 at 339 columns, 0.75-0.81 at 360, 0.92-1.13
+# at 381 and 1.13-1.17 at 399 (medians of 9 alternating runs of the
+# preset horizon, two sessions), so its crossover sits near 380 columns,
+# below the bound: there a mapped wave run costs up to about 15 % more
+# than stepping would. The full
 # closed sine-Gordon model maps up to n = 100, its plain form and the
 # closed wave up to n = 133; the preset full wave and sine-Gordon runs
 # (n = 500) step, and the full ladder (150 columns) and every rdh and psd

@@ -1529,6 +1529,99 @@ def test_diagonal_products_are_csr_products():
     np.testing.assert_array_equal(got.toarray(), (csr @ sparse).toarray())
 
 
+def _assert_bits(got, want):
+    """``got`` is ``want`` bit for bit: dtype, shape and every float's
+    bits, the sign of a zero and a NaN's payload included."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(got).view(np.uint8),
+        np.ascontiguousarray(want).view(np.uint8))
+
+
+# scipy's vector product behind its matmul dispatch, by its name in the
+# installed scipy (older releases call it _mul_vector)
+_SCIPY_VECTOR_PRODUCT = ("_matmul_vector"
+                         if hasattr(scipy.sparse.csr_array, "_matmul_vector")
+                         else "_mul_vector")
+
+
+def _sorted_rows(m) -> bool:
+    """Whether every row of the CSR ``m`` stores its columns in order."""
+    return all((np.diff(m.indices[m.indptr[i]: m.indptr[i + 1]]) > 0).all()
+               for i in range(m.shape[0]))
+
+
+@pytest.mark.parametrize("name", ["wave", "sine-gordon"])
+def test_csr_vector_product_is_scipys_bitwise(name):
+    """The bare kernel of a CSR product with a float vector gives scipy's
+    own product bitwise on K, K^T (I + w chi)^{-1} and m_qq of an n = 40
+    model, and on the n x 2n rows of K^T that ``velocity`` reads; m_qq
+    stores its columns out of order, and the kernel sums each row in the
+    stored order as scipy does."""
+    bench = sm.build_benchmark(name, sm.make_config(name, {"n": 40}))
+    stepper = VerletStepper(bench.system, bench.config.dt)
+    assert not _sorted_rows(stepper.m_qq)
+    rng = np.random.default_rng(7)
+    system = bench.system
+    for op in (system.K, stepper.kt_wi, stepper.m_qq,
+               system.kt_op[system.n:]):
+        assert isinstance(op, dynamics._Csr)
+        v = rng.standard_normal(op.shape[1]) * 10.0 ** rng.integers(
+            -8, 8, op.shape[1])
+        _assert_bits(op @ v, scipy.sparse.csr_array.__matmul__(op, v))
+
+
+def test_csr_products_past_the_kernel_take_scipys_path(monkeypatch):
+    """A strided view, an int vector and a (dim, m) block never reach the
+    bare kernel: with it made to raise, each product still equals scipy's
+    bitwise, dtype and shape included."""
+    system = _wave(n=40).system
+    rng = np.random.default_rng(8)
+
+    def raises(*args):
+        raise AssertionError("the bare kernel ran")
+    monkeypatch.setattr(dynamics, "_sparsetools",
+                        type("Kernels", (), {"csr_matvec": raises}))
+    operands = (rng.standard_normal(2 * system.dim)[::2],
+                rng.integers(-5, 5, system.dim),
+                rng.standard_normal((system.dim, 3)))
+    assert not operands[0].flags.c_contiguous
+    for v in operands:
+        _assert_bits(system.K @ v,
+                     scipy.sparse.csr_array.__matmul__(system.K, v))
+
+
+@pytest.mark.parametrize("name, n", [("wave", 140), ("sine-gordon", 110)])
+def test_stepped_closed_runs_keep_scipys_bits(name, n, monkeypatch):
+    """A closed run whose map is wider than _MAP_DIM steps (wave n = 140:
+    420 columns; sine-Gordon n = 110: 440). Its states, co-states and
+    every series equal those of the same run with scipy's CSR product
+    restored, bitwise; and scipy's vector product never runs in the fast
+    run, so the bare kernel carries every vector product of its steps."""
+    system = sm.build_benchmark(name, sm.make_config(name, {"n": n})).system
+    dt, n_steps = 0.01, 300
+    assert 3 * n + (n if system.nonlinear_grad else 0) > dynamics._MAP_DIM
+
+    def run():
+        return sm.integrate(system, dt=dt, n_steps=n_steps)
+
+    with monkeypatch.context() as m:
+        def raises(*args):
+            raise AssertionError("scipy's vector product ran")
+        m.setattr(scipy.sparse.csr_array, _SCIPY_VECTOR_PRODUCT, raises)
+        fast = run()
+    monkeypatch.setattr(dynamics._Csr, "__matmul__",
+                        scipy.sparse.csr_array.__matmul__)
+    reference = run()
+    assert fast.step_map is None and reference.step_map is None
+    for field in ("hamiltonian", "string_energy", "extended_energy",
+                  "passivity_residual", "costates"):
+        _assert_bits(getattr(fast, field), getattr(reference, field))
+    _assert_bits(fast.snapshots.states, reference.snapshots.states)
+    _assert_bits(np.array([fast.volterra_max, fast.kz_max]),
+                 np.array([reference.volterra_max, reference.kz_max]))
+
+
 def test_plain_wave_stepper_keeps_a_diagonal_stage_inverse():
     """The full wave's plain form has m_qp = diag(r), so its kick inverse is
     kept as its diagonal of reciprocals: an n = 2000 stepper builds without
