@@ -309,8 +309,9 @@ def _column(v, z):
 
 
 def _column_dot(a, b):
-    """a . b of two vectors, or of each pair of columns of two blocks."""
-    return np.sum(a * b, axis=0)
+    """a . b of two vectors, or of each pair of columns of two blocks, as
+    one einsum pass that forms no product."""
+    return np.einsum("i...,i...->...", a, b)
 
 
 class _ExtraTerms:
@@ -514,8 +515,12 @@ class TddSystem(_ExtraTerms):
         return s
 
     def dissipation_rate(self, f):
-        """f^T chi f >= 0; energy leaves the visible variables at this rate."""
-        return _column_dot(f, self.chi_apply(f))
+        """f^T chi f >= 0; energy leaves the visible variables at this rate.
+        One einsum column dot: a diagonal chi weighs the squares of f, so
+        neither chi f nor a product is formed."""
+        if self._chi_diag is None:
+            return _column_dot(f, self.chi @ f)
+        return np.einsum("i,i...,i...->...", self._chi_diag, f, f)
 
 
 class _VerletStages:
@@ -655,7 +660,9 @@ class VerletStepper(_VerletStages):
     and the trapezoid integral ``integral`` = F_n, whose tail
     h_n = F_n - w f_n is the part of the quadrature that excludes the
     node's own contribution, so the constraint reads
-    (I + w chi) f_n = K z_n - chi h_n, that is f_n = K z_n - chi F_n. The
+    (I + w chi) f_n = K z_n - chi h_n, that is f_n = K z_n - chi F_n. It
+    keeps the K z_n that solve forms as ``kz``, so a run's diagnostics
+    read the step's own product (see :func:`_record_blocks`). The
     node state also holds the force m_qq q_n of stage 1 and the
     start-of-step tail constant, each the one the previous step left (its
     stage-3 force and its end-of-step constant), so a step makes one m_qq
@@ -671,8 +678,8 @@ class VerletStepper(_VerletStages):
     diagonal), unless a non-diagonal chi makes them dense.
 
     :meth:`step` and :meth:`_load` work in place as the stages do, on
-    temporaries of their own: never on z, ``f``, ``integral``, the force or
-    the start-of-step constant they were given or keep.
+    temporaries of their own: never on z, ``f``, ``integral``, ``kz``, the
+    force or the start-of-step constant they were given or keep.
 
     ``_live`` holds the columns of chi with a nonzero entry: the entries of
     F that chi F reads, so the only ones that act on the next step. An
@@ -709,9 +716,9 @@ class VerletStepper(_VerletStages):
         np.negative(ce, out=ce)
         z_new, self._force = self._kick_drift_kick(z, self._force, self._cs,
                                                    ce)
-        kz = sys_.K @ z_new
-        kz -= chi_tail_end
-        self.f = self._wi @ kz
+        self.kz = sys_.K @ z_new
+        self.f = self._wi @ np.subtract(self.kz, chi_tail_end,
+                                        out=chi_tail_end)
         tail += w * self.f
         self.integral = tail
         self._cs = ce
@@ -719,13 +726,13 @@ class VerletStepper(_VerletStages):
 
     def _load(self, z, integral):
         """Make ``integral`` the memory of the current node, whose state is
-        z, with the co-state K z - chi integral, and the force m_qq q and
+        z, with K z, the co-state K z - chi integral, and the force m_qq q and
         the start-of-step constant -K^T (I + w chi)^{-1} chi (integral - w f)
         that a step would leave."""
         sys_ = self.system
         self._force = self.m_qq @ z[: sys_.n]
-        f = sys_.K @ z
-        f -= sys_.chi_apply(integral)
+        self.kz = sys_.K @ z
+        f = self.kz - sys_.chi_apply(integral)
         self.f = f
         self.integral = integral
         tail = 0.5 * self.dt * f
@@ -803,25 +810,25 @@ _BLOCK = 128
 # is (z, F_live), F on the live columns of chi only (see _step_map); so 4n
 # columns and 3n rows for a closed sine-Gordon model of n nodes (chi damps
 # its n momenta), 3n and 2n for its plain form, and 3n for a closed wave.
-# The bound sat where mapping stopped paying. Mapped over stepped time,
-# one BLAS thread, probes included, on an Intel Xeon: on the closed CSR
-# wave, the cheapest step per row, a linear map read 0.61 at 340 columns,
-# 0.72-0.86 at 360-380 and 1.00-1.03 at 400 against a stepper whose CSR
-# products went through scipy's dispatch, and still beat it at 800 on the
-# dense closed ladder and 600 on its plain form; a semi-linear map on the
-# full sine-Gordon model read 0.66 at 350 columns, 0.88-1.03 at 375-400
-# closed and 1.00 at 399 plain. Against the stepper of the bare CSR kernel
-# and in-place stages (see _Csr and _VerletStages), the closed wave's
-# linear map reads 0.73-0.95 at 339 columns, 0.75-0.81 at 360, 0.92-1.13
-# at 381 and 1.13-1.17 at 399 (medians of 9 alternating runs of the
-# preset horizon, two sessions), so its crossover sits near 380 columns,
-# below the bound: there a mapped wave run costs up to about 15 % more
-# than stepping would. The full
-# closed sine-Gordon model maps up to n = 100, its plain form and the
-# closed wave up to n = 133; the preset full wave and sine-Gordon runs
-# (n = 500) step, and the full ladder (150 columns) and every rdh and psd
-# run map.
-_MAP_DIM = 400
+# The bound sits at the closed models' crossover. Mapped over stepped
+# time, one BLAS thread, probes included, on a 2-core Intel Xeon, against
+# the stepper of the bare CSR kernel and in-place stages (see _Csr and
+# _VerletStages) whose diagnostics read each step's own K z (see
+# _record_blocks), medians of 9 alternating runs of the preset horizon,
+# one to two sessions (the spread between runs was wide, up to 0.3): the
+# closed CSR wave's linear map reads 0.80-0.88 at 339 columns, 0.94-1.10
+# at 360, 1.00-1.18 at 381 and 1.02-1.05 at 399; the closed sine-Gordon
+# model's semi-linear map 0.81 at 340, 0.69-0.93 at 360, 1.02-1.19 at 380
+# and 1.17-1.20 at 400. So both cross near 360-375 columns, and past them
+# a mapped run costs up to about 20 % more. The plain sine-Gordon map
+# crosses lower, near 300 (0.70-0.77 at 270, 0.97-1.16 at 300, 1.12-1.31
+# at 339 and 0.97-1.48 at 360), but no compare runs a plain full model. A
+# map still beats the dense closed ladder's stepper at 800 columns and its
+# plain form's at 600. The full closed sine-Gordon model maps up to
+# n = 90, its plain form and the closed wave up to n = 120; the preset
+# full wave and sine-Gordon runs (n = 500) step, and the full ladder (150
+# columns) and every rdh and psd run map.
+_MAP_DIM = 360
 
 # Most nodes a linear map advances per product (see _record_blocks): W =
 # min(_WINDOW, 2**17 // d**2, n_steps), at least 1, for d columns, so its
@@ -839,10 +846,16 @@ _WINDOW = 16
 def _closed_columns(system: TddSystem, states, costates, kz, chi_f):
     """Per-node diagnostics of a closed run from (dim, m) blocks of states
     z and co-states f and the products K z and chi F that
-    :func:`_record_blocks` formed for their block: H, 0.5 ||f||^2 plus the
+    :func:`_record_blocks` yields for their block: H, 0.5 ||f||^2 plus the
     non-quadratic energy, f^T chi f, the supply rate, the passivity
     residual -f^T chi f, and the largest entries of |K z - f - chi F| (the
     Volterra residual) and of |K z|.
+
+    Each quantity is one pass over its blocks: H, 0.5 ||f||^2 and f^T chi f
+    are einsum column dots (see :func:`_column_dot` and
+    :meth:`TddSystem.dissipation_rate`), the Volterra residual
+    K z - (f + chi F) is formed in one temporary, and max |K z| is the
+    larger of max K z and -min K z. Nothing is written into the blocks.
 
     On a stepped block f is the stepper's own solve, so the Volterra
     residual measures how well that solve meets the constraint. On a
@@ -851,11 +864,13 @@ def _closed_columns(system: TddSystem, states, costates, kz, chi_f):
     shows in the states, not here."""
     nonquad = system.nonquadratic_energy(states, np.zeros(states.shape[1]))
     diss = system.dissipation_rate(costates)
-    volterra = kz - (costates + chi_f)
+    volterra = np.add(costates, chi_f)
+    np.subtract(kz, volterra, out=volterra)
     return np.array([0.5 * _column_dot(kz, kz) + nonquad,
                      0.5 * _column_dot(costates, costates) + nonquad,
                      diss, system.supply_rate(states, costates), -diss,
-                     np.abs(volterra).max(axis=0), np.abs(kz).max(axis=0)])
+                     np.abs(volterra, out=volterra).max(axis=0),
+                     np.maximum(-kz.min(axis=0), kz.max(axis=0))])
 
 
 def _plain_columns(hamiltonian, states):
@@ -934,9 +949,10 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
     0, each yielded as (layers, m, dim) views of one reused buffer (m is
     _BLOCK but in the last block) together with the products it formed.
     The layers are the state z; for a :class:`VerletStepper` also its
-    memory integral F and its co-state f; for an RK4 stepper (``inline``)
-    also dz/dt from its ``rhs``, called at each snapshot node right after
-    the step.
+    memory integral F and its co-state f, and on a stepped run the K z
+    its step formed for the co-state solve (``stepper.kz``); for an RK4
+    stepper (``inline``) also dz/dt from its ``rhs``, called at each
+    snapshot node right after the step.
 
     A block fills its nodes one of three ways. Without a ``step_map`` each
     node after node 0 comes from ``stepper.step``. With one, the
@@ -959,16 +975,20 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
       roundoff, not bitwise: the map takes the gradient where the stepper
       does, in other arithmetic.
 
-    Every closed block, stepped or mapped, then forms K z and chi F once
-    from its state and memory layers and yields them as the pair
-    (K z, chi F) of (dim, m) blocks, which :func:`_closed_columns` reads;
-    a mapped block first forms its co-states f = K z - chi F from them. A
-    plain block yields (). Nothing here checks what it writes, so a run
-    that leaves floating point range goes on to the end of its block, and
-    :func:`_drive` raises.
+    Every closed block then yields the pair (K z, chi F) of (dim, m)
+    blocks, which :func:`_closed_columns` reads, each product formed once:
+    chi F from the memory layer, and K z as the view of the step's K z
+    layer on a stepped block, so no stepped block forms K z again, or as
+    the product with the state layer on a mapped block, which first forms
+    its co-states f = K z - chi F from the pair. Either view lives only
+    until the next block. A plain block yields (). Nothing here checks
+    what it writes, so a run that leaves floating point range goes on to
+    the end of its block, and :func:`_drive` raises.
     """
     dim = z.size
-    rows = np.empty((_BLOCK, 3 if closed else 2 if inline else 1, dim))
+    # z; closed, F and f, and a stepped run's K z; RK4, dz/dt
+    layers = (3 + (step_map is None)) if closed else 2 if inline else 1
+    rows = np.empty((_BLOCK, layers, dim))
     phi, c, g1 = step_map or (None, None, None)
     if step_map is not None:
         xdim = c.size
@@ -1004,6 +1024,7 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                 if closed:
                     rows[j, 1] = stepper.integral
                     rows[j, 2] = stepper.f
+                    rows[j, 3] = stepper.kz
                 elif inline and (start + j) % snapshot_stride == 0:
                     rows[j, 1] = stepper.rhs(z)
         else:
@@ -1031,10 +1052,14 @@ def _record_blocks(stepper, z, n_steps: int, snapshot_stride: int,
                 rows[:m, 1][:, live] = xs[:m, dim:]
         products = ()
         if closed:
-            products = (stepper.system.K @ rows[:m, 0].T,
-                        stepper.system.chi_apply(rows[:m, 1].T))
-            if step_map is not None:
-                rows[:m, 2] = (products[0] - products[1]).T
+            system = stepper.system
+            chi_f = system.chi_apply(rows[:m, 1].T)
+            if step_map is None:
+                kz = rows[:m, 3].T
+            else:
+                kz = system.K @ rows[:m, 0].T
+                rows[:m, 2] = (kz - chi_f).T
+            products = (kz, chi_f)
         yield rows[:m].transpose(1, 0, 2), products
 
 
@@ -1051,8 +1076,9 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
     and the error carry the map's linear block as ``step_map``. Numpy's
     overflow and invalid warnings are silenced from the probe on.
 
-    Each block gives up its snapshot nodes and is reduced to per-node
-    diagnostics column by column: a closed block by
+    Each block gives up its snapshot nodes, picked before the kept layers
+    are gathered so only those nodes are copied, and is reduced to
+    per-node diagnostics column by column: a closed block by
     :func:`_closed_columns` from the pair (K z, chi F) it yields, stepped
     or mapped, a plain one by :func:`_plain_columns`. This is the one
     place a run fails: it raises :class:`NonFiniteError` at the block's
@@ -1109,7 +1135,7 @@ def _drive(make_stepper, z0, dt: float, n_steps: int | None,
             picks = np.arange(first * snapshot_stride - start, block.shape[1],
                               snapshot_stride)
             cols = slice(first, first + picks.size)
-            store[:, :, cols] = block[kept][:, picks].transpose(0, 2, 1)
+            store[:, :, cols] = block[np.ix_(kept, picks)].transpose(0, 2, 1)
             diagnostics = (
                 _closed_columns(stepper.system, block[0].T, block[2].T,
                                 *products)

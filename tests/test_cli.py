@@ -940,6 +940,20 @@ def test_deterministic_artifacts(tmp_path):
     assert (c / "energy.csv").read_bytes() == (d / "energy.csv").read_bytes()
 
 
+def test_stepped_closed_run_full_is_deterministic(tmp_path):
+    """A stepped closed run-full (wave n = 140, a 420-column map, wider
+    than _MAP_DIM) made twice in one process writes byte-identical
+    reports and snapshots: its einsum reductions of the per-node series
+    do not depend on where the run's buffers happen to lie."""
+    assert 3 * 140 > dynamics._MAP_DIM
+    runs = tmp_path / "a", tmp_path / "b"
+    for out in runs:
+        assert _run("run-full", "--benchmark", "wave", "--set", "n=140",
+                    "--set", "t_final=2", "--out", str(out)) == 0
+    for name in ("full_report.csv", "snapshots.mtx", "snapshots_times.mtx"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
 def test_check_command(tmp_path, capsys):
     out = tmp_path / "full"
     assert _run_full_small(out) == 0
